@@ -28,7 +28,11 @@ def _add_common(sub):
     sub.add_argument("--config", help="path to the key=value config file")
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--out", required=True, help="artifact output directory")
-    sub.add_argument("--workers", type=int, help="concurrent sweep workers")
+    sub.add_argument(
+        "--workers", type=int,
+        help="threads: simulate uses them within each repetition, sweeps across points; "
+        "artifacts do not depend on the count",
+    )
     sub.add_argument("--keep-raw", action="store_true", help="persist raw records")
 
 

@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+from scipy import signal
+
 from .errors import ConfigError
 from .model import CavityPumpParams, DerivedRates, OscillatorParams
 from .synth import SimGrid
@@ -75,9 +77,13 @@ FIELDS: dict[str, tuple[str, str, str]] = {
     "fit_margin": (PLAIN_HZ, "500Hz", "half-width of each fit window"),
     # run
     "repetitions": (INT, "5", "independent repetitions per point"),
-    "workers": (INT, "1", "concurrent sweep workers"),
+    "workers": (INT, "1", "threads: within a repetition for simulate, across points for sweeps"),
     "keep_raw": (BOOL, "false", "persist raw records"),
 }
+
+# Execution settings: they change how a run is computed, never its results,
+# so they stay out of the snapshot and the config hash.
+EXECUTION_KEYS = ("workers",)
 
 _VALUE_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([A-Za-z]*)\s*$")
 
@@ -102,7 +108,11 @@ def _parse_value(name: str, kind: str, text: str):
     m = _VALUE_RE.match(text)
     if m is None:
         raise ConfigError(f"{name}: cannot parse value {text!r}")
-    number, suffix = float(m.group(1)), m.group(2)
+    try:
+        number = float(m.group(1))
+    except ValueError:
+        raise ConfigError(f"{name}: cannot parse number {m.group(1)!r} in {text!r}") from None
+    suffix = m.group(2)
     if kind in (ANGULAR, PLAIN_HZ):
         if suffix not in _HZ_SCALE:
             raise ConfigError(
@@ -129,6 +139,8 @@ def _parse_value(name: str, kind: str, text: str):
     if kind == INT:
         if suffix:
             raise ConfigError(f"{name}: integer value has suffix {suffix!r}")
+        if not number.is_integer():
+            raise ConfigError(f"{name}: expected an integer, got {text!r}")
         return int(number)
     raise ConfigError(f"{name}: unknown kind {kind}")
 
@@ -186,8 +198,13 @@ class RunConfig:
         return RunConfig.from_items(merged)
 
     def snapshot(self) -> str:
-        """Canonical diff-friendly text; hashing input."""
-        lines = [f"{name} = {self.raw_text[name]}" for name in sorted(FIELDS)]
+        """Canonical diff-friendly text; hashing input.  Execution settings
+        (EXECUTION_KEYS) are left out: they do not change any artifact."""
+        lines = [
+            f"{name} = {self.raw_text[name]}"
+            for name in sorted(FIELDS)
+            if name not in EXECUTION_KEYS
+        ]
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -274,6 +291,10 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append("workers must be >= 1")
     if not 0.0 <= v["welch_overlap"] < 1.0:
         problems.append("welch_overlap must lie in [0, 1)")
+    try:
+        signal.get_window(v["window"], 16)
+    except ValueError as exc:
+        problems.append(f"window {v['window']!r}: {exc}")
     if v["decimate"] < 1:
         problems.append("decimate must be >= 1")
     # a quantum-squeezed regime (s > 2*n_bar) is a valid configuration: the

@@ -8,14 +8,20 @@ as an injected test tone for exercising fit exclusion masks.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal
 
 from .errors import AliasingError, FilterDesignError, ScheduleError
+from .parallel import thread_map
 from .synth import (
     DETUNED,
     RESONANT,
@@ -31,7 +37,12 @@ from .synth import (
     stream_rng,
 )
 
-_MIX_BLOCK = 1 << 20
+# Samples per carrier-mixing block (cache-sized), per shot-noise buffer, and
+# the FFT length and blocks per call of the lock-in filter's overlap-save.
+_MIX_BLOCK = 1 << 16
+_NOISE_STRETCH = 16 * _MIX_BLOCK
+_FIR_FFT = 1 << 13
+_FIR_BATCH = 32
 
 # A switch's settling transient must not eat into more than this fraction of
 # its segment, otherwise the schedule is rejected as unusable.
@@ -126,12 +137,52 @@ def _check_nyquist(grid: SimGrid, delta_lo: float) -> None:
         )
 
 
-def _shot_noise(out: np.ndarray, shot_psd: float, sample_rate: float, rng: np.random.Generator) -> None:
-    if shot_psd > 0.0:
-        sigma = math.sqrt(shot_psd * sample_rate / 2.0)
-        for i0 in range(0, len(out), _MIX_BLOCK):
-            i1 = min(i0 + _MIX_BLOCK, len(out))
-            out[i0:i1] += sigma * rng.standard_normal(i1 - i0)
+def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0):
+    """Yield (i0, i1, exp(i(omega*t + phase))) with t = arange(i0, i1)*dt for
+    each _MIX_BLOCK block of an n-sample record.
+
+    The block phasor exp(i*omega*k*dt) is evaluated once per call and each
+    block rotates it by the scalar exp(i(omega*i0*dt + phase)), so mixing
+    costs one complex multiply per sample.  The result agrees with the direct
+    exp to the rounding already present in omega*t.  Each yielded array is
+    fresh, so callers may scale it in place.
+    """
+    block = np.exp(1j * (omega * dt * np.arange(min(n, _MIX_BLOCK))))
+    for i0 in range(0, n, _MIX_BLOCK):
+        i1 = min(i0 + _MIX_BLOCK, n)
+        yield i0, i1, block[: i1 - i0] * cmath.exp(1j * (omega * i0 * dt + phase))
+
+
+def _record_with_shot_noise(
+    n: int, blocks, shot_psd: float, sample_rate: float, rng: np.random.Generator, workers: int
+) -> np.ndarray:
+    """n-sample record from `blocks`, an iterator of (i0, i1, values) over
+    consecutive _MIX_BLOCK blocks, plus white shot noise of one-sided density
+    shot_psd.  The noise of each _NOISE_STRETCH samples is drawn into one
+    stretch-sized buffer, on a second thread when workers > 1, while that
+    stretch is mixed; the sum is the same either way."""
+    out = np.empty(n)
+
+    def mix(n_blocks):
+        for i0, i1, values in islice(blocks, n_blocks):
+            out[i0:i1] = values
+
+    if not shot_psd > 0.0:
+        mix(None)
+        return out
+    sigma = math.sqrt(shot_psd * sample_rate / 2.0)
+    noise = np.empty(min(n, _NOISE_STRETCH))
+
+    def draw(part):
+        rng.standard_normal(out=part)
+        part *= sigma
+
+    for s0 in range(0, n, _NOISE_STRETCH):
+        part = noise[: min(_NOISE_STRETCH, n - s0)]
+        jobs = (partial(mix, _NOISE_STRETCH // _MIX_BLOCK), partial(draw, part))
+        thread_map(lambda job: job(), jobs, workers)
+        out[s0 : s0 + len(part)] += part
+    return out
 
 
 def compose_heterodyne_wigner(
@@ -141,6 +192,7 @@ def compose_heterodyne_wigner(
     schedule: Schedule | None = None,
     frame_phase: float = 0.0,
     lo_phase: float = 0.0,
+    workers: int = 1,
 ) -> Record:
     """Real heterodyne record from a Wigner-backend trajectory.
 
@@ -153,15 +205,21 @@ def compose_heterodyne_wigner(
     if schedule is None:
         schedule = single_segment_schedule(grid.duration)
     n = grid.n_samples
-    out = np.empty(n)
-    dt = grid.dt
-    for i0 in range(0, n, _MIX_BLOCK):
-        i1 = min(i0 + _MIX_BLOCK, n)
-        t = np.arange(i0, i1) * dt
-        beat = np.cos(grid.carrier * t + frame_phase) * traj.x[i0:i1]
-        beat += np.sin(grid.carrier * t + frame_phase) * traj.y[i0:i1]
-        out[i0:i1] = 2.0 * det.gain * beat * np.cos(delta_lo * t + lo_phase)
-    _shot_noise(out, det.shot_psd, grid.sample_rate, stream_rng(grid.seed, STREAM_SHOT_WIGNER))
+
+    def blocks():
+        for (i0, i1, car), (_, _, lo) in zip(
+            carrier_phasors(n, grid.carrier, grid.dt, frame_phase),
+            carrier_phasors(n, delta_lo, grid.dt, lo_phase),
+        ):
+            beat = car.real * traj.x[i0:i1]
+            beat += car.imag * traj.y[i0:i1]
+            beat *= lo.real
+            beat *= 2.0 * det.gain
+            yield i0, i1, beat
+
+    out = _record_with_shot_noise(
+        n, blocks(), det.shot_psd, grid.sample_rate, stream_rng(grid.seed, STREAM_SHOT_WIGNER), workers
+    )
     return Record(
         samples=out,
         sample_rate=grid.sample_rate,
@@ -178,6 +236,7 @@ def compose_heterodyne_components(
     delta_lo: float,
     schedule: Schedule | None = None,
     lo_phase: float = 0.0,
+    workers: int = 1,
 ) -> Record:
     """Real heterodyne record from the component-backend envelopes.
 
@@ -190,17 +249,20 @@ def compose_heterodyne_components(
     if schedule is None:
         schedule = single_segment_schedule(grid.duration)
     n = grid.n_samples
-    out = np.empty(n)
-    dt = grid.dt
-    w_up = grid.carrier + delta_lo
-    w_dn = grid.carrier - delta_lo
-    for i0 in range(0, n, _MIX_BLOCK):
-        i1 = min(i0 + _MIX_BLOCK, n)
-        t = np.arange(i0, i1) * dt
-        up = beta_stokes[i0:i1] * np.exp(1j * (w_up * t + lo_phase))
-        dn = beta_antistokes[i0:i1] * np.exp(1j * (w_dn * t - lo_phase))
-        out[i0:i1] = det.gain * (up.real + dn.real)
-    _shot_noise(out, det.shot_psd, grid.sample_rate, stream_rng(grid.seed, STREAM_SHOT_COMPONENT))
+
+    def blocks():
+        for (i0, i1, up), (_, _, dn) in zip(
+            carrier_phasors(n, grid.carrier + delta_lo, grid.dt, lo_phase),
+            carrier_phasors(n, grid.carrier - delta_lo, grid.dt, -lo_phase),
+        ):
+            up *= beta_stokes[i0:i1]
+            dn *= beta_antistokes[i0:i1]
+            up += dn
+            yield i0, i1, det.gain * up.real
+
+    out = _record_with_shot_noise(
+        n, blocks(), det.shot_psd, grid.sample_rate, stream_rng(grid.seed, STREAM_SHOT_COMPONENT), workers
+    )
     return Record(
         samples=out,
         sample_rate=grid.sample_rate,
@@ -269,12 +331,15 @@ def demod_baseband(
     det: DetectionParams,
     passband_edge_hz: float | None = None,
     decimate: int = 1,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex baseband 2 * lowpass(rec * exp(+i*carrier*t)) at zero net delay.
 
     The two lock-in channels at any demodulation phase theta are
     Re(e^{i theta} z) and Im(e^{i theta} z), so the baseband can be computed
-    once and shared between phase search and channel extraction.
+    once and shared between phase search and channel extraction.  The
+    low-pass is a zero-padded 'same'-mode FFT convolution (overlap-save) whose
+    batches of blocks run on up to `workers` threads.
     Returns (baseband, filter_taps).
     """
     if passband_edge_hz is None:
@@ -282,14 +347,30 @@ def demod_baseband(
     taps = design_lockin_fir(
         rec.sample_rate, det.lowpass_cutoff, rec.frame.carrier, passband_edge_hz, decimate
     )
-    n = rec.n_samples
-    z = np.empty(n, dtype=complex)
-    dt = 1.0 / rec.sample_rate
-    for i0 in range(0, n, _MIX_BLOCK):
-        i1 = min(i0 + _MIX_BLOCK, n)
-        t = np.arange(i0, i1) * dt
-        z[i0:i1] = 2.0 * rec.samples[i0:i1] * np.exp(1j * rec.frame.carrier * t)
-    return signal.oaconvolve(z, taps, mode="same"), taps
+    n, m = rec.n_samples, len(taps)
+    nfft = sp_fft.next_fast_len(max(_FIR_FFT, 4 * m))
+    step = nfft - (m - 1)
+    n_blocks = -(-n // step)
+    # padded[h + k] holds the mixed sample k; block b reads
+    # padded[b*step : b*step + nfft] and keeps its last `step` outputs
+    padded = np.zeros(n_blocks * step + m - 1, dtype=complex)
+    h = m // 2
+    for i0, i1, ph in carrier_phasors(n, rec.frame.carrier, 1.0 / rec.sample_rate):
+        ph *= rec.samples[i0:i1]
+        np.multiply(ph, 2.0, out=padded[h + i0 : h + i1])
+    frames = sliding_window_view(padded, nfft)[::step]
+    response = sp_fft.fft(taps, nfft)
+    z = np.empty(n_blocks * step, dtype=complex)
+
+    def filter_batch(b0):
+        b1 = min(b0 + _FIR_BATCH, n_blocks)
+        spec = sp_fft.fft(frames[b0:b1], axis=1)
+        spec *= response
+        y = sp_fft.ifft(spec, axis=1, overwrite_x=True)
+        z[b0 * step : b1 * step] = y[:, m - 1 :].ravel()
+
+    thread_map(filter_batch, range(0, n_blocks, _FIR_BATCH), workers)
+    return z[:n], taps
 
 
 def lockin_demodulate(
@@ -308,9 +389,7 @@ def lockin_demodulate(
     if baseband is None:
         baseband = demod_baseband(rec, det, passband_edge_hz, decimate)
     z, taps = baseband
-    rotated = z * np.exp(1j * det.demod_phase)
-    if decimate > 1:
-        rotated = rotated[::decimate]
+    rotated = z[::decimate] * np.exp(1j * det.demod_phase)
     return DemodOutput(
         ch_x=rotated.real.copy(),
         ch_y=rotated.imag.copy(),

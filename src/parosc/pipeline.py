@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,7 @@ from .detect import (
 from .errors import ParoscError, PipelineError, QuantumSqueezingRegimeError
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, quadrature_variances
+from .parallel import thread_map
 from .spectral import chi2_indistinguishable, welch_psd_chunks, write_psd_csv
 from .synth import (
     DETUNED,
@@ -89,7 +89,9 @@ def _chunks(arr: np.ndarray, slices) -> list[np.ndarray]:
     return [arr[s] for s in slices]
 
 
-def _run_repetition(config: RunConfig, rates: DerivedRates, seed: int, raw_dir: Path | None):
+def _run_repetition(
+    config: RunConfig, rates: DerivedRates, seed: int, raw_dir: Path | None, workers: int
+):
     v = config.values
     osc = config.oscillator()
     det = config.detection()
@@ -101,19 +103,23 @@ def _run_repetition(config: RunConfig, rates: DerivedRates, seed: int, raw_dir: 
     passband_edge = config.passband_edge_hz(rates)
 
     # Quadrature path (Wigner backend).
-    traj = _stage("synthesis", simulate_scheduled_quadratures, osc, rates, grid, schedule)
+    traj = _stage(
+        "synthesis", simulate_scheduled_quadratures, osc, rates, grid, schedule, workers=workers
+    )
     if v["demod_phase_mode"] == "optimize":
         frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     else:
         frame_phase = 0.0
     rec_w = _stage(
         "composition", compose_heterodyne_wigner,
-        traj, det, delta_lo, schedule=schedule, frame_phase=frame_phase,
+        traj, det, delta_lo, schedule=schedule, frame_phase=frame_phase, workers=workers,
     )
     if raw_dir is not None:
         recordio.write_record_bin(raw_dir / "record_wigner.bin", rec_w.samples, rec_w.sample_rate)
     del traj
-    baseband = _stage("demodulation", demod_baseband, rec_w, det, passband_edge, decim)
+    baseband = _stage(
+        "demodulation", demod_baseband, rec_w, det, passband_edge, decim, workers=workers
+    )
     if v["demod_phase_mode"] == "optimize":
         theta = _stage(
             "phase search", optimize_demod_phase, rec_w, det, passband_edge, baseband=baseband
@@ -132,7 +138,7 @@ def _run_repetition(config: RunConfig, rates: DerivedRates, seed: int, raw_dir: 
             psd_q[(ch_name, tag)] = _stage(
                 "quadrature psd", welch_psd_chunks,
                 _chunks(ch, slices), demod.sample_rate, nperseg_q,
-                v["welch_overlap"], v["window"],
+                v["welch_overlap"], v["window"], workers=workers,
             )
     if raw_dir is not None:
         recordio.write_record_bin(
@@ -144,11 +150,11 @@ def _run_repetition(config: RunConfig, rates: DerivedRates, seed: int, raw_dir: 
 
     # Sideband path (component backend).
     beta_s, beta_as = _stage(
-        "synthesis", simulate_scheduled_envelopes, osc, rates, grid, schedule
+        "synthesis", simulate_scheduled_envelopes, osc, rates, grid, schedule, workers=workers
     )
     rec_c = _stage(
         "composition", compose_heterodyne_components,
-        beta_s, beta_as, det, grid, delta_lo, schedule=schedule,
+        beta_s, beta_as, det, grid, delta_lo, schedule=schedule, workers=workers,
     )
     del beta_s, beta_as
     if raw_dir is not None:
@@ -160,7 +166,7 @@ def _run_repetition(config: RunConfig, rates: DerivedRates, seed: int, raw_dir: 
         psd_h[tag] = _stage(
             "heterodyne psd", welch_psd_chunks,
             _chunks(rec_c.samples, slices), rec_c.sample_rate, nperseg_h,
-            v["welch_overlap"], v["window"],
+            v["welch_overlap"], v["window"], workers=workers,
         )
     del rec_c
 
@@ -369,6 +375,7 @@ def run_single(
     out_dir,
     point_key: tuple[int, ...] = (0,),
     validate: bool = True,
+    workers: int | None = None,
 ) -> dict:
     """One seeded end-to-end run with the configured number of repetitions.
 
@@ -376,6 +383,8 @@ def run_single(
     report.json / report.txt; returns the report dictionary.  In the
     quantum-squeezing regime (s > 2*n_bar) the run degrades to analytic
     spectra only, since the component backend refuses negative weights.
+    The kernels of each repetition run on `workers` threads (default: the
+    config's `workers`); the artifacts do not depend on it.
     """
     if validate:
         require_valid(config)
@@ -385,6 +394,7 @@ def run_single(
     if min(rates.weights.as_tuple()) < 0.0:
         return _run_analytic_only(config, out, rates)
     v = config.values
+    workers = v["workers"] if workers is None else workers
     reps = []
     manifest = ["config.txt", "report.json", "report.txt"]
     for rep in range(v["repetitions"]):
@@ -395,7 +405,7 @@ def run_single(
         if v["keep_raw"]:
             raw_dir = rep_dir / "raw"
             raw_dir.mkdir(exist_ok=True)
-        result = _run_repetition(config, rates, seed, raw_dir)
+        result = _run_repetition(config, rates, seed, raw_dir, workers)
         cfg_hash = config.config_hash()
         for name, psd in result["psds"].items():
             path = rep_dir / name
@@ -443,11 +453,7 @@ def run_single(
 
 
 def write_psd_csv_with_hash(psd, path, cfg_hash: str) -> None:
-    write_psd_csv(psd, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        body = fh.read()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config={cfg_hash}\n" + body)
+    write_psd_csv(psd, path, config_hash=cfg_hash)
 
 
 def render_report(report: dict) -> str:
@@ -514,19 +520,16 @@ def _run_point(args):
                 f"s = {rates.s:.4g} > 2*n_bar = {2 * rates.n_bar:.4g}: "
                 "quantum-squeezing regime, time-domain synthesis refused"
             )
-        report = run_single(config, out_dir, point_key=(index,))
+        # the sweep spends its workers on points, so each point's kernels
+        # run on one thread and pools never nest
+        report = run_single(config, out_dir, point_key=(index,), workers=1)
         return index, report, None
     except Exception as exc:  # error isolation: a failing point must not kill siblings
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
 def _run_points(points, workers: int):
-    if workers <= 1:
-        results = [_run_point(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_point, points))
-    return sorted(results, key=lambda r: r[0])
+    return sorted(thread_map(_run_point, points, workers), key=lambda r: r[0])
 
 
 def _csv_cell(x) -> str:

@@ -11,9 +11,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal
 
 from .errors import SpectralError
+from .parallel import thread_map
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
@@ -84,7 +87,8 @@ def welch_psd(
     window: str = DEFAULT_WINDOW,
     detrend: str | bool = "constant",
 ) -> Psd:
-    """Averaged modified periodogram with window power normalization.
+    """Averaged modified periodogram with window power normalization
+    (Welch's method along the last axis).
 
     Real inputs produce a one-sided density (doubled except at DC/Nyquist);
     complex inputs produce a two-sided density on an fftshifted axis.
@@ -107,20 +111,27 @@ def welch_psd(
             f"overlap {overlap_frac}"
         )
     complex_input = np.iscomplexobj(samples)
-    freqs, density = signal.welch(
-        samples,
-        fs=sample_rate,
-        window=window,
-        nperseg=segment_len,
-        noverlap=noverlap,
-        detrend=detrend,
-        return_onesided=not complex_input,
-        scaling="density",
-    )
-    if complex_input:
-        freqs = np.fft.fftshift(freqs)
-        density = np.fft.fftshift(density)
     win_vals = signal.get_window(window, segment_len)
+    # hop-spaced segments along the last axis: (..., n_segments, segment_len)
+    segments = sliding_window_view(samples, segment_len, axis=-1)[..., ::hop, :]
+    if detrend == "constant":
+        segments = segments - segments.mean(axis=-1, keepdims=True)
+    elif detrend is not False:
+        raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
+    segments = segments * win_vals
+    if complex_input:
+        spec = sp_fft.fft(segments, axis=-1)
+        freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
+    else:
+        spec = sp_fft.rfft(segments, axis=-1)
+        freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
+    density = np.mean(spec.real**2 + spec.imag**2, axis=-2)
+    density /= sample_rate * float(np.sum(win_vals**2))
+    if complex_input:
+        density = sp_fft.fftshift(density, axes=-1)
+    else:
+        # one-sided: fold negative frequencies onto all bins but DC and Nyquist
+        density[..., 1 : None if segment_len % 2 else -1] *= 2.0
     eff = n_segments / _overlap_variance_factor(win_vals, hop, n_segments)
     return Psd(
         freqs=freqs,
@@ -139,40 +150,37 @@ def welch_psd_chunks(
     segment_len: int,
     overlap_frac: float = DEFAULT_OVERLAP,
     window: str = DEFAULT_WINDOW,
+    workers: int = 1,
 ) -> Psd:
     """Welch estimate pooled over disjoint record chunks (e.g. schedule segments).
 
-    Each chunk is estimated separately and the averages combined with weights
-    proportional to their segment counts, in list order (deterministic
-    reduction).  Chunks shorter than two Welch segments are skipped; pooling
-    fails only if nothing remains.
+    Each chunk is estimated separately, on up to `workers` threads, and the
+    averages combined with weights proportional to their segment counts, in
+    list order (deterministic reduction).  Chunks shorter than two Welch
+    segments are skipped; pooling fails only if nothing remains.
     """
-    pooled = None
-    total = 0
-    total_eff = 0.0
-    for chunk in chunks:
+
+    def estimate(chunk):
         try:
-            psd = welch_psd(chunk, sample_rate, segment_len, overlap_frac, window)
+            return welch_psd(chunk, sample_rate, segment_len, overlap_frac, window)
         except SpectralError:
-            continue
-        if pooled is None:
-            pooled = psd.density * psd.n_averages
-            freqs = psd.freqs
-            template = psd
-        else:
-            pooled = pooled + psd.density * psd.n_averages
-        total += psd.n_averages
-        total_eff += psd.effective_averages
-    if pooled is None:
+            return None
+
+    psds = [psd for psd in thread_map(estimate, chunks, workers) if psd is not None]
+    if not psds:
         raise SpectralError("no chunk was long enough for a Welch estimate")
+    pooled = psds[0].density * psds[0].n_averages
+    for psd in psds[1:]:
+        pooled = pooled + psd.density * psd.n_averages
+    total = sum(psd.n_averages for psd in psds)
     return Psd(
-        freqs=freqs,
+        freqs=psds[0].freqs,
         density=pooled / total,
-        rbw=template.rbw,
+        rbw=psds[0].rbw,
         n_averages=total,
-        effective_averages=total_eff,
+        effective_averages=sum(psd.effective_averages for psd in psds),
         window=window,
-        onesided=template.onesided,
+        onesided=psds[0].onesided,
     )
 
 
@@ -182,9 +190,12 @@ def resolution_check(psd: Psd, min_width_hz: float) -> bool:
     return psd.rbw <= min_width_hz / 5.0
 
 
-def write_psd_csv(psd: Psd, path) -> None:
-    """Two-column CSV (freq_hz, psd) with the estimation metadata in the header."""
+def write_psd_csv(psd: Psd, path, config_hash: str | None = None) -> None:
+    """Two-column CSV (freq_hz, psd) with the estimation metadata in the header,
+    preceded by a ``# config=<hash>`` line when config_hash is given."""
     with open(path, "w", encoding="utf-8") as fh:
+        if config_hash is not None:
+            fh.write(f"# config={config_hash}\n")
         fh.write(
             f"# rbw_hz={psd.rbw:.12g} window={psd.window} "
             f"n_averages={psd.n_averages} "
@@ -192,8 +203,7 @@ def write_psd_csv(psd: Psd, path) -> None:
             f"onesided={int(psd.onesided)}\n"
         )
         fh.write("freq_hz,psd\n")
-        for f, d in zip(psd.freqs, psd.density):
-            fh.write(f"{f:.12g},{d:.12g}\n")
+        fh.writelines(map("{:.12g},{:.12g}\n".format, psd.freqs.tolist(), psd.density.tolist()))
 
 
 def read_psd_csv(path) -> Psd:

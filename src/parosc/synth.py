@@ -31,6 +31,7 @@ from .errors import (
     ScheduleError,
 )
 from .model import DerivedRates, OscillatorParams
+from .parallel import thread_map
 
 # Stream ids for SeedSequence spawn keys; never renumber, only append.
 STREAM_WIGNER_X = 0
@@ -213,28 +214,35 @@ def ou_chain_piecewise(
     pieces: list[tuple[int, float, float]],
     dt: float,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    add: bool = False,
 ) -> np.ndarray:
     """OU chain whose (decay, variance) switch between pieces, state carried
     continuously across switches.  pieces: (n_samples, decay, stationary_var).
-    The first sample is a stationary draw of the first piece."""
-    total = sum(n for n, _, _ in pieces)
-    out = np.empty(total)
+    The first sample is a stationary draw of the first piece.
+
+    The chain is written into `out` when given (added to its contents when
+    `add`), one piece at a time, so no full-length temporary is built."""
+    if out is None:
+        out = np.empty(sum(n for n, _, _ in pieces))
     pos = 0
     state: float | None = None
     for n, decay, var in pieces:
         if n == 0:
             continue
         if state is None:
-            out[pos : pos + n] = ou_chain(n, decay, var, dt, rng)
+            piece = ou_chain(n, decay, var, dt, rng)
         else:
             alpha = math.exp(-decay * dt)
             sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
             w = sigma_w * rng.standard_normal(n)
-            out[pos : pos + n], _ = signal.lfilter(
-                [1.0], [1.0, -alpha], w, zi=np.array([alpha * state])
-            )
+            piece, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * state]))
+        if add:
+            out[pos : pos + n] += piece
+        else:
+            out[pos : pos + n] = piece
         pos += n
-        state = out[pos - 1]
+        state = piece[-1]
     return out
 
 
@@ -249,17 +257,6 @@ def complex_ou_chain(
     half = 0.5 * stationary_power
     re = ou_chain(n, decay_rate, half, dt, rng)
     im = ou_chain(n, decay_rate, half, dt, rng)
-    return re + 1j * im
-
-
-def complex_ou_chain_piecewise(
-    pieces: list[tuple[int, float, float]],
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    halves = [(n, d, 0.5 * p) for n, d, p in pieces]
-    re = ou_chain_piecewise(halves, dt, rng)
-    im = ou_chain_piecewise(halves, dt, rng)
     return re + 1j * im
 
 
@@ -354,50 +351,75 @@ def _schedule_pieces(
 
 
 def simulate_scheduled_quadratures(
-    osc: OscillatorParams, rates: DerivedRates, grid: SimGrid, schedule: Schedule
+    osc: OscillatorParams,
+    rates: DerivedRates,
+    grid: SimGrid,
+    schedule: Schedule,
+    workers: int = 1,
 ) -> QuadTrajectory:
     """Wigner trajectory whose rates switch with the drive schedule: resonant
     segments use (gamma_plus, gamma_minus), detuned segments collapse both
     quadratures to gamma_eff at the thermal variance; the chain state is
-    continuous across switches (the schedule guard covers settling)."""
+    continuous across switches (the schedule guard covers settling).  The two
+    independent chains run on up to `workers` threads."""
     _check_synthesizable(rates)
     var_x, var_y = rates.quadrature_variances()
     var_0 = (2.0 * rates.n_bar + 1.0) / 4.0
-    x = ou_chain_piecewise(
-        _schedule_pieces(schedule, grid, {
-            RESONANT: (0.5 * rates.gamma_plus, var_x),
-            DETUNED: (0.5 * rates.gamma_eff, var_0),
-        }),
-        grid.dt,
-        stream_rng(grid.seed, STREAM_WIGNER_X),
+    streams = (
+        (STREAM_WIGNER_X, 0.5 * rates.gamma_plus, var_x),
+        (STREAM_WIGNER_Y, 0.5 * rates.gamma_minus, var_y),
     )
-    y = ou_chain_piecewise(
-        _schedule_pieces(schedule, grid, {
-            RESONANT: (0.5 * rates.gamma_minus, var_y),
+
+    def chain(stream):
+        sid, decay, var = stream
+        pieces = _schedule_pieces(schedule, grid, {
+            RESONANT: (decay, var),
             DETUNED: (0.5 * rates.gamma_eff, var_0),
-        }),
-        grid.dt,
-        stream_rng(grid.seed, STREAM_WIGNER_Y),
-    )
+        })
+        return ou_chain_piecewise(pieces, grid.dt, stream_rng(grid.seed, sid))
+
+    x, y = thread_map(chain, streams, workers)
     return QuadTrajectory(x=x, y=y, grid=grid, rates=rates)
 
 
 def simulate_scheduled_envelopes(
-    osc: OscillatorParams, rates: DerivedRates, grid: SimGrid, schedule: Schedule
+    osc: OscillatorParams,
+    rates: DerivedRates,
+    grid: SimGrid,
+    schedule: Schedule,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component-backend envelopes with per-segment drive switching (s -> 0 in
-    detuned segments, gamma_eff unchanged)."""
+    detuned segments, gamma_eff unchanged).
+
+    Each envelope is filled in place with its narrow component, then its
+    broad component is added; the two envelopes run on up to `workers`
+    threads, so at most that many chains are ever in flight."""
     _check_synthesizable(rates)
     _check_weights(rates)
     resonant = _envelope_component_table(rates)
     detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
-    chains = {}
-    for sid in resonant:
-        chains[sid] = complex_ou_chain_piecewise(
-            _schedule_pieces(schedule, grid, {RESONANT: resonant[sid], DETUNED: detuned[sid]}),
-            grid.dt,
-            stream_rng(grid.seed, sid),
-        )
-    beta_s = chains[STREAM_ENV_STOKES_NARROW] + chains[STREAM_ENV_STOKES_BROAD]
-    beta_as = chains[STREAM_ENV_ANTISTOKES_NARROW] + chains[STREAM_ENV_ANTISTOKES_BROAD]
+
+    def envelope(sids):
+        z = np.empty(grid.n_samples, dtype=complex)
+        for k, sid in enumerate(sids):
+            # circular complex OU of power p: each quadrature carries p/2,
+            # the real part drawn before the imaginary part
+            halves = _schedule_pieces(schedule, grid, {
+                tag: (decay, 0.5 * power)
+                for tag, (decay, power) in ((RESONANT, resonant[sid]), (DETUNED, detuned[sid]))
+            })
+            rng = stream_rng(grid.seed, sid)
+            ou_chain_piecewise(halves, grid.dt, rng, out=z.real, add=k > 0)
+            ou_chain_piecewise(halves, grid.dt, rng, out=z.imag, add=k > 0)
+        return z
+
+    beta_s, beta_as = thread_map(
+        envelope,
+        (
+            (STREAM_ENV_STOKES_NARROW, STREAM_ENV_STOKES_BROAD),
+            (STREAM_ENV_ANTISTOKES_NARROW, STREAM_ENV_ANTISTOKES_BROAD),
+        ),
+        workers,
+    )
     return beta_s, beta_as

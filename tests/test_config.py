@@ -129,3 +129,32 @@ class TestSnapshotAndHash:
         base_hash = base.config_hash()
         base.with_overrides(n_bar="9.9")
         assert base.config_hash() == base_hash
+
+    def test_workers_left_out_of_snapshot_and_hash(self):
+        # workers only changes how a run is computed, never its artifacts
+        base = RunConfig.defaults()
+        two = base.with_overrides(workers="2")
+        assert two.workers == 2
+        assert two.snapshot() == base.snapshot()
+        assert two.config_hash() == base.config_hash()
+        assert "workers" not in base.snapshot()
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("text", ["n_bar = ..", "n_bar = 1e", "n_bar = +-"])
+    def test_unparsable_number_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            RunConfig.from_text(text)
+
+    @pytest.mark.parametrize("text", ["decimate = 2.7", "decimate = 1e999"])
+    def test_non_integer_int_field_rejected(self, text):
+        with pytest.raises(ConfigError):
+            RunConfig.from_text(text)
+
+    def test_integral_float_text_accepted_for_int(self):
+        assert RunConfig.from_text("decimate = 4.0").decimate == 4
+
+    def test_unknown_window_is_a_validation_problem(self):
+        problems = validate_config(RunConfig.defaults().with_overrides(window="nosuch"))
+        assert any("window" in p for p in problems)
+        assert validate_config(RunConfig.defaults().with_overrides(window="blackman")) == []

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from parosc.detect import (
+    _MIX_BLOCK,
     DetectionParams,
     add_test_tone,
+    carrier_phasors,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
     demod_baseband,
@@ -86,6 +88,31 @@ class TestScheduleDrive:
         assert len(slices) == 2
         guard_n = math.ceil(schedule.guard * grid.sample_rate)
         assert slices[0].start == int(5.0 * grid.sample_rate) + guard_n
+
+
+class TestCarrierPhasors:
+    def test_matches_direct_exp_over_full_default_record(self):
+        # 100 s at 250 kHz: 25 M samples, the last block only partly filled
+        fs, omega, phase = 250e3, TWO_PI * 50e3 + DELTA_LO, 0.7
+        n = int(100.0 * fs)
+        assert n % _MIX_BLOCK != 0
+        dt = 1.0 / fs
+        worst = 0.0
+        covered = 0
+        for i0, i1, ph in carrier_phasors(n, omega, dt, phase):
+            assert i0 == covered
+            covered = i1
+            direct = np.exp(1j * (omega * (np.arange(i0, i1) * dt) + phase))
+            worst = max(worst, float(np.max(np.abs(ph - direct))))
+        assert covered == n
+        assert worst < 1e-8
+
+    def test_short_record_single_partial_block(self):
+        blocks = list(carrier_phasors(10, 3.0, 0.1, -0.2))
+        assert len(blocks) == 1
+        i0, i1, ph = blocks[0]
+        assert (i0, i1) == (0, 10)
+        np.testing.assert_allclose(ph, np.exp(1j * (3.0 * 0.1 * np.arange(10) - 0.2)), atol=1e-15)
 
 
 class TestComposeWigner:
@@ -208,6 +235,38 @@ class TestLockinFilter:
             design_lockin_fir(FS, 5.5e3, CARRIER, 5.4e3)  # cutoff above image edge
         with pytest.raises(FilterDesignError):
             design_lockin_fir(FS, 1.0e3, CARRIER, 1.5e3)  # edge above cutoff
+
+
+class TestDemodBaseband:
+    @pytest.mark.parametrize("n", [1_000, 50_021])
+    def test_matches_direct_same_mode_convolution(self, n):
+        # overlap-save over several blocks, and a record shorter than one
+        rng = np.random.default_rng(3)
+        rec = Record(
+            samples=rng.standard_normal(n), sample_rate=FS,
+            schedule=single_segment_schedule(n / FS),
+            frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
+        )
+        det = DetectionParams(lowpass_cutoff=2.5e3)
+        z, taps = demod_baseband(rec, det, 1.2e3, decimate=4)
+        mixed = 2.0 * rec.samples * np.exp(1j * CARRIER * np.arange(n) / FS)
+        direct = np.convolve(mixed, taps, mode="same")
+        assert z.shape == (n,)
+        # the carrier phasors carry the rounding of omega*t (~1e-11 here)
+        np.testing.assert_allclose(z, direct, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
+
+    def test_worker_count_does_not_change_result(self):
+        rng = np.random.default_rng(4)
+        rec = Record(
+            samples=rng.standard_normal(400_000), sample_rate=FS,
+            schedule=single_segment_schedule(16.0),
+            frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
+        )
+        det = DetectionParams(lowpass_cutoff=2.5e3)
+        # more workers than cores: the batches write disjoint slices of one array
+        one, _ = demod_baseband(rec, det, 1.2e3, decimate=4, workers=1)
+        many, _ = demod_baseband(rec, det, 1.2e3, decimate=4, workers=5)
+        assert np.array_equal(one, many)
 
 
 class TestLockinDemodulate:

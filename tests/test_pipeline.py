@@ -112,6 +112,16 @@ class TestDeterminism:
             b / "rep00" / "heterodyne_detuned.csv"
         ).read_bytes()
 
+    def test_run_single_worker_count_does_not_change_bytes(self, tmp_path):
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_single(tiny_config(workers=str(workers)), out)
+            trees[workers] = read_tree_bytes(out)
+        assert trees[1].keys() == trees[2].keys()
+        for name in trees[1]:
+            assert trees[1][name] == trees[2][name], name
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         cfg = tiny_config(repetitions="1")
         s_values = [0.0, 0.3, 0.5]
@@ -192,6 +202,17 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")
         assert main(["validate-config", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "line", ["n_bar = ..", "n_bar = 1e", "decimate = 2.7", "window = nosuch"]
+    )
+    def test_malformed_value_exit_2(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_and_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -110,6 +110,35 @@ def fit_single_band_area(psd):
     return 2.0 * lm.params[1] / 2.0
 
 
+class TestWelchMatchesScipy:
+    @pytest.mark.parametrize(
+        "n, seg, overlap, window, complex_input, detrend",
+        [
+            (100_000, 2000, 0.5, "hann", False, "constant"),
+            (100_000, 2001, 0.5, "hann", False, False),
+            (50_000, 999, 0.3, "blackman", True, "constant"),
+            (60_000, 1000, 0.0, "boxcar", True, False),
+        ],
+    )
+    def test_density_matches_signal_welch(self, n, seg, overlap, window, complex_input, detrend):
+        from scipy import signal
+
+        rng = stream_rng(21, 0)
+        x = rng.standard_normal(n) + 0.3
+        if complex_input:
+            x = x + 1j * rng.standard_normal(n)
+        psd = welch_psd(x, 1234.0, seg, overlap, window, detrend=detrend)
+        freqs, density = signal.welch(
+            x, fs=1234.0, window=window, nperseg=seg, noverlap=int(seg * overlap),
+            detrend=detrend, return_onesided=not complex_input, scaling="density",
+        )
+        if complex_input:
+            freqs, density = np.fft.fftshift(freqs), np.fft.fftshift(density)
+        np.testing.assert_allclose(psd.freqs, freqs, rtol=1e-14, atol=0.0)
+        # same terms summed in another order: float64 rounding only
+        np.testing.assert_allclose(psd.density, density, rtol=0.0, atol=1e-12 * density.max())
+
+
 class TestChunkPooling:
     def test_pooled_average_matches_long_record(self):
         fs = 2_000.0
@@ -130,6 +159,17 @@ class TestChunkPooling:
     def test_all_chunks_short_raises(self):
         with pytest.raises(SpectralError):
             welch_psd_chunks([np.zeros(10)], 100.0, 1000)
+
+    def test_worker_count_does_not_change_result(self):
+        fs = 2_000.0
+        rng = stream_rng(13, 0)
+        x = rng.standard_normal(60_000) + 1j * rng.standard_normal(60_000)
+        chunks = [x[:17_000], x[17_000:17_500], x[17_500:41_000], x[41_000:]]
+        one = welch_psd_chunks(chunks, fs, 2000, workers=1)
+        two = welch_psd_chunks(chunks, fs, 2000, workers=2)
+        assert np.array_equal(one.freqs, two.freqs)
+        assert np.array_equal(one.density, two.density)
+        assert (one.n_averages, one.effective_averages) == (two.n_averages, two.effective_averages)
 
 
 class TestResolutionCheck:
@@ -187,6 +227,18 @@ class TestCsvRoundTrip:
         assert loaded.n_averages == psd.n_averages
         assert loaded.window == psd.window
         assert loaded.onesided == psd.onesided
+
+    def test_config_line_precedes_plain_csv(self, tmp_path):
+        psd = Psd(
+            freqs=np.linspace(0.0, 10.0, 11), density=np.linspace(1.0, 2.0, 11) / 3.0,
+            rbw=1.0, n_averages=17, effective_averages=15.5,
+            window="hann", onesided=True,
+        )
+        plain = tmp_path / "plain.csv"
+        tagged = tmp_path / "tagged.csv"
+        write_psd_csv(psd, plain)
+        write_psd_csv(psd, tagged, config_hash="0123456789abcdef")
+        assert tagged.read_bytes() == b"# config=0123456789abcdef\n" + plain.read_bytes()
 
 
 class TestChiSquareComparison:

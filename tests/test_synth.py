@@ -231,6 +231,51 @@ class TestScheduledSynthesis:
             assert np.var(y) == pytest.approx(expected_y, rel=0.15), tag
 
 
+    def test_worker_count_does_not_change_chains(self):
+        from parosc.detect import schedule_drive
+        from parosc.synth import simulate_scheduled_envelopes
+
+        rates = rates_for(0.5)
+        grid = SimGrid(sample_rate=2e3, duration=20.0, carrier=TWO_PI * 200.0, seed=17)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        env = [simulate_scheduled_envelopes(OSC, rates, grid, schedule, workers=w) for w in (1, 2)]
+        quad = [simulate_scheduled_quadratures(OSC, rates, grid, schedule, workers=w) for w in (1, 2)]
+        assert np.array_equal(env[0][0], env[1][0])
+        assert np.array_equal(env[0][1], env[1][1])
+        assert np.array_equal(quad[0].x, quad[1].x)
+        assert np.array_equal(quad[0].y, quad[1].y)
+
+    def test_envelope_is_sum_of_its_component_streams(self):
+        # each envelope adds the broad component to the narrow one; each
+        # component draws its real part before its imaginary part
+        from parosc.detect import schedule_drive
+        from parosc.synth import (
+            DETUNED,
+            RESONANT,
+            STREAM_ENV_STOKES_BROAD,
+            STREAM_ENV_STOKES_NARROW,
+            _envelope_component_table,
+            simulate_scheduled_envelopes,
+        )
+
+        rates = rates_for(0.4)
+        grid = SimGrid(sample_rate=2e3, duration=20.0, carrier=TWO_PI * 200.0, seed=19)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        resonant = _envelope_component_table(rates)
+        detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
+        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        parts = []
+        for sid in (STREAM_ENV_STOKES_NARROW, STREAM_ENV_STOKES_BROAD):
+            per_tag = {RESONANT: resonant[sid], DETUNED: detuned[sid]}
+            halves = [(i1 - i0, per_tag[tag][0], 0.5 * per_tag[tag][1]) for i0, i1, tag in bounds]
+            rng = stream_rng(grid.seed, sid)
+            re = ou_chain_piecewise(halves, grid.dt, rng)
+            im = ou_chain_piecewise(halves, grid.dt, rng)
+            parts.append(re + 1j * im)
+        beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
+        assert np.array_equal(beta_s, parts[0] + parts[1])
+
+
 class TestSpectralRoundTrip:
     def test_fitted_width_of_x_matches_gamma_plus(self):
         # welch + Lorentzian fit of the squeezed quadrature recovers the broad
