@@ -11,9 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import partial
-from itertools import islice
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +23,8 @@ from .errors import AliasingError, FilterDesignError, ScheduleError
 from .parallel import thread_map
 from .synth import (
     DETUNED,
+    IMAG,
+    REAL,
     RESONANT,
     STREAM_SHOT_COMPONENT,
     STREAM_SHOT_WIGNER,
@@ -33,8 +34,8 @@ from .synth import (
     Schedule,
     Segment,
     SimGrid,
+    Streams,
     single_segment_schedule,
-    stream_rng,
 )
 
 # Samples per carrier-mixing block (cache-sized), per shot-noise buffer, and
@@ -42,7 +43,7 @@ from .synth import (
 _MIX_BLOCK = 1 << 16
 _NOISE_STRETCH = 16 * _MIX_BLOCK
 _FIR_FFT = 1 << 13
-_FIR_BATCH = 32
+_FIR_BATCH = 16
 
 # A switch's settling transient must not eat into more than this fraction of
 # its segment, otherwise the schedule is rejected as unusable.
@@ -137,52 +138,81 @@ def _check_nyquist(grid: SimGrid, delta_lo: float) -> None:
         )
 
 
-def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0):
+@lru_cache(maxsize=8)
+def _block_phasor(omega: float, dt: float, n: int) -> np.ndarray:
+    phasor = np.exp(1j * (omega * dt * np.arange(n)))
+    phasor.flags.writeable = False
+    return phasor
+
+
+def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0, start: int = 0):
     """Yield (i0, i1, exp(i(omega*t + phase))) with t = arange(i0, i1)*dt for
-    each _MIX_BLOCK block of an n-sample record.
+    the samples [start, start + n) of a record, cut at the record's
+    _MIX_BLOCK boundaries.
 
-    The block phasor exp(i*omega*k*dt) is evaluated once per call and each
-    block rotates it by the scalar exp(i(omega*i0*dt + phase)), so mixing
-    costs one complex multiply per sample.  The result agrees with the direct
-    exp to the rounding already present in omega*t.  Each yielded array is
-    fresh, so callers may scale it in place.
+    The block phasor exp(i*omega*k*dt) is evaluated once and each piece
+    rotates its part of it by the scalar exp(i(omega*b*dt + phase)) of its
+    block start b, so mixing costs one complex multiply per sample and a
+    record mixed one segment at a time gets the phasors of the whole record.
+    The result agrees with the direct exp to the rounding already present in
+    omega*t.  Each yielded array is fresh, so callers may scale it in place.
     """
-    block = np.exp(1j * (omega * dt * np.arange(min(n, _MIX_BLOCK))))
-    for i0 in range(0, n, _MIX_BLOCK):
-        i1 = min(i0 + _MIX_BLOCK, n)
-        yield i0, i1, block[: i1 - i0] * cmath.exp(1j * (omega * i0 * dt + phase))
+    end = start + n
+    block = _block_phasor(omega, dt, min(end, _MIX_BLOCK))
+    i0 = start
+    while i0 < end:
+        b = i0 - i0 % _MIX_BLOCK
+        i1 = min(b + _MIX_BLOCK, end)
+        yield i0, i1, block[i0 - b : i1 - b] * cmath.exp(1j * (omega * b * dt + phase))
+        i0 = i1
 
 
-def _record_with_shot_noise(
-    n: int, blocks, shot_psd: float, sample_rate: float, rng: np.random.Generator, workers: int
-) -> np.ndarray:
-    """n-sample record from `blocks`, an iterator of (i0, i1, values) over
-    consecutive _MIX_BLOCK blocks, plus white shot noise of one-sided density
-    shot_psd.  The noise of each _NOISE_STRETCH samples is drawn into one
-    stretch-sized buffer, on a second thread when workers > 1, while that
-    stretch is mixed; the sum is the same either way."""
-    out = np.empty(n)
+def _in_parts(start: int, end: int, workers: int, fn) -> None:
+    """fn(i0, i1) over `workers` consecutive parts of [start, end), on up to
+    `workers` threads; for elementwise work the result is that of one call."""
+    cuts = [start + (end - start) * k // workers for k in range(workers + 1)]
+    thread_map(lambda k: fn(cuts[k], cuts[k + 1]), range(workers), workers)
 
-    def mix(n_blocks):
-        for i0, i1, values in islice(blocks, n_blocks):
-            out[i0:i1] = values
 
-    if not shot_psd > 0.0:
-        mix(None)
-        return out
+def _mix_into(
+    out: np.ndarray, start: int, blocks, add: bool, shot_psd: float, sample_rate: float,
+    rng: np.random.Generator | None, workers: int,
+) -> None:
+    """Write (add, when `add`) the values of the record samples [start,
+    start + len(out)) into out, where blocks(i0, i1) yields the (j0, j1,
+    values) carrier_phasors pieces of the samples [i0, i1); then add white
+    shot noise of one-sided density shot_psd drawn from rng (none when rng
+    is None).  Without noise the samples are mixed in `workers` parts side
+    by side; with noise, the noise of each _NOISE_STRETCH stretch of the
+    record is drawn into one buffer, on a second thread when workers > 1,
+    while that stretch is mixed.  The sum is the same either way."""
+
+    def mix(i0, i1):
+        for j0, j1, values in blocks(i0, i1):
+            dst = out[j0 - start : j1 - start]
+            if add:
+                dst += values
+            else:
+                dst[...] = values
+
+    end = start + len(out)
+    if rng is None or not shot_psd > 0.0:
+        _in_parts(start, end, workers, mix)
+        return
     sigma = math.sqrt(shot_psd * sample_rate / 2.0)
-    noise = np.empty(min(n, _NOISE_STRETCH))
+    noise = np.empty(min(len(out), _NOISE_STRETCH))
 
     def draw(part):
         rng.standard_normal(out=part)
         part *= sigma
 
-    for s0 in range(0, n, _NOISE_STRETCH):
-        part = noise[: min(_NOISE_STRETCH, n - s0)]
-        jobs = (partial(mix, _NOISE_STRETCH // _MIX_BLOCK), partial(draw, part))
-        thread_map(lambda job: job(), jobs, workers)
-        out[s0 : s0 + len(part)] += part
-    return out
+    s0 = start
+    while s0 < end:
+        s1 = min(s0 - s0 % _NOISE_STRETCH + _NOISE_STRETCH, end)
+        part = noise[: s1 - s0]
+        thread_map(lambda job: job(), (partial(mix, s0, s1), partial(draw, part)), workers)
+        out[s0 - start : s1 - start] += part
+        s0 = s1
 
 
 def compose_heterodyne_wigner(
@@ -193,38 +223,42 @@ def compose_heterodyne_wigner(
     frame_phase: float = 0.0,
     lo_phase: float = 0.0,
     workers: int = 1,
+    streams: Streams | None = None,
 ) -> Record:
     """Real heterodyne record from a Wigner-backend trajectory.
 
     samples = 2*gain*[X cos(Wc t + phi) + Y sin(Wc t + phi)]*cos(dLO t + theta)
     plus white shot noise; both motional sidebands appear at Wc +- dLO,
     phase coherent, and carry identical spectra (the symmetric record).
+    A trajectory over one drive segment (traj.grid.start) gives that piece
+    of the record, `streams` carrying its shot noise from the previous one.
     """
     grid = traj.grid
     _check_nyquist(grid, delta_lo)
     if schedule is None:
         schedule = single_segment_schedule(grid.duration)
-    n = grid.n_samples
+    n, start = grid.n_samples, grid.start
 
-    def blocks():
+    def blocks(a, b):
         for (i0, i1, car), (_, _, lo) in zip(
-            carrier_phasors(n, grid.carrier, grid.dt, frame_phase),
-            carrier_phasors(n, delta_lo, grid.dt, lo_phase),
+            carrier_phasors(b - a, grid.carrier, grid.dt, frame_phase, a),
+            carrier_phasors(b - a, delta_lo, grid.dt, lo_phase, a),
         ):
-            beat = car.real * traj.x[i0:i1]
-            beat += car.imag * traj.y[i0:i1]
+            beat = car.real * traj.x[i0 - start : i1 - start]
+            beat += car.imag * traj.y[i0 - start : i1 - start]
             beat *= lo.real
             beat *= 2.0 * det.gain
             yield i0, i1, beat
 
-    out = _record_with_shot_noise(
-        n, blocks(), det.shot_psd, grid.sample_rate, stream_rng(grid.seed, STREAM_SHOT_WIGNER), workers
-    )
+    out = np.empty(n)
+    shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_WIGNER)
+    _mix_into(out, start, blocks, False, det.shot_psd, grid.sample_rate, shot, workers)
     return Record(
         samples=out,
         sample_rate=grid.sample_rate,
         schedule=schedule,
         frame=Frame(carrier=grid.carrier, delta_lo=delta_lo, lo_phase=lo_phase),
+        start=start,
     )
 
 
@@ -237,6 +271,9 @@ def compose_heterodyne_components(
     schedule: Schedule | None = None,
     lo_phase: float = 0.0,
     workers: int = 1,
+    part: str | None = None,
+    out: np.ndarray | None = None,
+    streams: Streams | None = None,
 ) -> Record:
     """Real heterodyne record from the component-backend envelopes.
 
@@ -244,30 +281,53 @@ def compose_heterodyne_components(
     plus shot noise.  The one-sided PSD around each sideband centre equals the
     closed-form sideband spectrum scaled by gain^2/2 (factor documented so
     fitted weight ratios stay gain-independent).
+
+    The record is linear in the envelopes, so it can be built in parts.
+    The grid may be one drive segment of the record (grid.start), and with
+    `part` the envelopes are real arrays holding only their REAL or IMAG
+    parts: REAL writes Re(beta)*cos into `out` (a new array by default),
+    IMAG adds -Im(beta)*sin and the shot noise to `out`, `streams` carrying
+    the noise from the previous segment.  A record composed in parts takes
+    the REAL part of every segment before any IMAG part.
     """
     _check_nyquist(grid, delta_lo)
     if schedule is None:
         schedule = single_segment_schedule(grid.duration)
-    n = grid.n_samples
+    n, start = grid.n_samples, grid.start
+    if part is None:
+        parts = ((REAL, beta_stokes.real, beta_antistokes.real),
+                 (IMAG, beta_stokes.imag, beta_antistokes.imag))
+    elif part == IMAG and out is None:
+        raise ValueError("the IMAG part adds to the REAL part's samples: pass them as out")
+    else:
+        parts = ((part, beta_stokes, beta_antistokes),)
+    samples = np.empty(n) if out is None else out
+    shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_COMPONENT)
 
-    def blocks():
-        for (i0, i1, up), (_, _, dn) in zip(
-            carrier_phasors(n, grid.carrier + delta_lo, grid.dt, lo_phase),
-            carrier_phasors(n, grid.carrier - delta_lo, grid.dt, -lo_phase),
-        ):
-            up *= beta_stokes[i0:i1]
-            dn *= beta_antistokes[i0:i1]
-            up += dn
-            yield i0, i1, det.gain * up.real
+    for p, b_s, b_as in parts:
+        # Re{beta e^{i phi}} = Re(beta) cos(phi) - Im(beta) sin(phi)
+        take, scale = (np.real, det.gain) if p == REAL else (np.imag, -det.gain)
 
-    out = _record_with_shot_noise(
-        n, blocks(), det.shot_psd, grid.sample_rate, stream_rng(grid.seed, STREAM_SHOT_COMPONENT), workers
-    )
+        def blocks(a, b):
+            for (i0, i1, up), (_, _, dn) in zip(
+                carrier_phasors(b - a, grid.carrier + delta_lo, grid.dt, lo_phase, a),
+                carrier_phasors(b - a, grid.carrier - delta_lo, grid.dt, -lo_phase, a),
+            ):
+                mixed = take(up) * b_s[i0 - start : i1 - start]
+                mixed += take(dn) * b_as[i0 - start : i1 - start]
+                mixed *= scale
+                yield i0, i1, mixed
+
+        _mix_into(
+            samples, start, blocks, p == IMAG, det.shot_psd, grid.sample_rate,
+            shot if p == IMAG else None, workers,
+        )
     return Record(
-        samples=out,
+        samples=samples,
         sample_rate=grid.sample_rate,
         schedule=schedule,
         frame=Frame(carrier=grid.carrier, delta_lo=delta_lo, lo_phase=lo_phase),
+        start=start,
     )
 
 
@@ -326,87 +386,180 @@ def design_lockin_fir(
     return taps
 
 
+class Baseband:
+    """Lock-in baseband of one record, fed one piece of the record at a time.
+
+    z[j] is the complex baseband 2*lowpass(rec*exp(+i*carrier*t)) at record
+    sample j*decimate, at zero net delay.  The low-pass is a zero-padded
+    'same'-mode FFT convolution (overlap-save) whose blocks sit on the
+    record's sample grid: each piece is mixed and appended to the unfiltered
+    tail the blocks so far left, every block whose input is complete is
+    filtered, and the tail (at least m-1 samples for m taps) is carried to
+    the next piece.  Feeding a record in pieces therefore gives what feeding
+    it whole gives.  Of the full-rate baseband only the decimated samples
+    are kept, plus the sums over the usable resonant samples (tail-trimmed
+    by the filter half support) that the phase search needs.
+    """
+
+    def __init__(self, taps: np.ndarray, n_samples: int, sample_rate: float, carrier: float,
+                 schedule: Schedule, decimate: int = 1):
+        m = len(taps)
+        self.taps = taps
+        self.n_samples = n_samples
+        self.sample_rate = sample_rate
+        self.carrier = carrier
+        self.schedule = schedule
+        self.decimate = decimate
+        self.edge_guard = (m // 2) / sample_rate
+        self.z = np.empty(-(-n_samples // decimate), dtype=complex)
+        self.resonant = schedule.usable_slices(
+            RESONANT, sample_rate, n_samples, tail_guard=self.edge_guard
+        )
+        # sum(z), sum(z^2), sum(|z|^2) and the count over the resonant slices
+        self.sums = [0.0, 0.0, 0.0, 0]
+        self._nfft = sp_fft.next_fast_len(max(_FIR_FFT, 4 * m))
+        self._step = self._nfft - (m - 1)
+        self._n_blocks = -(-n_samples // self._step)
+        self._response = sp_fft.fft(taps, self._nfft)
+        # padded[h + k] holds the mixed sample k (h = m//2 leading zeros);
+        # block b reads padded[b*step : b*step + nfft] and keeps its last
+        # `step` outputs; _tail is padded[_block*step : h + _fed]
+        self._tail = np.zeros(m // 2, dtype=complex)
+        self._block = 0
+        self._fed = 0
+
+    def feed(self, samples: np.ndarray, start: int, workers: int = 1) -> None:
+        """Mix and filter the record samples [start, start + len(samples)),
+        which must follow the samples fed so far; the FFT batches run on up
+        to `workers` threads."""
+        if start != self._fed or start + len(samples) > self.n_samples:
+            raise ValueError(
+                f"record piece [{start}, {start + len(samples)}) does not continue "
+                f"the {self._fed} of {self.n_samples} samples fed"
+            )
+        m, step, nfft = len(self.taps), self._step, self._nfft
+        self._fed += len(samples)
+        kept = len(self._tail)
+        if self._fed == self.n_samples:
+            # the last blocks read the zero padding past the record's end
+            size = (self._n_blocks - self._block) * step + m - 1
+        else:
+            size = kept + len(samples)
+        buf = np.zeros(size, dtype=complex)
+        buf[:kept] = self._tail
+        dt = 1.0 / self.sample_rate
+
+        def mix(a, b):
+            for i0, i1, ph in carrier_phasors(b - a, self.carrier, dt, 0.0, a):
+                ph *= samples[i0 - start : i1 - start]
+                np.multiply(ph, 2.0, out=buf[kept + i0 - start : kept + i1 - start])
+
+        _in_parts(start, start + len(samples), workers, mix)
+        n_ready = max(0, (size - (m - 1)) // step)
+        if n_ready:
+            frames = sliding_window_view(buf, nfft)[::step]
+
+            def filter_batch(b0):
+                b1 = min(b0 + _FIR_BATCH, n_ready)
+                spec = sp_fft.fft(frames[b0:b1], axis=1)
+                spec *= self._response
+                y = sp_fft.ifft(spec, axis=1, overwrite_x=True)[:, m - 1 :]
+                return self._keep(y.reshape(-1), (self._block + b0) * step)
+
+            # the batches' sums are added in batch order, whatever the threads
+            for sums in thread_map(filter_batch, range(0, n_ready, _FIR_BATCH), workers):
+                self.sums = [a + b for a, b in zip(self.sums, sums)]
+        self._tail = buf[n_ready * step :].copy()
+        self._block += n_ready
+
+    def _keep(self, chunk: np.ndarray, g0: int) -> list:
+        """Keep the decimated samples of the full-rate baseband chunk that
+        starts at record sample g0; return its sums over resonant samples."""
+        chunk = chunk[: max(0, self.n_samples - g0)]
+        g1 = g0 + len(chunk)
+        d = self.decimate
+        j0 = -(-g0 // d)
+        kept = chunk[j0 * d - g0 :: d]
+        self.z[j0 : j0 + len(kept)] = kept
+        sums = [0.0, 0.0, 0.0, 0]
+        for s in self.resonant:
+            lo, hi = max(s.start, g0), min(s.stop, g1)
+            if lo < hi:
+                p = chunk[lo - g0 : hi - g0]
+                sums[0] += np.sum(p)
+                sums[1] += np.sum(p * p)
+                sums[2] += np.sum(np.abs(p) ** 2)
+                sums[3] += len(p)
+        return sums
+
+
 def demod_baseband(
     rec: Record,
     det: DetectionParams,
     passband_edge_hz: float | None = None,
     decimate: int = 1,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complex baseband 2 * lowpass(rec * exp(+i*carrier*t)) at zero net delay.
-
-    The two lock-in channels at any demodulation phase theta are
-    Re(e^{i theta} z) and Im(e^{i theta} z), so the baseband can be computed
-    once and shared between phase search and channel extraction.  The
-    low-pass is a zero-padded 'same'-mode FFT convolution (overlap-save) whose
-    batches of blocks run on up to `workers` threads.
-    Returns (baseband, filter_taps).
+    into: Baseband | None = None,
+) -> Baseband:
+    """Feed the record, or the piece of one that rec holds (rec.start), into
+    the lock-in baseband `into` and return it; without `into` a new
+    Baseband is made for the record rec.schedule tiles, with the lock-in
+    FIR designed for det's cutoff and the passband edge (default: the LO
+    offset plus 5%).  The two lock-in channels at any demodulation phase
+    theta are Re(e^{i theta} z) and Im(e^{i theta} z), so the baseband is
+    computed once and shared between phase search and channel extraction.
     """
-    if passband_edge_hz is None:
-        passband_edge_hz = rec.frame.delta_lo / (2.0 * math.pi) * 1.05
-    taps = design_lockin_fir(
-        rec.sample_rate, det.lowpass_cutoff, rec.frame.carrier, passband_edge_hz, decimate
-    )
-    n, m = rec.n_samples, len(taps)
-    nfft = sp_fft.next_fast_len(max(_FIR_FFT, 4 * m))
-    step = nfft - (m - 1)
-    n_blocks = -(-n // step)
-    # padded[h + k] holds the mixed sample k; block b reads
-    # padded[b*step : b*step + nfft] and keeps its last `step` outputs
-    padded = np.zeros(n_blocks * step + m - 1, dtype=complex)
-    h = m // 2
-    for i0, i1, ph in carrier_phasors(n, rec.frame.carrier, 1.0 / rec.sample_rate):
-        ph *= rec.samples[i0:i1]
-        np.multiply(ph, 2.0, out=padded[h + i0 : h + i1])
-    frames = sliding_window_view(padded, nfft)[::step]
-    response = sp_fft.fft(taps, nfft)
-    z = np.empty(n_blocks * step, dtype=complex)
+    if into is None:
+        if passband_edge_hz is None:
+            passband_edge_hz = rec.frame.delta_lo / (2.0 * math.pi) * 1.05
+        taps = design_lockin_fir(
+            rec.sample_rate, det.lowpass_cutoff, rec.frame.carrier, passband_edge_hz, decimate
+        )
+        into = Baseband(
+            taps, rec.schedule.n_samples(rec.sample_rate), rec.sample_rate, rec.frame.carrier,
+            rec.schedule, decimate,
+        )
+    into.feed(rec.samples, rec.start, workers)
+    return into
 
-    def filter_batch(b0):
-        b1 = min(b0 + _FIR_BATCH, n_blocks)
-        spec = sp_fft.fft(frames[b0:b1], axis=1)
-        spec *= response
-        y = sp_fft.ifft(spec, axis=1, overwrite_x=True)
-        z[b0 * step : b1 * step] = y[:, m - 1 :].ravel()
 
-    thread_map(filter_batch, range(0, n_blocks, _FIR_BATCH), workers)
-    return z[:n], taps
+def _baseband(source, det, passband_edge_hz, decimate=1) -> Baseband:
+    if isinstance(source, Baseband):
+        return source
+    return demod_baseband(source, det, passband_edge_hz, decimate)
 
 
 def lockin_demodulate(
-    rec: Record,
+    source: Record | Baseband,
     det: DetectionParams,
     passband_edge_hz: float | None = None,
     decimate: int = 1,
-    baseband: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DemodOutput:
     """Phase-coherent demodulation at the record carrier.
 
     ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference.
     Both channels come from a single complex baseband product rotated by the
     demodulation phase, which is exactly equivalent and filter-consistent.
+    `source` is the record or its Baseband (whose decimation then applies).
     """
-    if baseband is None:
-        baseband = demod_baseband(rec, det, passband_edge_hz, decimate)
-    z, taps = baseband
-    rotated = z[::decimate] * np.exp(1j * det.demod_phase)
+    bb = _baseband(source, det, passband_edge_hz, decimate)
+    rotated = bb.z * np.exp(1j * det.demod_phase)
     return DemodOutput(
         ch_x=rotated.real.copy(),
         ch_y=rotated.imag.copy(),
-        sample_rate=rec.sample_rate / decimate,
+        sample_rate=bb.sample_rate / bb.decimate,
         demod_phase=det.demod_phase,
-        schedule=rec.schedule,
-        edge_guard=(len(taps) // 2) / rec.sample_rate,
+        schedule=bb.schedule,
+        edge_guard=bb.edge_guard,
     )
 
 
 def optimize_demod_phase(
-    rec: Record,
+    source: Record | Baseband,
     det: DetectionParams,
     passband_edge_hz: float | None = None,
     n_grid: int = 180,
     tol: float = 1e-3,
-    baseband: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Demodulation phase minimizing one channel's variance on resonant data.
 
@@ -414,22 +567,16 @@ def optimize_demod_phase(
     search to `tol` radians.  The cosine channel at the returned phase carries
     the squeezed quadrature, the orthogonal channel the anti-squeezed one.
     Warns (and still returns the grid argmin) when the variance is flat in
-    phase, i.e. s ~ 0 and the phase is undefined.
+    phase, i.e. s ~ 0 and the phase is undefined.  `source` is the record or
+    its Baseband.
     """
-    if baseband is None:
-        baseband = demod_baseband(rec, det, passband_edge_hz)
-    z, taps = baseband
-    slices = rec.schedule.usable_slices(
-        RESONANT, rec.sample_rate, rec.n_samples,
-        tail_guard=(len(taps) // 2) / rec.sample_rate,
-    )
-    if not slices:
+    bb = _baseband(source, det, passband_edge_hz)
+    if not bb.resonant:
         raise ScheduleError("no resonant-drive segments to optimize the phase on")
-    parts = [z[s] for s in slices]
-    n_tot = sum(len(p) for p in parts)
-    m1 = sum(np.sum(p) for p in parts) / n_tot
-    m2 = sum(np.sum(p * p) for p in parts) / n_tot
-    power = sum(np.sum(np.abs(p) ** 2) for p in parts) / n_tot
+    s1, s2, s_abs, n_tot = bb.sums
+    m1 = s1 / n_tot
+    m2 = s2 / n_tot
+    power = s_abs / n_tot
 
     def variance(theta: float) -> float:
         # var(Re(e^{i theta} z)) through the exact second-moment identity

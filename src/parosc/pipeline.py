@@ -31,13 +31,16 @@ from .detect import (
 )
 from .errors import ParoscError, PipelineError, QuantumSqueezingRegimeError
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
-from .model import DerivedRates, quadrature_variances
+from .model import DerivedRates, quadrature_variances, ratios
 from .parallel import thread_map
 from .spectral import chi2_indistinguishable, welch_psd_chunks, write_psd_csv
 from .synth import (
     DETUNED,
+    IMAG,
+    REAL,
     RESONANT,
     STREAM_FRAME_PHASE,
+    Streams,
     simulate_scheduled_envelopes,
     simulate_scheduled_quadratures,
     stream_rng,
@@ -102,33 +105,79 @@ def _run_repetition(
     decim = v["decimate"]
     passband_edge = config.passband_edge_hz(rates)
 
-    # Quadrature path (Wigner backend).
-    traj = _stage(
-        "synthesis", simulate_scheduled_quadratures, osc, rates, grid, schedule, workers=workers
-    )
+    # Both backends stream their records one drive segment at a time; the
+    # random streams continue from segment to segment.
+    streams = Streams(seed, grid.dt)
+    segments = [
+        grid.segment(i0, i1)
+        for i0, i1, _ in schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+    ]
+
+    # Sideband path (component backend).  Its record is the one full-length
+    # array of the repetition, so it runs first, before the quadrature path
+    # has left freed blocks on the heap.  The record is linear in the
+    # envelopes: it is accumulated from the real parts of every segment, then
+    # the imaginary parts (each stream draws its real part first).
+    samples = np.empty(grid.n_samples)
+    for part in (REAL, IMAG):
+        for seg in segments:
+            env = _stage(
+                "synthesis", simulate_scheduled_envelopes, osc, rates, seg, schedule,
+                workers=workers, part=part, streams=streams,
+            )
+            _stage(
+                "composition", compose_heterodyne_components, *env, det, seg, delta_lo,
+                schedule=schedule, workers=workers, part=part,
+                out=samples[seg.start : seg.start + seg.n_samples], streams=streams,
+            )
+            del env
+    if raw_dir is not None:
+        recordio.write_record_bin(raw_dir / "record_component.bin", samples, grid.sample_rate)
+    nperseg_h = int(round(v["welch_segment"] * grid.sample_rate))
+    psd_h = {}
+    for tag in (DETUNED, RESONANT):
+        slices = schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
+        psd_h[tag] = _stage(
+            "heterodyne psd", welch_psd_chunks,
+            _chunks(samples, slices), grid.sample_rate, nperseg_h,
+            v["welch_overlap"], v["window"], workers=workers,
+        )
+    del samples
+
+    # Quadrature path (Wigner backend): synthesize, compose and lock-in
+    # filter each segment; only the decimated baseband is kept whole.
     if v["demod_phase_mode"] == "optimize":
         frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     else:
         frame_phase = 0.0
-    rec_w = _stage(
-        "composition", compose_heterodyne_wigner,
-        traj, det, delta_lo, schedule=schedule, frame_phase=frame_phase, workers=workers,
-    )
-    if raw_dir is not None:
-        recordio.write_record_bin(raw_dir / "record_wigner.bin", rec_w.samples, rec_w.sample_rate)
-    del traj
-    baseband = _stage(
-        "demodulation", demod_baseband, rec_w, det, passband_edge, decim, workers=workers
-    )
-    if v["demod_phase_mode"] == "optimize":
-        theta = _stage(
-            "phase search", optimize_demod_phase, rec_w, det, passband_edge, baseband=baseband
+    baseband = None
+    for seg in segments:
+        traj = _stage(
+            "synthesis", simulate_scheduled_quadratures, osc, rates, seg, schedule,
+            workers=workers, streams=streams,
         )
+        rec_w = _stage(
+            "composition", compose_heterodyne_wigner, traj, det, delta_lo,
+            schedule=schedule, frame_phase=frame_phase, workers=workers, streams=streams,
+        )
+        del traj
+        if raw_dir is not None:
+            recordio.write_record_bin(
+                raw_dir / "record_wigner.bin", rec_w.samples, rec_w.sample_rate,
+                offset=seg.start, length=grid.n_samples,
+            )
+        baseband = _stage(
+            "demodulation", demod_baseband, rec_w, det, passband_edge, decim,
+            workers=workers, into=baseband,
+        )
+        del rec_w
+    if v["demod_phase_mode"] == "optimize":
+        theta = _stage("phase search", optimize_demod_phase, baseband, det)
     else:
         theta = v["demod_phase"]
     det_theta = config.detection(demod_phase=theta)
-    demod = lockin_demodulate(rec_w, det_theta, passband_edge, decim, baseband=baseband)
-    del baseband, rec_w
+    demod = lockin_demodulate(baseband, det_theta)
+    del baseband
 
     nperseg_q = int(round(v["welch_segment"] * demod.sample_rate))
     psd_q = {}
@@ -147,28 +196,6 @@ def _run_repetition(
             demod.sample_rate,
         )
     del demod
-
-    # Sideband path (component backend).
-    beta_s, beta_as = _stage(
-        "synthesis", simulate_scheduled_envelopes, osc, rates, grid, schedule, workers=workers
-    )
-    rec_c = _stage(
-        "composition", compose_heterodyne_components,
-        beta_s, beta_as, det, grid, delta_lo, schedule=schedule, workers=workers,
-    )
-    del beta_s, beta_as
-    if raw_dir is not None:
-        recordio.write_record_bin(raw_dir / "record_component.bin", rec_c.samples, rec_c.sample_rate)
-    nperseg_h = int(round(v["welch_segment"] * rec_c.sample_rate))
-    psd_h = {}
-    for tag in (DETUNED, RESONANT):
-        slices = rec_c.usable_slices(tag)
-        psd_h[tag] = _stage(
-            "heterodyne psd", welch_psd_chunks,
-            _chunks(rec_c.samples, slices), rec_c.sample_rate, nperseg_h,
-            v["welch_overlap"], v["window"], workers=workers,
-        )
-    del rec_c
 
     # Fits: reference first, then the constrained double fit it seeds.
     f_c = grid.carrier / TWO_PI
@@ -587,12 +614,7 @@ def run_sweep_ratio_vs_s(config: RunConfig, s_values, out_dir, workers: int | No
          "theory_r_plus", "theory_r_minus", "error"],
         rows,
     )
-    overlay = []
-    for s in np.linspace(0.0, 0.95, 96):
-        r_plain = (n_bar + 1.0) / n_bar
-        r_plus = (n_bar + 1.0 + s / 2.0) / (n_bar - s / 2.0)
-        r_minus = (n_bar + 1.0 - s / 2.0) / (n_bar + s / 2.0)
-        overlay.append([s, r_plain, r_plus, r_minus])
+    overlay = [[s, *ratios(n_bar, s)] for s in np.linspace(0.0, 0.95, 96)]
     write_csv(out / "theory_overlay.csv", ["s", "r_plain", "r_plus", "r_minus"], overlay)
     return summary
 

@@ -25,14 +25,25 @@ def _as_channels(samples: np.ndarray) -> tuple[list[np.ndarray], int]:
     raise ValueError("samples must be 1-D or 2-D")
 
 
-def write_record_bin(path, samples: np.ndarray, sample_rate: float) -> None:
+def write_record_bin(
+    path, samples: np.ndarray, sample_rate: float, offset: int = 0, length: int | None = None
+) -> None:
     """Self-describing binary dump: magic, version, sample rate, length,
-    channel count, kind flag, then channels as little-endian float64."""
+    channel count, kind flag, then channels as little-endian float64.
+
+    A record too long to hold at once is written in consecutive pieces of
+    `length` samples in all: the piece at offset 0 creates the file and its
+    header, each later piece (same channel layout) fills its place in every
+    channel."""
     channels, kind = _as_channels(samples)
-    length = len(channels[0])
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, float(sample_rate), length, len(channels), kind))
-        for ch in channels:
+    length = len(channels[0]) if length is None else length
+    if offset + len(channels[0]) > length:
+        raise ValueError(f"piece at {offset} overruns the {length}-sample record")
+    with open(path, "wb" if offset == 0 else "r+b") as fh:
+        if offset == 0:
+            fh.write(_HEADER.pack(MAGIC, VERSION, float(sample_rate), length, len(channels), kind))
+        for k, ch in enumerate(channels):
+            fh.seek(_HEADER.size + 8 * (k * length + offset))
             fh.write(ch.tobytes())
 
 

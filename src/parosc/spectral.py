@@ -20,6 +20,9 @@ from .parallel import thread_map
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
+# Past about 75 % overlap a tapered window gains almost no effective
+# averages, while the strided segment array grows as 1/(1 - overlap).
+MAX_OVERLAP = 0.9
 
 # Windowed periodograms correlate neighbouring frequency bins (the kernel
 # spans ~ENBW bins); statistics that assume independent bins should use every
@@ -114,18 +117,26 @@ def welch_psd(
     win_vals = signal.get_window(window, segment_len)
     # hop-spaced segments along the last axis: (..., n_segments, segment_len)
     segments = sliding_window_view(samples, segment_len, axis=-1)[..., ::hop, :]
+    # one working copy of the segments at a time: records are long and
+    # chunks are estimated on several threads at once
     if detrend == "constant":
         segments = segments - segments.mean(axis=-1, keepdims=True)
-    elif detrend is not False:
+        segments *= win_vals
+    elif detrend is False:
+        segments = segments * win_vals
+    else:
         raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
-    segments = segments * win_vals
     if complex_input:
         spec = sp_fft.fft(segments, axis=-1)
         freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
     else:
         spec = sp_fft.rfft(segments, axis=-1)
         freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
-    density = np.mean(spec.real**2 + spec.imag**2, axis=-2)
+    del segments
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    del spec
+    density = np.mean(power, axis=-2)
     density /= sample_rate * float(np.sum(win_vals**2))
     if complex_input:
         density = sp_fft.fftshift(density, axes=-1)
@@ -207,10 +218,15 @@ def write_psd_csv(psd: Psd, path, config_hash: str | None = None) -> None:
 
 
 def read_psd_csv(path) -> Psd:
+    """Inverse of write_psd_csv: the leading ``#`` lines (the optional
+    ``# config=<hash>`` line and the estimation metadata) are read as
+    key=value pairs, then the column header and the rows."""
+    meta = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        meta = dict(item.split("=") for item in header.lstrip("# ").split())
-        fh.readline()
+        line = fh.readline()
+        while line.startswith("#"):
+            meta.update(item.split("=", 1) for item in line.lstrip("# ").split())
+            line = fh.readline()
         rows = [line.strip().split(",") for line in fh if line.strip()]
     freqs = np.array([float(r[0]) for r in rows])
     density = np.array([float(r[1]) for r in rows])

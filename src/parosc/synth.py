@@ -20,7 +20,7 @@ independent under any execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal
@@ -47,6 +47,11 @@ STREAM_FRAME_PHASE = 8
 RESONANT = "resonant"
 DETUNED = "detuned"
 
+# The two passes of a record composed from complex envelopes: real parts of
+# every drive segment first, then imaginary ones (each stream's draw order).
+REAL = "real"
+IMAG = "imag"
+
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent, reproducible generator for a named stream of a run."""
@@ -59,13 +64,15 @@ class SimGrid:
 
     The carrier (rad/s) stands in for the mechanical frequency in the sampled
     record; the physics only depends on rates and offsets, so the baseband
-    reduction is exact.
+    reduction is exact.  A grid may cover only part of a record (one drive
+    segment): `start` is the record index of its first sample.
     """
 
     sample_rate: float
     duration: float
     carrier: float
     seed: int
+    start: int = 0
 
     def __post_init__(self):
         if not self.sample_rate > 0:
@@ -80,6 +87,10 @@ class SimGrid:
     @property
     def n_samples(self) -> int:
         return int(round(self.duration * self.sample_rate))
+
+    def segment(self, i0: int, i1: int) -> "SimGrid":
+        """The part of this grid holding its samples [i0, i1)."""
+        return replace(self, duration=(i1 - i0) / self.sample_rate, start=self.start + i0)
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,10 @@ class Schedule:
 
     segments: tuple[Segment, ...]
     guard: float
+
+    def n_samples(self, sample_rate: float) -> int:
+        """Length of the record the schedule tiles."""
+        return int(round(self.segments[-1].end * sample_rate))
 
     def sample_bounds(self, sample_rate: float, n_samples: int) -> list[tuple[int, int, str]]:
         """(start_index, stop_index, tag) triples covering all n_samples."""
@@ -144,12 +159,17 @@ class Frame:
 
 @dataclass
 class Record:
-    """Uniformly sampled detector record with drive-schedule tags."""
+    """Uniformly sampled detector record with drive-schedule tags.
+
+    A record composed one drive segment at a time comes as pieces: `start`
+    is the record index of samples[0], and the schedule is the whole
+    record's."""
 
     samples: np.ndarray
     sample_rate: float
     schedule: Schedule
     frame: Frame
+    start: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -205,45 +225,90 @@ def ou_chain(
         x0 = math.sqrt(stationary_var) * rng.standard_normal()
     out[0] = x0
     if n > 1:
-        w = sigma_w * rng.standard_normal(n - 1)
+        w = rng.standard_normal(n - 1)
+        w *= sigma_w
         out[1:], _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * x0]))
     return out
+
+
+class OUChain:
+    """OU chain drawn in consecutive pieces whose (decay, variance) may
+    differ, the state carried continuously across pieces.  The first sample
+    is a stationary draw of the first piece.  Drawing a chain in any split
+    of its pieces consumes the same normals in the same order, so it gives
+    the chain drawn whole."""
+
+    def __init__(self, rng: np.random.Generator, dt: float):
+        self.rng = rng
+        self.dt = dt
+        self.state: float | None = None
+
+    def draw(
+        self, n: int, decay: float, var: float, out: np.ndarray | None = None, add: bool = False
+    ) -> np.ndarray:
+        """The next n samples, written into `out` when given (added to its
+        contents when `add`)."""
+        if n == 0:
+            return np.empty(0) if out is None else out
+        if self.state is None:
+            piece = ou_chain(n, decay, var, self.dt, self.rng)
+        else:
+            alpha = math.exp(-decay * self.dt)
+            sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
+            w = self.rng.standard_normal(n)
+            w *= sigma_w
+            piece, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * self.state]))
+        self.state = piece[-1]
+        if out is None:
+            return piece
+        if add:
+            out += piece
+        else:
+            out[:] = piece
+        return out
 
 
 def ou_chain_piecewise(
     pieces: list[tuple[int, float, float]],
     dt: float,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
-    add: bool = False,
 ) -> np.ndarray:
     """OU chain whose (decay, variance) switch between pieces, state carried
     continuously across switches.  pieces: (n_samples, decay, stationary_var).
-    The first sample is a stationary draw of the first piece.
+    The first sample is a stationary draw of the first piece."""
+    chain = OUChain(rng, dt)
+    return np.concatenate([chain.draw(n, decay, var) for n, decay, var in pieces])
 
-    The chain is written into `out` when given (added to its contents when
-    `add`), one piece at a time, so no full-length temporary is built."""
-    if out is None:
-        out = np.empty(sum(n for n, _, _ in pieces))
-    pos = 0
-    state: float | None = None
-    for n, decay, var in pieces:
-        if n == 0:
-            continue
-        if state is None:
-            piece = ou_chain(n, decay, var, dt, rng)
-        else:
-            alpha = math.exp(-decay * dt)
-            sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
-            w = sigma_w * rng.standard_normal(n)
-            piece, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * state]))
-        if add:
-            out[pos : pos + n] += piece
-        else:
-            out[pos : pos + n] = piece
-        pos += n
-        state = piece[-1]
-    return out
+
+class Streams:
+    """The random streams of one record: one generator per stream id and
+    the OU chains drawn from them.  A record synthesized one drive segment
+    at a time passes the same Streams to every segment's call, so each
+    stream continues where the previous segment left it."""
+
+    def __init__(self, seed: int, dt: float):
+        self.seed = seed
+        self.dt = dt
+        self._rngs: dict[int, np.random.Generator] = {}
+        self._chains: dict[tuple[int, str], OUChain] = {}
+
+    @classmethod
+    def for_grid(cls, grid: "SimGrid", streams: "Streams | None" = None) -> "Streams":
+        """`streams` when given, else fresh streams of the grid's record."""
+        return cls(grid.seed, grid.dt) if streams is None else streams
+
+    def rng(self, sid: int) -> np.random.Generator:
+        if sid not in self._rngs:
+            self._rngs[sid] = stream_rng(self.seed, sid)
+        return self._rngs[sid]
+
+    def chain(self, sid: int, part: str = REAL) -> OUChain:
+        """The OU chain of a stream; a complex chain's IMAG part draws from
+        the same generator after its REAL part."""
+        key = (sid, part)
+        if key not in self._chains:
+            self._chains[key] = OUChain(self.rng(sid), self.dt)
+        return self._chains[key]
 
 
 def complex_ou_chain(
@@ -271,17 +336,7 @@ def simulate_quadratures(osc: OscillatorParams, rates: DerivedRates, grid: SimGr
     """Wigner-backend trajectory: X decays at gamma_plus/2 with the squeezed
     stationary variance, Y at gamma_minus/2 with the anti-squeezed one;
     the two chains are statistically independent."""
-    _check_synthesizable(rates)
-    var_x, var_y = rates.quadrature_variances()
-    x = ou_chain(
-        grid.n_samples, 0.5 * rates.gamma_plus, var_x, grid.dt,
-        stream_rng(grid.seed, STREAM_WIGNER_X),
-    )
-    y = ou_chain(
-        grid.n_samples, 0.5 * rates.gamma_minus, var_y, grid.dt,
-        stream_rng(grid.seed, STREAM_WIGNER_Y),
-    )
-    return QuadTrajectory(x=x, y=y, grid=grid, rates=rates)
+    return simulate_scheduled_quadratures(osc, rates, grid, single_segment_schedule(grid.duration))
 
 
 def detuned_reference_trajectory(
@@ -331,23 +386,28 @@ def simulate_sideband_envelopes(
     component processes are mutually independent.  Refuses negative component
     weights (s > 2*n_bar).
     """
-    _check_synthesizable(rates)
-    _check_weights(rates)
-    table = _envelope_component_table(rates)
-    chains = {
-        sid: complex_ou_chain(grid.n_samples, decay, power, grid.dt, stream_rng(grid.seed, sid))
-        for sid, (decay, power) in table.items()
-    }
-    beta_s = chains[STREAM_ENV_STOKES_NARROW] + chains[STREAM_ENV_STOKES_BROAD]
-    beta_as = chains[STREAM_ENV_ANTISTOKES_NARROW] + chains[STREAM_ENV_ANTISTOKES_BROAD]
-    return beta_s, beta_as
+    return simulate_scheduled_envelopes(osc, rates, grid, single_segment_schedule(grid.duration))
 
 
 def _schedule_pieces(
     schedule: Schedule, grid: SimGrid, per_tag: dict[str, tuple[float, float]]
 ) -> list[tuple[int, float, float]]:
-    bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
-    return [(i1 - i0, *per_tag[tag]) for i0, i1, tag in bounds]
+    """(n_samples, decay, var) of the drive segments' parts on the grid."""
+    lo = grid.start
+    hi = lo + grid.n_samples
+    return [
+        (min(i1, hi) - max(i0, lo), *per_tag[tag])
+        for i0, i1, tag in schedule.sample_bounds(grid.sample_rate, hi)
+        if i0 < hi and i1 > lo
+    ]
+
+
+def _draw_pieces(chain: OUChain, pieces, out: np.ndarray, add: bool = False) -> np.ndarray:
+    pos = 0
+    for n, decay, var in pieces:
+        chain.draw(n, decay, var, out=out[pos : pos + n], add=add)
+        pos += n
+    return out
 
 
 def simulate_scheduled_quadratures(
@@ -356,29 +416,35 @@ def simulate_scheduled_quadratures(
     grid: SimGrid,
     schedule: Schedule,
     workers: int = 1,
+    streams: Streams | None = None,
 ) -> QuadTrajectory:
     """Wigner trajectory whose rates switch with the drive schedule: resonant
     segments use (gamma_plus, gamma_minus), detuned segments collapse both
     quadratures to gamma_eff at the thermal variance; the chain state is
     continuous across switches (the schedule guard covers settling).  The two
-    independent chains run on up to `workers` threads."""
+    independent chains run on up to `workers` threads.
+
+    The grid may be one drive segment of the record; `streams` then carries
+    both chains from the previous segment."""
     _check_synthesizable(rates)
+    streams = Streams.for_grid(grid, streams)
     var_x, var_y = rates.quadrature_variances()
     var_0 = (2.0 * rates.n_bar + 1.0) / 4.0
-    streams = (
-        (STREAM_WIGNER_X, 0.5 * rates.gamma_plus, var_x),
-        (STREAM_WIGNER_Y, 0.5 * rates.gamma_minus, var_y),
+    # chains are looked up here, not on the pool's threads
+    quadratures = (
+        (streams.chain(STREAM_WIGNER_X), 0.5 * rates.gamma_plus, var_x),
+        (streams.chain(STREAM_WIGNER_Y), 0.5 * rates.gamma_minus, var_y),
     )
 
-    def chain(stream):
-        sid, decay, var = stream
+    def draw(quadrature):
+        chain, decay, var = quadrature
         pieces = _schedule_pieces(schedule, grid, {
             RESONANT: (decay, var),
             DETUNED: (0.5 * rates.gamma_eff, var_0),
         })
-        return ou_chain_piecewise(pieces, grid.dt, stream_rng(grid.seed, sid))
+        return _draw_pieces(chain, pieces, np.empty(grid.n_samples))
 
-    x, y = thread_map(chain, streams, workers)
+    x, y = thread_map(draw, quadratures, workers)
     return QuadTrajectory(x=x, y=y, grid=grid, rates=rates)
 
 
@@ -388,30 +454,46 @@ def simulate_scheduled_envelopes(
     grid: SimGrid,
     schedule: Schedule,
     workers: int = 1,
+    part: str | None = None,
+    streams: Streams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component-backend envelopes with per-segment drive switching (s -> 0 in
-    detuned segments, gamma_eff unchanged).
+    """Component-backend envelopes (beta_stokes, beta_antistokes) with
+    per-segment drive switching (s -> 0 in detuned segments, gamma_eff
+    unchanged).
 
-    Each envelope is filled in place with its narrow component, then its
-    broad component is added; the two envelopes run on up to `workers`
-    threads, so at most that many chains are ever in flight."""
+    Each component stream draws its real part before its imaginary part;
+    each envelope is filled with its narrow component, then its broad
+    component is added.  The two envelopes run on up to `workers` threads.
+    With `part` (REAL or IMAG) only that part of each envelope is drawn, as
+    a real array: a record synthesized one drive segment at a time draws the
+    real parts of all its segments, then the imaginary parts, with `streams`
+    carrying the chains from segment to segment."""
     _check_synthesizable(rates)
     _check_weights(rates)
+    streams = Streams.for_grid(grid, streams)
     resonant = _envelope_component_table(rates)
     detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
 
-    def envelope(sids):
-        z = np.empty(grid.n_samples, dtype=complex)
+    parts = (REAL, IMAG) if part is None else (part,)
+    # chains are looked up here, not on the pool's threads
+    chains = {(sid, p): streams.chain(sid, p) for sid in resonant for p in parts}
+
+    def fill(out, sids, p):
         for k, sid in enumerate(sids):
-            # circular complex OU of power p: each quadrature carries p/2,
-            # the real part drawn before the imaginary part
-            halves = _schedule_pieces(schedule, grid, {
+            # circular complex OU of power p: each quadrature carries p/2
+            pieces = _schedule_pieces(schedule, grid, {
                 tag: (decay, 0.5 * power)
                 for tag, (decay, power) in ((RESONANT, resonant[sid]), (DETUNED, detuned[sid]))
             })
-            rng = stream_rng(grid.seed, sid)
-            ou_chain_piecewise(halves, grid.dt, rng, out=z.real, add=k > 0)
-            ou_chain_piecewise(halves, grid.dt, rng, out=z.imag, add=k > 0)
+            _draw_pieces(chains[sid, p], pieces, out, add=k > 0)
+        return out
+
+    def envelope(sids):
+        if part is not None:
+            return fill(np.empty(grid.n_samples), sids, part)
+        z = np.empty(grid.n_samples, dtype=complex)
+        fill(z.real, sids, REAL)
+        fill(z.imag, sids, IMAG)
         return z
 
     beta_s, beta_as = thread_map(

@@ -24,12 +24,17 @@ from parosc.model import DerivedRates, OscillatorParams
 from parosc.spectral import welch_psd
 from parosc.synth import (
     DETUNED,
+    IMAG,
+    REAL,
     RESONANT,
     Frame,
     QuadTrajectory,
     Record,
     SimGrid,
+    Streams,
     simulate_quadratures,
+    simulate_scheduled_envelopes,
+    simulate_scheduled_quadratures,
     simulate_sideband_envelopes,
     single_segment_schedule,
 )
@@ -248,12 +253,13 @@ class TestDemodBaseband:
             frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
         )
         det = DetectionParams(lowpass_cutoff=2.5e3)
-        z, taps = demod_baseband(rec, det, 1.2e3, decimate=4)
         mixed = 2.0 * rec.samples * np.exp(1j * CARRIER * np.arange(n) / FS)
-        direct = np.convolve(mixed, taps, mode="same")
-        assert z.shape == (n,)
-        # the carrier phasors carry the rounding of omega*t (~1e-11 here)
-        np.testing.assert_allclose(z, direct, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
+        for decimate in (1, 4):
+            bb = demod_baseband(rec, det, 1.2e3, decimate=decimate)
+            direct = np.convolve(mixed, bb.taps, mode="same")[::decimate]
+            assert bb.z.shape == direct.shape
+            # the carrier phasors carry the rounding of omega*t (~1e-11 here)
+            np.testing.assert_allclose(bb.z, direct, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
 
     def test_worker_count_does_not_change_result(self):
         rng = np.random.default_rng(4)
@@ -264,9 +270,89 @@ class TestDemodBaseband:
         )
         det = DetectionParams(lowpass_cutoff=2.5e3)
         # more workers than cores: the batches write disjoint slices of one array
-        one, _ = demod_baseband(rec, det, 1.2e3, decimate=4, workers=1)
-        many, _ = demod_baseband(rec, det, 1.2e3, decimate=4, workers=5)
-        assert np.array_equal(one, many)
+        one = demod_baseband(rec, det, 1.2e3, decimate=4, workers=1)
+        many = demod_baseband(rec, det, 1.2e3, decimate=4, workers=5)
+        assert np.array_equal(one.z, many.z)
+        assert one.sums == many.sums
+
+
+class TestSegmentStreaming:
+    """Records composed and demodulated one drive segment at a time agree
+    with the whole-record computation."""
+
+    # 3 s segments of 75 000 samples: every edge falls inside a mixing block
+    # and inside an overlap-save block
+    GRID = SimGrid(sample_rate=FS, duration=12.0, carrier=CARRIER, seed=43)
+
+    def _setup(self):
+        rates = rates_for(0.5)
+        schedule = schedule_drive(self.GRID, 3.0, rates.gamma_minus)
+        bounds = schedule.sample_bounds(FS, self.GRID.n_samples)
+        segments = [self.GRID.segment(i0, i1) for i0, i1, _ in bounds]
+        return rates, schedule, segments
+
+    def test_wigner_record_and_baseband(self):
+        rates, schedule, segments = self._setup()
+        det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
+        whole_traj = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
+        whole_rec = compose_heterodyne_wigner(
+            whole_traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4
+        )
+        whole = demod_baseband(whole_rec, det, 1.2e3, decimate=4)
+        streams = Streams(self.GRID.seed, self.GRID.dt)
+        pieces, streamed = [], None
+        for seg in segments:
+            traj = simulate_scheduled_quadratures(OSC, rates, seg, schedule, streams=streams)
+            rec = compose_heterodyne_wigner(
+                traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4, workers=2,
+                streams=streams,
+            )
+            assert rec.start == seg.start
+            pieces.append(rec.samples)
+            streamed = demod_baseband(rec, det, 1.2e3, decimate=4, workers=2, into=streamed)
+        for seg in segments[1:]:
+            assert seg.start % _MIX_BLOCK and seg.start % streamed._step
+        record = np.concatenate(pieces)
+        scale = np.max(np.abs(whole_rec.samples))
+        np.testing.assert_allclose(record, whole_rec.samples, rtol=0, atol=1e-12 * scale)
+        scale = np.max(np.abs(whole.z))
+        np.testing.assert_allclose(streamed.z, whole.z, rtol=0, atol=1e-12 * scale)
+        assert streamed.sums[3] == whole.sums[3] > 0
+        for a, b in zip(streamed.sums[:3], whole.sums[:3]):
+            assert abs(a - b) <= 1e-12 * abs(b)
+        assert optimize_demod_phase(streamed, det) == pytest.approx(
+            optimize_demod_phase(whole, det), abs=1e-9
+        )
+
+    def test_component_record_in_two_passes(self):
+        rates, schedule, segments = self._setup()
+        det = DetectionParams(gain=1.3, shot_psd=0.002, lowpass_cutoff=2.5e3)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule)
+        whole = compose_heterodyne_components(
+            beta_s, beta_as, det, self.GRID, DELTA_LO, schedule=schedule, lo_phase=0.2
+        )
+        streams = Streams(self.GRID.seed, self.GRID.dt)
+        samples = np.empty(self.GRID.n_samples)
+        for part in (REAL, IMAG):
+            for seg in segments:
+                env = simulate_scheduled_envelopes(
+                    OSC, rates, seg, schedule, part=part, streams=streams
+                )
+                piece = samples[seg.start : seg.start + seg.n_samples]
+                rec = compose_heterodyne_components(
+                    *env, det, seg, DELTA_LO, schedule=schedule, lo_phase=0.2, workers=2,
+                    part=part, out=piece, streams=streams,
+                )
+                assert rec.samples is piece and rec.start == seg.start
+        scale = np.max(np.abs(whole.samples))
+        np.testing.assert_allclose(samples, whole.samples, rtol=0, atol=1e-12 * scale)
+
+    def test_pieces_must_follow_in_order(self):
+        rates, schedule, segments = self._setup()
+        traj = simulate_scheduled_quadratures(OSC, rates, segments[1], schedule)
+        rec = compose_heterodyne_wigner(traj, DET, DELTA_LO, schedule=schedule)
+        with pytest.raises(ValueError, match="does not continue"):
+            demod_baseband(rec, DET, 1.2e3)
 
 
 class TestLockinDemodulate:

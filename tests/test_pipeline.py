@@ -113,14 +113,16 @@ class TestDeterminism:
         ).read_bytes()
 
     def test_run_single_worker_count_does_not_change_bytes(self, tmp_path):
+        # raw records included: the streamed records must not depend on it
         trees = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 5):
             out = tmp_path / f"w{workers}"
-            run_single(tiny_config(workers=str(workers)), out)
+            run_single(tiny_config(workers=str(workers), keep_raw="true"), out)
             trees[workers] = read_tree_bytes(out)
-        assert trees[1].keys() == trees[2].keys()
-        for name in trees[1]:
-            assert trees[1][name] == trees[2][name], name
+        for workers in (2, 5):
+            assert trees[1].keys() == trees[workers].keys()
+            for name in trees[1]:
+                assert trees[1][name] == trees[workers][name], (workers, name)
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         cfg = tiny_config(repetitions="1")
@@ -153,6 +155,18 @@ class TestSweepRatios:
         assert rows[1].split(",")[2] == "ok"
         assert rows[2].split(",")[2] == "failed"
         assert (tmp_path / "point_00" / "report.json").exists()
+
+    def test_theory_overlay_rows_are_model_ratios(self, tmp_path):
+        from parosc.model import ratios
+
+        cfg = tiny_config(n_bar="3.2")
+        run_sweep_ratio_vs_s(cfg, [], tmp_path)
+        lines = (tmp_path / "theory_overlay.csv").read_text().splitlines()
+        assert lines[0] == "s,r_plain,r_plus,r_minus"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 96
+        for s, *row in rows:
+            assert row == pytest.approx(list(ratios(3.2, s)), rel=1e-11)
 
     def test_summary_columns(self, tmp_path):
         summary = run_sweep_ratio_vs_s(tiny_config(repetitions="1"), [0.5], tmp_path)
@@ -204,7 +218,12 @@ class TestCli:
         assert main(["validate-config", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "line", ["n_bar = ..", "n_bar = 1e", "decimate = 2.7", "window = nosuch"]
+        "line",
+        [
+            "n_bar = ..", "n_bar = 1e", "decimate = 2.7", "window = nosuch",
+            # a 3-sample Welch hop on the defaults: judged, never run
+            "welch_overlap = 0.99999",
+        ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
@@ -276,6 +295,25 @@ class TestCliNumericalFailure:
         code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestMemoryBound:
+    def test_traced_peak_is_a_few_real_records(self, tmp_path):
+        # Streaming by drive segment leaves the component record as the one
+        # full-length array: the traced peak stays below 3 records of 8 bytes
+        # per sample.  Whole-record synthesis (two complex envelopes beside the
+        # record, 5 records) peaked at 6.5 records on this grid.
+        import tracemalloc
+
+        cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1")
+        record_bytes = 8 * cfg.grid(0).n_samples
+        tracemalloc.start()
+        try:
+            run_single(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * record_bytes, peak / record_bytes
 
 
 class TestKeepRaw:

@@ -32,6 +32,20 @@ class TestBinaryRoundTrip:
         loaded, _ = read_record_bin(path)
         np.testing.assert_array_equal(loaded, chans)
 
+    @pytest.mark.parametrize("shape", [(1000,), (2, 1000)])
+    def test_pieces_give_the_whole_file(self, tmp_path, shape):
+        samples = np.random.default_rng(4).standard_normal(shape)
+        whole = tmp_path / "whole.bin"
+        pieces = tmp_path / "pieces.bin"
+        write_record_bin(whole, samples, 25e3)
+        for i0, i1 in ((0, 300), (300, 301), (301, 1000)):
+            write_record_bin(pieces, samples[..., i0:i1], 25e3, offset=i0, length=1000)
+        assert pieces.read_bytes() == whole.read_bytes()
+
+    def test_piece_past_the_end_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="overruns"):
+            write_record_bin(tmp_path / "rec.bin", np.zeros(10), 1e3, offset=995, length=1000)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 60)

@@ -240,6 +240,24 @@ class TestCsvRoundTrip:
         write_psd_csv(psd, tagged, config_hash="0123456789abcdef")
         assert tagged.read_bytes() == b"# config=0123456789abcdef\n" + plain.read_bytes()
 
+    def test_round_trip_of_run_artifact(self, tmp_path):
+        # the files run_single writes carry the config line before the
+        # metadata line
+        from parosc.pipeline import write_psd_csv_with_hash
+
+        psd = Psd(
+            freqs=np.linspace(0.0, 10.0, 11), density=np.linspace(1.0, 2.0, 11) / 3.0,
+            rbw=1.0, n_averages=17, effective_averages=15.5,
+            window="hann", onesided=True,
+        )
+        path = tmp_path / "tagged.csv"
+        write_psd_csv_with_hash(psd, path, "0123456789abcdef")
+        loaded = read_psd_csv(path)
+        np.testing.assert_allclose(loaded.freqs, psd.freqs, rtol=1e-12)
+        np.testing.assert_allclose(loaded.density, psd.density, rtol=1e-12)
+        assert (loaded.rbw, loaded.n_averages, loaded.effective_averages) == (1.0, 17, 15.5)
+        assert (loaded.window, loaded.onesided) == ("hann", True)
+
 
 class TestChiSquareComparison:
     def test_identical_spectra_not_rejected(self):

@@ -11,8 +11,14 @@ from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeErro
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
 from parosc.spectral import bin_step_for, welch_psd
 from parosc.synth import (
+    DETUNED,
+    IMAG,
+    REAL,
+    RESONANT,
     STREAM_WIGNER_X,
+    STREAM_WIGNER_Y,
     SimGrid,
+    Streams,
     complex_ou_chain,
     detuned_reference_trajectory,
     ou_chain,
@@ -274,6 +280,66 @@ class TestScheduledSynthesis:
             parts.append(re + 1j * im)
         beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
         assert np.array_equal(beta_s, parts[0] + parts[1])
+
+
+class TestSegmentStreaming:
+    """A record synthesized one drive segment at a time draws every stream's
+    normals in the order of the whole-record synthesis."""
+
+    def test_normals_drawn_in_pieces_equal_one_draw(self):
+        whole = stream_rng(31, 2).standard_normal(250_001)
+        rng = stream_rng(31, 2)
+        pieces = [rng.standard_normal(n) for n in (1, 99_999, 0, 125_000)]
+        buffer = np.empty(25_001)
+        rng.standard_normal(out=buffer)
+        np.testing.assert_array_equal(np.concatenate(pieces + [buffer]), whole)
+
+    @staticmethod
+    def _segments(grid, schedule):
+        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        return [grid.segment(i0, i1) for i0, i1, _ in bounds]
+
+    def test_streamed_quadratures_equal_whole_record_chains(self):
+        from parosc.detect import schedule_drive
+
+        rates = rates_for(0.5)
+        grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=29)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        streams = Streams(grid.seed, grid.dt)
+        parts = [
+            simulate_scheduled_quadratures(OSC, rates, seg, schedule, workers=2, streams=streams)
+            for seg in self._segments(grid, schedule)
+        ]
+        var_x, var_y = rates.quadrature_variances()
+        var_0 = (2 * 5.8 + 1) / 4.0
+        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        for sid, decay, var, got in (
+            (STREAM_WIGNER_X, 0.5 * rates.gamma_plus, var_x, [p.x for p in parts]),
+            (STREAM_WIGNER_Y, 0.5 * rates.gamma_minus, var_y, [p.y for p in parts]),
+        ):
+            per_tag = {RESONANT: (decay, var), DETUNED: (0.5 * rates.gamma_eff, var_0)}
+            pieces = [(i1 - i0, *per_tag[tag]) for i0, i1, tag in bounds]
+            whole = ou_chain_piecewise(pieces, grid.dt, stream_rng(grid.seed, sid))
+            np.testing.assert_array_equal(np.concatenate(got), whole)
+
+    def test_streamed_envelope_parts_equal_whole_record_envelopes(self):
+        from parosc.detect import schedule_drive
+        from parosc.synth import simulate_scheduled_envelopes
+
+        rates = rates_for(0.4)
+        grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=37)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
+        streams = Streams(grid.seed, grid.dt)
+        for part, take in ((REAL, np.real), (IMAG, np.imag)):
+            got = [
+                simulate_scheduled_envelopes(
+                    OSC, rates, seg, schedule, workers=2, part=part, streams=streams
+                )
+                for seg in self._segments(grid, schedule)
+            ]
+            np.testing.assert_array_equal(np.concatenate([g[0] for g in got]), take(beta_s))
+            np.testing.assert_array_equal(np.concatenate([g[1] for g in got]), take(beta_as))
 
 
 class TestSpectralRoundTrip:
