@@ -51,7 +51,10 @@ def _load_config(args) -> RunConfig:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse the value list {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,6 @@ FLOAT = "float"
 INT = "int"
 BOOL = "bool"
 STR = "str"
-FLOAT_LIST = "float_list"
 
 _HZ_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "mHz": 1e-3}
 _TIME_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
@@ -104,10 +103,6 @@ def _parse_value(name: str, kind: str, text: str):
         if low in ("false", "no", "0", "off"):
             return False
         raise ConfigError(f"{name}: cannot parse boolean {text!r}")
-    if kind == FLOAT_LIST:
-        if not text:
-            return []
-        return [float(tok) for tok in text.split(",") if tok.strip()]
     if not text:
         return None
     m = _VALUE_RE.match(text)
@@ -253,7 +248,6 @@ class RunConfig:
             shot_psd=self.values["shot_psd"],
             demod_phase=self.values["demod_phase"] if demod_phase is None else demod_phase,
             lowpass_cutoff=self.values["lowpass_cutoff"],
-            schedule_period=self.values["schedule_period"],
         )
 
     def grid(self, seed: int) -> SimGrid:
@@ -307,7 +301,7 @@ def validate_config(config: RunConfig) -> list[str]:
     # a quantum-squeezed regime (s > 2*n_bar) is a valid configuration: the
     # pipeline then falls back to analytic spectra and no record is ever
     # synthesized, so the synthesis-path checks below do not apply
-    if rates is not None and min(rates.weights.as_tuple()) < 0.0:
+    if rates is not None and rates.weights.quantum_squeezed:
         return problems
     if rates is not None:
         f_upper = (v["carrier"] + v["delta_lo"] + 10.0 * rates.gamma_plus) / TWO_PI

@@ -64,7 +64,6 @@ class DetectionParams:
     shot_psd: float = 0.0
     demod_phase: float = 0.0
     lowpass_cutoff: float = 0.0
-    schedule_period: float = 5.0
 
     def __post_init__(self):
         if self.shot_psd < 0:

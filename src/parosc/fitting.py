@@ -33,6 +33,16 @@ def _dlor_dwidth(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
     return 0.5 * (d2 - hw * hw) / (np.pi * (d2 + hw * hw) ** 2)
 
 
+def _pair(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
+    """A Lorentzian at `center` plus its mirror image at -center."""
+    return lorentzian(f, center, width_hz) + lorentzian(f, -center, width_hz)
+
+
+def _dpair(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
+    """Width derivative of `_pair`."""
+    return _dlor_dwidth(f, center, width_hz) + _dlor_dwidth(f, -center, width_hz)
+
+
 class SinglePairModel:
     """Floor + two Lorentzians with a shared width and independent areas,
     centred on the two motional sidebands (mirror images included so the
@@ -44,25 +54,19 @@ class SinglePairModel:
     def __init__(self, center_stokes: float, center_antistokes: float):
         self.centers = (center_stokes, center_antistokes)
 
-    def _pair(self, f, center, width):
-        return lorentzian(f, center, width) + lorentzian(f, -center, width)
-
-    def _dpair(self, f, center, width):
-        return _dlor_dwidth(f, center, width) + _dlor_dwidth(f, -center, width)
-
     def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
         floor, gamma, a_s, a_as = p
         c_s, c_as = self.centers
-        return floor + a_s * self._pair(f, c_s, gamma) + a_as * self._pair(f, c_as, gamma)
+        return floor + a_s * _pair(f, c_s, gamma) + a_as * _pair(f, c_as, gamma)
 
     def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
         floor, gamma, a_s, a_as = p
         c_s, c_as = self.centers
         jac = np.empty((len(f), 4))
         jac[:, 0] = 1.0
-        jac[:, 1] = a_s * self._dpair(f, c_s, gamma) + a_as * self._dpair(f, c_as, gamma)
-        jac[:, 2] = self._pair(f, c_s, gamma)
-        jac[:, 3] = self._pair(f, c_as, gamma)
+        jac[:, 1] = a_s * _dpair(f, c_s, gamma) + a_as * _dpair(f, c_as, gamma)
+        jac[:, 2] = _pair(f, c_s, gamma)
+        jac[:, 3] = _pair(f, c_as, gamma)
         return jac
 
 
@@ -85,12 +89,6 @@ class DoublePairModel:
         self.centers = (center_stokes, center_antistokes)
         self.gamma_eff_hz = gamma_eff_hz
 
-    def _pair(self, f, center, width):
-        return lorentzian(f, center, width) + lorentzian(f, -center, width)
-
-    def _dpair(self, f, center, width):
-        return _dlor_dwidth(f, center, width) + _dlor_dwidth(f, -center, width)
-
     def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
         floor, s, a_bs, a_ns, a_bas, a_nas = p
         gp = self.gamma_eff_hz * (1.0 + s)
@@ -98,10 +96,10 @@ class DoublePairModel:
         c_s, c_as = self.centers
         return (
             floor
-            + a_bs * self._pair(f, c_s, gp)
-            + a_ns * self._pair(f, c_s, gm)
-            + a_bas * self._pair(f, c_as, gp)
-            + a_nas * self._pair(f, c_as, gm)
+            + a_bs * _pair(f, c_s, gp)
+            + a_ns * _pair(f, c_s, gm)
+            + a_bas * _pair(f, c_as, gp)
+            + a_nas * _pair(f, c_as, gm)
         )
 
     def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -113,15 +111,15 @@ class DoublePairModel:
         jac = np.empty((len(f), 6))
         jac[:, 0] = 1.0
         jac[:, 1] = ge * (
-            a_bs * self._dpair(f, c_s, gp)
-            - a_ns * self._dpair(f, c_s, gm)
-            + a_bas * self._dpair(f, c_as, gp)
-            - a_nas * self._dpair(f, c_as, gm)
+            a_bs * _dpair(f, c_s, gp)
+            - a_ns * _dpair(f, c_s, gm)
+            + a_bas * _dpair(f, c_as, gp)
+            - a_nas * _dpair(f, c_as, gm)
         )
-        jac[:, 2] = self._pair(f, c_s, gp)
-        jac[:, 3] = self._pair(f, c_s, gm)
-        jac[:, 4] = self._pair(f, c_as, gp)
-        jac[:, 5] = self._pair(f, c_as, gm)
+        jac[:, 2] = _pair(f, c_s, gp)
+        jac[:, 3] = _pair(f, c_s, gm)
+        jac[:, 4] = _pair(f, c_as, gp)
+        jac[:, 5] = _pair(f, c_as, gm)
         return jac
 
 
@@ -137,14 +135,14 @@ class QuadratureModel:
 
     def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
         floor, area, gamma = p
-        return floor + area * (lorentzian(f, self.f_lo, gamma) + lorentzian(f, -self.f_lo, gamma))
+        return floor + area * _pair(f, self.f_lo, gamma)
 
     def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
         floor, area, gamma = p
         jac = np.empty((len(f), 3))
         jac[:, 0] = 1.0
-        jac[:, 1] = lorentzian(f, self.f_lo, gamma) + lorentzian(f, -self.f_lo, gamma)
-        jac[:, 2] = area * (_dlor_dwidth(f, self.f_lo, gamma) + _dlor_dwidth(f, -self.f_lo, gamma))
+        jac[:, 1] = _pair(f, self.f_lo, gamma)
+        jac[:, 2] = area * _dpair(f, self.f_lo, gamma)
         return jac
 
 

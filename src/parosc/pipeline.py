@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,9 +30,9 @@ from .detect import (
     optimize_demod_phase,
     schedule_drive,
 )
-from .errors import ParoscError, PipelineError, QuantumSqueezingRegimeError
+from .errors import AntiDampedError, ParoscError, PipelineError, QuantumSqueezingRegimeError
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
-from .model import DerivedRates, quadrature_variances, ratios
+from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
 from .spectral import chi2_indistinguishable, welch_psd_chunks, write_psd_csv
 from .synth import (
@@ -363,38 +364,45 @@ def _checks(aggregate: dict, theory: dict, reps: list[dict]) -> list[dict]:
     return checks
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_report(config: RunConfig, out: Path, report: dict, artifacts: list[str]) -> dict:
+    """Write config.txt, report.json and report.txt, listing `artifacts` too."""
+    report["artifacts"] = sorted(["config.txt", "report.json", "report.txt", *artifacts])
+    with open(out / "config.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"# config_hash = {report['config_hash']}\n")
+        fh.write(config.snapshot())
+    _write_json(out / "report.json", report)
+    with open(out / "report.txt", "w", encoding="utf-8") as fh:
+        fh.write(render_report(report))
+    return report
+
+
 def _run_analytic_only(config: RunConfig, out: Path, rates: DerivedRates) -> dict:
     """Quantum-squeezing regime (s > 2*n_bar): time-domain synthesis is
     refused, so the run emits the closed-form sideband spectra and a report
     that states the regime prominently."""
-    from .model import analytic_sideband_psd
-
     gamma_plus = rates.gamma_plus
     omega = np.linspace(-30.0 * gamma_plus, 30.0 * gamma_plus, 4001)
-    manifest = ["config.txt", "report.json", "report.txt"]
     cfg_hash = config.config_hash()
+    artifacts = []
     for side in ("stokes", "antistokes"):
         psd = analytic_sideband_psd(rates.n_bar, rates.s, rates.gamma_eff, side, omega)
         name = f"analytic_{side}.csv"
         write_psd_csv_with_hash(psd, out / name, cfg_hash)
-        manifest.append(name)
+        artifacts.append(name)
     report = {
         "config_hash": cfg_hash,
         "mode": "analytic_only",
         "theory": _theory_block(rates),
         "checks": [],
         "tolerances": TOLERANCES,
-        "artifacts": sorted(manifest),
     }
-    with open(out / "config.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash = {cfg_hash}\n")
-        fh.write(config.snapshot())
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-    return report
+    return _write_report(config, out, report, artifacts)
 
 
 def run_single(
@@ -418,12 +426,13 @@ def run_single(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rates = config.derived_rates()
-    if min(rates.weights.as_tuple()) < 0.0:
+    if rates.weights.quantum_squeezed:
         return _run_analytic_only(config, out, rates)
     v = config.values
     workers = v["workers"] if workers is None else workers
+    cfg_hash = config.config_hash()
     reps = []
-    manifest = ["config.txt", "report.json", "report.txt"]
+    artifacts = []
     for rep in range(v["repetitions"]):
         seed = rep_seed(v["seed"], point_key, rep)
         rep_dir = out / f"rep{rep:02d}"
@@ -433,30 +442,24 @@ def run_single(
             raw_dir = rep_dir / "raw"
             raw_dir.mkdir(exist_ok=True)
         result = _run_repetition(config, rates, seed, raw_dir, workers)
-        cfg_hash = config.config_hash()
         for name, psd in result["psds"].items():
-            path = rep_dir / name
-            write_psd_csv_with_hash(psd, path, cfg_hash)
-            manifest.append(str(path.relative_to(out)))
+            write_psd_csv_with_hash(psd, rep_dir / name, cfg_hash)
         for name, fit in result["fits"].items():
             doc = fit.to_json_dict()
             doc["provenance"] = {"config_hash": cfg_hash, "seed": result["seed"]}
-            with open(rep_dir / name, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            manifest.append(str((rep_dir / name).relative_to(out)))
+            _write_json(rep_dir / name, doc)
+        artifacts += [f"{rep_dir.name}/{name}" for name in (*result["psds"], *result["fits"])]
         reps.append(result)
     aggregate = _aggregate(reps)
     theory = _theory_block(rates)
-    checks = _checks(aggregate, theory, reps)
     report = {
-        "config_hash": config.config_hash(),
+        "config_hash": cfg_hash,
         "point_key": list(point_key),
         "repetitions": v["repetitions"],
         "seeds": [r["seed"] for r in reps],
         "theory": theory,
         "aggregate": aggregate,
-        "checks": checks,
+        "checks": _checks(aggregate, theory, reps),
         "tolerances": TOLERANCES,
         "lockin": {
             "lowpass_cutoff_hz": v["lowpass_cutoff"],
@@ -466,17 +469,8 @@ def run_single(
             "welch_segment_s": v["welch_segment"],
             "welch_overlap": v["welch_overlap"],
         },
-        "artifacts": sorted(manifest),
     }
-    with open(out / "config.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash = {config.config_hash()}\n")
-        fh.write(config.snapshot())
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-    return report
+    return _write_report(config, out, report, artifacts)
 
 
 def write_psd_csv_with_hash(psd, path, cfg_hash: str) -> None:
@@ -542,21 +536,18 @@ def _run_point(args):
         # quantum-squeezing regime is reported as failed with the synth
         # refusal message rather than silently degrading to analytic mode
         rates = config.derived_rates()
-        if min(rates.weights.as_tuple()) < 0.0:
+        if rates.weights.quantum_squeezed:
             raise QuantumSqueezingRegimeError(
                 f"s = {rates.s:.4g} > 2*n_bar = {2 * rates.n_bar:.4g}: "
                 "quantum-squeezing regime, time-domain synthesis refused"
             )
         # the sweep spends its workers on points, so each point's kernels
-        # run on one thread and pools never nest
+        # run on one thread and pools never nest; run_single is looked up
+        # on the module at call time, so a tracer that wraps it sees points
         report = run_single(config, out_dir, point_key=(index,), workers=1)
         return index, report, None
     except Exception as exc:  # error isolation: a failing point must not kill siblings
         return index, None, f"{type(exc).__name__}: {exc}"
-
-
-def _run_points(points, workers: int):
-    return sorted(thread_map(_run_point, points, workers), key=lambda r: r[0])
 
 
 def _csv_cell(x) -> str:
@@ -576,47 +567,76 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_csv_cell(c) for c in row) + "\n")
 
 
+class _SweepSpec(NamedTuple):
+    """What one sweep varies and what its summary and overlay hold."""
+
+    axis: str  # summary key and column of the swept value
+    overrides: Callable[[float], dict]  # swept value -> config overrides of one point
+    columns: tuple  # (header, getter(report)) pairs between status and error
+    overlay_header: tuple[str, ...]
+    overlay_rows: Callable[[RunConfig], list[list]]
+
+
+def _fitted(key: str, header: str | None = None) -> tuple:
+    """Summary columns of an aggregated estimate: its mean and fit sigma."""
+    return (
+        (header or key, lambda r: r["aggregate"][key]["mean"]),
+        (f"{key}_sigma", lambda r: r["aggregate"][key]["sem_fit"]),
+    )
+
+
+def _theory(key: str, header: str | None = None) -> tuple:
+    return ((header or f"theory_{key}", lambda r: r["theory"][key]),)
+
+
+def _run_sweep(spec: _SweepSpec, config: RunConfig, values, out_dir, workers: int | None) -> list[dict]:
+    """Run one point per swept value (per-point artifacts in point_XX/), then
+    write sweep_summary.csv and theory_overlay.csv.  A failed point keeps
+    its row: empty result cells and the error in the last column."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    workers = config.values["workers"] if workers is None else workers
+    points = [
+        (i, config.with_overrides(**spec.overrides(x)), out / f"point_{i:02d}")
+        for i, x in enumerate(values)
+    ]
+    results = thread_map(_run_point, points, workers)  # in point order
+    header = ["index", spec.axis, "status", *(name for name, _ in spec.columns), "error"]
+    rows = []
+    summary = []
+    for (i, report, error), x in zip(results, values):
+        status = "ok" if error is None else "failed"
+        summary.append({"index": i, spec.axis: float(x), "status": status,
+                        "error": error, "report": report})
+        if error is None:
+            cells = [get(report) for _, get in spec.columns] + [""]
+        else:
+            cells = [None] * len(spec.columns) + [error]
+        rows.append([i, x, status, *cells])
+    write_csv(out / "sweep_summary.csv", header, rows)
+    write_csv(out / "theory_overlay.csv", list(spec.overlay_header), spec.overlay_rows(config))
+    return summary
+
+
+_RATIO_SWEEP = _SweepSpec(
+    axis="s_set",
+    overrides=lambda s: {"rate_source": "target", "s_target": f"{s:.12g}"},
+    columns=(
+        *_fitted("s_hat"), *_fitted("r_plus", "r_plus_hat"), *_fitted("r_minus", "r_minus_hat"),
+        *_theory("r_plus"), *_theory("r_minus"),
+    ),
+    overlay_header=("s", "r_plain", "r_plus", "r_minus"),
+    overlay_rows=lambda config: [
+        [s, *ratios(config.values["n_bar"], s)] for s in np.linspace(0.0, 0.95, 96)
+    ],
+)
+
+
 def run_sweep_ratio_vs_s(config: RunConfig, s_values, out_dir, workers: int | None = None) -> list[dict]:
     """Sweep of the sideband-component ratios versus the set parametric gain
     at constant occupancy.  Per-point artifacts land in point_XX/; the summary
     table and a dense theory overlay are emitted as CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = config.values["workers"] if workers is None else workers
-    points = []
-    for i, s in enumerate(s_values):
-        sub = config.with_overrides(rate_source="target", s_target=f"{s:.12g}")
-        points.append((i, sub, out / f"point_{i:02d}"))
-    results = _run_points(points, workers)
-    n_bar = config.values["n_bar"]
-    rows = []
-    summary = []
-    for (i, report, error), s in zip(results, s_values):
-        entry = {"index": i, "s_set": float(s), "status": "ok" if error is None else "failed",
-                 "error": error, "report": report}
-        summary.append(entry)
-        if error is None:
-            agg = report["aggregate"]
-            th = report["theory"]
-            rows.append([
-                i, s, "ok",
-                agg["s_hat"]["mean"], agg["s_hat"]["sem_fit"],
-                agg["r_plus"]["mean"], agg["r_plus"]["sem_fit"],
-                agg["r_minus"]["mean"], agg["r_minus"]["sem_fit"],
-                th["r_plus"], th["r_minus"], "",
-            ])
-        else:
-            rows.append([i, s, "failed"] + [None] * 8 + [error])
-    write_csv(
-        out / "sweep_summary.csv",
-        ["index", "s_set", "status", "s_hat", "s_hat_sigma",
-         "r_plus_hat", "r_plus_sigma", "r_minus_hat", "r_minus_sigma",
-         "theory_r_plus", "theory_r_minus", "error"],
-        rows,
-    )
-    overlay = [[s, *ratios(n_bar, s)] for s in np.linspace(0.0, 0.95, 96)]
-    write_csv(out / "theory_overlay.csv", ["s", "r_plain", "r_plus", "r_minus"], overlay)
-    return summary
+    return _run_sweep(_RATIO_SWEEP, config, s_values, out_dir, workers)
 
 
 def epsilon_for_target_s(config: RunConfig, s_target: float, lo: float = 0.5, hi: float = 1.0) -> float:
@@ -628,9 +648,6 @@ def epsilon_for_target_s(config: RunConfig, s_target: float, lo: float = 0.5, hi
     leaves the damped stable region (anti-damping or s >= 1), which bounds
     the usable epsilon_c range from below.
     """
-    from .errors import AntiDampedError
-    from .model import squeeze_param
-
     if s_target == 0.0:
         return 1.0
     osc = config.oscillator()
@@ -663,66 +680,43 @@ def epsilon_for_target_s(config: RunConfig, s_target: float, lo: float = 0.5, hi
     )
 
 
+def _variance_overlay(config: RunConfig) -> list[list]:
+    """Closed-form variance ratios wherever the tone split gives a stable gain."""
+    if config.values["rate_source"] != "params":
+        return []
+    osc = config.oscillator()
+    rows = []
+    for eps in np.linspace(0.5, 1.0, 101):
+        try:
+            s = squeeze_param(config.pump(epsilon_c=float(eps)), osc)
+        except ParoscError:
+            continue
+        if 0.0 <= s < 1.0:
+            rows.append([eps, s, 1.0 / (1.0 + s), 1.0 / (1.0 - s)])
+    return rows
+
+
+_VARIANCE_SWEEP = _SweepSpec(
+    axis="epsilon_c",
+    overrides=lambda eps: {"rate_source": "params", "epsilon_c": f"{eps:.12g}"},
+    columns=(
+        *_theory("s", "s_model"),
+        *_fitted("var_ratio_x"), *_fitted("var_ratio_y"),
+        *_theory("var_ratio_x"), *_theory("var_ratio_y"),
+        *_fitted("width_plus"), *_fitted("width_minus"),
+        *_fitted("var_inferred_plus"), *_fitted("var_inferred_minus"),
+    ),
+    overlay_header=("epsilon_c", "s", "var_ratio_x", "var_ratio_y"),
+    overlay_rows=_variance_overlay,
+)
+
+
 def run_sweep_variance_vs_tone_ratio(config: RunConfig, epsilon_values, out_dir, workers: int | None = None) -> list[dict]:
     """Quadrature-variance sweep versus the modulation/cooling tone split at
     constant total pump power, with the three-way consistency columns:
     measured normalized variances, their theory 1/(1 +- s), and the widths of
     the heterodyne components expressed as (1 +- s)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = config.values["workers"] if workers is None else workers
-    points = []
-    for i, eps in enumerate(epsilon_values):
-        sub = config.with_overrides(rate_source="params", epsilon_c=f"{eps:.12g}")
-        points.append((i, sub, out / f"point_{i:02d}"))
-    results = _run_points(points, workers)
-    rows = []
-    summary = []
-    for (i, report, error), eps in zip(results, epsilon_values):
-        entry = {"index": i, "epsilon_c": float(eps), "status": "ok" if error is None else "failed",
-                 "error": error, "report": report}
-        summary.append(entry)
-        if error is None:
-            agg = report["aggregate"]
-            th = report["theory"]
-            rows.append([
-                i, eps, "ok", th["s"],
-                agg["var_ratio_x"]["mean"], agg["var_ratio_x"]["sem_fit"],
-                agg["var_ratio_y"]["mean"], agg["var_ratio_y"]["sem_fit"],
-                th["var_ratio_x"], th["var_ratio_y"],
-                agg["width_plus"]["mean"], agg["width_plus"]["sem_fit"],
-                agg["width_minus"]["mean"], agg["width_minus"]["sem_fit"],
-                agg["var_inferred_plus"]["mean"], agg["var_inferred_plus"]["sem_fit"],
-                agg["var_inferred_minus"]["mean"], agg["var_inferred_minus"]["sem_fit"],
-                "",
-            ])
-        else:
-            rows.append([i, eps, "failed"] + [None] * 14 + [error])
-    write_csv(
-        out / "sweep_summary.csv",
-        ["index", "epsilon_c", "status", "s_model",
-         "var_ratio_x", "var_ratio_x_sigma", "var_ratio_y", "var_ratio_y_sigma",
-         "theory_var_ratio_x", "theory_var_ratio_y",
-         "width_plus", "width_plus_sigma", "width_minus", "width_minus_sigma",
-         "var_inferred_plus", "var_inferred_plus_sigma",
-         "var_inferred_minus", "var_inferred_minus_sigma", "error"],
-        rows,
-    )
-    overlay = []
-    if config.values["rate_source"] == "params":
-        from .model import squeeze_param
-
-        osc = config.oscillator()
-        for eps in np.linspace(0.5, 1.0, 101):
-            try:
-                s = squeeze_param(config.pump(epsilon_c=float(eps)), osc)
-            except ParoscError:
-                continue
-            if 0.0 <= s < 1.0:
-                overlay.append([eps, s, 1.0 / (1.0 + s), 1.0 / (1.0 - s)])
-    write_csv(out / "theory_overlay.csv",
-              ["epsilon_c", "s", "var_ratio_x", "var_ratio_y"], overlay)
-    return summary
+    return _run_sweep(_VARIANCE_SWEEP, config, epsilon_values, out_dir, workers)
 
 
 # --- report verb -------------------------------------------------------------
@@ -738,30 +732,35 @@ def load_report(artifacts_dir) -> dict:
 
 def report_artifacts(artifacts_dir) -> tuple[str, bool]:
     """Render the human summary for a run or sweep directory and evaluate the
-    pass/fail state; returns (text, ok)."""
+    pass/fail state; returns (text, ok).  A sweep fails when a point fails,
+    including a point refused before it wrote any artifact."""
     root = Path(artifacts_dir)
-    if (root / "sweep_summary.csv").exists():
-        texts = []
-        ok = True
-        point_dirs = sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("point_"))
-        for pd in point_dirs:
-            try:
-                report = load_report(pd)
-            except PipelineError as exc:
-                texts.append(f"== {pd.name}: MISSING ({exc})")
-                ok = False
-                continue
-            point_ok = all(c["passed"] for c in report["checks"])
-            ok &= point_ok
-            texts.append(f"== {pd.name} [{'PASS' if point_ok else 'FAIL'}]")
-            texts.append(render_report(report))
-        with open(root / "sweep_summary.csv", "r", encoding="utf-8") as fh:
-            texts.append(fh.read())
-        return "\n".join(texts), ok
-    report = load_report(root)
-    missing = [a for a in report["artifacts"] if not (root / a).exists()]
-    ok = all(c["passed"] for c in report["checks"]) and not missing
-    text = render_report(report)
-    if missing:
-        text += "missing artifacts:\n" + "\n".join(f"  {m}" for m in missing) + "\n"
-    return text, ok
+    if not (root / "sweep_summary.csv").exists():
+        report = load_report(root)
+        missing = [a for a in report["artifacts"] if not (root / a).exists()]
+        ok = all(c["passed"] for c in report["checks"]) and not missing
+        text = render_report(report)
+        if missing:
+            text += "missing artifacts:\n" + "\n".join(f"  {m}" for m in missing) + "\n"
+        return text, ok
+    texts = []
+    ok = True
+    for pd in sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("point_")):
+        try:
+            text, point_ok = report_artifacts(pd)
+        except PipelineError as exc:
+            texts.append(f"== {pd.name}: MISSING ({exc})")
+            ok = False
+            continue
+        ok &= point_ok
+        texts += [f"== {pd.name} [{'PASS' if point_ok else 'FAIL'}]", text]
+    summary = (root / "sweep_summary.csv").read_text(encoding="utf-8")
+    header, *rows = summary.splitlines()
+    for row in rows:
+        # the error is the last cell and the only one that may hold commas
+        index, _, status, *_, error = row.split(",", len(header.split(",")) - 1)
+        if status == "failed":
+            texts.append(f"== point_{int(index):02d} [FAILED] {error}")
+            ok = False
+    texts.append(summary)
+    return "\n".join(texts), ok

@@ -367,7 +367,7 @@ def _envelope_component_table(rates: DerivedRates) -> dict[int, tuple[float, flo
 
 def _check_weights(rates: DerivedRates) -> None:
     w = rates.weights
-    if min(w.as_tuple()) < 0.0:
+    if w.quantum_squeezed:
         raise QuantumSqueezingRegimeError(
             f"broad anti-Stokes weight {w.antistokes_broad:.6g} < 0: "
             f"quantum-squeezing regime (s > 2*n_bar, s = {rates.s:.6g}, "

@@ -233,6 +233,19 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "verb,option,values",
+        [
+            ("sweep-ratios", "--s-values", "0.1,abc"),
+            ("sweep-variances", "--epsilon-values", "1.0,0.9x"),
+        ],
+    )
+    def test_malformed_value_list_exit_2(self, tmp_path, capsys, verb, option, values):
+        out = tmp_path / "out"
+        assert main([verb, "--out", str(out), option, values]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_and_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(tiny_config(repetitions="1").snapshot())
@@ -284,6 +297,40 @@ class TestAnalyticOnlyMode:
         summary = run_sweep_ratio_vs_s(cfg, [0.7], tmp_path)
         assert summary[0]["status"] == "failed"
         assert "quantum-squeezing" in summary[0]["error"]
+        # the refused point leaves no point_00/, only its failed row, which
+        # alone fails the sweep's report
+        assert not (tmp_path / "point_00").exists()
+        text, ok = report_artifacts(tmp_path)
+        assert not ok
+        assert "point_00 [FAILED] QuantumSqueezingRegimeError" in text
+        assert main(["report", "--out", str(tmp_path)]) == 4
+
+
+class TestSweepFailedRows:
+    @pytest.mark.parametrize(
+        "sweep,cfg,values",
+        [
+            (run_sweep_ratio_vs_s, dict(n_bar="0.3"), [0.7]),
+            # epsilon_c = 0 leaves only the anti-damping modulation tone
+            (
+                run_sweep_variance_vs_tone_ratio,
+                dict(rate_source="params", g="5kHz", delta_pump="200kHz"),
+                [0.0],
+            ),
+        ],
+        ids=["ratios", "variances"],
+    )
+    def test_failed_row_fills_the_header(self, tmp_path, sweep, cfg, values):
+        summary = sweep(tiny_config(**cfg), values, tmp_path)
+        assert [e["status"] for e in summary] == ["failed"]
+        header, *rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+        header = header.split(",")
+        assert header[-1] == "error"
+        cells = rows[0].split(",", len(header) - 1)
+        assert len(cells) == len(header)
+        assert cells[2] == "failed"
+        assert cells[-1] == summary[0]["error"]
+        assert all(c == "" for c in cells[3:-1])
 
 
 class TestCliNumericalFailure:
@@ -367,6 +414,11 @@ class TestCliSweeps:
         assert code == 0
         assert (out / "sweep_summary.csv").exists()
         assert "2/2 points ok" in capsys.readouterr().out
+        # a point's missing artifact fails the sweep as it fails a run
+        (out / "point_01" / "rep00" / "heterodyne_detuned.csv").unlink()
+        text, ok = report_artifacts(out)
+        assert not ok
+        assert "missing artifacts:\n  rep00/heterodyne_detuned.csv" in text
 
     def test_sweep_variances_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
