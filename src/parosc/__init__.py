@@ -39,11 +39,9 @@ from .synth import (
     Schedule,
     Segment,
     SimGrid,
-    detuned_reference_trajectory,
-    ou_chain,
     ou_step,
-    simulate_quadratures,
-    simulate_sideband_envelopes,
+    simulate_scheduled_envelopes,
+    simulate_scheduled_quadratures,
 )
 from .detect import (
     DemodOutput,

@@ -49,6 +49,11 @@ _FIR_BATCH = 16
 # its segment, otherwise the schedule is rejected as unusable.
 MAX_GUARD_FRACTION = 0.25
 
+# The phase search scans this many phases over [0, pi), then refines the
+# minimum to PHASE_TOL radians.
+PHASE_GRID = 180
+PHASE_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class DetectionParams:
@@ -522,26 +527,14 @@ def demod_baseband(
     return into
 
 
-def _baseband(source, det, passband_edge_hz, decimate=1) -> Baseband:
-    if isinstance(source, Baseband):
-        return source
-    return demod_baseband(source, det, passband_edge_hz, decimate)
-
-
-def lockin_demodulate(
-    source: Record | Baseband,
-    det: DetectionParams,
-    passband_edge_hz: float | None = None,
-    decimate: int = 1,
-) -> DemodOutput:
+def lockin_demodulate(bb: Baseband, det: DetectionParams) -> DemodOutput:
     """Phase-coherent demodulation at the record carrier.
 
     ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference.
-    Both channels come from a single complex baseband product rotated by the
-    demodulation phase, which is exactly equivalent and filter-consistent.
-    `source` is the record or its Baseband (whose decimation then applies).
+    Both channels come from the record's complex baseband (demod_baseband)
+    rotated by the demodulation phase, which is exactly equivalent and
+    filter-consistent; the baseband's decimation applies.
     """
-    bb = _baseband(source, det, passband_edge_hz, decimate)
     rotated = bb.z * np.exp(1j * det.demod_phase)
     return DemodOutput(
         ch_x=rotated.real.copy(),
@@ -553,23 +546,16 @@ def lockin_demodulate(
     )
 
 
-def optimize_demod_phase(
-    source: Record | Baseband,
-    det: DetectionParams,
-    passband_edge_hz: float | None = None,
-    n_grid: int = 180,
-    tol: float = 1e-3,
-) -> float:
+def optimize_demod_phase(bb: Baseband) -> float:
     """Demodulation phase minimizing one channel's variance on resonant data.
 
-    Scans n_grid phases over [0, pi) and refines the minimum by golden-section
-    search to `tol` radians.  The cosine channel at the returned phase carries
+    Scans PHASE_GRID phases over [0, pi) and refines the minimum by
+    golden-section search to PHASE_TOL radians, using the record's baseband
+    sums (demod_baseband).  The cosine channel at the returned phase carries
     the squeezed quadrature, the orthogonal channel the anti-squeezed one.
     Warns (and still returns the grid argmin) when the variance is flat in
-    phase, i.e. s ~ 0 and the phase is undefined.  `source` is the record or
-    its Baseband.
+    phase, i.e. s ~ 0 and the phase is undefined.
     """
-    bb = _baseband(source, det, passband_edge_hz)
     if not bb.resonant:
         raise ScheduleError("no resonant-drive segments to optimize the phase on")
     s1, s2, s_abs, n_tot = bb.sums
@@ -583,7 +569,7 @@ def optimize_demod_phase(
         mean = (rot * m1).real
         return 0.5 * (power + (rot * rot * m2).real) - mean * mean
 
-    grid = np.linspace(0.0, math.pi, n_grid, endpoint=False)
+    grid = np.linspace(0.0, math.pi, PHASE_GRID, endpoint=False)
     values = np.array([variance(th) for th in grid])
     depth = (values.max() - values.min()) / max(values.mean(), 1e-300)
     # the sampling noise of the second moment produces a depth of order
@@ -597,14 +583,14 @@ def optimize_demod_phase(
         )
         return float(grid[int(np.argmin(values))])
     k = int(np.argmin(values))
-    step = math.pi / n_grid
+    step = math.pi / PHASE_GRID
     a = grid[k] - step
     b = grid[k] + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = variance(c), variance(d)
-    while (b - a) > tol:
+    while (b - a) > PHASE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -354,7 +354,7 @@ def _sigma_for(data: np.ndarray, psd: Psd) -> np.ndarray:
     return np.maximum(np.abs(data), floor) / math.sqrt(n_eff)
 
 
-def _lm_with_reweight(model, p0, lower, upper, freqs, data, psd: Psd, options) -> LMResult:
+def _lm_with_reweight(model, p0, lower, upper, freqs, data, psd: Psd) -> LMResult:
     """First pass with data-based sigmas, second with the fitted model's.
 
     Weighting with the measured density biases amplitudes low by ~2/n_eff
@@ -362,12 +362,12 @@ def _lm_with_reweight(model, p0, lower, upper, freqs, data, psd: Psd, options) -
     first-pass model prediction removes that bias at first order.
     """
     sigma = _sigma_for(data, psd)
-    first = lm_minimize(model, p0, lower, upper, freqs, data, sigma, options)
+    first = lm_minimize(model, p0, lower, upper, freqs, data, sigma)
     n_eff = max(psd.effective_averages, 1.0)
     predicted = model.value(first.params, freqs)
     floor = max(float(np.max(np.abs(predicted))), 1e-300) * 1e-12
     sigma = np.maximum(np.abs(predicted), floor) / math.sqrt(n_eff)
-    return lm_minimize(model, first.params, lower, upper, freqs, data, sigma, options)
+    return lm_minimize(model, first.params, lower, upper, freqs, data, sigma)
 
 
 def _peak_guess(freqs, data, center, halfwidth, floor):
@@ -425,12 +425,21 @@ def _ratio_with_sigma(cov, params, i_num, i_den):
     return r, math.sqrt(max(var, 0.0))
 
 
+def _zero_area_flags(model, lm: LMResult) -> list[str]:
+    """`<area>_consistent_with_zero` for each fitted area within two sigma
+    of zero, where a ratio over it is undetermined (or inf on the bound)."""
+    return [
+        f"{name}_consistent_with_zero"
+        for idx, name in enumerate(model.param_names)
+        if name.startswith("area_") and lm.params[idx] < 2.0 * math.sqrt(max(lm.cov[idx, idx], 0.0))
+    ]
+
+
 def fit_single_pair(
     psd: Psd,
     centers_hz: tuple[float, float],
     fit_margin_hz: float,
     masks=(),
-    options: LMOptions | None = None,
 ) -> FitResult:
     """Shared-width two-Lorentzian fit of a motional sideband pair.
 
@@ -450,12 +459,8 @@ def fit_single_pair(
     p0 = np.array([floor0, gamma0, a_s, a_as])
     lower = np.array([0.0, psd.rbw / 100.0, 0.0, 0.0])
     upper = np.array([10.0 * np.max(data), span, 1e4 * max(a_s, a_as), 1e4 * max(a_s, a_as)])
-    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd, options)
-    flags = []
-    for name, idx in (("area_stokes", 2), ("area_antistokes", 3)):
-        sig_a = math.sqrt(max(lm.cov[idx, idx], 0.0))
-        if lm.params[idx] < 2.0 * sig_a:
-            flags.append(f"{name}_consistent_with_zero")
+    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd)
+    flags = _zero_area_flags(model, lm)
     r, r_sig = _ratio_with_sigma(lm.cov, lm.params, 2, 3)
     derived = {"ratio": (r, r_sig)}
     if math.isfinite(r) and r > 1.0:
@@ -475,8 +480,6 @@ def fit_double_pair(
     centers_hz: tuple[float, float],
     fit_margin_hz: float,
     masks=(),
-    options: LMOptions | None = None,
-    s_init: float = 0.25,
 ) -> FitResult:
     """Constrained four-component sideband fit with the reference width fixed.
 
@@ -485,7 +488,8 @@ def fit_double_pair(
     areas (the broad anti-Stokes one is allowed slightly negative, lower
     bound -0.2 x its narrow sibling's initial estimate) and the noise floor.
     Returns s, R_plus, R_minus and the component widths with uncertainties;
-    flags a degeneracy warning when s*gamma_eff < 2*rbw (widths unresolved).
+    flags each area consistent with zero, and a degeneracy warning when
+    s*gamma_eff < 2*rbw (widths unresolved).
     """
     gamma_eff_hz = gamma_eff_fixed / (2.0 * math.pi)
     c_s, c_as = centers_hz
@@ -495,14 +499,15 @@ def fit_double_pair(
     _, _, a_s = _peak_guess(freqs, data, c_s, fit_margin_hz, floor0)
     _, _, a_as = _peak_guess(freqs, data, c_as, fit_margin_hz, floor0)
     model = DoublePairModel(c_s, c_as, gamma_eff_hz)
-    p0 = np.array([floor0, s_init, 0.5 * a_s, 0.5 * a_s, 0.5 * a_as, 0.5 * a_as])
+    # s starts at 0.25; each sideband's area starts split evenly
+    p0 = np.array([floor0, 0.25, 0.5 * a_s, 0.5 * a_s, 0.5 * a_as, 0.5 * a_as])
     a_cap = 1e4 * max(a_s, a_as)
     lower = np.array([0.0, 0.0, 0.0, 0.0, -0.2 * (0.5 * a_as), 0.0])
     upper = np.array([10.0 * np.max(data), 0.99, a_cap, a_cap, a_cap, a_cap])
-    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd, options)
+    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd)
     s_hat = lm.params[1]
     s_sig = math.sqrt(max(lm.cov[1, 1], 0.0))
-    flags = []
+    flags = _zero_area_flags(model, lm)
     if s_hat * gamma_eff_hz < 2.0 * psd.rbw:
         flags.append("widths_unresolved")
     r_plus, rp_sig = _ratio_with_sigma(lm.cov, lm.params, 2, 4)
@@ -530,7 +535,6 @@ def fit_quadrature(
     delta_lo_hz: float,
     fit_margin_hz: float,
     masks=(),
-    options: LMOptions | None = None,
 ) -> FitResult:
     """Fit of one demodulated quadrature channel: floor plus two equal
     Lorentzians at +-delta_lo with one free area (the quadrature variance in
@@ -549,7 +553,7 @@ def fit_quadrature(
     p0 = np.array([floor0, a0, max(w0, psd.rbw)])
     lower = np.array([0.0, 0.0, psd.rbw / 100.0])
     upper = np.array([10.0 * np.max(data), 1e4 * a0, 2.0 * fit_margin_hz])
-    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd, options)
+    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd)
     flags = ["degenerate_covariance"] if lm.degenerate else []
     derived = {
         "sigma2": (float(lm.params[1]), math.sqrt(max(lm.cov[1, 1], 0.0))),

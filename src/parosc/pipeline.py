@@ -93,6 +93,16 @@ def _chunks(arr: np.ndarray, slices) -> list[np.ndarray]:
     return [arr[s] for s in slices]
 
 
+def _ratio(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, float]:
+    """num/den of two (value, sigma) pairs with the propagated sigma; a zero
+    denominator (a fitted variance on its lower bound) gives (inf, inf)."""
+    if den[0] == 0.0:
+        return math.inf, math.inf
+    val = num[0] / den[0]
+    sig = abs(val) * math.hypot(num[1] / num[0], den[1] / den[0]) if num[0] else math.inf
+    return val, sig
+
+
 def _run_repetition(
     config: RunConfig, rates: DerivedRates, seed: int, raw_dir: Path | None, workers: int
 ):
@@ -173,7 +183,7 @@ def _run_repetition(
         )
         del rec_w
     if v["demod_phase_mode"] == "optimize":
-        theta = _stage("phase search", optimize_demod_phase, baseband, det)
+        theta = _stage("phase search", optimize_demod_phase, baseband)
     else:
         theta = v["demod_phase"]
     det_theta = config.detection(demod_phase=theta)
@@ -224,11 +234,6 @@ def _run_repetition(
     sigma2_0_sig = 0.5 * math.hypot(sigma2_x0[1], sigma2_y0[1])
     sigma2_x = quad_fits[("x", RESONANT)].derived["sigma2"]
     sigma2_y = quad_fits[("y", RESONANT)].derived["sigma2"]
-
-    def _ratio(num, den):
-        val = num[0] / den[0]
-        sig = abs(val) * math.hypot(num[1] / num[0], den[1] / den[0]) if num[0] else math.inf
-        return val, sig
 
     var_ratio_x = _ratio(sigma2_x, (sigma2_0, sigma2_0_sig))
     var_ratio_y = _ratio(sigma2_y, (sigma2_0, sigma2_0_sig))
@@ -289,9 +294,15 @@ def _aggregate(reps: list[dict]) -> dict:
         vals = np.array([r["scalars"][key][0] for r in reps], dtype=float)
         sigs = np.array([r["scalars"][key][1] for r in reps], dtype=float)
         n = len(vals)
+        if n == 1:
+            std = 0.0
+        elif np.all(np.isfinite(vals)):
+            std = float(np.std(vals, ddof=1))
+        else:
+            std = math.nan  # a spread over a non-finite value is undefined
         out[key] = {
             "mean": float(np.mean(vals)),
-            "std": float(np.std(vals, ddof=1)) if n > 1 else 0.0,
+            "std": std,
             "sem_fit": float(np.sqrt(np.sum(sigs**2)) / n),
             "values": [float(x) for x in vals],
             "sigmas": [float(x) for x in sigs],

@@ -11,10 +11,17 @@ Two backends realize the model:
   envelope PSD equals the closed-form sideband spectra exactly.  This is the
   path that carries the sideband asymmetry.
 
-All updates use the exact OU discretization (no step-size bias).  Every
-stochastic stream is derived from the grid seed through named SeedSequence
-spawn keys, so trajectories are bit-reproducible and independent streams stay
-independent under any execution order.
+Both backends follow the drive schedule: resonant segments carry the
+parametric rates, detuned segments the reference rates (s = 0, gamma_eff
+unchanged).  Each has one entry point, simulate_scheduled_quadratures and
+simulate_scheduled_envelopes, which synthesize a whole record or one drive
+segment of it.  Every real chain is an OUChain: the exact OU discretization
+(no step-size bias), started from a stationary draw and drawn in pieces that
+consume the same normals in the same order as one draw.  ou_step is the
+scalar form of that update.  Every stochastic stream is derived from the grid
+seed through named SeedSequence spawn keys, so trajectories are
+bit-reproducible and independent streams stay independent under any
+execution order.
 """
 
 from __future__ import annotations
@@ -25,11 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import signal
 
-from .errors import (
-    ParametricInstabilityError,
-    QuantumSqueezingRegimeError,
-    ScheduleError,
-)
+from .errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from .model import DerivedRates, OscillatorParams
 from .parallel import thread_map
 
@@ -207,36 +210,12 @@ def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, no
     return alpha * prev + math.sqrt(stationary_var * (1.0 - alpha * alpha)) * noise_draw
 
 
-def ou_chain(
-    n: int,
-    decay_rate: float,
-    stationary_var: float,
-    dt: float,
-    rng: np.random.Generator,
-    x0: float | None = None,
-) -> np.ndarray:
-    """Exactly stationary OU chain of length n (vectorized ou_step recursion)."""
-    if n <= 0:
-        return np.empty(0)
-    alpha = math.exp(-decay_rate * dt)
-    sigma_w = math.sqrt(stationary_var * (1.0 - alpha * alpha))
-    out = np.empty(n)
-    if x0 is None:
-        x0 = math.sqrt(stationary_var) * rng.standard_normal()
-    out[0] = x0
-    if n > 1:
-        w = rng.standard_normal(n - 1)
-        w *= sigma_w
-        out[1:], _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * x0]))
-    return out
-
-
 class OUChain:
-    """OU chain drawn in consecutive pieces whose (decay, variance) may
-    differ, the state carried continuously across pieces.  The first sample
-    is a stationary draw of the first piece.  Drawing a chain in any split
-    of its pieces consumes the same normals in the same order, so it gives
-    the chain drawn whole."""
+    """Exact OU chain (the ou_step recursion, vectorized) drawn in
+    consecutive pieces whose (decay, variance) may differ, the state carried
+    continuously across pieces.  The first sample is a stationary draw of
+    the first piece.  Drawing a chain in any split of its pieces consumes
+    the same normals in the same order, so it gives the chain drawn whole."""
 
     def __init__(self, rng: np.random.Generator, dt: float):
         self.rng = rng
@@ -250,14 +229,16 @@ class OUChain:
         contents when `add`)."""
         if n == 0:
             return np.empty(0) if out is None else out
-        if self.state is None:
-            piece = ou_chain(n, decay, var, self.dt, self.rng)
-        else:
-            alpha = math.exp(-decay * self.dt)
-            sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
-            w = self.rng.standard_normal(n)
-            w *= sigma_w
-            piece, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * self.state]))
+        alpha = math.exp(-decay * self.dt)
+        sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
+        first = self.state is None
+        if first:
+            self.state = math.sqrt(var) * self.rng.standard_normal()
+        w = self.rng.standard_normal(n - 1 if first else n)
+        w *= sigma_w
+        piece, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * self.state]))
+        if first:
+            piece = np.concatenate(([self.state], piece))
         self.state = piece[-1]
         if out is None:
             return piece
@@ -266,18 +247,6 @@ class OUChain:
         else:
             out[:] = piece
         return out
-
-
-def ou_chain_piecewise(
-    pieces: list[tuple[int, float, float]],
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """OU chain whose (decay, variance) switch between pieces, state carried
-    continuously across switches.  pieces: (n_samples, decay, stationary_var).
-    The first sample is a stationary draw of the first piece."""
-    chain = OUChain(rng, dt)
-    return np.concatenate([chain.draw(n, decay, var) for n, decay, var in pieces])
 
 
 class Streams:
@@ -311,41 +280,11 @@ class Streams:
         return self._chains[key]
 
 
-def complex_ou_chain(
-    n: int,
-    decay_rate: float,
-    stationary_power: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Circular complex OU chain with <|z|^2> = stationary_power."""
-    half = 0.5 * stationary_power
-    re = ou_chain(n, decay_rate, half, dt, rng)
-    im = ou_chain(n, decay_rate, half, dt, rng)
-    return re + 1j * im
-
-
 def _check_synthesizable(rates: DerivedRates) -> None:
     if rates.s >= 1.0 or rates.gamma_minus <= 0.0:
         raise ParametricInstabilityError(
             f"s = {rates.s:.6g} >= 1: parametric instability, synthesis refused"
         )
-
-
-def simulate_quadratures(osc: OscillatorParams, rates: DerivedRates, grid: SimGrid) -> QuadTrajectory:
-    """Wigner-backend trajectory: X decays at gamma_plus/2 with the squeezed
-    stationary variance, Y at gamma_minus/2 with the anti-squeezed one;
-    the two chains are statistically independent."""
-    return simulate_scheduled_quadratures(osc, rates, grid, single_segment_schedule(grid.duration))
-
-
-def detuned_reference_trajectory(
-    osc: OscillatorParams, rates: DerivedRates, grid: SimGrid
-) -> QuadTrajectory:
-    """Reference trajectory with the parametric action removed: s forced to 0
-    while gamma_eff (both tones' damping) is unchanged."""
-    reference = DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar)
-    return simulate_quadratures(osc, reference, grid)
 
 
 def _envelope_component_table(rates: DerivedRates) -> dict[int, tuple[float, float]]:
@@ -376,23 +315,13 @@ def _check_weights(rates: DerivedRates) -> None:
         )
 
 
-def simulate_sideband_envelopes(
-    osc: OscillatorParams, rates: DerivedRates, grid: SimGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component-backend envelopes (beta_stokes, beta_antistokes).
-
-    Each envelope is the sum of two independent complex OU components whose
-    PSDs add up to the closed-form sideband spectrum exactly; the four
-    component processes are mutually independent.  Refuses negative component
-    weights (s > 2*n_bar).
-    """
-    return simulate_scheduled_envelopes(osc, rates, grid, single_segment_schedule(grid.duration))
-
-
 def _schedule_pieces(
-    schedule: Schedule, grid: SimGrid, per_tag: dict[str, tuple[float, float]]
+    schedule: Schedule | None, grid: SimGrid, per_tag: dict[str, tuple[float, float]]
 ) -> list[tuple[int, float, float]]:
-    """(n_samples, decay, var) of the drive segments' parts on the grid."""
+    """(n_samples, decay, var) of the drive segments' parts on the grid;
+    without a schedule the grid is one resonant segment."""
+    if schedule is None:
+        return [(grid.n_samples, *per_tag[RESONANT])]
     lo = grid.start
     hi = lo + grid.n_samples
     return [
@@ -414,7 +343,7 @@ def simulate_scheduled_quadratures(
     osc: OscillatorParams,
     rates: DerivedRates,
     grid: SimGrid,
-    schedule: Schedule,
+    schedule: Schedule | None = None,
     workers: int = 1,
     streams: Streams | None = None,
 ) -> QuadTrajectory:
@@ -424,8 +353,9 @@ def simulate_scheduled_quadratures(
     continuous across switches (the schedule guard covers settling).  The two
     independent chains run on up to `workers` threads.
 
-    The grid may be one drive segment of the record; `streams` then carries
-    both chains from the previous segment."""
+    Without a schedule the whole grid is resonant.  The grid may be one
+    drive segment of the record; `streams` then carries both chains from the
+    previous segment."""
     _check_synthesizable(rates)
     streams = Streams.for_grid(grid, streams)
     var_x, var_y = rates.quadrature_variances()
@@ -452,14 +382,19 @@ def simulate_scheduled_envelopes(
     osc: OscillatorParams,
     rates: DerivedRates,
     grid: SimGrid,
-    schedule: Schedule,
+    schedule: Schedule | None = None,
     workers: int = 1,
     part: str | None = None,
     streams: Streams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component-backend envelopes (beta_stokes, beta_antistokes) with
     per-segment drive switching (s -> 0 in detuned segments, gamma_eff
-    unchanged).
+    unchanged); without a schedule the whole grid is resonant.
+
+    Each envelope is the sum of two independent complex OU components whose
+    PSDs add up to the closed-form sideband spectrum exactly; the four
+    component processes are mutually independent.  Refuses negative component
+    weights (s > 2*n_bar).
 
     Each component stream draws its real part before its imaginary part;
     each envelope is filled with its narrow component, then its broad

@@ -44,10 +44,9 @@ from parosc.spectral import welch_psd, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
-    ou_chain,
-    simulate_quadratures,
+    OUChain,
     simulate_scheduled_envelopes,
-    simulate_sideband_envelopes,
+    simulate_scheduled_quadratures,
     stream_rng,
 )
 
@@ -255,7 +254,7 @@ class TestCriterion6ThresholdBehavior:
         osc = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=0.3)
         grid = SimGrid(sample_rate=25e3, duration=1.0, carrier=TWO_PI * 5e3, seed=0)
         with pytest.raises(QuantumSqueezingRegimeError, match="s > 2\\*n_bar"):
-            simulate_sideband_envelopes(osc, rates, grid)
+            simulate_scheduled_envelopes(osc, rates, grid)
 
         weights = sideband_weights(0.3, 0.7)
         assert weights.antistokes_broad == pytest.approx(-0.05, abs=1e-12)
@@ -273,7 +272,7 @@ class TestCriterion6ThresholdBehavior:
 
 class TestCriterion7EstimatorHygiene:
     def test_parseval_on_every_record_class(self):
-        from parosc.detect import compose_heterodyne_wigner, lockin_demodulate
+        from parosc.detect import compose_heterodyne_wigner, demod_baseband, lockin_demodulate
         from parosc.model import OscillatorParams
         from parosc.synth import SimGrid
 
@@ -284,17 +283,17 @@ class TestCriterion7EstimatorHygiene:
         delta_lo = TWO_PI * 1.1e3
         records = {}
         records["white"] = stream_rng(70, 0).standard_normal(grid.n_samples)
-        records["ou_chain"] = ou_chain(
-            grid.n_samples, TWO_PI * 10.0, 1.0, grid.dt, stream_rng(70, 1)
+        records["ou_chain"] = OUChain(stream_rng(70, 1), grid.dt).draw(
+            grid.n_samples, TWO_PI * 10.0, 1.0
         )
-        traj = simulate_quadratures(osc, rates, grid)
+        traj = simulate_scheduled_quadratures(osc, rates, grid)
         rec_w = compose_heterodyne_wigner(traj, det, delta_lo)
         records["wigner_heterodyne"] = rec_w.samples
-        beta_s, beta_as = simulate_sideband_envelopes(osc, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid)
         records["component_heterodyne"] = compose_heterodyne_components(
             beta_s, beta_as, det, grid, delta_lo
         ).samples
-        demod = lockin_demodulate(rec_w, det, decimate=4)
+        demod = lockin_demodulate(demod_baseband(rec_w, det, decimate=4), det)
         records["demod_channel"] = demod.ch_x
         rates_used = {"demod_channel": demod.sample_rate}
         for name, samples in records.items():

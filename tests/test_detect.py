@@ -32,10 +32,8 @@ from parosc.synth import (
     Record,
     SimGrid,
     Streams,
-    simulate_quadratures,
     simulate_scheduled_envelopes,
     simulate_scheduled_quadratures,
-    simulate_sideband_envelopes,
     single_segment_schedule,
 )
 
@@ -123,7 +121,7 @@ class TestCarrierPhasors:
 class TestComposeWigner:
     def test_zero_gain_gives_pure_shot_floor(self):
         grid = grid_for(60.0, 2)
-        traj = simulate_quadratures(OSC, rates_for(0.5), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=0.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
         psd = welch_psd(rec.samples, grid.sample_rate, 12_500)
@@ -155,7 +153,7 @@ class TestComposeWigner:
 
     def test_energy_bookkeeping(self):
         grid = grid_for(120.0, 5)
-        traj = simulate_quadratures(OSC, rates_for(0.5), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.3, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
         expected = det.gain**2 * (np.var(traj.x) + np.var(traj.y))
@@ -165,7 +163,7 @@ class TestComposeWigner:
         # full synthesis, n_bar = 5.8, s = 0: both sideband areas equal within
         # the fit's statistical error; asymmetry needs the component backend
         grid = grid_for(120.0, 6)
-        traj = simulate_quadratures(OSC, rates_for(0.0), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
         rec = compose_heterodyne_wigner(traj, DET, DELTA_LO)
         psd = welch_psd(rec.samples, grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
@@ -179,7 +177,7 @@ class TestComposeComponents:
     def test_single_sideband_when_antistokes_absent(self):
         grid = grid_for(30.0, 7)
         rates = rates_for(0.5)
-        beta_s, _ = simulate_sideband_envelopes(OSC, rates, grid)
+        beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_components(
             beta_s, np.zeros_like(beta_s), det, grid, DELTA_LO
@@ -196,7 +194,7 @@ class TestComposeComponents:
     def test_record_variance_carries_half_envelope_power(self):
         grid = grid_for(120.0, 8)
         rates = rates_for(0.5)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
         expected = 0.5 * (np.mean(np.abs(beta_s) ** 2) + np.mean(np.abs(beta_as) ** 2))
@@ -205,7 +203,7 @@ class TestComposeComponents:
     def test_gain_invariance_of_fitted_ratios(self):
         grid = grid_for(60.0, 9)
         rates = rates_for(0.5)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
         results = []
@@ -320,8 +318,8 @@ class TestSegmentStreaming:
         assert streamed.sums[3] == whole.sums[3] > 0
         for a, b in zip(streamed.sums[:3], whole.sums[:3]):
             assert abs(a - b) <= 1e-12 * abs(b)
-        assert optimize_demod_phase(streamed, det) == pytest.approx(
-            optimize_demod_phase(whole, det), abs=1e-9
+        assert optimize_demod_phase(streamed) == pytest.approx(
+            optimize_demod_phase(whole), abs=1e-9
         )
 
     def test_component_record_in_two_passes(self):
@@ -367,7 +365,7 @@ class TestLockinDemodulate:
             frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
         )
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.0)
-        dm = lockin_demodulate(rec, det)
+        dm = lockin_demodulate(demod_baseband(rec, det), det)
         inner = slice(2000, -2000)
         f_lo = DELTA_LO / TWO_PI
         expected_x = np.cos(DELTA_LO * t + psi)
@@ -381,7 +379,7 @@ class TestLockinDemodulate:
     def test_linearity(self):
         grid = grid_for(10.0, 11)
         rates = rates_for(0.5)
-        traj = simulate_quadratures(OSC, rates, grid)
+        traj = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.3)
         rec_a = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=0.0)
         rec_b = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=1.1)
@@ -389,9 +387,9 @@ class TestLockinDemodulate:
             samples=rec_a.samples + rec_b.samples, sample_rate=grid.sample_rate,
             schedule=rec_a.schedule, frame=rec_a.frame,
         )
-        dm_a = lockin_demodulate(rec_a, det)
-        dm_b = lockin_demodulate(rec_b, det)
-        dm_sum = lockin_demodulate(rec_sum, det)
+        dm_a = lockin_demodulate(demod_baseband(rec_a, det), det)
+        dm_b = lockin_demodulate(demod_baseband(rec_b, det), det)
+        dm_sum = lockin_demodulate(demod_baseband(rec_sum, det), det)
         np.testing.assert_allclose(dm_sum.ch_x, dm_a.ch_x + dm_b.ch_x, atol=1e-10)
         np.testing.assert_allclose(dm_sum.ch_y, dm_a.ch_y + dm_b.ch_y, atol=1e-10)
 
@@ -399,14 +397,14 @@ class TestLockinDemodulate:
         # rotating the record frame and the demod phase together leaves the
         # channels unchanged
         grid = grid_for(10.0, 12)
-        traj = simulate_quadratures(OSC, rates_for(0.5), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         delta = 0.83
         det0 = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.2)
         det1 = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.2 + delta)
         rec0 = compose_heterodyne_wigner(traj, det0, DELTA_LO, frame_phase=0.0)
         rec1 = compose_heterodyne_wigner(traj, det1, DELTA_LO, frame_phase=delta)
-        dm0 = lockin_demodulate(rec0, det0)
-        dm1 = lockin_demodulate(rec1, det1)
+        dm0 = lockin_demodulate(demod_baseband(rec0, det0), det0)
+        dm1 = lockin_demodulate(demod_baseband(rec1, det1), det1)
         # identical statistics: the only difference is the image sideband's
         # spectral tail leaking through the filter transition band, far below
         # the in-band signal (and far below any shot floor in practice)
@@ -425,7 +423,7 @@ class TestLockinDemodulate:
         grid = grid_for(20.0, 13)
         rates = rates_for(0.5)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_quadratures(OSC, rates, grid)
+        traj = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_wigner(traj, det, DELTA_LO, schedule=schedule)
         swapped = rec.samples.copy()
@@ -440,8 +438,8 @@ class TestLockinDemodulate:
             samples=swapped, sample_rate=rec.sample_rate,
             schedule=schedule, frame=rec.frame,
         )
-        dm = lockin_demodulate(rec, det)
-        dm_swapped = lockin_demodulate(rec_swapped, det)
+        dm = lockin_demodulate(demod_baseband(rec, det), det)
+        dm_swapped = lockin_demodulate(demod_baseband(rec_swapped, det), det)
         for sl in dm.usable_slices(RESONANT):
             np.testing.assert_allclose(dm_swapped.ch_x[sl], dm.ch_x[sl], atol=1e-12)
 
@@ -451,7 +449,7 @@ class TestOptimizeDemodPhase:
         grid = grid_for(duration, seed)
         rates = rates_for(s)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_quadratures(OSC, rates, grid)
+        traj = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=shot, lowpass_cutoff=2.5e3)
         return compose_heterodyne_wigner(
             traj, det, DELTA_LO, schedule=schedule, frame_phase=frame_phase
@@ -471,18 +469,19 @@ class TestOptimizeDemodPhase:
         rec = compose_heterodyne_wigner(
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
-        theta = optimize_demod_phase(rec, det)
+        theta = optimize_demod_phase(demod_baseband(rec, det))
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 2e-3
 
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
         rec, det = self._record(phi0, seed=15, duration=60.0)
-        theta = optimize_demod_phase(rec, det)
+        bb = demod_baseband(rec, det)
+        theta = optimize_demod_phase(bb)
         ratios = []
         for phase in (theta, theta + math.pi / 2):
             det_p = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=phase)
-            dm = lockin_demodulate(rec, det_p)
+            dm = lockin_demodulate(bb, det_p)
             cuts = np.concatenate([dm.ch_x[s] for s in dm.usable_slices(RESONANT)])
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
@@ -490,7 +489,7 @@ class TestOptimizeDemodPhase:
     def test_flat_variance_warns_at_zero_gain(self):
         rec, det = self._record(0.3, seed=16, s=0.0, duration=60.0)
         with pytest.warns(UserWarning, match="flat"):
-            optimize_demod_phase(rec, det)
+            optimize_demod_phase(demod_baseband(rec, det))
 
 
 class TestAddTestTone:
@@ -513,22 +512,21 @@ class TestQuadratureSpectraAtOptimum:
         # anti-squeezed channel with the narrow one
         from parosc.fitting import fit_quadrature
         from parosc.spectral import welch_psd
-        from parosc.synth import simulate_quadratures
 
         rates = rates_for(0.5)
         grid = grid_for(120.0, 42)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_quadratures(OSC, rates, grid)
+        traj = simulate_scheduled_quadratures(OSC, rates, grid)
         phi0 = 0.77
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_wigner(
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
-        theta = optimize_demod_phase(rec, det)
+        theta = optimize_demod_phase(demod_baseband(rec, det))
         det_opt = DetectionParams(
             gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3, demod_phase=theta
         )
-        dm = lockin_demodulate(rec, det_opt, decimate=4)
+        dm = lockin_demodulate(demod_baseband(rec, det_opt, decimate=4), det_opt)
         f_lo = DELTA_LO / TWO_PI
         widths = {}
         for name, ch in (("x", dm.ch_x), ("y", dm.ch_y)):

@@ -22,7 +22,7 @@ from parosc.fitting import (
 )
 from parosc.model import DerivedRates, OscillatorParams
 from parosc.spectral import Psd, welch_psd
-from parosc.synth import SimGrid, simulate_sideband_envelopes, stream_rng
+from parosc.synth import SimGrid, simulate_scheduled_envelopes, stream_rng
 
 TWO_PI = 2.0 * math.pi
 OSC = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=5.8)
@@ -39,7 +39,7 @@ def synthetic_psd(freqs, density, n_eff=100.0, window="hann"):
 def make_component_psd(seed, duration=60.0, s=0.5, n_bar=5.8, shot=0.002, gain=1.0):
     rates = DerivedRates.from_target(TWO_PI * 20.0, s, n_bar)
     grid = SimGrid(sample_rate=25e3, duration=duration, carrier=TWO_PI * 5e3, seed=seed)
-    beta_s, beta_as = simulate_sideband_envelopes(OSC, rates, grid)
+    beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
     det = DetectionParams(gain=gain, shot_psd=shot, lowpass_cutoff=2.5e3)
     rec = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
     return welch_psd(rec.samples, grid.sample_rate, 25_000), rates
@@ -152,7 +152,7 @@ class TestFitSinglePair:
     def test_masked_tone_leaves_estimates_unchanged(self):
         psd_clean, rates = make_component_psd(911)
         grid = SimGrid(sample_rate=25e3, duration=60.0, carrier=TWO_PI * 5e3, seed=911)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
         tone_freq = 6_180.0  # inside the Stokes fit window
@@ -169,7 +169,7 @@ class TestFitSinglePair:
         # sanity check that the mask in the previous test is doing real work
         psd_clean, rates = make_component_psd(912)
         grid = SimGrid(sample_rate=25e3, duration=60.0, carrier=TWO_PI * 5e3, seed=912)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
         rec_tone = add_test_tone(rec, 6_180.0, 0.3)

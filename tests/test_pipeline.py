@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from parosc.cli import main
 from parosc.pipeline import (
     PSD_FILES,
     FIT_FILES,
+    _ratio,
     epsilon_for_target_s,
     report_artifacts,
     run_single,
@@ -174,6 +176,28 @@ class TestSweepRatios:
         header = (tmp_path / "sweep_summary.csv").read_text().splitlines()[0].split(",")
         assert header[:5] == ["index", "s_set", "status", "s_hat", "s_hat_sigma"]
         assert "theory_r_plus" in header
+
+
+class TestNonFiniteRatios:
+    def test_ratio_over_zero_is_infinite(self):
+        # a fitted variance may sit on its lower bound 0
+        assert _ratio((1.0, 0.1), (0.0, 0.2)) == (math.inf, math.inf)
+        val, sig = _ratio((1.0, 0.1), (2.0, 0.2))
+        assert val == 0.5
+        assert sig == pytest.approx(0.5 * math.hypot(0.1, 0.1), rel=1e-15)
+
+    def test_zero_denominator_area_is_flagged(self, tmp_path):
+        # on this grid the second repetition at s = 0.1, n_bar = 0.3 fits the
+        # narrow anti-Stokes area at its bound 0, so r_minus is inf and its
+        # spread over the repetitions undefined
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_single(tiny_config(n_bar="0.3", s_target="0.1"), tmp_path, workers=1)
+        r_minus = report["aggregate"]["r_minus"]
+        assert math.isinf(r_minus["values"][1])
+        assert math.isnan(r_minus["std"])
+        doc = json.loads((tmp_path / "rep01" / "fit_heterodyne_double.json").read_text())
+        assert "area_narrow_antistokes_consistent_with_zero" in doc["flags"]
 
 
 class TestSweepVariances:

@@ -17,7 +17,7 @@ from parosc.spectral import (
     welch_psd_chunks,
     write_psd_csv,
 )
-from parosc.synth import ou_chain, stream_rng
+from parosc.synth import OUChain, stream_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,7 +63,7 @@ class TestWelchNormalization:
     def test_ou_lorentzian_area_within_two_percent(self):
         fs = 4_000.0
         gamma = TWO_PI * 20.0
-        x = ou_chain(1_600_000, gamma / 2.0, 1.0, 1.0 / fs, stream_rng(99, 0))
+        x = OUChain(stream_rng(99, 0), 1.0 / fs).draw(1_600_000, gamma / 2.0, 1.0)
         psd = welch_psd(x, fs, 8192)
         # central-band integral plus analytic tail of the fitted Lorentzian
         fit = fit_single_band_area(psd)
@@ -104,7 +104,7 @@ def fit_single_band_area(psd):
     p0 = np.array([np.median(data), 1.0, 20.0])
     lm = _lm_with_reweight(
         model, p0, np.array([0.0, 0.0, 1.0]), np.array([1.0, 10.0, 100.0]),
-        freqs, data, sub, None,
+        freqs, data, sub,
     )
     # the model places mirror lines at +-0; each carries half the area
     return 2.0 * lm.params[1] / 2.0
@@ -198,7 +198,7 @@ class TestWindowIndependence:
         fs = 25_000.0
         gamma = TWO_PI * 20.0
         n = 1_000_000
-        x = ou_chain(n, gamma / 2.0, 1.0, 1.0 / fs, stream_rng(21, 0))
+        x = OUChain(stream_rng(21, 0), 1.0 / fs).draw(n, gamma / 2.0, 1.0)
         t = np.arange(n) / fs
         record = x * np.cos(TWO_PI * 1100.0 * t) * math.sqrt(2.0)
         results = {}
@@ -262,8 +262,8 @@ class TestCsvRoundTrip:
 class TestChiSquareComparison:
     def test_identical_spectra_not_rejected(self):
         fs = 2_000.0
-        x = ou_chain(400_000, TWO_PI * 10.0, 1.0, 1.0 / fs, stream_rng(31, 0))
-        y = ou_chain(400_000, TWO_PI * 10.0, 1.0, 1.0 / fs, stream_rng(32, 0))
+        x = OUChain(stream_rng(31, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
+        y = OUChain(stream_rng(32, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
         a = welch_psd(x, fs, 2000)
         b = welch_psd(y, fs, 2000)
         same, p = chi2_indistinguishable(a, b)
@@ -271,8 +271,8 @@ class TestChiSquareComparison:
 
     def test_different_spectra_rejected(self):
         fs = 2_000.0
-        x = ou_chain(400_000, TWO_PI * 10.0, 1.0, 1.0 / fs, stream_rng(33, 0))
-        y = ou_chain(400_000, TWO_PI * 10.0, 1.3, 1.0 / fs, stream_rng(34, 0))
+        x = OUChain(stream_rng(33, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
+        y = OUChain(stream_rng(34, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.3)
         a = welch_psd(x, fs, 2000)
         b = welch_psd(y, fs, 2000)
         same, p = chi2_indistinguishable(a, b)

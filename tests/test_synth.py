@@ -17,16 +17,13 @@ from parosc.synth import (
     RESONANT,
     STREAM_WIGNER_X,
     STREAM_WIGNER_Y,
+    OUChain,
     SimGrid,
     Streams,
-    complex_ou_chain,
-    detuned_reference_trajectory,
-    ou_chain,
-    ou_chain_piecewise,
     ou_step,
-    simulate_quadratures,
+    simulate_scheduled_envelopes,
     simulate_scheduled_quadratures,
-    simulate_sideband_envelopes,
+    single_segment_schedule,
     stream_rng,
 )
 
@@ -41,6 +38,12 @@ def rates_for(s, n_bar=5.8, gamma_eff=TWO_PI * 20.0):
     return DerivedRates.from_target(gamma_eff, s, n_bar)
 
 
+def chain_of(pieces, dt, rng):
+    """One OUChain drawn piece by piece; pieces: (n, decay, var)."""
+    chain = OUChain(rng, dt)
+    return np.concatenate([chain.draw(n, decay, var) for n, decay, var in pieces])
+
+
 class TestOuStep:
     def test_short_step_keeps_state(self):
         assert ou_step(1.7, 10.0, 1.0, 1e-12, 0.0) == pytest.approx(1.7, rel=1e-10)
@@ -50,8 +53,9 @@ class TestOuStep:
         assert out == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_chain_matches_scalar_recursion(self):
+        # drawn whole, and in pieces starting with a one-sample piece: the
+        # stationary start is the first sample of the first non-empty piece
         decay, var, dt, n = TWO_PI * 8.0, 1.3, 1e-3, 500
-        chain = ou_chain(n, decay, var, dt, stream_rng(5, 0))
         rng = stream_rng(5, 0)
         x = math.sqrt(var) * rng.standard_normal()
         draws = rng.standard_normal(n - 1)
@@ -59,14 +63,16 @@ class TestOuStep:
         for w in draws:
             x = ou_step(x, decay, var, dt, w)
             manual.append(x)
-        np.testing.assert_allclose(chain, manual, rtol=1e-12)
+        for sizes in ((n,), (1, 0, 199, 300)):
+            chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(5, 0))
+            np.testing.assert_allclose(chain, manual, rtol=1e-12)
 
     def test_million_step_variance_within_three_sigma(self):
         decay = TWO_PI * 25.0  # gamma_plus / 2 with gamma_plus = 2pi*50
         dt = 4e-6
         var = 1.0
         n = 10**6
-        chain = ou_chain(n, decay, var, dt, stream_rng(17, 0))
+        chain = OUChain(stream_rng(17, 0), dt).draw(n, decay, var)
         sigma = ar1_variance_estimator_sigma(n, decay, dt, var)
         assert abs(np.var(chain) - var) < 3.0 * sigma
 
@@ -76,7 +82,7 @@ class TestOuExactness:
     def test_lag_autocovariance_matches_closed_form(self, dt):
         decay, var = TWO_PI * 3.0, 1.0
         n = 250_000
-        x = ou_chain(n, decay, var, dt, stream_rng(23, int(dt * 1e6)))
+        x = OUChain(stream_rng(23, int(dt * 1e6)), dt).draw(n, decay, var)
         x = x - np.mean(x)
         for lag_steps in (1, 3, 10):
             expected = var * math.exp(-decay * lag_steps * dt)
@@ -86,15 +92,17 @@ class TestOuExactness:
             assert abs(measured - expected) < tol, (dt, lag_steps)
 
     def test_piecewise_single_piece_equals_plain_chain(self):
+        # one (decay, var) drawn in any split gives the chain drawn whole
         decay, var, dt, n = TWO_PI * 5.0, 0.7, 1e-3, 10_000
-        a = ou_chain(n, decay, var, dt, stream_rng(9, 1))
-        b = ou_chain_piecewise([(n, decay, var)], dt, stream_rng(9, 1))
-        np.testing.assert_array_equal(a, b)
+        a = OUChain(stream_rng(9, 1), dt).draw(n, decay, var)
+        for sizes in ((n,), (1, 0, 999, n - 1000), (n - 1, 1)):
+            b = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(9, 1))
+            np.testing.assert_array_equal(a, b)
 
     def test_piecewise_is_continuous_across_switches(self):
         dt = 1e-3
         rng = stream_rng(10, 2)
-        x = ou_chain_piecewise([(5000, TWO_PI * 5.0, 1.0), (5000, TWO_PI * 1.0, 4.0)], dt, rng)
+        x = chain_of([(5000, TWO_PI * 5.0, 1.0), (5000, TWO_PI * 1.0, 4.0)], dt, rng)
         # no discontinuity: the jump at the boundary obeys the new piece's
         # one-step transition, far smaller than a fresh stationary draw
         step = abs(x[5000] - x[4999])
@@ -105,8 +113,8 @@ class TestOuExactness:
 class TestSeedDeterminism:
     def test_identical_seed_bit_identical(self):
         grid = SimGrid(sample_rate=2e3, duration=10.0, carrier=TWO_PI * 200.0, seed=77)
-        a = simulate_quadratures(OSC, rates_for(0.4), grid)
-        b = simulate_quadratures(OSC, rates_for(0.4), grid)
+        a = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid)
+        b = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
 
@@ -123,11 +131,11 @@ class TestSimulateQuadratures:
         object.__setattr__(rates, "s", 1.2)
         object.__setattr__(rates, "gamma_minus", -1.0)
         with pytest.raises(ParametricInstabilityError):
-            simulate_quadratures(OSC, rates, grid)
+            simulate_scheduled_quadratures(OSC, rates, grid)
 
     def test_symmetric_at_zero_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=120.0, carrier=TWO_PI * 200.0, seed=3)
-        traj = simulate_quadratures(OSC, rates_for(0.0), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
         # subsample to effectively independent draws, then two-sample KS at 1%
         step = 300
         stat = ks_2samp(traj.x[::step], traj.y[::step])
@@ -135,7 +143,7 @@ class TestSimulateQuadratures:
 
     def test_variance_ratio_at_half_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=4)
-        traj = simulate_quadratures(OSC, rates_for(0.5), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         ratio = np.var(traj.y) / np.var(traj.x)
         # (1+s)/(1-s) = 3; the narrow Y chain dominates the estimator spread
         sigma = 3.0 * math.sqrt(2.0 / (400.0 * TWO_PI * 10.0 / 2.0)) * 2.0
@@ -143,7 +151,7 @@ class TestSimulateQuadratures:
 
     def test_cross_correlation_consistent_with_independence(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=5)
-        traj = simulate_quadratures(OSC, rates_for(0.5), grid)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         x = (traj.x - traj.x.mean()) / traj.x.std()
         y = (traj.y - traj.y.mean()) / traj.y.std()
         n = len(x)
@@ -158,28 +166,36 @@ class TestSimulateQuadratures:
 
 class TestDetunedReference:
     def test_variances_and_symmetry(self):
+        # a detuned segment draws the reference chains: the s = 0 rates at an
+        # unchanged gamma_eff, whatever the resonant gain
         grid = SimGrid(sample_rate=2e3, duration=300.0, carrier=TWO_PI * 200.0, seed=6)
-        traj = detuned_reference_trajectory(OSC, rates_for(0.5), grid)
+        rates = rates_for(0.5)
+        detuned = single_segment_schedule(grid.duration, DETUNED)
+        traj = simulate_scheduled_quadratures(OSC, rates, grid, detuned)
+        reference = DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar)
+        ref = simulate_scheduled_quadratures(OSC, reference, grid)
+        np.testing.assert_array_equal(traj.x, ref.x)
+        np.testing.assert_array_equal(traj.y, ref.y)
         thermal = (2 * 5.8 + 1) / 4.0
         n_eff = 300.0 * TWO_PI * 20.0 / 2.0
         tol = 4.0 * thermal * math.sqrt(2.0 / n_eff)
         assert abs(np.var(traj.x) - thermal) < tol
         assert abs(np.var(traj.y) - thermal) < tol
-        assert traj.rates.s == 0.0
-        assert traj.rates.gamma_eff == rates_for(0.5).gamma_eff
+        assert reference.s == 0.0
+        assert reference.gamma_eff == rates_for(0.5).gamma_eff
 
 
 class TestSidebandEnvelopes:
     def test_zero_gain_power_ratio(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=8)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates_for(0.0), grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.0), grid)
         ratio = np.mean(np.abs(beta_s) ** 2) / np.mean(np.abs(beta_as) ** 2)
         assert ratio == pytest.approx(6.8 / 5.8, rel=0.03)
 
     def test_integrated_powers_at_half_gain(self):
         # closed-form totals: (2(n+1)-s^2)/(2(1-s^2)) and (2n+s^2)/(2(1-s^2))
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=9)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates_for(0.5), grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid)
         assert np.mean(np.abs(beta_s) ** 2) == pytest.approx(8.9, rel=0.03)
         assert np.mean(np.abs(beta_as) ** 2) == pytest.approx(7.9, rel=0.03)
 
@@ -187,11 +203,11 @@ class TestSidebandEnvelopes:
         grid = SimGrid(sample_rate=2e3, duration=1.0, carrier=TWO_PI * 200.0, seed=10)
         rates = DerivedRates.from_target(TWO_PI * 20.0, 0.7, 0.3)
         with pytest.raises(QuantumSqueezingRegimeError, match="s > 2\\*n_bar"):
-            simulate_sideband_envelopes(OSC, rates, grid)
+            simulate_scheduled_envelopes(OSC, rates, grid)
 
     def test_envelopes_mutually_independent(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=11)
-        beta_s, beta_as = simulate_sideband_envelopes(OSC, rates_for(0.5), grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid)
         r = np.corrcoef(np.abs(beta_s) ** 2, np.abs(beta_as) ** 2)[0, 1]
         assert abs(r) < 0.02
 
@@ -202,7 +218,7 @@ class TestSidebandEnvelopes:
         # detrending off because the line sits right at zero frequency.
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=25e3, duration=100.0, carrier=TWO_PI * 5e3, seed=12)
-        _, beta_as = simulate_sideband_envelopes(OSC, rates, grid)
+        _, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
         psd = welch_psd(beta_as, grid.sample_rate, 25_000, detrend=False)
         step = bin_step_for(psd.window)
         sel = np.abs(psd.freqs) <= 300.0
@@ -239,7 +255,6 @@ class TestScheduledSynthesis:
 
     def test_worker_count_does_not_change_chains(self):
         from parosc.detect import schedule_drive
-        from parosc.synth import simulate_scheduled_envelopes
 
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=20.0, carrier=TWO_PI * 200.0, seed=17)
@@ -261,7 +276,6 @@ class TestScheduledSynthesis:
             STREAM_ENV_STOKES_BROAD,
             STREAM_ENV_STOKES_NARROW,
             _envelope_component_table,
-            simulate_scheduled_envelopes,
         )
 
         rates = rates_for(0.4)
@@ -275,8 +289,8 @@ class TestScheduledSynthesis:
             per_tag = {RESONANT: resonant[sid], DETUNED: detuned[sid]}
             halves = [(i1 - i0, per_tag[tag][0], 0.5 * per_tag[tag][1]) for i0, i1, tag in bounds]
             rng = stream_rng(grid.seed, sid)
-            re = ou_chain_piecewise(halves, grid.dt, rng)
-            im = ou_chain_piecewise(halves, grid.dt, rng)
+            re = chain_of(halves, grid.dt, rng)
+            im = chain_of(halves, grid.dt, rng)
             parts.append(re + 1j * im)
         beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
         assert np.array_equal(beta_s, parts[0] + parts[1])
@@ -319,12 +333,11 @@ class TestSegmentStreaming:
         ):
             per_tag = {RESONANT: (decay, var), DETUNED: (0.5 * rates.gamma_eff, var_0)}
             pieces = [(i1 - i0, *per_tag[tag]) for i0, i1, tag in bounds]
-            whole = ou_chain_piecewise(pieces, grid.dt, stream_rng(grid.seed, sid))
+            whole = chain_of(pieces, grid.dt, stream_rng(grid.seed, sid))
             np.testing.assert_array_equal(np.concatenate(got), whole)
 
     def test_streamed_envelope_parts_equal_whole_record_envelopes(self):
         from parosc.detect import schedule_drive
-        from parosc.synth import simulate_scheduled_envelopes
 
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=37)
@@ -351,7 +364,7 @@ class TestSpectralRoundTrip:
 
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=100.0, carrier=TWO_PI * 200.0, seed=41)
-        traj = simulate_quadratures(OSC, rates, grid)
+        traj = simulate_scheduled_quadratures(OSC, rates, grid)
         psd = welch_psd(traj.x, grid.sample_rate, 2000, detrend=False)
         sel = (psd.freqs >= 4.0 * psd.rbw) & (psd.freqs <= 300.0)
         sub = Psd = None
@@ -365,7 +378,7 @@ class TestSpectralRoundTrip:
         p0 = np.array([float(np.median(data)), 1.0, 20.0])
         lm = _lm_with_reweight(
             model, p0, np.array([0.0, 0.0, 1.0]), np.array([1.0, 50.0, 200.0]),
-            freqs, data, sub, None,
+            freqs, data, sub,
         )
         gamma_plus_hz = rates.gamma_plus / TWO_PI
         assert lm.params[2] == pytest.approx(gamma_plus_hz, rel=0.05)
