@@ -38,8 +38,9 @@ from .synth import (
     single_segment_schedule,
 )
 
-# Samples per carrier-mixing block (cache-sized), per shot-noise buffer, and
-# the FFT length and blocks per call of the lock-in filter's overlap-save.
+# Samples per carrier-mixing and lock-in rotation block (cache-sized), per
+# shot-noise buffer, and the FFT length and blocks per call of the lock-in
+# filter's overlap-save.
 _MIX_BLOCK = 1 << 16
 _NOISE_STRETCH = 16 * _MIX_BLOCK
 _FIR_FFT = 1 << 13
@@ -533,12 +534,19 @@ def lockin_demodulate(bb: Baseband, det: DetectionParams) -> DemodOutput:
     ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference.
     Both channels come from the record's complex baseband (demod_baseband)
     rotated by the demodulation phase, which is exactly equivalent and
-    filter-consistent; the baseband's decimation applies.
+    filter-consistent; the baseband's decimation applies.  The baseband is
+    rotated _MIX_BLOCK samples at a time, straight into the two channels.
     """
-    rotated = bb.z * np.exp(1j * det.demod_phase)
+    rot = np.exp(1j * det.demod_phase)
+    ch_x = np.empty(len(bb.z))
+    ch_y = np.empty(len(bb.z))
+    for i0 in range(0, len(bb.z), _MIX_BLOCK):
+        rotated = bb.z[i0 : i0 + _MIX_BLOCK] * rot
+        ch_x[i0 : i0 + len(rotated)] = rotated.real
+        ch_y[i0 : i0 + len(rotated)] = rotated.imag
     return DemodOutput(
-        ch_x=rotated.real.copy(),
-        ch_y=rotated.imag.copy(),
+        ch_x=ch_x,
+        ch_y=ch_y,
         sample_rate=bb.sample_rate / bb.decimate,
         demod_phase=det.demod_phase,
         schedule=bb.schedule,

@@ -202,9 +202,7 @@ def _run_repetition(
             )
     if raw_dir is not None:
         recordio.write_record_bin(
-            raw_dir / "demod_channels.bin",
-            np.vstack([demod.ch_x, demod.ch_y]),
-            demod.sample_rate,
+            raw_dir / "demod_channels.bin", (demod.ch_x, demod.ch_y), demod.sample_rate,
         )
     del demod
 

@@ -3,6 +3,10 @@
 Densities are always units^2/Hz and integrate to the sample variance
 (one-sided for real inputs, two-sided for complex ones), so fitted
 Lorentzian areas carry physical meaning in quanta.
+
+The working set of an estimate is bounded by its batch, not its record:
+segments are detrended, windowed, transformed and squared _WELCH_BATCH at
+a time, and only the running sum of their power rows is kept.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ DEFAULT_OVERLAP = 0.5
 # Past about 75 % overlap a tapered window gains almost no effective
 # averages, while the strided segment array grows as 1/(1 - overlap).
 MAX_OVERLAP = 0.9
+# Segments detrended, windowed and transformed at a time.
+_WELCH_BATCH = 4
 
 # Windowed periodograms correlate neighbouring frequency bins (the kernel
 # spans ~ENBW bins); statistics that assume independent bins should use every
@@ -113,30 +119,37 @@ def welch_psd(
             f"only {n_segments} segment(s) fit: record {n}, segment {segment_len}, "
             f"overlap {overlap_frac}"
         )
+    if not (detrend == "constant" or detrend is False):
+        raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
     complex_input = np.iscomplexobj(samples)
     win_vals = signal.get_window(window, segment_len)
-    # hop-spaced segments along the last axis: (..., n_segments, segment_len)
-    segments = sliding_window_view(samples, segment_len, axis=-1)[..., ::hop, :]
-    # one working copy of the segments at a time: records are long and
-    # chunks are estimated on several threads at once
-    if detrend == "constant":
-        segments = segments - segments.mean(axis=-1, keepdims=True)
-        segments *= win_vals
-    elif detrend is False:
-        segments = segments * win_vals
-    else:
-        raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
     if complex_input:
-        spec = sp_fft.fft(segments, axis=-1)
+        transform = sp_fft.fft
         freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
     else:
-        spec = sp_fft.rfft(segments, axis=-1)
+        transform = sp_fft.rfft
         freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
-    del segments
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
-    del spec
-    density = np.mean(power, axis=-2)
+    # hop-spaced segments along the last axis: (..., n_segments, segment_len)
+    segments = sliding_window_view(samples, segment_len, axis=-1)[..., ::hop, :]
+    # _WELCH_BATCH segments at a time: records are long and chunks are
+    # estimated on several threads at once.  The power rows are added in
+    # segment order, which is the arithmetic of a mean over the whole stack.
+    density = np.zeros(segments.shape[:-2] + freqs.shape)
+    for k0 in range(0, n_segments, _WELCH_BATCH):
+        batch = segments[..., k0 : k0 + _WELCH_BATCH, :]
+        if detrend == "constant":
+            batch = batch - batch.mean(axis=-1, keepdims=True)
+            batch *= win_vals
+        else:
+            batch = batch * win_vals
+        spec = transform(batch, axis=-1)
+        del batch
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        del spec
+        for k in range(power.shape[-2]):
+            density += power[..., k, :]
+    density /= n_segments
     density /= sample_rate * float(np.sum(win_vals**2))
     if complex_input:
         density = sp_fft.fftshift(density, axes=-1)

@@ -47,6 +47,9 @@ STREAM_SHOT_WIGNER = 6
 STREAM_SHOT_COMPONENT = 7
 STREAM_FRAME_PHASE = 8
 
+# OU chains draw and filter their normals this many samples at a time.
+_DRAW_BLOCK = 1 << 16
+
 RESONANT = "resonant"
 DETUNED = "detuned"
 
@@ -215,7 +218,9 @@ class OUChain:
     consecutive pieces whose (decay, variance) may differ, the state carried
     continuously across pieces.  The first sample is a stationary draw of
     the first piece.  Drawing a chain in any split of its pieces consumes
-    the same normals in the same order, so it gives the chain drawn whole."""
+    the same normals in the same order, so it gives the chain drawn whole.
+    Each piece is drawn and filtered in blocks of _DRAW_BLOCK samples, each
+    written (or added) straight into its place."""
 
     def __init__(self, rng: np.random.Generator, dt: float):
         self.rng = rng
@@ -227,25 +232,29 @@ class OUChain:
     ) -> np.ndarray:
         """The next n samples, written into `out` when given (added to its
         contents when `add`)."""
+        if out is None:
+            out, add = np.empty(n), False
         if n == 0:
-            return np.empty(0) if out is None else out
+            return out
         alpha = math.exp(-decay * self.dt)
         sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
-        first = self.state is None
-        if first:
+        i0 = 0
+        if self.state is None:
             self.state = math.sqrt(var) * self.rng.standard_normal()
-        w = self.rng.standard_normal(n - 1 if first else n)
-        w *= sigma_w
-        piece, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * self.state]))
-        if first:
-            piece = np.concatenate(([self.state], piece))
-        self.state = piece[-1]
-        if out is None:
-            return piece
-        if add:
-            out += piece
-        else:
-            out[:] = piece
+            out[0] = out[0] + self.state if add else self.state
+            i0 = 1
+        w = np.empty(min(n - i0, _DRAW_BLOCK))
+        for b0 in range(i0, n, _DRAW_BLOCK):
+            b1 = min(b0 + _DRAW_BLOCK, n)
+            self.rng.standard_normal(out=w[: b1 - b0])
+            block, _ = signal.lfilter(
+                [sigma_w], [1.0, -alpha], w[: b1 - b0], zi=np.array([alpha * self.state])
+            )
+            self.state = block[-1]
+            if add:
+                out[b0:b1] += block
+            else:
+                out[b0:b1] = block
         return out
 
 

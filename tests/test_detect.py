@@ -376,6 +376,19 @@ class TestLockinDemodulate:
         peak = psd.freqs[int(np.argmax(psd.density))]
         assert peak == pytest.approx(f_lo, abs=2 * psd.rbw)
 
+    def test_channels_are_the_rotated_baseband(self):
+        # the baseband is rotated block by block; the channels equal one
+        # rotation of the whole baseband, bit for bit
+        grid = grid_for(4.0, 14)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.9)
+        bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det)
+        assert len(bb.z) > _MIX_BLOCK
+        dm = lockin_demodulate(bb, det)
+        rotated = bb.z * np.exp(1j * det.demod_phase)
+        assert np.array_equal(dm.ch_x, rotated.real)
+        assert np.array_equal(dm.ch_y, rotated.imag)
+
     def test_linearity(self):
         grid = grid_for(10.0, 11)
         rates = rates_for(0.5)

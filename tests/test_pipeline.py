@@ -386,6 +386,24 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak < 3 * record_bytes, peak / record_bytes
 
+    def test_keep_raw_peak_below_two_records(self, tmp_path):
+        # With keep_raw the raw records are written from the arrays the run
+        # already holds: no converted or byte-string copy of the component
+        # record, no stacked copy of the two demodulated channels.  Copying
+        # them peaked at 3.0 records on this grid.
+        import tracemalloc
+
+        cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1", keep_raw="true")
+        record_bytes = 8 * cfg.grid(0).n_samples
+        tracemalloc.start()
+        try:
+            run_single(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "rep00" / "raw" / "record_component.bin").exists()
+        assert peak < 2 * record_bytes, peak / record_bytes
+
 
 class TestKeepRaw:
     def test_raw_records_persisted(self, tmp_path):

@@ -42,6 +42,24 @@ class TestBinaryRoundTrip:
             write_record_bin(pieces, samples[..., i0:i1], 25e3, offset=i0, length=1000)
         assert pieces.read_bytes() == whole.read_bytes()
 
+    def test_channel_sequence_gives_the_stacked_file(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ch_x, ch_y = rng.standard_normal(700), rng.standard_normal(700)
+        stacked = tmp_path / "stacked.bin"
+        sequence = tmp_path / "sequence.bin"
+        write_record_bin(stacked, np.vstack([ch_x, ch_y]), 25e3)
+        write_record_bin(sequence, (ch_x, ch_y), 25e3)
+        assert sequence.read_bytes() == stacked.read_bytes()
+        with pytest.raises(ValueError, match="equal lengths"):
+            write_record_bin(tmp_path / "rec.bin", (ch_x, ch_y[:-1]), 25e3)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "rec.bin"
+        write_record_bin(path, np.zeros(100) + 1j, 1e3)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            read_record_bin(path)
+
     def test_piece_past_the_end_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="overruns"):
             write_record_bin(tmp_path / "rec.bin", np.zeros(10), 1e3, offset=995, length=1000)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
+from scipy import signal
 
 from parosc.errors import SpectralError
 from parosc.fitting import fit_quadrature, fit_single_pair
 from parosc.spectral import (
+    _WELCH_BATCH,
     Psd,
     bin_step_for,
     chi2_indistinguishable,
@@ -121,8 +125,6 @@ class TestWelchMatchesScipy:
         ],
     )
     def test_density_matches_signal_welch(self, n, seg, overlap, window, complex_input, detrend):
-        from scipy import signal
-
         rng = stream_rng(21, 0)
         x = rng.standard_normal(n) + 0.3
         if complex_input:
@@ -137,6 +139,45 @@ class TestWelchMatchesScipy:
         np.testing.assert_allclose(psd.freqs, freqs, rtol=1e-14, atol=0.0)
         # same terms summed in another order: float64 rounding only
         np.testing.assert_allclose(psd.density, density, rtol=0.0, atol=1e-12 * density.max())
+
+
+class TestWelchBatches:
+    @staticmethod
+    def whole_stack_density(x, seg, overlap, detrend):
+        """The unbatched arithmetic: every segment detrended, windowed,
+        transformed and squared at once, then averaged with np.mean."""
+        hop = seg - int(seg * overlap)
+        win = signal.get_window("hann", seg)
+        segments = sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
+        if detrend == "constant":
+            segments = segments - segments.mean(axis=-1, keepdims=True)
+        segments = segments * win
+        transform = sp_fft.fft if np.iscomplexobj(x) else sp_fft.rfft
+        spec = transform(segments, axis=-1)
+        density = np.mean(np.square(spec.real) + np.square(spec.imag), axis=-2)
+        density /= 1234.0 * float(np.sum(win**2))
+        if np.iscomplexobj(x):
+            return sp_fft.fftshift(density, axes=-1)
+        density[..., 1 : None if seg % 2 else -1] *= 2.0
+        return density
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "2-D"])
+    @pytest.mark.parametrize("detrend", ["constant", False])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    def test_batches_equal_whole_stack_bitwise(self, kind, detrend, overlap):
+        seg = 500
+        hop = seg - int(seg * overlap)
+        n_segments = 3 * _WELCH_BATCH + 2
+        n = seg + (n_segments - 1) * hop + 7
+        rng = stream_rng(23, 0)
+        x = rng.standard_normal(n) + 0.3
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(n)
+        elif kind == "2-D":
+            x = np.stack([x, rng.standard_normal(n) - 0.1])
+        psd = welch_psd(x, 1234.0, seg, overlap, "hann", detrend=detrend)
+        assert psd.n_averages == n_segments
+        assert np.array_equal(psd.density, self.whole_stack_density(x, seg, overlap, detrend))
 
 
 class TestChunkPooling:

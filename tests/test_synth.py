@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.stats import ks_2samp
 
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
@@ -17,6 +18,7 @@ from parosc.synth import (
     RESONANT,
     STREAM_WIGNER_X,
     STREAM_WIGNER_Y,
+    _DRAW_BLOCK,
     OUChain,
     SimGrid,
     Streams,
@@ -66,6 +68,31 @@ class TestOuStep:
         for sizes in ((n,), (1, 0, 199, 300)):
             chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(5, 0))
             np.testing.assert_allclose(chain, manual, rtol=1e-12)
+
+    def test_blocks_equal_one_filter_over_the_same_normals(self):
+        # a chain longer than three draw blocks, drawn whole and in pieces
+        # whose edges straddle the block edges, equals one lfilter call over
+        # the same normals, bit for bit; so does adding it into an array
+        decay, var, dt = TWO_PI * 8.0, 1.3, 1e-4
+        n = 3 * _DRAW_BLOCK + 17
+        alpha = math.exp(-decay * dt)
+        rng = stream_rng(7, 0)
+        first = math.sqrt(var) * rng.standard_normal()
+        w = rng.standard_normal(n - 1)
+        w *= math.sqrt(var * (1.0 - alpha * alpha))
+        rest, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * first]))
+        expected = np.concatenate(([first], rest))
+        splits = (
+            (n,),
+            (1, _DRAW_BLOCK - 1, 1, _DRAW_BLOCK + 5, 0, n - 2 * _DRAW_BLOCK - 6),
+            (_DRAW_BLOCK + 1, 2 * _DRAW_BLOCK - 1, 17),
+        )
+        for sizes in splits:
+            chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(7, 0))
+            assert np.array_equal(chain, expected), sizes
+        ones = np.ones(n)
+        OUChain(stream_rng(7, 0), dt).draw(n, decay, var, out=ones, add=True)
+        assert np.array_equal(ones, 1.0 + expected)
 
     def test_million_step_variance_within_three_sigma(self):
         decay = TWO_PI * 25.0  # gamma_plus / 2 with gamma_plus = 2pi*50

@@ -8,9 +8,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from parosc import synth
+from parosc import recordio, synth
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,3 +40,14 @@ def test_synthesis_grid_is_the_third_argument(name):
     # the tracer counts synthesized samples as args[2].n_samples
     params = list(inspect.signature(getattr(synth, name)).parameters)
     assert params[:4] == ["osc", "rates", "grid", "schedule"]
+
+
+def test_record_samples_are_the_second_argument(spans):
+    # the tracer counts written bytes as np.asarray(args[1]).nbytes; a tuple
+    # of channels counts as the stacked array it replaces
+    params = list(inspect.signature(recordio.write_record_bin).parameters)
+    assert params[:3] == ["path", "samples", "sample_rate"]
+    record_bytes = next(fn for _, attr, _, fn in spans.WRAPPED if attr == "write_record_bin")
+    ch_x, ch_y = np.zeros(1000), np.ones(1000)
+    stacked = record_bytes(("path", np.vstack([ch_x, ch_y]), 1e3), {}, None)
+    assert record_bytes(("path", (ch_x, ch_y), 1e3), {}, None) == stacked
