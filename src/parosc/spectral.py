@@ -4,15 +4,18 @@ Densities are always units^2/Hz and integrate to the sample variance
 (one-sided for real inputs, two-sided for complex ones), so fitted
 Lorentzian areas carry physical meaning in quanta.
 
-The working set of an estimate is bounded by its batch, not its record:
-segments are detrended, windowed, transformed and squared _WELCH_BATCH at
-a time, and only the running sum of their power rows is kept.
+The working set of an estimate is bounded by one segment, not its record:
+each thread detrends, windows, transforms and squares one segment at a time
+into buffers allocated once per call, and only the running sum of the power
+rows is kept.  The window and its lag correlations are computed once per
+(window, segment length, hop) and shared read-only between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,8 +30,6 @@ DEFAULT_OVERLAP = 0.5
 # Past about 75 % overlap a tapered window gains almost no effective
 # averages, while the strided segment array grows as 1/(1 - overlap).
 MAX_OVERLAP = 0.9
-# Segments detrended, windowed and transformed at a time.
-_WELCH_BATCH = 4
 
 # Windowed periodograms correlate neighbouring frequency bins (the kernel
 # spans ~ENBW bins); statistics that assume independent bins should use every
@@ -67,24 +68,29 @@ class Psd:
         return replace(self, freqs=self.freqs[sel], density=self.density[sel])
 
 
-def _overlap_variance_factor(window_vals: np.ndarray, hop: int, n_segments: int) -> float:
+@lru_cache(maxsize=8)
+def _window_terms(window: str, segment_len: int, hop: int) -> tuple[np.ndarray, float, tuple[float, ...]]:
+    """The window values (read-only), their power sum and the normalized
+    window correlation rho_m at each overlapping lag m*hop, m = 1, 2, ..."""
+    win_vals = signal.get_window(window, segment_len)
+    win_vals.flags.writeable = False
+    power_sum = float(np.sum(win_vals**2))
+    rhos = tuple(
+        float(np.sum(win_vals[: segment_len - lag] * win_vals[lag:])) / power_sum
+        for lag in range(hop, segment_len, hop)
+    )
+    return win_vals, power_sum, rhos
+
+
+def _overlap_variance_factor(rhos: tuple[float, ...], n_segments: int) -> float:
     """Variance inflation of the segment average caused by segment overlap.
 
     Standard Welch result: 1 + 2 * sum_m (1 - m/K) * rho_m^2 with
     rho_m the normalized window correlation at lag m*hop.
     """
-    if n_segments <= 1:
-        return 1.0
-    nw = len(window_vals)
-    denom = float(np.sum(window_vals**2))
     factor = 1.0
-    m = 1
-    while m * hop < nw:
-        lag = m * hop
-        rho = float(np.sum(window_vals[: nw - lag] * window_vals[lag:])) / denom
-        if m < n_segments:
-            factor += 2.0 * (1.0 - m / n_segments) * rho**2
-        m += 1
+    for m, rho in enumerate(rhos[: n_segments - 1], start=1):
+        factor += 2.0 * (1.0 - m / n_segments) * rho**2
     return factor
 
 
@@ -122,7 +128,7 @@ def welch_psd(
     if not (detrend == "constant" or detrend is False):
         raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
     complex_input = np.iscomplexobj(samples)
-    win_vals = signal.get_window(window, segment_len)
+    win_vals, win_power, rhos = _window_terms(window, segment_len, hop)
     if complex_input:
         transform = sp_fft.fft
         freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
@@ -131,32 +137,33 @@ def welch_psd(
         freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
     # hop-spaced segments along the last axis: (..., n_segments, segment_len)
     segments = sliding_window_view(samples, segment_len, axis=-1)[..., ::hop, :]
-    # _WELCH_BATCH segments at a time: records are long and chunks are
-    # estimated on several threads at once.  The power rows are added in
-    # segment order, which is the arithmetic of a mean over the whole stack.
-    density = np.zeros(segments.shape[:-2] + freqs.shape)
-    for k0 in range(0, n_segments, _WELCH_BATCH):
-        batch = segments[..., k0 : k0 + _WELCH_BATCH, :]
+    # One segment at a time: records are long and chunks are estimated on
+    # several threads at once.  The power rows are added in segment order,
+    # which is the arithmetic of a mean over the whole stack.
+    lead = segments.shape[:-2]
+    windowed = np.empty(lead + (segment_len,), np.result_type(samples, win_vals))
+    power = np.empty(lead + freqs.shape)
+    density = np.zeros(lead + freqs.shape)
+    for k in range(n_segments):
+        seg = segments[..., k, :]
         if detrend == "constant":
-            batch = batch - batch.mean(axis=-1, keepdims=True)
-            batch *= win_vals
+            np.subtract(seg, seg.mean(axis=-1, keepdims=True), out=windowed)
+            windowed *= win_vals
         else:
-            batch = batch * win_vals
-        spec = transform(batch, axis=-1)
-        del batch
-        power = np.square(spec.real)
-        power += np.square(spec.imag)
-        del spec
-        for k in range(power.shape[-2]):
-            density += power[..., k, :]
+            np.multiply(seg, win_vals, out=windowed)
+        spec = transform(windowed, axis=-1)
+        np.square(spec.real, out=power)
+        power += np.square(spec.imag, out=spec.imag)
+        del spec  # before the next transform allocates its successor
+        density += power
     density /= n_segments
-    density /= sample_rate * float(np.sum(win_vals**2))
+    density /= sample_rate * win_power
     if complex_input:
         density = sp_fft.fftshift(density, axes=-1)
     else:
         # one-sided: fold negative frequencies onto all bins but DC and Nyquist
         density[..., 1 : None if segment_len % 2 else -1] *= 2.0
-    eff = n_segments / _overlap_variance_factor(win_vals, hop, n_segments)
+    eff = n_segments / _overlap_variance_factor(rhos, n_segments)
     return Psd(
         freqs=freqs,
         density=density,

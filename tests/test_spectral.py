@@ -1,6 +1,7 @@
 """PSD estimation: normalization contract, resolution policy, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy import signal
 from parosc.errors import SpectralError
 from parosc.fitting import fit_quadrature, fit_single_pair
 from parosc.spectral import (
-    _WELCH_BATCH,
     Psd,
+    _window_terms,
     bin_step_for,
     chi2_indistinguishable,
     read_psd_csv,
@@ -167,7 +168,7 @@ class TestWelchBatches:
     def test_batches_equal_whole_stack_bitwise(self, kind, detrend, overlap):
         seg = 500
         hop = seg - int(seg * overlap)
-        n_segments = 3 * _WELCH_BATCH + 2
+        n_segments = 14
         n = seg + (n_segments - 1) * hop + 7
         rng = stream_rng(23, 0)
         x = rng.standard_normal(n) + 0.3
@@ -178,6 +179,34 @@ class TestWelchBatches:
         psd = welch_psd(x, 1234.0, seg, overlap, "hann", detrend=detrend)
         assert psd.n_averages == n_segments
         assert np.array_equal(psd.density, self.whole_stack_density(x, seg, overlap, detrend))
+
+
+    def test_working_set_is_a_few_segments(self):
+        # a 40-segment record: the whole stack would hold about 40 segment
+        # lengths at once, segment at a time holds about 3 (the windowed
+        # segment, its transform and the power and density rows)
+        seg = 20_000
+        x = stream_rng(24, 0).standard_normal(40 * seg)
+        welch_psd(x, 1234.0, seg, 0.0, "hann")  # fill the window cache
+        tracemalloc.start()
+        try:
+            welch_psd(x, 1234.0, seg, 0.0, "hann")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * seg * x.itemsize
+
+    def test_window_is_shared_and_read_only(self):
+        x = stream_rng(25, 0).standard_normal(6_000)
+        a = welch_psd(x, 1234.0, 1_000, 0.5, "blackman")
+        b = welch_psd(x, 1234.0, 1_000, 0.5, "blackman")
+        win_a, win_b = (_window_terms("blackman", 1_000, 500)[0] for _ in range(2))
+        assert win_a is win_b
+        assert not win_a.flags.writeable
+        with pytest.raises(ValueError):
+            win_a[0] = 1.0
+        assert np.array_equal(a.density, b.density)
+        assert a.effective_averages == b.effective_averages
 
 
 class TestChunkPooling:
