@@ -52,7 +52,6 @@ FIELDS: dict[str, tuple[str, str, str]] = {
     "epsilon_c": (FLOAT, "0.8", "cooling-tone fraction of total pump power"),
     "delta_pump": (ANGULAR, "200kHz", "mean pump detuning (positive = red cooling tone)"),
     "delta_lo": (ANGULAR, "11kHz", "heterodyne LO offset"),
-    "omega_par_offset": (ANGULAR, "12kHz", "modulation-tone shift in reference segments"),
     # rates
     "rate_source": (STR, "target", "target | params"),
     "gamma_eff_target": (ANGULAR, "20Hz", "effective width for rate_source=target"),
@@ -231,7 +230,6 @@ class RunConfig:
             epsilon_c=self.values["epsilon_c"] if epsilon_c is None else epsilon_c,
             delta_pump=self.values["delta_pump"],
             delta_lo=self.values["delta_lo"],
-            omega_par_offset=self.values["omega_par_offset"],
         )
 
     def derived_rates(self, epsilon_c: float | None = None, s_target: float | None = None) -> DerivedRates:

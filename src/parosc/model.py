@@ -64,9 +64,8 @@ class CavityPumpParams:
 
     epsilon_c is the cooling-tone fraction of the total pump power.
     delta_pump is the mean detuning of the pump tones from cavity resonance.
-    delta_lo is the heterodyne local-oscillator offset; omega_par_offset is
-    the extra shift applied to the modulation tone in reference (detuned)
-    segments.  Absolute optical frequencies never appear: only differences do.
+    delta_lo is the heterodyne local-oscillator offset.  Absolute optical
+    frequencies never appear: only differences do.
     """
 
     kappa: float
@@ -74,7 +73,6 @@ class CavityPumpParams:
     epsilon_c: float
     delta_pump: float
     delta_lo: float
-    omega_par_offset: float = 0.0
 
     def __post_init__(self):
         if not self.kappa > 0:

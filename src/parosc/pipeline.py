@@ -344,7 +344,17 @@ def _checks(aggregate: dict, theory: dict, reps: list[dict]) -> list[dict]:
     add("s_recovery", s_err <= tol["s_abs"],
         f"|s_hat - s| = {s_err:.4g} (limit {tol['s_abs']})")
 
-    for key, target in (("r_plus", theory["r_plus"]), ("r_minus", theory["r_minus"])):
+    # a ratio over an area consistent with zero is not an estimate
+    for key, area in (("r_plus", "area_broad_antistokes"), ("r_minus", "area_narrow_antistokes")):
+        zero_reps = [
+            i for i, r in enumerate(reps)
+            if f"{area}_consistent_with_zero" in r["fits"]["fit_heterodyne_double.json"].flags
+        ]
+        if zero_reps:
+            add(f"{key}_recovery", False,
+                f"not estimated: {area} consistent with zero in rep {zero_reps[0]:02d}")
+            continue
+        target = theory[key]
         sem = max(aggregate[key]["sem_fit"], 1e-12)
         pull = abs(aggregate[key]["mean"] - target) / sem
         add(f"{key}_recovery", pull <= tol["ratio_sigma_multiple"],

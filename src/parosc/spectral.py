@@ -234,7 +234,8 @@ def write_psd_csv(psd: Psd, path, config_hash: str | None = None) -> None:
             f"onesided={int(psd.onesided)}\n"
         )
         fh.write("freq_hz,psd\n")
-        fh.writelines(map("{:.12g},{:.12g}\n".format, psd.freqs.tolist(), psd.density.tolist()))
+        rows = np.stack([psd.freqs, psd.density], axis=-1).ravel().tolist()
+        fh.write(("%.12g,%.12g\n" * len(psd.freqs)) % tuple(rows))
 
 
 def read_psd_csv(path) -> Psd:

@@ -58,6 +58,17 @@ class TestRunSingle:
         for rel in report["artifacts"]:
             assert (out / rel).exists(), rel
 
+    def test_ratio_over_zero_consistent_area_not_estimated(self, run):
+        # both repetitions on this grid fit the broad anti-Stokes area within
+        # two sigma of zero, so R+ is not an estimate
+        out, report = run
+        for rep in range(2):
+            doc = json.loads((out / f"rep{rep:02d}" / "fit_heterodyne_double.json").read_text())
+            assert "area_broad_antistokes_consistent_with_zero" in doc["flags"]
+        check = next(c for c in report["checks"] if c["name"] == "r_plus_recovery")
+        assert not check["passed"]
+        assert check["detail"] == "not estimated: area_broad_antistokes consistent with zero in rep 00"
+
     def test_artifacts_carry_config_hash(self, run):
         out, report = run
         cfg_hash = report["config_hash"]
@@ -247,6 +258,8 @@ class TestCli:
             "n_bar = ..", "n_bar = 1e", "decimate = 2.7", "window = nosuch",
             # a 3-sample Welch hop on the defaults: judged, never run
             "welch_overlap = 0.99999",
+            # a removed key that was never read
+            "omega_par_offset = 12kHz",
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, line):

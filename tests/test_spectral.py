@@ -298,6 +298,18 @@ class TestCsvRoundTrip:
         assert loaded.window == psd.window
         assert loaded.onesided == psd.onesided
 
+    def test_body_bytes_are_the_per_row_format(self, tmp_path):
+        freqs = np.array([0.0, 1.5, -2.25, 3.0, 1e300, 5e-324, 6.0, 7.0])
+        density = np.array([np.nan, np.inf, -np.inf, -0.0, 1.0 / 3.0, 2.5e-310, 1e300, -1e-300])
+        psd = Psd(
+            freqs=freqs, density=density, rbw=1.0, n_averages=2, effective_averages=2.0,
+            window="hann", onesided=True,
+        )
+        path = tmp_path / "psd.csv"
+        write_psd_csv(psd, path)
+        body = path.read_text().split("freq_hz,psd\n", 1)[1]
+        assert body == "".join(map("{:.12g},{:.12g}\n".format, freqs.tolist(), density.tolist()))
+
     def test_config_line_precedes_plain_csv(self, tmp_path):
         psd = Psd(
             freqs=np.linspace(0.0, 10.0, 11), density=np.linspace(1.0, 2.0, 11) / 3.0,
