@@ -6,9 +6,6 @@ from .errors import (
     AntiDampedError,
     ConfigError,
     FilterDesignError,
-    FitConvergenceError,
-    FitDegeneracyError,
-    FitError,
     ParametricInstabilityError,
     ParoscError,
     PipelineError,
@@ -52,7 +49,7 @@ from .detect import (
     optimize_demod_phase,
     schedule_drive,
 )
-from .fitting import FitResult, fit_double_pair, fit_quadrature, fit_single_pair, lm_minimize
+from .fitting import FitResult, fit_double_pair, fit_quadrature, fit_single_pair
 from .config import RunConfig, validate_config
 from .pipeline import run_single, run_sweep_ratio_vs_s, run_sweep_variance_vs_tone_ratio
 

@@ -103,6 +103,9 @@ def _parse_value(name: str, kind: str, text: str):
             return False
         raise ConfigError(f"{name}: cannot parse boolean {text!r}")
     if not text:
+        # only the optional fields (empty default) may be left unset
+        if FIELDS[name][1]:
+            raise ConfigError(f"{name}: needs a value")
         return None
     m = _VALUE_RE.match(text)
     if m is None:
@@ -111,6 +114,8 @@ def _parse_value(name: str, kind: str, text: str):
         number = float(m.group(1))
     except ValueError:
         raise ConfigError(f"{name}: cannot parse number {m.group(1)!r} in {text!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: {text!r} is not a finite number")
     suffix = m.group(2)
     if kind in (ANGULAR, PLAIN_HZ):
         if suffix not in _HZ_SCALE:
@@ -214,6 +219,8 @@ class RunConfig:
     def oscillator(self) -> OscillatorParams:
         gamma_m = self.values["gamma_m"]
         if gamma_m is None:
+            if not self.values["q_factor"] > 0:
+                raise ConfigError(f"q_factor must be > 0, got {self.values['q_factor']:.6g}")
             gamma_m = self.values["omega_m"] / self.values["q_factor"]
         return OscillatorParams(
             omega_m=self.values["omega_m"],
@@ -296,6 +303,10 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"window {v['window']!r}: {exc}")
     if v["decimate"] < 1:
         problems.append("decimate must be >= 1")
+    if not v["welch_segment"] > 0:
+        problems.append(f"welch_segment must be > 0, got {v['welch_segment']:.6g} s")
+    if not v["fit_margin"] > 0:
+        problems.append(f"fit_margin must be > 0, got {v['fit_margin']:.6g} Hz")
     # a quantum-squeezed regime (s > 2*n_bar) is a valid configuration: the
     # pipeline then falls back to analytic spectra and no record is ever
     # synthesized, so the synthesis-path checks below do not apply
@@ -322,7 +333,8 @@ def validate_config(config: RunConfig) -> list[str]:
             schedule_drive(config.grid(seed=0), v["schedule_period"], rates.gamma_minus)
         except Exception as exc:
             problems.append(f"schedule: {exc}")
-        rbw = 1.0 / v["welch_segment"]
+        # a segment that is not positive is reported above
+        rbw = 1.0 / v["welch_segment"] if v["welch_segment"] > 0 else 0.0
         gamma_minus_hz = rates.gamma_minus / TWO_PI
         if rbw > gamma_minus_hz / 5.0:
             problems.append(

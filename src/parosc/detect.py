@@ -49,6 +49,9 @@ _FIR_BATCH = 16
 # A switch's settling transient must not eat into more than this fraction of
 # its segment, otherwise the schedule is rejected as unusable.
 MAX_GUARD_FRACTION = 0.25
+# A schedule is a list of segments built up front; this bounds its length
+# (about six days of record at the default 5 s period).
+MAX_SEGMENTS = 100_000
 
 # The phase search scans this many phases over [0, pi), then refines the
 # minimum to PHASE_TOL radians.
@@ -111,6 +114,11 @@ def schedule_drive(grid: SimGrid, period: float, gamma_minus: float) -> Schedule
         raise ScheduleError(
             f"period {period} s >= duration {grid.duration} s: "
             "no resonant data would be acquired"
+        )
+    if grid.duration / period > MAX_SEGMENTS:
+        raise ScheduleError(
+            f"duration {grid.duration:.6g} s holds more than {MAX_SEGMENTS} "
+            f"drive segments of {period:.6g} s"
         )
     n_full = int(math.floor(grid.duration / period + 1e-9))
     if n_full < 2:

@@ -33,22 +33,6 @@ class SpectralError(ParoscError):
     """PSD estimation precondition violated (too few segments, bad band...)."""
 
 
-class FitError(ParoscError):
-    """Base class for fitting failures."""
-
-
-class FitConvergenceError(FitError):
-    """Levenberg-Marquardt exceeded the iteration budget."""
-
-
-class FitDegeneracyError(FitError):
-    """Singular normal matrix; carries the null-space direction."""
-
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
-
-
 class ConfigError(ParoscError):
     """Invalid run configuration (exit code 2 at the CLI)."""
 

@@ -1,10 +1,15 @@
-"""Nonlinear least-squares estimation of the sideband and quadrature spectra.
+"""Least-squares estimation of the sideband and quadrature spectra.
 
 All models are sums of unit-area Lorentzians plus a flat floor, fitted on
 density data with per-bin sigma = density / sqrt(effective averages), the
-chi-square statistics of averaged periodograms.  The shared engine is a
-damped (Levenberg-Marquardt) least-squares loop with projected bounds and
-analytic Jacobians.
+chi-square statistics of averaged periodograms.  Each model has one nonlinear
+parameter (a width or the parametric gain s); the floor and the areas enter
+linearly.  The shared engine profiles the linear ones out (variable
+projection; Golub & Pereyra, Inverse Problems 19, R1, 2003): every trial
+value of the nonlinear parameter gets its linear parameters from a bounded
+weighted linear solve, and the nonlinear one is scanned on a fixed grid over
+its bounds and refined by bounded Brent.  The covariance comes from the
+analytic Jacobians at the optimum.
 """
 
 from __future__ import annotations
@@ -14,11 +19,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import lsq_linear, minimize_scalar
 
-from .errors import FitConvergenceError, FitDegeneracyError, SpectralError
+from .errors import SpectralError
 from .spectral import Psd, bin_step_for
 
 MAX_MASK_FRACTION = 0.20
+# points of the nonlinear parameter's grid, endpoints (its bounds) included
+GRID_POINTS = 40
 
 
 def lorentzian(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
@@ -147,26 +155,16 @@ class QuadratureModel:
 
 
 @dataclass
-class LMOptions:
-    lambda0: float = 1e-3
-    lambda_reject: float = 10.0
-    lambda_accept: float = 3.0
-    cost_tol: float = 1e-9
-    grad_tol: float = 1e-10
-    max_iter: int = 500
+class _Optimum:
+    """A profile fit's optimum: the parameters, their covariance from the
+    analytic Jacobian and the null-space direction when it is near-singular."""
 
-
-@dataclass
-class LMResult:
     params: np.ndarray
     cov: np.ndarray
     reduced_chi2: float
-    iterations: int
+    evaluations: int
     converged: bool
-    grad_inf_norm: float
-    cost: float
-    n_points: int
-    degenerate: bool = False
+    direction: str | None
 
 
 def _null_direction(a: np.ndarray, names) -> str:
@@ -176,116 +174,92 @@ def _null_direction(a: np.ndarray, names) -> str:
     return " ".join(terms)
 
 
-def lm_minimize(
-    model,
-    p0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    freqs: np.ndarray,
-    data: np.ndarray,
-    sigma: np.ndarray,
-    options: LMOptions | None = None,
-) -> LMResult:
-    """Damped least squares with projected bounds.
+def _sigma_for(values: np.ndarray, psd: Psd) -> np.ndarray:
+    n_eff = max(psd.effective_averages, 1.0)
+    floor = max(float(np.max(np.abs(values))), 1e-300) * 1e-12
+    return np.maximum(np.abs(values), floor) / math.sqrt(n_eff)
 
-    Damping schedule: lambda starts at 1e-3, x10 on a rejected step, /3 on an
-    accepted one.  Converges on relative cost change < 1e-9 or gradient
-    infinity-norm < 1e-10.  The covariance is (J^T J)^-1 at the optimum
-    scaled by the reduced chi-square; a singular normal matrix raises
-    FitDegeneracyError naming the null-space direction.
+
+def _linear_solve(model, k, theta, lower, freqs, data, sigma):
+    """Parameters of `model` with its nonlinear one (index k) at `theta` and
+    the linear ones from a weighted least-squares solve on their Jacobian
+    columns, bounded below by `lower`.  Returns (params, weighted cost)."""
+    p = np.zeros(len(model.param_names))
+    p[k] = theta
+    lin = np.arange(len(p)) != k
+    a = model.jacobian(p, freqs)[:, lin] / sigma[:, None]
+    b = data / sigma
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.any(x < lower):
+        x = lsq_linear(a, b, bounds=(lower, np.inf), method="bvls").x
+    p[lin] = x
+    r = b - a @ x
+    return p, float(r @ r)
+
+
+def _profile_pass(model, k, grid, lower, freqs, data, sigma):
+    """Minimize the profiled cost over the nonlinear parameter: the best
+    point of `grid`, refined by bounded Brent between its neighbours.
+    Returns (params, cost evaluations, Brent's exit status)."""
+
+    def cost(theta):
+        return _linear_solve(model, k, theta, lower, freqs, data, sigma)[1]
+
+    costs = [cost(t) for t in grid]
+    i = int(np.argmin(costs))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    # a tiny absolute tolerance leaves Brent's relative one, sqrt(eps)*|theta|
+    res = minimize_scalar(
+        cost, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10 * grid[-1]}
+    )
+    # Brent never evaluates the bracket's ends: an optimum on a bound (s = 0)
+    # is the grid point itself
+    theta = res.x if res.fun < costs[i] else grid[i]
+    params = _linear_solve(model, k, theta, lower, freqs, data, sigma)[0]
+    return params, len(grid) + res.nfev, bool(res.success)
+
+
+def _profile_fit(model, k, grid, lower, freqs, data, psd: Psd) -> _Optimum:
+    """Two profile passes: the first weighted by the data, the second by the
+    first pass's model.
+
+    Weighting with the measured density biases amplitudes low by ~2/n_eff
+    (upward fluctuations get down-weighted); replacing the density with the
+    first-pass model prediction removes that bias at first order.  The
+    covariance is (J^T J)^-1 at the optimum scaled by the reduced chi-square;
+    a near-singular normal matrix falls back to the pseudo-inverse and warns
+    with the null-space direction.
     """
-    opt = options or LMOptions()
-    p = np.clip(np.asarray(p0, dtype=float), lower, upper)
+    first, n_first, ok_first = _profile_pass(
+        model, k, grid, lower, freqs, data, _sigma_for(data, psd)
+    )
+    sigma = _sigma_for(model.value(first, freqs), psd)
+    p, n_second, ok_second = _profile_pass(model, k, grid, lower, freqs, data, sigma)
+    jac = model.jacobian(p, freqs) / sigma[:, None]
     resid = (data - model.value(p, freqs)) / sigma
-    cost = float(resid @ resid)
-    cost_initial = max(cost, 1e-300)
-    lam = opt.lambda0
-    iterations = 0
-    converged = False
-    grad_norm = math.inf
-    while iterations < opt.max_iter:
-        jac = -model.jacobian(p, freqs) / sigma[:, None]
-        grad = jac.T @ resid
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < opt.grad_tol:
-            converged = True
-            break
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag[diag <= 0.0] = 1.0
-        # Parameters pinned at a bound with the gradient pushing outward are
-        # frozen for this solve; the final step is projected regardless.
-        free = ~(((p <= lower) & (grad > 0.0)) | ((p >= upper) & (grad < 0.0)))
-        if not np.any(free):
-            converged = True
-            break
-        accepted = False
-        while iterations < opt.max_iter:
-            iterations += 1
-            step = np.zeros_like(p)
-            try:
-                sub = np.ix_(free, free)
-                step[free] = np.linalg.solve(
-                    normal[sub] + lam * np.diag(diag[free]), -grad[free]
-                )
-            except np.linalg.LinAlgError:
-                raise FitDegeneracyError(
-                    "singular normal matrix; null-space direction: "
-                    + _null_direction(normal, model.param_names),
-                    direction=_null_direction(normal, model.param_names),
-                )
-            candidate = np.clip(p + step, lower, upper)
-            cand_resid = (data - model.value(candidate, freqs)) / sigma
-            cand_cost = float(cand_resid @ cand_resid)
-            if cand_cost < cost:
-                lam /= opt.lambda_accept
-                rel_drop = (cost - cand_cost) / max(cost, 1e-300)
-                p, resid, cost = candidate, cand_resid, cand_cost
-                accepted = True
-                # second clause: the residual has collapsed to numerical zero
-                # (exact-model data), where relative drops stay O(1) forever
-                if rel_drop < opt.cost_tol or cost < 1e-18 * cost_initial:
-                    converged = True
-                break
-            lam *= opt.lambda_reject
-            if lam > 1e14:
-                break
-        if converged or not accepted:
-            break
-    if not converged and iterations >= opt.max_iter:
-        raise FitConvergenceError(
-            f"no convergence after {iterations} iterations (cost {cost:.6g})"
-        )
-    jac = -model.jacobian(p, freqs) / sigma[:, None]
     normal = jac.T @ jac
-    n_free = len(p)
-    dof = max(len(freqs) - n_free, 1)
-    reduced_chi2 = cost / dof
-    degenerate = False
+    reduced_chi2 = float(resid @ resid) / max(len(freqs) - len(p), 1)
     try:
         cond = np.linalg.cond(normal)
     except np.linalg.LinAlgError:
         cond = math.inf
+    direction = None
     if not np.isfinite(cond) or cond > 1e12:
-        degenerate = True
+        direction = _null_direction(normal, model.param_names)
         warnings.warn(
-            "near-singular normal matrix at the optimum; direction: "
-            + _null_direction(normal, model.param_names),
-            stacklevel=2,
+            "near-singular normal matrix at the optimum; direction: " + direction,
+            stacklevel=3,
         )
         cov = np.linalg.pinv(normal) * reduced_chi2
     else:
         cov = np.linalg.inv(normal) * reduced_chi2
-    return LMResult(
+    return _Optimum(
         params=p,
         cov=cov,
         reduced_chi2=reduced_chi2,
-        iterations=iterations,
-        converged=converged,
-        grad_inf_norm=float(np.max(np.abs(jac.T @ resid))),
-        cost=cost,
-        n_points=len(freqs),
-        degenerate=degenerate,
+        evaluations=n_first + n_second,
+        converged=ok_first and ok_second,
+        direction=direction,
     )
 
 
@@ -304,10 +278,10 @@ class FitResult:
     reduced_chi2: float
     iterations: int
     converged: bool
-    grad_inf_norm: float
     flags: list = field(default_factory=list)
     masks: tuple = ()
     provenance: dict = field(default_factory=dict)
+    degenerate_direction: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,6 +294,7 @@ class FitResult:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "flags": list(self.flags),
+            "degenerate_direction": self.degenerate_direction,
             "masks": [list(m) for m in self.masks],
             "provenance": self.provenance,
         }
@@ -348,73 +323,34 @@ def _select_band(psd: Psd, intervals, masks):
     return freqs[idx], psd.density[idx]
 
 
-def _sigma_for(data: np.ndarray, psd: Psd) -> np.ndarray:
-    n_eff = max(psd.effective_averages, 1.0)
-    floor = max(np.max(np.abs(data)), 1e-300) * 1e-12
-    return np.maximum(np.abs(data), floor) / math.sqrt(n_eff)
-
-
-def _lm_with_reweight(model, p0, lower, upper, freqs, data, psd: Psd) -> LMResult:
-    """First pass with data-based sigmas, second with the fitted model's.
-
-    Weighting with the measured density biases amplitudes low by ~2/n_eff
-    (upward fluctuations get down-weighted); replacing the density with the
-    first-pass model prediction removes that bias at first order.
-    """
-    sigma = _sigma_for(data, psd)
-    first = lm_minimize(model, p0, lower, upper, freqs, data, sigma)
-    n_eff = max(psd.effective_averages, 1.0)
-    predicted = model.value(first.params, freqs)
-    floor = max(float(np.max(np.abs(predicted))), 1e-300) * 1e-12
-    sigma = np.maximum(np.abs(predicted), floor) / math.sqrt(n_eff)
-    return lm_minimize(model, first.params, lower, upper, freqs, data, sigma)
-
-
-def _peak_guess(freqs, data, center, halfwidth, floor):
-    sel = (freqs >= center - halfwidth) & (freqs <= center + halfwidth)
-    if not np.any(sel):
-        raise SpectralError(f"no bins near expected peak at {center:.6g} Hz")
-    f_sel = freqs[sel]
-    d_sel = data[sel]
-    k = int(np.argmax(d_sel))
-    height = max(d_sel[k] - floor, floor * 1e-3 + 1e-300)
-    half = floor + 0.5 * height
-    above = d_sel >= half
-    left = k
-    while left > 0 and above[left - 1]:
-        left -= 1
-    right = k
-    while right < len(d_sel) - 1 and above[right + 1]:
-        right += 1
-    width = max(f_sel[right] - f_sel[left], f_sel[1] - f_sel[0])
-    area = height * math.pi * width / 2.0
-    return height, width, area
-
-
-def _build_result(model, lm: LMResult, fixed, derived, flags, masks) -> FitResult:
+def _build_result(model, opt: _Optimum, fixed, derived, flags, masks) -> FitResult:
     names = model.param_names
-    estimates = {n: float(v) for n, v in zip(names, lm.params)}
-    sig = np.sqrt(np.maximum(np.diag(lm.cov), 0.0))
+    estimates = {n: float(v) for n, v in zip(names, opt.params)}
+    sig = np.sqrt(np.maximum(np.diag(opt.cov), 0.0))
     sigmas = {n: float(s) for n, s in zip(names, sig)}
+    if opt.direction is not None:
+        flags.append("degenerate_covariance")
     return FitResult(
         model_id=model.model_id,
         param_names=names,
         estimates=estimates,
         sigmas=sigmas,
-        cov=lm.cov,
+        cov=opt.cov,
         fixed=fixed,
         derived=derived,
-        reduced_chi2=lm.reduced_chi2,
-        iterations=lm.iterations,
-        converged=lm.converged,
-        grad_inf_norm=lm.grad_inf_norm,
+        reduced_chi2=opt.reduced_chi2,
+        iterations=opt.evaluations,
+        converged=opt.converged,
         flags=flags,
         masks=tuple(masks),
+        degenerate_direction=opt.direction,
     )
 
 
 def _ratio_with_sigma(cov, params, i_num, i_den):
-    num, den = params[i_num], params[i_den]
+    """Sum of the parameters at indices i_num over the sum at i_den, with its
+    propagated sigma; (inf, inf) over a zero denominator."""
+    num, den = params[i_num].sum(), params[i_den].sum()
     if den == 0.0:
         return math.inf, math.inf
     r = num / den
@@ -425,14 +361,24 @@ def _ratio_with_sigma(cov, params, i_num, i_den):
     return r, math.sqrt(max(var, 0.0))
 
 
-def _zero_area_flags(model, lm: LMResult) -> list[str]:
+def _zero_area_flags(model, opt: _Optimum) -> list[str]:
     """`<area>_consistent_with_zero` for each fitted area within two sigma
     of zero, where a ratio over it is undetermined (or inf on the bound)."""
     return [
         f"{name}_consistent_with_zero"
         for idx, name in enumerate(model.param_names)
-        if name.startswith("area_") and lm.params[idx] < 2.0 * math.sqrt(max(lm.cov[idx, idx], 0.0))
+        if name.startswith("area_") and opt.params[idx] < 2.0 * math.sqrt(max(opt.cov[idx, idx], 0.0))
     ]
+
+
+def _width_grid(psd: Psd, fit_margin_hz: float) -> np.ndarray:
+    return np.geomspace(psd.rbw / 100.0, 2.0 * fit_margin_hz, GRID_POINTS)
+
+
+def _sideband_band(psd: Psd, centers_hz, fit_margin_hz, masks):
+    c_s, c_as = centers_hz
+    intervals = [(c_s - fit_margin_hz, c_s + fit_margin_hz), (c_as - fit_margin_hz, c_as + fit_margin_hz)]
+    return _select_band(psd, intervals, masks)
 
 
 def fit_single_pair(
@@ -443,25 +389,16 @@ def fit_single_pair(
 ) -> FitResult:
     """Shared-width two-Lorentzian fit of a motional sideband pair.
 
-    centers_hz = (stokes, antistokes).  Returns the effective width, the two
-    areas, their ratio R and the occupancy n_bar = 1/(R-1) with propagated
-    uncertainties.
+    centers_hz = (stokes, antistokes).  The width is profiled over
+    [rbw/100, 2*fit_margin_hz]; the floor and the areas are >= 0.  Returns the
+    effective width, the two areas, their ratio R and the occupancy
+    n_bar = 1/(R-1) with propagated uncertainties.
     """
-    c_s, c_as = centers_hz
-    intervals = [(c_s - fit_margin_hz, c_s + fit_margin_hz), (c_as - fit_margin_hz, c_as + fit_margin_hz)]
-    freqs, data = _select_band(psd, intervals, masks)
-    floor0 = float(np.median(data))
-    _, w_s, a_s = _peak_guess(freqs, data, c_s, fit_margin_hz, floor0)
-    _, w_as, a_as = _peak_guess(freqs, data, c_as, fit_margin_hz, floor0)
-    gamma0 = max(0.5 * (w_s + w_as), psd.rbw)
-    model = SinglePairModel(c_s, c_as)
-    span = 2.0 * fit_margin_hz
-    p0 = np.array([floor0, gamma0, a_s, a_as])
-    lower = np.array([0.0, psd.rbw / 100.0, 0.0, 0.0])
-    upper = np.array([10.0 * np.max(data), span, 1e4 * max(a_s, a_as), 1e4 * max(a_s, a_as)])
-    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd)
-    flags = _zero_area_flags(model, lm)
-    r, r_sig = _ratio_with_sigma(lm.cov, lm.params, 2, 3)
+    freqs, data = _sideband_band(psd, centers_hz, fit_margin_hz, masks)
+    model = SinglePairModel(*centers_hz)
+    opt = _profile_fit(model, 1, _width_grid(psd, fit_margin_hz), np.zeros(3), freqs, data, psd)
+    flags = _zero_area_flags(model, opt)
+    r, r_sig = _ratio_with_sigma(opt.cov, opt.params, [2], [3])
     derived = {"ratio": (r, r_sig)}
     if math.isfinite(r) and r > 1.0:
         n_bar = 1.0 / (r - 1.0)
@@ -469,9 +406,7 @@ def fit_single_pair(
     else:
         flags.append("ratio_below_unity")
         derived["n_bar"] = (math.nan, math.nan)
-    if lm.degenerate:
-        flags.append("degenerate_covariance")
-    return _build_result(model, lm, {"centers_hz": 0.0}, derived, flags, masks)
+    return _build_result(model, opt, {"centers_hz": 0.0}, derived, flags, masks)
 
 
 def fit_double_pair(
@@ -484,50 +419,38 @@ def fit_double_pair(
     """Constrained four-component sideband fit with the reference width fixed.
 
     gamma_eff_fixed is angular (rad/s), taken from a detuned-reference
-    single_pair fit.  Free parameters: s in [0, 0.99], the four component
-    areas (the broad anti-Stokes one is allowed slightly negative, lower
-    bound -0.2 x its narrow sibling's initial estimate) and the noise floor.
-    Returns s, R_plus, R_minus and the component widths with uncertainties;
-    flags each area consistent with zero, and a degeneracy warning when
-    s*gamma_eff < 2*rbw (widths unresolved).
+    single_pair fit.  s is profiled over [0, 0.99]; the floor and the areas
+    are >= 0, except the broad anti-Stokes area, which may go slightly
+    negative: its lower bound is -0.1 x the anti-Stokes area of one
+    Lorentzian of width gamma_eff per sideband.  Returns s, R_plus, R_minus
+    and the component widths with uncertainties; flags each area consistent
+    with zero, and a degeneracy warning when s*gamma_eff < 2*rbw (widths
+    unresolved).
     """
     gamma_eff_hz = gamma_eff_fixed / (2.0 * math.pi)
-    c_s, c_as = centers_hz
-    intervals = [(c_s - fit_margin_hz, c_s + fit_margin_hz), (c_as - fit_margin_hz, c_as + fit_margin_hz)]
-    freqs, data = _select_band(psd, intervals, masks)
-    floor0 = float(np.median(data))
-    _, _, a_s = _peak_guess(freqs, data, c_s, fit_margin_hz, floor0)
-    _, _, a_as = _peak_guess(freqs, data, c_as, fit_margin_hz, floor0)
-    model = DoublePairModel(c_s, c_as, gamma_eff_hz)
-    # s starts at 0.25; each sideband's area starts split evenly
-    p0 = np.array([floor0, 0.25, 0.5 * a_s, 0.5 * a_s, 0.5 * a_as, 0.5 * a_as])
-    a_cap = 1e4 * max(a_s, a_as)
-    lower = np.array([0.0, 0.0, 0.0, 0.0, -0.2 * (0.5 * a_as), 0.0])
-    upper = np.array([10.0 * np.max(data), 0.99, a_cap, a_cap, a_cap, a_cap])
-    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd)
-    s_hat = lm.params[1]
-    s_sig = math.sqrt(max(lm.cov[1, 1], 0.0))
-    flags = _zero_area_flags(model, lm)
+    freqs, data = _sideband_band(psd, centers_hz, fit_margin_hz, masks)
+    plain, _ = _linear_solve(
+        SinglePairModel(*centers_hz), 1, gamma_eff_hz, np.zeros(3), freqs, data,
+        _sigma_for(data, psd),
+    )
+    model = DoublePairModel(*centers_hz, gamma_eff_hz)
+    lower = np.array([0.0, 0.0, 0.0, -0.1 * plain[3], 0.0])
+    opt = _profile_fit(model, 1, np.linspace(0.0, 0.99, GRID_POINTS), lower, freqs, data, psd)
+    s_hat = opt.params[1]
+    s_sig = math.sqrt(max(opt.cov[1, 1], 0.0))
+    flags = _zero_area_flags(model, opt)
     if s_hat * gamma_eff_hz < 2.0 * psd.rbw:
         flags.append("widths_unresolved")
-    r_plus, rp_sig = _ratio_with_sigma(lm.cov, lm.params, 2, 4)
-    r_minus, rm_sig = _ratio_with_sigma(lm.cov, lm.params, 3, 5)
-    # Total-area ratio: consistency handle against the single_pair fit.
-    tot_n = lm.params[2] + lm.params[3]
-    tot_d = lm.params[4] + lm.params[5]
-    grad = np.array([0.0, 0.0, 1.0 / tot_d, 1.0 / tot_d, -tot_n / tot_d**2, -tot_n / tot_d**2])
-    r_tot_sig = math.sqrt(max(float(grad @ lm.cov @ grad), 0.0))
     derived = {
         "s": (s_hat, s_sig),
-        "r_plus": (r_plus, rp_sig),
-        "r_minus": (r_minus, rm_sig),
-        "ratio_total": (tot_n / tot_d, r_tot_sig),
+        "r_plus": _ratio_with_sigma(opt.cov, opt.params, [2], [4]),
+        "r_minus": _ratio_with_sigma(opt.cov, opt.params, [3], [5]),
+        # total-area ratio: consistency handle against the single_pair fit
+        "ratio_total": _ratio_with_sigma(opt.cov, opt.params, [2, 3], [4, 5]),
         "gamma_plus_hz": (gamma_eff_hz * (1.0 + s_hat), gamma_eff_hz * s_sig),
         "gamma_minus_hz": (gamma_eff_hz * (1.0 - s_hat), gamma_eff_hz * s_sig),
     }
-    if lm.degenerate:
-        flags.append("degenerate_covariance")
-    return _build_result(model, lm, {"gamma_eff_hz": gamma_eff_hz}, derived, flags, masks)
+    return _build_result(model, opt, {"gamma_eff_hz": gamma_eff_hz}, derived, flags, masks)
 
 
 def fit_quadrature(
@@ -538,25 +461,18 @@ def fit_quadrature(
 ) -> FitResult:
     """Fit of one demodulated quadrature channel: floor plus two equal
     Lorentzians at +-delta_lo with one free area (the quadrature variance in
-    channel units) and one free width.
+    channel units) and one free width, profiled over [rbw/100, 2*fit_margin_hz].
 
     Only the upper half [delta_lo, delta_lo + margin] is fitted: the channel
     is a modulated real process, so its density mirrors exactly around
     delta_lo and the lower half duplicates the same information (which would
     silently halve every reported variance).
     """
-    intervals = [(delta_lo_hz, delta_lo_hz + fit_margin_hz)]
-    freqs, data = _select_band(psd, intervals, masks)
-    floor0 = float(np.median(data))
-    _, w0, a0 = _peak_guess(freqs, data, delta_lo_hz, fit_margin_hz, floor0)
+    freqs, data = _select_band(psd, [(delta_lo_hz, delta_lo_hz + fit_margin_hz)], masks)
     model = QuadratureModel(delta_lo_hz)
-    p0 = np.array([floor0, a0, max(w0, psd.rbw)])
-    lower = np.array([0.0, 0.0, psd.rbw / 100.0])
-    upper = np.array([10.0 * np.max(data), 1e4 * a0, 2.0 * fit_margin_hz])
-    lm = _lm_with_reweight(model, p0, lower, upper, freqs, data, psd)
-    flags = ["degenerate_covariance"] if lm.degenerate else []
+    opt = _profile_fit(model, 2, _width_grid(psd, fit_margin_hz), np.zeros(2), freqs, data, psd)
     derived = {
-        "sigma2": (float(lm.params[1]), math.sqrt(max(lm.cov[1, 1], 0.0))),
-        "gamma_hz": (float(lm.params[2]), math.sqrt(max(lm.cov[2, 2], 0.0))),
+        "sigma2": (float(opt.params[1]), math.sqrt(max(opt.cov[1, 1], 0.0))),
+        "gamma_hz": (float(opt.params[2]), math.sqrt(max(opt.cov[2, 2], 0.0))),
     }
-    return _build_result(model, lm, {"delta_lo_hz": delta_lo_hz}, derived, flags, masks)
+    return _build_result(model, opt, {"delta_lo_hz": delta_lo_hz}, derived, [], masks)

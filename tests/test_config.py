@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from parosc.config import RunConfig, validate_config
+from parosc.cli import main
+from parosc.config import _HZ_SCALE, _TIME_SCALE, FIELDS, RunConfig, validate_config
 from parosc.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -158,3 +161,63 @@ class TestMalformedValues:
         problems = validate_config(RunConfig.defaults().with_overrides(window="nosuch"))
         assert any("window" in p for p in problems)
         assert validate_config(RunConfig.defaults().with_overrides(window="blackman")) == []
+
+
+# valid suffixes per value kind; any other kind takes none
+_KIND_SUFFIXES = {
+    "angular_freq": list(_HZ_SCALE), "plain_freq": list(_HZ_SCALE),
+    "time": list(_TIME_SCALE), "temperature": ["K"], "phase": ["rad"],
+}
+_NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "1e999", "-1e999", "5e-324", "1e308", "1e9", "1e-9"]),
+)
+_VALUES = st.one_of(
+    st.tuples(_NUMBERS, st.sampled_from(["", "Hz", "kHz", "mHz", "s", "ms", "K", "rad", "x"])).map("".join),
+    st.sampled_from(["true", "false", "hann", "target", "params", "optimize", "fixed"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _known_line(draw):
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    suffixes = _KIND_SUFFIXES.get(FIELDS[name][0], [""])
+    value = draw(st.one_of(st.tuples(_NUMBERS, st.sampled_from(suffixes)).map("".join), _VALUES))
+    return f"{name} = {value}"
+
+
+_CONFIG_TEXTS = st.lists(
+    st.one_of(
+        _known_line(),
+        st.tuples(st.text(max_size=6), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+        st.text(max_size=10),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+class TestFuzzedConfigs:
+    """Random `key = value` texts: known keys with numbers and unit
+    suffixes, unknown keys and junk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CONFIG_TEXTS)
+    def test_from_text_parses_or_raises_config_error(self, text):
+        try:
+            config = RunConfig.from_text(text)
+        except ConfigError:
+            return
+        assert isinstance(validate_config(config), list)
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=_CONFIG_TEXTS)
+    def test_validate_config_exits_0_or_2(self, tmp_path, capsys, text):
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate-config", "--config", str(path)]) in (0, 2)
+        capsys.readouterr()

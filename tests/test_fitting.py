@@ -1,4 +1,4 @@
-"""Least-squares engine and spectral models: Jacobians, convergence,
+"""Profile fits and spectral models: Jacobians, noiseless recovery,
 invariances and the fit-level contracts."""
 
 import math
@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 
 from parosc.detect import DetectionParams, add_test_tone, compose_heterodyne_components
-from parosc.errors import FitConvergenceError, SpectralError
+from parosc.errors import SpectralError
 from parosc.fitting import (
     DoublePairModel,
-    LMOptions,
     QuadratureModel,
     SinglePairModel,
     fit_double_pair,
     fit_quadrature,
     fit_single_pair,
-    lm_minimize,
     lorentzian,
 )
 from parosc.model import DerivedRates, OscillatorParams
@@ -80,60 +78,39 @@ class TestJacobians:
                 )
 
 
-class LinearTestModel:
-    """y = a + b * f: a quadratic least-squares problem."""
-
-    model_id = "linear_test"
-    param_names = ("a", "b")
-
-    def value(self, p, f):
-        return p[0] + p[1] * f
-
-    def jacobian(self, p, f):
-        jac = np.empty((len(f), 2))
-        jac[:, 0] = 1.0
-        jac[:, 1] = f
-        return jac
+def noiseless_psd(model, p_true):
+    """The model's own density on a 1 Hz grid: a fit must return p_true."""
+    freqs = np.linspace(500.0, 6500.0, 6001)
+    return synthetic_psd(freqs, model.value(np.asarray(p_true), freqs))
 
 
-class TestLmEngine:
+def assert_recovered(fit, p_true):
+    got = [fit.estimates[name] for name in fit.param_names]
+    np.testing.assert_allclose(got, p_true, rtol=1e-6)
+
+
+class TestProfileFit:
     def test_exact_model_recovery_without_noise(self):
-        freqs = np.linspace(3500.0, 6500.0, 2001)
-        model = DoublePairModel(6100.0, 3900.0, 20.0)
-        p_true = np.array([0.004, 0.5, 1.175, 3.275, 0.925, 3.025])
-        data = model.value(p_true, freqs)
-        sigma = np.maximum(data, 1e-6)
-        p0 = p_true * np.array([1.5, 0.6, 1.4, 0.7, 1.3, 0.8])
-        lower = np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
-        upper = np.array([1.0, 0.99, 50.0, 50.0, 50.0, 50.0])
-        lm = lm_minimize(model, p0, lower, upper, freqs, data, sigma)
-        np.testing.assert_allclose(lm.params, p_true, rtol=1e-6)
-        assert lm.converged
+        p_true = [0.004, 0.5, 1.175, 3.275, 0.925, 3.025]
+        psd = noiseless_psd(DoublePairModel(6100.0, 3900.0, 20.0), p_true)
+        fit = fit_double_pair(psd, TWO_PI * 20.0, (6100.0, 3900.0), 300.0)
+        assert_recovered(fit, p_true)
+        assert fit.converged
 
-    def test_quadratic_converges_in_three_iterations(self):
-        model = LinearTestModel()
-        freqs = np.linspace(-1.0, 1.0, 101)
-        data = 1.0 + 2.0 * freqs
-        sigma = np.ones_like(freqs)
-        lm = lm_minimize(
-            model, np.array([0.0, 0.0]), np.array([-10.0, -10.0]),
-            np.array([10.0, 10.0]), freqs, data, sigma,
-        )
-        assert lm.converged
-        assert lm.iterations <= 3
-        np.testing.assert_allclose(lm.params, [1.0, 2.0], atol=1e-9)
+    def test_double_pair_recovery_near_the_gain_bound(self):
+        p_true = [0.004, 0.9, 0.6, 4.0, 0.4, 3.5]
+        psd = noiseless_psd(DoublePairModel(6100.0, 3900.0, 20.0), p_true)
+        assert_recovered(fit_double_pair(psd, TWO_PI * 20.0, (6100.0, 3900.0), 300.0), p_true)
 
-    def test_iteration_budget_enforced(self):
-        freqs = np.linspace(3500.0, 6500.0, 501)
-        model = SinglePairModel(6100.0, 3900.0)
-        data = model.value(np.array([0.004, 20.0, 3.4, 2.9]), freqs)
-        sigma = np.maximum(data, 1e-9)
-        with pytest.raises(FitConvergenceError):
-            lm_minimize(
-                model, np.array([0.04, 50.0, 30.0, 30.0]), np.array([0.0, 0.1, 0.0, 0.0]),
-                np.array([1.0, 3000.0, 1e4, 1e4]), freqs, data, sigma,
-                options=LMOptions(max_iter=2),
-            )
+    def test_single_pair_recovery_without_noise(self):
+        p_true = [0.004, 20.0, 3.4, 2.9]
+        psd = noiseless_psd(SinglePairModel(6100.0, 3900.0), p_true)
+        assert_recovered(fit_single_pair(psd, (6100.0, 3900.0), 300.0), p_true)
+
+    def test_quadrature_recovery_without_noise(self):
+        p_true = [0.004, 4.2, 30.0]
+        psd = noiseless_psd(QuadratureModel(1100.0), p_true)
+        assert_recovered(fit_quadrature(psd, 1100.0, 300.0), p_true)
 
 
 class TestFitSinglePair:
@@ -251,3 +228,14 @@ class TestFitResultSerialization:
         assert set(loaded["estimates"]) == set(fit.estimates)
         assert loaded["reduced_chi2"] == pytest.approx(fit.reduced_chi2)
         assert all(s > 0 for s in loaded["sigmas"].values())
+        assert loaded["degenerate_direction"] is None
+
+    def test_degenerate_direction_recorded(self):
+        # at s = 0 the broad and narrow components coincide
+        p_true = [0.004, 0.0, 1.6, 1.6, 1.4, 1.4]
+        psd = noiseless_psd(DoublePairModel(6100.0, 3900.0, 20.0), p_true)
+        with pytest.warns(UserWarning, match="direction"):
+            fit = fit_double_pair(psd, TWO_PI * 20.0, (6100.0, 3900.0), 300.0)
+        assert "degenerate_covariance" in fit.flags
+        assert "area_" in fit.degenerate_direction
+        assert fit.to_json_dict()["degenerate_direction"] == fit.degenerate_direction

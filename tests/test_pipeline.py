@@ -260,6 +260,12 @@ class TestCli:
             "welch_overlap = 0.99999",
             # a removed key that was never read
             "omega_par_offset = 12kHz",
+            # each once crashed validation or failed only after synthesis
+            "welch_segment = 0s", "welch_segment = -1s", "q_factor = 0", "fit_margin = 0Hz",
+            # found by fuzzing: an empty required value, a number that overflows
+            "n_bar = ", "duration = 1e999s",
+            # 2e8 drive segments: refused before the schedule is built
+            "duration = 1e9s",
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, line):

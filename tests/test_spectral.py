@@ -91,28 +91,12 @@ class TestWelchNormalization:
 
 
 def fit_single_band_area(psd):
-    """Lorentzian area of a single zero-centred line via the shared fitting
-    machinery.  The lowest bins are excluded: Welch's per-segment mean removal
-    suppresses them, which a clean Lorentzian model must not be asked to fit."""
-    from parosc.fitting import QuadratureModel, _lm_with_reweight
-    import numpy as np
-
-    sel = (psd.freqs >= 4.0 * psd.rbw) & (psd.freqs <= 300.0)
-    sub = Psd(
-        freqs=psd.freqs[sel], density=psd.density[sel], rbw=psd.rbw,
-        n_averages=psd.n_averages, effective_averages=psd.effective_averages,
-        window=psd.window, onesided=psd.onesided,
-    )
-    model = QuadratureModel(0.0)
-    data = sub.density[:: bin_step_for(sub.window)]
-    freqs = sub.freqs[:: bin_step_for(sub.window)]
-    p0 = np.array([np.median(data), 1.0, 20.0])
-    lm = _lm_with_reweight(
-        model, p0, np.array([0.0, 0.0, 1.0]), np.array([1.0, 10.0, 100.0]),
-        freqs, data, sub,
-    )
-    # the model places mirror lines at +-0; each carries half the area
-    return 2.0 * lm.params[1] / 2.0
+    """Lorentzian area of a single zero-centred line via the quadrature fit.
+    The lowest bins are masked: Welch's per-segment mean removal suppresses
+    them, which a clean Lorentzian model must not be asked to fit."""
+    fit = fit_quadrature(psd, 0.0, 300.0, masks=[(0.0, 3.5 * psd.rbw)])
+    # the model's mirror lines at +-0 each carry half of this area
+    return fit.derived["sigma2"][0]
 
 
 class TestWelchMatchesScipy:

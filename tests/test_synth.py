@@ -9,6 +9,7 @@ from scipy import signal
 from scipy.stats import ks_2samp
 
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
+from parosc.fitting import fit_quadrature
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
 from parosc.spectral import bin_step_for, welch_psd
 from parosc.synth import (
@@ -386,26 +387,11 @@ class TestSpectralRoundTrip:
     def test_fitted_width_of_x_matches_gamma_plus(self):
         # welch + Lorentzian fit of the squeezed quadrature recovers the broad
         # width within 5% on a 100 s record
-        from parosc.fitting import QuadratureModel, _lm_with_reweight
-        from parosc.spectral import welch_psd
-
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=100.0, carrier=TWO_PI * 200.0, seed=41)
         traj = simulate_scheduled_quadratures(OSC, rates, grid)
         psd = welch_psd(traj.x, grid.sample_rate, 2000, detrend=False)
-        sel = (psd.freqs >= 4.0 * psd.rbw) & (psd.freqs <= 300.0)
-        sub = Psd = None
-        from dataclasses import replace
-
-        sub = replace(psd, freqs=psd.freqs[sel], density=psd.density[sel])
-        step = bin_step_for(sub.window)
-        freqs = sub.freqs[::step]
-        data = sub.density[::step]
-        model = QuadratureModel(0.0)
-        p0 = np.array([float(np.median(data)), 1.0, 20.0])
-        lm = _lm_with_reweight(
-            model, p0, np.array([0.0, 0.0, 1.0]), np.array([1.0, 50.0, 200.0]),
-            freqs, data, sub,
-        )
+        # the lowest bins stay out of the fit, as in the Welch area test
+        fit = fit_quadrature(psd, 0.0, 300.0, masks=[(0.0, 3.5 * psd.rbw)])
         gamma_plus_hz = rates.gamma_plus / TWO_PI
-        assert lm.params[2] == pytest.approx(gamma_plus_hz, rel=0.05)
+        assert fit.derived["gamma_hz"][0] == pytest.approx(gamma_plus_hz, rel=0.05)
