@@ -1,15 +1,18 @@
 """Least-squares estimation of the sideband and quadrature spectra.
 
-All models are sums of unit-area Lorentzians plus a flat floor, fitted on
-density data with per-bin sigma = density / sqrt(effective averages), the
-chi-square statistics of averaged periodograms.  Each model has one nonlinear
-parameter (a width or the parametric gain s); the floor and the areas enter
-linearly.  The shared engine profiles the linear ones out (variable
-projection; Golub & Pereyra, Inverse Problems 19, R1, 2003): every trial
-value of the nonlinear parameter gets its linear parameters from a bounded
-weighted linear solve, and the nonlinear one is scanned on a fixed grid over
-its bounds and refined by bounded Brent.  The covariance comes from the
-analytic Jacobians at the optimum.
+Every fit uses one model, `LorentzianPairModel`: a flat floor plus
+unit-area Lorentzian pairs, each with a free area and a width
+scale * (offset + sign * theta) set by the model's one nonlinear parameter
+theta (the shared width of the reference and quadrature fits, the parametric
+gain s of the double fit).  `SinglePairModel`, `DoublePairModel` and
+`QuadratureModel` build its three instances.  The fits run on density data
+with per-bin sigma = density / sqrt(effective averages), the chi-square
+statistics of averaged periodograms.  The floor and the areas enter linearly
+and are profiled out (variable projection; Golub & Pereyra, Inverse
+Problems 19, R1, 2003): every trial theta gets them from a bounded weighted
+linear solve on the model's `columns`, and theta is scanned on a fixed grid
+over its bounds and refined by bounded Brent.  The covariance comes from the
+analytic Jacobian at the optimum.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .errors import SpectralError
 from .spectral import Psd, bin_step_for
 
 MAX_MASK_FRACTION = 0.20
+# fewest bins a fit band may select
+MIN_BAND_BINS = 8
 # points of the nonlinear parameter's grid, endpoints (its bounds) included
 GRID_POINTS = 40
 
@@ -51,107 +56,78 @@ def _dpair(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
     return _dlor_dwidth(f, center, width_hz) + _dlor_dwidth(f, -center, width_hz)
 
 
-class SinglePairModel:
-    """Floor + two Lorentzians with a shared width and independent areas,
-    centred on the two motional sidebands (mirror images included so the
-    model matches the folded one-sided density exactly)."""
+@dataclass(frozen=True)
+class LorentzianPairModel:
+    """Floor + Lorentzian pairs (`_pair`, mirror images included so the model
+    matches the folded one-sided density exactly), each with its own area.
 
-    model_id = "single_pair"
-    param_names = ("floor", "gamma_hz", "area_stokes", "area_antistokes")
+    Pair j sits at `pairs[j][0]` with width scale * (offset + sign_j * theta),
+    sign_j = `pairs[j][1]`; theta, at index `k` of the parameters, is the one
+    nonlinear parameter.  The other parameters are the floor (index 0) and
+    the pair areas in pair order, all linear.
+    """
 
-    def __init__(self, center_stokes: float, center_antistokes: float):
-        self.centers = (center_stokes, center_antistokes)
+    model_id: str
+    param_names: tuple
+    k: int
+    pairs: tuple
+    scale: float = 1.0
+    offset: float = 0.0
+
+    def _widths(self, theta):
+        return [self.scale * (self.offset + sign * theta) for _, sign in self.pairs]
+
+    def columns(self, theta: float, f: np.ndarray) -> np.ndarray:
+        """The floor and area columns of the Jacobian at `theta`, which do
+        not depend on the linear parameters (Fortran order, as `lstsq`
+        takes them)."""
+        cols = np.empty((len(f), 1 + len(self.pairs)), order="F")
+        cols[:, 0] = 1.0
+        for j, ((center, _), width) in enumerate(zip(self.pairs, self._widths(theta)), 1):
+            cols[:, j] = _pair(f, center, width)
+        return cols
 
     def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        floor, gamma, a_s, a_as = p
-        c_s, c_as = self.centers
-        return floor + a_s * _pair(f, c_s, gamma) + a_as * _pair(f, c_as, gamma)
+        # the terms in pair order, the floor first
+        v, *areas = np.delete(p, self.k)
+        for area, col in zip(areas, self.columns(p[self.k], f).T[1:]):
+            v = v + area * col
+        return v
 
     def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        floor, gamma, a_s, a_as = p
-        c_s, c_as = self.centers
-        jac = np.empty((len(f), 4))
-        jac[:, 0] = 1.0
-        jac[:, 1] = a_s * _dpair(f, c_s, gamma) + a_as * _dpair(f, c_as, gamma)
-        jac[:, 2] = _pair(f, c_s, gamma)
-        jac[:, 3] = _pair(f, c_as, gamma)
+        theta = p[self.k]
+        areas = np.delete(p, self.k)[1:]
+        dtheta = 0.0
+        for area, (center, sign), width in zip(areas, self.pairs, self._widths(theta)):
+            dtheta = dtheta + (sign * area) * _dpair(f, center, width)
+        jac = np.empty((len(f), len(p)))
+        jac[:, np.arange(len(p)) != self.k] = self.columns(theta, f)
+        jac[:, self.k] = self.scale * dtheta
         return jac
 
 
-class DoublePairModel:
-    """Floor + four Lorentzian components: broad/narrow per sideband, with the
-    two widths tied to a single parametric gain through the fixed reference
-    width: gamma_plus = gamma_eff (1+s), gamma_minus = gamma_eff (1-s)."""
+def SinglePairModel(center_stokes: float, center_antistokes: float) -> LorentzianPairModel:
+    """One pair per motional sideband, with one shared width gamma_hz."""
+    names = ("floor", "gamma_hz", "area_stokes", "area_antistokes")
+    return LorentzianPairModel("single_pair", names, 1, ((center_stokes, 1.0), (center_antistokes, 1.0)))
 
-    model_id = "double_pair"
-    param_names = (
-        "floor",
-        "s",
-        "area_broad_stokes",
-        "area_narrow_stokes",
-        "area_broad_antistokes",
-        "area_narrow_antistokes",
+
+def DoublePairModel(center_stokes: float, center_antistokes: float, gamma_eff_hz: float) -> LorentzianPairModel:
+    """A broad and a narrow pair per sideband, the widths tied to one
+    parametric gain through the fixed reference width:
+    gamma_plus = gamma_eff (1+s), gamma_minus = gamma_eff (1-s)."""
+    names = (
+        "floor", "s", "area_broad_stokes", "area_narrow_stokes",
+        "area_broad_antistokes", "area_narrow_antistokes",
     )
-
-    def __init__(self, center_stokes: float, center_antistokes: float, gamma_eff_hz: float):
-        self.centers = (center_stokes, center_antistokes)
-        self.gamma_eff_hz = gamma_eff_hz
-
-    def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        floor, s, a_bs, a_ns, a_bas, a_nas = p
-        gp = self.gamma_eff_hz * (1.0 + s)
-        gm = self.gamma_eff_hz * (1.0 - s)
-        c_s, c_as = self.centers
-        return (
-            floor
-            + a_bs * _pair(f, c_s, gp)
-            + a_ns * _pair(f, c_s, gm)
-            + a_bas * _pair(f, c_as, gp)
-            + a_nas * _pair(f, c_as, gm)
-        )
-
-    def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        floor, s, a_bs, a_ns, a_bas, a_nas = p
-        ge = self.gamma_eff_hz
-        gp = ge * (1.0 + s)
-        gm = ge * (1.0 - s)
-        c_s, c_as = self.centers
-        jac = np.empty((len(f), 6))
-        jac[:, 0] = 1.0
-        jac[:, 1] = ge * (
-            a_bs * _dpair(f, c_s, gp)
-            - a_ns * _dpair(f, c_s, gm)
-            + a_bas * _dpair(f, c_as, gp)
-            - a_nas * _dpair(f, c_as, gm)
-        )
-        jac[:, 2] = _pair(f, c_s, gp)
-        jac[:, 3] = _pair(f, c_s, gm)
-        jac[:, 4] = _pair(f, c_as, gp)
-        jac[:, 5] = _pair(f, c_as, gm)
-        return jac
+    pairs = ((center_stokes, 1.0), (center_stokes, -1.0), (center_antistokes, 1.0), (center_antistokes, -1.0))
+    return LorentzianPairModel("double_pair", names, 1, pairs, scale=gamma_eff_hz, offset=1.0)
 
 
-class QuadratureModel:
-    """Floor + the demodulated-channel shape: two equal Lorentzians at
-    +-delta_lo sharing one area and one width."""
-
-    model_id = "quadrature"
-    param_names = ("floor", "area", "gamma_hz")
-
-    def __init__(self, f_lo: float):
-        self.f_lo = f_lo
-
-    def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        floor, area, gamma = p
-        return floor + area * _pair(f, self.f_lo, gamma)
-
-    def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        floor, area, gamma = p
-        jac = np.empty((len(f), 3))
-        jac[:, 0] = 1.0
-        jac[:, 1] = _pair(f, self.f_lo, gamma)
-        jac[:, 2] = area * _dpair(f, self.f_lo, gamma)
-        return jac
+def QuadratureModel(f_lo: float) -> LorentzianPairModel:
+    """The demodulated-channel shape: one pair at +-delta_lo, with one area
+    and one width gamma_hz."""
+    return LorentzianPairModel("quadrature", ("floor", "area", "gamma_hz"), 2, ((f_lo, 1.0),))
 
 
 @dataclass
@@ -180,30 +156,26 @@ def _sigma_for(values: np.ndarray, psd: Psd) -> np.ndarray:
     return np.maximum(np.abs(values), floor) / math.sqrt(n_eff)
 
 
-def _linear_solve(model, k, theta, lower, freqs, data, sigma):
-    """Parameters of `model` with its nonlinear one (index k) at `theta` and
-    the linear ones from a weighted least-squares solve on their Jacobian
-    columns, bounded below by `lower`.  Returns (params, weighted cost)."""
-    p = np.zeros(len(model.param_names))
-    p[k] = theta
-    lin = np.arange(len(p)) != k
-    a = model.jacobian(p, freqs)[:, lin] / sigma[:, None]
+def _linear_solve(model, theta, lower, freqs, data, sigma):
+    """Parameters of `model` with its nonlinear one at `theta` and the linear
+    ones from a weighted least-squares solve on their columns, bounded below
+    by `lower`.  Returns (params, weighted cost)."""
+    a = model.columns(theta, freqs) / sigma[:, None]
     b = data / sigma
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     if np.any(x < lower):
         x = lsq_linear(a, b, bounds=(lower, np.inf), method="bvls").x
-    p[lin] = x
     r = b - a @ x
-    return p, float(r @ r)
+    return np.insert(x, model.k, theta), float(r @ r)
 
 
-def _profile_pass(model, k, grid, lower, freqs, data, sigma):
+def _profile_pass(model, grid, lower, freqs, data, sigma):
     """Minimize the profiled cost over the nonlinear parameter: the best
     point of `grid`, refined by bounded Brent between its neighbours.
     Returns (params, cost evaluations, Brent's exit status)."""
 
     def cost(theta):
-        return _linear_solve(model, k, theta, lower, freqs, data, sigma)[1]
+        return _linear_solve(model, theta, lower, freqs, data, sigma)[1]
 
     costs = [cost(t) for t in grid]
     i = int(np.argmin(costs))
@@ -215,11 +187,11 @@ def _profile_pass(model, k, grid, lower, freqs, data, sigma):
     # Brent never evaluates the bracket's ends: an optimum on a bound (s = 0)
     # is the grid point itself
     theta = res.x if res.fun < costs[i] else grid[i]
-    params = _linear_solve(model, k, theta, lower, freqs, data, sigma)[0]
+    params = _linear_solve(model, theta, lower, freqs, data, sigma)[0]
     return params, len(grid) + res.nfev, bool(res.success)
 
 
-def _profile_fit(model, k, grid, lower, freqs, data, psd: Psd) -> _Optimum:
+def _profile_fit(model, grid, lower, freqs, data, psd: Psd) -> _Optimum:
     """Two profile passes: the first weighted by the data, the second by the
     first pass's model.
 
@@ -230,11 +202,9 @@ def _profile_fit(model, k, grid, lower, freqs, data, psd: Psd) -> _Optimum:
     a near-singular normal matrix falls back to the pseudo-inverse and warns
     with the null-space direction.
     """
-    first, n_first, ok_first = _profile_pass(
-        model, k, grid, lower, freqs, data, _sigma_for(data, psd)
-    )
+    first, n_first, ok_first = _profile_pass(model, grid, lower, freqs, data, _sigma_for(data, psd))
     sigma = _sigma_for(model.value(first, freqs), psd)
-    p, n_second, ok_second = _profile_pass(model, k, grid, lower, freqs, data, sigma)
+    p, n_second, ok_second = _profile_pass(model, grid, lower, freqs, data, sigma)
     jac = model.jacobian(p, freqs) / sigma[:, None]
     resid = (data - model.value(p, freqs)) / sigma
     normal = jac.T @ jac
@@ -246,21 +216,11 @@ def _profile_fit(model, k, grid, lower, freqs, data, psd: Psd) -> _Optimum:
     direction = None
     if not np.isfinite(cond) or cond > 1e12:
         direction = _null_direction(normal, model.param_names)
-        warnings.warn(
-            "near-singular normal matrix at the optimum; direction: " + direction,
-            stacklevel=3,
-        )
+        warnings.warn("near-singular normal matrix at the optimum; direction: " + direction, stacklevel=3)
         cov = np.linalg.pinv(normal) * reduced_chi2
     else:
         cov = np.linalg.inv(normal) * reduced_chi2
-    return _Optimum(
-        params=p,
-        cov=cov,
-        reduced_chi2=reduced_chi2,
-        evaluations=n_first + n_second,
-        converged=ok_first and ok_second,
-        direction=direction,
-    )
+    return _Optimum(p, cov, reduced_chi2, n_first + n_second, ok_first and ok_second, direction)
 
 
 @dataclass
@@ -280,7 +240,6 @@ class FitResult:
     converged: bool
     flags: list = field(default_factory=list)
     masks: tuple = ()
-    provenance: dict = field(default_factory=dict)
     degenerate_direction: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -296,23 +255,48 @@ class FitResult:
             "flags": list(self.flags),
             "degenerate_direction": self.degenerate_direction,
             "masks": [list(m) for m in self.masks],
-            "provenance": self.provenance,
         }
+
+
+def _in_intervals(freqs: np.ndarray, intervals) -> np.ndarray:
+    sel = np.zeros(len(freqs), dtype=bool)
+    for lo, hi in intervals:
+        sel |= (freqs >= lo) & (freqs <= hi)
+    return sel
+
+
+def sideband_intervals(centers_hz, fit_margin_hz: float) -> list[tuple[float, float]]:
+    """The sideband fits' band: fit_margin_hz either side of each centre."""
+    return [(c - fit_margin_hz, c + fit_margin_hz) for c in centers_hz]
+
+
+def quadrature_intervals(delta_lo_hz: float, fit_margin_hz: float) -> list[tuple[float, float]]:
+    """The quadrature fit's band: the upper half of the channel's line."""
+    return [(delta_lo_hz, delta_lo_hz + fit_margin_hz)]
+
+
+def band_bins(segment_len: int, sample_rate: float, intervals) -> int:
+    """Bins of the Welch axis rfftfreq(segment_len, 1/sample_rate) inside
+    `intervals`; exact below MIN_BAND_BINS, at least MIN_BAND_BINS otherwise.
+    Only the first MIN_BAND_BINS + 2 bins of each interval are built, so the
+    cost does not grow with the segment."""
+    step = 1.0 / (segment_len * (1.0 / sample_rate))
+    last = segment_len // 2
+    idx = set()
+    for lo, hi in intervals:
+        first = int(np.clip(np.floor(lo / step) - 1, 0, last))
+        idx.update(range(first, min(first + MIN_BAND_BINS + 2, last + 1)))
+    return int(np.sum(_in_intervals(np.array(sorted(idx)) * step, intervals)))
 
 
 def _select_band(psd: Psd, intervals, masks):
     freqs = psd.freqs
-    sel = np.zeros(len(freqs), dtype=bool)
-    for lo, hi in intervals:
-        sel |= (freqs >= lo) & (freqs <= hi)
+    sel = _in_intervals(freqs, intervals)
     band_count = int(np.sum(sel))
-    if band_count < 8:
-        raise SpectralError("fit band selects fewer than 8 bins")
-    masked = np.zeros(len(freqs), dtype=bool)
-    for lo, hi in masks:
-        masked |= (freqs >= lo) & (freqs <= hi)
-    masked &= sel
-    if band_count and np.sum(masked) > MAX_MASK_FRACTION * band_count:
+    if band_count < MIN_BAND_BINS:
+        raise SpectralError(f"fit band selects fewer than {MIN_BAND_BINS} bins")
+    masked = _in_intervals(freqs, masks) & sel
+    if np.sum(masked) > MAX_MASK_FRACTION * band_count:
         raise SpectralError(
             f"masks cover {np.sum(masked) / band_count:.0%} of the fit band "
             f"(limit {MAX_MASK_FRACTION:.0%})"
@@ -375,17 +359,8 @@ def _width_grid(psd: Psd, fit_margin_hz: float) -> np.ndarray:
     return np.geomspace(psd.rbw / 100.0, 2.0 * fit_margin_hz, GRID_POINTS)
 
 
-def _sideband_band(psd: Psd, centers_hz, fit_margin_hz, masks):
-    c_s, c_as = centers_hz
-    intervals = [(c_s - fit_margin_hz, c_s + fit_margin_hz), (c_as - fit_margin_hz, c_as + fit_margin_hz)]
-    return _select_band(psd, intervals, masks)
-
-
 def fit_single_pair(
-    psd: Psd,
-    centers_hz: tuple[float, float],
-    fit_margin_hz: float,
-    masks=(),
+    psd: Psd, centers_hz: tuple[float, float], fit_margin_hz: float, masks=()
 ) -> FitResult:
     """Shared-width two-Lorentzian fit of a motional sideband pair.
 
@@ -394,9 +369,9 @@ def fit_single_pair(
     effective width, the two areas, their ratio R and the occupancy
     n_bar = 1/(R-1) with propagated uncertainties.
     """
-    freqs, data = _sideband_band(psd, centers_hz, fit_margin_hz, masks)
+    freqs, data = _select_band(psd, sideband_intervals(centers_hz, fit_margin_hz), masks)
     model = SinglePairModel(*centers_hz)
-    opt = _profile_fit(model, 1, _width_grid(psd, fit_margin_hz), np.zeros(3), freqs, data, psd)
+    opt = _profile_fit(model, _width_grid(psd, fit_margin_hz), np.zeros(3), freqs, data, psd)
     flags = _zero_area_flags(model, opt)
     r, r_sig = _ratio_with_sigma(opt.cov, opt.params, [2], [3])
     derived = {"ratio": (r, r_sig)}
@@ -410,11 +385,7 @@ def fit_single_pair(
 
 
 def fit_double_pair(
-    psd: Psd,
-    gamma_eff_fixed: float,
-    centers_hz: tuple[float, float],
-    fit_margin_hz: float,
-    masks=(),
+    psd: Psd, gamma_eff_fixed: float, centers_hz: tuple[float, float], fit_margin_hz: float, masks=()
 ) -> FitResult:
     """Constrained four-component sideband fit with the reference width fixed.
 
@@ -428,14 +399,13 @@ def fit_double_pair(
     unresolved).
     """
     gamma_eff_hz = gamma_eff_fixed / (2.0 * math.pi)
-    freqs, data = _sideband_band(psd, centers_hz, fit_margin_hz, masks)
+    freqs, data = _select_band(psd, sideband_intervals(centers_hz, fit_margin_hz), masks)
     plain, _ = _linear_solve(
-        SinglePairModel(*centers_hz), 1, gamma_eff_hz, np.zeros(3), freqs, data,
-        _sigma_for(data, psd),
+        SinglePairModel(*centers_hz), gamma_eff_hz, np.zeros(3), freqs, data, _sigma_for(data, psd)
     )
     model = DoublePairModel(*centers_hz, gamma_eff_hz)
     lower = np.array([0.0, 0.0, 0.0, -0.1 * plain[3], 0.0])
-    opt = _profile_fit(model, 1, np.linspace(0.0, 0.99, GRID_POINTS), lower, freqs, data, psd)
+    opt = _profile_fit(model, np.linspace(0.0, 0.99, GRID_POINTS), lower, freqs, data, psd)
     s_hat = opt.params[1]
     s_sig = math.sqrt(max(opt.cov[1, 1], 0.0))
     flags = _zero_area_flags(model, opt)
@@ -453,12 +423,7 @@ def fit_double_pair(
     return _build_result(model, opt, {"gamma_eff_hz": gamma_eff_hz}, derived, flags, masks)
 
 
-def fit_quadrature(
-    psd: Psd,
-    delta_lo_hz: float,
-    fit_margin_hz: float,
-    masks=(),
-) -> FitResult:
+def fit_quadrature(psd: Psd, delta_lo_hz: float, fit_margin_hz: float, masks=()) -> FitResult:
     """Fit of one demodulated quadrature channel: floor plus two equal
     Lorentzians at +-delta_lo with one free area (the quadrature variance in
     channel units) and one free width, profiled over [rbw/100, 2*fit_margin_hz].
@@ -468,9 +433,9 @@ def fit_quadrature(
     delta_lo and the lower half duplicates the same information (which would
     silently halve every reported variance).
     """
-    freqs, data = _select_band(psd, [(delta_lo_hz, delta_lo_hz + fit_margin_hz)], masks)
+    freqs, data = _select_band(psd, quadrature_intervals(delta_lo_hz, fit_margin_hz), masks)
     model = QuadratureModel(delta_lo_hz)
-    opt = _profile_fit(model, 2, _width_grid(psd, fit_margin_hz), np.zeros(2), freqs, data, psd)
+    opt = _profile_fit(model, _width_grid(psd, fit_margin_hz), np.zeros(2), freqs, data, psd)
     derived = {
         "sigma2": (float(opt.params[1]), math.sqrt(max(opt.cov[1, 1], 0.0))),
         "gamma_hz": (float(opt.params[2]), math.sqrt(max(opt.cov[2, 2], 0.0))),

@@ -46,23 +46,30 @@ def make_component_psd(seed, duration=60.0, s=0.5, n_bar=5.8, shot=0.002, gain=1
 CENTERS = (5e3 + 1.1e3, 5e3 - 1.1e3)
 
 
+MODEL_CASES = pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: (SinglePairModel(6100.0, 3900.0),
+                 [(0.001, 0.05), (5.0, 60.0), (0.5, 5.0), (0.5, 5.0)]),
+        lambda: (DoublePairModel(6100.0, 3900.0, 20.0),
+                 [(0.001, 0.05), (0.05, 0.9), (0.2, 5.0), (0.2, 5.0), (0.2, 5.0), (0.2, 5.0)]),
+        lambda: (QuadratureModel(1100.0),
+                 [(0.001, 0.05), (0.5, 5.0), (5.0, 60.0)]),
+    ],
+    ids=["single_pair", "double_pair", "quadrature"],
+)
+
+
+def model_freqs(model):
+    return np.linspace(3500.0, 6500.0, 601) if "pair" in model.model_id else np.linspace(800.0, 1400.0, 301)
+
+
 class TestJacobians:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: (SinglePairModel(6100.0, 3900.0),
-                     [(0.001, 0.05), (5.0, 60.0), (0.5, 5.0), (0.5, 5.0)]),
-            lambda: (DoublePairModel(6100.0, 3900.0, 20.0),
-                     [(0.001, 0.05), (0.05, 0.9), (0.2, 5.0), (0.2, 5.0), (0.2, 5.0), (0.2, 5.0)]),
-            lambda: (QuadratureModel(1100.0),
-                     [(0.001, 0.05), (0.5, 5.0), (5.0, 60.0)]),
-        ],
-        ids=["single_pair", "double_pair", "quadrature"],
-    )
+    @MODEL_CASES
     def test_analytic_matches_central_differences(self, factory):
         model, ranges = factory()
         rng = np.random.default_rng(2024)
-        freqs = np.linspace(3500.0, 6500.0, 601) if "pair" in model.model_id else np.linspace(800.0, 1400.0, 301)
+        freqs = model_freqs(model)
         for _ in range(20):
             p = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
             analytic = model.jacobian(p, freqs)
@@ -76,6 +83,18 @@ class TestJacobians:
                     analytic[:, j] / scale, fd / scale, atol=2e-6,
                     err_msg=f"{model.model_id} param {j}",
                 )
+
+    @MODEL_CASES
+    def test_columns_are_the_jacobian_without_theta(self, factory):
+        # the profile solve uses `columns`, the covariance `jacobian`: the
+        # floor and area columns must be the same numbers in both
+        model, ranges = factory()
+        rng = np.random.default_rng(2025)
+        freqs = model_freqs(model)
+        for _ in range(5):
+            p = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+            jac = model.jacobian(p, freqs)
+            assert np.array_equal(model.columns(p[model.k], freqs), np.delete(jac, model.k, axis=1))
 
 
 def noiseless_psd(model, p_true):
