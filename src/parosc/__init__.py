@@ -20,7 +20,6 @@ from .model import (
     RegimeReport,
     SidebandWeights,
     analytic_sideband_psd,
-    bose_occupancy,
     gamma_eff,
     gamma_par,
     quadrature_variances,

@@ -3,7 +3,7 @@
 Frequency-like quantities take Hz/kHz/MHz/GHz (or mHz) suffixes.  Fields
 declared angular are converted to rad/s internally (the stored value is
 2*pi times the suffixed cycles/s); sampling and analysis frequencies stay in
-plain Hz.  Times take s/ms, temperatures K, phases rad.
+plain Hz.  Times take s/ms, phases rad.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .spectral import MAX_OVERLAP
 from .model import CavityPumpParams, DerivedRates, OscillatorParams
 from .synth import SimGrid
 from .detect import DetectionParams, schedule_drive
+from .fitting import MIN_BAND_BINS, band_bins, quadrature_intervals, sideband_intervals
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +28,6 @@ TWO_PI = 2.0 * math.pi
 ANGULAR = "angular_freq"  # suffix in Hz-family, stored rad/s
 PLAIN_HZ = "plain_freq"  # suffix in Hz-family, stored Hz
 TIME = "time"
-TEMP = "temperature"
 PHASE = "phase"
 FLOAT = "float"
 INT = "int"
@@ -44,8 +44,6 @@ FIELDS: dict[str, tuple[str, str, str]] = {
     "q_factor": (FLOAT, "6.4e6", "mechanical quality factor (sets gamma_m)"),
     "gamma_m": (ANGULAR, "", "intrinsic damping; overrides q_factor when set"),
     "n_bar": (FLOAT, "5.8", "steady-state occupancy under cooling"),
-    "temperature": (TEMP, "7K", "bath temperature (thermal occupancy only)"),
-    "mass": (FLOAT, "", "oscillator mass in kg (x_zpf only)"),
     # cavity / pump
     "kappa": (ANGULAR, "1.4MHz", "cavity linewidth"),
     "g": (ANGULAR, "5kHz", "total pump optomechanical coupling"),
@@ -128,10 +126,6 @@ def _parse_value(name: str, kind: str, text: str):
         if suffix not in _TIME_SCALE:
             raise ConfigError(f"{name}: time needs an s/ms/us suffix, got {text!r}")
         return number * _TIME_SCALE[suffix]
-    if kind == TEMP:
-        if suffix not in ("K", ""):
-            raise ConfigError(f"{name}: temperature takes a K suffix, got {text!r}")
-        return number
     if kind == PHASE:
         if suffix not in ("rad", ""):
             raise ConfigError(f"{name}: phase takes a rad suffix, got {text!r}")
@@ -226,8 +220,6 @@ class RunConfig:
             omega_m=self.values["omega_m"],
             gamma_m=gamma_m,
             n_bar=self.values["n_bar"],
-            mass=self.values["mass"],
-            temperature=self.values["temperature"],
         )
 
     def pump(self, epsilon_c: float | None = None) -> CavityPumpParams:
@@ -236,7 +228,6 @@ class RunConfig:
             g=self.values["g"],
             epsilon_c=self.values["epsilon_c"] if epsilon_c is None else epsilon_c,
             delta_pump=self.values["delta_pump"],
-            delta_lo=self.values["delta_lo"],
         )
 
     def derived_rates(self, epsilon_c: float | None = None, s_target: float | None = None) -> DerivedRates:
@@ -346,6 +337,30 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append(
                 f"welch_segment {v['welch_segment']:.4g} s too long for the "
                 f"{usable:.4g} s usable part of each drive segment"
+            )
+    if not problems:
+        problems += _fit_band_problems(v)
+    return problems
+
+
+def _fit_band_problems(v: dict) -> list[str]:
+    """The fits' bin minimum, counted on the Welch axes a run builds: the
+    heterodyne record at sample_rate, the quadrature channels at
+    sample_rate/decimate.  Judged only on an otherwise valid config."""
+    f_c, f_lo, margin = v["carrier"] / TWO_PI, v["delta_lo"] / TWO_PI, v["fit_margin"]
+    problems = []
+    for name, fs, intervals in (
+        ("heterodyne", v["sample_rate"], sideband_intervals((f_c + f_lo, f_c - f_lo), margin)),
+        ("quadrature", v["sample_rate"] / v["decimate"], quadrature_intervals(f_lo, margin)),
+    ):
+        segment_len = v["welch_segment"] * fs
+        if not math.isfinite(segment_len):
+            continue
+        n_bins = band_bins(int(round(segment_len)), fs, intervals)
+        if n_bins < MIN_BAND_BINS:
+            problems.append(
+                f"the {name} fit band holds {n_bins} bins at fit_margin {margin:.6g} Hz "
+                f"and welch_segment {v['welch_segment']:.6g} s; fits need {MIN_BAND_BINS}"
             )
     return problems
 

@@ -88,7 +88,8 @@ class LorentzianPairModel:
         return cols
 
     def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        # the terms in pair order, the floor first
+        # term by term in pair order, not as one matrix product: the fitted
+        # numbers depend on the summation order
         v, *areas = np.delete(p, self.k)
         for area, col in zip(areas, self.columns(p[self.k], f).T[1:]):
             v = v + area * col

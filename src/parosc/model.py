@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .errors import AntiDampedError, ParametricInstabilityError
 from .spectral import Psd
@@ -20,18 +19,14 @@ from .spectral import Psd
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Mechanical mode: frequency, intrinsic damping and occupancies.
+    """Mechanical mode: frequency, intrinsic damping and occupancy.
 
-    omega_m and gamma_m are angular rates (rad/s).  mass (kg) and
-    temperature (K) are optional; mass only feeds x_zpf, temperature only
-    feeds the thermal occupancy helper.
+    omega_m and gamma_m are angular rates (rad/s).
     """
 
     omega_m: float
     gamma_m: float
     n_bar: float
-    mass: float | None = None
-    temperature: float | None = None
 
     def __post_init__(self):
         if not self.omega_m > 0:
@@ -40,22 +35,6 @@ class OscillatorParams:
             raise ValueError(f"gamma_m must be >= 0, got {self.gamma_m}")
         if self.n_bar < 0:
             raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
-        if self.mass is not None and not self.mass > 0:
-            raise ValueError(f"mass must be > 0, got {self.mass}")
-
-    @property
-    def x_zpf(self) -> float:
-        """Ground-state position spread sqrt(hbar / (2 m omega_m)), in metres."""
-        if self.mass is None:
-            raise ValueError("x_zpf requires a mass")
-        return math.sqrt(constants.hbar / (2.0 * self.mass * self.omega_m))
-
-    @property
-    def n_bar_thermal(self) -> float:
-        """Bath occupancy at the configured temperature."""
-        if self.temperature is None:
-            raise ValueError("n_bar_thermal requires a temperature")
-        return bose_occupancy(self.temperature, self.omega_m)
 
 
 @dataclass(frozen=True)
@@ -64,23 +43,19 @@ class CavityPumpParams:
 
     epsilon_c is the cooling-tone fraction of the total pump power.
     delta_pump is the mean detuning of the pump tones from cavity resonance.
-    delta_lo is the heterodyne local-oscillator offset.  Absolute optical
-    frequencies never appear: only differences do.
+    Absolute optical frequencies never appear: only differences do.
     """
 
     kappa: float
     g: float
     epsilon_c: float
     delta_pump: float
-    delta_lo: float
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if not 0.0 <= self.epsilon_c <= 1.0:
             raise ValueError(f"epsilon_c must lie in [0, 1], got {self.epsilon_c}")
-        if not self.delta_lo > 0:
-            raise ValueError(f"delta_lo must be > 0, got {self.delta_lo}")
 
 
 @dataclass(frozen=True)
@@ -273,14 +248,6 @@ def thresholds(n_bar: float, s: float) -> RegimeReport:
     )
 
 
-def bose_occupancy(temperature: float, omega_m: float) -> float:
-    """Bose-Einstein occupancy 1 / (exp(hbar w / kB T) - 1)."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    x = constants.hbar * omega_m / (constants.k * temperature)
-    return 1.0 / math.expm1(x)
-
-
 @dataclass(frozen=True)
 class DerivedRates:
     """All rates and dimensionless figures derived from one parameter set.
@@ -314,19 +281,7 @@ class DerivedRates:
             )
         if s < 0.0:
             raise ValueError(f"s must be >= 0, got {s}")
-        r_plain, r_plus, r_minus = ratios(n_bar, s) if n_bar > 0 else (math.inf, math.inf, math.inf)
-        return cls(
-            gamma_eff=gamma_eff,
-            gamma_par=s * gamma_eff,
-            s=s,
-            gamma_plus=gamma_eff * (1.0 + s),
-            gamma_minus=gamma_eff * (1.0 - s),
-            weights=sideband_weights(n_bar, s),
-            r_plain=r_plain,
-            r_plus=r_plus,
-            r_minus=r_minus,
-            n_bar=n_bar,
-        )
+        return cls._build(gamma_eff, s * gamma_eff, s, n_bar)
 
     @classmethod
     def from_params(cls, pump: CavityPumpParams, osc: OscillatorParams) -> "DerivedRates":
@@ -351,18 +306,23 @@ class DerivedRates:
                 f"s = {s:.6g} < 0: delta_pump sign gives anti-squeezing; "
                 "flip the detuning convention"
             )
-        r_plain, r_plus, r_minus = ratios(osc.n_bar, s) if osc.n_bar > 0 else (math.inf, math.inf, math.inf)
+        return cls._build(ge, gp, s, osc.n_bar)
+
+    @classmethod
+    def _build(cls, ge: float, gp: float, s: float, n_bar: float) -> "DerivedRates":
+        """The widths, weights and ratios of checked (gamma_eff, gamma_par, s)."""
+        r_plain, r_plus, r_minus = ratios(n_bar, s) if n_bar > 0 else (math.inf, math.inf, math.inf)
         return cls(
             gamma_eff=ge,
             gamma_par=gp,
             s=s,
             gamma_plus=ge * (1.0 + s),
             gamma_minus=ge * (1.0 - s),
-            weights=sideband_weights(osc.n_bar, s),
+            weights=sideband_weights(n_bar, s),
             r_plain=r_plain,
             r_plus=r_plus,
             r_minus=r_minus,
-            n_bar=osc.n_bar,
+            n_bar=n_bar,
         )
 
     def regime(self) -> RegimeReport:

@@ -7,7 +7,6 @@ tests re-evaluate the oracles to guard against silent drift.
 """
 
 import mpmath as mp
-from scipy import constants
 from scipy.integrate import quad
 
 mp.mp.dps = 50
@@ -30,11 +29,6 @@ def oracle_gamma_eff(gamma_m, g, epsilon_c, delta_pump, kappa, omega_m):
         - (1 - eps) / (d**2 + k2)
     )
     return gm + g**2 * k * term
-
-
-def oracle_bose(temperature, omega_m):
-    x = mp.mpf(constants.hbar) * mp.mpf(omega_m) / (mp.mpf(constants.k) * mp.mpf(temperature))
-    return 1 / mp.expm1(x)
 
 
 def sideband_difference_integral(n_bar, s, gamma_eff):
@@ -86,6 +80,4 @@ PAPER_G = float(TWO_PI * mp.mpf("1e3"))
 PAPER_EPSILON = 0.8
 PAPER_DELTA_EXAMPLE = float(TWO_PI * mp.mpf("530e3"))  # gamma_par example point
 PAPER_DELTA_CANON = float(TWO_PI * mp.mpf("200e3"))  # damping-regime working point
-PAPER_DELTA_LO = float(TWO_PI * mp.mpf("11e3"))
 PAPER_N_BAR = 5.8
-PAPER_TEMPERATURE = 7.0

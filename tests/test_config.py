@@ -28,13 +28,10 @@ class TestParsing:
         assert cfg.sample_rate == 250e3
         assert cfg.lowpass_cutoff == 13e3
 
-    def test_times_temperatures_phases(self):
-        cfg = RunConfig.from_text(
-            "duration = 100s\nschedule_period = 5s\ntemperature = 7K\ndemod_phase = 0.4rad\n"
-        )
+    def test_times_and_phases(self):
+        cfg = RunConfig.from_text("duration = 100s\nschedule_period = 5s\ndemod_phase = 0.4rad\n")
         assert cfg.duration == 100.0
         assert cfg.schedule_period == 5.0
-        assert cfg.temperature == 7.0
         assert cfg.demod_phase == 0.4
 
     def test_comments_and_blank_lines(self):
@@ -166,7 +163,7 @@ class TestMalformedValues:
 # valid suffixes per value kind; any other kind takes none
 _KIND_SUFFIXES = {
     "angular_freq": list(_HZ_SCALE), "plain_freq": list(_HZ_SCALE),
-    "time": list(_TIME_SCALE), "temperature": ["K"], "phase": ["rad"],
+    "time": list(_TIME_SCALE), "phase": ["rad"],
 }
 _NUMBERS = st.one_of(
     st.integers(-10**6, 10**6).map(str),

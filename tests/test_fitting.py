@@ -10,9 +10,14 @@ import pytest
 from parosc.detect import DetectionParams, add_test_tone, compose_heterodyne_components
 from parosc.errors import SpectralError
 from parosc.fitting import (
+    MIN_BAND_BINS,
     DoublePairModel,
     QuadratureModel,
     SinglePairModel,
+    _in_intervals,
+    band_bins,
+    quadrature_intervals,
+    sideband_intervals,
     fit_double_pair,
     fit_quadrature,
     fit_single_pair,
@@ -130,6 +135,17 @@ class TestProfileFit:
         p_true = [0.004, 4.2, 30.0]
         psd = noiseless_psd(QuadratureModel(1100.0), p_true)
         assert_recovered(fit_quadrature(psd, 1100.0, 300.0), p_true)
+
+
+class TestBandBins:
+    @pytest.mark.parametrize("segment_len,sample_rate", [(17500, 25e3), (4375, 6250.0), (25_000, 25e3)])
+    def test_counts_the_welch_axis(self, segment_len, sample_rate):
+        freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate)
+        for margin in (0.5, 3.0, 5.0, 9.9, 10.0, 11.45, 300.0):
+            for intervals in (sideband_intervals(CENTERS, margin), quadrature_intervals(1100.0, margin)):
+                true = int(np.sum(_in_intervals(freqs, intervals)))
+                got = band_bins(segment_len, sample_rate, intervals)
+                assert got == true if true < MIN_BAND_BINS else got >= MIN_BAND_BINS
 
 
 class TestFitSinglePair:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import fast_config
+from parosc import pipeline
 from parosc.cli import main
+from parosc.errors import SpectralError
 from parosc.pipeline import (
     PSD_FILES,
     FIT_FILES,
@@ -247,6 +249,14 @@ class TestCli:
         assert main(["validate-config", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_fit_band_too_narrow_exit_2(self, tmp_path, capsys):
+        # 3 Hz of quadrature band holds 2 bins of the 1.43 Hz Welch axis:
+        # refused before anything is synthesized
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(tiny_config(repetitions="1", fit_margin="3Hz").snapshot())
+        assert main(["validate-config", "--config", str(cfg_path)]) == 2
+        assert "quadrature fit band holds 2 bins" in capsys.readouterr().err
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")
@@ -258,8 +268,10 @@ class TestCli:
             "n_bar = ..", "n_bar = 1e", "decimate = 2.7", "window = nosuch",
             # a 3-sample Welch hop on the defaults: judged, never run
             "welch_overlap = 0.99999",
-            # a removed key that was never read
-            "omega_par_offset = 12kHz",
+            # removed keys that were never read
+            "omega_par_offset = 12kHz", "mass = 1e-10", "temperature = 7K",
+            # no longer checked by CavityPumpParams, only here
+            "delta_lo = 0Hz",
             # each once crashed validation or failed only after synthesis
             "welch_segment = 0s", "welch_segment = -1s", "q_factor = 0", "fit_margin = 0Hz",
             # found by fuzzing: an empty required value, a number that overflows
@@ -377,14 +389,20 @@ class TestSweepFailedRows:
 
 
 class TestCliNumericalFailure:
-    def test_runtime_failure_exit_3(self, tmp_path, capsys):
-        # validates fine but the fit band selects too few bins at runtime
+    def test_runtime_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a valid config whose quadrature fit fails at runtime
+        def failing_fit(*args, **kwargs):
+            raise SpectralError("fit band selects fewer than 8 bins")
+
+        monkeypatch.setattr(pipeline, "fit_quadrature", failing_fit)
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(tiny_config(repetitions="1", fit_margin="3Hz").snapshot())
+        cfg_path.write_text(tiny_config(repetitions="1").snapshot())
         out = tmp_path / "out"
         code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "stage 'quadrature fit'" in err
 
 
 class TestMemoryBound:
