@@ -184,12 +184,6 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def __getattr__(self, name):
-        values = object.__getattribute__(self, "values")
-        if name in values:
-            return values[name]
-        raise AttributeError(name)
-
     def with_overrides(self, **items: str) -> "RunConfig":
         merged = dict(self.raw_text)
         merged.update({k: str(v) for k, v in items.items()})
@@ -320,10 +314,22 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append("lowpass_cutoff must stay below the carrier")
         if v["decimate"] > 1 and v["lowpass_cutoff"] >= v["sample_rate"] / (2.0 * v["decimate"]):
             problems.append("lowpass_cutoff must stay below the decimated Nyquist")
+        if not math.isfinite(v["duration"] * v["sample_rate"]):
+            problems.append(
+                f"duration {v['duration']:.6g} s at sample_rate {v['sample_rate']:.6g} Hz "
+                "gives a sample count that overflows"
+            )
         try:
-            schedule_drive(config.grid(seed=0), v["schedule_period"], rates.gamma_minus)
+            schedule = schedule_drive(config.grid(seed=0), v["schedule_period"], rates.gamma_minus)
         except Exception as exc:
             problems.append(f"schedule: {exc}")
+        else:
+            usable = v["schedule_period"] - schedule.guard
+            if v["welch_segment"] * 2 > usable:
+                problems.append(
+                    f"welch_segment {v['welch_segment']:.4g} s too long for the "
+                    f"{usable:.4g} s usable part of each drive segment"
+                )
         # a segment that is not positive is reported above
         rbw = 1.0 / v["welch_segment"] if v["welch_segment"] > 0 else 0.0
         gamma_minus_hz = rates.gamma_minus / TWO_PI
@@ -331,12 +337,6 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append(
                 f"welch_segment {v['welch_segment']:.4g} s gives rbw {rbw:.4g} Hz "
                 f"which cannot resolve gamma_minus/5 = {gamma_minus_hz / 5.0:.4g} Hz"
-            )
-        usable = v["schedule_period"] - 10.0 / rates.gamma_minus
-        if v["welch_segment"] * 2 > usable:
-            problems.append(
-                f"welch_segment {v['welch_segment']:.4g} s too long for the "
-                f"{usable:.4g} s usable part of each drive segment"
             )
     if not problems:
         problems += _fit_band_problems(v)
@@ -355,6 +355,7 @@ def _fit_band_problems(v: dict) -> list[str]:
     ):
         segment_len = v["welch_segment"] * fs
         if not math.isfinite(segment_len):
+            problems.append(f"the {name} Welch segment of {v['welch_segment']:.6g} s overflows")
             continue
         n_bins = band_bins(int(round(segment_len)), fs, intervals)
         if n_bins < MIN_BAND_BINS:

@@ -2,8 +2,7 @@
 
 The record carrier Omega_c is the reduced stand-in for half the parametric
 drive frequency, so demodulation mixes at Omega_c.  Shot noise is white and
-Gaussian (flat one-sided PSD); spurious electronic peaks are available only
-as an injected test tone for exercising fit exclusion masks.
+Gaussian (flat one-sided PSD).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .synth import (
     RESONANT,
     STREAM_SHOT_COMPONENT,
     STREAM_SHOT_WIGNER,
-    Frame,
     QuadTrajectory,
     Record,
     Schedule,
@@ -52,6 +50,11 @@ MAX_GUARD_FRACTION = 0.25
 # A schedule is a list of segments built up front; this bounds its length
 # (about six days of record at the default 5 s period).
 MAX_SEGMENTS = 100_000
+
+# The lock-in filter's design limits: at most this passband ripple, at least
+# this stopband attenuation (dB).
+PASSBAND_RIPPLE_DB = 0.1
+STOPBAND_DB = 60.0
 
 # The phase search scans this many phases over [0, pi), then refines the
 # minimum to PHASE_TOL radians.
@@ -234,13 +237,12 @@ def compose_heterodyne_wigner(
     delta_lo: float,
     schedule: Schedule | None = None,
     frame_phase: float = 0.0,
-    lo_phase: float = 0.0,
     workers: int = 1,
     streams: Streams | None = None,
 ) -> Record:
     """Real heterodyne record from a Wigner-backend trajectory.
 
-    samples = 2*gain*[X cos(Wc t + phi) + Y sin(Wc t + phi)]*cos(dLO t + theta)
+    samples = 2*gain*[X cos(Wc t + phi) + Y sin(Wc t + phi)]*cos(dLO t)
     plus white shot noise; both motional sidebands appear at Wc +- dLO,
     phase coherent, and carry identical spectra (the symmetric record).
     A trajectory over one drive segment (traj.grid.start) gives that piece
@@ -255,7 +257,7 @@ def compose_heterodyne_wigner(
     def blocks(a, b):
         for (i0, i1, car), (_, _, lo) in zip(
             carrier_phasors(b - a, grid.carrier, grid.dt, frame_phase, a),
-            carrier_phasors(b - a, delta_lo, grid.dt, lo_phase, a),
+            carrier_phasors(b - a, delta_lo, grid.dt, 0.0, a),
         ):
             beat = car.real * traj.x[i0 - start : i1 - start]
             beat += car.imag * traj.y[i0 - start : i1 - start]
@@ -270,7 +272,7 @@ def compose_heterodyne_wigner(
         samples=out,
         sample_rate=grid.sample_rate,
         schedule=schedule,
-        frame=Frame(carrier=grid.carrier, delta_lo=delta_lo, lo_phase=lo_phase),
+        carrier=grid.carrier,
         start=start,
     )
 
@@ -282,7 +284,6 @@ def compose_heterodyne_components(
     grid: SimGrid,
     delta_lo: float,
     schedule: Schedule | None = None,
-    lo_phase: float = 0.0,
     workers: int = 1,
     part: str | None = None,
     out: np.ndarray | None = None,
@@ -323,8 +324,8 @@ def compose_heterodyne_components(
 
         def blocks(a, b):
             for (i0, i1, up), (_, _, dn) in zip(
-                carrier_phasors(b - a, grid.carrier + delta_lo, grid.dt, lo_phase, a),
-                carrier_phasors(b - a, grid.carrier - delta_lo, grid.dt, -lo_phase, a),
+                carrier_phasors(b - a, grid.carrier + delta_lo, grid.dt, 0.0, a),
+                carrier_phasors(b - a, grid.carrier - delta_lo, grid.dt, 0.0, a),
             ):
                 mixed = take(up) * b_s[i0 - start : i1 - start]
                 mixed += take(dn) * b_as[i0 - start : i1 - start]
@@ -339,17 +340,9 @@ def compose_heterodyne_components(
         samples=samples,
         sample_rate=grid.sample_rate,
         schedule=schedule,
-        frame=Frame(carrier=grid.carrier, delta_lo=delta_lo, lo_phase=lo_phase),
+        carrier=grid.carrier,
         start=start,
     )
-
-
-def add_test_tone(rec: Record, freq_hz: float, amplitude: float, phase: float = 0.0) -> Record:
-    """Copy of the record with a coherent spurious tone added (for exercising
-    the fitter's exclusion masks)."""
-    t = np.arange(rec.n_samples) / rec.sample_rate
-    samples = rec.samples + amplitude * np.cos(2.0 * math.pi * freq_hz * t + phase)
-    return Record(samples=samples, sample_rate=rec.sample_rate, schedule=rec.schedule, frame=rec.frame)
 
 
 def design_lockin_fir(
@@ -358,12 +351,10 @@ def design_lockin_fir(
     carrier: float,
     passband_edge_hz: float,
     decimate: int = 1,
-    stopband_db: float = 60.0,
-    passband_ripple_db: float = 0.1,
 ) -> np.ndarray:
     """Linear-phase FIR for the lock-in low-pass.
 
-    Flat (ripple < passband_ripple_db) up to passband_edge_hz, >= stopband_db
+    Flat (ripple < PASSBAND_RIPPLE_DB) up to passband_edge_hz, >= STOPBAND_DB
     attenuation from the stopband edge onwards.  The stopband edge is the
     tighter of the decimated Nyquist and the mixing-image band 2*fc - cutoff.
     Raises FilterDesignError when the constraints cannot be met.
@@ -381,7 +372,7 @@ def design_lockin_fir(
     # Kaiser sized for a bit more than the requested attenuation, transition
     # from the cutoff to the stopband edge.
     width = f_stop - cutoff_hz
-    numtaps, beta = signal.kaiserord(stopband_db + 5.0, width / nyq)
+    numtaps, beta = signal.kaiserord(STOPBAND_DB + 5.0, width / nyq)
     numtaps |= 1
     taps = signal.firwin(numtaps, (cutoff_hz + f_stop) / 2.0, window=("kaiser", beta), fs=sample_rate)
     freqs, resp = signal.freqz(taps, worN=4096, fs=sample_rate)
@@ -390,11 +381,11 @@ def design_lockin_fir(
     ripple = np.max(np.abs(20.0 * np.log10(np.maximum(mag[pass_sel], 1e-12))))
     stop_sel = freqs >= f_stop
     atten = -np.max(20.0 * np.log10(np.maximum(mag[stop_sel], 1e-300)))
-    if ripple > passband_ripple_db or atten < stopband_db:
+    if ripple > PASSBAND_RIPPLE_DB or atten < STOPBAND_DB:
         raise FilterDesignError(
             f"designed filter misses spec: ripple {ripple:.3g} dB "
-            f"(limit {passband_ripple_db}), stopband {atten:.3g} dB "
-            f"(limit {stopband_db})"
+            f"(limit {PASSBAND_RIPPLE_DB}), stopband {atten:.3g} dB "
+            f"(limit {STOPBAND_DB})"
         )
     return taps
 
@@ -509,7 +500,7 @@ class Baseband:
 def demod_baseband(
     rec: Record,
     det: DetectionParams,
-    passband_edge_hz: float | None = None,
+    passband_edge_hz: float,
     decimate: int = 1,
     workers: int = 1,
     into: Baseband | None = None,
@@ -517,19 +508,17 @@ def demod_baseband(
     """Feed the record, or the piece of one that rec holds (rec.start), into
     the lock-in baseband `into` and return it; without `into` a new
     Baseband is made for the record rec.schedule tiles, with the lock-in
-    FIR designed for det's cutoff and the passband edge (default: the LO
-    offset plus 5%).  The two lock-in channels at any demodulation phase
-    theta are Re(e^{i theta} z) and Im(e^{i theta} z), so the baseband is
-    computed once and shared between phase search and channel extraction.
+    FIR designed for det's cutoff and the passband edge.  The two lock-in
+    channels at any demodulation phase theta are Re(e^{i theta} z) and
+    Im(e^{i theta} z), so the baseband is computed once and shared between
+    phase search and channel extraction.
     """
     if into is None:
-        if passband_edge_hz is None:
-            passband_edge_hz = rec.frame.delta_lo / (2.0 * math.pi) * 1.05
         taps = design_lockin_fir(
-            rec.sample_rate, det.lowpass_cutoff, rec.frame.carrier, passband_edge_hz, decimate
+            rec.sample_rate, det.lowpass_cutoff, rec.carrier, passband_edge_hz, decimate
         )
         into = Baseband(
-            taps, rec.schedule.n_samples(rec.sample_rate), rec.sample_rate, rec.frame.carrier,
+            taps, rec.schedule.n_samples(rec.sample_rate), rec.sample_rate, rec.carrier,
             rec.schedule, decimate,
         )
     into.feed(rec.samples, rec.start, workers)

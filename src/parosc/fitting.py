@@ -27,7 +27,6 @@ from scipy.optimize import lsq_linear, minimize_scalar
 from .errors import SpectralError
 from .spectral import Psd, bin_step_for
 
-MAX_MASK_FRACTION = 0.20
 # fewest bins a fit band may select
 MIN_BAND_BINS = 8
 # points of the nonlinear parameter's grid, endpoints (its bounds) included
@@ -240,7 +239,6 @@ class FitResult:
     iterations: int
     converged: bool
     flags: list = field(default_factory=list)
-    masks: tuple = ()
     degenerate_direction: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -255,7 +253,6 @@ class FitResult:
             "converged": bool(self.converged),
             "flags": list(self.flags),
             "degenerate_direction": self.degenerate_direction,
-            "masks": [list(m) for m in self.masks],
         }
 
 
@@ -290,25 +287,17 @@ def band_bins(segment_len: int, sample_rate: float, intervals) -> int:
     return int(np.sum(_in_intervals(np.array(sorted(idx)) * step, intervals)))
 
 
-def _select_band(psd: Psd, intervals, masks):
+def _select_band(psd: Psd, intervals):
     freqs = psd.freqs
     sel = _in_intervals(freqs, intervals)
-    band_count = int(np.sum(sel))
-    if band_count < MIN_BAND_BINS:
+    if np.sum(sel) < MIN_BAND_BINS:
         raise SpectralError(f"fit band selects fewer than {MIN_BAND_BINS} bins")
-    masked = _in_intervals(freqs, masks) & sel
-    if np.sum(masked) > MAX_MASK_FRACTION * band_count:
-        raise SpectralError(
-            f"masks cover {np.sum(masked) / band_count:.0%} of the fit band "
-            f"(limit {MAX_MASK_FRACTION:.0%})"
-        )
-    sel &= ~masked
     step = bin_step_for(psd.window)
     idx = np.flatnonzero(sel)[::step]
     return freqs[idx], psd.density[idx]
 
 
-def _build_result(model, opt: _Optimum, fixed, derived, flags, masks) -> FitResult:
+def _build_result(model, opt: _Optimum, fixed, derived, flags) -> FitResult:
     names = model.param_names
     estimates = {n: float(v) for n, v in zip(names, opt.params)}
     sig = np.sqrt(np.maximum(np.diag(opt.cov), 0.0))
@@ -327,7 +316,6 @@ def _build_result(model, opt: _Optimum, fixed, derived, flags, masks) -> FitResu
         iterations=opt.evaluations,
         converged=opt.converged,
         flags=flags,
-        masks=tuple(masks),
         degenerate_direction=opt.direction,
     )
 
@@ -360,9 +348,7 @@ def _width_grid(psd: Psd, fit_margin_hz: float) -> np.ndarray:
     return np.geomspace(psd.rbw / 100.0, 2.0 * fit_margin_hz, GRID_POINTS)
 
 
-def fit_single_pair(
-    psd: Psd, centers_hz: tuple[float, float], fit_margin_hz: float, masks=()
-) -> FitResult:
+def fit_single_pair(psd: Psd, centers_hz: tuple[float, float], fit_margin_hz: float) -> FitResult:
     """Shared-width two-Lorentzian fit of a motional sideband pair.
 
     centers_hz = (stokes, antistokes).  The width is profiled over
@@ -370,7 +356,7 @@ def fit_single_pair(
     effective width, the two areas, their ratio R and the occupancy
     n_bar = 1/(R-1) with propagated uncertainties.
     """
-    freqs, data = _select_band(psd, sideband_intervals(centers_hz, fit_margin_hz), masks)
+    freqs, data = _select_band(psd, sideband_intervals(centers_hz, fit_margin_hz))
     model = SinglePairModel(*centers_hz)
     opt = _profile_fit(model, _width_grid(psd, fit_margin_hz), np.zeros(3), freqs, data, psd)
     flags = _zero_area_flags(model, opt)
@@ -382,11 +368,12 @@ def fit_single_pair(
     else:
         flags.append("ratio_below_unity")
         derived["n_bar"] = (math.nan, math.nan)
-    return _build_result(model, opt, {"centers_hz": 0.0}, derived, flags, masks)
+    fixed = {"center_stokes_hz": centers_hz[0], "center_antistokes_hz": centers_hz[1]}
+    return _build_result(model, opt, fixed, derived, flags)
 
 
 def fit_double_pair(
-    psd: Psd, gamma_eff_fixed: float, centers_hz: tuple[float, float], fit_margin_hz: float, masks=()
+    psd: Psd, gamma_eff_fixed: float, centers_hz: tuple[float, float], fit_margin_hz: float
 ) -> FitResult:
     """Constrained four-component sideband fit with the reference width fixed.
 
@@ -400,7 +387,7 @@ def fit_double_pair(
     unresolved).
     """
     gamma_eff_hz = gamma_eff_fixed / (2.0 * math.pi)
-    freqs, data = _select_band(psd, sideband_intervals(centers_hz, fit_margin_hz), masks)
+    freqs, data = _select_band(psd, sideband_intervals(centers_hz, fit_margin_hz))
     plain, _ = _linear_solve(
         SinglePairModel(*centers_hz), gamma_eff_hz, np.zeros(3), freqs, data, _sigma_for(data, psd)
     )
@@ -421,10 +408,10 @@ def fit_double_pair(
         "gamma_plus_hz": (gamma_eff_hz * (1.0 + s_hat), gamma_eff_hz * s_sig),
         "gamma_minus_hz": (gamma_eff_hz * (1.0 - s_hat), gamma_eff_hz * s_sig),
     }
-    return _build_result(model, opt, {"gamma_eff_hz": gamma_eff_hz}, derived, flags, masks)
+    return _build_result(model, opt, {"gamma_eff_hz": gamma_eff_hz}, derived, flags)
 
 
-def fit_quadrature(psd: Psd, delta_lo_hz: float, fit_margin_hz: float, masks=()) -> FitResult:
+def fit_quadrature(psd: Psd, delta_lo_hz: float, fit_margin_hz: float) -> FitResult:
     """Fit of one demodulated quadrature channel: floor plus two equal
     Lorentzians at +-delta_lo with one free area (the quadrature variance in
     channel units) and one free width, profiled over [rbw/100, 2*fit_margin_hz].
@@ -434,11 +421,11 @@ def fit_quadrature(psd: Psd, delta_lo_hz: float, fit_margin_hz: float, masks=())
     delta_lo and the lower half duplicates the same information (which would
     silently halve every reported variance).
     """
-    freqs, data = _select_band(psd, quadrature_intervals(delta_lo_hz, fit_margin_hz), masks)
+    freqs, data = _select_band(psd, quadrature_intervals(delta_lo_hz, fit_margin_hz))
     model = QuadratureModel(delta_lo_hz)
     opt = _profile_fit(model, _width_grid(psd, fit_margin_hz), np.zeros(2), freqs, data, psd)
     derived = {
         "sigma2": (float(opt.params[1]), math.sqrt(max(opt.cov[1, 1], 0.0))),
         "gamma_hz": (float(opt.params[2]), math.sqrt(max(opt.cov[2, 2], 0.0))),
     }
-    return _build_result(model, opt, {"delta_lo_hz": delta_lo_hz}, derived, [], masks)
+    return _build_result(model, opt, {"delta_lo_hz": delta_lo_hz}, derived, [])

@@ -58,6 +58,10 @@ TOLERANCES = {
     "chi2_level": 0.01,
 }
 
+# epsilon_for_target_s walks the cooling-tone fraction down over this range.
+EPSILON_C_MIN = 0.5
+EPSILON_C_MAX = 1.0
+
 PSD_FILES = (
     "heterodyne_detuned.csv",
     "heterodyne_resonant.csv",
@@ -428,7 +432,6 @@ def run_single(
     config: RunConfig,
     out_dir,
     point_key: tuple[int, ...] = (0,),
-    validate: bool = True,
     workers: int | None = None,
 ) -> dict:
     """One seeded end-to-end run with the configured number of repetitions.
@@ -440,8 +443,7 @@ def run_single(
     The kernels of each repetition run on `workers` threads (default: the
     config's `workers`); the artifacts do not depend on it.
     """
-    if validate:
-        require_valid(config)
+    require_valid(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rates = config.derived_rates()
@@ -658,7 +660,7 @@ def run_sweep_ratio_vs_s(config: RunConfig, s_values, out_dir, workers: int | No
     return _run_sweep(_RATIO_SWEEP, config, s_values, out_dir, workers)
 
 
-def epsilon_for_target_s(config: RunConfig, s_target: float, lo: float = 0.5, hi: float = 1.0) -> float:
+def epsilon_for_target_s(config: RunConfig, s_target: float) -> float:
     """Cooling-tone fraction realizing a requested parametric gain at constant
     total pump power.
 
@@ -678,11 +680,11 @@ def epsilon_for_target_s(config: RunConfig, s_target: float, lo: float = 0.5, hi
             return None
         return s
 
-    prev_eps = hi - 1e-12
+    prev_eps = EPSILON_C_MAX - 1e-12
     prev = s_of(prev_eps)
     if prev is None:
         raise PipelineError("model undefined at epsilon_c = 1")
-    for eps in np.linspace(prev_eps, lo, 201)[1:]:
+    for eps in np.linspace(prev_eps, EPSILON_C_MIN, 201)[1:]:
         val = s_of(eps)
         if val is None or val >= 1.0:
             break
@@ -694,7 +696,7 @@ def epsilon_for_target_s(config: RunConfig, s_target: float, lo: float = 0.5, hi
             )
         prev_eps, prev = eps, val
     raise PipelineError(
-        f"no epsilon_c in [{lo:.3g}, {hi:.3g}] realizes s = {s_target:.4g} "
+        f"no epsilon_c in [{EPSILON_C_MIN:.3g}, {EPSILON_C_MAX:.3g}] realizes s = {s_target:.4g} "
         "inside the stable damped region"
     )
 

@@ -215,12 +215,6 @@ def welch_psd_chunks(
     )
 
 
-def resolution_check(psd: Psd, min_width_hz: float) -> bool:
-    """True when the resolution bandwidth resolves a Lorentzian of the given
-    full width (rbw <= width/5)."""
-    return psd.rbw <= min_width_hz / 5.0
-
-
 def write_psd_csv(psd: Psd, path, config_hash: str | None = None) -> None:
     """Two-column CSV (freq_hz, psd) with the estimation metadata in the header,
     preceded by a ``# config=<hash>`` line when config_hash is given."""

@@ -153,19 +153,10 @@ def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:
     return Schedule(segments=(Segment(0.0, duration, tag),), guard=0.0)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Carrier frame of a composed record: reduced carrier (rad/s), LO offset
-    (rad/s) and the LO phase used during composition."""
-
-    carrier: float
-    delta_lo: float
-    lo_phase: float = 0.0
-
-
 @dataclass
 class Record:
-    """Uniformly sampled detector record with drive-schedule tags.
+    """Uniformly sampled detector record with drive-schedule tags, composed
+    at the reduced carrier `carrier` (rad/s).
 
     A record composed one drive segment at a time comes as pieces: `start`
     is the record index of samples[0], and the schedule is the whole
@@ -174,16 +165,12 @@ class Record:
     samples: np.ndarray
     sample_rate: float
     schedule: Schedule
-    frame: Frame
+    carrier: float
     start: int = 0
 
     @property
     def n_samples(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
 
     def usable_slices(self, tag: str) -> list[slice]:
         return self.schedule.usable_slices(tag, self.sample_rate, self.n_samples)

@@ -293,7 +293,9 @@ class TestCriterion7EstimatorHygiene:
         records["component_heterodyne"] = compose_heterodyne_components(
             beta_s, beta_as, det, grid, delta_lo
         ).samples
-        demod = lockin_demodulate(demod_baseband(rec_w, det, decimate=4), det)
+        demod = lockin_demodulate(
+            demod_baseband(rec_w, det, delta_lo / TWO_PI * 1.05, decimate=4), det
+        )
         records["demod_channel"] = demod.ch_x
         rates_used = {"demod_channel": demod.sample_rate}
         for name, samples in records.items():

@@ -7,7 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parosc.cli import main
-from parosc.config import _HZ_SCALE, _TIME_SCALE, FIELDS, RunConfig, validate_config
+from parosc.config import (
+    _HZ_SCALE,
+    _TIME_SCALE,
+    FIELDS,
+    RunConfig,
+    _fit_band_problems,
+    validate_config,
+)
 from parosc.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -16,27 +23,27 @@ TWO_PI = 2.0 * math.pi
 class TestParsing:
     def test_angular_frequencies_convert_to_rad_per_s(self):
         cfg = RunConfig.from_text("kappa = 1.4MHz\nomega_m = 530kHz\n")
-        assert cfg.kappa == pytest.approx(TWO_PI * 1.4e6)
-        assert cfg.omega_m == pytest.approx(TWO_PI * 530e3)
+        assert cfg.values["kappa"] == pytest.approx(TWO_PI * 1.4e6)
+        assert cfg.values["omega_m"] == pytest.approx(TWO_PI * 530e3)
 
     def test_milli_and_mega_are_distinct(self):
         cfg = RunConfig.from_text("gamma_m = 520mHz\n")
-        assert cfg.gamma_m == pytest.approx(TWO_PI * 0.52)
+        assert cfg.values["gamma_m"] == pytest.approx(TWO_PI * 0.52)
 
     def test_plain_rates_stay_in_hz(self):
         cfg = RunConfig.from_text("sample_rate = 250kHz\nlowpass_cutoff = 13kHz\n")
-        assert cfg.sample_rate == 250e3
-        assert cfg.lowpass_cutoff == 13e3
+        assert cfg.values["sample_rate"] == 250e3
+        assert cfg.values["lowpass_cutoff"] == 13e3
 
     def test_times_and_phases(self):
         cfg = RunConfig.from_text("duration = 100s\nschedule_period = 5s\ndemod_phase = 0.4rad\n")
-        assert cfg.duration == 100.0
-        assert cfg.schedule_period == 5.0
-        assert cfg.demod_phase == 0.4
+        assert cfg.values["duration"] == 100.0
+        assert cfg.values["schedule_period"] == 5.0
+        assert cfg.values["demod_phase"] == 0.4
 
     def test_comments_and_blank_lines(self):
         cfg = RunConfig.from_text("# heading\n\nn_bar = 5.8  # measured\n")
-        assert cfg.n_bar == 5.8
+        assert cfg.values["n_bar"] == 5.8
 
     def test_missing_unit_suffix_rejected(self):
         with pytest.raises(ConfigError, match="suffix"):
@@ -51,8 +58,8 @@ class TestParsing:
             RunConfig.from_text("just words\n")
 
     def test_booleans(self):
-        assert RunConfig.from_text("keep_raw = true\n").keep_raw is True
-        assert RunConfig.from_text("keep_raw = off\n").keep_raw is False
+        assert RunConfig.from_text("keep_raw = true\n").values["keep_raw"] is True
+        assert RunConfig.from_text("keep_raw = off\n").values["keep_raw"] is False
 
 
 class TestDerivedObjects:
@@ -109,6 +116,23 @@ class TestValidation:
         problems = validate_config(cfg)
         assert any("resolve" in p for p in problems)
 
+    def test_welch_segment_fits_the_usable_part(self):
+        # two segments must fit in the 5 s period less the 10/gamma_minus
+        # settling guard (0.159 s at the defaults): 4.8 s do, 4.9 s do not
+        base = RunConfig.defaults()
+        assert validate_config(base.with_overrides(welch_segment="2.4s")) == []
+        problems = validate_config(base.with_overrides(welch_segment="2.45s"))
+        assert problems == [
+            "welch_segment 2.45 s too long for the 4.841 s usable part of each drive segment"
+        ]
+
+    def test_overflowing_welch_segment_is_a_problem(self):
+        v = dict(RunConfig.defaults().values, welch_segment=1e300, sample_rate=1e20)
+        assert _fit_band_problems(v) == [
+            "the heterodyne Welch segment of 1e+300 s overflows",
+            "the quadrature Welch segment of 1e+300 s overflows",
+        ]
+
 
 class TestSnapshotAndHash:
     def test_hash_stable_and_sensitive(self):
@@ -122,7 +146,7 @@ class TestSnapshotAndHash:
         cfg = RunConfig.defaults().with_overrides(n_bar="2.5", s_target="0.3")
         again = RunConfig.from_text(cfg.snapshot())
         assert again.config_hash() == cfg.config_hash()
-        assert again.n_bar == 2.5
+        assert again.values["n_bar"] == 2.5
 
     def test_overrides_do_not_mutate(self):
         base = RunConfig.defaults()
@@ -134,7 +158,7 @@ class TestSnapshotAndHash:
         # workers only changes how a run is computed, never its artifacts
         base = RunConfig.defaults()
         two = base.with_overrides(workers="2")
-        assert two.workers == 2
+        assert two.values["workers"] == 2
         assert two.snapshot() == base.snapshot()
         assert two.config_hash() == base.config_hash()
         assert "workers" not in base.snapshot()
@@ -152,7 +176,7 @@ class TestMalformedValues:
             RunConfig.from_text(text)
 
     def test_integral_float_text_accepted_for_int(self):
-        assert RunConfig.from_text("decimate = 4.0").decimate == 4
+        assert RunConfig.from_text("decimate = 4.0").values["decimate"] == 4
 
     def test_unknown_window_is_a_validation_problem(self):
         problems = validate_config(RunConfig.defaults().with_overrides(window="nosuch"))

@@ -8,7 +8,6 @@ import pytest
 from parosc.detect import (
     _MIX_BLOCK,
     DetectionParams,
-    add_test_tone,
     carrier_phasors,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
@@ -27,7 +26,6 @@ from parosc.synth import (
     IMAG,
     REAL,
     RESONANT,
-    Frame,
     QuadTrajectory,
     Record,
     SimGrid,
@@ -43,6 +41,8 @@ OSC = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=5.8)
 FS = 25e3
 CARRIER = TWO_PI * 5e3
 DELTA_LO = TWO_PI * 1.1e3
+# a lock-in passband edge 5% above the LO offset
+EDGE = DELTA_LO / TWO_PI * 1.05
 DET = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
 
 
@@ -248,7 +248,7 @@ class TestDemodBaseband:
         rec = Record(
             samples=rng.standard_normal(n), sample_rate=FS,
             schedule=single_segment_schedule(n / FS),
-            frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
+            carrier=CARRIER,
         )
         det = DetectionParams(lowpass_cutoff=2.5e3)
         mixed = 2.0 * rec.samples * np.exp(1j * CARRIER * np.arange(n) / FS)
@@ -264,7 +264,7 @@ class TestDemodBaseband:
         rec = Record(
             samples=rng.standard_normal(400_000), sample_rate=FS,
             schedule=single_segment_schedule(16.0),
-            frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
+            carrier=CARRIER,
         )
         det = DetectionParams(lowpass_cutoff=2.5e3)
         # more workers than cores: the batches write disjoint slices of one array
@@ -327,7 +327,7 @@ class TestSegmentStreaming:
         det = DetectionParams(gain=1.3, shot_psd=0.002, lowpass_cutoff=2.5e3)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule)
         whole = compose_heterodyne_components(
-            beta_s, beta_as, det, self.GRID, DELTA_LO, schedule=schedule, lo_phase=0.2
+            beta_s, beta_as, det, self.GRID, DELTA_LO, schedule=schedule
         )
         streams = Streams(self.GRID.seed, self.GRID.dt)
         samples = np.empty(self.GRID.n_samples)
@@ -338,7 +338,7 @@ class TestSegmentStreaming:
                 )
                 piece = samples[seg.start : seg.start + seg.n_samples]
                 rec = compose_heterodyne_components(
-                    *env, det, seg, DELTA_LO, schedule=schedule, lo_phase=0.2, workers=2,
+                    *env, det, seg, DELTA_LO, schedule=schedule, workers=2,
                     part=part, out=piece, streams=streams,
                 )
                 assert rec.samples is piece and rec.start == seg.start
@@ -362,10 +362,10 @@ class TestLockinDemodulate:
         rec = Record(
             samples=samples, sample_rate=grid.sample_rate,
             schedule=single_segment_schedule(grid.duration),
-            frame=Frame(carrier=CARRIER, delta_lo=DELTA_LO),
+            carrier=CARRIER,
         )
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.0)
-        dm = lockin_demodulate(demod_baseband(rec, det), det)
+        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), det)
         inner = slice(2000, -2000)
         f_lo = DELTA_LO / TWO_PI
         expected_x = np.cos(DELTA_LO * t + psi)
@@ -382,7 +382,7 @@ class TestLockinDemodulate:
         grid = grid_for(4.0, 14)
         traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.9)
-        bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det)
+        bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det, EDGE)
         assert len(bb.z) > _MIX_BLOCK
         dm = lockin_demodulate(bb, det)
         rotated = bb.z * np.exp(1j * det.demod_phase)
@@ -398,11 +398,11 @@ class TestLockinDemodulate:
         rec_b = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=1.1)
         rec_sum = Record(
             samples=rec_a.samples + rec_b.samples, sample_rate=grid.sample_rate,
-            schedule=rec_a.schedule, frame=rec_a.frame,
+            schedule=rec_a.schedule, carrier=rec_a.carrier,
         )
-        dm_a = lockin_demodulate(demod_baseband(rec_a, det), det)
-        dm_b = lockin_demodulate(demod_baseband(rec_b, det), det)
-        dm_sum = lockin_demodulate(demod_baseband(rec_sum, det), det)
+        dm_a = lockin_demodulate(demod_baseband(rec_a, det, EDGE), det)
+        dm_b = lockin_demodulate(demod_baseband(rec_b, det, EDGE), det)
+        dm_sum = lockin_demodulate(demod_baseband(rec_sum, det, EDGE), det)
         np.testing.assert_allclose(dm_sum.ch_x, dm_a.ch_x + dm_b.ch_x, atol=1e-10)
         np.testing.assert_allclose(dm_sum.ch_y, dm_a.ch_y + dm_b.ch_y, atol=1e-10)
 
@@ -416,8 +416,8 @@ class TestLockinDemodulate:
         det1 = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.2 + delta)
         rec0 = compose_heterodyne_wigner(traj, det0, DELTA_LO, frame_phase=0.0)
         rec1 = compose_heterodyne_wigner(traj, det1, DELTA_LO, frame_phase=delta)
-        dm0 = lockin_demodulate(demod_baseband(rec0, det0), det0)
-        dm1 = lockin_demodulate(demod_baseband(rec1, det1), det1)
+        dm0 = lockin_demodulate(demod_baseband(rec0, det0, EDGE), det0)
+        dm1 = lockin_demodulate(demod_baseband(rec1, det1, EDGE), det1)
         # identical statistics: the only difference is the image sideband's
         # spectral tail leaking through the filter transition band, far below
         # the in-band signal (and far below any shot floor in practice)
@@ -449,10 +449,10 @@ class TestLockinDemodulate:
             swapped[sl] = rng.permutation(swapped[sl])
         rec_swapped = Record(
             samples=swapped, sample_rate=rec.sample_rate,
-            schedule=schedule, frame=rec.frame,
+            schedule=schedule, carrier=rec.carrier,
         )
-        dm = lockin_demodulate(demod_baseband(rec, det), det)
-        dm_swapped = lockin_demodulate(demod_baseband(rec_swapped, det), det)
+        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), det)
+        dm_swapped = lockin_demodulate(demod_baseband(rec_swapped, det, EDGE), det)
         for sl in dm.usable_slices(RESONANT):
             np.testing.assert_allclose(dm_swapped.ch_x[sl], dm.ch_x[sl], atol=1e-12)
 
@@ -482,14 +482,14 @@ class TestOptimizeDemodPhase:
         rec = compose_heterodyne_wigner(
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
-        theta = optimize_demod_phase(demod_baseband(rec, det))
+        theta = optimize_demod_phase(demod_baseband(rec, det, EDGE))
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 2e-3
 
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
         rec, det = self._record(phi0, seed=15, duration=60.0)
-        bb = demod_baseband(rec, det)
+        bb = demod_baseband(rec, det, EDGE)
         theta = optimize_demod_phase(bb)
         ratios = []
         for phase in (theta, theta + math.pi / 2):
@@ -502,20 +502,7 @@ class TestOptimizeDemodPhase:
     def test_flat_variance_warns_at_zero_gain(self):
         rec, det = self._record(0.3, seed=16, s=0.0, duration=60.0)
         with pytest.warns(UserWarning, match="flat"):
-            optimize_demod_phase(demod_baseband(rec, det))
-
-
-class TestAddTestTone:
-    def test_tone_appears_at_requested_frequency(self):
-        grid = grid_for(10.0, 17)
-        traj = constant_trajectory(grid, 0.0, 0.0, rates_for(0.0))
-        det = DetectionParams(gain=0.0, shot_psd=0.001, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
-        spurious = 6_300.0
-        with_tone = add_test_tone(rec, spurious, 0.5)
-        psd = welch_psd(with_tone.samples, grid.sample_rate, 25_000)
-        peak = psd.freqs[int(np.argmax(psd.density))]
-        assert peak == pytest.approx(spurious, abs=psd.rbw)
+            optimize_demod_phase(demod_baseband(rec, det, EDGE))
 
 
 class TestQuadratureSpectraAtOptimum:
@@ -535,11 +522,11 @@ class TestQuadratureSpectraAtOptimum:
         rec = compose_heterodyne_wigner(
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
-        theta = optimize_demod_phase(demod_baseband(rec, det))
+        theta = optimize_demod_phase(demod_baseband(rec, det, EDGE))
         det_opt = DetectionParams(
             gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3, demod_phase=theta
         )
-        dm = lockin_demodulate(demod_baseband(rec, det_opt, decimate=4), det_opt)
+        dm = lockin_demodulate(demod_baseband(rec, det_opt, EDGE, decimate=4), det_opt)
         f_lo = DELTA_LO / TWO_PI
         widths = {}
         for name, ch in (("x", dm.ch_x), ("y", dm.ch_y)):

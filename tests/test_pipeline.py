@@ -278,6 +278,9 @@ class TestCli:
             "n_bar = ", "duration = 1e999s",
             # 2e8 drive segments: refused before the schedule is built
             "duration = 1e9s",
+            # a sample count that overflows a float
+            "duration = 1e300s\nschedule_period = 1e296s\nwelch_segment = 4e295s\n"
+            "sample_rate = 1e20Hz",
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, line):

@@ -17,7 +17,6 @@ from parosc.spectral import (
     bin_step_for,
     chi2_indistinguishable,
     read_psd_csv,
-    resolution_check,
     welch_psd,
     welch_psd_chunks,
     write_psd_csv,
@@ -92,9 +91,9 @@ class TestWelchNormalization:
 
 def fit_single_band_area(psd):
     """Lorentzian area of a single zero-centred line via the quadrature fit.
-    The lowest bins are masked: Welch's per-segment mean removal suppresses
+    The lowest bins are left out: Welch's per-segment mean removal suppresses
     them, which a clean Lorentzian model must not be asked to fit."""
-    fit = fit_quadrature(psd, 0.0, 300.0, masks=[(0.0, 3.5 * psd.rbw)])
+    fit = fit_quadrature(psd.band(3.5 * psd.rbw, np.inf), 0.0, 300.0)
     # the model's mirror lines at +-0 each carry half of this area
     return fit.derived["sigma2"][0]
 
@@ -224,27 +223,6 @@ class TestChunkPooling:
         assert np.array_equal(one.freqs, two.freqs)
         assert np.array_equal(one.density, two.density)
         assert (one.n_averages, one.effective_averages) == (two.n_averages, two.effective_averages)
-
-
-class TestResolutionCheck:
-    def _psd(self, rbw):
-        return Psd(
-            freqs=np.arange(10.0), density=np.ones(10), rbw=rbw,
-            n_averages=4, effective_averages=4.0, window="hann", onesided=True,
-        )
-
-    def test_resolved_narrow_line_passes(self):
-        assert resolution_check(self._psd(rbw=2.0 / 10.0), min_width_hz=2.0)
-
-    def test_unresolved_line_fails(self):
-        assert not resolution_check(self._psd(rbw=2.0), min_width_hz=2.0)
-
-    def test_paper_scale_arithmetic(self):
-        # s = 0.9, gamma_eff = 2pi*20 rad/s -> gamma_minus = 2 Hz full width;
-        # a 20 s segment gives rbw 0.05 Hz, well under gamma_minus/5 = 0.4 Hz.
-        gamma_minus_hz = 20.0 * (1.0 - 0.9)
-        psd = self._psd(rbw=1.0 / 20.0)
-        assert resolution_check(psd, gamma_minus_hz)
 
 
 class TestWindowIndependence:

@@ -392,6 +392,6 @@ class TestSpectralRoundTrip:
         traj = simulate_scheduled_quadratures(OSC, rates, grid)
         psd = welch_psd(traj.x, grid.sample_rate, 2000, detrend=False)
         # the lowest bins stay out of the fit, as in the Welch area test
-        fit = fit_quadrature(psd, 0.0, 300.0, masks=[(0.0, 3.5 * psd.rbw)])
+        fit = fit_quadrature(psd.band(3.5 * psd.rbw, np.inf), 0.0, 300.0)
         gamma_plus_hz = rates.gamma_plus / TWO_PI
         assert fit.derived["gamma_hz"][0] == pytest.approx(gamma_plus_hz, rel=0.05)
