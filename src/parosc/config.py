@@ -3,7 +3,7 @@
 Frequency-like quantities take Hz/kHz/MHz/GHz (or mHz) suffixes.  Fields
 declared angular are converted to rad/s internally (the stored value is
 2*pi times the suffixed cycles/s); sampling and analysis frequencies stay in
-plain Hz.  Times take s/ms, phases rad.
+plain Hz.  Times take s/ms.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ TWO_PI = 2.0 * math.pi
 ANGULAR = "angular_freq"  # suffix in Hz-family, stored rad/s
 PLAIN_HZ = "plain_freq"  # suffix in Hz-family, stored Hz
 TIME = "time"
-PHASE = "phase"
 FLOAT = "float"
 INT = "int"
 BOOL = "bool"
@@ -62,8 +61,6 @@ FIELDS: dict[str, tuple[str, str, str]] = {
     # detection
     "gain": (FLOAT, "1.0", "detector units per quadrature quantum"),
     "shot_psd": (FLOAT, "0.002", "flat one-sided noise floor, units^2/Hz"),
-    "demod_phase_mode": (STR, "optimize", "optimize | fixed"),
-    "demod_phase": (PHASE, "0rad", "lock-in phase for demod_phase_mode=fixed"),
     "lowpass_cutoff": (PLAIN_HZ, "13kHz", "lock-in low-pass passband edge"),
     "schedule_period": (TIME, "5s", "drive alternation period"),
     "decimate": (INT, "8", "demodulated-channel decimation factor"),
@@ -126,10 +123,6 @@ def _parse_value(name: str, kind: str, text: str):
         if suffix not in _TIME_SCALE:
             raise ConfigError(f"{name}: time needs an s/ms/us suffix, got {text!r}")
         return number * _TIME_SCALE[suffix]
-    if kind == PHASE:
-        if suffix not in ("rad", ""):
-            raise ConfigError(f"{name}: phase takes a rad suffix, got {text!r}")
-        return number
     if kind == FLOAT:
         if suffix:
             raise ConfigError(f"{name}: dimensionless value has suffix {suffix!r}")
@@ -232,11 +225,10 @@ class RunConfig:
             )
         return DerivedRates.from_params(self.pump(epsilon_c), self.oscillator())
 
-    def detection(self, demod_phase: float | None = None) -> DetectionParams:
+    def detection(self) -> DetectionParams:
         return DetectionParams(
             gain=self.values["gain"],
             shot_psd=self.values["shot_psd"],
-            demod_phase=self.values["demod_phase"] if demod_phase is None else demod_phase,
             lowpass_cutoff=self.values["lowpass_cutoff"],
         )
 
@@ -268,8 +260,6 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"rates: {exc}")
     if v["rate_source"] not in ("target", "params"):
         problems.append(f"rate_source must be 'target' or 'params', got {v['rate_source']!r}")
-    if v["demod_phase_mode"] not in ("optimize", "fixed"):
-        problems.append(f"demod_phase_mode must be 'optimize' or 'fixed', got {v['demod_phase_mode']!r}")
     if not v["delta_lo"] > 0:
         problems.append("delta_lo must be > 0")
     if osc is not None and v["delta_lo"] >= osc.omega_m / 5.0:

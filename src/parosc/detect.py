@@ -56,11 +56,6 @@ MAX_SEGMENTS = 100_000
 PASSBAND_RIPPLE_DB = 0.1
 STOPBAND_DB = 60.0
 
-# The phase search scans this many phases over [0, pi), then refines the
-# minimum to PHASE_TOL radians.
-PHASE_GRID = 180
-PHASE_TOL = 1e-3
-
 
 @dataclass(frozen=True)
 class DetectionParams:
@@ -74,7 +69,6 @@ class DetectionParams:
 
     gain: float = 1.0
     shot_psd: float = 0.0
-    demod_phase: float = 0.0
     lowpass_cutoff: float = 0.0
 
     def __post_init__(self):
@@ -93,7 +87,6 @@ class DemodOutput:
     ch_x: np.ndarray
     ch_y: np.ndarray
     sample_rate: float
-    demod_phase: float
     schedule: Schedule
     edge_guard: float = 0.0
 
@@ -402,7 +395,7 @@ class Baseband:
     the next piece.  Feeding a record in pieces therefore gives what feeding
     it whole gives.  Of the full-rate baseband only the decimated samples
     are kept, plus the sums over the usable resonant samples (tail-trimmed
-    by the filter half support) that the phase search needs.
+    by the filter half support) that fix the demodulation phase.
     """
 
     def __init__(self, taps: np.ndarray, n_samples: int, sample_rate: float, carrier: float,
@@ -511,7 +504,7 @@ def demod_baseband(
     FIR designed for det's cutoff and the passband edge.  The two lock-in
     channels at any demodulation phase theta are Re(e^{i theta} z) and
     Im(e^{i theta} z), so the baseband is computed once and shared between
-    phase search and channel extraction.
+    the phase choice and channel extraction.
     """
     if into is None:
         taps = design_lockin_fir(
@@ -525,16 +518,17 @@ def demod_baseband(
     return into
 
 
-def lockin_demodulate(bb: Baseband, det: DetectionParams) -> DemodOutput:
+def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
     """Phase-coherent demodulation at the record carrier.
 
     ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference.
     Both channels come from the record's complex baseband (demod_baseband)
-    rotated by the demodulation phase, which is exactly equivalent and
-    filter-consistent; the baseband's decimation applies.  The baseband is
-    rotated _MIX_BLOCK samples at a time, straight into the two channels.
+    rotated by the demodulation phase theta = demod_phase, which is exactly
+    equivalent and filter-consistent; the baseband's decimation applies.
+    The baseband is rotated _MIX_BLOCK samples at a time, straight into the
+    two channels.
     """
-    rot = np.exp(1j * det.demod_phase)
+    rot = np.exp(1j * demod_phase)
     ch_x = np.empty(len(bb.z))
     ch_y = np.empty(len(bb.z))
     for i0 in range(0, len(bb.z), _MIX_BLOCK):
@@ -545,7 +539,6 @@ def lockin_demodulate(bb: Baseband, det: DetectionParams) -> DemodOutput:
         ch_x=ch_x,
         ch_y=ch_y,
         sample_rate=bb.sample_rate / bb.decimate,
-        demod_phase=det.demod_phase,
         schedule=bb.schedule,
         edge_guard=bb.edge_guard,
     )
@@ -554,54 +547,29 @@ def lockin_demodulate(bb: Baseband, det: DetectionParams) -> DemodOutput:
 def optimize_demod_phase(bb: Baseband) -> float:
     """Demodulation phase minimizing one channel's variance on resonant data.
 
-    Scans PHASE_GRID phases over [0, pi) and refines the minimum by
-    golden-section search to PHASE_TOL radians, using the record's baseband
-    sums (demod_baseband).  The cosine channel at the returned phase carries
-    the squeezed quadrature, the orthogonal channel the anti-squeezed one.
-    Warns (and still returns the grid argmin) when the variance is flat in
-    phase, i.e. s ~ 0 and the phase is undefined.
+    From the record's baseband sums (demod_baseband), with m1 = <z>,
+    m2 = <z^2>, P = <|z|^2> and c = m2 - m1^2, the cosine channel's variance
+    is var(theta) = [(P - |m1|^2) + Re(e^{2i theta} c)] / 2, smallest at
+    theta* = (pi - arg c)/2 mod pi.  The cosine channel at theta* carries the
+    squeezed quadrature, the orthogonal channel the anti-squeezed one.
+    Warns (and still returns theta*) when the variance is flat in phase,
+    i.e. s ~ 0 and the phase is undefined.
     """
     if not bb.resonant:
         raise ScheduleError("no resonant-drive segments to optimize the phase on")
     s1, s2, s_abs, n_tot = bb.sums
     m1 = s1 / n_tot
-    m2 = s2 / n_tot
-    power = s_abs / n_tot
-
-    def variance(theta: float) -> float:
-        # var(Re(e^{i theta} z)) through the exact second-moment identity
-        rot = np.exp(1j * theta)
-        mean = (rot * m1).real
-        return 0.5 * (power + (rot * rot * m2).real) - mean * mean
-
-    grid = np.linspace(0.0, math.pi, PHASE_GRID, endpoint=False)
-    values = np.array([variance(th) for th in grid])
-    depth = (values.max() - values.min()) / max(values.mean(), 1e-300)
-    # the sampling noise of the second moment produces a depth of order
-    # 1/sqrt(N_eff) even at s = 0; only a clearly larger modulation (s of a
-    # few percent and up at typical record lengths) defines a phase
+    c = s2 / n_tot - m1 * m1
+    theta = (math.pi - cmath.phase(c)) / 2.0 % math.pi
+    # depth = (max - min)/mean of var(theta) over phase.  The sampling noise
+    # of the second moment produces a depth of order 1/sqrt(N_eff) even at
+    # s = 0; only a clearly larger modulation (s of a few percent and up at
+    # typical record lengths) defines a phase
+    depth = 2.0 * abs(c) / max(s_abs / n_tot - abs(m1) ** 2, 1e-300)
     if depth < 0.1:
         warnings.warn(
             "variance is flat in the demodulation phase (s ~ 0): "
-            "phase undefined, returning the grid argmin",
+            "phase undefined, returning the formal minimum",
             stacklevel=2,
         )
-        return float(grid[int(np.argmin(values))])
-    k = int(np.argmin(values))
-    step = math.pi / PHASE_GRID
-    a = grid[k] - step
-    b = grid[k] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = variance(c), variance(d)
-    while (b - a) > PHASE_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = variance(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = variance(d)
-    return float(((a + b) / 2.0) % math.pi)
+    return theta

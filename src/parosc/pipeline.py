@@ -161,10 +161,7 @@ def _run_repetition(
 
     # Quadrature path (Wigner backend): synthesize, compose and lock-in
     # filter each segment; only the decimated baseband is kept whole.
-    if v["demod_phase_mode"] == "optimize":
-        frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
-    else:
-        frame_phase = 0.0
+    frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     baseband = None
     for seg in segments:
         traj = _stage(
@@ -186,12 +183,8 @@ def _run_repetition(
             workers=workers, into=baseband,
         )
         del rec_w
-    if v["demod_phase_mode"] == "optimize":
-        theta = _stage("phase search", optimize_demod_phase, baseband)
-    else:
-        theta = v["demod_phase"]
-    det_theta = config.detection(demod_phase=theta)
-    demod = lockin_demodulate(baseband, det_theta)
+    theta = _stage("demodulation phase", optimize_demod_phase, baseband)
+    demod = lockin_demodulate(baseband, theta)
     del baseband
 
     nperseg_q = int(round(v["welch_segment"] * demod.sample_rate))

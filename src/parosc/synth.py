@@ -168,13 +168,6 @@ class Record:
     carrier: float
     start: int = 0
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
-    def usable_slices(self, tag: str) -> list[slice]:
-        return self.schedule.usable_slices(tag, self.sample_rate, self.n_samples)
-
 
 @dataclass
 class QuadTrajectory:

@@ -75,7 +75,10 @@ def component_roundtrip(config: RunConfig, rep: int) -> dict:
     nperseg = int(round(v["welch_segment"] * grid.sample_rate))
     psds = {
         tag: welch_psd_chunks(
-            [rec.samples[s] for s in rec.usable_slices(tag)],
+            [
+                rec.samples[s]
+                for s in schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
+            ],
             grid.sample_rate, nperseg, v["welch_overlap"], v["window"],
         )
         for tag in (DETUNED, RESONANT)
@@ -294,7 +297,7 @@ class TestCriterion7EstimatorHygiene:
             beta_s, beta_as, det, grid, delta_lo
         ).samples
         demod = lockin_demodulate(
-            demod_baseband(rec_w, det, delta_lo / TWO_PI * 1.05, decimate=4), det
+            demod_baseband(rec_w, det, delta_lo / TWO_PI * 1.05, decimate=4), 0.0
         )
         records["demod_channel"] = demod.ch_x
         rates_used = {"demod_channel": demod.sample_rate}

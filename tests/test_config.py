@@ -1,6 +1,8 @@
 """Config parsing, unit suffixes, validation and hashing."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,11 +37,11 @@ class TestParsing:
         assert cfg.values["sample_rate"] == 250e3
         assert cfg.values["lowpass_cutoff"] == 13e3
 
-    def test_times_and_phases(self):
-        cfg = RunConfig.from_text("duration = 100s\nschedule_period = 5s\ndemod_phase = 0.4rad\n")
+    def test_times(self):
+        cfg = RunConfig.from_text("duration = 100s\nschedule_period = 5s\nwelch_segment = 700ms\n")
         assert cfg.values["duration"] == 100.0
         assert cfg.values["schedule_period"] == 5.0
-        assert cfg.values["demod_phase"] == 0.4
+        assert cfg.values["welch_segment"] == pytest.approx(0.7)
 
     def test_comments_and_blank_lines(self):
         cfg = RunConfig.from_text("# heading\n\nn_bar = 5.8  # measured\n")
@@ -163,6 +165,16 @@ class TestSnapshotAndHash:
         assert two.config_hash() == base.config_hash()
         assert "workers" not in base.snapshot()
 
+    def test_readme_example_is_the_defaults(self):
+        # the README's ini block documents the defaults: a key it keeps after
+        # the config drops it, or a default it misstates, fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+        assert len(blocks) == 1
+        cfg = RunConfig.from_text(blocks[0])
+        assert validate_config(cfg) == []
+        assert cfg.config_hash() == RunConfig.defaults().config_hash()
+
 
 class TestMalformedValues:
     @pytest.mark.parametrize("text", ["n_bar = ..", "n_bar = 1e", "n_bar = +-"])
@@ -187,7 +199,7 @@ class TestMalformedValues:
 # valid suffixes per value kind; any other kind takes none
 _KIND_SUFFIXES = {
     "angular_freq": list(_HZ_SCALE), "plain_freq": list(_HZ_SCALE),
-    "time": list(_TIME_SCALE), "phase": ["rad"],
+    "time": list(_TIME_SCALE),
 }
 _NUMBERS = st.one_of(
     st.integers(-10**6, 10**6).map(str),

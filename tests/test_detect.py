@@ -1,9 +1,12 @@
-"""Record composition, lock-in demodulation, phase search and scheduling."""
+"""Record composition, lock-in demodulation, demodulation phase and scheduling."""
 
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from parosc.detect import (
     _MIX_BLOCK,
@@ -364,8 +367,8 @@ class TestLockinDemodulate:
             schedule=single_segment_schedule(grid.duration),
             carrier=CARRIER,
         )
-        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.0)
-        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), det)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
+        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), 0.0)
         inner = slice(2000, -2000)
         f_lo = DELTA_LO / TWO_PI
         expected_x = np.cos(DELTA_LO * t + psi)
@@ -381,11 +384,12 @@ class TestLockinDemodulate:
         # rotation of the whole baseband, bit for bit
         grid = grid_for(4.0, 14)
         traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
-        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.9)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det, EDGE)
         assert len(bb.z) > _MIX_BLOCK
-        dm = lockin_demodulate(bb, det)
-        rotated = bb.z * np.exp(1j * det.demod_phase)
+        theta = 0.9
+        dm = lockin_demodulate(bb, theta)
+        rotated = bb.z * np.exp(1j * theta)
         assert np.array_equal(dm.ch_x, rotated.real)
         assert np.array_equal(dm.ch_y, rotated.imag)
 
@@ -393,16 +397,16 @@ class TestLockinDemodulate:
         grid = grid_for(10.0, 11)
         rates = rates_for(0.5)
         traj = simulate_scheduled_quadratures(OSC, rates, grid)
-        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.3)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec_a = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=0.0)
         rec_b = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=1.1)
         rec_sum = Record(
             samples=rec_a.samples + rec_b.samples, sample_rate=grid.sample_rate,
             schedule=rec_a.schedule, carrier=rec_a.carrier,
         )
-        dm_a = lockin_demodulate(demod_baseband(rec_a, det, EDGE), det)
-        dm_b = lockin_demodulate(demod_baseband(rec_b, det, EDGE), det)
-        dm_sum = lockin_demodulate(demod_baseband(rec_sum, det, EDGE), det)
+        dm_a = lockin_demodulate(demod_baseband(rec_a, det, EDGE), 0.3)
+        dm_b = lockin_demodulate(demod_baseband(rec_b, det, EDGE), 0.3)
+        dm_sum = lockin_demodulate(demod_baseband(rec_sum, det, EDGE), 0.3)
         np.testing.assert_allclose(dm_sum.ch_x, dm_a.ch_x + dm_b.ch_x, atol=1e-10)
         np.testing.assert_allclose(dm_sum.ch_y, dm_a.ch_y + dm_b.ch_y, atol=1e-10)
 
@@ -412,12 +416,11 @@ class TestLockinDemodulate:
         grid = grid_for(10.0, 12)
         traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         delta = 0.83
-        det0 = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.2)
-        det1 = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=0.2 + delta)
-        rec0 = compose_heterodyne_wigner(traj, det0, DELTA_LO, frame_phase=0.0)
-        rec1 = compose_heterodyne_wigner(traj, det1, DELTA_LO, frame_phase=delta)
-        dm0 = lockin_demodulate(demod_baseband(rec0, det0, EDGE), det0)
-        dm1 = lockin_demodulate(demod_baseband(rec1, det1, EDGE), det1)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
+        rec0 = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=0.0)
+        rec1 = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=delta)
+        dm0 = lockin_demodulate(demod_baseband(rec0, det, EDGE), 0.2)
+        dm1 = lockin_demodulate(demod_baseband(rec1, det, EDGE), 0.2 + delta)
         # identical statistics: the only difference is the image sideband's
         # spectral tail leaking through the filter transition band, far below
         # the in-band signal (and far below any shot floor in practice)
@@ -451,8 +454,8 @@ class TestLockinDemodulate:
             samples=swapped, sample_rate=rec.sample_rate,
             schedule=schedule, carrier=rec.carrier,
         )
-        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), det)
-        dm_swapped = lockin_demodulate(demod_baseband(rec_swapped, det, EDGE), det)
+        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), 0.0)
+        dm_swapped = lockin_demodulate(demod_baseband(rec_swapped, det, EDGE), 0.0)
         for sl in dm.usable_slices(RESONANT):
             np.testing.assert_allclose(dm_swapped.ch_x[sl], dm.ch_x[sl], atol=1e-12)
 
@@ -484,7 +487,7 @@ class TestOptimizeDemodPhase:
         )
         theta = optimize_demod_phase(demod_baseband(rec, det, EDGE))
         target = (phi0 + math.pi / 2) % math.pi
-        assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 2e-3
+        assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
 
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
@@ -493,8 +496,7 @@ class TestOptimizeDemodPhase:
         theta = optimize_demod_phase(bb)
         ratios = []
         for phase in (theta, theta + math.pi / 2):
-            det_p = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3, demod_phase=phase)
-            dm = lockin_demodulate(bb, det_p)
+            dm = lockin_demodulate(bb, phase)
             cuts = np.concatenate([dm.ch_x[s] for s in dm.usable_slices(RESONANT)])
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
@@ -503,6 +505,42 @@ class TestOptimizeDemodPhase:
         rec, det = self._record(0.3, seed=16, s=0.0, duration=60.0)
         with pytest.warns(UserWarning, match="flat"):
             optimize_demod_phase(demod_baseband(rec, det, EDGE))
+
+    def test_closed_form_is_the_variance_minimum(self):
+        # complex samples with a nonzero mean, so the m1^2 term of the closed
+        # form matters; the sums stand in for a Baseband's resonant sums
+        rng = np.random.default_rng(17)
+        flat_seen = sharp_seen = 0
+        for _ in range(200):
+            n = 2000
+            squeeze = rng.uniform(0.0, 0.3)
+            x = rng.normal(0.0, math.sqrt(1.0 - squeeze), n)
+            y = rng.normal(0.0, math.sqrt(1.0 + squeeze), n)
+            mean = complex(*rng.normal(0.0, 2.0, 2))
+            z = (x + 1j * y) * np.exp(1j * rng.uniform(0.0, TWO_PI)) + mean
+            bb = SimpleNamespace(
+                resonant=[slice(0, n)],
+                sums=[np.sum(z), np.sum(z * z), np.sum(np.abs(z) ** 2), n],
+            )
+            m1 = np.mean(z)
+            c = np.mean(z * z) - m1 * m1
+            depth = 2.0 * abs(c) / (np.mean(np.abs(z) ** 2) - abs(m1) ** 2)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                theta = optimize_demod_phase(bb)
+            assert any("flat" in str(w.message) for w in caught) == (depth < 0.1)
+            assert 0.0 <= theta < math.pi
+            if depth < 0.1:
+                flat_seen += 1
+                continue
+            sharp_seen += 1
+            best = minimize_scalar(
+                lambda th: np.var((np.exp(1j * th) * z).real),
+                bounds=(theta - 0.5, theta + 0.5), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            assert abs(best.x - theta) < 1e-6
+        assert flat_seen > 10 and sharp_seen > 10
 
 
 class TestQuadratureSpectraAtOptimum:
@@ -523,10 +561,7 @@ class TestQuadratureSpectraAtOptimum:
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
         theta = optimize_demod_phase(demod_baseband(rec, det, EDGE))
-        det_opt = DetectionParams(
-            gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3, demod_phase=theta
-        )
-        dm = lockin_demodulate(demod_baseband(rec, det_opt, EDGE, decimate=4), det_opt)
+        dm = lockin_demodulate(demod_baseband(rec, det, EDGE, decimate=4), theta)
         f_lo = DELTA_LO / TWO_PI
         widths = {}
         for name, ch in (("x", dm.ch_x), ("y", dm.ch_y)):
