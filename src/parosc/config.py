@@ -13,10 +13,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from scipy import signal
-
 from .errors import ConfigError
-from .spectral import MAX_OVERLAP
+from .spectral import BIN_STEP_BY_WINDOW, MAX_OVERLAP
 from .model import CavityPumpParams, DerivedRates, OscillatorParams
 from .synth import SimGrid
 from .detect import DetectionParams, schedule_drive
@@ -71,7 +69,7 @@ FIELDS: dict[str, tuple[str, str, str]] = {
         "Welch overlap fraction in [0, 0.9]: past about 0.75 a tapered window gains almost "
         "no effective averages, while Welch's segment array grows as 1/(1 - overlap)",
     ),
-    "window": (STR, "hann", "Welch window"),
+    "window": (STR, "hann", "Welch window: boxcar, hann, hamming or blackman"),
     "fit_margin": (PLAIN_HZ, "500Hz", "half-width of each fit window"),
     # run
     "repetitions": (INT, "5", "independent repetitions per point"),
@@ -174,8 +172,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text") from None
+        return cls.from_text(text)
 
     def with_overrides(self, **items: str) -> "RunConfig":
         merged = dict(self.raw_text)
@@ -272,10 +276,11 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(
             f"welch_overlap must lie in [0, {MAX_OVERLAP}], got {v['welch_overlap']:.6g}"
         )
-    try:
-        signal.get_window(v["window"], 16)
-    except ValueError as exc:
-        problems.append(f"window {v['window']!r}: {exc}")
+    if v["window"] not in BIN_STEP_BY_WINDOW:
+        problems.append(
+            f"window must be one of {', '.join(BIN_STEP_BY_WINDOW)} (the windows "
+            f"whose bin correlation step is known), got {v['window']!r}"
+        )
     if v["decimate"] < 1:
         problems.append("decimate must be >= 1")
     if not v["welch_segment"] > 0:

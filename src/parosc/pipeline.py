@@ -30,7 +30,7 @@ from .detect import (
     optimize_demod_phase,
     schedule_drive,
 )
-from .errors import AntiDampedError, ParoscError, PipelineError, QuantumSqueezingRegimeError
+from .errors import AntiDampedError, ConfigError, ParoscError, PipelineError, QuantumSqueezingRegimeError
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
@@ -93,8 +93,14 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(f"stage '{name}': {exc}") from exc
 
 
-def _chunks(arr: np.ndarray, slices) -> list[np.ndarray]:
-    return [arr[s] for s in slices]
+def _make_out_dir(out_dir) -> Path:
+    """Create the artifact directory; a path that cannot be one is a config error."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, float]:
@@ -154,7 +160,7 @@ def _run_repetition(
         slices = schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
         psd_h[tag] = _stage(
             "heterodyne psd", welch_psd_chunks,
-            _chunks(samples, slices), grid.sample_rate, nperseg_h,
+            [samples[s] for s in slices], grid.sample_rate, nperseg_h,
             v["welch_overlap"], v["window"], workers=workers,
         )
     del samples
@@ -194,7 +200,7 @@ def _run_repetition(
         for ch_name, ch in (("x", demod.ch_x), ("y", demod.ch_y)):
             psd_q[(ch_name, tag)] = _stage(
                 "quadrature psd", welch_psd_chunks,
-                _chunks(ch, slices), demod.sample_rate, nperseg_q,
+                [ch[s] for s in slices], demod.sample_rate, nperseg_q,
                 v["welch_overlap"], v["window"], workers=workers,
             )
     if raw_dir is not None:
@@ -437,8 +443,7 @@ def run_single(
     config's `workers`); the artifacts do not depend on it.
     """
     require_valid(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     rates = config.derived_rates()
     if rates.weights.quantum_squeezed:
         return _run_analytic_only(config, out, rates)
@@ -607,8 +612,7 @@ def _run_sweep(spec: _SweepSpec, config: RunConfig, values, out_dir, workers: in
     """Run one point per swept value (per-point artifacts in point_XX/), then
     write sweep_summary.csv and theory_overlay.csv.  A failed point keeps
     its row: empty result cells and the error in the last column."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     workers = config.values["workers"] if workers is None else workers
     points = [
         (i, config.with_overrides(**spec.overrides(x)), out / f"point_{i:02d}")

@@ -4,11 +4,14 @@ Densities are always units^2/Hz and integrate to the sample variance
 (one-sided for real inputs, two-sided for complex ones), so fitted
 Lorentzian areas carry physical meaning in quanta.
 
-The working set of an estimate is bounded by one segment, not its record:
-each thread detrends, windows, transforms and squares one segment at a time
-into buffers allocated once per call, and only the running sum of the power
-rows is kept.  The window and its lag correlations are computed once per
-(window, segment length, hop) and shared read-only between calls.
+One estimator, `welch_psd_chunks`, serves a single record (a one-item list)
+and the disjoint chunks of a schedule alike: the mean of the power rows of
+every segment of every chunk, normalized once.  Its working set is one
+segment per thread, not the record: each thread detrends, windows,
+transforms and squares the segments of a chunk one at a time into buffers
+allocated once per chunk and keeps only their running sum.  The window and
+its lag correlations are computed once per (window, segment length, hop)
+and shared read-only between calls.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
-from scipy import signal
+from scipy import signal, special
 
 from .errors import SpectralError
 from .parallel import thread_map
@@ -38,7 +41,9 @@ BIN_STEP_BY_WINDOW = {"boxcar": 1, "hann": 2, "hamming": 2, "blackman": 3}
 
 
 def bin_step_for(window: str) -> int:
-    return BIN_STEP_BY_WINDOW.get(window, 2)
+    if window not in BIN_STEP_BY_WINDOW:
+        raise SpectralError(f"window {window!r} has no known bin step")
+    return BIN_STEP_BY_WINDOW[window]
 
 
 @dataclass(frozen=True)
@@ -94,87 +99,6 @@ def _overlap_variance_factor(rhos: tuple[float, ...], n_segments: int) -> float:
     return factor
 
 
-def welch_psd(
-    samples: np.ndarray,
-    sample_rate: float,
-    segment_len: int,
-    overlap_frac: float = DEFAULT_OVERLAP,
-    window: str = DEFAULT_WINDOW,
-    detrend: str | bool = "constant",
-) -> Psd:
-    """Averaged modified periodogram with window power normalization
-    (Welch's method along the last axis).
-
-    Real inputs produce a one-sided density (doubled except at DC/Nyquist);
-    complex inputs produce a two-sided density on an fftshifted axis.
-    Per-segment mean removal (the default) suppresses the DC bin; pass
-    detrend=False when the spectrum right at zero frequency matters.
-    Raises SpectralError when fewer than two segments fit.
-    """
-    samples = np.asarray(samples)
-    n = samples.shape[-1]
-    if segment_len > n:
-        raise SpectralError(f"segment_len {segment_len} exceeds record length {n}")
-    if not 0.0 <= overlap_frac < 1.0:
-        raise SpectralError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
-    noverlap = int(segment_len * overlap_frac)
-    hop = segment_len - noverlap
-    n_segments = 1 + (n - segment_len) // hop
-    if n_segments < 2:
-        raise SpectralError(
-            f"only {n_segments} segment(s) fit: record {n}, segment {segment_len}, "
-            f"overlap {overlap_frac}"
-        )
-    if not (detrend == "constant" or detrend is False):
-        raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
-    complex_input = np.iscomplexobj(samples)
-    win_vals, win_power, rhos = _window_terms(window, segment_len, hop)
-    if complex_input:
-        transform = sp_fft.fft
-        freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
-    else:
-        transform = sp_fft.rfft
-        freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
-    # hop-spaced segments along the last axis: (..., n_segments, segment_len)
-    segments = sliding_window_view(samples, segment_len, axis=-1)[..., ::hop, :]
-    # One segment at a time: records are long and chunks are estimated on
-    # several threads at once.  The power rows are added in segment order,
-    # which is the arithmetic of a mean over the whole stack.
-    lead = segments.shape[:-2]
-    windowed = np.empty(lead + (segment_len,), np.result_type(samples, win_vals))
-    power = np.empty(lead + freqs.shape)
-    density = np.zeros(lead + freqs.shape)
-    for k in range(n_segments):
-        seg = segments[..., k, :]
-        if detrend == "constant":
-            np.subtract(seg, seg.mean(axis=-1, keepdims=True), out=windowed)
-            windowed *= win_vals
-        else:
-            np.multiply(seg, win_vals, out=windowed)
-        spec = transform(windowed, axis=-1)
-        np.square(spec.real, out=power)
-        power += np.square(spec.imag, out=spec.imag)
-        del spec  # before the next transform allocates its successor
-        density += power
-    density /= n_segments
-    density /= sample_rate * win_power
-    if complex_input:
-        density = sp_fft.fftshift(density, axes=-1)
-    else:
-        # one-sided: fold negative frequencies onto all bins but DC and Nyquist
-        density[..., 1 : None if segment_len % 2 else -1] *= 2.0
-    eff = n_segments / _overlap_variance_factor(rhos, n_segments)
-    return Psd(
-        freqs=freqs,
-        density=density,
-        rbw=sample_rate / segment_len,
-        n_averages=n_segments,
-        effective_averages=eff,
-        window=window,
-        onesided=not complex_input,
-    )
-
-
 def welch_psd_chunks(
     chunks: list[np.ndarray],
     sample_rate: float,
@@ -182,36 +106,79 @@ def welch_psd_chunks(
     overlap_frac: float = DEFAULT_OVERLAP,
     window: str = DEFAULT_WINDOW,
     workers: int = 1,
+    detrend: str | bool = "constant",
 ) -> Psd:
-    """Welch estimate pooled over disjoint record chunks (e.g. schedule segments).
+    """Welch's averaged modified periodogram with window power normalization,
+    pooled over disjoint record chunks: the mean of every segment's power row.
 
-    Each chunk is estimated separately, on up to `workers` threads, and the
-    averages combined with weights proportional to their segment counts, in
-    list order (deterministic reduction).  Chunks shorter than two Welch
-    segments are skipped; pooling fails only if nothing remains.
+    Real inputs produce a one-sided density (doubled except at DC/Nyquist);
+    complex inputs produce a two-sided density on an fftshifted axis.
+    Per-segment mean removal (the default) suppresses the DC bin; pass
+    detrend=False when the spectrum right at zero frequency matters.  Chunks
+    are summed on up to `workers` threads and the sums added in list order.
+    Chunks shorter than two segments are skipped; raises SpectralError when
+    none remains.
     """
+    if not 0.0 <= overlap_frac < 1.0:
+        raise SpectralError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
+    if not (detrend == "constant" or detrend is False):
+        raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
+    hop = segment_len - int(segment_len * overlap_frac)
+    win_vals, win_power, rhos = _window_terms(window, segment_len, hop)
+    complex_input = any(np.iscomplexobj(chunk) for chunk in chunks)
+    if complex_input:
+        transform = sp_fft.fft
+        freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
+    else:
+        transform = sp_fft.rfft
+        freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
 
-    def estimate(chunk):
-        try:
-            return welch_psd(chunk, sample_rate, segment_len, overlap_frac, window)
-        except SpectralError:
+    def power_sum(chunk):
+        """(sum of the chunk's segment power rows, segment count), or None
+        when fewer than two segments fit."""
+        if len(chunk) < segment_len + hop:
             return None
+        # One segment at a time: records are long and chunks are summed on
+        # several threads at once.
+        windowed = np.empty(segment_len, complex if complex_input else float)
+        power = np.empty(freqs.shape)
+        total = np.zeros(freqs.shape)
+        segments = sliding_window_view(chunk, segment_len)[::hop]
+        for seg in segments:
+            if detrend == "constant":
+                np.subtract(seg, seg.mean(), out=windowed)
+                windowed *= win_vals
+            else:
+                np.multiply(seg, win_vals, out=windowed)
+            spec = transform(windowed)
+            np.square(spec.real, out=power)
+            power += np.square(spec.imag, out=spec.imag)
+            del spec  # before the next transform allocates its successor
+            total += power
+        return total, len(segments)
 
-    psds = [psd for psd in thread_map(estimate, chunks, workers) if psd is not None]
-    if not psds:
-        raise SpectralError("no chunk was long enough for a Welch estimate")
-    pooled = psds[0].density * psds[0].n_averages
-    for psd in psds[1:]:
-        pooled = pooled + psd.density * psd.n_averages
-    total = sum(psd.n_averages for psd in psds)
+    sums = [s for s in thread_map(power_sum, chunks, workers) if s is not None]
+    if not sums:
+        raise SpectralError(f"no chunk holds two Welch segments of {segment_len} samples")
+    density = np.zeros(freqs.shape)
+    for total, _ in sums:
+        density += total
+    n_segments = sum(k for _, k in sums)
+    density /= n_segments
+    density /= sample_rate * win_power
+    if complex_input:
+        density = sp_fft.fftshift(density)
+    else:
+        # one-sided: fold negative frequencies onto all bins but DC and Nyquist
+        density[1 : None if segment_len % 2 else -1] *= 2.0
     return Psd(
-        freqs=psds[0].freqs,
-        density=pooled / total,
-        rbw=psds[0].rbw,
-        n_averages=total,
-        effective_averages=sum(psd.effective_averages for psd in psds),
+        freqs=freqs,
+        density=density,
+        rbw=sample_rate / segment_len,
+        n_averages=n_segments,
+        effective_averages=sum(k / _overlap_variance_factor(rhos, k) for _, k in sums),
         window=window,
-        onesided=psds[0].onesided,
+        onesided=not complex_input,
     )
 
 
@@ -265,8 +232,6 @@ def chi2_indistinguishable(a: Psd, b: Psd, level: float = 0.01) -> tuple[bool, f
     Returns (indistinguishable, p_value): indistinguishable when the test does
     not reject at `level`.
     """
-    from scipy.stats import chi2 as chi2_dist
-
     if len(a.freqs) != len(b.freqs):
         raise SpectralError("PSDs must share a frequency axis")
     step = bin_step_for(a.window)
@@ -277,5 +242,5 @@ def chi2_indistinguishable(a: Psd, b: Psd, level: float = 0.01) -> tuple[bool, f
     z2 = (da - db) ** 2 / var
     stat = float(np.sum(z2))
     dof = len(z2)
-    p = float(chi2_dist.sf(stat, dof))
+    p = float(special.chdtrc(dof, stat))  # the chi-square survival function
     return p > level, p

@@ -40,7 +40,7 @@ from parosc.pipeline import (
     run_sweep_ratio_vs_s,
     run_sweep_variance_vs_tone_ratio,
 )
-from parosc.spectral import welch_psd, welch_psd_chunks
+from parosc.spectral import welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
@@ -305,7 +305,7 @@ class TestCriterion7EstimatorHygiene:
             fs = rates_used.get(name, grid.sample_rate)
             # detrending off: this is a pure normalization check, and segment
             # mean removal would bite the classes whose spectrum peaks at DC
-            psd = welch_psd(samples, fs, int(fs), detrend=False)
+            psd = welch_psd_chunks([samples], fs, int(fs), detrend=False)
             assert psd.n_averages >= 64, name
             ratio = psd.integral() / np.var(samples)
             assert abs(ratio - 1.0) <= 0.01, (name, ratio)

@@ -195,6 +195,11 @@ class TestMalformedValues:
         assert any("window" in p for p in problems)
         assert validate_config(RunConfig.defaults().with_overrides(window="blackman")) == []
 
+    def test_window_without_a_known_bin_step_is_a_validation_problem(self):
+        # a valid scipy window whose periodogram bins stay correlated at lag 2
+        problems = validate_config(RunConfig.defaults().with_overrides(window="flattop"))
+        assert any("window must be one of boxcar, hann, hamming, blackman" in p for p in problems)
+
 
 # valid suffixes per value kind; any other kind takes none
 _KIND_SUFFIXES = {

@@ -23,7 +23,7 @@ from parosc.detect import (
 from parosc.errors import AliasingError, FilterDesignError, ScheduleError
 from parosc.fitting import fit_single_pair
 from parosc.model import DerivedRates, OscillatorParams
-from parosc.spectral import welch_psd
+from parosc.spectral import welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     IMAG,
@@ -127,7 +127,7 @@ class TestComposeWigner:
         traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=0.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
-        psd = welch_psd(rec.samples, grid.sample_rate, 12_500)
+        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 12_500)
         interior = psd.density[10:-10]
         assert np.mean(interior) == pytest.approx(0.002, rel=0.02)
 
@@ -136,7 +136,7 @@ class TestComposeWigner:
         traj = constant_trajectory(grid, 1.0, 0.0, rates_for(0.0))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
-        psd = welch_psd(rec.samples, grid.sample_rate, 25_000)
+        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
         f_up = (CARRIER + DELTA_LO) / TWO_PI
         f_dn = (CARRIER - DELTA_LO) / TWO_PI
         powers = []
@@ -168,7 +168,7 @@ class TestComposeWigner:
         grid = grid_for(120.0, 6)
         traj = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
         rec = compose_heterodyne_wigner(traj, DET, DELTA_LO)
-        psd = welch_psd(rec.samples, grid.sample_rate, 25_000)
+        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
         fit = fit_single_pair(psd, (f_c + f_lo, f_c - f_lo), 300.0)
@@ -185,7 +185,7 @@ class TestComposeComponents:
         rec = compose_heterodyne_components(
             beta_s, np.zeros_like(beta_s), det, grid, DELTA_LO
         )
-        psd = welch_psd(rec.samples, grid.sample_rate, 25_000)
+        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
         up = np.sum(psd.density[np.abs(psd.freqs - (f_c + f_lo)) < 300.0])
@@ -215,7 +215,7 @@ class TestComposeComponents:
             # multiples of each other
             det = DetectionParams(gain=gain, shot_psd=0.002 * gain**2, lowpass_cutoff=2.5e3)
             rec = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
-            psd = welch_psd(rec.samples, grid.sample_rate, 25_000)
+            psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
             fit = fit_single_pair(psd, (f_c + f_lo, f_c - f_lo), 300.0)
             results.append(fit.derived["ratio"][0])
         assert results[1] == pytest.approx(results[0], rel=1e-9)
@@ -375,7 +375,7 @@ class TestLockinDemodulate:
         expected_y = -np.sin(DELTA_LO * t + psi)
         np.testing.assert_allclose(dm.ch_x[inner], expected_x[inner], atol=5e-4)
         np.testing.assert_allclose(dm.ch_y[inner], expected_y[inner], atol=5e-4)
-        psd = welch_psd(dm.ch_x[inner], dm.sample_rate, 10_000)
+        psd = welch_psd_chunks([dm.ch_x[inner]], dm.sample_rate, 10_000)
         peak = psd.freqs[int(np.argmax(psd.density))]
         assert peak == pytest.approx(f_lo, abs=2 * psd.rbw)
 
@@ -428,8 +428,8 @@ class TestLockinDemodulate:
         assert np.var(dm1.ch_x[inner]) == pytest.approx(np.var(dm0.ch_x[inner]), rel=5e-3)
         assert np.var(dm1.ch_y[inner]) == pytest.approx(np.var(dm0.ch_y[inner]), rel=5e-3)
         f_lo = DELTA_LO / TWO_PI
-        psd0 = welch_psd(dm0.ch_x[inner], dm0.sample_rate, 25_000)
-        psd1 = welch_psd(dm1.ch_x[inner], dm1.sample_rate, 25_000)
+        psd0 = welch_psd_chunks([dm0.ch_x[inner]], dm0.sample_rate, 25_000)
+        psd1 = welch_psd_chunks([dm1.ch_x[inner]], dm1.sample_rate, 25_000)
         band = np.abs(psd0.freqs - f_lo) < 50.0
         np.testing.assert_allclose(psd1.density[band], psd0.density[band], rtol=5e-2)
 
@@ -549,7 +549,7 @@ class TestQuadratureSpectraAtOptimum:
         # channel fits the two-peak model with the broad width, the
         # anti-squeezed channel with the narrow one
         from parosc.fitting import fit_quadrature
-        from parosc.spectral import welch_psd
+        from parosc.spectral import welch_psd_chunks
 
         rates = rates_for(0.5)
         grid = grid_for(120.0, 42)
@@ -566,7 +566,7 @@ class TestQuadratureSpectraAtOptimum:
         widths = {}
         for name, ch in (("x", dm.ch_x), ("y", dm.ch_y)):
             chunks = np.concatenate([ch[s] for s in dm.usable_slices(RESONANT)])
-            psd = welch_psd(chunks, dm.sample_rate, 6250)
+            psd = welch_psd_chunks([chunks], dm.sample_rate, 6250)
             fit = fit_quadrature(psd, f_lo, 300.0)
             widths[name] = fit.derived["gamma_hz"]
         gamma_plus_hz = rates.gamma_plus / TWO_PI

@@ -23,7 +23,7 @@ from parosc.fitting import (
     lorentzian,
 )
 from parosc.model import DerivedRates, OscillatorParams
-from parosc.spectral import Psd, welch_psd
+from parosc.spectral import Psd, welch_psd_chunks
 from parosc.synth import SimGrid, simulate_scheduled_envelopes, stream_rng
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +44,7 @@ def make_component_psd(seed, duration=60.0, s=0.5, n_bar=5.8, shot=0.002, gain=1
     beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
     det = DetectionParams(gain=gain, shot_psd=shot, lowpass_cutoff=2.5e3)
     rec = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
-    return welch_psd(rec.samples, grid.sample_rate, 25_000), rates
+    return welch_psd_chunks([rec.samples], grid.sample_rate, 25_000), rates
 
 
 CENTERS = (5e3 + 1.1e3, 5e3 - 1.1e3)

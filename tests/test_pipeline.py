@@ -291,6 +291,28 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["validate-config", "simulate", "sweep-ratios", "sweep-variances"])
+    @pytest.mark.parametrize("config", ["missing.cfg", ".", "binary.cfg"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, monkeypatch, verb, config):
+        monkeypatch.chdir(tmp_path)
+        Path("binary.cfg").write_bytes(b"\xff\xfe\x00")
+        out = [] if verb == "validate-config" else ["--out", "out"]
+        assert main([verb, "--config", config, *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "sweep-ratios", "sweep-variances"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(tiny_config(repetitions="1").snapshot())
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+        assert out.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize(
         "verb,option,values",
         [

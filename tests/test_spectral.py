@@ -17,7 +17,6 @@ from parosc.spectral import (
     bin_step_for,
     chi2_indistinguishable,
     read_psd_csv,
-    welch_psd,
     welch_psd_chunks,
     write_psd_csv,
 )
@@ -32,7 +31,7 @@ class TestWelchNormalization:
         nperseg = 10_000
         t = np.arange(200_000) / fs
         x = np.sin(TWO_PI * 100.0 * t)
-        psd = welch_psd(x, fs, nperseg)
+        psd = welch_psd_chunks([x], fs, nperseg)
         sel = np.abs(psd.freqs - 100.0) < 5.0
         power = np.sum(psd.density[sel]) * psd.rbw
         assert power == pytest.approx(0.5, rel=5e-3)
@@ -41,7 +40,7 @@ class TestWelchNormalization:
         fs = 5_000.0
         rng = stream_rng(123, 0)
         x = rng.standard_normal(400_000)
-        psd = welch_psd(x, fs, 4096)
+        psd = welch_psd_chunks([x], fs, 4096)
         expected = 2.0 / fs  # one-sided density for unit variance
         interior = psd.density[5:-5]
         sigma_bin = expected / math.sqrt(psd.effective_averages)
@@ -52,7 +51,7 @@ class TestWelchNormalization:
         fs = 5_000.0
         rng = stream_rng(7, 0)
         x = rng.standard_normal(330_000)
-        psd = welch_psd(x, fs, 4096)
+        psd = welch_psd_chunks([x], fs, 4096)
         assert psd.n_averages >= 64
         assert psd.integral() == pytest.approx(np.var(x), rel=0.01)
 
@@ -60,7 +59,7 @@ class TestWelchNormalization:
         fs = 2_000.0
         rng = stream_rng(8, 0)
         z = rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)
-        psd = welch_psd(z, fs, 2048)
+        psd = welch_psd_chunks([z], fs, 2048)
         assert not psd.onesided
         assert psd.integral() == pytest.approx(np.var(z), rel=0.01)
 
@@ -68,20 +67,20 @@ class TestWelchNormalization:
         fs = 4_000.0
         gamma = TWO_PI * 20.0
         x = OUChain(stream_rng(99, 0), 1.0 / fs).draw(1_600_000, gamma / 2.0, 1.0)
-        psd = welch_psd(x, fs, 8192)
+        psd = welch_psd_chunks([x], fs, 8192)
         # central-band integral plus analytic tail of the fitted Lorentzian
         fit = fit_single_band_area(psd)
         assert fit == pytest.approx(1.0, rel=0.02)
 
     def test_two_segment_minimum_enforced(self):
         with pytest.raises(SpectralError):
-            welch_psd(np.zeros(1000), 100.0, 1000)
+            welch_psd_chunks([np.zeros(1000)], 100.0, 1000)
 
     def test_two_sided_symmetry_for_real_data(self):
         fs = 1_000.0
         rng = stream_rng(5, 0)
         x = rng.standard_normal(50_000)
-        psd = welch_psd(x.astype(complex), fs, 1024)
+        psd = welch_psd_chunks([x.astype(complex)], fs, 1024)
         freqs, density = psd.freqs, psd.density
         for k in range(1, 500):
             idx_pos = np.argmin(np.abs(freqs - k * psd.rbw))
@@ -113,7 +112,7 @@ class TestWelchMatchesScipy:
         x = rng.standard_normal(n) + 0.3
         if complex_input:
             x = x + 1j * rng.standard_normal(n)
-        psd = welch_psd(x, 1234.0, seg, overlap, window, detrend=detrend)
+        psd = welch_psd_chunks([x], 1234.0, seg, overlap, window, detrend=detrend)
         freqs, density = signal.welch(
             x, fs=1234.0, window=window, nperseg=seg, noverlap=int(seg * overlap),
             detrend=detrend, return_onesided=not complex_input, scaling="density",
@@ -145,7 +144,7 @@ class TestWelchBatches:
         density[..., 1 : None if seg % 2 else -1] *= 2.0
         return density
 
-    @pytest.mark.parametrize("kind", ["real", "complex", "2-D"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("detrend", ["constant", False])
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
     def test_batches_equal_whole_stack_bitwise(self, kind, detrend, overlap):
@@ -157,9 +156,7 @@ class TestWelchBatches:
         x = rng.standard_normal(n) + 0.3
         if kind == "complex":
             x = x + 1j * rng.standard_normal(n)
-        elif kind == "2-D":
-            x = np.stack([x, rng.standard_normal(n) - 0.1])
-        psd = welch_psd(x, 1234.0, seg, overlap, "hann", detrend=detrend)
+        psd = welch_psd_chunks([x], 1234.0, seg, overlap, "hann", detrend=detrend)
         assert psd.n_averages == n_segments
         assert np.array_equal(psd.density, self.whole_stack_density(x, seg, overlap, detrend))
 
@@ -170,10 +167,10 @@ class TestWelchBatches:
         # segment, its transform and the power and density rows)
         seg = 20_000
         x = stream_rng(24, 0).standard_normal(40 * seg)
-        welch_psd(x, 1234.0, seg, 0.0, "hann")  # fill the window cache
+        welch_psd_chunks([x], 1234.0, seg, 0.0, "hann")  # fill the window cache
         tracemalloc.start()
         try:
-            welch_psd(x, 1234.0, seg, 0.0, "hann")
+            welch_psd_chunks([x], 1234.0, seg, 0.0, "hann")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -181,8 +178,8 @@ class TestWelchBatches:
 
     def test_window_is_shared_and_read_only(self):
         x = stream_rng(25, 0).standard_normal(6_000)
-        a = welch_psd(x, 1234.0, 1_000, 0.5, "blackman")
-        b = welch_psd(x, 1234.0, 1_000, 0.5, "blackman")
+        a = welch_psd_chunks([x], 1234.0, 1_000, 0.5, "blackman")
+        b = welch_psd_chunks([x], 1234.0, 1_000, 0.5, "blackman")
         win_a, win_b = (_window_terms("blackman", 1_000, 500)[0] for _ in range(2))
         assert win_a is win_b
         assert not win_a.flags.writeable
@@ -197,7 +194,7 @@ class TestChunkPooling:
         fs = 2_000.0
         rng = stream_rng(11, 0)
         x = rng.standard_normal(100_000)
-        whole = welch_psd(x, fs, 2000, overlap_frac=0.0)
+        whole = welch_psd_chunks([x], fs, 2000, overlap_frac=0.0)
         chunks = welch_psd_chunks([x[:50_000], x[50_000:]], fs, 2000, overlap_frac=0.0)
         assert chunks.n_averages == whole.n_averages
         np.testing.assert_allclose(chunks.density, whole.density, rtol=1e-12)
@@ -212,6 +209,47 @@ class TestChunkPooling:
     def test_all_chunks_short_raises(self):
         with pytest.raises(SpectralError):
             welch_psd_chunks([np.zeros(10)], 100.0, 1000)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_pooled_sum_bitwise(self, workers, complex_input):
+        # the pooled estimate is one mean over every segment of every chunk:
+        # each chunk's power rows summed in segment order, the chunk sums
+        # added in list order, then / N, / (fs * sum w^2) and the fold
+        fs, seg, hop = 1234.0, 500, 250
+        rng = stream_rng(14, 0)
+        chunks = [rng.standard_normal(n) + 0.3 for n in (1_750, 3_333, 2_600)]
+        if complex_input:
+            chunks = [c + 1j * rng.standard_normal(len(c)) for c in chunks]
+        transform = sp_fft.fft if complex_input else sp_fft.rfft
+        win = signal.get_window("hann", seg)
+        pooled = np.zeros(seg if complex_input else seg // 2 + 1)
+        n_segments = 0
+        for chunk in chunks:
+            total = np.zeros_like(pooled)
+            for segment in sliding_window_view(chunk, seg)[::hop]:
+                spec = transform((segment - segment.mean()) * win)
+                total += np.square(spec.real) + np.square(spec.imag)
+                n_segments += 1
+            pooled += total
+        pooled /= n_segments
+        pooled /= fs * float(np.sum(win**2))
+        if complex_input:
+            pooled = sp_fft.fftshift(pooled)
+        else:
+            pooled[1:-1] *= 2.0
+        psd = welch_psd_chunks(chunks, fs, seg, 0.5, "hann", workers=workers)
+        assert psd.n_averages == n_segments == 6 + 12 + 9
+        assert np.array_equal(psd.density, pooled)
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [({"overlap_frac": 1.5}, "overlap_frac must lie in"), ({"detrend": "linear"}, "detrend must be")],
+    )
+    def test_bad_option_raises_its_own_message(self, option, message):
+        x = stream_rng(15, 0).standard_normal(10_000)
+        with pytest.raises(SpectralError, match=message):
+            welch_psd_chunks([x], 100.0, 1000, **option)
 
     def test_worker_count_does_not_change_result(self):
         fs = 2_000.0
@@ -235,7 +273,7 @@ class TestWindowIndependence:
         record = x * np.cos(TWO_PI * 1100.0 * t) * math.sqrt(2.0)
         results = {}
         for window in ("hann", "blackman"):
-            psd = welch_psd(record, fs, 25_000, window=window)
+            psd = welch_psd_chunks([record], fs, 25_000, window=window)
             fit = fit_quadrature(psd, 1100.0, 300.0)
             results[window] = fit.derived["sigma2"]
         a, b = results["hann"], results["blackman"]
@@ -308,8 +346,8 @@ class TestChiSquareComparison:
         fs = 2_000.0
         x = OUChain(stream_rng(31, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
         y = OUChain(stream_rng(32, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
-        a = welch_psd(x, fs, 2000)
-        b = welch_psd(y, fs, 2000)
+        a = welch_psd_chunks([x], fs, 2000)
+        b = welch_psd_chunks([y], fs, 2000)
         same, p = chi2_indistinguishable(a, b)
         assert same, f"false rejection, p = {p}"
 
@@ -317,7 +355,38 @@ class TestChiSquareComparison:
         fs = 2_000.0
         x = OUChain(stream_rng(33, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
         y = OUChain(stream_rng(34, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.3)
-        a = welch_psd(x, fs, 2000)
-        b = welch_psd(y, fs, 2000)
+        a = welch_psd_chunks([x], fs, 2000)
+        b = welch_psd_chunks([y], fs, 2000)
         same, p = chi2_indistinguishable(a, b)
         assert not same
+
+    def test_p_value_is_the_scipy_chi2_tail_bitwise(self):
+        from scipy.stats import chi2
+
+        rng = stream_rng(35, 0)
+        for _ in range(200):
+            n_bins = int(rng.integers(4, 400))
+            k_a, k_b = rng.uniform(5.0, 500.0, size=2)
+            spectrum = rng.uniform(0.5, 2.0, size=n_bins)
+
+            def estimate(k):
+                # scatter from half to one and a half times the chi-square one
+                noise = rng.standard_normal(n_bins) * rng.uniform(0.5, 1.5) / math.sqrt(k)
+                return Psd(
+                    freqs=np.arange(n_bins, dtype=float), density=spectrum * (1.0 + noise),
+                    rbw=1.0, n_averages=int(k), effective_averages=k, window="hann", onesided=True,
+                )
+
+            a, b = estimate(k_a), estimate(k_b)
+            da, db = a.density[::2], b.density[::2]
+            var = (0.5 * (da + db)) ** 2 * (1.0 / k_a + 1.0 / k_b)
+            stat = float(np.sum((da - db) ** 2 / var))
+            _, p = chi2_indistinguishable(a, b)
+            assert p == float(chi2.sf(stat, len(da)))
+
+
+class TestBinStep:
+    @pytest.mark.parametrize("window", ["flattop", "blackmanharris", "nosuch"])
+    def test_unknown_window_raises(self, window):
+        with pytest.raises(SpectralError, match="no known bin step"):
+            bin_step_for(window)

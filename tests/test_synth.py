@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from parosc.fitting import fit_quadrature
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
-from parosc.spectral import bin_step_for, welch_psd
+from parosc.spectral import bin_step_for, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     IMAG,
@@ -247,7 +247,7 @@ class TestSidebandEnvelopes:
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=25e3, duration=100.0, carrier=TWO_PI * 5e3, seed=12)
         _, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
-        psd = welch_psd(beta_as, grid.sample_rate, 25_000, detrend=False)
+        psd = welch_psd_chunks([beta_as], grid.sample_rate, 25_000, detrend=False)
         step = bin_step_for(psd.window)
         sel = np.abs(psd.freqs) <= 300.0
         freqs = psd.freqs[sel][::step]
@@ -390,7 +390,7 @@ class TestSpectralRoundTrip:
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=100.0, carrier=TWO_PI * 200.0, seed=41)
         traj = simulate_scheduled_quadratures(OSC, rates, grid)
-        psd = welch_psd(traj.x, grid.sample_rate, 2000, detrend=False)
+        psd = welch_psd_chunks([traj.x], grid.sample_rate, 2000, detrend=False)
         # the lowest bins stay out of the fit, as in the Welch area test
         fit = fit_quadrature(psd.band(3.5 * psd.rbw, np.inf), 0.0, 300.0)
         gamma_plus_hz = rates.gamma_plus / TWO_PI
