@@ -221,13 +221,12 @@ class RunConfig:
             delta_pump=self.values["delta_pump"],
         )
 
-    def derived_rates(self, epsilon_c: float | None = None, s_target: float | None = None) -> DerivedRates:
+    def derived_rates(self) -> DerivedRates:
         if self.values["rate_source"] == "target":
-            s = self.values["s_target"] if s_target is None else s_target
             return DerivedRates.from_target(
-                self.values["gamma_eff_target"], s, self.values["n_bar"]
+                self.values["gamma_eff_target"], self.values["s_target"], self.values["n_bar"]
             )
-        return DerivedRates.from_params(self.pump(epsilon_c), self.oscillator())
+        return DerivedRates.from_params(self.pump(), self.oscillator())
 
     def detection(self) -> DetectionParams:
         return DetectionParams(

@@ -78,22 +78,16 @@ class DetectionParams:
 
 @dataclass
 class DemodOutput:
-    """Lock-in quadrature channels after mixing, low-pass and decimation.
-
-    edge_guard is the filter half-support in seconds; usable slices trim it
-    from segment tails so channel statistics cannot leak across a switch.
-    """
+    """Lock-in quadrature channels after mixing, low-pass and decimation,
+    with each drive class's usable slices (Baseband.usable_slices)."""
 
     ch_x: np.ndarray
     ch_y: np.ndarray
     sample_rate: float
-    schedule: Schedule
-    edge_guard: float = 0.0
+    slices: dict[str, list[slice]]
 
     def usable_slices(self, tag: str) -> list[slice]:
-        return self.schedule.usable_slices(
-            tag, self.sample_rate, len(self.ch_x), tail_guard=self.edge_guard
-        )
+        return self.slices[tag]
 
 
 def schedule_drive(grid: SimGrid, period: float, gamma_minus: float) -> Schedule:
@@ -394,8 +388,7 @@ class Baseband:
     filtered, and the tail (at least m-1 samples for m taps) is carried to
     the next piece.  Feeding a record in pieces therefore gives what feeding
     it whole gives.  Of the full-rate baseband only the decimated samples
-    are kept, plus the sums over the usable resonant samples (tail-trimmed
-    by the filter half support) that fix the demodulation phase.
+    are kept.
     """
 
     def __init__(self, taps: np.ndarray, n_samples: int, sample_rate: float, carrier: float,
@@ -409,11 +402,6 @@ class Baseband:
         self.decimate = decimate
         self.edge_guard = (m // 2) / sample_rate
         self.z = np.empty(-(-n_samples // decimate), dtype=complex)
-        self.resonant = schedule.usable_slices(
-            RESONANT, sample_rate, n_samples, tail_guard=self.edge_guard
-        )
-        # sum(z), sum(z^2), sum(|z|^2) and the count over the resonant slices
-        self.sums = [0.0, 0.0, 0.0, 0]
         self._nfft = sp_fft.next_fast_len(max(_FIR_FFT, 4 * m))
         self._step = self._nfft - (m - 1)
         self._n_blocks = -(-n_samples // self._step)
@@ -424,6 +412,14 @@ class Baseband:
         self._tail = np.zeros(m // 2, dtype=complex)
         self._block = 0
         self._fed = 0
+
+    def usable_slices(self, tag: str) -> list[slice]:
+        """Index ranges of z in the segments carrying `tag`, trimmed by the
+        settling guard at the head and by the filter half support at the
+        tail, so no statistic of them leaks across a drive switch."""
+        return self.schedule.usable_slices(
+            tag, self.sample_rate / self.decimate, len(self.z), tail_guard=self.edge_guard
+        )
 
     def feed(self, samples: np.ndarray, start: int, workers: int = 1) -> None:
         """Mix and filter the record samples [start, start + len(samples)),
@@ -461,34 +457,20 @@ class Baseband:
                 spec = sp_fft.fft(frames[b0:b1], axis=1)
                 spec *= self._response
                 y = sp_fft.ifft(spec, axis=1, overwrite_x=True)[:, m - 1 :]
-                return self._keep(y.reshape(-1), (self._block + b0) * step)
+                self._keep(y.reshape(-1), (self._block + b0) * step)
 
-            # the batches' sums are added in batch order, whatever the threads
-            for sums in thread_map(filter_batch, range(0, n_ready, _FIR_BATCH), workers):
-                self.sums = [a + b for a, b in zip(self.sums, sums)]
+            thread_map(filter_batch, range(0, n_ready, _FIR_BATCH), workers)
         self._tail = buf[n_ready * step :].copy()
         self._block += n_ready
 
-    def _keep(self, chunk: np.ndarray, g0: int) -> list:
+    def _keep(self, chunk: np.ndarray, g0: int) -> None:
         """Keep the decimated samples of the full-rate baseband chunk that
-        starts at record sample g0; return its sums over resonant samples."""
+        starts at record sample g0."""
         chunk = chunk[: max(0, self.n_samples - g0)]
-        g1 = g0 + len(chunk)
         d = self.decimate
         j0 = -(-g0 // d)
         kept = chunk[j0 * d - g0 :: d]
         self.z[j0 : j0 + len(kept)] = kept
-        sums = [0.0, 0.0, 0.0, 0]
-        for s in self.resonant:
-            lo, hi = max(s.start, g0), min(s.stop, g1)
-            if lo < hi:
-                p = chunk[lo - g0 : hi - g0]
-                sums[0] += np.sum(p)
-                sums[1] += np.sum(p * p)
-                # |z|^2 over the float pairs: no square root, no threaded BLAS call
-                sums[2] += np.einsum("i,i->", p.view(float), p.view(float))
-                sums[3] += len(p)
-        return sums
 
 
 def demod_baseband(
@@ -540,25 +522,34 @@ def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
         ch_x=ch_x,
         ch_y=ch_y,
         sample_rate=bb.sample_rate / bb.decimate,
-        schedule=bb.schedule,
-        edge_guard=bb.edge_guard,
+        slices={tag: bb.usable_slices(tag) for tag in (DETUNED, RESONANT)},
     )
 
 
 def optimize_demod_phase(bb: Baseband) -> float:
     """Demodulation phase minimizing one channel's variance on resonant data.
 
-    From the record's baseband sums (demod_baseband), with m1 = <z>,
-    m2 = <z^2>, P = <|z|^2> and c = m2 - m1^2, the cosine channel's variance
-    is var(theta) = [(P - |m1|^2) + Re(e^{2i theta} c)] / 2, smallest at
+    Over the resonant usable samples of the decimated baseband z, the ones
+    the quadrature spectra are estimated from, with m1 = <z>, m2 = <z^2>,
+    P = <|z|^2> and c = m2 - m1^2, the cosine channel's variance is
+    var(theta) = [(P - |m1|^2) + Re(e^{2i theta} c)] / 2, smallest at
     theta* = (pi - arg c)/2 mod pi.  The cosine channel at theta* carries the
     squeezed quadrature, the orthogonal channel the anti-squeezed one.
     Warns (and still returns theta*) when the variance is flat in phase,
     i.e. s ~ 0 and the phase is undefined.
     """
-    if not bb.resonant:
+    slices = bb.usable_slices(RESONANT)
+    if not slices:
         raise ScheduleError("no resonant-drive segments to optimize the phase on")
-    s1, s2, s_abs, n_tot = bb.sums
+    s1 = s2 = s_abs = 0.0
+    n_tot = 0
+    for s in slices:
+        p = bb.z[s]
+        s1 += np.sum(p)
+        s2 += np.sum(p * p)
+        # |z|^2 over the float pairs: no square root, no threaded BLAS call
+        s_abs += np.einsum("i,i->", p.view(float), p.view(float))
+        n_tot += len(p)
     m1 = s1 / n_tot
     c = s2 / n_tot - m1 * m1
     theta = (math.pi - cmath.phase(c)) / 2.0 % math.pi

@@ -201,14 +201,13 @@ def analytic_sideband_psd(
     gamma_eff: float,
     side: str,
     omega_grid: np.ndarray,
-    center: float = 0.0,
 ) -> Psd:
     """Closed-form two-Lorentzian sideband PSD evaluated on omega_grid (rad/s).
 
-    side is "stokes" or "antistokes".  The grid is interpreted as offsets
-    from the sideband centre unless `center` shifts it.  Densities follow the
-    (1/2pi) integral convention, so the returned per-Hz density integrates to
-    the sideband occupancy in quanta.  The total curve is non-negative for
+    side is "stokes" or "antistokes"; the grid holds offsets from the
+    sideband centre.  Densities follow the (1/2pi) integral convention, so
+    the returned per-Hz density integrates to the sideband occupancy in
+    quanta.  The total curve is non-negative for
     every frequency even when the broad anti-Stokes weight is negative.
     """
     if not 0.0 <= s < 1.0:
@@ -222,13 +221,13 @@ def analytic_sideband_psd(
         raise ValueError(f"side must be 'stokes' or 'antistokes', got {side!r}")
     g_plus = gamma_eff * (1.0 + s)
     g_minus = gamma_eff * (1.0 - s)
-    omega = np.asarray(omega_grid, dtype=float) - center
+    omega = np.asarray(omega_grid, dtype=float)
     density = 0.5 * gamma_eff * (
         w_narrow / (omega**2 + g_minus**2 / 4.0)
         + w_broad / (omega**2 + g_plus**2 / 4.0)
     )
     return Psd(
-        freqs=np.asarray(omega_grid, dtype=float) / (2.0 * math.pi),
+        freqs=omega / (2.0 * math.pi),
         density=density,
         rbw=float(np.min(np.diff(omega_grid)) / (2.0 * math.pi)) if len(np.atleast_1d(omega_grid)) > 1 else 0.0,
         n_averages=0,

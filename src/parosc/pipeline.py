@@ -740,21 +740,19 @@ def run_sweep_variance_vs_tone_ratio(config: RunConfig, epsilon_values, out_dir,
 # --- report verb -------------------------------------------------------------
 
 
-def load_report(artifacts_dir) -> dict:
-    path = Path(artifacts_dir) / "report.json"
-    if not path.exists():
-        raise PipelineError(f"missing report.json under {artifacts_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def report_artifacts(artifacts_dir) -> tuple[str, bool]:
     """Render the human summary for a run or sweep directory and evaluate the
-    pass/fail state; returns (text, ok).  A sweep fails when a point fails,
-    including a point refused before it wrote any artifact."""
+    pass/fail state; returns (text, ok).  A directory holding neither a
+    report nor a sweep summary fails, and so does a sweep when a point
+    fails, including a point refused before it wrote any artifact.  Raises
+    ConfigError when artifacts_dir is not a directory."""
     root = Path(artifacts_dir)
+    if not root.is_dir():
+        raise ConfigError(f"{artifacts_dir} is not an artifact directory")
     if not (root / "sweep_summary.csv").exists():
-        report = load_report(root)
+        if not (root / "report.json").exists():
+            return f"missing report.json and sweep_summary.csv under {root}\n", False
+        report = json.loads((root / "report.json").read_text(encoding="utf-8"))
         missing = [a for a in report["artifacts"] if not (root / a).exists()]
         ok = all(c["passed"] for c in report["checks"]) and not missing
         text = render_report(report)
@@ -764,12 +762,7 @@ def report_artifacts(artifacts_dir) -> tuple[str, bool]:
     texts = []
     ok = True
     for pd in sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("point_")):
-        try:
-            text, point_ok = report_artifacts(pd)
-        except PipelineError as exc:
-            texts.append(f"== {pd.name}: MISSING ({exc})")
-            ok = False
-            continue
+        text, point_ok = report_artifacts(pd)
         ok &= point_ok
         texts += [f"== {pd.name} [{'PASS' if point_ok else 'FAIL'}]", text]
     summary = (root / "sweep_summary.csv").read_text(encoding="utf-8")

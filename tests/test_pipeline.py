@@ -338,6 +338,21 @@ class TestCli:
         assert "checks:" in captured.out
         assert code in (0, 4)
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_report_out_not_a_directory_exit_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        if kind == "file":
+            out.write_text("not a directory\n")
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_report_empty_directory_exit_4(self, tmp_path, capsys):
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert "missing report.json" in captured.out
+        assert captured.err == ""
+
     def test_report_missing_artifacts_exit_4(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.cfg"
