@@ -28,7 +28,7 @@ from .model import (
     squeeze_param,
     thresholds,
 )
-from .spectral import Psd, chi2_indistinguishable, welch_psd_chunks
+from .spectral import Psd, Welch, chi2_indistinguishable, welch_psd_chunks
 from .synth import (
     QuadTrajectory,
     Record,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -22,8 +21,6 @@ from .errors import AliasingError, FilterDesignError, ScheduleError
 from .parallel import thread_map
 from .synth import (
     DETUNED,
-    IMAG,
-    REAL,
     RESONANT,
     STREAM_SHOT_COMPONENT,
     STREAM_SHOT_WIGNER,
@@ -36,10 +33,12 @@ from .synth import (
     single_segment_schedule,
 )
 
-# Samples per carrier-mixing and lock-in rotation block (cache-sized), per
+# Samples per carrier-mixing block (cache-sized), per lock-in rotation block
+# (small: it runs while the baseband and both channels are held), per
 # shot-noise buffer, and the FFT length and blocks per call of the lock-in
 # filter's overlap-save.
 _MIX_BLOCK = 1 << 16
+_ROTATE_BLOCK = 1 << 13
 _NOISE_STRETCH = 16 * _MIX_BLOCK
 _FIR_FFT = 1 << 13
 _FIR_BATCH = 16
@@ -50,6 +49,12 @@ MAX_GUARD_FRACTION = 0.25
 # A schedule is a list of segments built up front; this bounds its length
 # (about six days of record at the default 5 s period).
 MAX_SEGMENTS = 100_000
+
+# The sampling noise of the second moment gives the channel variance a
+# modulation depth over phase of order 1/sqrt(N_eff) even at s = 0; only a
+# clearly larger depth (s of a few percent and up at typical record
+# lengths) defines a demodulation phase.
+FLAT_PHASE_DEPTH = 0.1
 
 # The lock-in filter's design limits: at most this passband ripple, at least
 # this stopband attenuation (dB).
@@ -178,28 +183,18 @@ def _in_parts(start: int, end: int, workers: int, fn) -> None:
 
 
 def _mix_into(
-    out: np.ndarray, start: int, blocks, add: bool, shot_psd: float, sample_rate: float,
-    rng: np.random.Generator | None, workers: int,
+    out: np.ndarray, start: int, mix, shot_psd: float, sample_rate: float,
+    rng: np.random.Generator, workers: int,
 ) -> None:
-    """Write (add, when `add`) the values of the record samples [start,
-    start + len(out)) into out, where blocks(i0, i1) yields the (j0, j1,
-    values) carrier_phasors pieces of the samples [i0, i1); then add white
-    shot noise of one-sided density shot_psd drawn from rng (none when rng
-    is None).  Without noise the samples are mixed in `workers` parts side
-    by side; with noise, the noise of each _NOISE_STRETCH stretch of the
-    record is drawn into one buffer, on a second thread when workers > 1,
-    while that stretch is mixed.  The sum is the same either way."""
-
-    def mix(i0, i1):
-        for j0, j1, values in blocks(i0, i1):
-            dst = out[j0 - start : j1 - start]
-            if add:
-                dst += values
-            else:
-                dst[...] = values
-
+    """Fill out with the record samples [start, start + len(out)), where
+    mix(i0, i1) writes the samples [i0, i1) into their places in out; then
+    add white shot noise of one-sided density shot_psd drawn from rng.
+    Without noise the samples are mixed in `workers` parts side by side;
+    with noise, the noise of each _NOISE_STRETCH stretch of the record is
+    drawn into one buffer, on a second thread when workers > 1, while that
+    stretch is mixed.  The sum is the same either way."""
     end = start + len(out)
-    if rng is None or not shot_psd > 0.0:
+    if not shot_psd > 0.0:
         _in_parts(start, end, workers, mix)
         return
     sigma = math.sqrt(shot_psd * sample_rate / 2.0)
@@ -241,20 +236,24 @@ def compose_heterodyne_wigner(
         schedule = single_segment_schedule(grid.duration)
     n, start = grid.n_samples, grid.start
 
-    def blocks(a, b):
-        for (i0, i1, car), (_, _, lo) in zip(
-            carrier_phasors(b - a, grid.carrier, grid.dt, frame_phase, a),
-            carrier_phasors(b - a, delta_lo, grid.dt, 0.0, a),
-        ):
-            beat = car.real * traj.x[i0 - start : i1 - start]
-            beat += car.imag * traj.y[i0 - start : i1 - start]
+    out = np.empty(n)
+
+    def mix(a, b):
+        # Each block is computed in its place in out and in its fresh
+        # phasors.  The two phasor streams are stepped in turn, not zipped:
+        # zip would hold the last pair while the next is made.
+        los = carrier_phasors(b - a, delta_lo, grid.dt, 0.0, a)
+        for i0, i1, car in carrier_phasors(b - a, grid.carrier, grid.dt, frame_phase, a):
+            lo = next(los)[2]
+            j0, j1 = i0 - start, i1 - start
+            beat = np.multiply(car.real, traj.x[j0:j1], out=out[j0:j1])
+            beat += np.multiply(car.imag, traj.y[j0:j1], out=car.imag)
             beat *= lo.real
             beat *= 2.0 * det.gain
-            yield i0, i1, beat
+            del car, lo  # before the next block's phasors are made
 
-    out = np.empty(n)
     shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_WIGNER)
-    _mix_into(out, start, blocks, False, det.shot_psd, grid.sample_rate, shot, workers)
+    _mix_into(out, start, mix, det.shot_psd, grid.sample_rate, shot, workers)
     return Record(
         samples=out,
         sample_rate=grid.sample_rate,
@@ -272,8 +271,6 @@ def compose_heterodyne_components(
     delta_lo: float,
     schedule: Schedule | None = None,
     workers: int = 1,
-    part: str | None = None,
-    out: np.ndarray | None = None,
     streams: Streams | None = None,
 ) -> Record:
     """Real heterodyne record from the component-backend envelopes.
@@ -283,46 +280,37 @@ def compose_heterodyne_components(
     closed-form sideband spectrum scaled by gain^2/2 (factor documented so
     fitted weight ratios stay gain-independent).
 
-    The record is linear in the envelopes, so it can be built in parts.
-    The grid may be one drive segment of the record (grid.start), and with
-    `part` the envelopes are real arrays holding only their REAL or IMAG
-    parts: REAL writes Re(beta)*cos into `out` (a new array by default),
-    IMAG adds -Im(beta)*sin and the shot noise to `out`, `streams` carrying
-    the noise from the previous segment.  A record composed in parts takes
-    the REAL part of every segment before any IMAG part.
+    The grid may be one drive segment of the record (grid.start); the piece
+    then holds that segment's samples, `streams` carrying the shot noise
+    from the previous one.  Each sample is the Re(beta) cos sweep, plus the
+    -Im(beta) sin sweep, plus the shot noise, added in that order.
     """
     _check_nyquist(grid, delta_lo)
     if schedule is None:
         schedule = single_segment_schedule(grid.duration)
-    n, start = grid.n_samples, grid.start
-    if part is None:
-        parts = ((REAL, beta_stokes.real, beta_antistokes.real),
-                 (IMAG, beta_stokes.imag, beta_antistokes.imag))
-    elif part == IMAG and out is None:
-        raise ValueError("the IMAG part adds to the REAL part's samples: pass them as out")
-    else:
-        parts = ((part, beta_stokes, beta_antistokes),)
-    samples = np.empty(n) if out is None else out
+    start = grid.start
+    samples = np.empty(grid.n_samples)
+
+    def mix(a, b):
+        # Re{beta e^{i phi}} = Re(beta) cos(phi) - Im(beta) sin(phi); each
+        # block is computed in its place in samples and in its fresh phasors,
+        # the phasor streams stepped in turn as in compose_heterodyne_wigner
+        dns = carrier_phasors(b - a, grid.carrier - delta_lo, grid.dt, 0.0, a)
+        for i0, i1, up in carrier_phasors(b - a, grid.carrier + delta_lo, grid.dt, 0.0, a):
+            dn = next(dns)[2]
+            j0, j1 = i0 - start, i1 - start
+            b_s, b_as = beta_stokes[j0:j1], beta_antistokes[j0:j1]
+            mixed = np.multiply(up.real, b_s.real, out=samples[j0:j1])
+            mixed += np.multiply(dn.real, b_as.real, out=dn.real)
+            mixed *= det.gain
+            quad = np.multiply(up.imag, b_s.imag, out=up.imag)
+            quad += np.multiply(dn.imag, b_as.imag, out=dn.imag)
+            quad *= -det.gain
+            mixed += quad
+            del up, dn, quad  # before the next block's phasors are made
+
     shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_COMPONENT)
-
-    for p, b_s, b_as in parts:
-        # Re{beta e^{i phi}} = Re(beta) cos(phi) - Im(beta) sin(phi)
-        take, scale = (np.real, det.gain) if p == REAL else (np.imag, -det.gain)
-
-        def blocks(a, b):
-            for (i0, i1, up), (_, _, dn) in zip(
-                carrier_phasors(b - a, grid.carrier + delta_lo, grid.dt, 0.0, a),
-                carrier_phasors(b - a, grid.carrier - delta_lo, grid.dt, 0.0, a),
-            ):
-                mixed = take(up) * b_s[i0 - start : i1 - start]
-                mixed += take(dn) * b_as[i0 - start : i1 - start]
-                mixed *= scale
-                yield i0, i1, mixed
-
-        _mix_into(
-            samples, start, blocks, p == IMAG, det.shot_psd, grid.sample_rate,
-            shot if p == IMAG else None, workers,
-        )
+    _mix_into(samples, start, mix, det.shot_psd, grid.sample_rate, shot, workers)
     return Record(
         samples=samples,
         sample_rate=grid.sample_rate,
@@ -457,7 +445,8 @@ class Baseband:
                 spec = sp_fft.fft(frames[b0:b1], axis=1)
                 spec *= self._response
                 y = sp_fft.ifft(spec, axis=1, overwrite_x=True)[:, m - 1 :]
-                self._keep(y.reshape(-1), (self._block + b0) * step)
+                for r, row in enumerate(y):  # no flattened copy of the batch
+                    self._keep(row, (self._block + b0 + r) * step)
 
             thread_map(filter_batch, range(0, n_ready, _FIR_BATCH), workers)
         self._tail = buf[n_ready * step :].copy()
@@ -508,14 +497,16 @@ def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
     Both channels come from the record's complex baseband (demod_baseband)
     rotated by the demodulation phase theta = demod_phase, which is exactly
     equivalent and filter-consistent; the baseband's decimation applies.
-    The baseband is rotated _MIX_BLOCK samples at a time, straight into the
-    two channels.
+    The baseband is rotated _ROTATE_BLOCK samples at a time through one
+    buffer, straight into the two channels.
     """
     rot = np.exp(1j * demod_phase)
     ch_x = np.empty(len(bb.z))
     ch_y = np.empty(len(bb.z))
-    for i0 in range(0, len(bb.z), _MIX_BLOCK):
-        rotated = bb.z[i0 : i0 + _MIX_BLOCK] * rot
+    buf = np.empty(min(len(bb.z), _ROTATE_BLOCK), dtype=complex)
+    for i0 in range(0, len(bb.z), _ROTATE_BLOCK):
+        z = bb.z[i0 : i0 + _ROTATE_BLOCK]
+        rotated = np.multiply(z, rot, out=buf[: len(z)])
         ch_x[i0 : i0 + len(rotated)] = rotated.real
         ch_y[i0 : i0 + len(rotated)] = rotated.imag
     return DemodOutput(
@@ -526,8 +517,9 @@ def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
     )
 
 
-def optimize_demod_phase(bb: Baseband) -> float:
-    """Demodulation phase minimizing one channel's variance on resonant data.
+def optimize_demod_phase(bb: Baseband) -> tuple[float, float]:
+    """Demodulation phase minimizing one channel's variance on resonant data,
+    and the depth of that variance's modulation over phase.
 
     Over the resonant usable samples of the decimated baseband z, the ones
     the quadrature spectra are estimated from, with m1 = <z>, m2 = <z^2>,
@@ -535,8 +527,9 @@ def optimize_demod_phase(bb: Baseband) -> float:
     var(theta) = [(P - |m1|^2) + Re(e^{2i theta} c)] / 2, smallest at
     theta* = (pi - arg c)/2 mod pi.  The cosine channel at theta* carries the
     squeezed quadrature, the orthogonal channel the anti-squeezed one.
-    Warns (and still returns theta*) when the variance is flat in phase,
-    i.e. s ~ 0 and the phase is undefined.
+    The depth is (max - min)/mean of var(theta); below FLAT_PHASE_DEPTH the
+    variance is flat in phase, i.e. s ~ 0 and theta* is only the formal
+    minimum.
     """
     slices = bb.usable_slices(RESONANT)
     if not slices:
@@ -553,15 +546,5 @@ def optimize_demod_phase(bb: Baseband) -> float:
     m1 = s1 / n_tot
     c = s2 / n_tot - m1 * m1
     theta = (math.pi - cmath.phase(c)) / 2.0 % math.pi
-    # depth = (max - min)/mean of var(theta) over phase.  The sampling noise
-    # of the second moment produces a depth of order 1/sqrt(N_eff) even at
-    # s = 0; only a clearly larger modulation (s of a few percent and up at
-    # typical record lengths) defines a phase
     depth = 2.0 * abs(c) / max(s_abs / n_tot - abs(m1) ** 2, 1e-300)
-    if depth < 0.1:
-        warnings.warn(
-            "variance is flat in the demodulation phase (s ~ 0): "
-            "phase undefined, returning the formal minimum",
-            stacklevel=2,
-        )
-    return theta
+    return theta, depth

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from collections import deque
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -23,6 +25,7 @@ from scipy.optimize import brentq
 from . import recordio
 from .config import TWO_PI, RunConfig, require_valid
 from .detect import (
+    FLAT_PHASE_DEPTH,
     demod_baseband,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
@@ -34,11 +37,9 @@ from .errors import AntiDampedError, ConfigError, ParoscError, PipelineError, Qu
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
-from .spectral import chi2_indistinguishable, welch_psd_chunks, write_psd_csv
+from .spectral import Welch, chi2_indistinguishable, welch_psd_chunks, write_psd_csv
 from .synth import (
     DETUNED,
-    IMAG,
-    REAL,
     RESONANT,
     STREAM_FRAME_PHASE,
     Streams,
@@ -128,42 +129,41 @@ def _run_repetition(
 
     # Both backends stream their records one drive segment at a time; the
     # random streams continue from segment to segment.
-    streams = Streams(seed, grid.dt)
-    segments = [
-        grid.segment(i0, i1)
-        for i0, i1, _ in schedule.sample_bounds(grid.sample_rate, grid.n_samples)
-    ]
+    streams = Streams(seed, grid.dt, grid.n_samples)
+    bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+    segments = [grid.segment(i0, i1) for i0, i1, _ in bounds]
 
-    # Sideband path (component backend).  Its record is the one full-length
-    # array of the repetition, so it runs first, before the quadrature path
-    # has left freed blocks on the heap.  The record is linear in the
-    # envelopes: it is accumulated from the real parts of every segment, then
-    # the imaginary parts (each stream draws its real part first).
-    samples = np.empty(grid.n_samples)
-    for part in (REAL, IMAG):
-        for seg in segments:
-            env = _stage(
-                "synthesis", simulate_scheduled_envelopes, osc, rates, seg, schedule,
-                workers=workers, part=part, streams=streams,
-            )
-            _stage(
-                "composition", compose_heterodyne_components, *env, det, seg, delta_lo,
-                schedule=schedule, workers=workers, part=part,
-                out=samples[seg.start : seg.start + seg.n_samples], streams=streams,
-            )
-            del env
-    if raw_dir is not None:
-        recordio.write_record_bin(raw_dir / "record_component.bin", samples, grid.sample_rate)
+    # Sideband path (component backend): each segment's piece of the record
+    # is composed from its envelopes, written out, and its usable part fed
+    # to its drive class's Welch estimate.
     nperseg_h = int(round(v["welch_segment"] * grid.sample_rate))
-    psd_h = {}
-    for tag in (DETUNED, RESONANT):
-        slices = schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
-        psd_h[tag] = _stage(
-            "heterodyne psd", welch_psd_chunks,
-            [samples[s] for s in slices], grid.sample_rate, nperseg_h,
-            v["welch_overlap"], v["window"], workers=workers,
+    welch_h = {
+        tag: Welch(grid.sample_rate, nperseg_h, v["welch_overlap"], v["window"], "constant")
+        for tag in (DETUNED, RESONANT)
+    }
+    usable_h = {tag: deque(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples))
+                for tag in (DETUNED, RESONANT)}
+    for seg, (_, _, tag) in zip(segments, bounds):
+        env = _stage(
+            "synthesis", simulate_scheduled_envelopes, osc, rates, seg, schedule,
+            workers=workers, streams=streams,
         )
-    del samples
+        piece = _stage(
+            "composition", compose_heterodyne_components, *env, det, seg, delta_lo,
+            schedule=schedule, workers=workers, streams=streams,
+        ).samples
+        del env
+        if raw_dir is not None:
+            recordio.write_record_bin(
+                raw_dir / "record_component.bin", piece, grid.sample_rate,
+                offset=seg.start, length=grid.n_samples,
+            )
+        usable = usable_h[tag]
+        if usable and usable[0].start < seg.start + seg.n_samples:
+            keep = usable.popleft()
+            welch_h[tag].feed(piece[keep.start - seg.start : keep.stop - seg.start], workers)
+        del piece
+    psd_h = {tag: _stage("heterodyne psd", welch.psd) for tag, welch in welch_h.items()}
 
     # Quadrature path (Wigner backend): synthesize, compose and lock-in
     # filter each segment; only the decimated baseband is kept whole.
@@ -189,7 +189,15 @@ def _run_repetition(
             workers=workers, into=baseband,
         )
         del rec_w
-    theta = _stage("demodulation phase", optimize_demod_phase, baseband)
+    theta, depth = _stage("demodulation phase", optimize_demod_phase, baseband)
+    if depth < FLAT_PHASE_DEPTH:
+        # attributed to the caller of run_single
+        warnings.warn(
+            f"repetition seed {seed}: variance is flat in the demodulation phase "
+            f"(depth {depth:.3g} < {FLAT_PHASE_DEPTH}, s ~ 0): phase undefined, "
+            "using the formal minimum",
+            stacklevel=3,
+        )
     demod = lockin_demodulate(baseband, theta)
     del baseband
 

@@ -4,14 +4,18 @@ Densities are always units^2/Hz and integrate to the sample variance
 (one-sided for real inputs, two-sided for complex ones), so fitted
 Lorentzian areas carry physical meaning in quanta.
 
-One estimator, `welch_psd_chunks`, serves a single record (a one-item list)
-and the disjoint chunks of a schedule alike: the mean of the power rows of
-every segment of every chunk, normalized once.  Its working set is one
-segment per thread, not the record: each thread detrends, windows,
-transforms and squares the segments of a chunk one at a time into buffers
-allocated once per chunk and keeps only their running sum.  The window and
-its lag correlations are computed once per (window, segment length, hop)
-and shared read-only between calls.
+One estimator, the `Welch` accumulator, serves a single record and the
+disjoint chunks of a schedule alike: the mean of the power rows of every
+segment of every chunk, normalized once.  Each chunk's rows are summed in
+segment order and that chunk sum is added to the running sum, so the
+estimate does not depend on how the chunks are threaded.  `Welch.feed`
+takes one chunk at a time, its rows on several threads, so a record
+streamed one drive segment at a time is never held whole;
+`welch_psd_chunks` sums a list of chunks, whole chunks on several threads.
+The working set is a few segments per thread, not the record: each row is
+detrended, windowed, transformed and squared in buffers allocated once per
+chunk.  The window and its lag correlations are computed once per (window,
+segment length, hop) and shared read-only between calls.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy import fft as sp_fft
 from scipy import signal, special
 
 from .errors import SpectralError
-from .parallel import thread_map
+from .parallel import in_order, thread_map
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
@@ -99,6 +103,121 @@ def _overlap_variance_factor(rhos: tuple[float, ...], n_segments: int) -> float:
     return factor
 
 
+class Welch:
+    """Welch's averaged modified periodogram with window power normalization,
+    pooled over disjoint record chunks fed one at a time: the mean of every
+    segment's power row.
+
+    Real inputs produce a one-sided density (doubled except at DC/Nyquist);
+    complex inputs produce a two-sided density on an fftshifted axis.
+    Per-segment mean removal (detrend="constant") suppresses the DC bin;
+    detrend=False keeps the spectrum right at zero frequency.
+    """
+
+    def __init__(
+        self, sample_rate: float, segment_len: int, overlap_frac: float, window: str,
+        detrend: str | bool,
+    ):
+        if not 0.0 <= overlap_frac < 1.0:
+            raise SpectralError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
+        if not (detrend == "constant" or detrend is False):
+            raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
+        self.sample_rate = sample_rate
+        self.segment_len = segment_len
+        self.window = window
+        self.detrend = detrend
+        self.hop = segment_len - int(segment_len * overlap_frac)
+        self._win_vals, self._win_power, self._rhos = _window_terms(window, segment_len, self.hop)
+        self._complex: bool | None = None
+        self._total: np.ndarray | None = None
+        self._n_segments = 0
+        self._effective = 0.0
+
+    def feed(self, chunk: np.ndarray, workers: int) -> None:
+        """Add the power rows of the chunk's segments to the running sum:
+        the rows are computed on up to `workers` threads, summed in segment
+        order, and that chunk sum is added.  A chunk shorter than two
+        segments is skipped."""
+        self._check_kind(chunk)
+        self._add(self._power_sum(chunk, workers))
+
+    def _check_kind(self, chunk: np.ndarray) -> None:
+        """The first chunk fixes real or complex input; later ones must match."""
+        complex_input = np.iscomplexobj(chunk)
+        if self._complex is None:
+            self._complex = complex_input
+            self._total = np.zeros(self.segment_len if complex_input else self.segment_len // 2 + 1)
+        elif complex_input != self._complex:
+            raise SpectralError("chunks of one estimate must be all real or all complex")
+
+    def _power_sum(self, chunk: np.ndarray, workers: int) -> tuple[np.ndarray, int] | None:
+        """(sum of the chunk's segment power rows in segment order, segment
+        count), or None when fewer than two segments fit."""
+        seg_len = self.segment_len
+        if len(chunk) < seg_len + self.hop:
+            return None
+        transform = sp_fft.fft if self._complex else sp_fft.rfft
+        segments = sliding_window_view(chunk, seg_len)[:: self.hop]
+        # Records are long and segments too: each row has a slot, reused once
+        # the row in it is summed, so at most one more row than threads is
+        # held while the threads compute the next rows.
+        slots = 1 if workers <= 1 else workers + 1
+        windowed = np.empty((slots, seg_len), complex if self._complex else float)
+        rows = np.empty((slots, len(self._total)))
+
+        def power_row(k):
+            j = k % slots
+            if self.detrend == "constant":
+                np.subtract(segments[k], segments[k].mean(), out=windowed[j])
+                windowed[j] *= self._win_vals
+            else:
+                np.multiply(segments[k], self._win_vals, out=windowed[j])
+            spec = transform(windowed[j])
+            np.square(spec.real, out=rows[j])
+            rows[j] += np.square(spec.imag, out=spec.imag)
+            return rows[j]
+
+        total = np.zeros(len(self._total))
+        for row in in_order(power_row, range(len(segments)), workers, slots):
+            total += row
+        return total, len(segments)
+
+    def _add(self, power_sum: tuple[np.ndarray, int] | None) -> None:
+        if power_sum is None:
+            return
+        total, k = power_sum
+        self._total += total
+        self._n_segments += k
+        self._effective += k / _overlap_variance_factor(self._rhos, k)
+
+    def psd(self) -> Psd:
+        """The normalized mean of every row fed; raises SpectralError when
+        no chunk held two segments."""
+        if not self._n_segments:
+            raise SpectralError(
+                f"no chunk holds two Welch segments of {self.segment_len} samples"
+            )
+        seg_len, fs = self.segment_len, self.sample_rate
+        density = self._total / self._n_segments
+        density /= fs * self._win_power
+        if self._complex:
+            freqs = sp_fft.fftshift(sp_fft.fftfreq(seg_len, 1.0 / fs))
+            density = sp_fft.fftshift(density)
+        else:
+            freqs = sp_fft.rfftfreq(seg_len, 1.0 / fs)
+            # one-sided: fold negative frequencies onto all bins but DC and Nyquist
+            density[1 : None if seg_len % 2 else -1] *= 2.0
+        return Psd(
+            freqs=freqs,
+            density=density,
+            rbw=fs / seg_len,
+            n_averages=self._n_segments,
+            effective_averages=self._effective,
+            window=self.window,
+            onesided=not self._complex,
+        )
+
+
 def welch_psd_chunks(
     chunks: list[np.ndarray],
     sample_rate: float,
@@ -108,78 +227,16 @@ def welch_psd_chunks(
     workers: int = 1,
     detrend: str | bool = "constant",
 ) -> Psd:
-    """Welch's averaged modified periodogram with window power normalization,
-    pooled over disjoint record chunks: the mean of every segment's power row.
-
-    Real inputs produce a one-sided density (doubled except at DC/Nyquist);
-    complex inputs produce a two-sided density on an fftshifted axis.
-    Per-segment mean removal (the default) suppresses the DC bin; pass
-    detrend=False when the spectrum right at zero frequency matters.  Chunks
-    are summed on up to `workers` threads and the sums added in list order.
-    Chunks shorter than two segments are skipped; raises SpectralError when
-    none remains.
-    """
-    if not 0.0 <= overlap_frac < 1.0:
-        raise SpectralError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
-    if not (detrend == "constant" or detrend is False):
-        raise SpectralError(f"detrend must be 'constant' or False, got {detrend!r}")
-    hop = segment_len - int(segment_len * overlap_frac)
-    win_vals, win_power, rhos = _window_terms(window, segment_len, hop)
-    complex_input = any(np.iscomplexobj(chunk) for chunk in chunks)
-    if complex_input:
-        transform = sp_fft.fft
-        freqs = sp_fft.fftshift(sp_fft.fftfreq(segment_len, 1.0 / sample_rate))
-    else:
-        transform = sp_fft.rfft
-        freqs = sp_fft.rfftfreq(segment_len, 1.0 / sample_rate)
-
-    def power_sum(chunk):
-        """(sum of the chunk's segment power rows, segment count), or None
-        when fewer than two segments fit."""
-        if len(chunk) < segment_len + hop:
-            return None
-        # One segment at a time: records are long and chunks are summed on
-        # several threads at once.
-        windowed = np.empty(segment_len, complex if complex_input else float)
-        power = np.empty(freqs.shape)
-        total = np.zeros(freqs.shape)
-        segments = sliding_window_view(chunk, segment_len)[::hop]
-        for seg in segments:
-            if detrend == "constant":
-                np.subtract(seg, seg.mean(), out=windowed)
-                windowed *= win_vals
-            else:
-                np.multiply(seg, win_vals, out=windowed)
-            spec = transform(windowed)
-            np.square(spec.real, out=power)
-            power += np.square(spec.imag, out=spec.imag)
-            del spec  # before the next transform allocates its successor
-            total += power
-        return total, len(segments)
-
-    sums = [s for s in thread_map(power_sum, chunks, workers) if s is not None]
-    if not sums:
-        raise SpectralError(f"no chunk holds two Welch segments of {segment_len} samples")
-    density = np.zeros(freqs.shape)
-    for total, _ in sums:
-        density += total
-    n_segments = sum(k for _, k in sums)
-    density /= n_segments
-    density /= sample_rate * win_power
-    if complex_input:
-        density = sp_fft.fftshift(density)
-    else:
-        # one-sided: fold negative frequencies onto all bins but DC and Nyquist
-        density[1 : None if segment_len % 2 else -1] *= 2.0
-    return Psd(
-        freqs=freqs,
-        density=density,
-        rbw=sample_rate / segment_len,
-        n_averages=n_segments,
-        effective_averages=sum(k / _overlap_variance_factor(rhos, k) for _, k in sums),
-        window=window,
-        onesided=not complex_input,
-    )
+    """The Welch estimate over the chunks in list order: whole chunks are
+    summed on up to `workers` threads and their sums added in list order,
+    which is what feeding them one by one gives.  Chunks shorter than two
+    segments are skipped; raises SpectralError when none remains."""
+    welch = Welch(sample_rate, segment_len, overlap_frac, window, detrend)
+    for chunk in chunks:
+        welch._check_kind(chunk)
+    for power_sum in thread_map(lambda chunk: welch._power_sum(chunk, 1), chunks, workers):
+        welch._add(power_sum)
+    return welch.psd()
 
 
 def write_psd_csv(psd: Psd, path, config_hash: str | None = None) -> None:

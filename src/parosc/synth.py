@@ -22,6 +22,12 @@ scalar form of that update.  Every stochastic stream is derived from the grid
 seed through named SeedSequence spawn keys, so trajectories are
 bit-reproducible and independent streams stay independent under any
 execution order.
+
+A complex component stream draws its real part for the whole record, then
+its imaginary part.  Its imaginary chain has a generator of its own on the
+same stream id that first discards the normals the real chain uses, so a
+record synthesized one drive segment at a time draws both parts of each
+segment together and still gets the normals of that order.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ _DRAW_BLOCK = 1 << 16
 RESONANT = "resonant"
 DETUNED = "detuned"
 
-# The two passes of a record composed from complex envelopes: real parts of
-# every drive segment first, then imaginary ones (each stream's draw order).
+# The two parts of a complex component stream, in its draw order: the real
+# part over the whole record, then the imaginary part.
 REAL = "real"
 IMAG = "imag"
 
@@ -200,12 +206,14 @@ class OUChain:
     the first piece.  Drawing a chain in any split of its pieces consumes
     the same normals in the same order, so it gives the chain drawn whole.
     Each piece is drawn and filtered in blocks of _DRAW_BLOCK samples, each
-    written (or added) straight into its place."""
+    written (or added) straight into its place.  The first draw discards
+    `skip` normals of the generator before it takes any."""
 
     def __init__(self, rng: np.random.Generator, dt: float):
         self.rng = rng
         self.dt = dt
         self.state: float | None = None
+        self.skip = 0
 
     def draw(
         self, n: int, decay: float, var: float, out: np.ndarray | None = None, add: bool = False
@@ -216,6 +224,11 @@ class OUChain:
             out, add = np.empty(n), False
         if n == 0:
             return out
+        if self.skip:
+            discard = np.empty(min(self.skip, _DRAW_BLOCK))
+            for b0 in range(0, self.skip, _DRAW_BLOCK):
+                self.rng.standard_normal(out=discard[: min(_DRAW_BLOCK, self.skip - b0)])
+            self.skip = 0
         alpha = math.exp(-decay * self.dt)
         sigma_w = math.sqrt(var * (1.0 - alpha * alpha))
         i0 = 0
@@ -239,21 +252,22 @@ class OUChain:
 
 
 class Streams:
-    """The random streams of one record: one generator per stream id and
-    the OU chains drawn from them.  A record synthesized one drive segment
-    at a time passes the same Streams to every segment's call, so each
-    stream continues where the previous segment left it."""
+    """The random streams of one record of n_samples samples: one generator
+    per stream id and the OU chains drawn from them.  A record synthesized
+    one drive segment at a time passes the same Streams to every segment's
+    call, so each stream continues where the previous segment left it."""
 
-    def __init__(self, seed: int, dt: float):
+    def __init__(self, seed: int, dt: float, n_samples: int):
         self.seed = seed
         self.dt = dt
+        self.n_samples = n_samples
         self._rngs: dict[int, np.random.Generator] = {}
         self._chains: dict[tuple[int, str], OUChain] = {}
 
     @classmethod
     def for_grid(cls, grid: "SimGrid", streams: "Streams | None" = None) -> "Streams":
-        """`streams` when given, else fresh streams of the grid's record."""
-        return cls(grid.seed, grid.dt) if streams is None else streams
+        """`streams` when given, else fresh streams of the grid as a record."""
+        return cls(grid.seed, grid.dt, grid.n_samples) if streams is None else streams
 
     def rng(self, sid: int) -> np.random.Generator:
         if sid not in self._rngs:
@@ -261,11 +275,18 @@ class Streams:
         return self._rngs[sid]
 
     def chain(self, sid: int, part: str = REAL) -> OUChain:
-        """The OU chain of a stream; a complex chain's IMAG part draws from
-        the same generator after its REAL part."""
+        """The OU chain of a stream.  A complex stream's IMAG chain draws
+        from a second generator of the stream id, past the n_samples normals
+        its REAL chain takes over the record: the normals that follow them
+        in the stream."""
         key = (sid, part)
         if key not in self._chains:
-            self._chains[key] = OUChain(self.rng(sid), self.dt)
+            if part == REAL:
+                chain = OUChain(self.rng(sid), self.dt)
+            else:
+                chain = OUChain(stream_rng(self.seed, sid), self.dt)
+                chain.skip = self.n_samples
+            self._chains[key] = chain
         return self._chains[key]
 
 
@@ -373,7 +394,6 @@ def simulate_scheduled_envelopes(
     grid: SimGrid,
     schedule: Schedule | None = None,
     workers: int = 1,
-    part: str | None = None,
     streams: Streams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component-backend envelopes (beta_stokes, beta_antistokes) with
@@ -385,22 +405,21 @@ def simulate_scheduled_envelopes(
     component processes are mutually independent.  Refuses negative component
     weights (s > 2*n_bar).
 
-    Each component stream draws its real part before its imaginary part;
-    each envelope is filled with its narrow component, then its broad
+    Each component stream's real and imaginary parts are drawn by its REAL
+    and IMAG chains (Streams.chain), which give the normals of drawing the
+    real part over the whole record before the imaginary part; each
+    envelope part is filled with its narrow component, then its broad
     component is added.  The two envelopes run on up to `workers` threads.
-    With `part` (REAL or IMAG) only that part of each envelope is drawn, as
-    a real array: a record synthesized one drive segment at a time draws the
-    real parts of all its segments, then the imaginary parts, with `streams`
-    carrying the chains from segment to segment."""
+    The grid may be one drive segment of the record; `streams` then
+    carries the chains from the previous segment."""
     _check_synthesizable(rates)
     _check_weights(rates)
     streams = Streams.for_grid(grid, streams)
     resonant = _envelope_component_table(rates)
     detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
 
-    parts = (REAL, IMAG) if part is None else (part,)
     # chains are looked up here, not on the pool's threads
-    chains = {(sid, p): streams.chain(sid, p) for sid in resonant for p in parts}
+    chains = {(sid, p): streams.chain(sid, p) for sid in resonant for p in (REAL, IMAG)}
 
     def fill(out, sids, p):
         for k, sid in enumerate(sids):
@@ -413,8 +432,6 @@ def simulate_scheduled_envelopes(
         return out
 
     def envelope(sids):
-        if part is not None:
-            return fill(np.empty(grid.n_samples), sids, part)
         z = np.empty(grid.n_samples, dtype=complex)
         fill(z.real, sids, REAL)
         fill(z.imag, sids, IMAG)

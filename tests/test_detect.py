@@ -1,7 +1,6 @@
 """Record composition, lock-in demodulation, demodulation phase and scheduling."""
 
 import math
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from parosc.detect import (
     _MIX_BLOCK,
+    FLAT_PHASE_DEPTH,
     DetectionParams,
     carrier_phasors,
     compose_heterodyne_components,
@@ -26,8 +26,6 @@ from parosc.model import DerivedRates, OscillatorParams
 from parosc.spectral import welch_psd_chunks
 from parosc.synth import (
     DETUNED,
-    IMAG,
-    REAL,
     RESONANT,
     QuadTrajectory,
     Record,
@@ -299,7 +297,7 @@ class TestSegmentStreaming:
             whole_traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4
         )
         whole = demod_baseband(whole_rec, det, 1.2e3, decimate=4)
-        streams = Streams(self.GRID.seed, self.GRID.dt)
+        streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
         pieces, streamed = [], None
         for seg in segments:
             traj = simulate_scheduled_quadratures(OSC, rates, seg, schedule, streams=streams)
@@ -317,32 +315,29 @@ class TestSegmentStreaming:
         np.testing.assert_allclose(record, whole_rec.samples, rtol=0, atol=1e-12 * scale)
         scale = np.max(np.abs(whole.z))
         np.testing.assert_allclose(streamed.z, whole.z, rtol=0, atol=1e-12 * scale)
-        assert optimize_demod_phase(streamed) == pytest.approx(
-            optimize_demod_phase(whole), abs=1e-9
+        assert optimize_demod_phase(streamed)[0] == pytest.approx(
+            optimize_demod_phase(whole)[0], abs=1e-9
         )
 
-    def test_component_record_in_two_passes(self):
+    def test_component_record_one_segment_at_a_time(self):
+        # each segment's envelopes, then its piece of the record: the pieces
+        # are the whole-record composition, bit for bit
         rates, schedule, segments = self._setup()
         det = DetectionParams(gain=1.3, shot_psd=0.002, lowpass_cutoff=2.5e3)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule)
         whole = compose_heterodyne_components(
             beta_s, beta_as, det, self.GRID, DELTA_LO, schedule=schedule
         )
-        streams = Streams(self.GRID.seed, self.GRID.dt)
-        samples = np.empty(self.GRID.n_samples)
-        for part in (REAL, IMAG):
-            for seg in segments:
-                env = simulate_scheduled_envelopes(
-                    OSC, rates, seg, schedule, part=part, streams=streams
-                )
-                piece = samples[seg.start : seg.start + seg.n_samples]
-                rec = compose_heterodyne_components(
-                    *env, det, seg, DELTA_LO, schedule=schedule, workers=2,
-                    part=part, out=piece, streams=streams,
-                )
-                assert rec.samples is piece and rec.start == seg.start
-        scale = np.max(np.abs(whole.samples))
-        np.testing.assert_allclose(samples, whole.samples, rtol=0, atol=1e-12 * scale)
+        streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
+        pieces = []
+        for seg in segments:
+            env = simulate_scheduled_envelopes(OSC, rates, seg, schedule, streams=streams)
+            rec = compose_heterodyne_components(
+                *env, det, seg, DELTA_LO, schedule=schedule, workers=2, streams=streams,
+            )
+            assert rec.start == seg.start and len(rec.samples) == seg.n_samples
+            pieces.append(rec.samples)
+        np.testing.assert_array_equal(np.concatenate(pieces), whole.samples)
 
     def test_pieces_must_follow_in_order(self):
         rates, schedule, segments = self._setup()
@@ -481,7 +476,7 @@ class TestOptimizeDemodPhase:
         rec = compose_heterodyne_wigner(
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
-        theta = optimize_demod_phase(demod_baseband(rec, det, EDGE))
+        theta, _ = optimize_demod_phase(demod_baseband(rec, det, EDGE))
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
 
@@ -489,7 +484,7 @@ class TestOptimizeDemodPhase:
         phi0 = 0.41
         rec, det = self._record(phi0, seed=15, duration=60.0)
         bb = demod_baseband(rec, det, EDGE)
-        theta = optimize_demod_phase(bb)
+        theta, _ = optimize_demod_phase(bb)
         ratios = []
         for phase in (theta, theta + math.pi / 2):
             dm = lockin_demodulate(bb, phase)
@@ -497,10 +492,10 @@ class TestOptimizeDemodPhase:
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
 
-    def test_flat_variance_warns_at_zero_gain(self):
+    def test_flat_variance_at_zero_gain(self):
         rec, det = self._record(0.3, seed=16, s=0.0, duration=60.0)
-        with pytest.warns(UserWarning, match="flat"):
-            optimize_demod_phase(demod_baseband(rec, det, EDGE))
+        _, depth = optimize_demod_phase(demod_baseband(rec, det, EDGE))
+        assert depth < FLAT_PHASE_DEPTH
 
     def test_closed_form_is_the_variance_minimum(self):
         # complex samples with a nonzero mean, so the m1^2 term of the closed
@@ -518,12 +513,10 @@ class TestOptimizeDemodPhase:
             m1 = np.mean(z)
             c = np.mean(z * z) - m1 * m1
             depth = 2.0 * abs(c) / (np.mean(np.abs(z) ** 2) - abs(m1) ** 2)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                theta = optimize_demod_phase(bb)
-            assert any("flat" in str(w.message) for w in caught) == (depth < 0.1)
+            theta, got_depth = optimize_demod_phase(bb)
+            assert got_depth == pytest.approx(depth, rel=1e-9)
             assert 0.0 <= theta < math.pi
-            if depth < 0.1:
+            if depth < FLAT_PHASE_DEPTH:
                 flat_seen += 1
                 continue
             sharp_seen += 1
@@ -540,7 +533,7 @@ class TestOptimizeDemodPhase:
         # quadrature spectra read: the resonant usable slices of decimated z
         rec, det = self._record(0.6, seed=18, duration=30.0, shot=0.002)
         bb = demod_baseband(rec, det, EDGE, decimate=4)
-        theta = optimize_demod_phase(bb)
+        theta, _ = optimize_demod_phase(bb)
         dm = lockin_demodulate(bb, theta)
         z = np.concatenate([bb.z[s] for s in dm.usable_slices(RESONANT)])
         best = minimize_scalar(
@@ -569,7 +562,7 @@ class TestQuadratureSpectraAtOptimum:
             traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
         )
         bb = demod_baseband(rec, det, EDGE, decimate=4)
-        dm = lockin_demodulate(bb, optimize_demod_phase(bb))
+        dm = lockin_demodulate(bb, optimize_demod_phase(bb)[0])
         f_lo = DELTA_LO / TWO_PI
         widths = {}
         for name, ch in (("x", dm.ch_x), ("y", dm.ch_y)):

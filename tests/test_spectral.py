@@ -13,6 +13,7 @@ from parosc.errors import SpectralError
 from parosc.fitting import fit_quadrature, fit_single_pair
 from parosc.spectral import (
     Psd,
+    Welch,
     _window_terms,
     bin_step_for,
     chi2_indistinguishable,
@@ -23,6 +24,22 @@ from parosc.spectral import (
 from parosc.synth import OUChain, stream_rng
 
 TWO_PI = 2.0 * math.pi
+
+
+def fed(chunks, sample_rate, segment_len, overlap_frac=0.5, window="hann", workers=1):
+    """The Welch accumulator's estimate with the chunks fed one at a time."""
+    welch = Welch(sample_rate, segment_len, overlap_frac, window, "constant")
+    for chunk in chunks:
+        welch.feed(chunk, workers)
+    return welch.psd()
+
+
+def assert_same_psd(a, b):
+    assert np.array_equal(a.freqs, b.freqs)
+    assert np.array_equal(a.density, b.density)
+    assert (a.rbw, a.n_averages, a.effective_averages, a.window, a.onesided) == (
+        b.rbw, b.n_averages, b.effective_averages, b.window, b.onesided
+    )
 
 
 class TestWelchNormalization:
@@ -198,6 +215,8 @@ class TestChunkPooling:
         chunks = welch_psd_chunks([x[:50_000], x[50_000:]], fs, 2000, overlap_frac=0.0)
         assert chunks.n_averages == whole.n_averages
         np.testing.assert_allclose(chunks.density, whole.density, rtol=1e-12)
+        assert_same_psd(fed([x], fs, 2000, overlap_frac=0.0), whole)
+        assert_same_psd(fed([x[:50_000], x[50_000:]], fs, 2000, overlap_frac=0.0), chunks)
 
     def test_short_chunks_skipped(self):
         fs = 2_000.0
@@ -205,10 +224,24 @@ class TestChunkPooling:
         good = rng.standard_normal(20_000)
         psd = welch_psd_chunks([good, np.zeros(100)], fs, 2000)
         assert psd.n_averages >= 2
+        assert_same_psd(fed([good, np.zeros(100)], fs, 2000), psd)
+        assert_same_psd(fed([good], fs, 2000), psd)
 
     def test_all_chunks_short_raises(self):
         with pytest.raises(SpectralError):
             welch_psd_chunks([np.zeros(10)], 100.0, 1000)
+        welch = Welch(100.0, 1000, 0.5, "hann", "constant")
+        with pytest.raises(SpectralError, match="no chunk holds two"):
+            welch.psd()
+        welch.feed(np.zeros(10), 1)
+        with pytest.raises(SpectralError, match="no chunk holds two"):
+            welch.psd()
+
+    def test_real_and_complex_chunks_do_not_mix(self):
+        welch = Welch(100.0, 100, 0.5, "hann", "constant")
+        welch.feed(np.zeros(1000), 1)
+        with pytest.raises(SpectralError, match="all real or all complex"):
+            welch.feed(np.zeros(1000, dtype=complex), 1)
 
     @pytest.mark.parametrize("complex_input", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 5])
@@ -241,6 +274,7 @@ class TestChunkPooling:
         psd = welch_psd_chunks(chunks, fs, seg, 0.5, "hann", workers=workers)
         assert psd.n_averages == n_segments == 6 + 12 + 9
         assert np.array_equal(psd.density, pooled)
+        assert_same_psd(fed(chunks, fs, seg, workers=workers), psd)
 
     @pytest.mark.parametrize(
         "option, message",
@@ -258,8 +292,9 @@ class TestChunkPooling:
         chunks = [x[:17_000], x[17_000:17_500], x[17_500:41_000], x[41_000:]]
         one = welch_psd_chunks(chunks, fs, 2000, workers=1)
         two = welch_psd_chunks(chunks, fs, 2000, workers=2)
-        assert np.array_equal(one.freqs, two.freqs)
-        assert np.array_equal(one.density, two.density)
+        assert_same_psd(one, two)
+        for workers in (1, 2):
+            assert_same_psd(fed(chunks, fs, 2000, workers=workers), one)
         assert (one.n_averages, one.effective_averages) == (two.n_averages, two.effective_averages)
 
 

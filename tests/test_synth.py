@@ -14,9 +14,11 @@ from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
 from parosc.spectral import bin_step_for, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
-    IMAG,
-    REAL,
     RESONANT,
+    STREAM_ENV_ANTISTOKES_BROAD,
+    STREAM_ENV_ANTISTOKES_NARROW,
+    STREAM_ENV_STOKES_BROAD,
+    STREAM_ENV_STOKES_NARROW,
     STREAM_WIGNER_X,
     STREAM_WIGNER_Y,
     _DRAW_BLOCK,
@@ -28,6 +30,7 @@ from parosc.synth import (
     simulate_scheduled_quadratures,
     single_segment_schedule,
     stream_rng,
+    _envelope_component_table,
 )
 
 from oracles import ar1_variance_estimator_sigma
@@ -347,7 +350,7 @@ class TestSegmentStreaming:
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=29)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        streams = Streams(grid.seed, grid.dt)
+        streams = Streams(grid.seed, grid.dt, grid.n_samples)
         parts = [
             simulate_scheduled_quadratures(OSC, rates, seg, schedule, workers=2, streams=streams)
             for seg in self._segments(grid, schedule)
@@ -365,22 +368,50 @@ class TestSegmentStreaming:
             np.testing.assert_array_equal(np.concatenate(got), whole)
 
     def test_streamed_envelope_parts_equal_whole_record_envelopes(self):
+        # both parts of each segment's envelopes in one call per segment
         from parosc.detect import schedule_drive
 
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=37)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
-        streams = Streams(grid.seed, grid.dt)
-        for part, take in ((REAL, np.real), (IMAG, np.imag)):
-            got = [
-                simulate_scheduled_envelopes(
-                    OSC, rates, seg, schedule, workers=2, part=part, streams=streams
-                )
-                for seg in self._segments(grid, schedule)
-            ]
-            np.testing.assert_array_equal(np.concatenate([g[0] for g in got]), take(beta_s))
-            np.testing.assert_array_equal(np.concatenate([g[1] for g in got]), take(beta_as))
+        streams = Streams(grid.seed, grid.dt, grid.n_samples)
+        got = [
+            simulate_scheduled_envelopes(OSC, rates, seg, schedule, workers=2, streams=streams)
+            for seg in self._segments(grid, schedule)
+        ]
+        np.testing.assert_array_equal(np.concatenate([g[0] for g in got]), beta_s)
+        np.testing.assert_array_equal(np.concatenate([g[1] for g in got]), beta_as)
+
+    def test_envelopes_draw_real_then_imag_parts_from_one_stream(self):
+        # the reference draw order: each component stream's real part over
+        # the whole record, then its imaginary part, from one generator
+        from parosc.detect import schedule_drive
+
+        rates = rates_for(0.4)
+        grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=41)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        tables = {
+            RESONANT: _envelope_component_table(rates),
+            DETUNED: _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, 5.8)),
+        }
+
+        def component(sid):
+            pieces = [(i1 - i0, tables[tag][sid][0], 0.5 * tables[tag][sid][1])
+                      for i0, i1, tag in bounds]
+            rng = stream_rng(grid.seed, sid)
+            real = chain_of(pieces, grid.dt, rng)
+            return real + 1j * chain_of(pieces, grid.dt, rng)
+
+        got = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
+        for env, (narrow, broad) in zip(got, (
+            (STREAM_ENV_STOKES_NARROW, STREAM_ENV_STOKES_BROAD),
+            (STREAM_ENV_ANTISTOKES_NARROW, STREAM_ENV_ANTISTOKES_BROAD),
+        )):
+            a, b = component(narrow), component(broad)
+            np.testing.assert_array_equal(env.real, a.real + b.real)
+            np.testing.assert_array_equal(env.imag, a.imag + b.imag)
 
 
 class TestSpectralRoundTrip:
