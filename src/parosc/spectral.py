@@ -6,16 +6,16 @@ Lorentzian areas carry physical meaning in quanta.
 
 One estimator, the `Welch` accumulator, serves a single record and the
 disjoint chunks of a schedule alike: the mean of the power rows of every
-segment of every chunk, normalized once.  Each chunk's rows are summed in
-segment order and that chunk sum is added to the running sum, so the
-estimate does not depend on how the chunks are threaded.  `Welch.feed`
-takes one chunk at a time, its rows on several threads, so a record
-streamed one drive segment at a time is never held whole;
-`welch_psd_chunks` sums a list of chunks, whole chunks on several threads.
-The working set is a few segments per thread, not the record: each row is
-detrended, windowed, transformed and squared in buffers allocated once per
-chunk.  The window and its lag correlations are computed once per (window,
-segment length, hop) and shared read-only between calls.
+segment of every chunk, normalized once.  `Welch.feed` takes one chunk at
+a time, so a record streamed one drive segment at a time is never held
+whole; `welch_psd_chunks` feeds a list of chunks in order.  Each chunk's
+rows are computed on several threads but summed in segment order, and that
+chunk sum is added to the running sum, so the estimate does not depend on
+the thread count.  The working set is a few segments per thread, not the
+record: each row is detrended, windowed, transformed and squared in
+buffers allocated once per chunk.  The window and its lag correlations are
+computed once per (window, segment length, hop) and shared read-only
+between calls.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy import fft as sp_fft
 from scipy import signal, special
 
 from .errors import SpectralError
-from .parallel import in_order, thread_map
+from .parallel import in_order
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
@@ -136,33 +136,25 @@ class Welch:
     def feed(self, chunk: np.ndarray, workers: int) -> None:
         """Add the power rows of the chunk's segments to the running sum:
         the rows are computed on up to `workers` threads, summed in segment
-        order, and that chunk sum is added.  A chunk shorter than two
+        order, and that chunk sum is added.  The first chunk fixes real or
+        complex input and later ones must match; a chunk shorter than two
         segments is skipped."""
-        self._check_kind(chunk)
-        self._add(self._power_sum(chunk, workers))
-
-    def _check_kind(self, chunk: np.ndarray) -> None:
-        """The first chunk fixes real or complex input; later ones must match."""
         complex_input = np.iscomplexobj(chunk)
-        if self._complex is None:
+        if self._total is None:
             self._complex = complex_input
             self._total = np.zeros(self.segment_len if complex_input else self.segment_len // 2 + 1)
         elif complex_input != self._complex:
             raise SpectralError("chunks of one estimate must be all real or all complex")
-
-    def _power_sum(self, chunk: np.ndarray, workers: int) -> tuple[np.ndarray, int] | None:
-        """(sum of the chunk's segment power rows in segment order, segment
-        count), or None when fewer than two segments fit."""
         seg_len = self.segment_len
         if len(chunk) < seg_len + self.hop:
-            return None
-        transform = sp_fft.fft if self._complex else sp_fft.rfft
+            return
+        transform = sp_fft.fft if complex_input else sp_fft.rfft
         segments = sliding_window_view(chunk, seg_len)[:: self.hop]
         # Records are long and segments too: each row has a slot, reused once
         # the row in it is summed, so at most one more row than threads is
         # held while the threads compute the next rows.
         slots = 1 if workers <= 1 else workers + 1
-        windowed = np.empty((slots, seg_len), complex if self._complex else float)
+        windowed = np.empty((slots, seg_len), complex if complex_input else float)
         rows = np.empty((slots, len(self._total)))
 
         def power_row(k):
@@ -180,15 +172,9 @@ class Welch:
         total = np.zeros(len(self._total))
         for row in in_order(power_row, range(len(segments)), workers, slots):
             total += row
-        return total, len(segments)
-
-    def _add(self, power_sum: tuple[np.ndarray, int] | None) -> None:
-        if power_sum is None:
-            return
-        total, k = power_sum
         self._total += total
-        self._n_segments += k
-        self._effective += k / _overlap_variance_factor(self._rhos, k)
+        self._n_segments += len(segments)
+        self._effective += len(segments) / _overlap_variance_factor(self._rhos, len(segments))
 
     def psd(self) -> Psd:
         """The normalized mean of every row fed; raises SpectralError when
@@ -227,15 +213,12 @@ def welch_psd_chunks(
     workers: int = 1,
     detrend: str | bool = "constant",
 ) -> Psd:
-    """The Welch estimate over the chunks in list order: whole chunks are
-    summed on up to `workers` threads and their sums added in list order,
-    which is what feeding them one by one gives.  Chunks shorter than two
-    segments are skipped; raises SpectralError when none remains."""
+    """The Welch estimate over the chunks, fed in list order.  Chunks
+    shorter than two segments are skipped; raises SpectralError when none
+    remains."""
     welch = Welch(sample_rate, segment_len, overlap_frac, window, detrend)
     for chunk in chunks:
-        welch._check_kind(chunk)
-    for power_sum in thread_map(lambda chunk: welch._power_sum(chunk, 1), chunks, workers):
-        welch._add(power_sum)
+        welch.feed(chunk, workers)
     return welch.psd()
 
 
