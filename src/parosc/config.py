@@ -80,6 +80,9 @@ FIELDS: dict[str, tuple[str, str, str]] = {
 # Execution settings: they change how a run is computed, never its results,
 # so they stay out of the snapshot and the config hash.
 EXECUTION_KEYS = ("workers",)
+# Each worker is a thread and a Welch segment row: a count past this is
+# refused before either is made.
+MAX_WORKERS = 64
 
 _VALUE_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([A-Za-z]*)\s*$")
 
@@ -269,8 +272,7 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append("delta_lo must stay well below omega_m (limit omega_m/5)")
     if v["repetitions"] < 1:
         problems.append("repetitions must be >= 1")
-    if v["workers"] < 1:
-        problems.append("workers must be >= 1")
+    problems += _workers_problems(v)
     if not 0.0 <= v["welch_overlap"] <= MAX_OVERLAP:
         problems.append(
             f"welch_overlap must lie in [0, {MAX_OVERLAP}], got {v['welch_overlap']:.6g}"
@@ -337,6 +339,12 @@ def validate_config(config: RunConfig) -> list[str]:
     return problems
 
 
+def _workers_problems(v: dict) -> list[str]:
+    if 1 <= v["workers"] <= MAX_WORKERS:
+        return []
+    return [f"workers must lie in [1, {MAX_WORKERS}], got {v['workers']}"]
+
+
 def _fit_band_problems(v: dict) -> list[str]:
     """The fits' bin minimum, counted on the Welch axes a run builds: the
     heterodyne record at sample_rate, the quadrature channels at
@@ -362,5 +370,13 @@ def _fit_band_problems(v: dict) -> list[str]:
 
 def require_valid(config: RunConfig) -> None:
     problems = validate_config(config)
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
+def require_valid_workers(config: RunConfig) -> None:
+    """The one check a sweep makes of its base config: each point's config
+    is validated when the point runs, and a failing point keeps its row."""
+    problems = _workers_problems(config.values)
     if problems:
         raise ConfigError("; ".join(problems))

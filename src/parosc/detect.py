@@ -33,12 +33,10 @@ from .synth import (
     single_segment_schedule,
 )
 
-# Samples per carrier-mixing block (cache-sized), per lock-in rotation block
-# (small: it runs while the baseband and both channels are held), per
-# shot-noise buffer, and the FFT length and blocks per call of the lock-in
-# filter's overlap-save.
+# Samples per carrier-mixing block (cache-sized), per shot-noise buffer,
+# and the FFT length and blocks per call of the lock-in filter's
+# overlap-save.
 _MIX_BLOCK = 1 << 16
-_ROTATE_BLOCK = 1 << 13
 _NOISE_STRETCH = 16 * _MIX_BLOCK
 _FIR_FFT = 1 << 13
 _FIR_BATCH = 16
@@ -497,21 +495,13 @@ def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
     Both channels come from the record's complex baseband (demod_baseband)
     rotated by the demodulation phase theta = demod_phase, which is exactly
     equivalent and filter-consistent; the baseband's decimation applies.
-    The baseband is rotated _ROTATE_BLOCK samples at a time through one
-    buffer, straight into the two channels.
+    The baseband is consumed: bb.z is rotated in place, and the channels
+    are the real and imaginary views of it.
     """
-    rot = np.exp(1j * demod_phase)
-    ch_x = np.empty(len(bb.z))
-    ch_y = np.empty(len(bb.z))
-    buf = np.empty(min(len(bb.z), _ROTATE_BLOCK), dtype=complex)
-    for i0 in range(0, len(bb.z), _ROTATE_BLOCK):
-        z = bb.z[i0 : i0 + _ROTATE_BLOCK]
-        rotated = np.multiply(z, rot, out=buf[: len(z)])
-        ch_x[i0 : i0 + len(rotated)] = rotated.real
-        ch_y[i0 : i0 + len(rotated)] = rotated.imag
+    bb.z *= np.exp(1j * demod_phase)
     return DemodOutput(
-        ch_x=ch_x,
-        ch_y=ch_y,
+        ch_x=bb.z.real,
+        ch_y=bb.z.imag,
         sample_rate=bb.sample_rate / bb.decimate,
         slices={tag: bb.usable_slices(tag) for tag in (DETUNED, RESONANT)},
     )

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import recordio
-from .config import TWO_PI, RunConfig, require_valid
+from .config import TWO_PI, RunConfig, require_valid, require_valid_workers
 from .detect import (
     FLAT_PHASE_DEPTH,
     demod_baseband,
@@ -198,6 +198,8 @@ def _run_repetition(
             "using the formal minimum",
             stacklevel=3,
         )
+    # the lock-in rotates the baseband in place: its channels are views of
+    # baseband.z, which is freed with demod
     demod = lockin_demodulate(baseband, theta)
     del baseband
 
@@ -450,13 +452,14 @@ def run_single(
     The kernels of each repetition run on `workers` threads (default: the
     config's `workers`); the artifacts do not depend on it.
     """
+    if workers is not None:
+        config = config.with_overrides(workers=str(workers))
     require_valid(config)
     out = _make_out_dir(out_dir)
     rates = config.derived_rates()
     if rates.weights.quantum_squeezed:
         return _run_analytic_only(config, out, rates)
     v = config.values
-    workers = v["workers"] if workers is None else workers
     cfg_hash = config.config_hash()
     reps = []
     artifacts = []
@@ -468,7 +471,7 @@ def run_single(
         if v["keep_raw"]:
             raw_dir = rep_dir / "raw"
             raw_dir.mkdir(exist_ok=True)
-        result = _run_repetition(config, rates, seed, raw_dir, workers)
+        result = _run_repetition(config, rates, seed, raw_dir, v["workers"])
         for name, psd in result["psds"].items():
             write_psd_csv_with_hash(psd, rep_dir / name, cfg_hash)
         for name, fit in result["fits"].items():
@@ -620,13 +623,15 @@ def _run_sweep(spec: _SweepSpec, config: RunConfig, values, out_dir, workers: in
     """Run one point per swept value (per-point artifacts in point_XX/), then
     write sweep_summary.csv and theory_overlay.csv.  A failed point keeps
     its row: empty result cells and the error in the last column."""
+    if workers is not None:
+        config = config.with_overrides(workers=str(workers))
+    require_valid_workers(config)
     out = _make_out_dir(out_dir)
-    workers = config.values["workers"] if workers is None else workers
     points = [
         (i, config.with_overrides(**spec.overrides(x)), out / f"point_{i:02d}")
         for i, x in enumerate(values)
     ]
-    results = thread_map(_run_point, points, workers)  # in point order
+    results = thread_map(_run_point, points, config.values["workers"])  # in point order
     header = ["index", spec.axis, "status", *(name for name, _ in spec.columns), "error"]
     rows = []
     summary = []
@@ -751,35 +756,48 @@ def run_sweep_variance_vs_tone_ratio(config: RunConfig, epsilon_values, out_dir,
 def report_artifacts(artifacts_dir) -> tuple[str, bool]:
     """Render the human summary for a run or sweep directory and evaluate the
     pass/fail state; returns (text, ok).  A directory holding neither a
-    report nor a sweep summary fails, and so does a sweep when a point
-    fails, including a point refused before it wrote any artifact.  Raises
-    ConfigError when artifacts_dir is not a directory."""
+    report nor a sweep summary fails, and so does one whose report or
+    summary cannot be read, and a sweep when a point fails, including a
+    point refused before it wrote any artifact.  Raises ConfigError when
+    artifacts_dir is not a directory."""
     root = Path(artifacts_dir)
     if not root.is_dir():
         raise ConfigError(f"{artifacts_dir} is not an artifact directory")
-    if not (root / "sweep_summary.csv").exists():
-        if not (root / "report.json").exists():
+    path = root / "sweep_summary.csv"
+    if not path.exists():
+        path = root / "report.json"
+        if not path.exists():
             return f"missing report.json and sweep_summary.csv under {root}\n", False
-        report = json.loads((root / "report.json").read_text(encoding="utf-8"))
-        missing = [a for a in report["artifacts"] if not (root / a).exists()]
-        ok = all(c["passed"] for c in report["checks"]) and not missing
-        text = render_report(report)
+        try:
+            report = json.loads(path.read_text(encoding="utf-8"))
+            missing = [a for a in report["artifacts"] if not (root / a).exists()]
+            ok = all(c["passed"] for c in report["checks"]) and not missing
+            text = render_report(report)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return _unreadable(path, exc), False
         if missing:
             text += "missing artifacts:\n" + "\n".join(f"  {m}" for m in missing) + "\n"
         return text, ok
+    try:
+        summary = path.read_text(encoding="utf-8")
+        header, *rows = summary.splitlines()
+        failed = []
+        for row in rows:
+            # the error is the last cell and the only one that may hold commas
+            index, _, status, *_, error = row.split(",", len(header.split(",")) - 1)
+            if status == "failed":
+                failed.append(f"== point_{int(index):02d} [FAILED] {error}")
+    except (OSError, ValueError) as exc:
+        return _unreadable(path, exc), False
     texts = []
-    ok = True
+    ok = not failed
     for pd in sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("point_")):
         text, point_ok = report_artifacts(pd)
         ok &= point_ok
         texts += [f"== {pd.name} [{'PASS' if point_ok else 'FAIL'}]", text]
-    summary = (root / "sweep_summary.csv").read_text(encoding="utf-8")
-    header, *rows = summary.splitlines()
-    for row in rows:
-        # the error is the last cell and the only one that may hold commas
-        index, _, status, *_, error = row.split(",", len(header.split(",")) - 1)
-        if status == "failed":
-            texts.append(f"== point_{int(index):02d} [FAILED] {error}")
-            ok = False
-    texts.append(summary)
+    texts += [*failed, summary]
     return "\n".join(texts), ok
+
+
+def _unreadable(path: Path, exc: Exception) -> str:
+    return f"unreadable {path}: {type(exc).__name__}: {exc}\n"

@@ -1,10 +1,11 @@
 """Raw record persistence: little-endian binary dumps of real channels.
 
 A record is one real 1-D channel or a tuple of equal-length ones.  Neither
-direction holds more than the record itself: a channel already in native
-little-endian float64 is written straight from its memory, any other channel
-is converted one channel at a time, and a record is read straight into the
-one array it is returned in.
+direction holds more than the record itself: a channel is written in blocks
+of _WRITE_BLOCK samples, each straight from its memory when the channel is
+contiguous native little-endian float64 and converted otherwise (a strided
+view such as the real part of a complex array, another dtype), and a record
+is read straight into the one array it is returned in.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ VERSION = 1
 KIND_REAL = 0
 
 _HEADER = struct.Struct("<4sIdQII")
+_WRITE_BLOCK = 1 << 16
 
 
 def _as_channels(samples) -> list[np.ndarray]:
@@ -54,8 +56,9 @@ def write_record_bin(
             fh.write(_HEADER.pack(MAGIC, VERSION, float(sample_rate), length, len(channels), KIND_REAL))
         for k, ch in enumerate(channels):
             fh.seek(_HEADER.size + 8 * (k * length + offset))
-            # no copy for a contiguous native little-endian float64 channel
-            fh.write(memoryview(np.ascontiguousarray(ch, dtype="<f8")))
+            for i0 in range(0, len(ch), _WRITE_BLOCK):
+                # no copy for a contiguous native little-endian float64 block
+                fh.write(memoryview(np.ascontiguousarray(ch[i0 : i0 + _WRITE_BLOCK], dtype="<f8")))
 
 
 def read_record_bin(path) -> tuple[np.ndarray, float]:

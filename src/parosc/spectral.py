@@ -43,6 +43,11 @@ MAX_OVERLAP = 0.9
 # k-th bin instead.
 BIN_STEP_BY_WINDOW = {"boxcar": 1, "hann": 2, "hamming": 2, "blackman": 3}
 
+# PSD CSV rows formatted per write: formatting a whole heterodyne PSD
+# (125,001 rows on the defaults) at once holds about 14 MiB of Python
+# floats and text.
+_CSV_ROWS = 4096
+
 
 def bin_step_for(window: str) -> int:
     if window not in BIN_STEP_BY_WINDOW:
@@ -235,8 +240,10 @@ def write_psd_csv(psd: Psd, path, config_hash: str | None = None) -> None:
             f"onesided={int(psd.onesided)}\n"
         )
         fh.write("freq_hz,psd\n")
-        rows = np.stack([psd.freqs, psd.density], axis=-1).ravel().tolist()
-        fh.write(("%.12g,%.12g\n" * len(psd.freqs)) % tuple(rows))
+        table = np.stack([psd.freqs, psd.density], axis=-1)
+        for i0 in range(0, len(table), _CSV_ROWS):
+            rows = table[i0 : i0 + _CSV_ROWS]
+            fh.write(("%.12g,%.12g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_psd_csv(path) -> Psd:

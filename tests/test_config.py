@@ -13,6 +13,7 @@ from parosc.config import (
     _HZ_SCALE,
     _TIME_SCALE,
     FIELDS,
+    MAX_WORKERS,
     RunConfig,
     _fit_band_problems,
     validate_config,
@@ -164,6 +165,15 @@ class TestSnapshotAndHash:
         assert two.snapshot() == base.snapshot()
         assert two.config_hash() == base.config_hash()
         assert "workers" not in base.snapshot()
+
+    def test_workers_bounded(self):
+        # each worker is a thread and a Welch segment row: a count past
+        # MAX_WORKERS is refused before any pool is sized by it
+        base = RunConfig.defaults()
+        assert validate_config(base.with_overrides(workers=str(MAX_WORKERS))) == []
+        for workers in (0, MAX_WORKERS + 1, 1_000_000):
+            problems = validate_config(base.with_overrides(workers=str(workers)))
+            assert problems == [f"workers must lie in [1, {MAX_WORKERS}], got {workers}"]
 
     def test_readme_example_is_the_defaults(self):
         # the README's ini block documents the defaults: a key it keeps after

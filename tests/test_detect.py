@@ -371,18 +371,39 @@ class TestLockinDemodulate:
         assert peak == pytest.approx(f_lo, abs=2 * psd.rbw)
 
     def test_channels_are_the_rotated_baseband(self):
-        # the baseband is rotated block by block; the channels equal one
-        # rotation of the whole baseband, bit for bit
+        # the baseband is rotated in place; the channels equal one rotation
+        # of a copy of the whole baseband, bit for bit
         grid = grid_for(4.0, 14)
         traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det, EDGE)
         assert len(bb.z) > _MIX_BLOCK
+        z = bb.z.copy()
         theta = 0.9
         dm = lockin_demodulate(bb, theta)
-        rotated = bb.z * np.exp(1j * theta)
+        rotated = z * np.exp(1j * theta)
         assert np.array_equal(dm.ch_x, rotated.real)
         assert np.array_equal(dm.ch_y, rotated.imag)
+
+    def test_channels_are_views_of_the_baseband(self):
+        # the lock-in consumes its baseband: the channels share its memory,
+        # and the call allocates far less than one channel
+        import tracemalloc
+
+        grid = grid_for(4.0, 14)
+        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
+        bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det, EDGE)
+        channel_bytes = 8 * len(bb.z)
+        tracemalloc.start()
+        try:
+            dm = lockin_demodulate(bb, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(dm.ch_x, bb.z)
+        assert np.shares_memory(dm.ch_y, bb.z)
+        assert peak < channel_bytes / 4, peak / channel_bytes
 
     def test_linearity(self):
         grid = grid_for(10.0, 11)
@@ -485,8 +506,10 @@ class TestOptimizeDemodPhase:
         rec, det = self._record(phi0, seed=15, duration=60.0)
         bb = demod_baseband(rec, det, EDGE)
         theta, _ = optimize_demod_phase(bb)
+        z = bb.z.copy()
         ratios = []
         for phase in (theta, theta + math.pi / 2):
+            bb.z[:] = z  # the lock-in rotates the baseband in place
             dm = lockin_demodulate(bb, phase)
             cuts = np.concatenate([dm.ch_x[s] for s in dm.usable_slices(RESONANT)])
             ratios.append(np.var(cuts))
@@ -534,8 +557,9 @@ class TestOptimizeDemodPhase:
         rec, det = self._record(0.6, seed=18, duration=30.0, shot=0.002)
         bb = demod_baseband(rec, det, EDGE, decimate=4)
         theta, _ = optimize_demod_phase(bb)
+        z_all = bb.z.copy()  # the lock-in rotates the baseband in place
         dm = lockin_demodulate(bb, theta)
-        z = np.concatenate([bb.z[s] for s in dm.usable_slices(RESONANT)])
+        z = np.concatenate([z_all[s] for s in dm.usable_slices(RESONANT)])
         best = minimize_scalar(
             lambda th: np.var((np.exp(1j * th) * z).real),
             bounds=(theta - 0.5, theta + 0.5), method="bounded",

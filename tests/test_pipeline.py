@@ -11,7 +11,7 @@ import pytest
 from conftest import fast_config
 from parosc import pipeline
 from parosc.cli import main
-from parosc.errors import SpectralError
+from parosc.errors import ConfigError, SpectralError
 from parosc.pipeline import (
     PSD_FILES,
     FIT_FILES,
@@ -363,6 +363,31 @@ class TestCli:
         assert "missing report.json" in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("report.json", '{"config_hash": "ab'),  # truncated
+            ("report.json", "{}"),
+            ("sweep_summary.csv", "index,s_set,status,error\nnot a row\n"),
+            ("sweep_summary.csv", "index,s_set,status,error\nx,0.1,failed,boom\n"),
+        ],
+        ids=["truncated-report", "empty-report", "short-summary-row", "bad-summary-index"],
+    )
+    def test_report_corrupt_artifact_exit_4(self, tmp_path, capsys, name, text):
+        (tmp_path / name).write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"unreadable {tmp_path / name}: ")
+        assert captured.out.count("\n") == 1
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("workers", ["0", "65", "1000000"])
+    def test_workers_out_of_range_exit_2(self, tmp_path, capsys, workers):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"workers = {workers}\n")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert f"workers must lie in [1, 64], got {workers}" in capsys.readouterr().err
+
     def test_report_missing_artifacts_exit_4(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.cfg"
@@ -455,44 +480,62 @@ class TestCliNumericalFailure:
         assert "stage 'quadrature fit'" in err
 
 
+class TestWorkersArgument:
+    # the workers argument is validated as the config key is, before any
+    # directory is made or pool started
+    def test_run_single_refuses_zero_workers(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"workers must lie in \[1, 64\], got 0"):
+            run_single(tiny_config(repetitions="1"), tmp_path / "out", workers=0)
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_refuses_zero_workers(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"workers must lie in \[1, 64\], got 0"):
+            run_sweep_ratio_vs_s(tiny_config(repetitions="1"), [0.3], tmp_path / "out", workers=0)
+        assert not (tmp_path / "out").exists()
+
+
+def _traced_peak(cfg, out) -> float:
+    """The tracemalloc peak of run_single, in records of 8 bytes a sample.
+    The module caches are cleared first: what earlier tests left in them
+    would otherwise be missing from the peak."""
+    import tracemalloc
+
+    from parosc import detect, spectral
+
+    detect._block_phasor.cache_clear()
+    spectral._window_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        run_single(cfg, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * cfg.grid(0).n_samples)
+
+
 class TestMemoryBound:
     def test_traced_peak_is_a_few_real_records(self, tmp_path):
         # Both records are streamed by drive segment: only the decimated
-        # complex baseband (1/4 record at decimate 4, 16 bytes a sample) and
-        # the two lock-in channels are held whole, so the traced peak stays
-        # below 1.6 records of 8 bytes per sample.  Holding the component
-        # record whole peaked at 1.80 records on this grid, whole-record
-        # synthesis (two complex envelopes beside the record) at 6.5.
-        import tracemalloc
-
+        # complex baseband (half a record at decimate 4, 16 bytes a sample)
+        # is held whole, and the lock-in channels are views of it, so the
+        # traced peak stays below 1.6 records of 8 bytes per sample.
+        # Holding the component record whole peaked at 1.80 records on this
+        # grid, whole-record synthesis (two complex envelopes beside the
+        # record) at 6.5.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1")
-        record_bytes = 8 * cfg.grid(0).n_samples
-        tracemalloc.start()
-        try:
-            run_single(cfg, tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.6 * record_bytes, peak / record_bytes
+        peak = _traced_peak(cfg, tmp_path)
+        assert peak < 1.6, peak
 
     def test_keep_raw_peak_below_two_records(self, tmp_path):
         # With keep_raw each record piece is written from the array the run
-        # already holds, and the two demodulated channels without a stacked
-        # copy; the peak stays below 1.5 records.  With the component record
-        # held whole it peaked at 1.63 records on this grid, and copying the
-        # records and channels for the dump at 3.0.
-        import tracemalloc
-
+        # already holds, and the two demodulated channels block by block
+        # from their views; the peak stays below 1.5 records.  With the
+        # component record held whole it peaked at 1.63 records on this
+        # grid, and copying the records and channels for the dump at 3.0.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1", keep_raw="true")
-        record_bytes = 8 * cfg.grid(0).n_samples
-        tracemalloc.start()
-        try:
-            run_single(cfg, tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(cfg, tmp_path)
         assert (tmp_path / "rep00" / "raw" / "record_component.bin").exists()
-        assert peak < 1.5 * record_bytes, peak / record_bytes
+        assert peak < 1.5, peak
 
 
 class TestKeepRaw:

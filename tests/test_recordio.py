@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from parosc.recordio import _HEADER, MAGIC, VERSION, read_record_bin, write_record_bin
+from parosc.recordio import (
+    _HEADER,
+    _WRITE_BLOCK,
+    MAGIC,
+    VERSION,
+    read_record_bin,
+    write_record_bin,
+)
 
 
 class TestBinaryRoundTrip:
@@ -22,6 +29,15 @@ class TestBinaryRoundTrip:
         write_record_bin(path, chans, 1e3)
         loaded, _ = read_record_bin(path)
         np.testing.assert_array_equal(loaded, np.vstack(chans))
+
+    def test_real_and_imaginary_views(self, tmp_path):
+        # the lock-in channels are the strided real and imaginary views of
+        # one complex array, written over more than one block
+        z = np.random.default_rng(6).standard_normal(2 * (_WRITE_BLOCK + 123)).view(complex)
+        path = tmp_path / "rec.bin"
+        write_record_bin(path, (z.real, z.imag), 1e3)
+        loaded, _ = read_record_bin(path)
+        assert loaded.tobytes() == np.vstack((z.real, z.imag)).astype("<f8").tobytes()
 
     @pytest.mark.parametrize("shape", [(1000,), (2, 1000)])
     def test_pieces_give_the_whole_file(self, tmp_path, shape):
