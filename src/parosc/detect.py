@@ -159,7 +159,7 @@ def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0, start: 
     The block phasor exp(i*omega*k*dt) is evaluated once and each piece
     rotates its part of it by the scalar exp(i(omega*b*dt + phase)) of its
     block start b, so mixing costs one complex multiply per sample and a
-    record mixed one segment at a time gets the phasors of the whole record.
+    record mixed one piece at a time gets the phasors of the whole record.
     The result agrees with the direct exp to the rounding already present in
     omega*t.  Each yielded array is fresh, so callers may scale it in place.
     """
@@ -225,8 +225,9 @@ def compose_heterodyne_wigner(
     samples = 2*gain*[X cos(Wc t + phi) + Y sin(Wc t + phi)]*cos(dLO t)
     plus white shot noise; both motional sidebands appear at Wc +- dLO,
     phase coherent, and carry identical spectra (the symmetric record).
-    A trajectory over one drive segment (traj.grid.start) gives that piece
-    of the record, `streams` carrying its shot noise from the previous one.
+    A trajectory over any contiguous piece of the record (traj.grid.start)
+    gives that piece, `streams` carrying its shot noise from the previous
+    one.
     """
     grid = traj.grid
     _check_nyquist(grid, delta_lo)
@@ -278,10 +279,10 @@ def compose_heterodyne_components(
     closed-form sideband spectrum scaled by gain^2/2 (factor documented so
     fitted weight ratios stay gain-independent).
 
-    The grid may be one drive segment of the record (grid.start); the piece
-    then holds that segment's samples, `streams` carrying the shot noise
-    from the previous one.  Each sample is the Re(beta) cos sweep, plus the
-    -Im(beta) sin sweep, plus the shot noise, added in that order.
+    The grid may be any contiguous piece of the record (grid.start); the
+    result then holds that piece's samples, `streams` carrying the shot
+    noise from the previous one.  Each sample is the Re(beta) cos sweep,
+    plus the -Im(beta) sin sweep, plus the shot noise, added in that order.
     """
     _check_nyquist(grid, delta_lo)
     if schedule is None:
@@ -409,8 +410,10 @@ class Baseband:
 
     def feed(self, samples: np.ndarray, start: int, workers: int = 1) -> None:
         """Mix and filter the record samples [start, start + len(samples)),
-        which must follow the samples fed so far; the FFT batches run on up
-        to `workers` threads."""
+        which must follow the samples fed so far.  The overlap-save blocks
+        whose input is complete are filtered in batches of
+        min(_FIR_BATCH, ceil(ready / workers)) blocks, on up to `workers`
+        threads, so a short piece still splits evenly between them."""
         if start != self._fed or start + len(samples) > self.n_samples:
             raise ValueError(
                 f"record piece [{start}, {start + len(samples)}) does not continue "
@@ -438,15 +441,17 @@ class Baseband:
         if n_ready:
             frames = sliding_window_view(buf, nfft)[::step]
 
+            batch = min(_FIR_BATCH, -(-n_ready // workers))
+
             def filter_batch(b0):
-                b1 = min(b0 + _FIR_BATCH, n_ready)
+                b1 = min(b0 + batch, n_ready)
                 spec = sp_fft.fft(frames[b0:b1], axis=1)
                 spec *= self._response
                 y = sp_fft.ifft(spec, axis=1, overwrite_x=True)[:, m - 1 :]
                 for r, row in enumerate(y):  # no flattened copy of the batch
                     self._keep(row, (self._block + b0 + r) * step)
 
-            thread_map(filter_batch, range(0, n_ready, _FIR_BATCH), workers)
+            thread_map(filter_batch, range(0, n_ready, batch), workers)
         self._tail = buf[n_ready * step :].copy()
         self._block += n_ready
 

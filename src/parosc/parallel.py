@@ -4,36 +4,72 @@ numpy's random fills, scipy's lfilter and FFTs and large elementwise ufuncs
 release the GIL, so independent streams and chunks overlap on threads.
 Results come back in input order, so every reduction over them is the same
 for any worker count.
+
+One pool per worker count is built on first use and reused by every later
+call, so a kernel called once per record block pays no thread start-up.  A
+call made on one of the pools' own threads (a sweep point's kernels, say)
+runs serially there: a task never waits on tasks queued behind it, so
+nested calls cannot deadlock.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+_local = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _local.in_pool = True
+
+
+def _pool(workers: int) -> ThreadPoolExecutor | None:
+    """The shared pool of `workers` threads, or None where the call must
+    run serially: one worker, or a caller that is itself a pool thread."""
+    if workers <= 1 or getattr(_local, "in_pool", False):
+        return None
+    with _pools_lock:
+        if workers not in _pools:
+            _pools[workers] = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+        return _pools[workers]
 
 
 def thread_map(fn, items, workers: int = 1) -> list:
-    """[fn(x) for x in items], on up to `workers` threads."""
+    """[fn(x) for x in items], on up to `workers` threads.  Every item has
+    finished when the call returns or raises the first item's error."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    pool = _pool(workers) if len(items) > 1 else None
+    if pool is None:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    futures = [pool.submit(fn, x) for x in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def in_order(fn, items, workers: int, window: int):
     """Yield fn(x) for x in items, in order, computed on up to `workers`
     threads with at most `window` results computed or pending at once: the
     next item is submitted only after the result `window` places before it
-    has been consumed, so fn may reuse that result's storage."""
-    if workers <= 1:
+    has been consumed, so fn may reuse that result's storage.  Closing the
+    generator early cancels the items not yet started and waits for the
+    running ones."""
+    pool = _pool(workers)
+    if pool is None:
         yield from map(fn, items)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
+    pending = deque()
+    try:
         for x in items:
             if len(pending) == window:
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, x))
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)

@@ -12,6 +12,7 @@ independent of the worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -58,6 +59,10 @@ TOLERANCES = {
     "gamma_eff_rel": 0.05,
     "chi2_level": 0.01,
 }
+
+# Record samples per processing block: a repetition synthesizes, composes
+# and lock-in filters its records one block at a time.
+_BLOCK = 1 << 17
 
 # epsilon_for_target_s walks the cooling-tone fraction down over this range.
 EPSILON_C_MIN = 0.5
@@ -114,6 +119,12 @@ def _ratio(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, f
     return val, sig
 
 
+def _blocks(i0: int, i1: int) -> list[tuple[int, int]]:
+    """The record samples [i0, i1) cut at every multiple of _BLOCK."""
+    cuts = [i0, *range(i0 - i0 % _BLOCK + _BLOCK, i1, _BLOCK), i1]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _run_repetition(
     config: RunConfig, rates: DerivedRates, seed: int, raw_dir: Path | None, workers: int
 ):
@@ -127,15 +138,17 @@ def _run_repetition(
     decim = v["decimate"]
     passband_edge = config.passband_edge_hz(rates)
 
-    # Both backends stream their records one drive segment at a time; the
-    # random streams continue from segment to segment.
+    # Both backends stream their records in blocks: each drive segment is
+    # cut at every _BLOCK record samples, and the random streams continue
+    # from block to block.
     streams = Streams(seed, grid.dt, grid.n_samples)
     bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
-    segments = [grid.segment(i0, i1) for i0, i1, _ in bounds]
+    blocks = [[grid.segment(b0, b1) for b0, b1 in _blocks(i0, i1)] for i0, i1, _ in bounds]
 
-    # Sideband path (component backend): each segment's piece of the record
-    # is composed from its envelopes, written out, and its usable part fed
-    # to its drive class's Welch estimate.
+    # Sideband path (component backend): each segment's blocks of the record
+    # are composed from their envelopes into one segment buffer, which is
+    # written out and whose usable part is fed whole to its drive class's
+    # Welch estimate.
     nperseg_h = int(round(v["welch_segment"] * grid.sample_rate))
     welch_h = {
         tag: Welch(grid.sample_rate, nperseg_h, v["welch_overlap"], v["window"], "constant")
@@ -143,35 +156,38 @@ def _run_repetition(
     }
     usable_h = {tag: deque(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples))
                 for tag in (DETUNED, RESONANT)}
-    for seg, (_, _, tag) in zip(segments, bounds):
-        env = _stage(
-            "synthesis", simulate_scheduled_envelopes, osc, rates, seg, schedule,
-            workers=workers, streams=streams,
-        )
-        piece = _stage(
-            "composition", compose_heterodyne_components, *env, det, seg, delta_lo,
-            schedule=schedule, workers=workers, streams=streams,
-        ).samples
-        del env
+    segment_buf = np.empty(max(i1 - i0 for i0, i1, _ in bounds))
+    for (i0, i1, tag), seg_blocks in zip(bounds, blocks):
+        piece = segment_buf[: i1 - i0]
+        for blk in seg_blocks:
+            env = _stage(
+                "synthesis", simulate_scheduled_envelopes, osc, rates, blk, schedule,
+                workers=workers, streams=streams,
+            )
+            piece[blk.start - i0 : blk.start - i0 + blk.n_samples] = _stage(
+                "composition", compose_heterodyne_components, *env, det, blk, delta_lo,
+                schedule=schedule, workers=workers, streams=streams,
+            ).samples
+            del env
         if raw_dir is not None:
             recordio.write_record_bin(
                 raw_dir / "record_component.bin", piece, grid.sample_rate,
-                offset=seg.start, length=grid.n_samples,
+                offset=i0, length=grid.n_samples,
             )
         usable = usable_h[tag]
-        if usable and usable[0].start < seg.start + seg.n_samples:
+        if usable and usable[0].start < i1:
             keep = usable.popleft()
-            welch_h[tag].feed(piece[keep.start - seg.start : keep.stop - seg.start], workers)
-        del piece
+            welch_h[tag].feed(piece[keep.start - i0 : keep.stop - i0], workers)
+    del segment_buf, piece
     psd_h = {tag: _stage("heterodyne psd", welch.psd) for tag, welch in welch_h.items()}
 
     # Quadrature path (Wigner backend): synthesize, compose and lock-in
-    # filter each segment; only the decimated baseband is kept whole.
+    # filter each block; only the decimated baseband is kept whole.
     frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     baseband = None
-    for seg in segments:
+    for blk in itertools.chain.from_iterable(blocks):
         traj = _stage(
-            "synthesis", simulate_scheduled_quadratures, osc, rates, seg, schedule,
+            "synthesis", simulate_scheduled_quadratures, osc, rates, blk, schedule,
             workers=workers, streams=streams,
         )
         rec_w = _stage(
@@ -182,7 +198,7 @@ def _run_repetition(
         if raw_dir is not None:
             recordio.write_record_bin(
                 raw_dir / "record_wigner.bin", rec_w.samples, rec_w.sample_rate,
-                offset=seg.start, length=grid.n_samples,
+                offset=blk.start, length=grid.n_samples,
             )
         baseband = _stage(
             "demodulation", demod_baseband, rec_w, det, passband_edge, decim,

@@ -14,8 +14,8 @@ Two backends realize the model:
 Both backends follow the drive schedule: resonant segments carry the
 parametric rates, detuned segments the reference rates (s = 0, gamma_eff
 unchanged).  Each has one entry point, simulate_scheduled_quadratures and
-simulate_scheduled_envelopes, which synthesize a whole record or one drive
-segment of it.  Every real chain is an OUChain: the exact OU discretization
+simulate_scheduled_envelopes, which synthesize any contiguous piece of a
+record.  Every real chain is an OUChain: the exact OU discretization
 (no step-size bias), started from a stationary draw and drawn in pieces that
 consume the same normals in the same order as one draw.  ou_step is the
 scalar form of that update.  Every stochastic stream is derived from the grid
@@ -26,8 +26,8 @@ execution order.
 A complex component stream draws its real part for the whole record, then
 its imaginary part.  Its imaginary chain has a generator of its own on the
 same stream id that first discards the normals the real chain uses, so a
-record synthesized one drive segment at a time draws both parts of each
-segment together and still gets the normals of that order.
+record synthesized one piece at a time draws both parts of each piece
+together and still gets the normals of that order.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class SimGrid:
 
     The carrier (rad/s) stands in for the mechanical frequency in the sampled
     record; the physics only depends on rates and offsets, so the baseband
-    reduction is exact.  A grid may cover only part of a record (one drive
-    segment): `start` is the record index of its first sample.
+    reduction is exact.  A grid may cover any contiguous piece of a record:
+    `start` is the record index of its first sample.
     """
 
     sample_rate: float
@@ -164,9 +164,8 @@ class Record:
     """Uniformly sampled detector record with drive-schedule tags, composed
     at the reduced carrier `carrier` (rad/s).
 
-    A record composed one drive segment at a time comes as pieces: `start`
-    is the record index of samples[0], and the schedule is the whole
-    record's."""
+    A record composed one piece at a time comes as pieces: `start` is the
+    record index of samples[0], and the schedule is the whole record's."""
 
     samples: np.ndarray
     sample_rate: float
@@ -254,8 +253,8 @@ class OUChain:
 class Streams:
     """The random streams of one record of n_samples samples: one generator
     per stream id and the OU chains drawn from them.  A record synthesized
-    one drive segment at a time passes the same Streams to every segment's
-    call, so each stream continues where the previous segment left it."""
+    one piece at a time passes the same Streams to every piece's call, so
+    each stream continues where the previous piece left it."""
 
     def __init__(self, seed: int, dt: float, n_samples: int):
         self.seed = seed
@@ -363,9 +362,9 @@ def simulate_scheduled_quadratures(
     continuous across switches (the schedule guard covers settling).  The two
     independent chains run on up to `workers` threads.
 
-    Without a schedule the whole grid is resonant.  The grid may be one
-    drive segment of the record; `streams` then carries both chains from the
-    previous segment."""
+    Without a schedule the whole grid is resonant.  The grid may be any
+    contiguous piece of the record; `streams` then carries both chains from
+    the previous piece."""
     _check_synthesizable(rates)
     streams = Streams.for_grid(grid, streams)
     var_x, var_y = rates.quadrature_variances()
@@ -410,8 +409,8 @@ def simulate_scheduled_envelopes(
     real part over the whole record before the imaginary part; each
     envelope part is filled with its narrow component, then its broad
     component is added.  The two envelopes run on up to `workers` threads.
-    The grid may be one drive segment of the record; `streams` then
-    carries the chains from the previous segment."""
+    The grid may be any contiguous piece of the record; `streams` then
+    carries the chains from the previous piece."""
     _check_synthesizable(rates)
     _check_weights(rates)
     streams = Streams.for_grid(grid, streams)

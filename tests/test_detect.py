@@ -275,73 +275,85 @@ class TestDemodBaseband:
 
 
 class TestSegmentStreaming:
-    """Records composed and demodulated one drive segment at a time agree
-    with the whole-record computation."""
+    """Records composed and demodulated one piece at a time agree bit for
+    bit with the whole-record computation, for pieces cut at the drive
+    segment bounds only and for pieces cut inside the segments too."""
 
-    # 3 s segments of 75 000 samples: every edge falls inside a mixing block
-    # and inside an overlap-save block
+    # 3 s segments of 75 000 samples: every segment edge falls inside a
+    # mixing block and inside an overlap-save block
     GRID = SimGrid(sample_rate=FS, duration=12.0, carrier=CARRIER, seed=43)
+    # piece lengths within a segment; None cuts at the segment bounds only
+    CUTS = (None, 20_000, 7_777)
 
     def _setup(self):
         rates = rates_for(0.5)
-        schedule = schedule_drive(self.GRID, 3.0, rates.gamma_minus)
-        bounds = schedule.sample_bounds(FS, self.GRID.n_samples)
-        segments = [self.GRID.segment(i0, i1) for i0, i1, _ in bounds]
-        return rates, schedule, segments
+        return rates, schedule_drive(self.GRID, 3.0, rates.gamma_minus)
+
+    def _pieces(self, schedule, cut=None):
+        """The record's grid pieces: each drive segment cut into pieces of
+        `cut` samples, the last one shorter."""
+        pieces = []
+        for i0, i1, _ in schedule.sample_bounds(FS, self.GRID.n_samples):
+            step = cut or i1 - i0
+            pieces += [self.GRID.segment(b0, min(b0 + step, i1)) for b0 in range(i0, i1, step)]
+        return pieces
 
     def test_wigner_record_and_baseband(self):
-        rates, schedule, segments = self._setup()
+        rates, schedule = self._setup()
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         whole_traj = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
         whole_rec = compose_heterodyne_wigner(
             whole_traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4
         )
         whole = demod_baseband(whole_rec, det, 1.2e3, decimate=4)
-        streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
-        pieces, streamed = [], None
-        for seg in segments:
-            traj = simulate_scheduled_quadratures(OSC, rates, seg, schedule, streams=streams)
-            rec = compose_heterodyne_wigner(
-                traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4, workers=2,
-                streams=streams,
-            )
-            assert rec.start == seg.start
-            pieces.append(rec.samples)
-            streamed = demod_baseband(rec, det, 1.2e3, decimate=4, workers=2, into=streamed)
-        for seg in segments[1:]:
-            assert seg.start % _MIX_BLOCK and seg.start % streamed._step
-        record = np.concatenate(pieces)
-        scale = np.max(np.abs(whole_rec.samples))
-        np.testing.assert_allclose(record, whole_rec.samples, rtol=0, atol=1e-12 * scale)
-        scale = np.max(np.abs(whole.z))
-        np.testing.assert_allclose(streamed.z, whole.z, rtol=0, atol=1e-12 * scale)
-        assert optimize_demod_phase(streamed)[0] == pytest.approx(
-            optimize_demod_phase(whole)[0], abs=1e-9
-        )
+        for cut in self.CUTS:
+            pieces = self._pieces(schedule, cut)
+            streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
+            samples, streamed = [], None
+            for piece in pieces:
+                traj = simulate_scheduled_quadratures(
+                    OSC, rates, piece, schedule, streams=streams
+                )
+                rec = compose_heterodyne_wigner(
+                    traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4, workers=2,
+                    streams=streams,
+                )
+                assert rec.start == piece.start
+                samples.append(rec.samples)
+                streamed = demod_baseband(
+                    rec, det, 1.2e3, decimate=4, workers=2, into=streamed
+                )
+            for piece in pieces[1:]:
+                assert piece.start % _MIX_BLOCK and piece.start % streamed._step, cut
+            np.testing.assert_array_equal(np.concatenate(samples), whole_rec.samples, str(cut))
+            np.testing.assert_array_equal(streamed.z, whole.z, str(cut))
+            assert optimize_demod_phase(streamed) == optimize_demod_phase(whole), cut
 
     def test_component_record_one_segment_at_a_time(self):
-        # each segment's envelopes, then its piece of the record: the pieces
+        # each piece's envelopes, then its piece of the record: the pieces
         # are the whole-record composition, bit for bit
-        rates, schedule, segments = self._setup()
+        rates, schedule = self._setup()
         det = DetectionParams(gain=1.3, shot_psd=0.002, lowpass_cutoff=2.5e3)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule)
         whole = compose_heterodyne_components(
             beta_s, beta_as, det, self.GRID, DELTA_LO, schedule=schedule
         )
-        streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
-        pieces = []
-        for seg in segments:
-            env = simulate_scheduled_envelopes(OSC, rates, seg, schedule, streams=streams)
-            rec = compose_heterodyne_components(
-                *env, det, seg, DELTA_LO, schedule=schedule, workers=2, streams=streams,
-            )
-            assert rec.start == seg.start and len(rec.samples) == seg.n_samples
-            pieces.append(rec.samples)
-        np.testing.assert_array_equal(np.concatenate(pieces), whole.samples)
+        for cut in self.CUTS:
+            pieces = self._pieces(schedule, cut)
+            streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
+            samples = []
+            for piece in pieces:
+                env = simulate_scheduled_envelopes(OSC, rates, piece, schedule, streams=streams)
+                rec = compose_heterodyne_components(
+                    *env, det, piece, DELTA_LO, schedule=schedule, workers=2, streams=streams,
+                )
+                assert rec.start == piece.start and len(rec.samples) == piece.n_samples
+                samples.append(rec.samples)
+            np.testing.assert_array_equal(np.concatenate(samples), whole.samples, str(cut))
 
     def test_pieces_must_follow_in_order(self):
-        rates, schedule, segments = self._setup()
-        traj = simulate_scheduled_quadratures(OSC, rates, segments[1], schedule)
+        rates, schedule = self._setup()
+        traj = simulate_scheduled_quadratures(OSC, rates, self._pieces(schedule)[1], schedule)
         rec = compose_heterodyne_wigner(traj, DET, DELTA_LO, schedule=schedule)
         with pytest.raises(ValueError, match="does not continue"):
             demod_baseband(rec, DET, 1.2e3)

@@ -515,10 +515,11 @@ def _traced_peak(cfg, out) -> float:
 
 class TestMemoryBound:
     def test_traced_peak_is_a_few_real_records(self, tmp_path):
-        # Both records are streamed by drive segment: only the decimated
-        # complex baseband (half a record at decimate 4, 16 bytes a sample)
-        # is held whole, and the lock-in channels are views of it, so the
-        # traced peak stays below 1.6 records of 8 bytes per sample.
+        # Both records are streamed in blocks within each drive segment:
+        # only the decimated complex baseband (half a record at decimate 4,
+        # 16 bytes a sample) is held whole, and the lock-in channels are
+        # views of it, so the traced peak stays below 1.6 records of 8
+        # bytes per sample.
         # Holding the component record whole peaked at 1.80 records on this
         # grid, whole-record synthesis (two complex envelopes beside the
         # record) at 6.5.
@@ -536,6 +537,15 @@ class TestMemoryBound:
         peak = _traced_peak(cfg, tmp_path)
         assert (tmp_path / "rep00" / "raw" / "record_component.bin").exists()
         assert peak < 1.5, peak
+
+    def test_peak_with_segments_longer_than_a_block(self, tmp_path):
+        # 15 s drive segments of 375 000 samples span several processing
+        # blocks.  Only the sideband path's one segment buffer is
+        # segment-sized, so the peak stays below 1.6 records; with every
+        # stage working on whole segments it read 2.09 records here.
+        cfg = tiny_config(duration="60s", schedule_period="15s", repetitions="1")
+        peak = _traced_peak(cfg, tmp_path)
+        assert peak < 1.6, peak
 
 
 class TestKeepRaw:

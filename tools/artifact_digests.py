@@ -1,4 +1,4 @@
-"""Write four small artifact trees and print the SHA-256 of every file.
+"""Write five small artifact trees and print the SHA-256 of every file.
 
     PYTHONPATH=src python3 tools/artifact_digests.py OUT_DIR
 
@@ -8,7 +8,10 @@ The trees are built on the test suite's tiny grid (12 s records at 25 kHz,
 - ``single``: ``run_single`` with ``keep_raw``, so raw records are included;
 - ``analytic``: the analytic-only run at ``n_bar=0.3``, ``s_target=0.7``;
 - ``ratio_sweep``: ``run_sweep_ratio_vs_s`` over ``[0.1, 0.7]`` at ``n_bar=0.3``;
-- ``variance_sweep``: ``run_sweep_variance_vs_tone_ratio`` over ``[1.0, 0.0]``.
+- ``variance_sweep``: ``run_sweep_variance_vs_tone_ratio`` over ``[1.0, 0.0]``;
+- ``long_segments``: ``run_single`` with ``keep_raw`` and 6 s drive segments
+  (150,000 samples), longer than the pipeline's processing block, so the
+  records are cut inside drive segments too.
 
 Each tree is written with 1, 2 and 5 workers under ``OUT_DIR/workers_N``.
 The script exits 1, naming the files, when the worker counts disagree;
@@ -60,6 +63,9 @@ def write_trees(root: Path, workers: int) -> None:
     )
     pipeline.run_sweep_variance_vs_tone_ratio(
         tiny_config(), [1.0, 0.0], root / "variance_sweep", workers=workers
+    )
+    pipeline.run_single(
+        tiny_config(schedule_period="6s", keep_raw="true"), root / "long_segments", workers=workers
     )
 
 
