@@ -33,11 +33,9 @@ from .synth import (
     single_segment_schedule,
 )
 
-# Samples per carrier-mixing block (cache-sized), per shot-noise buffer,
-# and the FFT length and blocks per call of the lock-in filter's
-# overlap-save.
+# Samples per carrier-mixing block (cache-sized), and the FFT length and
+# blocks per call of the lock-in filter's overlap-save.
 _MIX_BLOCK = 1 << 16
-_NOISE_STRETCH = 16 * _MIX_BLOCK
 _FIR_FFT = 1 << 13
 _FIR_BATCH = 16
 
@@ -188,27 +186,21 @@ def _mix_into(
     mix(i0, i1) writes the samples [i0, i1) into their places in out; then
     add white shot noise of one-sided density shot_psd drawn from rng.
     Without noise the samples are mixed in `workers` parts side by side;
-    with noise, the noise of each _NOISE_STRETCH stretch of the record is
-    drawn into one buffer, on a second thread when workers > 1, while that
-    stretch is mixed.  The sum is the same either way."""
+    with noise, the call's noise is drawn into one buffer, on a second
+    thread when workers > 1, while the samples are mixed.  The sum is the
+    same either way."""
     end = start + len(out)
     if not shot_psd > 0.0:
         _in_parts(start, end, workers, mix)
         return
     sigma = math.sqrt(shot_psd * sample_rate / 2.0)
-    noise = np.empty(min(len(out), _NOISE_STRETCH))
+    noise = np.empty(len(out))
 
-    def draw(part):
-        rng.standard_normal(out=part)
-        part *= sigma
+    def draw():
+        np.multiply(rng.standard_normal(out=noise), sigma, out=noise)
 
-    s0 = start
-    while s0 < end:
-        s1 = min(s0 - s0 % _NOISE_STRETCH + _NOISE_STRETCH, end)
-        part = noise[: s1 - s0]
-        thread_map(lambda job: job(), (partial(mix, s0, s1), partial(draw, part)), workers)
-        out[s0 - start : s1 - start] += part
-        s0 = s1
+    thread_map(lambda job: job(), (partial(mix, start, end), draw), workers)
+    out += noise
 
 
 def compose_heterodyne_wigner(

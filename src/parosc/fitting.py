@@ -18,7 +18,6 @@ analytic Jacobian at the optimum.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,8 +198,8 @@ def _profile_fit(model, grid, lower, freqs, data, psd: Psd) -> _Optimum:
     (upward fluctuations get down-weighted); replacing the density with the
     first-pass model prediction removes that bias at first order.  The
     covariance is (J^T J)^-1 at the optimum scaled by the reduced chi-square;
-    a near-singular normal matrix falls back to the pseudo-inverse and warns
-    with the null-space direction.
+    a near-singular normal matrix falls back to the pseudo-inverse and
+    records the null-space direction.
     """
     first, n_first, ok_first = _profile_pass(model, grid, lower, freqs, data, _sigma_for(data, psd))
     sigma = _sigma_for(model.value(first, freqs), psd)
@@ -216,7 +215,6 @@ def _profile_fit(model, grid, lower, freqs, data, psd: Psd) -> _Optimum:
     direction = None
     if not np.isfinite(cond) or cond > 1e12:
         direction = _null_direction(normal, model.param_names)
-        warnings.warn("near-singular normal matrix at the optimum; direction: " + direction, stacklevel=3)
         cov = np.linalg.pinv(normal) * reduced_chi2
     else:
         cov = np.linalg.inv(normal) * reduced_chi2

@@ -1,9 +1,9 @@
 """Thread pool shared by the kernels of one repetition and by the sweeps.
 
-numpy's random fills, scipy's lfilter and FFTs and large elementwise ufuncs
-release the GIL, so independent streams and chunks overlap on threads.
-Results come back in input order, so every reduction over them is the same
-for any worker count.
+thread_map is its one primitive.  numpy's random fills, scipy's lfilter and
+FFTs and large elementwise ufuncs release the GIL, so independent streams
+and chunks overlap on threads.  Results come back in input order, so every
+reduction over them is the same for any worker count.
 
 One pool per worker count is built on first use and reused by every later
 call, so a kernel called once per record block pays no thread start-up.  A
@@ -15,7 +15,6 @@ nested calls cannot deadlock.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -49,27 +48,3 @@ def thread_map(fn, items, workers: int = 1) -> list:
     wait(futures)
     return [future.result() for future in futures]
 
-
-def in_order(fn, items, workers: int, window: int):
-    """Yield fn(x) for x in items, in order, computed on up to `workers`
-    threads with at most `window` results computed or pending at once: the
-    next item is submitted only after the result `window` places before it
-    has been consumed, so fn may reuse that result's storage.  Closing the
-    generator early cancels the items not yet started and waits for the
-    running ones."""
-    pool = _pool(workers)
-    if pool is None:
-        yield from map(fn, items)
-        return
-    pending = deque()
-    try:
-        for x in items:
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, x))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)

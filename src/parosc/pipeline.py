@@ -297,6 +297,12 @@ def _run_repetition(
         "fit_quadrature_x_resonant.json": quad_fits[("x", RESONANT)],
         "fit_quadrature_y_resonant.json": quad_fits[("y", RESONANT)],
     }
+    for name, fit in fits.items():
+        if fit.degenerate_direction is not None:  # attributed like the flat-phase warning
+            warnings.warn(
+                f"repetition seed {seed}: {name}: near-singular normal matrix at the "
+                f"optimum; direction: {fit.degenerate_direction}", stacklevel=3,
+            )
     psds = {
         "heterodyne_detuned.csv": psd_h[DETUNED],
         "heterodyne_resonant.csv": psd_h[RESONANT],

@@ -9,13 +9,13 @@ disjoint chunks of a schedule alike: the mean of the power rows of every
 segment of every chunk, normalized once.  `Welch.feed` takes one chunk at
 a time, so a record streamed one drive segment at a time is never held
 whole; `welch_psd_chunks` feeds a list of chunks in order.  Each chunk's
-rows are computed on several threads but summed in segment order, and that
-chunk sum is added to the running sum, so the estimate does not depend on
-the thread count.  The working set is a few segments per thread, not the
-record: each row is detrended, windowed, transformed and squared in
-buffers allocated once per chunk.  The window and its lag correlations are
-computed once per (window, segment length, hop) and shared read-only
-between calls.
+rows are computed `workers` at a time, one per thread, but summed in
+segment order, and that chunk sum is added to the running sum, so the
+estimate does not depend on the thread count.  The working set is one
+segment per thread, not the record: each row is detrended, windowed,
+transformed and squared in buffers allocated once per chunk.  The window
+and its lag correlations are computed once per (window, segment length,
+hop) and shared read-only between calls.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy import fft as sp_fft
 from scipy import signal, special
 
 from .errors import SpectralError
-from .parallel import in_order
+from .parallel import thread_map
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
@@ -140,10 +140,10 @@ class Welch:
 
     def feed(self, chunk: np.ndarray, workers: int) -> None:
         """Add the power rows of the chunk's segments to the running sum:
-        the rows are computed on up to `workers` threads, summed in segment
-        order, and that chunk sum is added.  The first chunk fixes real or
-        complex input and later ones must match; a chunk shorter than two
-        segments is skipped."""
+        the rows are computed `workers` at a time, one per thread, summed
+        in segment order, and that chunk sum is added.  The first chunk
+        fixes real or complex input and later ones must match; a chunk
+        shorter than two segments is skipped."""
         complex_input = np.iscomplexobj(chunk)
         if self._total is None:
             self._complex = complex_input
@@ -155,15 +155,14 @@ class Welch:
             return
         transform = sp_fft.fft if complex_input else sp_fft.rfft
         segments = sliding_window_view(chunk, seg_len)[:: self.hop]
-        # Records are long and segments too: each row has a slot, reused once
-        # the row in it is summed, so at most one more row than threads is
-        # held while the threads compute the next rows.
-        slots = 1 if workers <= 1 else workers + 1
-        windowed = np.empty((slots, seg_len), complex if complex_input else float)
-        rows = np.empty((slots, len(self._total)))
+        # Records are long and segments too: the rows are computed `workers`
+        # at a time, each in one of `workers` slots, and each group is summed
+        # in segment order before the next group reuses the slots.
+        windowed = np.empty((workers, seg_len), complex if complex_input else float)
+        rows = np.empty((workers, len(self._total)))
 
         def power_row(k):
-            j = k % slots
+            j = k % workers
             if self.detrend == "constant":
                 np.subtract(segments[k], segments[k].mean(), out=windowed[j])
                 windowed[j] *= self._win_vals
@@ -175,8 +174,9 @@ class Welch:
             return rows[j]
 
         total = np.zeros(len(self._total))
-        for row in in_order(power_row, range(len(segments)), workers, slots):
-            total += row
+        for k0 in range(0, len(segments), workers):
+            for row in thread_map(power_row, range(k0, min(k0 + workers, len(segments))), workers):
+                total += row
         self._total += total
         self._n_segments += len(segments)
         self._effective += len(segments) / _overlap_variance_factor(self._rhos, len(segments))

@@ -53,7 +53,7 @@ STREAM_SHOT_WIGNER = 6
 STREAM_SHOT_COMPONENT = 7
 STREAM_FRAME_PHASE = 8
 
-# OU chains draw and filter their normals this many samples at a time.
+# An IMAG chain's skip discards the REAL chain's normals this many at a time.
 _DRAW_BLOCK = 1 << 16
 
 RESONANT = "resonant"
@@ -204,9 +204,9 @@ class OUChain:
     continuously across pieces.  The first sample is a stationary draw of
     the first piece.  Drawing a chain in any split of its pieces consumes
     the same normals in the same order, so it gives the chain drawn whole.
-    Each piece is drawn and filtered in blocks of _DRAW_BLOCK samples, each
-    written (or added) straight into its place.  The first draw discards
-    `skip` normals of the generator before it takes any."""
+    Each call draws its normals at once and filters them in one pass.  The
+    first draw discards `skip` normals of the generator, _DRAW_BLOCK at a
+    time, before it takes any."""
 
     def __init__(self, rng: np.random.Generator, dt: float):
         self.rng = rng
@@ -235,18 +235,16 @@ class OUChain:
             self.state = math.sqrt(var) * self.rng.standard_normal()
             out[0] = out[0] + self.state if add else self.state
             i0 = 1
-        w = np.empty(min(n - i0, _DRAW_BLOCK))
-        for b0 in range(i0, n, _DRAW_BLOCK):
-            b1 = min(b0 + _DRAW_BLOCK, n)
-            self.rng.standard_normal(out=w[: b1 - b0])
+        if n > i0:
             block, _ = signal.lfilter(
-                [sigma_w], [1.0, -alpha], w[: b1 - b0], zi=np.array([alpha * self.state])
+                [sigma_w], [1.0, -alpha], self.rng.standard_normal(n - i0),
+                zi=np.array([alpha * self.state]),
             )
             self.state = block[-1]
             if add:
-                out[b0:b1] += block
+                out[i0:n] += block
             else:
-                out[b0:b1] = block
+                out[i0:n] = block
         return out
 
 
@@ -324,26 +322,26 @@ def _check_weights(rates: DerivedRates) -> None:
         )
 
 
-def _schedule_pieces(
-    schedule: Schedule | None, grid: SimGrid, per_tag: dict[str, tuple[float, float]]
-) -> list[tuple[int, float, float]]:
-    """(n_samples, decay, var) of the drive segments' parts on the grid;
-    without a schedule the grid is one resonant segment."""
+def _schedule_pieces(schedule: Schedule | None, grid: SimGrid) -> list[tuple[int, str]]:
+    """(n_samples, tag) of the drive segments' parts on the grid, from one
+    scan of the schedule per synthesis call that every chain of the call
+    shares; without a schedule the grid is one resonant segment."""
     if schedule is None:
-        return [(grid.n_samples, *per_tag[RESONANT])]
+        return [(grid.n_samples, RESONANT)]
     lo = grid.start
     hi = lo + grid.n_samples
     return [
-        (min(i1, hi) - max(i0, lo), *per_tag[tag])
+        (min(i1, hi) - max(i0, lo), tag)
         for i0, i1, tag in schedule.sample_bounds(grid.sample_rate, hi)
         if i0 < hi and i1 > lo
     ]
 
 
-def _draw_pieces(chain: OUChain, pieces, out: np.ndarray, add: bool = False) -> np.ndarray:
+def _draw_pieces(chain: OUChain, pieces, per_tag, out: np.ndarray, add: bool = False) -> np.ndarray:
+    """Draw the chain over the pieces into out, each at its tag's (decay, var)."""
     pos = 0
-    for n, decay, var in pieces:
-        chain.draw(n, decay, var, out=out[pos : pos + n], add=add)
+    for n, tag in pieces:
+        chain.draw(n, *per_tag[tag], out=out[pos : pos + n], add=add)
         pos += n
     return out
 
@@ -368,20 +366,18 @@ def simulate_scheduled_quadratures(
     _check_synthesizable(rates)
     streams = Streams.for_grid(grid, streams)
     var_x, var_y = rates.quadrature_variances()
-    var_0 = (2.0 * rates.n_bar + 1.0) / 4.0
+    detuned = (0.5 * rates.gamma_eff, (2.0 * rates.n_bar + 1.0) / 4.0)
+    pieces = _schedule_pieces(schedule, grid)
     # chains are looked up here, not on the pool's threads
     quadratures = (
-        (streams.chain(STREAM_WIGNER_X), 0.5 * rates.gamma_plus, var_x),
-        (streams.chain(STREAM_WIGNER_Y), 0.5 * rates.gamma_minus, var_y),
+        (streams.chain(STREAM_WIGNER_X), (0.5 * rates.gamma_plus, var_x)),
+        (streams.chain(STREAM_WIGNER_Y), (0.5 * rates.gamma_minus, var_y)),
     )
 
     def draw(quadrature):
-        chain, decay, var = quadrature
-        pieces = _schedule_pieces(schedule, grid, {
-            RESONANT: (decay, var),
-            DETUNED: (0.5 * rates.gamma_eff, var_0),
-        })
-        return _draw_pieces(chain, pieces, np.empty(grid.n_samples))
+        chain, resonant = quadrature
+        per_tag = {RESONANT: resonant, DETUNED: detuned}
+        return _draw_pieces(chain, pieces, per_tag, np.empty(grid.n_samples))
 
     x, y = thread_map(draw, quadratures, workers)
     return QuadTrajectory(x=x, y=y, grid=grid, rates=rates)
@@ -416,6 +412,7 @@ def simulate_scheduled_envelopes(
     streams = Streams.for_grid(grid, streams)
     resonant = _envelope_component_table(rates)
     detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
+    pieces = _schedule_pieces(schedule, grid)
 
     # chains are looked up here, not on the pool's threads
     chains = {(sid, p): streams.chain(sid, p) for sid in resonant for p in (REAL, IMAG)}
@@ -423,11 +420,9 @@ def simulate_scheduled_envelopes(
     def fill(out, sids, p):
         for k, sid in enumerate(sids):
             # circular complex OU of power p: each quadrature carries p/2
-            pieces = _schedule_pieces(schedule, grid, {
-                tag: (decay, 0.5 * power)
-                for tag, (decay, power) in ((RESONANT, resonant[sid]), (DETUNED, detuned[sid]))
-            })
-            _draw_pieces(chains[sid, p], pieces, out, add=k > 0)
+            per_tag = {RESONANT: resonant[sid], DETUNED: detuned[sid]}
+            per_tag = {tag: (decay, 0.5 * power) for tag, (decay, power) in per_tag.items()}
+            _draw_pieces(chains[sid, p], pieces, per_tag, out, add=k > 0)
         return out
 
     def envelope(sids):

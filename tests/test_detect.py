@@ -351,6 +351,26 @@ class TestSegmentStreaming:
                 samples.append(rec.samples)
             np.testing.assert_array_equal(np.concatenate(samples), whole.samples, str(cut))
 
+    def test_shot_noise_past_the_old_stretch(self):
+        # a record longer than 2**20 samples, composed in one call and in
+        # pipeline-block pieces, draws one shot-noise stream; a zero
+        # trajectory leaves only the noise
+        from parosc.pipeline import _BLOCK
+
+        grid = grid_for(44.0, 47)
+        assert grid.n_samples > 1 << 20
+        rates = rates_for(0.5)
+        whole = compose_heterodyne_wigner(constant_trajectory(grid, 0.0, 0.0, rates), DET, DELTA_LO)
+        streams = Streams(grid.seed, grid.dt, grid.n_samples)
+        pieces = [
+            compose_heterodyne_wigner(
+                constant_trajectory(grid.segment(b0, min(b0 + _BLOCK, grid.n_samples)), 0.0, 0.0, rates),
+                DET, DELTA_LO, workers=2, streams=streams,
+            ).samples
+            for b0 in range(0, grid.n_samples, _BLOCK)
+        ]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole.samples)
+
     def test_pieces_must_follow_in_order(self):
         rates, schedule = self._setup()
         traj = simulate_scheduled_quadratures(OSC, rates, self._pieces(schedule)[1], schedule)

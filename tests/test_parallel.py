@@ -1,5 +1,5 @@
-"""The shared thread pool: input order, reuse across calls, the in_order
-window and serial nested calls."""
+"""The shared thread pool's one primitive, thread_map: input order, errors,
+reuse across calls and serial nested calls."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from parosc.parallel import in_order, thread_map
+from parosc.parallel import thread_map
 
 WORKERS = 3
 
@@ -84,43 +84,6 @@ def test_concurrent_first_calls_build_one_pool():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert len(idents) <= workers
-
-
-def test_in_order_holds_at_most_window_results():
-    window = 2
-    lock = threading.Lock()
-    live = [0, 0]  # computed and not yet consumed, largest seen
-
-    def fn(x):
-        with lock:
-            live[0] += 1
-            live[1] = max(live[1], live[0])
-        return x
-
-    out = []
-    for x in in_order(fn, range(40), WORKERS, window):
-        time.sleep(0.001)  # a slow consumer lets the threads run ahead
-        with lock:
-            live[0] -= 1
-        out.append(x)
-    assert out == list(range(40))
-    assert live[1] <= window
-
-
-def test_in_order_closed_early_leaves_nothing_running():
-    started = []
-
-    def fn(x):
-        started.append(x)
-        time.sleep(0.002)
-        return x
-
-    gen = in_order(fn, range(100), WORKERS, WORKERS)
-    assert next(gen) == 0
-    gen.close()
-    n_started = len(started)
-    time.sleep(0.05)
-    assert len(started) == n_started < 100
 
 
 def test_nested_thread_map_runs_serially_on_the_calling_thread():

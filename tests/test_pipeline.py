@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,24 @@ class TestRunSingle:
         assert len(flat) == 1
         assert f"repetition seed {report['seeds'][0]}:" in str(flat[0].message)
         assert flat[0].filename == __file__
+
+    def test_degenerate_fit_warning_names_the_seed(self, tmp_path, monkeypatch):
+        # a fit with a near-singular normal matrix warns once, naming the
+        # repetition, the fit's artifact and the direction, at the line that
+        # called run_single
+        fit_double = pipeline.fit_double_pair
+        monkeypatch.setattr(
+            pipeline, "fit_double_pair",
+            lambda *args: replace(fit_double(*args), degenerate_direction="+0.71 s -0.71 area"),
+        )
+        with pytest.warns(UserWarning, match="near-singular") as caught:
+            report = run_single(tiny_config(repetitions="1"), tmp_path)
+        singular = [w for w in caught if "near-singular" in str(w.message)]
+        assert len(singular) == 1
+        message = str(singular[0].message)
+        assert f"repetition seed {report['seeds'][0]}: fit_heterodyne_double.json:" in message
+        assert message.endswith("direction: +0.71 s -0.71 area")
+        assert singular[0].filename == __file__
 
     def test_artifacts_carry_config_hash(self, run):
         out, report = run

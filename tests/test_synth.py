@@ -74,9 +74,9 @@ class TestOuStep:
             np.testing.assert_allclose(chain, manual, rtol=1e-12)
 
     def test_blocks_equal_one_filter_over_the_same_normals(self):
-        # a chain longer than three draw blocks, drawn whole and in pieces
-        # whose edges straddle the block edges, equals one lfilter call over
-        # the same normals, bit for bit; so does adding it into an array
+        # a chain drawn whole and in uneven pieces, some of them empty,
+        # equals one lfilter call over the same normals, bit for bit; so
+        # does adding it into an array
         decay, var, dt = TWO_PI * 8.0, 1.3, 1e-4
         n = 3 * _DRAW_BLOCK + 17
         alpha = math.exp(-decay * dt)
@@ -382,6 +382,28 @@ class TestSegmentStreaming:
         ]
         np.testing.assert_array_equal(np.concatenate([g[0] for g in got]), beta_s)
         np.testing.assert_array_equal(np.concatenate([g[1] for g in got]), beta_as)
+
+    def test_one_schedule_scan_per_synthesis_call(self, monkeypatch):
+        # every chain of a call shares the call's one scan of the segments
+        from parosc.detect import schedule_drive
+        from parosc.synth import Schedule
+
+        rates = rates_for(0.4)
+        grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=43)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        piece = grid.segment(9_000, 13_000)  # across the switch at 10 000
+        scan = Schedule.sample_bounds
+        calls = []
+
+        def counted(self, *args):
+            calls.append(args)
+            return scan(self, *args)
+
+        monkeypatch.setattr(Schedule, "sample_bounds", counted)
+        simulate_scheduled_envelopes(OSC, rates, piece, schedule)
+        assert len(calls) == 1
+        simulate_scheduled_quadratures(OSC, rates, piece, schedule)
+        assert len(calls) == 2
 
     def test_envelopes_draw_real_then_imag_parts_from_one_stream(self):
         # the reference draw order: each component stream's real part over
