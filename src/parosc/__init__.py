@@ -30,8 +30,6 @@ from .model import (
 )
 from .spectral import Psd, Welch, chi2_indistinguishable, welch_psd_chunks
 from .synth import (
-    QuadTrajectory,
-    Record,
     Schedule,
     Segment,
     SimGrid,
@@ -40,7 +38,6 @@ from .synth import (
     simulate_scheduled_quadratures,
 )
 from .detect import (
-    DemodOutput,
     DetectionParams,
     compose_heterodyne_components,
     compose_heterodyne_wigner,

@@ -3,6 +3,11 @@
 The record carrier Omega_c is the reduced stand-in for half the parametric
 drive frequency, so demodulation mixes at Omega_c.  Shot noise is white and
 Gaussian (flat one-sided PSD).
+
+The stages hand on plain arrays, with the SimGrid of the record piece they
+cover: the compose functions turn the synthesized arrays into record
+samples, demod_baseband feeds those into a Baseband, and lockin_demodulate
+returns the two channels as views of its baseband.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from .synth import (
     RESONANT,
     STREAM_SHOT_COMPONENT,
     STREAM_SHOT_WIGNER,
-    QuadTrajectory,
-    Record,
     Schedule,
     Segment,
     SimGrid,
@@ -75,20 +78,6 @@ class DetectionParams:
     def __post_init__(self):
         if self.shot_psd < 0:
             raise ValueError(f"shot_psd must be >= 0, got {self.shot_psd}")
-
-
-@dataclass
-class DemodOutput:
-    """Lock-in quadrature channels after mixing, low-pass and decimation,
-    with each drive class's usable slices (Baseband.usable_slices)."""
-
-    ch_x: np.ndarray
-    ch_y: np.ndarray
-    sample_rate: float
-    slices: dict[str, list[slice]]
-
-    def usable_slices(self, tag: str) -> list[slice]:
-        return self.slices[tag]
 
 
 def schedule_drive(grid: SimGrid, period: float, gamma_minus: float) -> Schedule:
@@ -204,30 +193,28 @@ def _mix_into(
 
 
 def compose_heterodyne_wigner(
-    traj: QuadTrajectory,
+    x: np.ndarray,
+    y: np.ndarray,
     det: DetectionParams,
+    grid: SimGrid,
     delta_lo: float,
-    schedule: Schedule | None = None,
     frame_phase: float = 0.0,
     workers: int = 1,
     streams: Streams | None = None,
-) -> Record:
-    """Real heterodyne record from a Wigner-backend trajectory.
+) -> np.ndarray:
+    """Samples of the real heterodyne record of the Wigner-backend
+    quadratures x, y on the grid.
 
     samples = 2*gain*[X cos(Wc t + phi) + Y sin(Wc t + phi)]*cos(dLO t)
     plus white shot noise; both motional sidebands appear at Wc +- dLO,
     phase coherent, and carry identical spectra (the symmetric record).
-    A trajectory over any contiguous piece of the record (traj.grid.start)
-    gives that piece, `streams` carrying its shot noise from the previous
-    one.
+    The grid may be any contiguous piece of the record (grid.start); the
+    result then holds that piece's samples, `streams` carrying the shot
+    noise from the previous one.
     """
-    grid = traj.grid
     _check_nyquist(grid, delta_lo)
-    if schedule is None:
-        schedule = single_segment_schedule(grid.duration)
-    n, start = grid.n_samples, grid.start
-
-    out = np.empty(n)
+    start = grid.start
+    out = np.empty(grid.n_samples)
 
     def mix(a, b):
         # Each block is computed in its place in out and in its fresh
@@ -237,21 +224,15 @@ def compose_heterodyne_wigner(
         for i0, i1, car in carrier_phasors(b - a, grid.carrier, grid.dt, frame_phase, a):
             lo = next(los)[2]
             j0, j1 = i0 - start, i1 - start
-            beat = np.multiply(car.real, traj.x[j0:j1], out=out[j0:j1])
-            beat += np.multiply(car.imag, traj.y[j0:j1], out=car.imag)
+            beat = np.multiply(car.real, x[j0:j1], out=out[j0:j1])
+            beat += np.multiply(car.imag, y[j0:j1], out=car.imag)
             beat *= lo.real
             beat *= 2.0 * det.gain
             del car, lo  # before the next block's phasors are made
 
     shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_WIGNER)
     _mix_into(out, start, mix, det.shot_psd, grid.sample_rate, shot, workers)
-    return Record(
-        samples=out,
-        sample_rate=grid.sample_rate,
-        schedule=schedule,
-        carrier=grid.carrier,
-        start=start,
-    )
+    return out
 
 
 def compose_heterodyne_components(
@@ -260,11 +241,11 @@ def compose_heterodyne_components(
     det: DetectionParams,
     grid: SimGrid,
     delta_lo: float,
-    schedule: Schedule | None = None,
     workers: int = 1,
     streams: Streams | None = None,
-) -> Record:
-    """Real heterodyne record from the component-backend envelopes.
+) -> np.ndarray:
+    """Samples of the real heterodyne record of the component-backend
+    envelopes on the grid.
 
     samples = gain*Re{beta_S exp(i(Wc+dLO)t)} + gain*Re{beta_AS exp(i(Wc-dLO)t)}
     plus shot noise.  The one-sided PSD around each sideband centre equals the
@@ -277,8 +258,6 @@ def compose_heterodyne_components(
     plus the -Im(beta) sin sweep, plus the shot noise, added in that order.
     """
     _check_nyquist(grid, delta_lo)
-    if schedule is None:
-        schedule = single_segment_schedule(grid.duration)
     start = grid.start
     samples = np.empty(grid.n_samples)
 
@@ -302,13 +281,7 @@ def compose_heterodyne_components(
 
     shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_COMPONENT)
     _mix_into(samples, start, mix, det.shot_psd, grid.sample_rate, shot, workers)
-    return Record(
-        samples=samples,
-        sample_rate=grid.sample_rate,
-        schedule=schedule,
-        carrier=grid.carrier,
-        start=start,
-    )
+    return samples
 
 
 def design_lockin_fir(
@@ -458,34 +431,40 @@ class Baseband:
 
 
 def demod_baseband(
-    rec: Record,
+    samples: np.ndarray,
+    grid: SimGrid,
     det: DetectionParams,
     passband_edge_hz: float,
     decimate: int = 1,
     workers: int = 1,
     into: Baseband | None = None,
+    schedule: Schedule | None = None,
 ) -> Baseband:
-    """Feed the record, or the piece of one that rec holds (rec.start), into
-    the lock-in baseband `into` and return it; without `into` a new
-    Baseband is made for the record rec.schedule tiles, with the lock-in
-    FIR designed for det's cutoff and the passband edge.  The two lock-in
-    channels at any demodulation phase theta are Re(e^{i theta} z) and
-    Im(e^{i theta} z), so the baseband is computed once and shared between
-    the phase choice and channel extraction.
+    """Feed the record samples on the grid, the whole record or the piece of
+    it at grid.start, into the lock-in baseband `into` and return it; the
+    grid gives the sample rate and the carrier.  Without `into` a new
+    Baseband is made for the record the schedule tiles (default: the grid
+    as one resonant segment), with the lock-in FIR designed for det's
+    cutoff and the passband edge.  The two lock-in channels at any
+    demodulation phase theta are Re(e^{i theta} z) and Im(e^{i theta} z),
+    so the baseband is computed once and shared between the phase choice
+    and channel extraction.
     """
     if into is None:
+        if schedule is None:
+            schedule = single_segment_schedule(grid.duration)
         taps = design_lockin_fir(
-            rec.sample_rate, det.lowpass_cutoff, rec.carrier, passband_edge_hz, decimate
+            grid.sample_rate, det.lowpass_cutoff, grid.carrier, passband_edge_hz, decimate
         )
         into = Baseband(
-            taps, rec.schedule.n_samples(rec.sample_rate), rec.sample_rate, rec.carrier,
-            rec.schedule, decimate,
+            taps, schedule.n_samples(grid.sample_rate), grid.sample_rate, grid.carrier,
+            schedule, decimate,
         )
-    into.feed(rec.samples, rec.start, workers)
+    into.feed(samples, grid.start, workers)
     return into
 
 
-def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
+def lockin_demodulate(bb: Baseband, demod_phase: float) -> tuple[np.ndarray, np.ndarray]:
     """Phase-coherent demodulation at the record carrier.
 
     ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference.
@@ -493,15 +472,11 @@ def lockin_demodulate(bb: Baseband, demod_phase: float) -> DemodOutput:
     rotated by the demodulation phase theta = demod_phase, which is exactly
     equivalent and filter-consistent; the baseband's decimation applies.
     The baseband is consumed: bb.z is rotated in place, and the channels
-    are the real and imaginary views of it.
+    (ch_x, ch_y) are the real and imaginary views of it, at the rate
+    bb.sample_rate / bb.decimate with the usable slices bb.usable_slices.
     """
     bb.z *= np.exp(1j * demod_phase)
-    return DemodOutput(
-        ch_x=bb.z.real,
-        ch_y=bb.z.imag,
-        sample_rate=bb.sample_rate / bb.decimate,
-        slices={tag: bb.usable_slices(tag) for tag in (DETUNED, RESONANT)},
-    )
+    return bb.z.real, bb.z.imag
 
 
 def optimize_demod_phase(bb: Baseband) -> tuple[float, float]:

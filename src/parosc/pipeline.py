@@ -146,8 +146,8 @@ def _run_repetition(
     blocks = [[grid.segment(b0, b1) for b0, b1 in _blocks(i0, i1)] for i0, i1, _ in bounds]
 
     # Sideband path (component backend): each segment's blocks of the record
-    # are composed from their envelopes into one segment buffer, which is
-    # written out and whose usable part is fed whole to its drive class's
+    # are composed from their envelope arrays into one segment buffer, which
+    # is written out and whose usable part is fed whole to its drive class's
     # Welch estimate.
     nperseg_h = int(round(v["welch_segment"] * grid.sample_rate))
     welch_h = {
@@ -166,8 +166,8 @@ def _run_repetition(
             )
             piece[blk.start - i0 : blk.start - i0 + blk.n_samples] = _stage(
                 "composition", compose_heterodyne_components, *env, det, blk, delta_lo,
-                schedule=schedule, workers=workers, streams=streams,
-            ).samples
+                workers=workers, streams=streams,
+            )
             del env
         if raw_dir is not None:
             recordio.write_record_bin(
@@ -182,29 +182,30 @@ def _run_repetition(
     psd_h = {tag: _stage("heterodyne psd", welch.psd) for tag, welch in welch_h.items()}
 
     # Quadrature path (Wigner backend): synthesize, compose and lock-in
-    # filter each block; only the decimated baseband is kept whole.
+    # filter each block, its quadratures and record samples handed on as
+    # plain arrays; only the decimated baseband is kept whole.
     frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     baseband = None
     for blk in itertools.chain.from_iterable(blocks):
-        traj = _stage(
+        quad = _stage(
             "synthesis", simulate_scheduled_quadratures, osc, rates, blk, schedule,
             workers=workers, streams=streams,
         )
-        rec_w = _stage(
-            "composition", compose_heterodyne_wigner, traj, det, delta_lo,
-            schedule=schedule, frame_phase=frame_phase, workers=workers, streams=streams,
+        samples = _stage(
+            "composition", compose_heterodyne_wigner, *quad, det, blk, delta_lo,
+            frame_phase=frame_phase, workers=workers, streams=streams,
         )
-        del traj
+        del quad
         if raw_dir is not None:
             recordio.write_record_bin(
-                raw_dir / "record_wigner.bin", rec_w.samples, rec_w.sample_rate,
+                raw_dir / "record_wigner.bin", samples, grid.sample_rate,
                 offset=blk.start, length=grid.n_samples,
             )
         baseband = _stage(
-            "demodulation", demod_baseband, rec_w, det, passband_edge, decim,
-            workers=workers, into=baseband,
+            "demodulation", demod_baseband, samples, blk, det, passband_edge, decim,
+            workers=workers, into=baseband, schedule=schedule,
         )
-        del rec_w
+        del samples
     theta, depth = _stage("demodulation phase", optimize_demod_phase, baseband)
     if depth < FLAT_PHASE_DEPTH:
         # attributed to the caller of run_single
@@ -215,25 +216,22 @@ def _run_repetition(
             stacklevel=3,
         )
     # the lock-in rotates the baseband in place: its channels are views of
-    # baseband.z, which is freed with demod
-    demod = lockin_demodulate(baseband, theta)
-    del baseband
-
-    nperseg_q = int(round(v["welch_segment"] * demod.sample_rate))
-    psd_q = {}
-    for tag in (DETUNED, RESONANT):
-        slices = demod.usable_slices(tag)
-        for ch_name, ch in (("x", demod.ch_x), ("y", demod.ch_y)):
-            psd_q[(ch_name, tag)] = _stage(
-                "quadrature psd", welch_psd_chunks,
-                [ch[s] for s in slices], demod.sample_rate, nperseg_q,
-                v["welch_overlap"], v["window"], workers=workers,
-            )
-    if raw_dir is not None:
-        recordio.write_record_bin(
-            raw_dir / "demod_channels.bin", (demod.ch_x, demod.ch_y), demod.sample_rate,
+    # baseband.z, which is freed with them
+    channels = lockin_demodulate(baseband, theta)
+    fs_q = grid.sample_rate / decim
+    nperseg_q = int(round(v["welch_segment"] * fs_q))
+    psd_q = {
+        (ch_name, tag): _stage(
+            "quadrature psd", welch_psd_chunks,
+            [ch[s] for s in baseband.usable_slices(tag)], fs_q, nperseg_q,
+            v["welch_overlap"], v["window"], workers=workers,
         )
-    del demod
+        for tag in (DETUNED, RESONANT)
+        for ch_name, ch in zip("xy", channels)
+    }
+    if raw_dir is not None:
+        recordio.write_record_bin(raw_dir / "demod_channels.bin", channels, fs_q)
+    del baseband, channels
 
     # Fits: reference first, then the constrained double fit it seeds.
     f_c = grid.carrier / TWO_PI
@@ -289,28 +287,16 @@ def _run_repetition(
         "gamma_y_res_hz": quad_fits[("y", RESONANT)].derived["gamma_hz"],
         "detuned_chi2_p": (p_value, 0.0),
     }
-    fits = {
-        "fit_heterodyne_reference.json": ref,
-        "fit_heterodyne_double.json": dbl,
-        "fit_quadrature_x_detuned.json": quad_fits[("x", DETUNED)],
-        "fit_quadrature_y_detuned.json": quad_fits[("y", DETUNED)],
-        "fit_quadrature_x_resonant.json": quad_fits[("x", RESONANT)],
-        "fit_quadrature_y_resonant.json": quad_fits[("y", RESONANT)],
-    }
+    # psd_q and quad_fits run x detuned, y detuned, x resonant, y resonant,
+    # the order of the file names
+    fits = dict(zip(FIT_FILES, (ref, dbl, *quad_fits.values())))
     for name, fit in fits.items():
         if fit.degenerate_direction is not None:  # attributed like the flat-phase warning
             warnings.warn(
                 f"repetition seed {seed}: {name}: near-singular normal matrix at the "
                 f"optimum; direction: {fit.degenerate_direction}", stacklevel=3,
             )
-    psds = {
-        "heterodyne_detuned.csv": psd_h[DETUNED],
-        "heterodyne_resonant.csv": psd_h[RESONANT],
-        "quadrature_x_detuned.csv": psd_q[("x", DETUNED)],
-        "quadrature_y_detuned.csv": psd_q[("y", DETUNED)],
-        "quadrature_x_resonant.csv": psd_q[("x", RESONANT)],
-        "quadrature_y_resonant.csv": psd_q[("y", RESONANT)],
-    }
+    psds = dict(zip(PSD_FILES, (psd_h[DETUNED], psd_h[RESONANT], *psd_q.values())))
     return {
         "seed": seed,
         "detuned_indistinguishable": same,

@@ -65,7 +65,10 @@ def read_record_bin(path) -> tuple[np.ndarray, float]:
     """The record and its sample rate: a 1-D array for one channel, else an
     array with one row per channel."""
     with open(path, "rb") as fh:
-        magic, version, rate, length, n_ch, kind = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("record file is truncated")
+        magic, version, rate, length, n_ch, kind = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}")
         if version != VERSION:

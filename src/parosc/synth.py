@@ -15,7 +15,8 @@ Both backends follow the drive schedule: resonant segments carry the
 parametric rates, detuned segments the reference rates (s = 0, gamma_eff
 unchanged).  Each has one entry point, simulate_scheduled_quadratures and
 simulate_scheduled_envelopes, which synthesize any contiguous piece of a
-record.  Every real chain is an OUChain: the exact OU discretization
+record and return its plain arrays: the quadratures (x, y) and the
+envelopes (beta_stokes, beta_antistokes).  Every real chain is an OUChain: the exact OU discretization
 (no step-size bias), started from a stationary draw and drawn in pieces that
 consume the same normals in the same order as one draw.  ou_step is the
 scalar form of that update.  Every stochastic stream is derived from the grid
@@ -157,31 +158,6 @@ class Schedule:
 
 def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:
     return Schedule(segments=(Segment(0.0, duration, tag),), guard=0.0)
-
-
-@dataclass
-class Record:
-    """Uniformly sampled detector record with drive-schedule tags, composed
-    at the reduced carrier `carrier` (rad/s).
-
-    A record composed one piece at a time comes as pieces: `start` is the
-    record index of samples[0], and the schedule is the whole record's."""
-
-    samples: np.ndarray
-    sample_rate: float
-    schedule: Schedule
-    carrier: float
-    start: int = 0
-
-
-@dataclass
-class QuadTrajectory:
-    """Sampled quadrature pair (quanta units) with its generating rates."""
-
-    x: np.ndarray
-    y: np.ndarray
-    grid: SimGrid
-    rates: DerivedRates
 
 
 def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, noise_draw: float) -> float:
@@ -353,12 +329,13 @@ def simulate_scheduled_quadratures(
     schedule: Schedule | None = None,
     workers: int = 1,
     streams: Streams | None = None,
-) -> QuadTrajectory:
-    """Wigner trajectory whose rates switch with the drive schedule: resonant
-    segments use (gamma_plus, gamma_minus), detuned segments collapse both
-    quadratures to gamma_eff at the thermal variance; the chain state is
-    continuous across switches (the schedule guard covers settling).  The two
-    independent chains run on up to `workers` threads.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner quadratures (x, y), in quanta units, whose rates switch with
+    the drive schedule: resonant segments use (gamma_plus, gamma_minus),
+    detuned segments collapse both quadratures to gamma_eff at the thermal
+    variance; the chain state is continuous across switches (the schedule
+    guard covers settling).  The two independent chains run on up to
+    `workers` threads.
 
     Without a schedule the whole grid is resonant.  The grid may be any
     contiguous piece of the record; `streams` then carries both chains from
@@ -380,7 +357,7 @@ def simulate_scheduled_quadratures(
         return _draw_pieces(chain, pieces, per_tag, np.empty(grid.n_samples))
 
     x, y = thread_map(draw, quadratures, workers)
-    return QuadTrajectory(x=x, y=y, grid=grid, rates=rates)
+    return x, y
 
 
 def simulate_scheduled_envelopes(

@@ -68,15 +68,13 @@ def component_roundtrip(config: RunConfig, rep: int) -> dict:
     grid = config.grid(rep_seed(v["seed"], (0,), rep))
     schedule = schedule_drive(grid, v["schedule_period"], rates.gamma_minus)
     beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid, schedule)
-    rec = compose_heterodyne_components(
-        beta_s, beta_as, det, grid, v["delta_lo"], schedule=schedule
-    )
+    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, v["delta_lo"])
     del beta_s, beta_as
     nperseg = int(round(v["welch_segment"] * grid.sample_rate))
     psds = {
         tag: welch_psd_chunks(
             [
-                rec.samples[s]
+                samples[s]
                 for s in schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
             ],
             grid.sample_rate, nperseg, v["welch_overlap"], v["window"],
@@ -289,18 +287,17 @@ class TestCriterion7EstimatorHygiene:
         records["ou_chain"] = OUChain(stream_rng(70, 1), grid.dt).draw(
             grid.n_samples, TWO_PI * 10.0, 1.0
         )
-        traj = simulate_scheduled_quadratures(osc, rates, grid)
-        rec_w = compose_heterodyne_wigner(traj, det, delta_lo)
-        records["wigner_heterodyne"] = rec_w.samples
+        x, y = simulate_scheduled_quadratures(osc, rates, grid)
+        records["wigner_heterodyne"] = compose_heterodyne_wigner(x, y, det, grid, delta_lo)
         beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid)
         records["component_heterodyne"] = compose_heterodyne_components(
             beta_s, beta_as, det, grid, delta_lo
-        ).samples
-        demod = lockin_demodulate(
-            demod_baseband(rec_w, det, delta_lo / TWO_PI * 1.05, decimate=4), 0.0
         )
-        records["demod_channel"] = demod.ch_x
-        rates_used = {"demod_channel": demod.sample_rate}
+        bb = demod_baseband(
+            records["wigner_heterodyne"], grid, det, delta_lo / TWO_PI * 1.05, decimate=4
+        )
+        records["demod_channel"] = lockin_demodulate(bb, 0.0)[0]
+        rates_used = {"demod_channel": grid.sample_rate / 4}
         for name, samples in records.items():
             fs = rates_used.get(name, grid.sample_rate)
             # detrending off: this is a pure normalization check, and segment

@@ -27,13 +27,10 @@ from parosc.spectral import welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
-    QuadTrajectory,
-    Record,
     SimGrid,
     Streams,
     simulate_scheduled_envelopes,
     simulate_scheduled_quadratures,
-    single_segment_schedule,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -55,11 +52,9 @@ def grid_for(duration, seed, fs=FS):
     return SimGrid(sample_rate=fs, duration=duration, carrier=CARRIER, seed=seed)
 
 
-def constant_trajectory(grid, x_value, y_value, rates):
+def constant_quadratures(grid, x_value, y_value):
     n = grid.n_samples
-    return QuadTrajectory(
-        x=np.full(n, x_value), y=np.full(n, y_value), grid=grid, rates=rates
-    )
+    return np.full(n, x_value), np.full(n, y_value)
 
 
 class TestScheduleDrive:
@@ -122,19 +117,19 @@ class TestCarrierPhasors:
 class TestComposeWigner:
     def test_zero_gain_gives_pure_shot_floor(self):
         grid = grid_for(60.0, 2)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=0.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
-        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 12_500)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
+        psd = welch_psd_chunks([samples], grid.sample_rate, 12_500)
         interior = psd.density[10:-10]
         assert np.mean(interior) == pytest.approx(0.002, rel=0.02)
 
     def test_constant_quadrature_gives_two_equal_lines(self):
         grid = grid_for(20.0, 3)
-        traj = constant_trajectory(grid, 1.0, 0.0, rates_for(0.0))
+        quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
-        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
+        psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
         f_up = (CARRIER + DELTA_LO) / TWO_PI
         f_dn = (CARRIER - DELTA_LO) / TWO_PI
         powers = []
@@ -148,25 +143,25 @@ class TestComposeWigner:
 
     def test_aliasing_guard(self):
         grid = SimGrid(sample_rate=11e3, duration=1.0, carrier=TWO_PI * 5e3, seed=4)
-        traj = constant_trajectory(grid, 1.0, 0.0, rates_for(0.0))
+        quad = constant_quadratures(grid, 1.0, 0.0)
         with pytest.raises(AliasingError):
-            compose_heterodyne_wigner(traj, DET, TWO_PI * 1.1e3)
+            compose_heterodyne_wigner(*quad, DET, grid, TWO_PI * 1.1e3)
 
     def test_energy_bookkeeping(self):
         grid = grid_for(120.0, 5)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.3, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(traj, det, DELTA_LO)
-        expected = det.gain**2 * (np.var(traj.x) + np.var(traj.y))
-        assert np.var(rec.samples) == pytest.approx(expected, rel=0.01)
+        samples = compose_heterodyne_wigner(x, y, det, grid, DELTA_LO)
+        expected = det.gain**2 * (np.var(x) + np.var(y))
+        assert np.var(samples) == pytest.approx(expected, rel=0.01)
 
     def test_wigner_record_is_sideband_symmetric(self):
         # full synthesis, n_bar = 5.8, s = 0: both sideband areas equal within
         # the fit's statistical error; asymmetry needs the component backend
         grid = grid_for(120.0, 6)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
-        rec = compose_heterodyne_wigner(traj, DET, DELTA_LO)
-        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
+        samples = compose_heterodyne_wigner(*quad, DET, grid, DELTA_LO)
+        psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
         fit = fit_single_pair(psd, (f_c + f_lo, f_c - f_lo), 300.0)
@@ -180,10 +175,10 @@ class TestComposeComponents:
         rates = rates_for(0.5)
         beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_components(
+        samples = compose_heterodyne_components(
             beta_s, np.zeros_like(beta_s), det, grid, DELTA_LO
         )
-        psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
+        psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
         up = np.sum(psd.density[np.abs(psd.freqs - (f_c + f_lo)) < 300.0])
@@ -197,9 +192,9 @@ class TestComposeComponents:
         rates = rates_for(0.5)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
+        samples = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
         expected = 0.5 * (np.mean(np.abs(beta_s) ** 2) + np.mean(np.abs(beta_as) ** 2))
-        assert np.var(rec.samples) == pytest.approx(expected, rel=0.01)
+        assert np.var(samples) == pytest.approx(expected, rel=0.01)
 
     def test_gain_invariance_of_fitted_ratios(self):
         grid = grid_for(60.0, 9)
@@ -212,8 +207,8 @@ class TestComposeComponents:
             # shot amplitude scales with gain so the records are exact
             # multiples of each other
             det = DetectionParams(gain=gain, shot_psd=0.002 * gain**2, lowpass_cutoff=2.5e3)
-            rec = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
-            psd = welch_psd_chunks([rec.samples], grid.sample_rate, 25_000)
+            samples = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
+            psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
             fit = fit_single_pair(psd, (f_c + f_lo, f_c - f_lo), 300.0)
             results.append(fit.derived["ratio"][0])
         assert results[1] == pytest.approx(results[0], rel=1e-9)
@@ -246,15 +241,12 @@ class TestDemodBaseband:
     def test_matches_direct_same_mode_convolution(self, n):
         # overlap-save over several blocks, and a record shorter than one
         rng = np.random.default_rng(3)
-        rec = Record(
-            samples=rng.standard_normal(n), sample_rate=FS,
-            schedule=single_segment_schedule(n / FS),
-            carrier=CARRIER,
-        )
+        samples = rng.standard_normal(n)
+        grid = grid_for(n / FS, 0)
         det = DetectionParams(lowpass_cutoff=2.5e3)
-        mixed = 2.0 * rec.samples * np.exp(1j * CARRIER * np.arange(n) / FS)
+        mixed = 2.0 * samples * np.exp(1j * CARRIER * np.arange(n) / FS)
         for decimate in (1, 4):
-            bb = demod_baseband(rec, det, 1.2e3, decimate=decimate)
+            bb = demod_baseband(samples, grid, det, 1.2e3, decimate=decimate)
             direct = np.convolve(mixed, bb.taps, mode="same")[::decimate]
             assert bb.z.shape == direct.shape
             # the carrier phasors carry the rounding of omega*t (~1e-11 here)
@@ -262,15 +254,12 @@ class TestDemodBaseband:
 
     def test_worker_count_does_not_change_result(self):
         rng = np.random.default_rng(4)
-        rec = Record(
-            samples=rng.standard_normal(400_000), sample_rate=FS,
-            schedule=single_segment_schedule(16.0),
-            carrier=CARRIER,
-        )
+        samples = rng.standard_normal(400_000)
+        grid = grid_for(16.0, 0)
         det = DetectionParams(lowpass_cutoff=2.5e3)
         # more workers than cores: the batches write disjoint slices of one array
-        one = demod_baseband(rec, det, 1.2e3, decimate=4, workers=1)
-        many = demod_baseband(rec, det, 1.2e3, decimate=4, workers=5)
+        one = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=1)
+        many = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=5)
         assert np.array_equal(one.z, many.z)
 
 
@@ -301,31 +290,29 @@ class TestSegmentStreaming:
     def test_wigner_record_and_baseband(self):
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        whole_traj = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
-        whole_rec = compose_heterodyne_wigner(
-            whole_traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4
+        whole_quad = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
+        whole_samples = compose_heterodyne_wigner(
+            *whole_quad, det, self.GRID, DELTA_LO, frame_phase=0.4
         )
-        whole = demod_baseband(whole_rec, det, 1.2e3, decimate=4)
+        whole = demod_baseband(whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule)
         for cut in self.CUTS:
             pieces = self._pieces(schedule, cut)
             streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
             samples, streamed = [], None
             for piece in pieces:
-                traj = simulate_scheduled_quadratures(
+                quad = simulate_scheduled_quadratures(
                     OSC, rates, piece, schedule, streams=streams
                 )
-                rec = compose_heterodyne_wigner(
-                    traj, det, DELTA_LO, schedule=schedule, frame_phase=0.4, workers=2,
-                    streams=streams,
-                )
-                assert rec.start == piece.start
-                samples.append(rec.samples)
+                samples.append(compose_heterodyne_wigner(
+                    *quad, det, piece, DELTA_LO, frame_phase=0.4, workers=2, streams=streams,
+                ))
                 streamed = demod_baseband(
-                    rec, det, 1.2e3, decimate=4, workers=2, into=streamed
+                    samples[-1], piece, det, 1.2e3, decimate=4, workers=2, into=streamed,
+                    schedule=schedule,
                 )
             for piece in pieces[1:]:
                 assert piece.start % _MIX_BLOCK and piece.start % streamed._step, cut
-            np.testing.assert_array_equal(np.concatenate(samples), whole_rec.samples, str(cut))
+            np.testing.assert_array_equal(np.concatenate(samples), whole_samples, str(cut))
             np.testing.assert_array_equal(streamed.z, whole.z, str(cut))
             assert optimize_demod_phase(streamed) == optimize_demod_phase(whole), cut
 
@@ -335,21 +322,18 @@ class TestSegmentStreaming:
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.3, shot_psd=0.002, lowpass_cutoff=2.5e3)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule)
-        whole = compose_heterodyne_components(
-            beta_s, beta_as, det, self.GRID, DELTA_LO, schedule=schedule
-        )
+        whole = compose_heterodyne_components(beta_s, beta_as, det, self.GRID, DELTA_LO)
         for cut in self.CUTS:
             pieces = self._pieces(schedule, cut)
             streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
             samples = []
             for piece in pieces:
                 env = simulate_scheduled_envelopes(OSC, rates, piece, schedule, streams=streams)
-                rec = compose_heterodyne_components(
-                    *env, det, piece, DELTA_LO, schedule=schedule, workers=2, streams=streams,
-                )
-                assert rec.start == piece.start and len(rec.samples) == piece.n_samples
-                samples.append(rec.samples)
-            np.testing.assert_array_equal(np.concatenate(samples), whole.samples, str(cut))
+                samples.append(compose_heterodyne_components(
+                    *env, det, piece, DELTA_LO, workers=2, streams=streams,
+                ))
+                assert len(samples[-1]) == piece.n_samples
+            np.testing.assert_array_equal(np.concatenate(samples), whole, str(cut))
 
     def test_shot_noise_past_the_old_stretch(self):
         # a record longer than 2**20 samples, composed in one call and in
@@ -359,24 +343,25 @@ class TestSegmentStreaming:
 
         grid = grid_for(44.0, 47)
         assert grid.n_samples > 1 << 20
-        rates = rates_for(0.5)
-        whole = compose_heterodyne_wigner(constant_trajectory(grid, 0.0, 0.0, rates), DET, DELTA_LO)
+        whole = compose_heterodyne_wigner(*constant_quadratures(grid, 0.0, 0.0), DET, grid, DELTA_LO)
         streams = Streams(grid.seed, grid.dt, grid.n_samples)
+        blocks = [grid.segment(b0, min(b0 + _BLOCK, grid.n_samples))
+                  for b0 in range(0, grid.n_samples, _BLOCK)]
         pieces = [
             compose_heterodyne_wigner(
-                constant_trajectory(grid.segment(b0, min(b0 + _BLOCK, grid.n_samples)), 0.0, 0.0, rates),
-                DET, DELTA_LO, workers=2, streams=streams,
-            ).samples
-            for b0 in range(0, grid.n_samples, _BLOCK)
+                *constant_quadratures(blk, 0.0, 0.0), DET, blk, DELTA_LO, workers=2, streams=streams,
+            )
+            for blk in blocks
         ]
-        np.testing.assert_array_equal(np.concatenate(pieces), whole.samples)
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
     def test_pieces_must_follow_in_order(self):
         rates, schedule = self._setup()
-        traj = simulate_scheduled_quadratures(OSC, rates, self._pieces(schedule)[1], schedule)
-        rec = compose_heterodyne_wigner(traj, DET, DELTA_LO, schedule=schedule)
+        piece = self._pieces(schedule)[1]
+        quad = simulate_scheduled_quadratures(OSC, rates, piece, schedule)
+        samples = compose_heterodyne_wigner(*quad, DET, piece, DELTA_LO)
         with pytest.raises(ValueError, match="does not continue"):
-            demod_baseband(rec, DET, 1.2e3)
+            demod_baseband(samples, piece, DET, 1.2e3, schedule=schedule)
 
 
 class TestLockinDemodulate:
@@ -385,20 +370,15 @@ class TestLockinDemodulate:
         t = np.arange(grid.n_samples) / grid.sample_rate
         psi = 0.7
         samples = np.cos((CARRIER + DELTA_LO) * t + psi)
-        rec = Record(
-            samples=samples, sample_rate=grid.sample_rate,
-            schedule=single_segment_schedule(grid.duration),
-            carrier=CARRIER,
-        )
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), 0.0)
+        ch_x, ch_y = lockin_demodulate(demod_baseband(samples, grid, det, EDGE), 0.0)
         inner = slice(2000, -2000)
         f_lo = DELTA_LO / TWO_PI
         expected_x = np.cos(DELTA_LO * t + psi)
         expected_y = -np.sin(DELTA_LO * t + psi)
-        np.testing.assert_allclose(dm.ch_x[inner], expected_x[inner], atol=5e-4)
-        np.testing.assert_allclose(dm.ch_y[inner], expected_y[inner], atol=5e-4)
-        psd = welch_psd_chunks([dm.ch_x[inner]], dm.sample_rate, 10_000)
+        np.testing.assert_allclose(ch_x[inner], expected_x[inner], atol=5e-4)
+        np.testing.assert_allclose(ch_y[inner], expected_y[inner], atol=5e-4)
+        psd = welch_psd_chunks([ch_x[inner]], grid.sample_rate, 10_000)
         peak = psd.freqs[int(np.argmax(psd.density))]
         assert peak == pytest.approx(f_lo, abs=2 * psd.rbw)
 
@@ -406,16 +386,16 @@ class TestLockinDemodulate:
         # the baseband is rotated in place; the channels equal one rotation
         # of a copy of the whole baseband, bit for bit
         grid = grid_for(4.0, 14)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det, EDGE)
+        bb = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
         assert len(bb.z) > _MIX_BLOCK
         z = bb.z.copy()
         theta = 0.9
-        dm = lockin_demodulate(bb, theta)
+        ch_x, ch_y = lockin_demodulate(bb, theta)
         rotated = z * np.exp(1j * theta)
-        assert np.array_equal(dm.ch_x, rotated.real)
-        assert np.array_equal(dm.ch_y, rotated.imag)
+        assert np.array_equal(ch_x, rotated.real)
+        assert np.array_equal(ch_y, rotated.imag)
 
     def test_channels_are_views_of_the_baseband(self):
         # the lock-in consumes its baseband: the channels share its memory,
@@ -423,57 +403,53 @@ class TestLockinDemodulate:
         import tracemalloc
 
         grid = grid_for(4.0, 14)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb = demod_baseband(compose_heterodyne_wigner(traj, det, DELTA_LO), det, EDGE)
+        bb = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
         channel_bytes = 8 * len(bb.z)
         tracemalloc.start()
         try:
-            dm = lockin_demodulate(bb, 0.9)
+            ch_x, ch_y = lockin_demodulate(bb, 0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(dm.ch_x, bb.z)
-        assert np.shares_memory(dm.ch_y, bb.z)
+        assert np.shares_memory(ch_x, bb.z)
+        assert np.shares_memory(ch_y, bb.z)
         assert peak < channel_bytes / 4, peak / channel_bytes
 
     def test_linearity(self):
         grid = grid_for(10.0, 11)
         rates = rates_for(0.5)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec_a = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=0.0)
-        rec_b = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=1.1)
-        rec_sum = Record(
-            samples=rec_a.samples + rec_b.samples, sample_rate=grid.sample_rate,
-            schedule=rec_a.schedule, carrier=rec_a.carrier,
-        )
-        dm_a = lockin_demodulate(demod_baseband(rec_a, det, EDGE), 0.3)
-        dm_b = lockin_demodulate(demod_baseband(rec_b, det, EDGE), 0.3)
-        dm_sum = lockin_demodulate(demod_baseband(rec_sum, det, EDGE), 0.3)
-        np.testing.assert_allclose(dm_sum.ch_x, dm_a.ch_x + dm_b.ch_x, atol=1e-10)
-        np.testing.assert_allclose(dm_sum.ch_y, dm_a.ch_y + dm_b.ch_y, atol=1e-10)
+        rec_a = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
+        rec_b = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=1.1)
+        x_a, y_a = lockin_demodulate(demod_baseband(rec_a, grid, det, EDGE), 0.3)
+        x_b, y_b = lockin_demodulate(demod_baseband(rec_b, grid, det, EDGE), 0.3)
+        x_sum, y_sum = lockin_demodulate(demod_baseband(rec_a + rec_b, grid, det, EDGE), 0.3)
+        np.testing.assert_allclose(x_sum, x_a + x_b, atol=1e-10)
+        np.testing.assert_allclose(y_sum, y_a + y_b, atol=1e-10)
 
     def test_phase_covariance(self):
         # rotating the record frame and the demod phase together leaves the
         # channels unchanged
         grid = grid_for(10.0, 12)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         delta = 0.83
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec0 = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=0.0)
-        rec1 = compose_heterodyne_wigner(traj, det, DELTA_LO, frame_phase=delta)
-        dm0 = lockin_demodulate(demod_baseband(rec0, det, EDGE), 0.2)
-        dm1 = lockin_demodulate(demod_baseband(rec1, det, EDGE), 0.2 + delta)
+        rec0 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
+        rec1 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=delta)
+        x0, y0 = lockin_demodulate(demod_baseband(rec0, grid, det, EDGE), 0.2)
+        x1, y1 = lockin_demodulate(demod_baseband(rec1, grid, det, EDGE), 0.2 + delta)
         # identical statistics: the only difference is the image sideband's
         # spectral tail leaking through the filter transition band, far below
         # the in-band signal (and far below any shot floor in practice)
         inner = slice(400, -400)
-        assert np.var(dm1.ch_x[inner]) == pytest.approx(np.var(dm0.ch_x[inner]), rel=5e-3)
-        assert np.var(dm1.ch_y[inner]) == pytest.approx(np.var(dm0.ch_y[inner]), rel=5e-3)
+        assert np.var(x1[inner]) == pytest.approx(np.var(x0[inner]), rel=5e-3)
+        assert np.var(y1[inner]) == pytest.approx(np.var(y0[inner]), rel=5e-3)
         f_lo = DELTA_LO / TWO_PI
-        psd0 = welch_psd_chunks([dm0.ch_x[inner]], dm0.sample_rate, 25_000)
-        psd1 = welch_psd_chunks([dm1.ch_x[inner]], dm1.sample_rate, 25_000)
+        psd0 = welch_psd_chunks([x0[inner]], grid.sample_rate, 25_000)
+        psd1 = welch_psd_chunks([x1[inner]], grid.sample_rate, 25_000)
         band = np.abs(psd0.freqs - f_lo) < 50.0
         np.testing.assert_allclose(psd1.density[band], psd0.density[band], rtol=5e-2)
 
@@ -483,10 +459,10 @@ class TestLockinDemodulate:
         grid = grid_for(20.0, 13)
         rates = rates_for(0.5)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(traj, det, DELTA_LO, schedule=schedule)
-        swapped = rec.samples.copy()
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
+        swapped = samples.copy()
         rng = np.random.default_rng(0)
         for sl in [
             slice(int(seg.start * FS), int(seg.end * FS))
@@ -494,26 +470,24 @@ class TestLockinDemodulate:
             if seg.tag == DETUNED
         ]:
             swapped[sl] = rng.permutation(swapped[sl])
-        rec_swapped = Record(
-            samples=swapped, sample_rate=rec.sample_rate,
-            schedule=schedule, carrier=rec.carrier,
+        bb = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
+        ch_x, _ = lockin_demodulate(bb, 0.0)
+        ch_x_swapped, _ = lockin_demodulate(
+            demod_baseband(swapped, grid, det, EDGE, schedule=schedule), 0.0
         )
-        dm = lockin_demodulate(demod_baseband(rec, det, EDGE), 0.0)
-        dm_swapped = lockin_demodulate(demod_baseband(rec_swapped, det, EDGE), 0.0)
-        for sl in dm.usable_slices(RESONANT):
-            np.testing.assert_allclose(dm_swapped.ch_x[sl], dm.ch_x[sl], atol=1e-12)
+        for sl in bb.usable_slices(RESONANT):
+            np.testing.assert_allclose(ch_x_swapped[sl], ch_x[sl], atol=1e-12)
 
 
 class TestOptimizeDemodPhase:
-    def _record(self, frame_phase, seed=14, s=0.5, duration=40.0, shot=0.0):
+    def _baseband(self, frame_phase, seed=14, s=0.5, duration=40.0, shot=0.0, decimate=1):
         grid = grid_for(duration, seed)
         rates = rates_for(s)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=shot, lowpass_cutoff=2.5e3)
-        return compose_heterodyne_wigner(
-            traj, det, DELTA_LO, schedule=schedule, frame_phase=frame_phase
-        ), det
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=frame_phase)
+        return demod_baseband(samples, grid, det, EDGE, decimate=decimate, schedule=schedule)
 
     def test_recovers_frame_phase(self):
         # deterministic fixed-frame record: X constant, Y = 0.  The only time
@@ -524,32 +498,28 @@ class TestOptimizeDemodPhase:
         grid = grid_for(20.0, 14)
         rates = rates_for(0.5)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = constant_trajectory(grid, 1.0, 0.0, rates)
+        quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(
-            traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
-        )
-        theta, _ = optimize_demod_phase(demod_baseband(rec, det, EDGE))
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
+        theta, _ = optimize_demod_phase(demod_baseband(samples, grid, det, EDGE, schedule=schedule))
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
 
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
-        rec, det = self._record(phi0, seed=15, duration=60.0)
-        bb = demod_baseband(rec, det, EDGE)
+        bb = self._baseband(phi0, seed=15, duration=60.0)
         theta, _ = optimize_demod_phase(bb)
         z = bb.z.copy()
         ratios = []
         for phase in (theta, theta + math.pi / 2):
             bb.z[:] = z  # the lock-in rotates the baseband in place
-            dm = lockin_demodulate(bb, phase)
-            cuts = np.concatenate([dm.ch_x[s] for s in dm.usable_slices(RESONANT)])
+            ch_x, _ = lockin_demodulate(bb, phase)
+            cuts = np.concatenate([ch_x[s] for s in bb.usable_slices(RESONANT)])
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
 
     def test_flat_variance_at_zero_gain(self):
-        rec, det = self._record(0.3, seed=16, s=0.0, duration=60.0)
-        _, depth = optimize_demod_phase(demod_baseband(rec, det, EDGE))
+        _, depth = optimize_demod_phase(self._baseband(0.3, seed=16, s=0.0, duration=60.0))
         assert depth < FLAT_PHASE_DEPTH
 
     def test_closed_form_is_the_variance_minimum(self):
@@ -586,12 +556,9 @@ class TestOptimizeDemodPhase:
     def test_minimizes_the_decimated_resonant_channel_variance(self):
         # theta* is the variance minimum of exactly the channel samples the
         # quadrature spectra read: the resonant usable slices of decimated z
-        rec, det = self._record(0.6, seed=18, duration=30.0, shot=0.002)
-        bb = demod_baseband(rec, det, EDGE, decimate=4)
+        bb = self._baseband(0.6, seed=18, duration=30.0, shot=0.002, decimate=4)
         theta, _ = optimize_demod_phase(bb)
-        z_all = bb.z.copy()  # the lock-in rotates the baseband in place
-        dm = lockin_demodulate(bb, theta)
-        z = np.concatenate([z_all[s] for s in dm.usable_slices(RESONANT)])
+        z = np.concatenate([bb.z[s] for s in bb.usable_slices(RESONANT)])
         best = minimize_scalar(
             lambda th: np.var((np.exp(1j * th) * z).real),
             bounds=(theta - 0.5, theta + 0.5), method="bounded",
@@ -611,21 +578,19 @@ class TestQuadratureSpectraAtOptimum:
         rates = rates_for(0.5)
         grid = grid_for(120.0, 42)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid)
         phi0 = 0.77
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        rec = compose_heterodyne_wigner(
-            traj, det, DELTA_LO, schedule=schedule, frame_phase=phi0
-        )
-        bb = demod_baseband(rec, det, EDGE, decimate=4)
-        dm = lockin_demodulate(bb, optimize_demod_phase(bb)[0])
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
+        bb = demod_baseband(samples, grid, det, EDGE, decimate=4, schedule=schedule)
+        channels = lockin_demodulate(bb, optimize_demod_phase(bb)[0])
         f_lo = DELTA_LO / TWO_PI
         widths = {}
-        for name, ch in (("x", dm.ch_x), ("y", dm.ch_y)):
+        for name, ch in zip("xy", channels):
             # one Welch over the slices, as the pipeline pools them: no
             # segment straddles a drive switch
-            chunks = [ch[s] for s in dm.usable_slices(RESONANT)]
-            psd = welch_psd_chunks(chunks, dm.sample_rate, 6250)
+            chunks = [ch[s] for s in bb.usable_slices(RESONANT)]
+            psd = welch_psd_chunks(chunks, grid.sample_rate / 4, 6250)
             fit = fit_quadrature(psd, f_lo, 300.0)
             widths[name] = fit.derived["gamma_hz"]
         gamma_plus_hz = rates.gamma_plus / TWO_PI

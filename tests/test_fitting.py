@@ -44,8 +44,8 @@ def make_component_psd(seed, duration=60.0, s=0.5, n_bar=5.8, shot=0.002, gain=1
     grid = SimGrid(sample_rate=25e3, duration=duration, carrier=TWO_PI * 5e3, seed=seed)
     beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
     det = DetectionParams(gain=gain, shot_psd=shot, lowpass_cutoff=2.5e3)
-    rec = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
-    return welch_psd_chunks([rec.samples], grid.sample_rate, 25_000), rates
+    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
+    return welch_psd_chunks([samples], grid.sample_rate, 25_000), rates
 
 
 CENTERS = (5e3 + 1.1e3, 5e3 - 1.1e3)

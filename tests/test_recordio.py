@@ -72,9 +72,11 @@ class TestBinaryRoundTrip:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "rec.bin"
         write_record_bin(path, np.ones(100), 1e3)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_record_bin(path)
+        # short of its last sample, and short of its header
+        for data in (path.read_bytes()[:-8], b"PORC\x01"):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="truncated"):
+                read_record_bin(path)
 
     def test_piece_past_the_end_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="overruns"):

@@ -146,8 +146,8 @@ class TestSeedDeterminism:
         grid = SimGrid(sample_rate=2e3, duration=10.0, carrier=TWO_PI * 200.0, seed=77)
         a = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid)
         b = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_streams_are_distinct(self):
         a = stream_rng(77, STREAM_WIGNER_X).standard_normal(16)
@@ -166,25 +166,25 @@ class TestSimulateQuadratures:
 
     def test_symmetric_at_zero_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=120.0, carrier=TWO_PI * 200.0, seed=3)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
         # subsample to effectively independent draws, then two-sample KS at 1%
         step = 300
-        stat = ks_2samp(traj.x[::step], traj.y[::step])
+        stat = ks_2samp(x[::step], y[::step])
         assert stat.pvalue > 0.01
 
     def test_variance_ratio_at_half_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=4)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
-        ratio = np.var(traj.y) / np.var(traj.x)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        ratio = np.var(y) / np.var(x)
         # (1+s)/(1-s) = 3; the narrow Y chain dominates the estimator spread
         sigma = 3.0 * math.sqrt(2.0 / (400.0 * TWO_PI * 10.0 / 2.0)) * 2.0
         assert abs(ratio - 3.0) < 4.0 * sigma
 
     def test_cross_correlation_consistent_with_independence(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=5)
-        traj = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
-        x = (traj.x - traj.x.mean()) / traj.x.std()
-        y = (traj.y - traj.y.mean()) / traj.y.std()
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        x = (x - x.mean()) / x.std()
+        y = (y - y.mean()) / y.std()
         n = len(x)
         # correlation-time-aware threshold: an OU pair has ~n_eff independent
         # samples at the slower decay rate
@@ -202,16 +202,16 @@ class TestDetunedReference:
         grid = SimGrid(sample_rate=2e3, duration=300.0, carrier=TWO_PI * 200.0, seed=6)
         rates = rates_for(0.5)
         detuned = single_segment_schedule(grid.duration, DETUNED)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid, detuned)
+        x, y = simulate_scheduled_quadratures(OSC, rates, grid, detuned)
         reference = DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar)
-        ref = simulate_scheduled_quadratures(OSC, reference, grid)
-        np.testing.assert_array_equal(traj.x, ref.x)
-        np.testing.assert_array_equal(traj.y, ref.y)
+        ref_x, ref_y = simulate_scheduled_quadratures(OSC, reference, grid)
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(y, ref_y)
         thermal = (2 * 5.8 + 1) / 4.0
         n_eff = 300.0 * TWO_PI * 20.0 / 2.0
         tol = 4.0 * thermal * math.sqrt(2.0 / n_eff)
-        assert abs(np.var(traj.x) - thermal) < tol
-        assert abs(np.var(traj.y) - thermal) < tol
+        assert abs(np.var(x) - thermal) < tol
+        assert abs(np.var(y) - thermal) < tol
         assert reference.s == 0.0
         assert reference.gamma_eff == rates_for(0.5).gamma_eff
 
@@ -270,7 +270,7 @@ class TestScheduledSynthesis:
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=13)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid, schedule)
+        traj_x, traj_y = simulate_scheduled_quadratures(OSC, rates, grid, schedule)
         var_x, var_y = rates.quadrature_variances()
         thermal = (2 * 5.8 + 1) / 4.0
         for tag, expected_x, expected_y in (
@@ -278,8 +278,8 @@ class TestScheduledSynthesis:
             ("detuned", thermal, thermal),
         ):
             slices = schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
-            x = np.concatenate([traj.x[s] for s in slices])
-            y = np.concatenate([traj.y[s] for s in slices])
+            x = np.concatenate([traj_x[s] for s in slices])
+            y = np.concatenate([traj_y[s] for s in slices])
             assert np.var(x) == pytest.approx(expected_x, rel=0.10), tag
             assert np.var(y) == pytest.approx(expected_y, rel=0.15), tag
 
@@ -294,8 +294,8 @@ class TestScheduledSynthesis:
         quad = [simulate_scheduled_quadratures(OSC, rates, grid, schedule, workers=w) for w in (1, 2)]
         assert np.array_equal(env[0][0], env[1][0])
         assert np.array_equal(env[0][1], env[1][1])
-        assert np.array_equal(quad[0].x, quad[1].x)
-        assert np.array_equal(quad[0].y, quad[1].y)
+        assert np.array_equal(quad[0][0], quad[1][0])
+        assert np.array_equal(quad[0][1], quad[1][1])
 
     def test_envelope_is_sum_of_its_component_streams(self):
         # each envelope adds the broad component to the narrow one; each
@@ -359,8 +359,8 @@ class TestSegmentStreaming:
         var_0 = (2 * 5.8 + 1) / 4.0
         bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
         for sid, decay, var, got in (
-            (STREAM_WIGNER_X, 0.5 * rates.gamma_plus, var_x, [p.x for p in parts]),
-            (STREAM_WIGNER_Y, 0.5 * rates.gamma_minus, var_y, [p.y for p in parts]),
+            (STREAM_WIGNER_X, 0.5 * rates.gamma_plus, var_x, [x for x, _ in parts]),
+            (STREAM_WIGNER_Y, 0.5 * rates.gamma_minus, var_y, [y for _, y in parts]),
         ):
             per_tag = {RESONANT: (decay, var), DETUNED: (0.5 * rates.gamma_eff, var_0)}
             pieces = [(i1 - i0, *per_tag[tag]) for i0, i1, tag in bounds]
@@ -442,8 +442,8 @@ class TestSpectralRoundTrip:
         # width within 5% on a 100 s record
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=100.0, carrier=TWO_PI * 200.0, seed=41)
-        traj = simulate_scheduled_quadratures(OSC, rates, grid)
-        psd = welch_psd_chunks([traj.x], grid.sample_rate, 2000, detrend=False)
+        x, _ = simulate_scheduled_quadratures(OSC, rates, grid)
+        psd = welch_psd_chunks([x], grid.sample_rate, 2000, detrend=False)
         # the lowest bins stay out of the fit, as in the Welch area test
         fit = fit_quadrature(psd.band(3.5 * psd.rbw, np.inf), 0.0, 300.0)
         gamma_plus_hz = rates.gamma_plus / TWO_PI
