@@ -1,6 +1,9 @@
 """Simulation and spectral analysis of a parametrically squeezed
 optomechanical oscillator measured by phase-coherent heterodyne detection."""
 
+# set first: the pipeline records it in every report
+__version__ = "0.1.0"
+
 from .errors import (
     AliasingError,
     AntiDampedError,
@@ -48,5 +51,3 @@ from .detect import (
 from .fitting import FitResult, fit_double_pair, fit_quadrature, fit_single_pair
 from .config import RunConfig, validate_config
 from .pipeline import run_single, run_sweep_ratio_vs_s, run_sweep_variance_vs_tone_ratio
-
-__version__ = "0.1.0"

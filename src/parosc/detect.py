@@ -6,14 +6,20 @@ Gaussian (flat one-sided PSD).
 
 The stages hand on plain arrays, with the SimGrid of the record piece they
 cover: the compose functions turn the synthesized arrays into record
-samples, demod_baseband feeds those into a Baseband, and lockin_demodulate
-returns the two channels as views of its baseband.
+samples, and demod_baseband feeds those into a Baseband, which hands on the
+decimated baseband samples each piece completes.  No array spans the
+record: the Baseband buffers at most one drive segment's usable slice and
+sums each complete slice into a complex Welch estimate of its drive class
+and, on resonant drive, into the moments of the demodulation phase.  Once
+the record is fed, optimize_demod_phase reads theta* from those moments and
+lockin_demodulate the channel spectra at theta* from the Welch sums.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -24,6 +30,7 @@ from scipy import signal
 
 from .errors import AliasingError, FilterDesignError, ScheduleError
 from .parallel import thread_map
+from .spectral import Psd, Welch
 from .synth import (
     DETUNED,
     RESONANT,
@@ -339,12 +346,19 @@ class Baseband:
     tail the blocks so far left, every block whose input is complete is
     filtered, and the tail (at least m-1 samples for m taps) is carried to
     the next piece.  Feeding a record in pieces therefore gives what feeding
-    it whole gives.  Of the full-rate baseband only the decimated samples
-    are kept.
+    it whole gives.
+
+    Of the full-rate baseband only the decimated samples are kept, and only
+    until they are handed on: `feed` returns the ones its piece completed.
+    The samples of each usable slice (usable_slices) are copied into a
+    buffer of one slice as they are handed on.  A complete slice is fed to
+    spectra[tag], the complex Welch of its drive class when the caller gave
+    one, and a resonant slice adds to phase_sums, the sums
+    (z, z^2, |z|^2, count) that optimize_demod_phase reads.
     """
 
     def __init__(self, taps: np.ndarray, n_samples: int, sample_rate: float, carrier: float,
-                 schedule: Schedule, decimate: int = 1):
+                 schedule: Schedule, decimate: int, spectra: dict[str, Welch]):
         m = len(taps)
         self.taps = taps
         self.n_samples = n_samples
@@ -352,8 +366,10 @@ class Baseband:
         self.carrier = carrier
         self.schedule = schedule
         self.decimate = decimate
+        self.spectra = spectra
         self.edge_guard = (m // 2) / sample_rate
-        self.z = np.empty(-(-n_samples // decimate), dtype=complex)
+        self.n_decimated = -(-n_samples // decimate)
+        self.phase_sums = (0.0, 0.0, 0.0, 0)
         self._nfft = sp_fft.next_fast_len(max(_FIR_FFT, 4 * m))
         self._step = self._nfft - (m - 1)
         self._n_blocks = -(-n_samples // self._step)
@@ -364,21 +380,33 @@ class Baseband:
         self._tail = np.zeros(m // 2, dtype=complex)
         self._block = 0
         self._fed = 0
+        # decimated samples handed on so far, and the usable slices still
+        # to complete, in record order
+        self._handed = 0
+        self._slices = deque(sorted(
+            ((s, tag) for tag in (DETUNED, RESONANT) for s in self.usable_slices(tag)),
+            key=lambda item: item[0].start,
+        ))
+        longest = max((s.stop - s.start for s, _ in self._slices), default=0)
+        self._slice_buf = np.empty(longest, dtype=complex)
 
     def usable_slices(self, tag: str) -> list[slice]:
         """Index ranges of z in the segments carrying `tag`, trimmed by the
         settling guard at the head and by the filter half support at the
         tail, so no statistic of them leaks across a drive switch."""
         return self.schedule.usable_slices(
-            tag, self.sample_rate / self.decimate, len(self.z), tail_guard=self.edge_guard
+            tag, self.sample_rate / self.decimate, self.n_decimated, tail_guard=self.edge_guard
         )
 
-    def feed(self, samples: np.ndarray, start: int, workers: int = 1) -> None:
+    def feed(self, samples: np.ndarray, start: int, workers: int) -> np.ndarray:
         """Mix and filter the record samples [start, start + len(samples)),
-        which must follow the samples fed so far.  The overlap-save blocks
-        whose input is complete are filtered in batches of
+        which must follow the samples fed so far, and return the decimated
+        baseband samples this completes: z[j0 : j0 + len], where j0 counts
+        the samples returned before.  The overlap-save blocks whose input
+        is complete are filtered in batches of
         min(_FIR_BATCH, ceil(ready / workers)) blocks, on up to `workers`
-        threads, so a short piece still splits evenly between them."""
+        threads, so a short piece still splits evenly between them; the
+        usable slices the samples complete are summed with `workers` too."""
         if start != self._fed or start + len(samples) > self.n_samples:
             raise ValueError(
                 f"record piece [{start}, {start + len(samples)}) does not continue "
@@ -387,13 +415,13 @@ class Baseband:
         m, step, nfft = len(self.taps), self._step, self._nfft
         self._fed += len(samples)
         kept = len(self._tail)
+        size = kept + len(samples)
         if self._fed == self.n_samples:
             # the last blocks read the zero padding past the record's end
             size = (self._n_blocks - self._block) * step + m - 1
-        else:
-            size = kept + len(samples)
-        buf = np.zeros(size, dtype=complex)
+        buf = np.empty(size, dtype=complex)
         buf[:kept] = self._tail
+        buf[kept + len(samples) :] = 0.0
         dt = 1.0 / self.sample_rate
 
         def mix(a, b):
@@ -403,9 +431,12 @@ class Baseband:
 
         _in_parts(start, start + len(samples), workers, mix)
         n_ready = max(0, (size - (m - 1)) // step)
+        # the decimated samples of the full-rate outputs [j0*d, done)
+        d, j0 = self.decimate, self._handed
+        done = min((self._block + n_ready) * step, self.n_samples)
+        z = np.empty(-(-done // d) - j0, complex)
         if n_ready:
             frames = sliding_window_view(buf, nfft)[::step]
-
             batch = min(_FIR_BATCH, -(-n_ready // workers))
 
             def filter_batch(b0):
@@ -414,20 +445,43 @@ class Baseband:
                 spec *= self._response
                 y = sp_fft.ifft(spec, axis=1, overwrite_x=True)[:, m - 1 :]
                 for r, row in enumerate(y):  # no flattened copy of the batch
-                    self._keep(row, (self._block + b0 + r) * step)
+                    # the decimated samples of the chunk at record sample g0
+                    g0 = (self._block + b0 + r) * step
+                    row = row[: max(0, self.n_samples - g0)]
+                    j = -(-g0 // d)
+                    kept_row = row[j * d - g0 :: d]
+                    z[j - j0 : j - j0 + len(kept_row)] = kept_row
 
             thread_map(filter_batch, range(0, n_ready, batch), workers)
         self._tail = buf[n_ready * step :].copy()
         self._block += n_ready
+        self._handed += len(z)
+        self._sum_slices(z, j0, workers)
+        return z
 
-    def _keep(self, chunk: np.ndarray, g0: int) -> None:
-        """Keep the decimated samples of the full-rate baseband chunk that
-        starts at record sample g0."""
-        chunk = chunk[: max(0, self.n_samples - g0)]
-        d = self.decimate
-        j0 = -(-g0 // d)
-        kept = chunk[j0 * d - g0 :: d]
-        self.z[j0 : j0 + len(kept)] = kept
+    def _sum_slices(self, z: np.ndarray, j0: int, workers: int) -> None:
+        """Copy the parts of the usable slices in z = z[j0 : j0 + len] to
+        the slice buffer, and sum every slice that z completes."""
+        j1 = j0 + len(z)
+        while self._slices and self._slices[0][0].start < j1:
+            s, tag = self._slices[0]
+            lo, hi = max(s.start, j0), min(s.stop, j1)
+            self._slice_buf[lo - s.start : hi - s.start] = z[lo - j0 : hi - j0]
+            if s.stop > j1:
+                return
+            self._slices.popleft()
+            piece = self._slice_buf[: s.stop - s.start]
+            if tag in self.spectra:
+                self.spectra[tag].feed(piece, workers)
+            if tag == RESONANT:
+                s1, s2, s_abs, n = self.phase_sums
+                self.phase_sums = (
+                    s1 + np.sum(piece),
+                    s2 + np.sum(piece * piece),
+                    # |z|^2 over the float pairs: no square root, no threaded BLAS call
+                    s_abs + np.einsum("i,i->", piece.view(float), piece.view(float)),
+                    n + len(piece),
+                )
 
 
 def demod_baseband(
@@ -439,16 +493,20 @@ def demod_baseband(
     workers: int = 1,
     into: Baseband | None = None,
     schedule: Schedule | None = None,
-) -> Baseband:
+    spectra: dict[str, Welch] | None = None,
+) -> tuple[Baseband, np.ndarray]:
     """Feed the record samples on the grid, the whole record or the piece of
-    it at grid.start, into the lock-in baseband `into` and return it; the
+    it at grid.start, into the lock-in baseband `into`; return it with the
+    decimated baseband samples the piece completed (Baseband.feed).  The
     grid gives the sample rate and the carrier.  Without `into` a new
     Baseband is made for the record the schedule tiles (default: the grid
     as one resonant segment), with the lock-in FIR designed for det's
-    cutoff and the passband edge.  The two lock-in channels at any
+    cutoff and the passband edge, summing its usable slices into the
+    complex Welch estimates `spectra` (drive class -> Welch at the
+    decimated rate; default none).  The two lock-in channels at any
     demodulation phase theta are Re(e^{i theta} z) and Im(e^{i theta} z),
-    so the baseband is computed once and shared between the phase choice
-    and channel extraction.
+    so the baseband sums serve both the phase choice and the channel
+    spectra.
     """
     if into is None:
         if schedule is None:
@@ -458,25 +516,29 @@ def demod_baseband(
         )
         into = Baseband(
             taps, schedule.n_samples(grid.sample_rate), grid.sample_rate, grid.carrier,
-            schedule, decimate,
+            schedule, decimate, spectra or {},
         )
-    into.feed(samples, grid.start, workers)
-    return into
+    return into, into.feed(samples, grid.start, workers)
 
 
-def lockin_demodulate(bb: Baseband, demod_phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-coherent demodulation at the record carrier.
+def lockin_demodulate(bb: Baseband, demod_phase: float) -> dict[tuple[str, str], Psd]:
+    """Phase-coherent demodulation at the record carrier, as spectra.
 
-    ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference.
-    Both channels come from the record's complex baseband (demod_baseband)
-    rotated by the demodulation phase theta = demod_phase, which is exactly
+    ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference,
+    are Re and Im of the record's complex baseband (demod_baseband) rotated
+    by the demodulation phase theta = demod_phase, which is exactly
     equivalent and filter-consistent; the baseband's decimation applies.
-    The baseband is consumed: bb.z is rotated in place, and the channels
-    (ch_x, ch_y) are the real and imaginary views of it, at the rate
-    bb.sample_rate / bb.decimate with the usable slices bb.usable_slices.
+    The channels themselves are never formed: their one-sided Welch
+    densities over the usable slices of each drive class come from the
+    class's complex Welch sums (Welch.channel_psds).  Returns
+    {(channel, tag): Psd} for the channels "x", "y" of every class in
+    bb.spectra, the classes in bb.spectra's order, x before y.  Call it
+    once the record is fed whole.
     """
-    bb.z *= np.exp(1j * demod_phase)
-    return bb.z.real, bb.z.imag
+    psds = {}
+    for tag, welch in bb.spectra.items():
+        psds[("x", tag)], psds[("y", tag)] = welch.channel_psds(demod_phase)
+    return psds
 
 
 def optimize_demod_phase(bb: Baseband) -> tuple[float, float]:
@@ -491,20 +553,12 @@ def optimize_demod_phase(bb: Baseband) -> tuple[float, float]:
     squeezed quadrature, the orthogonal channel the anti-squeezed one.
     The depth is (max - min)/mean of var(theta); below FLAT_PHASE_DEPTH the
     variance is flat in phase, i.e. s ~ 0 and theta* is only the formal
-    minimum.
+    minimum.  The sums are bb.phase_sums, summed slice by slice as the
+    record is fed; call it once the record is fed whole.
     """
-    slices = bb.usable_slices(RESONANT)
-    if not slices:
+    s1, s2, s_abs, n_tot = bb.phase_sums
+    if not n_tot:
         raise ScheduleError("no resonant-drive segments to optimize the phase on")
-    s1 = s2 = s_abs = 0.0
-    n_tot = 0
-    for s in slices:
-        p = bb.z[s]
-        s1 += np.sum(p)
-        s2 += np.sum(p * p)
-        # |z|^2 over the float pairs: no square root, no threaded BLAS call
-        s_abs += np.einsum("i,i->", p.view(float), p.view(float))
-        n_tot += len(p)
     m1 = s1 / n_tot
     c = s2 / n_tot - m1 * m1
     theta = (math.pi - cmath.phase(c)) / 2.0 % math.pi

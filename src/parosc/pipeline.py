@@ -6,7 +6,8 @@ quadrature-demodulation path, component for the sideband path), estimates
 per-drive-class PSDs, performs the reference fit that pins the effective
 width, then the constrained double fit and the quadrature fits.  Fitted
 values and theory overlays always come from one shared DerivedRates
-instance.  Artifacts are byte-reproducible for a fixed (config, seed),
+instance.  Artifacts are byte-reproducible for a fixed (config, seed) and
+environment (the numpy and scipy versions, which every report records),
 independent of the worker count.
 """
 
@@ -21,9 +22,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize import brentq
 
-from . import recordio
+from . import __version__, recordio
 from .config import TWO_PI, RunConfig, require_valid, require_valid_workers
 from .detect import (
     FLAT_PHASE_DEPTH,
@@ -38,7 +40,8 @@ from .errors import AntiDampedError, ConfigError, ParoscError, PipelineError, Qu
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
-from .spectral import Welch, chi2_indistinguishable, welch_psd_chunks, write_psd_csv
+from .spectral import Welch, chi2_indistinguishable, write_psd_csv
+from .spectral import welch_psd_chunks  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .synth import (
     DETUNED,
     RESONANT,
@@ -183,9 +186,21 @@ def _run_repetition(
 
     # Quadrature path (Wigner backend): synthesize, compose and lock-in
     # filter each block, its quadratures and record samples handed on as
-    # plain arrays; only the decimated baseband is kept whole.
+    # plain arrays.  The lock-in sums each drive segment's usable slice into
+    # its class's complex Welch estimate and the phase moments as the slice
+    # completes, so no array spans the record; the raw channel dump is
+    # written unrotated and rotated by theta* at the end.
     frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
+    fs_q = grid.sample_rate / decim
+    nperseg_q = int(round(v["welch_segment"] * fs_q))
+    welch_q = {
+        tag: Welch(fs_q, nperseg_q, v["welch_overlap"], v["window"], "constant")
+        for tag in (DETUNED, RESONANT)
+    }
     baseband = None
+    demod_path = None if raw_dir is None else raw_dir / "demod_channels.bin"
+    n_demod = -(-grid.n_samples // decim)
+    j0 = 0
     for blk in itertools.chain.from_iterable(blocks):
         quad = _stage(
             "synthesis", simulate_scheduled_quadratures, osc, rates, blk, schedule,
@@ -201,11 +216,16 @@ def _run_repetition(
                 raw_dir / "record_wigner.bin", samples, grid.sample_rate,
                 offset=blk.start, length=grid.n_samples,
             )
-        baseband = _stage(
+        baseband, z = _stage(
             "demodulation", demod_baseband, samples, blk, det, passband_edge, decim,
-            workers=workers, into=baseband, schedule=schedule,
+            workers=workers, into=baseband, schedule=schedule, spectra=welch_q,
         )
         del samples
+        if demod_path is not None:
+            recordio.write_record_bin(
+                demod_path, (z.real, z.imag), fs_q, offset=j0, length=n_demod,
+            )
+        j0 += len(z)
     theta, depth = _stage("demodulation phase", optimize_demod_phase, baseband)
     if depth < FLAT_PHASE_DEPTH:
         # attributed to the caller of run_single
@@ -215,23 +235,11 @@ def _run_repetition(
             "using the formal minimum",
             stacklevel=3,
         )
-    # the lock-in rotates the baseband in place: its channels are views of
-    # baseband.z, which is freed with them
-    channels = lockin_demodulate(baseband, theta)
-    fs_q = grid.sample_rate / decim
-    nperseg_q = int(round(v["welch_segment"] * fs_q))
-    psd_q = {
-        (ch_name, tag): _stage(
-            "quadrature psd", welch_psd_chunks,
-            [ch[s] for s in baseband.usable_slices(tag)], fs_q, nperseg_q,
-            v["welch_overlap"], v["window"], workers=workers,
-        )
-        for tag in (DETUNED, RESONANT)
-        for ch_name, ch in zip("xy", channels)
-    }
-    if raw_dir is not None:
-        recordio.write_record_bin(raw_dir / "demod_channels.bin", channels, fs_q)
-    del baseband, channels
+    # x detuned, y detuned, x resonant, y resonant: welch_q's order
+    psd_q = _stage("quadrature psd", lockin_demodulate, baseband, theta)
+    if demod_path is not None:
+        recordio.rotate_record_bin(demod_path, theta)
+    del baseband, welch_q
 
     # Fits: reference first, then the constrained double fit it seeds.
     f_c = grid.carrier / TWO_PI
@@ -411,8 +419,11 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_report(config: RunConfig, out: Path, report: dict, artifacts: list[str]) -> dict:
-    """Write config.txt, report.json and report.txt, listing `artifacts` too."""
+    """Write config.txt, report.json and report.txt, listing `artifacts` and
+    the package, numpy and scipy versions too: the FFTs' rounding, and so
+    the artifacts' last digits, depend on the libraries."""
     report["artifacts"] = sorted(["config.txt", "report.json", "report.txt", *artifacts])
+    report["provenance"] = {"parosc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash = {report['config_hash']}\n")
         fh.write(config.snapshot())

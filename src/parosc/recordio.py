@@ -5,7 +5,9 @@ direction holds more than the record itself: a channel is written in blocks
 of _WRITE_BLOCK samples, each straight from its memory when the channel is
 contiguous native little-endian float64 and converted otherwise (a strided
 view such as the real part of a complex array, another dtype), and a record
-is read straight into the one array it is returned in.
+is read straight into the one array it is returned in.  A two-channel
+record of the real and imaginary parts of a complex signal can be rotated
+in place, one block at a time (rotate_record_bin).
 """
 
 from __future__ import annotations
@@ -59,6 +61,28 @@ def write_record_bin(
             for i0 in range(0, len(ch), _WRITE_BLOCK):
                 # no copy for a contiguous native little-endian float64 block
                 fh.write(memoryview(np.ascontiguousarray(ch[i0 : i0 + _WRITE_BLOCK], dtype="<f8")))
+
+
+def rotate_record_bin(path, phase: float) -> None:
+    """Multiply the complex record z = channel 0 + i*channel 1 of a
+    two-channel file by exp(i*phase) in place, _WRITE_BLOCK samples at a
+    time; each sample gets the arithmetic of one z *= exp(1j*phase) over
+    the whole record."""
+    factor = np.exp(1j * phase)
+    with open(path, "r+b") as fh:
+        *_, length, n_ch, kind = _HEADER.unpack(fh.read(_HEADER.size))
+        if n_ch != 2 or kind != KIND_REAL:
+            raise ValueError(f"need a two-channel real record, got {n_ch} channels of kind {kind}")
+        z = np.empty(min(length, _WRITE_BLOCK), dtype=complex)
+        for i0 in range(0, length, _WRITE_BLOCK):
+            block = z[: min(_WRITE_BLOCK, length - i0)]
+            for k, part in enumerate((block.real, block.imag)):
+                fh.seek(_HEADER.size + 8 * (k * length + i0))
+                part[:] = np.frombuffer(fh.read(8 * len(block)), dtype="<f8")
+            block *= factor
+            for k, part in enumerate((block.real, block.imag)):
+                fh.seek(_HEADER.size + 8 * (k * length + i0))
+                fh.write(memoryview(np.ascontiguousarray(part, dtype="<f8")))
 
 
 def read_record_bin(path) -> tuple[np.ndarray, float]:

@@ -16,6 +16,14 @@ segment per thread, not the record: each row is detrended, windowed,
 transformed and squared in buffers allocated once per chunk.  The window
 and its lag correlations are computed once per (window, segment length,
 hop) and shared read-only between calls.
+
+For complex input z the accumulator also sums the pseudo-spectrum
+B_k = sum Z_k Z_{-k} beside the power A_k = sum |Z_k|^2, the two
+second-order spectra of an improper complex signal (Picinbono & Bondon,
+IEEE Trans. Signal Process. 45, 411, 1997).  From them
+`Welch.channel_psds(theta)` gives the one-sided spectra of the real
+channels Re(e^{i theta} z) and Im(e^{i theta} z) at any theta,
+1/4 (A_k + A_{-k} +- 2 Re(e^{2i theta} B_k)), without the channels.
 """
 
 from __future__ import annotations
@@ -114,9 +122,11 @@ class Welch:
     segment's power row.
 
     Real inputs produce a one-sided density (doubled except at DC/Nyquist);
-    complex inputs produce a two-sided density on an fftshifted axis.
-    Per-segment mean removal (detrend="constant") suppresses the DC bin;
-    detrend=False keeps the spectrum right at zero frequency.
+    complex inputs produce a two-sided density on an fftshifted axis, and
+    the one-sided densities of their real channels at any rotation
+    (channel_psds).  Per-segment mean removal (detrend="constant")
+    suppresses the DC bin; detrend=False keeps the spectrum right at zero
+    frequency.
     """
 
     def __init__(
@@ -135,22 +145,28 @@ class Welch:
         self._win_vals, self._win_power, self._rhos = _window_terms(window, segment_len, self.hop)
         self._complex: bool | None = None
         self._total: np.ndarray | None = None
+        # B_k for k = 0 .. segment_len // 2 (B_{-k} = B_k), complex input only
+        self._pseudo: np.ndarray | None = None
         self._n_segments = 0
         self._effective = 0.0
 
     def feed(self, chunk: np.ndarray, workers: int) -> None:
-        """Add the power rows of the chunk's segments to the running sum:
-        the rows are computed `workers` at a time, one per thread, summed
-        in segment order, and that chunk sum is added.  The first chunk
-        fixes real or complex input and later ones must match; a chunk
-        shorter than two segments is skipped."""
+        """Add the power rows of the chunk's segments to the running sum,
+        and for complex input their pseudo-spectrum rows to theirs: the
+        rows are computed `workers` at a time, one per thread, summed in
+        segment order, and that chunk sum is added.  The first chunk fixes
+        real or complex input and later ones must match; a chunk shorter
+        than two segments is skipped."""
         complex_input = np.iscomplexobj(chunk)
+        seg_len = self.segment_len
+        half = seg_len // 2 + 1
         if self._total is None:
             self._complex = complex_input
-            self._total = np.zeros(self.segment_len if complex_input else self.segment_len // 2 + 1)
+            self._total = np.zeros(seg_len if complex_input else half)
+            if complex_input:
+                self._pseudo = np.zeros(half, complex)
         elif complex_input != self._complex:
             raise SpectralError("chunks of one estimate must be all real or all complex")
-        seg_len = self.segment_len
         if len(chunk) < seg_len + self.hop:
             return
         transform = sp_fft.fft if complex_input else sp_fft.rfft
@@ -160,6 +176,7 @@ class Welch:
         # in segment order before the next group reuses the slots.
         windowed = np.empty((workers, seg_len), complex if complex_input else float)
         rows = np.empty((workers, len(self._total)))
+        pseudo_rows = np.empty((workers, half), complex) if complex_input else None
 
         def power_row(k):
             j = k % workers
@@ -169,35 +186,67 @@ class Welch:
             else:
                 np.multiply(segments[k], self._win_vals, out=windowed[j])
             spec = transform(windowed[j])
+            if complex_input:
+                # Z_k Z_{-k}: Z_{-k} is spec[seg_len - k] for k > 0
+                np.multiply(spec[0], spec[0], out=pseudo_rows[j, :1])
+                np.multiply(spec[1:half], spec[:0:-1][: half - 1], out=pseudo_rows[j, 1:])
             np.square(spec.real, out=rows[j])
             rows[j] += np.square(spec.imag, out=spec.imag)
-            return rows[j]
+            return j
 
         total = np.zeros(len(self._total))
+        pseudo = np.zeros(half, complex) if complex_input else None
         for k0 in range(0, len(segments), workers):
-            for row in thread_map(power_row, range(k0, min(k0 + workers, len(segments))), workers):
-                total += row
+            for j in thread_map(power_row, range(k0, min(k0 + workers, len(segments))), workers):
+                total += rows[j]
+                if complex_input:
+                    pseudo += pseudo_rows[j]
         self._total += total
+        if complex_input:
+            self._pseudo += pseudo
         self._n_segments += len(segments)
         self._effective += len(segments) / _overlap_variance_factor(self._rhos, len(segments))
 
     def psd(self) -> Psd:
         """The normalized mean of every row fed; raises SpectralError when
         no chunk held two segments."""
+        if self._complex:
+            return self._normalized(sp_fft.fftshift(self._total), onesided=False)
+        return self._normalized(self._total, onesided=True)
+
+    def channel_psds(self, theta: float) -> tuple[Psd, Psd]:
+        """The one-sided densities of the real channels Re(e^{i theta} z) and
+        Im(e^{i theta} z) of the complex chunks fed: their power rows are
+        1/4 (A_k + A_{-k} +- 2 Re(e^{2i theta} B_k)), which is what feeding
+        the channels themselves sums, to rounding.  Raises SpectralError
+        for real input and when no chunk held two segments."""
+        if not self._complex:
+            raise SpectralError("channel spectra need complex chunks")
+        power = self._total
+        half = len(self._pseudo)
+        both = power[:half] + np.concatenate((power[:1], power[:0:-1][: half - 1]))
+        cross = 2.0 * (np.exp(2j * theta) * self._pseudo).real
+        return (
+            self._normalized(0.25 * (both + cross), onesided=True),
+            self._normalized(0.25 * (both - cross), onesided=True),
+        )
+
+    def _normalized(self, total: np.ndarray, onesided: bool) -> Psd:
+        """The Psd of a row sum over every segment fed: a one-sided sum has
+        bins 0 .. segment_len // 2, a two-sided one is fftshifted."""
         if not self._n_segments:
             raise SpectralError(
                 f"no chunk holds two Welch segments of {self.segment_len} samples"
             )
         seg_len, fs = self.segment_len, self.sample_rate
-        density = self._total / self._n_segments
+        density = total / self._n_segments
         density /= fs * self._win_power
-        if self._complex:
-            freqs = sp_fft.fftshift(sp_fft.fftfreq(seg_len, 1.0 / fs))
-            density = sp_fft.fftshift(density)
-        else:
+        if onesided:
             freqs = sp_fft.rfftfreq(seg_len, 1.0 / fs)
-            # one-sided: fold negative frequencies onto all bins but DC and Nyquist
+            # fold negative frequencies onto all bins but DC and Nyquist
             density[1 : None if seg_len % 2 else -1] *= 2.0
+        else:
+            freqs = sp_fft.fftshift(sp_fft.fftfreq(seg_len, 1.0 / fs))
         return Psd(
             freqs=freqs,
             density=density,
@@ -205,7 +254,7 @@ class Welch:
             n_averages=self._n_segments,
             effective_averages=self._effective,
             window=self.window,
-            onesided=not self._complex,
+            onesided=onesided,
         )
 
 

@@ -1,0 +1,97 @@
+"""tools/artifact_diff.py on small artifact trees whose differences are
+known."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from parosc.recordio import write_record_bin
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+
+CSV = "# config=abc123\n# rbw_hz=1.25 window=hann n_averages=7\nfreq_hz,psd\n0,1.5\n1.25,{x}\n"
+
+
+def artifact_diff():
+    spec = importlib.util.spec_from_file_location("artifact_diff", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def report(passed: bool, value: float) -> str:
+    return json.dumps({
+        "aggregate": {"s_hat": {"mean": value}},
+        "checks": [{"name": "s_recovery", "passed": True, "detail": "ok"},
+                   {"name": "gamma_eff_reference", "passed": passed, "detail": "ok"}],
+    })
+
+
+def write_tree(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def run(tmp_path, old: dict, new: dict, capsys):
+    code = artifact_diff().main([
+        str(write_tree(tmp_path / "old", old)), str(write_tree(tmp_path / "new", new)),
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    # "<status>  <path>" per file; the flipped checks are indented
+    status = {
+        line.split()[-1]: line.rsplit(" ", 1)[0].strip()
+        for line in lines
+        if "/" in line and not line.startswith(" ")
+    }
+    return code, status, lines
+
+
+def test_numeric_moves_only(tmp_path, capsys):
+    old = {"rep00/a.csv": CSV.format(x="2.00000000000"), "rep00/same.csv": CSV.format(x="3"),
+           "point_00/report.json": report(True, 0.5)}
+    new = {"rep00/a.csv": CSV.format(x="2.00000000002"), "rep00/same.csv": CSV.format(x="3"),
+           "point_00/report.json": report(True, 0.5000001)}
+    code, status, lines = run(tmp_path, old, new, capsys)
+    assert code == 0
+    assert status["rep00/same.csv"] == "identical"
+    assert status["rep00/a.csv"] == "max rel 1e-11"
+    assert status["point_00/report.json"] == "max rel 2e-07"
+    assert "checks flipped: 0" in lines
+
+
+def test_flipped_check_missing_extra_and_text_changes_fail(tmp_path, capsys):
+    old = {"r/report.json": report(True, 0.5), "r/gone.csv": CSV.format(x="1"),
+           "r/config.txt": "window = hann\n"}
+    new = {"r/report.json": report(False, 0.5), "r/added.csv": CSV.format(x="1"),
+           "r/config.txt": "window = blackman\n"}
+    code, status, lines = run(tmp_path, old, new, capsys)
+    assert code == 1
+    assert status["r/gone.csv"] == "missing in NEW"
+    assert status["r/added.csv"] == "extra in NEW"
+    assert status["r/config.txt"] == "non-numeric difference"
+    assert "checks flipped: 1" in lines
+    assert "  r/report.json: gamma_eff_reference: True -> False" in lines
+
+
+def test_raw_records_compared_by_sample(tmp_path, capsys):
+    old, new = tmp_path / "old" / "raw", tmp_path / "new" / "raw"
+    for root in (old, new):
+        root.mkdir(parents=True)
+    x = np.linspace(1.0, 2.0, 100)
+    write_record_bin(old / "rec.bin", (x, -x), 1e3)
+    moved = x.copy()
+    moved[7] *= 1.0 + 4e-12
+    write_record_bin(new / "rec.bin", (moved, -x), 1e3)
+    write_record_bin(old / "short.bin", x, 1e3)
+    write_record_bin(new / "short.bin", x[:50], 1e3)
+    assert artifact_diff().main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rel = float(next(line for line in lines if line.endswith("raw/rec.bin")).split()[2])
+    assert 3e-12 < rel < 5e-12
+    assert any(line.startswith("non-numeric difference") and line.endswith("raw/short.bin")
+               for line in lines)

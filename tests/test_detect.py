@@ -23,7 +23,7 @@ from parosc.detect import (
 from parosc.errors import AliasingError, FilterDesignError, ScheduleError
 from parosc.fitting import fit_single_pair
 from parosc.model import DerivedRates, OscillatorParams
-from parosc.spectral import welch_psd_chunks
+from parosc.spectral import Welch, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
@@ -246,11 +246,11 @@ class TestDemodBaseband:
         det = DetectionParams(lowpass_cutoff=2.5e3)
         mixed = 2.0 * samples * np.exp(1j * CARRIER * np.arange(n) / FS)
         for decimate in (1, 4):
-            bb = demod_baseband(samples, grid, det, 1.2e3, decimate=decimate)
+            bb, z = demod_baseband(samples, grid, det, 1.2e3, decimate=decimate)
             direct = np.convolve(mixed, bb.taps, mode="same")[::decimate]
-            assert bb.z.shape == direct.shape
+            assert z.shape == direct.shape
             # the carrier phasors carry the rounding of omega*t (~1e-11 here)
-            np.testing.assert_allclose(bb.z, direct, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
+            np.testing.assert_allclose(z, direct, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
 
     def test_worker_count_does_not_change_result(self):
         rng = np.random.default_rng(4)
@@ -258,9 +258,9 @@ class TestDemodBaseband:
         grid = grid_for(16.0, 0)
         det = DetectionParams(lowpass_cutoff=2.5e3)
         # more workers than cores: the batches write disjoint slices of one array
-        one = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=1)
-        many = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=5)
-        assert np.array_equal(one.z, many.z)
+        _, one = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=1)
+        _, many = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=5)
+        assert np.array_equal(one, many)
 
 
 class TestSegmentStreaming:
@@ -287,18 +287,29 @@ class TestSegmentStreaming:
             pieces += [self.GRID.segment(b0, min(b0 + step, i1)) for b0 in range(i0, i1, step)]
         return pieces
 
+    @staticmethod
+    def _spectra():
+        return {tag: Welch(FS / 4, 1750, 0.5, "hann", "constant") for tag in (DETUNED, RESONANT)}
+
     def test_wigner_record_and_baseband(self):
+        # the handed-on pieces of the baseband, theta* and the channel
+        # spectra are the whole record's, bit for bit
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         whole_quad = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
         whole_samples = compose_heterodyne_wigner(
             *whole_quad, det, self.GRID, DELTA_LO, frame_phase=0.4
         )
-        whole = demod_baseband(whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule)
+        whole, whole_z = demod_baseband(
+            whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule,
+            spectra=self._spectra(),
+        )
+        theta = optimize_demod_phase(whole)
+        whole_psds = lockin_demodulate(whole, theta[0])
         for cut in self.CUTS:
             pieces = self._pieces(schedule, cut)
             streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
-            samples, streamed = [], None
+            samples, zs, streamed = [], [], None
             for piece in pieces:
                 quad = simulate_scheduled_quadratures(
                     OSC, rates, piece, schedule, streams=streams
@@ -306,15 +317,18 @@ class TestSegmentStreaming:
                 samples.append(compose_heterodyne_wigner(
                     *quad, det, piece, DELTA_LO, frame_phase=0.4, workers=2, streams=streams,
                 ))
-                streamed = demod_baseband(
+                streamed, z = demod_baseband(
                     samples[-1], piece, det, 1.2e3, decimate=4, workers=2, into=streamed,
-                    schedule=schedule,
+                    schedule=schedule, spectra=self._spectra(),
                 )
+                zs.append(z)
             for piece in pieces[1:]:
                 assert piece.start % _MIX_BLOCK and piece.start % streamed._step, cut
             np.testing.assert_array_equal(np.concatenate(samples), whole_samples, str(cut))
-            np.testing.assert_array_equal(streamed.z, whole.z, str(cut))
-            assert optimize_demod_phase(streamed) == optimize_demod_phase(whole), cut
+            np.testing.assert_array_equal(np.concatenate(zs), whole_z, str(cut))
+            assert optimize_demod_phase(streamed) == theta, cut
+            for key, psd in lockin_demodulate(streamed, theta[0]).items():
+                np.testing.assert_array_equal(psd.density, whole_psds[key].density, str(key))
 
     def test_component_record_one_segment_at_a_time(self):
         # each piece's envelopes, then its piece of the record: the pieces
@@ -365,56 +379,78 @@ class TestSegmentStreaming:
 
 
 class TestLockinDemodulate:
+    @staticmethod
+    def _spectra(fs, segment_len):
+        return {RESONANT: Welch(fs, segment_len, 0.5, "hann", "constant")}
+
     def test_pure_tone_mixer_identity(self):
         grid = grid_for(4.0, 10)
         t = np.arange(grid.n_samples) / grid.sample_rate
         psi = 0.7
         samples = np.cos((CARRIER + DELTA_LO) * t + psi)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        ch_x, ch_y = lockin_demodulate(demod_baseband(samples, grid, det, EDGE), 0.0)
+        bb, z = demod_baseband(
+            samples, grid, det, EDGE, spectra=self._spectra(grid.sample_rate, 10_000)
+        )
         inner = slice(2000, -2000)
         f_lo = DELTA_LO / TWO_PI
         expected_x = np.cos(DELTA_LO * t + psi)
         expected_y = -np.sin(DELTA_LO * t + psi)
-        np.testing.assert_allclose(ch_x[inner], expected_x[inner], atol=5e-4)
-        np.testing.assert_allclose(ch_y[inner], expected_y[inner], atol=5e-4)
-        psd = welch_psd_chunks([ch_x[inner]], grid.sample_rate, 10_000)
+        # at theta = 0 the channels are Re z and Im z
+        np.testing.assert_allclose(z.real[inner], expected_x[inner], atol=5e-4)
+        np.testing.assert_allclose(z.imag[inner], expected_y[inner], atol=5e-4)
+        psd = lockin_demodulate(bb, 0.0)[("x", RESONANT)]
         peak = psd.freqs[int(np.argmax(psd.density))]
         assert peak == pytest.approx(f_lo, abs=2 * psd.rbw)
 
     def test_channels_are_the_rotated_baseband(self):
-        # the baseband is rotated in place; the channels equal one rotation
-        # of a copy of the whole baseband, bit for bit
+        # the channel spectra are the Welch estimates of the rotated
+        # baseband's real and imaginary parts over the usable slices, to
+        # the rounding of the transforms (relative to the spectrum's peak:
+        # the stopband bins lie 1e-8 below it)
         grid = grid_for(4.0, 14)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
-        assert len(bb.z) > _MIX_BLOCK
-        z = bb.z.copy()
-        theta = 0.9
-        ch_x, ch_y = lockin_demodulate(bb, theta)
-        rotated = z * np.exp(1j * theta)
-        assert np.array_equal(ch_x, rotated.real)
-        assert np.array_equal(ch_y, rotated.imag)
+        bb, z = demod_baseband(
+            compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE,
+            spectra=self._spectra(grid.sample_rate, 5_000),
+        )
+        assert len(z) > _MIX_BLOCK
+        for theta in (0.0, 0.9, 2.9):
+            psds = lockin_demodulate(bb, theta)
+            rotated = z * np.exp(1j * theta)
+            for name, channel in (("x", rotated.real), ("y", rotated.imag)):
+                direct = welch_psd_chunks(
+                    [channel[s] for s in bb.usable_slices(RESONANT)], grid.sample_rate, 5_000
+                )
+                got = psds[(name, RESONANT)]
+                assert (got.n_averages, got.effective_averages) == (
+                    direct.n_averages, direct.effective_averages
+                )
+                np.testing.assert_array_equal(got.freqs, direct.freqs)
+                np.testing.assert_allclose(
+                    got.density, direct.density, rtol=1e-12, atol=1e-12 * np.max(direct.density)
+                )
 
-    def test_channels_are_views_of_the_baseband(self):
-        # the lock-in consumes its baseband: the channels share its memory,
-        # and the call allocates far less than one channel
+    def test_lockin_allocates_no_channel(self):
+        # the channels are never formed: the call allocates far less than
+        # one channel of the record
         import tracemalloc
 
         grid = grid_for(4.0, 14)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
-        channel_bytes = 8 * len(bb.z)
+        bb, z = demod_baseband(
+            compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE,
+            spectra=self._spectra(grid.sample_rate, 5_000),
+        )
+        channel_bytes = 8 * len(z)
         tracemalloc.start()
         try:
-            ch_x, ch_y = lockin_demodulate(bb, 0.9)
+            lockin_demodulate(bb, 0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(ch_x, bb.z)
-        assert np.shares_memory(ch_y, bb.z)
         assert peak < channel_bytes / 4, peak / channel_bytes
 
     def test_linearity(self):
@@ -424,11 +460,11 @@ class TestLockinDemodulate:
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec_a = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
         rec_b = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=1.1)
-        x_a, y_a = lockin_demodulate(demod_baseband(rec_a, grid, det, EDGE), 0.3)
-        x_b, y_b = lockin_demodulate(demod_baseband(rec_b, grid, det, EDGE), 0.3)
-        x_sum, y_sum = lockin_demodulate(demod_baseband(rec_a + rec_b, grid, det, EDGE), 0.3)
-        np.testing.assert_allclose(x_sum, x_a + x_b, atol=1e-10)
-        np.testing.assert_allclose(y_sum, y_a + y_b, atol=1e-10)
+        rot = np.exp(0.3j)
+        z_a, z_b, z_sum = (demod_baseband(rec, grid, det, EDGE)[1] * rot
+                           for rec in (rec_a, rec_b, rec_a + rec_b))
+        np.testing.assert_allclose(z_sum.real, z_a.real + z_b.real, atol=1e-10)
+        np.testing.assert_allclose(z_sum.imag, z_a.imag + z_b.imag, atol=1e-10)
 
     def test_phase_covariance(self):
         # rotating the record frame and the demod phase together leaves the
@@ -439,8 +475,11 @@ class TestLockinDemodulate:
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec0 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
         rec1 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=delta)
-        x0, y0 = lockin_demodulate(demod_baseband(rec0, grid, det, EDGE), 0.2)
-        x1, y1 = lockin_demodulate(demod_baseband(rec1, grid, det, EDGE), 0.2 + delta)
+        spectra = self._spectra(grid.sample_rate, 25_000)
+        bb0, z0 = demod_baseband(rec0, grid, det, EDGE, spectra=spectra)
+        bb1, z1 = demod_baseband(rec1, grid, det, EDGE, spectra=self._spectra(grid.sample_rate, 25_000))
+        x0, y0 = (z0 * np.exp(0.2j)).real, (z0 * np.exp(0.2j)).imag
+        x1, y1 = (z1 * np.exp(1j * (0.2 + delta))).real, (z1 * np.exp(1j * (0.2 + delta))).imag
         # identical statistics: the only difference is the image sideband's
         # spectral tail leaking through the filter transition band, far below
         # the in-band signal (and far below any shot floor in practice)
@@ -448,8 +487,8 @@ class TestLockinDemodulate:
         assert np.var(x1[inner]) == pytest.approx(np.var(x0[inner]), rel=5e-3)
         assert np.var(y1[inner]) == pytest.approx(np.var(y0[inner]), rel=5e-3)
         f_lo = DELTA_LO / TWO_PI
-        psd0 = welch_psd_chunks([x0[inner]], grid.sample_rate, 25_000)
-        psd1 = welch_psd_chunks([x1[inner]], grid.sample_rate, 25_000)
+        psd0 = lockin_demodulate(bb0, 0.2)[("x", RESONANT)]
+        psd1 = lockin_demodulate(bb1, 0.2 + delta)[("x", RESONANT)]
         band = np.abs(psd0.freqs - f_lo) < 50.0
         np.testing.assert_allclose(psd1.density[band], psd0.density[band], rtol=5e-2)
 
@@ -470,17 +509,16 @@ class TestLockinDemodulate:
             if seg.tag == DETUNED
         ]:
             swapped[sl] = rng.permutation(swapped[sl])
-        bb = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
-        ch_x, _ = lockin_demodulate(bb, 0.0)
-        ch_x_swapped, _ = lockin_demodulate(
-            demod_baseband(swapped, grid, det, EDGE, schedule=schedule), 0.0
-        )
+        bb, z = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
+        _, z_swapped = demod_baseband(swapped, grid, det, EDGE, schedule=schedule)
+        # the channel at theta = 0 is Re z
         for sl in bb.usable_slices(RESONANT):
-            np.testing.assert_allclose(ch_x_swapped[sl], ch_x[sl], atol=1e-12)
+            np.testing.assert_allclose(z_swapped.real[sl], z.real[sl], atol=1e-12)
 
 
 class TestOptimizeDemodPhase:
     def _baseband(self, frame_phase, seed=14, s=0.5, duration=40.0, shot=0.0, decimate=1):
+        """The baseband of a record fed whole, and its decimated samples."""
         grid = grid_for(duration, seed)
         rates = rates_for(s)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
@@ -501,30 +539,30 @@ class TestOptimizeDemodPhase:
         quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
-        theta, _ = optimize_demod_phase(demod_baseband(samples, grid, det, EDGE, schedule=schedule))
+        bb, _ = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
+        theta, _ = optimize_demod_phase(bb)
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
 
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
-        bb = self._baseband(phi0, seed=15, duration=60.0)
+        bb, z = self._baseband(phi0, seed=15, duration=60.0)
         theta, _ = optimize_demod_phase(bb)
-        z = bb.z.copy()
         ratios = []
         for phase in (theta, theta + math.pi / 2):
-            bb.z[:] = z  # the lock-in rotates the baseband in place
-            ch_x, _ = lockin_demodulate(bb, phase)
+            ch_x = (z * np.exp(1j * phase)).real
             cuts = np.concatenate([ch_x[s] for s in bb.usable_slices(RESONANT)])
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
 
     def test_flat_variance_at_zero_gain(self):
-        _, depth = optimize_demod_phase(self._baseband(0.3, seed=16, s=0.0, duration=60.0))
+        _, depth = optimize_demod_phase(self._baseband(0.3, seed=16, s=0.0, duration=60.0)[0])
         assert depth < FLAT_PHASE_DEPTH
 
     def test_closed_form_is_the_variance_minimum(self):
         # complex samples with a nonzero mean, so the m1^2 term of the closed
-        # form matters; one resonant slice over all of z stands in for a Baseband
+        # form matters; the sums of one resonant slice over all of z stand
+        # in for a Baseband
         rng = np.random.default_rng(17)
         flat_seen = sharp_seen = 0
         for _ in range(200):
@@ -534,7 +572,7 @@ class TestOptimizeDemodPhase:
             y = rng.normal(0.0, math.sqrt(1.0 + squeeze), n)
             mean = complex(*rng.normal(0.0, 2.0, 2))
             z = (x + 1j * y) * np.exp(1j * rng.uniform(0.0, TWO_PI)) + mean
-            bb = SimpleNamespace(z=z, usable_slices=lambda tag: [slice(0, n)])
+            bb = SimpleNamespace(phase_sums=(np.sum(z), np.sum(z * z), np.sum(np.abs(z) ** 2), n))
             m1 = np.mean(z)
             c = np.mean(z * z) - m1 * m1
             depth = 2.0 * abs(c) / (np.mean(np.abs(z) ** 2) - abs(m1) ** 2)
@@ -556,9 +594,9 @@ class TestOptimizeDemodPhase:
     def test_minimizes_the_decimated_resonant_channel_variance(self):
         # theta* is the variance minimum of exactly the channel samples the
         # quadrature spectra read: the resonant usable slices of decimated z
-        bb = self._baseband(0.6, seed=18, duration=30.0, shot=0.002, decimate=4)
+        bb, z = self._baseband(0.6, seed=18, duration=30.0, shot=0.002, decimate=4)
         theta, _ = optimize_demod_phase(bb)
-        z = np.concatenate([bb.z[s] for s in bb.usable_slices(RESONANT)])
+        z = np.concatenate([z[s] for s in bb.usable_slices(RESONANT)])
         best = minimize_scalar(
             lambda th: np.var((np.exp(1j * th) * z).real),
             bounds=(theta - 0.5, theta + 0.5), method="bounded",
@@ -573,7 +611,6 @@ class TestQuadratureSpectraAtOptimum:
         # channel fits the two-peak model with the broad width, the
         # anti-squeezed channel with the narrow one
         from parosc.fitting import fit_quadrature
-        from parosc.spectral import welch_psd_chunks
 
         rates = rates_for(0.5)
         grid = grid_for(120.0, 42)
@@ -582,16 +619,17 @@ class TestQuadratureSpectraAtOptimum:
         phi0 = 0.77
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
-        bb = demod_baseband(samples, grid, det, EDGE, decimate=4, schedule=schedule)
-        channels = lockin_demodulate(bb, optimize_demod_phase(bb)[0])
+        # one Welch over the resonant slices, as the pipeline pools them: no
+        # segment straddles a drive switch
+        spectra = {RESONANT: Welch(grid.sample_rate / 4, 6250, 0.5, "hann", "constant")}
+        bb, _ = demod_baseband(
+            samples, grid, det, EDGE, decimate=4, schedule=schedule, spectra=spectra
+        )
+        psds = lockin_demodulate(bb, optimize_demod_phase(bb)[0])
         f_lo = DELTA_LO / TWO_PI
         widths = {}
-        for name, ch in zip("xy", channels):
-            # one Welch over the slices, as the pipeline pools them: no
-            # segment straddles a drive switch
-            chunks = [ch[s] for s in bb.usable_slices(RESONANT)]
-            psd = welch_psd_chunks(chunks, grid.sample_rate / 4, 6250)
-            fit = fit_quadrature(psd, f_lo, 300.0)
+        for name in "xy":
+            fit = fit_quadrature(psds[(name, RESONANT)], f_lo, 300.0)
             widths[name] = fit.derived["gamma_hz"]
         gamma_plus_hz = rates.gamma_plus / TWO_PI
         gamma_minus_hz = rates.gamma_minus / TWO_PI

@@ -121,6 +121,18 @@ class TestRunSingle:
         assert report["tolerances"]["s_abs"] == 0.05
         assert "lockin" in report
 
+    def test_report_records_library_versions(self, run):
+        # artifact bytes are fixed per config, seed and environment: the
+        # FFTs' rounding depends on numpy and scipy
+        import scipy
+
+        import parosc
+
+        out, report = run
+        expected = {"parosc": parosc.__version__, "numpy": np.__version__, "scipy": scipy.__version__}
+        assert report["provenance"] == expected
+        assert json.loads((out / "report.json").read_text())["provenance"] == expected
+
     def test_phase_optimizer_recovers_frame(self, run):
         _, report = run
         agg = report["aggregate"]
@@ -534,24 +546,24 @@ def _traced_peak(cfg, out) -> float:
 
 class TestMemoryBound:
     def test_traced_peak_is_a_few_real_records(self, tmp_path):
-        # Both records are streamed in blocks within each drive segment:
-        # only the decimated complex baseband (half a record at decimate 4,
-        # 16 bytes a sample) is held whole, and the lock-in channels are
-        # views of it, so the traced peak stays below 1.6 records of 8
-        # bytes per sample.
-        # Holding the component record whole peaked at 1.80 records on this
-        # grid, whole-record synthesis (two complex envelopes beside the
-        # record) at 6.5.
+        # Both records are streamed in blocks within each drive segment and
+        # no array spans the record, so the traced peak stays below 1.6
+        # records of 8 bytes per sample (0.96 here).
+        # Holding the decimated complex baseband whole (half a record at
+        # decimate 4) peaked at 1.41 records on this grid, the component
+        # record whole at 1.80, whole-record synthesis (two complex
+        # envelopes beside the record) at 6.5.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1")
         peak = _traced_peak(cfg, tmp_path)
         assert peak < 1.6, peak
 
     def test_keep_raw_peak_below_two_records(self, tmp_path):
         # With keep_raw each record piece is written from the array the run
-        # already holds, and the two demodulated channels block by block
-        # from their views; the peak stays below 1.5 records.  With the
-        # component record held whole it peaked at 1.63 records on this
-        # grid, and copying the records and channels for the dump at 3.0.
+        # already holds, and each piece of the demodulated channels as the
+        # lock-in hands it on (rotated in the file at the end); the peak
+        # stays below 1.5 records (0.96 here).  With the component record
+        # held whole it peaked at 1.63 records on this grid, and copying
+        # the records and channels for the dump at 3.0.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1", keep_raw="true")
         peak = _traced_peak(cfg, tmp_path)
         assert (tmp_path / "rep00" / "raw" / "record_component.bin").exists()
@@ -559,12 +571,26 @@ class TestMemoryBound:
 
     def test_peak_with_segments_longer_than_a_block(self, tmp_path):
         # 15 s drive segments of 375 000 samples span several processing
-        # blocks.  Only the sideband path's one segment buffer is
-        # segment-sized, so the peak stays below 1.6 records; with every
-        # stage working on whole segments it read 2.09 records here.
+        # blocks.  Only the sideband path's one segment buffer and the
+        # lock-in's one slice buffer are segment-sized, so the peak stays
+        # below 1.6 records (1.15 here); with every stage working on whole
+        # segments it read 2.09 records.
         cfg = tiny_config(duration="60s", schedule_period="15s", repetitions="1")
         peak = _traced_peak(cfg, tmp_path)
         assert peak < 1.6, peak
+
+    def test_peak_does_not_grow_with_the_record(self, tmp_path):
+        # No array of a repetition spans the record: the traced peaks at 60 s
+        # and 120 s differ by less than one 3 s drive segment of decimated
+        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 5 KB
+        # here; with the baseband held whole, by its 60 s, 6 MB.
+        peaks = []
+        for duration in (60, 120):
+            cfg = tiny_config(duration=f"{duration}s", repetitions="1")
+            records = _traced_peak(cfg, tmp_path / f"{duration}s")
+            peaks.append(records * 8 * cfg.grid(0).n_samples)
+        segment_bytes = 16 * 3.0 * 25e3 / 4
+        assert abs(peaks[1] - peaks[0]) < segment_bytes, peaks
 
 
 class TestKeepRaw:

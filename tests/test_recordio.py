@@ -9,6 +9,7 @@ from parosc.recordio import (
     MAGIC,
     VERSION,
     read_record_bin,
+    rotate_record_bin,
     write_record_bin,
 )
 
@@ -94,3 +95,27 @@ class TestBinaryRoundTrip:
         path.write_bytes(_HEADER.pack(MAGIC, VERSION, 1e3, 4, 2, 1) + bytes(8 * 8))
         with pytest.raises(ValueError, match="unsupported record kind 1"):
             read_record_bin(path)
+
+
+class TestRotate:
+    def test_rotation_in_place_equals_one_whole_rotation(self, tmp_path):
+        # a complex record written as (Re, Im) in pieces, then rotated in the
+        # file block by block: the bytes of rotating the whole array at once
+        rng = np.random.default_rng(5)
+        n = 2 * _WRITE_BLOCK + 12_345
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        path = tmp_path / "channels.bin"
+        for i0 in range(0, n, 40_000):
+            piece = z[i0 : i0 + 40_000]
+            write_record_bin(path, (piece.real, piece.imag), 1e3, offset=i0, length=n)
+        rotate_record_bin(path, 0.9)
+        z *= np.exp(1j * 0.9)
+        expected = tmp_path / "expected.bin"
+        write_record_bin(expected, (z.real, z.imag), 1e3)
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_one_channel_rejected(self, tmp_path):
+        path = tmp_path / "rec.bin"
+        write_record_bin(path, np.zeros(10), 1e3)
+        with pytest.raises(ValueError, match="two-channel"):
+            rotate_record_bin(path, 0.3)

@@ -298,6 +298,65 @@ class TestChunkPooling:
         assert (one.n_averages, one.effective_averages) == (two.n_averages, two.effective_averages)
 
 
+class TestChannelSpectra:
+    """Welch.channel_psds(theta) from the power and pseudo-spectrum sums of
+    complex chunks equals the Welch estimate of the real channels
+    Re(e^{i theta} z) and Im(e^{i theta} z) themselves."""
+
+    FS = 1_000.0
+
+    @staticmethod
+    def improper_chunks():
+        # a complex AR(1) record whose quadratures differ in variance and
+        # bandwidth (an improper signal) with a nonzero mean, cut into three
+        # chunks; the middle one is shorter than two segments of 512
+        rng = stream_rng(31, 0)
+        n = 20_000
+        x = signal.lfilter([1.0], [1.0, -0.9], rng.standard_normal(n))
+        y = signal.lfilter([1.0], [1.0, -0.5], 0.4 * rng.standard_normal(n))
+        z = (x + 1j * y) * np.exp(0.7j) + (0.3 - 0.2j)
+        return [z[:9_000], z[9_000:9_700], z[9_700:]]
+
+    @staticmethod
+    def accumulated(chunks, segment_len, detrend, workers=1):
+        welch = Welch(TestChannelSpectra.FS, segment_len, 0.5, "hann", detrend)
+        for chunk in chunks:
+            welch.feed(chunk, workers)
+        return welch
+
+    @pytest.mark.parametrize("segment_len", [512, 511])
+    @pytest.mark.parametrize("detrend", ["constant", False])
+    def test_equals_welch_of_the_rotated_channels(self, segment_len, detrend):
+        chunks = self.improper_chunks()
+        assert len(chunks[1]) < 2 * segment_len
+        welch = self.accumulated(chunks, segment_len, detrend)
+        for theta in (0.0, 0.3, 1.2, 2.9):
+            rotated = [c * np.exp(1j * theta) for c in chunks]
+            for psd, part in zip(welch.channel_psds(theta), ("real", "imag")):
+                direct = welch_psd_chunks(
+                    [getattr(r, part) for r in rotated], self.FS, segment_len, 0.5, "hann",
+                    detrend=detrend,
+                )
+                assert np.array_equal(psd.freqs, direct.freqs)
+                assert (psd.rbw, psd.n_averages, psd.effective_averages, psd.window, psd.onesided) == (
+                    direct.rbw, direct.n_averages, direct.effective_averages, direct.window, True
+                )
+                np.testing.assert_allclose(psd.density, direct.density, rtol=1e-12, atol=0)
+
+    def test_worker_count_does_not_change_result(self):
+        chunks = self.improper_chunks()
+        results = [self.accumulated(chunks, 511, "constant", workers).channel_psds(1.2)
+                   for workers in (1, 2, 5)]
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert_same_psd(a, b)
+
+    def test_real_input_has_no_channels(self):
+        welch = self.accumulated([stream_rng(32, 0).standard_normal(5_000)], 512, "constant")
+        with pytest.raises(SpectralError, match="complex"):
+            welch.channel_psds(0.3)
+
+
 class TestWindowIndependence:
     def test_fitted_area_agrees_between_windows(self):
         fs = 25_000.0

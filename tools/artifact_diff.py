@@ -1,0 +1,142 @@
+"""Compare two artifact trees file by file, numerically.
+
+    python3 tools/artifact_diff.py OLD NEW
+
+OLD and NEW are artifact directories, for instance two listings of
+``tools/artifact_digests.py`` or two ``simulate`` outputs.  For every file
+under either tree the script prints one line:
+
+- ``identical``: the bytes agree;
+- ``max rel <x>``: the text files (CSV, JSON, the report and config text)
+  agree in everything but their numbers, and <x> is the largest relative
+  difference |a - b| / max(|a|, |b|) over their numeric cells; raw record
+  files (``.bin``) are compared the same way over their samples when their
+  headers agree;
+- ``non-numeric difference``: anything else differs;
+- ``missing in NEW`` / ``extra in NEW``: the file is in one tree only.
+
+It then lists every report check (the ``checks`` of a ``report.json``)
+whose ``passed`` differs between the trees.  The exit status is 1 on a
+flipped check, a missing or extra file or a non-numeric difference, else 0.
+Only the standard library and numpy are needed.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import re
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# A number standing alone: not part of a word such as ``rep00`` or a hash.
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)(?![\w.])"
+)
+RECORD_MAGIC = b"PORC"
+RECORD_HEADER = struct.Struct("<4sIdQII")
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _text_diff(old: bytes, new: bytes) -> float | None:
+    """Largest relative difference over the numbers of two texts that agree
+    elsewhere; None when they differ in anything but their numbers."""
+    try:
+        old_text, new_text = old.decode("utf-8"), new.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if NUMBER.split(old_text) != NUMBER.split(new_text):
+        return None
+    pairs = zip(NUMBER.findall(old_text), NUMBER.findall(new_text))
+    return max((rel_diff(float(a), float(b)) for a, b in pairs), default=0.0)
+
+
+def _record_diff(old: bytes, new: bytes) -> float | None:
+    """Largest relative difference over the samples of two raw records with
+    the same header; None when they are not such a pair."""
+    size = RECORD_HEADER.size
+    if not (old[:4] == RECORD_MAGIC and old[:size] == new[:size] and len(old) == len(new)):
+        return None
+    a = np.frombuffer(old[size:], dtype="<f8")
+    b = np.frombuffer(new[size:], dtype="<f8")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel[a == b] = 0.0
+    return float(np.max(rel, initial=0.0)) if not np.isnan(rel).any() else math.inf
+
+
+def file_diff(old: bytes, new: bytes) -> float | None:
+    """0.0 for equal bytes, the largest relative difference of the numbers
+    when only numbers differ, else None."""
+    if old == new:
+        return 0.0
+    diff = _record_diff(old, new)
+    return diff if diff is not None else _text_diff(old, new)
+
+
+def flipped_checks(old_report: Path, new_report: Path) -> list[str]:
+    """'name: old -> new' for every check whose passed differs; a check
+    present in one report only counts as flipped."""
+    def passed(path):
+        try:
+            checks = json.loads(path.read_text(encoding="utf-8")).get("checks", [])
+        except (OSError, ValueError):
+            return {}
+        return {c["name"]: c["passed"] for c in checks}
+
+    old, new = passed(old_report), passed(new_report)
+    return [
+        f"{name}: {old.get(name)} -> {new.get(name)}"
+        for name in sorted(old.keys() | new.keys())
+        if old.get(name) != new.get(name)
+    ]
+
+
+def compare(old_root: Path, new_root: Path, out=sys.stdout) -> int:
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    old_files, new_files = files(old_root), files(new_root)
+    failed = False
+    flips = []
+    for name in sorted(old_files | new_files):
+        if name not in new_files:
+            status, failed = "missing in NEW", True
+        elif name not in old_files:
+            status, failed = "extra in NEW", True
+        else:
+            diff = file_diff((old_root / name).read_bytes(), (new_root / name).read_bytes())
+            if diff is None:
+                status, failed = "non-numeric difference", True
+            elif diff == 0.0:
+                status = "identical"
+            else:
+                status = f"max rel {diff:.3g}"
+            if Path(name).name == "report.json":
+                flips += [f"{name}: {f}" for f in flipped_checks(old_root / name, new_root / name)]
+        print(f"{status:<24} {name}", file=out)
+    print(f"checks flipped: {len(flips)}", file=out)
+    for flip in flips:
+        print(f"  {flip}", file=out)
+    return 1 if failed or flips else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(Path(a).is_dir() for a in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return compare(Path(argv[0]), Path(argv[1]))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
