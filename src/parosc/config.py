@@ -288,6 +288,10 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"welch_segment must be > 0, got {v['welch_segment']:.6g} s")
     if not v["fit_margin"] > 0:
         problems.append(f"fit_margin must be > 0, got {v['fit_margin']:.6g} Hz")
+    if not v["shot_psd"] >= 0:
+        problems.append(f"shot_psd must be >= 0, got {v['shot_psd']:.6g}")
+    if v["seed"] < 0:
+        problems.append(f"seed must be >= 0, got {v['seed']}")
     # a quantum-squeezed regime (s > 2*n_bar) is a valid configuration: the
     # pipeline then falls back to analytic spectra and no record is ever
     # synthesized, so the synthesis-path checks below do not apply

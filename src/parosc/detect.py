@@ -6,12 +6,12 @@ Gaussian (flat one-sided PSD).
 
 The stages hand on plain arrays, with the SimGrid of the record piece they
 cover: the compose functions turn the synthesized arrays into record
-samples, and demod_baseband feeds those into a Baseband, which hands on the
-decimated baseband samples each piece completes.  No array spans the
-record: the Baseband buffers at most one drive segment's usable slice and
-sums each complete slice into a complex Welch estimate of its drive class
-and, on resonant drive, into the moments of the demodulation phase.  Once
-the record is fed, optimize_demod_phase reads theta* from those moments and
+samples, and demod_baseband feeds those into a Baseband, which only mixes,
+filters and decimates: it hands on the decimated baseband samples each
+piece completes and holds no more of them.  The caller sums the usable
+slices of those samples into a complex Welch estimate per drive class and,
+on resonant drive, into the phase sums (add_phase_sums).  Once the record
+is fed, optimize_demod_phase reads theta* from the phase sums and
 lockin_demodulate the channel spectra at theta* from the Welch sums.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -350,15 +349,10 @@ class Baseband:
 
     Of the full-rate baseband only the decimated samples are kept, and only
     until they are handed on: `feed` returns the ones its piece completed.
-    The samples of each usable slice (usable_slices) are copied into a
-    buffer of one slice as they are handed on.  A complete slice is fed to
-    spectra[tag], the complex Welch of its drive class when the caller gave
-    one, and a resonant slice adds to phase_sums, the sums
-    (z, z^2, |z|^2, count) that optimize_demod_phase reads.
     """
 
     def __init__(self, taps: np.ndarray, n_samples: int, sample_rate: float, carrier: float,
-                 schedule: Schedule, decimate: int, spectra: dict[str, Welch]):
+                 schedule: Schedule, decimate: int):
         m = len(taps)
         self.taps = taps
         self.n_samples = n_samples
@@ -366,10 +360,8 @@ class Baseband:
         self.carrier = carrier
         self.schedule = schedule
         self.decimate = decimate
-        self.spectra = spectra
         self.edge_guard = (m // 2) / sample_rate
         self.n_decimated = -(-n_samples // decimate)
-        self.phase_sums = (0.0, 0.0, 0.0, 0)
         self._nfft = sp_fft.next_fast_len(max(_FIR_FFT, 4 * m))
         self._step = self._nfft - (m - 1)
         self._n_blocks = -(-n_samples // self._step)
@@ -380,15 +372,7 @@ class Baseband:
         self._tail = np.zeros(m // 2, dtype=complex)
         self._block = 0
         self._fed = 0
-        # decimated samples handed on so far, and the usable slices still
-        # to complete, in record order
-        self._handed = 0
-        self._slices = deque(sorted(
-            ((s, tag) for tag in (DETUNED, RESONANT) for s in self.usable_slices(tag)),
-            key=lambda item: item[0].start,
-        ))
-        longest = max((s.stop - s.start for s, _ in self._slices), default=0)
-        self._slice_buf = np.empty(longest, dtype=complex)
+        self._handed = 0  # decimated samples handed on so far
 
     def usable_slices(self, tag: str) -> list[slice]:
         """Index ranges of z in the segments carrying `tag`, trimmed by the
@@ -405,8 +389,7 @@ class Baseband:
         the samples returned before.  The overlap-save blocks whose input
         is complete are filtered in batches of
         min(_FIR_BATCH, ceil(ready / workers)) blocks, on up to `workers`
-        threads, so a short piece still splits evenly between them; the
-        usable slices the samples complete are summed with `workers` too."""
+        threads, so a short piece still splits evenly between them."""
         if start != self._fed or start + len(samples) > self.n_samples:
             raise ValueError(
                 f"record piece [{start}, {start + len(samples)}) does not continue "
@@ -456,32 +439,7 @@ class Baseband:
         self._tail = buf[n_ready * step :].copy()
         self._block += n_ready
         self._handed += len(z)
-        self._sum_slices(z, j0, workers)
         return z
-
-    def _sum_slices(self, z: np.ndarray, j0: int, workers: int) -> None:
-        """Copy the parts of the usable slices in z = z[j0 : j0 + len] to
-        the slice buffer, and sum every slice that z completes."""
-        j1 = j0 + len(z)
-        while self._slices and self._slices[0][0].start < j1:
-            s, tag = self._slices[0]
-            lo, hi = max(s.start, j0), min(s.stop, j1)
-            self._slice_buf[lo - s.start : hi - s.start] = z[lo - j0 : hi - j0]
-            if s.stop > j1:
-                return
-            self._slices.popleft()
-            piece = self._slice_buf[: s.stop - s.start]
-            if tag in self.spectra:
-                self.spectra[tag].feed(piece, workers)
-            if tag == RESONANT:
-                s1, s2, s_abs, n = self.phase_sums
-                self.phase_sums = (
-                    s1 + np.sum(piece),
-                    s2 + np.sum(piece * piece),
-                    # |z|^2 over the float pairs: no square root, no threaded BLAS call
-                    s_abs + np.einsum("i,i->", piece.view(float), piece.view(float)),
-                    n + len(piece),
-                )
 
 
 def demod_baseband(
@@ -493,7 +451,6 @@ def demod_baseband(
     workers: int = 1,
     into: Baseband | None = None,
     schedule: Schedule | None = None,
-    spectra: dict[str, Welch] | None = None,
 ) -> tuple[Baseband, np.ndarray]:
     """Feed the record samples on the grid, the whole record or the piece of
     it at grid.start, into the lock-in baseband `into`; return it with the
@@ -501,12 +458,10 @@ def demod_baseband(
     grid gives the sample rate and the carrier.  Without `into` a new
     Baseband is made for the record the schedule tiles (default: the grid
     as one resonant segment), with the lock-in FIR designed for det's
-    cutoff and the passband edge, summing its usable slices into the
-    complex Welch estimates `spectra` (drive class -> Welch at the
-    decimated rate; default none).  The two lock-in channels at any
+    cutoff and the passband edge.  The two lock-in channels at any
     demodulation phase theta are Re(e^{i theta} z) and Im(e^{i theta} z),
-    so the baseband sums serve both the phase choice and the channel
-    spectra.
+    so sums over the baseband's usable slices serve both the phase choice
+    and the channel spectra.
     """
     if into is None:
         if schedule is None:
@@ -516,12 +471,12 @@ def demod_baseband(
         )
         into = Baseband(
             taps, schedule.n_samples(grid.sample_rate), grid.sample_rate, grid.carrier,
-            schedule, decimate, spectra or {},
+            schedule, decimate,
         )
     return into, into.feed(samples, grid.start, workers)
 
 
-def lockin_demodulate(bb: Baseband, demod_phase: float) -> dict[tuple[str, str], Psd]:
+def lockin_demodulate(spectra: dict[str, Welch], demod_phase: float) -> dict[tuple[str, str], Psd]:
     """Phase-coherent demodulation at the record carrier, as spectra.
 
     ch_x = lowpass(2*rec*cos(Wc t + theta)), ch_y with the sine reference,
@@ -529,19 +484,32 @@ def lockin_demodulate(bb: Baseband, demod_phase: float) -> dict[tuple[str, str],
     by the demodulation phase theta = demod_phase, which is exactly
     equivalent and filter-consistent; the baseband's decimation applies.
     The channels themselves are never formed: their one-sided Welch
-    densities over the usable slices of each drive class come from the
-    class's complex Welch sums (Welch.channel_psds).  Returns
-    {(channel, tag): Psd} for the channels "x", "y" of every class in
-    bb.spectra, the classes in bb.spectra's order, x before y.  Call it
+    densities over the usable slices of each drive class come from
+    spectra[tag], the class's complex Welch sums of those slices
+    (Welch.channel_psds).  Returns {(channel, tag): Psd} for the channels
+    "x", "y" of every class in spectra, in its order, x before y.  Call it
     once the record is fed whole.
     """
     psds = {}
-    for tag, welch in bb.spectra.items():
+    for tag, welch in spectra.items():
         psds[("x", tag)], psds[("y", tag)] = welch.channel_psds(demod_phase)
     return psds
 
 
-def optimize_demod_phase(bb: Baseband) -> tuple[float, float]:
+def add_phase_sums(sums: tuple, z: np.ndarray) -> tuple:
+    """The phase sums (sum z, sum z^2, sum |z|^2, count) with the samples z
+    added; a record's sums start at (0.0, 0.0, 0.0, 0)."""
+    s1, s2, s_abs, n = sums
+    return (
+        s1 + np.sum(z),
+        s2 + np.sum(z * z),
+        # |z|^2 over the float pairs: no square root, no threaded BLAS call
+        s_abs + np.einsum("i,i->", z.view(float), z.view(float)),
+        n + len(z),
+    )
+
+
+def optimize_demod_phase(sums: tuple) -> tuple[float, float]:
     """Demodulation phase minimizing one channel's variance on resonant data,
     and the depth of that variance's modulation over phase.
 
@@ -553,10 +521,11 @@ def optimize_demod_phase(bb: Baseband) -> tuple[float, float]:
     squeezed quadrature, the orthogonal channel the anti-squeezed one.
     The depth is (max - min)/mean of var(theta); below FLAT_PHASE_DEPTH the
     variance is flat in phase, i.e. s ~ 0 and theta* is only the formal
-    minimum.  The sums are bb.phase_sums, summed slice by slice as the
-    record is fed; call it once the record is fed whole.
+    minimum.  The sums are those of add_phase_sums over the resonant usable
+    slices, added slice by slice as the record is fed; call it once the
+    record is fed whole.
     """
-    s1, s2, s_abs, n_tot = bb.phase_sums
+    s1, s2, s_abs, n_tot = sums
     if not n_tot:
         raise ScheduleError("no resonant-drive segments to optimize the phase on")
     m1 = s1 / n_tot

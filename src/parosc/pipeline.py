@@ -6,18 +6,19 @@ quadrature-demodulation path, component for the sideband path), estimates
 per-drive-class PSDs, performs the reference fit that pins the effective
 width, then the constrained double fit and the quadrature fits.  Fitted
 values and theory overlays always come from one shared DerivedRates
-instance.  Artifacts are byte-reproducible for a fixed (config, seed) and
-environment (the numpy and scipy versions, which every report records),
-independent of the worker count.
+instance.  A repetition streams its records in blocks through one block
+driver, the sideband record first, and assembles each drive segment's
+usable slice from the blocks for the Welch estimate of its class, so no
+array spans the record.  Artifacts are byte-reproducible for a fixed
+(config, seed) and environment (the numpy and scipy versions, which every
+report records), independent of the worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
-from collections import deque
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -29,6 +30,7 @@ from . import __version__, recordio
 from .config import TWO_PI, RunConfig, require_valid, require_valid_workers
 from .detect import (
     FLAT_PHASE_DEPTH,
+    add_phase_sums,
     demod_baseband,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
@@ -40,7 +42,7 @@ from .errors import AntiDampedError, ConfigError, ParoscError, PipelineError, Qu
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
-from .spectral import Welch, chi2_indistinguishable, write_psd_csv
+from .spectral import UsableSlices, Welch, chi2_indistinguishable, write_psd_csv
 from .spectral import welch_psd_chunks  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .synth import (
     DETUNED,
@@ -122,12 +124,6 @@ def _ratio(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, f
     return val, sig
 
 
-def _blocks(i0: int, i1: int) -> list[tuple[int, int]]:
-    """The record samples [i0, i1) cut at every multiple of _BLOCK."""
-    cuts = [i0, *range(i0 - i0 % _BLOCK + _BLOCK, i1, _BLOCK), i1]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def _run_repetition(
     config: RunConfig, rates: DerivedRates, seed: int, raw_dir: Path | None, workers: int
 ):
@@ -139,94 +135,80 @@ def _run_repetition(
     delta_lo = v["delta_lo"]
     f_lo = delta_lo / TWO_PI
     decim = v["decimate"]
-    passband_edge = config.passband_edge_hz(rates)
-
-    # Both backends stream their records in blocks: each drive segment is
-    # cut at every _BLOCK record samples, and the random streams continue
-    # from block to block.
-    streams = Streams(seed, grid.dt, grid.n_samples)
-    bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
-    blocks = [[grid.segment(b0, b1) for b0, b1 in _blocks(i0, i1)] for i0, i1, _ in bounds]
-
-    # Sideband path (component backend): each segment's blocks of the record
-    # are composed from their envelope arrays into one segment buffer, which
-    # is written out and whose usable part is fed whole to its drive class's
-    # Welch estimate.
-    nperseg_h = int(round(v["welch_segment"] * grid.sample_rate))
-    welch_h = {
-        tag: Welch(grid.sample_rate, nperseg_h, v["welch_overlap"], v["window"], "constant")
-        for tag in (DETUNED, RESONANT)
-    }
-    usable_h = {tag: deque(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples))
-                for tag in (DETUNED, RESONANT)}
-    segment_buf = np.empty(max(i1 - i0 for i0, i1, _ in bounds))
-    for (i0, i1, tag), seg_blocks in zip(bounds, blocks):
-        piece = segment_buf[: i1 - i0]
-        for blk in seg_blocks:
-            env = _stage(
-                "synthesis", simulate_scheduled_envelopes, osc, rates, blk, schedule,
-                workers=workers, streams=streams,
-            )
-            piece[blk.start - i0 : blk.start - i0 + blk.n_samples] = _stage(
-                "composition", compose_heterodyne_components, *env, det, blk, delta_lo,
-                workers=workers, streams=streams,
-            )
-            del env
-        if raw_dir is not None:
-            recordio.write_record_bin(
-                raw_dir / "record_component.bin", piece, grid.sample_rate,
-                offset=i0, length=grid.n_samples,
-            )
-        usable = usable_h[tag]
-        if usable and usable[0].start < i1:
-            keep = usable.popleft()
-            welch_h[tag].feed(piece[keep.start - i0 : keep.stop - i0], workers)
-    del segment_buf, piece
-    psd_h = {tag: _stage("heterodyne psd", welch.psd) for tag, welch in welch_h.items()}
-
-    # Quadrature path (Wigner backend): synthesize, compose and lock-in
-    # filter each block, its quadratures and record samples handed on as
-    # plain arrays.  The lock-in sums each drive segment's usable slice into
-    # its class's complex Welch estimate and the phase moments as the slice
-    # completes, so no array spans the record; the raw channel dump is
-    # written unrotated and rotated by theta* at the end.
-    frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     fs_q = grid.sample_rate / decim
-    nperseg_q = int(round(v["welch_segment"] * fs_q))
-    welch_q = {
-        tag: Welch(fs_q, nperseg_q, v["welch_overlap"], v["window"], "constant")
-        for tag in (DETUNED, RESONANT)
-    }
-    baseband = None
+    passband_edge = config.passband_edge_hz(rates)
+    frame_phase = float(stream_rng(seed, STREAM_FRAME_PHASE).uniform(0.0, math.pi))
     demod_path = None if raw_dir is None else raw_dir / "demod_channels.bin"
-    n_demod = -(-grid.n_samples // decim)
-    j0 = 0
-    for blk in itertools.chain.from_iterable(blocks):
-        quad = _stage(
-            "synthesis", simulate_scheduled_quadratures, osc, rates, blk, schedule,
-            workers=workers, streams=streams,
-        )
-        samples = _stage(
-            "composition", compose_heterodyne_wigner, *quad, det, blk, delta_lo,
-            frame_phase=frame_phase, workers=workers, streams=streams,
-        )
-        del quad
-        if raw_dir is not None:
-            recordio.write_record_bin(
-                raw_dir / "record_wigner.bin", samples, grid.sample_rate,
-                offset=blk.start, length=grid.n_samples,
-            )
-        baseband, z = _stage(
-            "demodulation", demod_baseband, samples, blk, det, passband_edge, decim,
-            workers=workers, into=baseband, schedule=schedule, spectra=welch_q,
-        )
-        del samples
-        if demod_path is not None:
-            recordio.write_record_bin(
-                demod_path, (z.real, z.imag), fs_q, offset=j0, length=n_demod,
-            )
-        j0 += len(z)
-    theta, depth = _stage("demodulation phase", optimize_demod_phase, baseband)
+
+    # Both backends stream their records in blocks of _BLOCK samples, the
+    # random streams continuing from block to block.  A pass asks for its
+    # record's blocks one at a time: each is synthesized, composed, written
+    # raw at its offset with keep_raw and handed on as (grid, samples).
+    streams = Streams(seed, grid.dt, grid.n_samples)
+
+    def record(synthesize, compose, raw_name, **compose_kw):
+        for b0 in range(0, grid.n_samples, _BLOCK):
+            blk = grid.segment(b0, min(b0 + _BLOCK, grid.n_samples))
+            arrays = _stage("synthesis", synthesize, osc, rates, blk, schedule,
+                            workers=workers, streams=streams)
+            samples = _stage("composition", compose, *arrays, det, blk, delta_lo,
+                             workers=workers, streams=streams, **compose_kw)
+            del arrays
+            if raw_dir is not None:
+                recordio.write_record_bin(raw_dir / raw_name, samples, grid.sample_rate,
+                                          offset=b0, length=grid.n_samples)
+            yield blk, samples
+            del samples  # before the next block is synthesized
+
+    def welch_per_class(fs):
+        nperseg = int(round(v["welch_segment"] * fs))
+        return {tag: Welch(fs, nperseg, v["welch_overlap"], v["window"], "constant")
+                for tag in (DETUNED, RESONANT)}
+
+    # Each pass is a function, so its slice buffer (and the last slice a
+    # loop variable holds) is gone before the next pass starts.
+    def sideband():
+        # component backend: each usable slice of the record, assembled
+        # from its blocks, goes to its drive class's Welch estimate
+        welch = welch_per_class(grid.sample_rate)
+        slices = UsableSlices({tag: schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
+                               for tag in welch}, float)
+        for _, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
+                                 "record_component.bin"):
+            for tag, piece in slices.feed(samples):
+                welch[tag].feed(piece, workers)
+            del samples
+        return {tag: _stage("heterodyne psd", w.psd) for tag, w in welch.items()}
+
+    def quadrature():
+        # Wigner backend: the lock-in filters each block; each usable slice
+        # of the decimated baseband goes to its class's complex Welch
+        # estimate and, when resonant, to the phase sums.  The raw channels
+        # are written unrotated and rotated by theta* at the end.
+        welch = welch_per_class(fs_q)
+        baseband = slices = None
+        sums = (0.0, 0.0, 0.0, 0)
+        j0 = 0
+        for blk, samples in record(simulate_scheduled_quadratures, compose_heterodyne_wigner,
+                                   "record_wigner.bin", frame_phase=frame_phase):
+            baseband, z = _stage("demodulation", demod_baseband, samples, blk, det, passband_edge,
+                                 decim, workers=workers, into=baseband, schedule=schedule)
+            del samples
+            if demod_path is not None:
+                recordio.write_record_bin(demod_path, (z.real, z.imag), fs_q, offset=j0,
+                                          length=-(-grid.n_samples // decim))
+            j0 += len(z)
+            if slices is None:  # the slices' tail guard is the filter's half length
+                slices = UsableSlices({tag: baseband.usable_slices(tag) for tag in welch}, complex)
+            for tag, piece in slices.feed(z):
+                welch[tag].feed(piece, workers)
+                if tag == RESONANT:
+                    sums = add_phase_sums(sums, piece)
+        return welch, sums
+
+    psd_h = sideband()
+    welch_q, phase_sums = quadrature()
+    theta, depth = _stage("demodulation phase", optimize_demod_phase, phase_sums)
     if depth < FLAT_PHASE_DEPTH:
         # attributed to the caller of run_single
         warnings.warn(
@@ -236,10 +218,10 @@ def _run_repetition(
             stacklevel=3,
         )
     # x detuned, y detuned, x resonant, y resonant: welch_q's order
-    psd_q = _stage("quadrature psd", lockin_demodulate, baseband, theta)
+    psd_q = _stage("quadrature psd", lockin_demodulate, welch_q, theta)
     if demod_path is not None:
         recordio.rotate_record_bin(demod_path, theta)
-    del baseband, welch_q
+    del welch_q
 
     # Fits: reference first, then the constrained double fit it seeds.
     f_c = grid.carrier / TWO_PI

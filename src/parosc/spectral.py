@@ -7,8 +7,10 @@ Lorentzian areas carry physical meaning in quanta.
 One estimator, the `Welch` accumulator, serves a single record and the
 disjoint chunks of a schedule alike: the mean of the power rows of every
 segment of every chunk, normalized once.  `Welch.feed` takes one chunk at
-a time, so a record streamed one drive segment at a time is never held
-whole; `welch_psd_chunks` feeds a list of chunks in order.  Each chunk's
+a time, so a record streamed in pieces is never held whole;
+`welch_psd_chunks` feeds a list of chunks in order.  `UsableSlices`
+assembles the chunks of a streamed record, its usable slices per drive
+class, from the pieces in one buffer of the longest slice.  Each chunk's
 rows are computed `workers` at a time, one per thread, but summed in
 segment order, and that chunk sum is added to the running sum, so the
 estimate does not depend on the thread count.  The working set is one
@@ -29,6 +31,7 @@ channels Re(e^{i theta} z) and Im(e^{i theta} z) at any theta,
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -256,6 +259,34 @@ class Welch:
             window=self.window,
             onesided=onesided,
         )
+
+
+class UsableSlices:
+    """The usable slices of a record ({drive class: index ranges}, all
+    disjoint), assembled from consecutive pieces of the record in one
+    buffer of the longest slice.  feed(piece) yields (class, samples) for
+    each slice the piece completes, in record order: use the samples
+    before the generator resumes, and exhaust it before the next piece."""
+
+    def __init__(self, slices: dict[str, list[slice]], dtype):
+        self._slices = deque(sorted(
+            ((s, tag) for tag, tag_slices in slices.items() for s in tag_slices),
+            key=lambda item: item[0].start,
+        ))
+        self._buf = np.empty(max((s.stop - s.start for s, _ in self._slices), default=0), dtype)
+        self._fed = 0
+
+    def feed(self, piece: np.ndarray):
+        j0 = self._fed
+        j1 = self._fed = j0 + len(piece)
+        while self._slices and self._slices[0][0].start < j1:
+            s, tag = self._slices[0]
+            lo, hi = max(s.start, j0), min(s.stop, j1)
+            self._buf[lo - s.start : hi - s.start] = piece[lo - j0 : hi - j0]
+            if s.stop > j1:
+                return
+            self._slices.popleft()
+            yield tag, self._buf[: s.stop - s.start]
 
 
 def welch_psd_chunks(

@@ -34,6 +34,7 @@ together and still gets the normals of that order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -299,18 +300,22 @@ def _check_weights(rates: DerivedRates) -> None:
 
 
 def _schedule_pieces(schedule: Schedule | None, grid: SimGrid) -> list[tuple[int, str]]:
-    """(n_samples, tag) of the drive segments' parts on the grid, from one
-    scan of the schedule per synthesis call that every chain of the call
-    shares; without a schedule the grid is one resonant segment."""
+    """(n_samples, tag) of the drive segments' parts on the grid, which
+    every chain of a synthesis call shares; without a schedule the grid is
+    one resonant segment.  The first segment is found by bisecting the
+    segments' first samples, rounded as in Schedule.sample_bounds, so a
+    call rounds the bounds of the segments it bisects and overlaps only."""
     if schedule is None:
         return [(grid.n_samples, RESONANT)]
-    lo = grid.start
-    hi = lo + grid.n_samples
-    return [
-        (min(i1, hi) - max(i0, lo), tag)
-        for i0, i1, tag in schedule.sample_bounds(grid.sample_rate, hi)
-        if i0 < hi and i1 > lo
-    ]
+    fs, segs = grid.sample_rate, schedule.segments
+    lo, hi = grid.start, grid.start + grid.n_samples
+    pieces = []
+    k = bisect_right(segs, lo, key=lambda seg: round(seg.start * fs)) - 1
+    while k < len(segs) and round(segs[k].start * fs) < hi:
+        i1 = hi if k == len(segs) - 1 else round(segs[k].end * fs)
+        pieces.append((min(i1, hi) - max(round(segs[k].start * fs), lo), segs[k].tag))
+        k += 1
+    return pieces
 
 
 def _draw_pieces(chain: OUChain, pieces, per_tag, out: np.ndarray, add: bool = False) -> np.ndarray:

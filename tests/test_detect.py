@@ -1,7 +1,6 @@
 """Record composition, lock-in demodulation, demodulation phase and scheduling."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from parosc.detect import (
     _MIX_BLOCK,
     FLAT_PHASE_DEPTH,
     DetectionParams,
+    add_phase_sums,
     carrier_phasors,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
@@ -23,7 +23,7 @@ from parosc.detect import (
 from parosc.errors import AliasingError, FilterDesignError, ScheduleError
 from parosc.fitting import fit_single_pair
 from parosc.model import DerivedRates, OscillatorParams
-from parosc.spectral import Welch, welch_psd_chunks
+from parosc.spectral import UsableSlices, Welch, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
@@ -55,6 +55,22 @@ def grid_for(duration, seed, fs=FS):
 def constant_quadratures(grid, x_value, y_value):
     n = grid.n_samples
     return np.full(n, x_value), np.full(n, y_value)
+
+
+def sum_slices(bb, zs, spectra=(), workers=1):
+    """Feed the decimated pieces zs of bb's record through its usable
+    slices as the pipeline does: each complete slice to its class's Welch
+    in spectra, if any, and each resonant one to the phase sums, which are
+    returned."""
+    slices = UsableSlices({tag: bb.usable_slices(tag) for tag in (DETUNED, RESONANT)}, complex)
+    sums = (0.0, 0.0, 0.0, 0)
+    for z in zs:
+        for tag, piece in slices.feed(z):
+            if tag in spectra:
+                spectra[tag].feed(piece, workers)
+            if tag == RESONANT:
+                sums = add_phase_sums(sums, piece)
+    return sums
 
 
 class TestScheduleDrive:
@@ -302,10 +318,10 @@ class TestSegmentStreaming:
         )
         whole, whole_z = demod_baseband(
             whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule,
-            spectra=self._spectra(),
         )
-        theta = optimize_demod_phase(whole)
-        whole_psds = lockin_demodulate(whole, theta[0])
+        whole_spectra = self._spectra()
+        theta = optimize_demod_phase(sum_slices(whole, [whole_z], whole_spectra))
+        whole_psds = lockin_demodulate(whole_spectra, theta[0])
         for cut in self.CUTS:
             pieces = self._pieces(schedule, cut)
             streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
@@ -319,15 +335,16 @@ class TestSegmentStreaming:
                 ))
                 streamed, z = demod_baseband(
                     samples[-1], piece, det, 1.2e3, decimate=4, workers=2, into=streamed,
-                    schedule=schedule, spectra=self._spectra(),
+                    schedule=schedule,
                 )
                 zs.append(z)
             for piece in pieces[1:]:
                 assert piece.start % _MIX_BLOCK and piece.start % streamed._step, cut
             np.testing.assert_array_equal(np.concatenate(samples), whole_samples, str(cut))
             np.testing.assert_array_equal(np.concatenate(zs), whole_z, str(cut))
-            assert optimize_demod_phase(streamed) == theta, cut
-            for key, psd in lockin_demodulate(streamed, theta[0]).items():
+            spectra = self._spectra()
+            assert optimize_demod_phase(sum_slices(streamed, zs, spectra, workers=2)) == theta, cut
+            for key, psd in lockin_demodulate(spectra, theta[0]).items():
                 np.testing.assert_array_equal(psd.density, whole_psds[key].density, str(key))
 
     def test_component_record_one_segment_at_a_time(self):
@@ -389,9 +406,9 @@ class TestLockinDemodulate:
         psi = 0.7
         samples = np.cos((CARRIER + DELTA_LO) * t + psi)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod_baseband(
-            samples, grid, det, EDGE, spectra=self._spectra(grid.sample_rate, 10_000)
-        )
+        bb, z = demod_baseband(samples, grid, det, EDGE)
+        spectra = self._spectra(grid.sample_rate, 10_000)
+        sum_slices(bb, [z], spectra)
         inner = slice(2000, -2000)
         f_lo = DELTA_LO / TWO_PI
         expected_x = np.cos(DELTA_LO * t + psi)
@@ -399,7 +416,7 @@ class TestLockinDemodulate:
         # at theta = 0 the channels are Re z and Im z
         np.testing.assert_allclose(z.real[inner], expected_x[inner], atol=5e-4)
         np.testing.assert_allclose(z.imag[inner], expected_y[inner], atol=5e-4)
-        psd = lockin_demodulate(bb, 0.0)[("x", RESONANT)]
+        psd = lockin_demodulate(spectra, 0.0)[("x", RESONANT)]
         peak = psd.freqs[int(np.argmax(psd.density))]
         assert peak == pytest.approx(f_lo, abs=2 * psd.rbw)
 
@@ -411,13 +428,12 @@ class TestLockinDemodulate:
         grid = grid_for(4.0, 14)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod_baseband(
-            compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE,
-            spectra=self._spectra(grid.sample_rate, 5_000),
-        )
+        bb, z = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
+        spectra = self._spectra(grid.sample_rate, 5_000)
+        sum_slices(bb, [z], spectra)
         assert len(z) > _MIX_BLOCK
         for theta in (0.0, 0.9, 2.9):
-            psds = lockin_demodulate(bb, theta)
+            psds = lockin_demodulate(spectra, theta)
             rotated = z * np.exp(1j * theta)
             for name, channel in (("x", rotated.real), ("y", rotated.imag)):
                 direct = welch_psd_chunks(
@@ -440,14 +456,13 @@ class TestLockinDemodulate:
         grid = grid_for(4.0, 14)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod_baseband(
-            compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE,
-            spectra=self._spectra(grid.sample_rate, 5_000),
-        )
+        bb, z = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
+        spectra = self._spectra(grid.sample_rate, 5_000)
+        sum_slices(bb, [z], spectra)
         channel_bytes = 8 * len(z)
         tracemalloc.start()
         try:
-            lockin_demodulate(bb, 0.9)
+            lockin_demodulate(spectra, 0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -475,9 +490,11 @@ class TestLockinDemodulate:
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec0 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
         rec1 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=delta)
-        spectra = self._spectra(grid.sample_rate, 25_000)
-        bb0, z0 = demod_baseband(rec0, grid, det, EDGE, spectra=spectra)
-        bb1, z1 = demod_baseband(rec1, grid, det, EDGE, spectra=self._spectra(grid.sample_rate, 25_000))
+        bb0, z0 = demod_baseband(rec0, grid, det, EDGE)
+        bb1, z1 = demod_baseband(rec1, grid, det, EDGE)
+        spectra0, spectra1 = (self._spectra(grid.sample_rate, 25_000) for _ in range(2))
+        sum_slices(bb0, [z0], spectra0)
+        sum_slices(bb1, [z1], spectra1)
         x0, y0 = (z0 * np.exp(0.2j)).real, (z0 * np.exp(0.2j)).imag
         x1, y1 = (z1 * np.exp(1j * (0.2 + delta))).real, (z1 * np.exp(1j * (0.2 + delta))).imag
         # identical statistics: the only difference is the image sideband's
@@ -487,8 +504,8 @@ class TestLockinDemodulate:
         assert np.var(x1[inner]) == pytest.approx(np.var(x0[inner]), rel=5e-3)
         assert np.var(y1[inner]) == pytest.approx(np.var(y0[inner]), rel=5e-3)
         f_lo = DELTA_LO / TWO_PI
-        psd0 = lockin_demodulate(bb0, 0.2)[("x", RESONANT)]
-        psd1 = lockin_demodulate(bb1, 0.2 + delta)[("x", RESONANT)]
+        psd0 = lockin_demodulate(spectra0, 0.2)[("x", RESONANT)]
+        psd1 = lockin_demodulate(spectra1, 0.2 + delta)[("x", RESONANT)]
         band = np.abs(psd0.freqs - f_lo) < 50.0
         np.testing.assert_allclose(psd1.density[band], psd0.density[band], rtol=5e-2)
 
@@ -539,15 +556,15 @@ class TestOptimizeDemodPhase:
         quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
-        bb, _ = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
-        theta, _ = optimize_demod_phase(bb)
+        bb, z = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
+        theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
 
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
         bb, z = self._baseband(phi0, seed=15, duration=60.0)
-        theta, _ = optimize_demod_phase(bb)
+        theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
         ratios = []
         for phase in (theta, theta + math.pi / 2):
             ch_x = (z * np.exp(1j * phase)).real
@@ -556,13 +573,14 @@ class TestOptimizeDemodPhase:
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
 
     def test_flat_variance_at_zero_gain(self):
-        _, depth = optimize_demod_phase(self._baseband(0.3, seed=16, s=0.0, duration=60.0)[0])
+        bb, z = self._baseband(0.3, seed=16, s=0.0, duration=60.0)
+        _, depth = optimize_demod_phase(sum_slices(bb, [z]))
         assert depth < FLAT_PHASE_DEPTH
 
     def test_closed_form_is_the_variance_minimum(self):
         # complex samples with a nonzero mean, so the m1^2 term of the closed
         # form matters; the sums of one resonant slice over all of z stand
-        # in for a Baseband
+        # in for a record's phase sums
         rng = np.random.default_rng(17)
         flat_seen = sharp_seen = 0
         for _ in range(200):
@@ -572,11 +590,11 @@ class TestOptimizeDemodPhase:
             y = rng.normal(0.0, math.sqrt(1.0 + squeeze), n)
             mean = complex(*rng.normal(0.0, 2.0, 2))
             z = (x + 1j * y) * np.exp(1j * rng.uniform(0.0, TWO_PI)) + mean
-            bb = SimpleNamespace(phase_sums=(np.sum(z), np.sum(z * z), np.sum(np.abs(z) ** 2), n))
+            sums = (np.sum(z), np.sum(z * z), np.sum(np.abs(z) ** 2), n)
             m1 = np.mean(z)
             c = np.mean(z * z) - m1 * m1
             depth = 2.0 * abs(c) / (np.mean(np.abs(z) ** 2) - abs(m1) ** 2)
-            theta, got_depth = optimize_demod_phase(bb)
+            theta, got_depth = optimize_demod_phase(sums)
             assert got_depth == pytest.approx(depth, rel=1e-9)
             assert 0.0 <= theta < math.pi
             if depth < FLAT_PHASE_DEPTH:
@@ -595,7 +613,7 @@ class TestOptimizeDemodPhase:
         # theta* is the variance minimum of exactly the channel samples the
         # quadrature spectra read: the resonant usable slices of decimated z
         bb, z = self._baseband(0.6, seed=18, duration=30.0, shot=0.002, decimate=4)
-        theta, _ = optimize_demod_phase(bb)
+        theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
         z = np.concatenate([z[s] for s in bb.usable_slices(RESONANT)])
         best = minimize_scalar(
             lambda th: np.var((np.exp(1j * th) * z).real),
@@ -622,10 +640,8 @@ class TestQuadratureSpectraAtOptimum:
         # one Welch over the resonant slices, as the pipeline pools them: no
         # segment straddles a drive switch
         spectra = {RESONANT: Welch(grid.sample_rate / 4, 6250, 0.5, "hann", "constant")}
-        bb, _ = demod_baseband(
-            samples, grid, det, EDGE, decimate=4, schedule=schedule, spectra=spectra
-        )
-        psds = lockin_demodulate(bb, optimize_demod_phase(bb)[0])
+        bb, z = demod_baseband(samples, grid, det, EDGE, decimate=4, schedule=schedule)
+        psds = lockin_demodulate(spectra, optimize_demod_phase(sum_slices(bb, [z], spectra))[0])
         f_lo = DELTA_LO / TWO_PI
         widths = {}
         for name in "xy":

@@ -319,6 +319,8 @@ class TestCli:
             "n_bar = ", "duration = 1e999s",
             # 2e8 drive segments: refused before the schedule is built
             "duration = 1e9s",
+            # each once passed validation and raised a traceback in simulate
+            "shot_psd = -0.001", "seed = -1",
             # a sample count that overflows a float
             "duration = 1e300s\nschedule_period = 1e296s\nwelch_segment = 4e295s\n"
             "sample_rate = 1e20Hz",
@@ -546,9 +548,11 @@ def _traced_peak(cfg, out) -> float:
 
 class TestMemoryBound:
     def test_traced_peak_is_a_few_real_records(self, tmp_path):
-        # Both records are streamed in blocks within each drive segment and
-        # no array spans the record, so the traced peak stays below 1.6
-        # records of 8 bytes per sample (0.96 here).
+        # Both records are streamed in blocks and no array spans the
+        # record, so the traced peak stays below 1.6 records of 8 bytes per
+        # sample (1.03 here; 0.96 while the blocks were also cut at the
+        # drive-segment bounds, which made most of them shorter on this
+        # grid).
         # Holding the decimated complex baseband whole (half a record at
         # decimate 4) peaked at 1.41 records on this grid, the component
         # record whole at 1.80, whole-record synthesis (two complex
@@ -561,7 +565,7 @@ class TestMemoryBound:
         # With keep_raw each record piece is written from the array the run
         # already holds, and each piece of the demodulated channels as the
         # lock-in hands it on (rotated in the file at the end); the peak
-        # stays below 1.5 records (0.96 here).  With the component record
+        # stays below 1.5 records (1.03 here).  With the component record
         # held whole it peaked at 1.63 records on this grid, and copying
         # the records and channels for the dump at 3.0.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1", keep_raw="true")
@@ -571,10 +575,10 @@ class TestMemoryBound:
 
     def test_peak_with_segments_longer_than_a_block(self, tmp_path):
         # 15 s drive segments of 375 000 samples span several processing
-        # blocks.  Only the sideband path's one segment buffer and the
-        # lock-in's one slice buffer are segment-sized, so the peak stays
-        # below 1.6 records (1.15 here); with every stage working on whole
-        # segments it read 2.09 records.
+        # blocks.  Only the slice assembler's one buffer, one pass at a
+        # time, is segment-sized, so the peak stays below 1.6 records (1.15
+        # here); with every stage working on whole segments it read 2.09
+        # records.
         cfg = tiny_config(duration="60s", schedule_period="15s", repetitions="1")
         peak = _traced_peak(cfg, tmp_path)
         assert peak < 1.6, peak
@@ -582,7 +586,7 @@ class TestMemoryBound:
     def test_peak_does_not_grow_with_the_record(self, tmp_path):
         # No array of a repetition spans the record: the traced peaks at 60 s
         # and 120 s differ by less than one 3 s drive segment of decimated
-        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 5 KB
+        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 6 KB
         # here; with the baseband held whole, by its 60 s, 6 MB.
         peaks = []
         for duration in (60, 120):

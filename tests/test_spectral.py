@@ -13,6 +13,7 @@ from parosc.errors import SpectralError
 from parosc.fitting import fit_quadrature, fit_single_pair
 from parosc.spectral import (
     Psd,
+    UsableSlices,
     Welch,
     _window_terms,
     bin_step_for,
@@ -355,6 +356,51 @@ class TestChannelSpectra:
         welch = self.accumulated([stream_rng(32, 0).standard_normal(5_000)], 512, "constant")
         with pytest.raises(SpectralError, match="complex"):
             welch.channel_psds(0.3)
+
+
+class TestUsableSlices:
+    """The slices assembled from a record's pieces are the whole record's
+    slices, bit for bit and in record order, however the record is cut."""
+
+    N = 50
+    SLICES = {"a": [slice(3, 10), slice(25, 40)], "b": [slice(12, 20), slice(41, 42), slice(45, 50)]}
+
+    def _record(self, dtype):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(self.N)
+        return x if dtype is float else x + 1j * rng.standard_normal(self.N)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            [0, 50],  # one piece spanning every slice
+            list(range(51)),  # one-sample pieces
+            [0, 3, 10, 12, 20, 25, 40, 41, 42, 45, 50],  # at every slice start and stop
+            [0, 0, 11, 11, 33, 50, 50],  # empty pieces, at the start, inside and at the end
+            [0, 26, *range(27, 40, 2), 50],  # one slice across many pieces
+            [0, 11, 43, 50],  # pieces completing several slices each
+        ],
+    )
+    def test_slices_of_any_cut_are_the_whole_records(self, dtype, cuts):
+        record = self._record(dtype)
+        slices = UsableSlices(self.SLICES, dtype)
+        got = [
+            (tag, samples.tobytes())
+            for a, b in zip(cuts[:-1], cuts[1:])
+            for tag, samples in slices.feed(record[a:b])
+        ]
+        in_order = sorted(
+            ((s, tag) for tag, tag_slices in self.SLICES.items() for s in tag_slices),
+            key=lambda item: item[0].start,
+        )
+        assert got == [(tag, record[s].tobytes()) for s, tag in in_order]
+
+    def test_one_buffer_of_the_longest_slice(self):
+        slices = UsableSlices(self.SLICES, complex)
+        bases = {id(samples.base): samples.base for _, samples in slices.feed(self._record(complex))}
+        (base,) = bases.values()
+        assert base.shape == (15,) and base.dtype == complex
 
 
 class TestWindowIndependence:

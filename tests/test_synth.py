@@ -383,8 +383,10 @@ class TestSegmentStreaming:
         np.testing.assert_array_equal(np.concatenate([g[0] for g in got]), beta_s)
         np.testing.assert_array_equal(np.concatenate([g[1] for g in got]), beta_as)
 
-    def test_one_schedule_scan_per_synthesis_call(self, monkeypatch):
-        # every chain of a call shares the call's one scan of the segments
+    def test_no_schedule_scan_per_synthesis_call(self, monkeypatch):
+        # a call finds its segments by bisection and never rounds the
+        # bounds of every segment (Schedule.sample_bounds); it made one
+        # such scan per call, shared by every chain of the call
         from parosc.detect import schedule_drive
         from parosc.synth import Schedule
 
@@ -401,9 +403,53 @@ class TestSegmentStreaming:
 
         monkeypatch.setattr(Schedule, "sample_bounds", counted)
         simulate_scheduled_envelopes(OSC, rates, piece, schedule)
-        assert len(calls) == 1
         simulate_scheduled_quadratures(OSC, rates, piece, schedule)
-        assert len(calls) == 2
+        assert calls == []
+
+    def test_pieces_are_the_scanned_segment_parts(self):
+        # the bisected pieces are those of a scan of every segment's
+        # bounds, for grids at, inside and across the segment switches
+        from parosc.detect import schedule_drive
+        from parosc.synth import _schedule_pieces
+
+        rates = rates_for(0.4)
+        grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=43)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        for lo, hi in ((0, 1), (0, 10_000), (9_999, 10_001), (10_000, 20_000), (3_000, 46_000),
+                       (45_999, 46_000), (30_000, 46_000)):
+            want = [(min(i1, hi) - max(i0, lo), tag) for i0, i1, tag in bounds if i0 < hi and i1 > lo]
+            assert _schedule_pieces(schedule, grid.segment(lo, hi)) == want, (lo, hi)
+
+    def test_last_block_of_a_long_schedule_reads_few_segments(self):
+        # 20,000 drive segments: the synthesis call on the record's last
+        # block reads only the segments it bisects and overlaps (70 reads
+        # here: 15 bisection steps, and 4 for each of the 14 segments the
+        # 65 s block overlaps), not all of them
+        from dataclasses import replace
+
+        from parosc.detect import schedule_drive
+        from parosc.pipeline import _BLOCK
+
+        class CountedSegments(tuple):
+            reads = 0
+
+            def __getitem__(self, k):
+                CountedSegments.reads += 1
+                return tuple.__getitem__(self, k)
+
+            def __iter__(self):
+                raise AssertionError("full scan of the segments")
+
+        rates = rates_for(0.4)
+        grid = SimGrid(sample_rate=2e3, duration=100_000.0, carrier=TWO_PI * 200.0, seed=47)
+        schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
+        assert len(schedule.segments) == 20_000
+        counted = replace(schedule, segments=CountedSegments(schedule.segments))
+        last = grid.segment(grid.n_samples - _BLOCK, grid.n_samples)
+        x, y = simulate_scheduled_quadratures(OSC, rates, last, counted)
+        assert len(x) == len(y) == _BLOCK
+        assert 0 < CountedSegments.reads < 100, CountedSegments.reads
 
     def test_envelopes_draw_real_then_imag_parts_from_one_stream(self):
         # the reference draw order: each component stream's real part over
