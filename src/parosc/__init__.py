@@ -34,7 +34,6 @@ from .model import (
 from .spectral import Psd, Welch, chi2_indistinguishable, welch_psd_chunks
 from .synth import (
     Schedule,
-    Segment,
     SimGrid,
     ou_step,
     simulate_scheduled_envelopes,

@@ -288,6 +288,8 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"welch_segment must be > 0, got {v['welch_segment']:.6g} s")
     if not v["fit_margin"] > 0:
         problems.append(f"fit_margin must be > 0, got {v['fit_margin']:.6g} Hz")
+    if not v["gain"] > 0:
+        problems.append(f"gain must be > 0, got {v['gain']:.6g}")
     if not v["shot_psd"] >= 0:
         problems.append(f"shot_psd must be >= 0, got {v['shot_psd']:.6g}")
     if v["seed"] < 0:

@@ -36,7 +36,6 @@ from .synth import (
     STREAM_SHOT_COMPONENT,
     STREAM_SHOT_WIGNER,
     Schedule,
-    Segment,
     SimGrid,
     Streams,
     single_segment_schedule,
@@ -51,8 +50,9 @@ _FIR_BATCH = 16
 # A switch's settling transient must not eat into more than this fraction of
 # its segment, otherwise the schedule is rejected as unusable.
 MAX_GUARD_FRACTION = 0.25
-# A schedule is a list of segments built up front; this bounds its length
-# (about six days of record at the default 5 s period).
+# The most drive segments a record may hold (about six days of record at
+# the default 5 s period).  A schedule is computed segment by segment, so
+# this bounds the record, not a structure held in memory.
 MAX_SEGMENTS = 100_000
 
 # The sampling noise of the second moment gives the channel variance a
@@ -106,26 +106,20 @@ def schedule_drive(grid: SimGrid, period: float, gamma_minus: float) -> Schedule
             f"duration {grid.duration:.6g} s holds more than {MAX_SEGMENTS} "
             f"drive segments of {period:.6g} s"
         )
-    n_full = int(math.floor(grid.duration / period + 1e-9))
-    if n_full < 2:
+    schedule = Schedule(period=period, duration=grid.duration, guard=10.0 / gamma_minus,
+                        tags=(DETUNED, RESONANT))
+    if schedule.n_segments < 2:
         raise ScheduleError(
             f"duration {grid.duration} s fits only one {period} s segment: "
             "missing resonant data"
         )
-    guard = 10.0 / gamma_minus
-    if guard > MAX_GUARD_FRACTION * period:
+    if schedule.guard > MAX_GUARD_FRACTION * period:
         raise ScheduleError(
-            f"settling guard {guard:.3g} s exceeds {MAX_GUARD_FRACTION:.0%} of the "
+            f"settling guard {schedule.guard:.3g} s exceeds {MAX_GUARD_FRACTION:.0%} of the "
             f"{period} s segment (gamma_minus = {gamma_minus:.4g} rad/s); "
             "lengthen the period or broaden the mode"
         )
-    segments = []
-    for k in range(n_full):
-        start = k * period
-        end = grid.duration if k == n_full - 1 else (k + 1) * period
-        tag = DETUNED if k % 2 == 0 else RESONANT
-        segments.append(Segment(start, end, tag))
-    return Schedule(segments=tuple(segments), guard=guard)
+    return schedule
 
 
 def _check_nyquist(grid: SimGrid, delta_lo: float) -> None:
@@ -374,10 +368,11 @@ class Baseband:
         self._fed = 0
         self._handed = 0  # decimated samples handed on so far
 
-    def usable_slices(self, tag: str) -> list[slice]:
-        """Index ranges of z in the segments carrying `tag`, trimmed by the
-        settling guard at the head and by the filter half support at the
-        tail, so no statistic of them leaks across a drive switch."""
+    def usable_slices(self, tag: str):
+        """Iterator of the index ranges of z in the segments carrying
+        `tag`, trimmed by the settling guard at the head and by the filter
+        half support at the tail, so no statistic of them leaks across a
+        drive switch."""
         return self.schedule.usable_slices(
             tag, self.sample_rate / self.decimate, self.n_decimated, tail_guard=self.edge_guard
         )

@@ -442,7 +442,6 @@ def run_single(
     config: RunConfig,
     out_dir,
     point_key: tuple[int, ...] = (0,),
-    workers: int | None = None,
 ) -> dict:
     """One seeded end-to-end run with the configured number of repetitions.
 
@@ -450,11 +449,9 @@ def run_single(
     report.json / report.txt; returns the report dictionary.  In the
     quantum-squeezing regime (s > 2*n_bar) the run degrades to analytic
     spectra only, since the component backend refuses negative weights.
-    The kernels of each repetition run on `workers` threads (default: the
-    config's `workers`); the artifacts do not depend on it.
+    The kernels of each repetition run on the config's `workers` threads;
+    the artifacts do not depend on it.
     """
-    if workers is not None:
-        config = config.with_overrides(workers=str(workers))
     require_valid(config)
     out = _make_out_dir(out_dir)
     rates = config.derived_rates()
@@ -575,7 +572,7 @@ def _run_point(args):
         # the sweep spends its workers on points, so each point's kernels
         # run on one thread and pools never nest; run_single is looked up
         # on the module at call time, so a tracer that wraps it sees points
-        report = run_single(config, out_dir, point_key=(index,), workers=1)
+        report = run_single(config.with_overrides(workers="1"), out_dir, point_key=(index,))
         return index, report, None
     except Exception as exc:  # error isolation: a failing point must not kill siblings
         return index, None, f"{type(exc).__name__}: {exc}"
@@ -620,12 +617,11 @@ def _theory(key: str, header: str | None = None) -> tuple:
     return ((header or f"theory_{key}", lambda r: r["theory"][key]),)
 
 
-def _run_sweep(spec: _SweepSpec, config: RunConfig, values, out_dir, workers: int | None) -> list[dict]:
+def _run_sweep(spec: _SweepSpec, config: RunConfig, values, out_dir) -> list[dict]:
     """Run one point per swept value (per-point artifacts in point_XX/), then
     write sweep_summary.csv and theory_overlay.csv.  A failed point keeps
-    its row: empty result cells and the error in the last column."""
-    if workers is not None:
-        config = config.with_overrides(workers=str(workers))
+    its row: empty result cells and the error in the last column.  The
+    points run on the config's `workers` threads."""
     require_valid_workers(config)
     out = _make_out_dir(out_dir)
     points = [
@@ -664,11 +660,11 @@ _RATIO_SWEEP = _SweepSpec(
 )
 
 
-def run_sweep_ratio_vs_s(config: RunConfig, s_values, out_dir, workers: int | None = None) -> list[dict]:
+def run_sweep_ratio_vs_s(config: RunConfig, s_values, out_dir) -> list[dict]:
     """Sweep of the sideband-component ratios versus the set parametric gain
     at constant occupancy.  Per-point artifacts land in point_XX/; the summary
     table and a dense theory overlay are emitted as CSV."""
-    return _run_sweep(_RATIO_SWEEP, config, s_values, out_dir, workers)
+    return _run_sweep(_RATIO_SWEEP, config, s_values, out_dir)
 
 
 def epsilon_for_target_s(config: RunConfig, s_target: float) -> float:
@@ -743,12 +739,12 @@ _VARIANCE_SWEEP = _SweepSpec(
 )
 
 
-def run_sweep_variance_vs_tone_ratio(config: RunConfig, epsilon_values, out_dir, workers: int | None = None) -> list[dict]:
+def run_sweep_variance_vs_tone_ratio(config: RunConfig, epsilon_values, out_dir) -> list[dict]:
     """Quadrature-variance sweep versus the modulation/cooling tone split at
     constant total pump power, with the three-way consistency columns:
     measured normalized variances, their theory 1/(1 +- s), and the widths of
     the heterodyne components expressed as (1 +- s)."""
-    return _run_sweep(_VARIANCE_SWEEP, config, epsilon_values, out_dir, workers)
+    return _run_sweep(_VARIANCE_SWEEP, config, epsilon_values, out_dir)
 
 
 # --- report verb -------------------------------------------------------------

@@ -34,7 +34,6 @@ together and still gets the normals of that order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,37 +107,40 @@ class SimGrid:
 
 
 @dataclass(frozen=True)
-class Segment:
-    start: float
-    end: float
-    tag: str
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """Alternating drive segments tiling [0, duration), plus the settling guard
-    discarded after each switch before samples count as usable."""
+    """Periodic drive segments tiling [0, duration), plus the settling guard
+    discarded after each switch before samples count as usable.  Segment k
+    spans [k*period, (k+1)*period), the last one running on to duration,
+    and carries tags[k % len(tags)]; nothing is held per segment."""
 
-    segments: tuple[Segment, ...]
+    period: float
+    duration: float
     guard: float
+    tags: tuple[str, ...]
+
+    @property
+    def n_segments(self) -> int:
+        """Whole periods in the duration; the last segment takes the rest."""
+        return int(math.floor(self.duration / self.period + 1e-9))
 
     def n_samples(self, sample_rate: float) -> int:
         """Length of the record the schedule tiles."""
-        return int(round(self.segments[-1].end * sample_rate))
+        return int(round(self.duration * sample_rate))
 
-    def sample_bounds(self, sample_rate: float, n_samples: int) -> list[tuple[int, int, str]]:
-        """(start_index, stop_index, tag) triples covering all n_samples."""
-        bounds = []
-        for k, seg in enumerate(self.segments):
-            i0 = int(round(seg.start * sample_rate))
-            i1 = n_samples if k == len(self.segments) - 1 else int(round(seg.end * sample_rate))
-            bounds.append((i0, i1, seg.tag))
-        return bounds
+    def bounds(self, k: int, sample_rate: float, n_samples: int) -> tuple[int, int, str]:
+        """(start_index, stop_index, tag) of segment k; the last segment
+        stops at n_samples."""
+        i0 = int(round(k * self.period * sample_rate))
+        i1 = n_samples if k == self.n_segments - 1 else int(round((k + 1) * self.period * sample_rate))
+        return i0, i1, self.tags[k % len(self.tags)]
 
-    def usable_slices(
-        self, tag: str, sample_rate: float, n_samples: int, tail_guard: float = 0.0
-    ) -> list[slice]:
-        """Guard-trimmed index ranges of all segments carrying `tag`.
+    def sample_bounds(self, sample_rate: float, n_samples: int):
+        """Iterator of the bounds of every segment, covering all n_samples."""
+        return (self.bounds(k, sample_rate, n_samples) for k in range(self.n_segments))
+
+    def usable_slices(self, tag: str, sample_rate: float, n_samples: int, tail_guard: float = 0.0):
+        """Iterator of the guard-trimmed index ranges of the segments
+        carrying `tag`, in record order.
 
         The settling guard trims each segment head; tail_guard (seconds)
         optionally trims the tail as well, e.g. by a filter's half support so
@@ -146,19 +148,15 @@ class Schedule:
         """
         guard_n = int(math.ceil(self.guard * sample_rate))
         tail_n = int(math.ceil(tail_guard * sample_rate))
-        out = []
         for i0, i1, seg_tag in self.sample_bounds(sample_rate, n_samples):
-            if seg_tag != tag:
-                continue
             lo = i0 + guard_n
             hi = i1 if i1 >= n_samples else i1 - tail_n
-            if lo < hi:
-                out.append(slice(lo, hi))
-        return out
+            if seg_tag == tag and lo < hi:
+                yield slice(lo, hi)
 
 
 def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:
-    return Schedule(segments=(Segment(0.0, duration, tag),), guard=0.0)
+    return Schedule(period=duration, duration=duration, guard=0.0, tags=(tag,))
 
 
 def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, noise_draw: float) -> float:
@@ -302,19 +300,20 @@ def _check_weights(rates: DerivedRates) -> None:
 def _schedule_pieces(schedule: Schedule | None, grid: SimGrid) -> list[tuple[int, str]]:
     """(n_samples, tag) of the drive segments' parts on the grid, which
     every chain of a synthesis call shares; without a schedule the grid is
-    one resonant segment.  The first segment is found by bisecting the
-    segments' first samples, rounded as in Schedule.sample_bounds, so a
-    call rounds the bounds of the segments it bisects and overlaps only."""
+    one resonant segment.  Rounded starts put the grid's first sample in
+    segment start // (period*fs) or the next, so the search starts one
+    segment before, in case the division rounds up: a call computes the
+    bounds of the segments it overlaps and of at most two more."""
     if schedule is None:
         return [(grid.n_samples, RESONANT)]
-    fs, segs = grid.sample_rate, schedule.segments
-    lo, hi = grid.start, grid.start + grid.n_samples
+    fs, lo, hi = grid.sample_rate, grid.start, grid.start + grid.n_samples
     pieces = []
-    k = bisect_right(segs, lo, key=lambda seg: round(seg.start * fs)) - 1
-    while k < len(segs) and round(segs[k].start * fs) < hi:
-        i1 = hi if k == len(segs) - 1 else round(segs[k].end * fs)
-        pieces.append((min(i1, hi) - max(round(segs[k].start * fs), lo), segs[k].tag))
-        k += 1
+    for k in range(max(int(lo // (schedule.period * fs)) - 1, 0), schedule.n_segments):
+        i0, i1, tag = schedule.bounds(k, fs, hi)
+        if i0 >= hi:
+            break
+        if i1 > lo:
+            pieces.append((min(i1, hi) - max(i0, lo), tag))
     return pieces
 
 

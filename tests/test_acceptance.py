@@ -343,7 +343,7 @@ class TestCriterion7EstimatorHygiene:
         trees = {}
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
-            run_sweep_ratio_vs_s(config, [0.2, 0.5], out, workers=workers)
+            run_sweep_ratio_vs_s(config.with_overrides(workers=str(workers)), [0.2, 0.5], out)
             trees[workers] = {
                 str(p.relative_to(out)): p.read_bytes()
                 for p in sorted(out.rglob("*")) if p.is_file()

@@ -75,17 +75,19 @@ def sum_slices(bb, zs, spectra=(), workers=1):
 
 class TestScheduleDrive:
     def test_hundred_seconds_five_second_period(self):
-        schedule = schedule_drive(grid_for(100.0, 1), 5.0, TWO_PI * 10.0)
-        assert len(schedule.segments) == 20
-        tags = [seg.tag for seg in schedule.segments]
+        grid = grid_for(100.0, 1)
+        schedule = schedule_drive(grid, 5.0, TWO_PI * 10.0)
+        bounds = list(schedule.sample_bounds(FS, grid.n_samples))
+        assert schedule.n_segments == len(bounds) == 20
+        tags = [tag for _, _, tag in bounds]
         assert tags.count(DETUNED) == 10
         assert tags.count(RESONANT) == 10
         assert tags[0] == DETUNED
         # segments tile [0, duration) without overlap
-        for a, b in zip(schedule.segments, schedule.segments[1:]):
-            assert a.end == b.start
-        assert schedule.segments[0].start == 0.0
-        assert schedule.segments[-1].end == 100.0
+        for a, b in zip(bounds, bounds[1:]):
+            assert a[1] == b[0]
+        assert bounds[0][0] == 0
+        assert bounds[-1][1] == schedule.n_samples(FS) == grid.n_samples
 
     def test_period_equal_to_duration_rejected(self):
         with pytest.raises(ScheduleError, match="resonant"):
@@ -99,10 +101,64 @@ class TestScheduleDrive:
     def test_guard_trimming(self):
         grid = grid_for(20.0, 1)
         schedule = schedule_drive(grid, 5.0, TWO_PI * 10.0)
-        slices = schedule.usable_slices(RESONANT, grid.sample_rate, grid.n_samples)
+        slices = list(schedule.usable_slices(RESONANT, grid.sample_rate, grid.n_samples))
         assert len(slices) == 2
         guard_n = math.ceil(schedule.guard * grid.sample_rate)
         assert slices[0].start == int(5.0 * grid.sample_rate) + guard_n
+
+    @staticmethod
+    def _listed_slices(grid, period, guard, tag):
+        """A class's usable slices as the schedule once listed them: every
+        drive segment's (start, end, tag), the last running on to the
+        duration, its bounds rounded, then its head trimmed by the guard."""
+        n = int(math.floor(grid.duration / period + 1e-9))
+        segments = [
+            (k * period, grid.duration if k == n - 1 else (k + 1) * period,
+             DETUNED if k % 2 == 0 else RESONANT)
+            for k in range(n)
+        ]
+        guard_n = int(math.ceil(guard * grid.sample_rate))
+        out = []
+        for k, (start, end, seg_tag) in enumerate(segments):
+            i0 = int(round(start * grid.sample_rate))
+            i1 = grid.n_samples if k == n - 1 else int(round(end * grid.sample_rate))
+            if seg_tag == tag and i0 + guard_n < i1:
+                out.append(slice(i0 + guard_n, i1))
+        return out
+
+    def test_max_segments_schedule_holds_nothing_per_segment(self):
+        # on the defaults at the longest record MAX_SEGMENTS admits, the
+        # schedule, both classes' slice iterators and the slice assembler
+        # allocate under 1 MiB together (42.5 MiB when they were lists of
+        # segments and slices); their first and last slices are the listed
+        # ones
+        import tracemalloc
+        from collections import deque
+        from itertools import islice
+
+        from parosc.config import RunConfig
+        from parosc.detect import MAX_SEGMENTS
+
+        config = RunConfig.defaults().with_overrides(duration="499000s")
+        grid, rates = config.grid(seed=0), config.derived_rates()
+        period = config.values["schedule_period"]
+        assert MAX_SEGMENTS - 500 < grid.duration / period <= MAX_SEGMENTS
+        tracemalloc.start()
+        try:
+            schedule = schedule_drive(grid, period, rates.gamma_minus)
+            slices = {tag: schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
+                      for tag in (DETUNED, RESONANT)}
+            UsableSlices(slices, float)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        for tag in (DETUNED, RESONANT):
+            listed = self._listed_slices(grid, period, schedule.guard, tag)
+            first = list(islice(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples), 3))
+            last = deque(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples), maxlen=3)
+            assert first == listed[:3], tag
+            assert list(last) == listed[-3:], tag
 
 
 class TestCarrierPhasors:
@@ -520,12 +576,9 @@ class TestLockinDemodulate:
         samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
         swapped = samples.copy()
         rng = np.random.default_rng(0)
-        for sl in [
-            slice(int(seg.start * FS), int(seg.end * FS))
-            for seg in schedule.segments
-            if seg.tag == DETUNED
-        ]:
-            swapped[sl] = rng.permutation(swapped[sl])
+        for i0, i1, tag in schedule.sample_bounds(FS, grid.n_samples):
+            if tag == DETUNED:
+                swapped[i0:i1] = rng.permutation(swapped[i0:i1])
         bb, z = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
         _, z_swapped = demod_baseband(swapped, grid, det, EDGE, schedule=schedule)
         # the channel at theta = 0 is Re z

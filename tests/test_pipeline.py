@@ -12,6 +12,7 @@ import pytest
 from conftest import fast_config
 from parosc import pipeline
 from parosc.cli import main
+from parosc.config import RunConfig, validate_config
 from parosc.errors import ConfigError, SpectralError
 from parosc.pipeline import (
     PSD_FILES,
@@ -185,8 +186,8 @@ class TestDeterminism:
         s_values = [0.0, 0.3, 0.5]
         a = tmp_path / "w1"
         b = tmp_path / "w2"
-        run_sweep_ratio_vs_s(cfg, s_values, a, workers=1)
-        run_sweep_ratio_vs_s(cfg, s_values, b, workers=3)
+        run_sweep_ratio_vs_s(cfg.with_overrides(workers="1"), s_values, a)
+        run_sweep_ratio_vs_s(cfg.with_overrides(workers="3"), s_values, b)
         ta, tb = read_tree_bytes(a), read_tree_bytes(b)
         assert ta.keys() == tb.keys()
         for name in ta:
@@ -246,7 +247,7 @@ class TestNonFiniteRatios:
         # spread over the repetitions undefined
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run_single(tiny_config(n_bar="0.3", s_target="0.1"), tmp_path, workers=1)
+            report = run_single(tiny_config(n_bar="0.3", s_target="0.1", workers="1"), tmp_path)
         r_minus = report["aggregate"]["r_minus"]
         assert math.isinf(r_minus["values"][1])
         assert math.isnan(r_minus["std"])
@@ -332,6 +333,18 @@ class TestCli:
         assert main(["validate-config", "--config", str(path)]) == 2
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["gain = 0", "gain = -1"])
+    def test_gain_not_positive_exit_2(self, tmp_path, capsys, line):
+        # a record without signal is pure shot noise and fails most checks
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        config = RunConfig.from_text(path.read_text())
+        assert validate_config(config) == [f"gain must be > 0, got {config.values['gain']:.6g}"]
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: gain must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate-config", "simulate", "sweep-ratios", "sweep-variances"])
@@ -514,16 +527,16 @@ class TestCliNumericalFailure:
 
 
 class TestWorkersArgument:
-    # the workers argument is validated as the config key is, before any
-    # directory is made or pool started
+    # the config key workers is the one way to set the workers, and it is
+    # validated before any directory is made or pool started
     def test_run_single_refuses_zero_workers(self, tmp_path):
         with pytest.raises(ConfigError, match=r"workers must lie in \[1, 64\], got 0"):
-            run_single(tiny_config(repetitions="1"), tmp_path / "out", workers=0)
+            run_single(tiny_config(repetitions="1", workers="0"), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_refuses_zero_workers(self, tmp_path):
         with pytest.raises(ConfigError, match=r"workers must lie in \[1, 64\], got 0"):
-            run_sweep_ratio_vs_s(tiny_config(repetitions="1"), [0.3], tmp_path / "out", workers=0)
+            run_sweep_ratio_vs_s(tiny_config(repetitions="1", workers="0"), [0.3], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,9 @@
 """PSD estimation: normalization contract, resolution policy, persistence."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -397,10 +399,21 @@ class TestUsableSlices:
         assert got == [(tag, record[s].tobytes()) for s, tag in in_order]
 
     def test_one_buffer_of_the_longest_slice(self):
+        # the buffer is sized on first use and replaced only by a longer
+        # one, ending at the longest slice; a replaced buffer is released,
+        # so one is held at a time
         slices = UsableSlices(self.SLICES, complex)
-        bases = {id(samples.base): samples.base for _, samples in slices.feed(self._record(complex))}
-        (base,) = bases.values()
-        assert base.shape == (15,) and base.dtype == complex
+        refs, sizes = [], []
+        for _, samples in slices.feed(self._record(complex)):
+            if not refs or refs[-1]() is not samples.base:
+                refs.append(weakref.ref(samples.base))
+                sizes.append(len(samples.base))
+            assert samples.base.dtype == complex
+        del samples
+        gc.collect()
+        # slices of 7, 8, 15, 1 and 5 samples in record order
+        assert sizes == [7, 8, 15]
+        assert [ref() is None for ref in refs] == [True, True, False]
 
 
 class TestWindowIndependence:

@@ -277,7 +277,7 @@ class TestScheduledSynthesis:
             ("resonant", var_x, var_y),
             ("detuned", thermal, thermal),
         ):
-            slices = schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
+            slices = list(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples))
             x = np.concatenate([traj_x[s] for s in slices])
             y = np.concatenate([traj_y[s] for s in slices])
             assert np.var(x) == pytest.approx(expected_x, rel=0.10), tag
@@ -314,7 +314,7 @@ class TestScheduledSynthesis:
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
         resonant = _envelope_component_table(rates)
         detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
-        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        bounds = list(schedule.sample_bounds(grid.sample_rate, grid.n_samples))
         parts = []
         for sid in (STREAM_ENV_STOKES_NARROW, STREAM_ENV_STOKES_BROAD):
             per_tag = {RESONANT: resonant[sid], DETUNED: detuned[sid]}
@@ -357,7 +357,7 @@ class TestSegmentStreaming:
         ]
         var_x, var_y = rates.quadrature_variances()
         var_0 = (2 * 5.8 + 1) / 4.0
-        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        bounds = list(schedule.sample_bounds(grid.sample_rate, grid.n_samples))
         for sid, decay, var, got in (
             (STREAM_WIGNER_X, 0.5 * rates.gamma_plus, var_x, [x for x, _ in parts]),
             (STREAM_WIGNER_Y, 0.5 * rates.gamma_minus, var_y, [y for _, y in parts]),
@@ -384,7 +384,7 @@ class TestSegmentStreaming:
         np.testing.assert_array_equal(np.concatenate([g[1] for g in got]), beta_as)
 
     def test_no_schedule_scan_per_synthesis_call(self, monkeypatch):
-        # a call finds its segments by bisection and never rounds the
+        # a call finds its segments from the period and never rounds the
         # bounds of every segment (Schedule.sample_bounds); it made one
         # such scan per call, shared by every chain of the call
         from parosc.detect import schedule_drive
@@ -406,50 +406,72 @@ class TestSegmentStreaming:
         simulate_scheduled_quadratures(OSC, rates, piece, schedule)
         assert calls == []
 
+    @staticmethod
+    def _scanned_pieces(period, duration, fs, lo, hi, tags):
+        """The pieces of samples [lo, hi) as a scan of every segment
+        computes them: each segment's (start, end, tag), the last running
+        on to the duration, its first and last samples rounded, and the
+        parts of the segments the range overlaps."""
+        n = int(math.floor(duration / period + 1e-9))
+        bounds = []
+        for k in range(n):
+            start, end = k * period, duration if k == n - 1 else (k + 1) * period
+            i1 = hi if k == n - 1 else int(round(end * fs))
+            bounds.append((int(round(start * fs)), i1, tags[k % len(tags)]))
+        return [(min(i1, hi) - max(i0, lo), tag) for i0, i1, tag in bounds if i0 < hi and i1 > lo]
+
     def test_pieces_are_the_scanned_segment_parts(self):
-        # the bisected pieces are those of a scan of every segment's
-        # bounds, for grids at, inside and across the segment switches
+        # the pieces are those of a scan of every segment's bounds, for
+        # grids at, inside and across the segment switches, on the trailing
+        # partial period and on a one-segment schedule
         from parosc.detect import schedule_drive
-        from parosc.synth import _schedule_pieces
+        from parosc.synth import Schedule, _schedule_pieces, single_segment_schedule
 
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=43)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        assert schedule == Schedule(5.0, 23.0, schedule.guard, (DETUNED, RESONANT))
+        # the last segment, [15 s, 23 s), holds the 3 s partial period
         for lo, hi in ((0, 1), (0, 10_000), (9_999, 10_001), (10_000, 20_000), (3_000, 46_000),
-                       (45_999, 46_000), (30_000, 46_000)):
-            want = [(min(i1, hi) - max(i0, lo), tag) for i0, i1, tag in bounds if i0 < hi and i1 > lo]
+                       (45_999, 46_000), (30_000, 46_000), (29_999, 30_001), (40_000, 46_000),
+                       (39_999, 40_001), (31_000, 45_000)):
+            want = self._scanned_pieces(5.0, 23.0, grid.sample_rate, lo, hi, schedule.tags)
             assert _schedule_pieces(schedule, grid.segment(lo, hi)) == want, (lo, hi)
+        one = single_segment_schedule(23.0)
+        for lo, hi in ((0, 46_000), (0, 1), (45_999, 46_000), (17_000, 31_000)):
+            want = self._scanned_pieces(23.0, 23.0, grid.sample_rate, lo, hi, (RESONANT,))
+            assert want == [(hi - lo, RESONANT)]
+            assert _schedule_pieces(one, grid.segment(lo, hi)) == want, (lo, hi)
 
-    def test_last_block_of_a_long_schedule_reads_few_segments(self):
+    def test_last_block_of_a_long_schedule_reads_few_segments(self, monkeypatch):
         # 20,000 drive segments: the synthesis call on the record's last
-        # block reads only the segments it bisects and overlaps (70 reads
-        # here: 15 bisection steps, and 4 for each of the 14 segments the
-        # 65 s block overlaps), not all of them
-        from dataclasses import replace
-
+        # block computes the bounds of the segments it overlaps (14 for the
+        # 65 s block) and of a few more, not of all of them
         from parosc.detect import schedule_drive
         from parosc.pipeline import _BLOCK
-
-        class CountedSegments(tuple):
-            reads = 0
-
-            def __getitem__(self, k):
-                CountedSegments.reads += 1
-                return tuple.__getitem__(self, k)
-
-            def __iter__(self):
-                raise AssertionError("full scan of the segments")
+        from parosc.synth import Schedule
 
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=100_000.0, carrier=TWO_PI * 200.0, seed=47)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        assert len(schedule.segments) == 20_000
-        counted = replace(schedule, segments=CountedSegments(schedule.segments))
+        assert schedule.n_segments == 20_000
+        bounds = Schedule.bounds
+        calls = []
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return bounds(self, *args)
+
+        def full_scan(self, *args):
+            raise AssertionError("full scan of the segments")
+
+        monkeypatch.setattr(Schedule, "bounds", counted)
+        monkeypatch.setattr(Schedule, "sample_bounds", full_scan)
         last = grid.segment(grid.n_samples - _BLOCK, grid.n_samples)
-        x, y = simulate_scheduled_quadratures(OSC, rates, last, counted)
+        x, y = simulate_scheduled_quadratures(OSC, rates, last, schedule)
         assert len(x) == len(y) == _BLOCK
-        assert 0 < CountedSegments.reads < 100, CountedSegments.reads
+        assert 0 < len(calls) < 100, len(calls)
+        assert min(calls) > 20_000 - 100 and max(calls) == 20_000 - 1
 
     def test_envelopes_draw_real_then_imag_parts_from_one_stream(self):
         # the reference draw order: each component stream's real part over
@@ -459,7 +481,7 @@ class TestSegmentStreaming:
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=41)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        bounds = schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        bounds = list(schedule.sample_bounds(grid.sample_rate, grid.n_samples))
         tables = {
             RESONANT: _envelope_component_table(rates),
             DETUNED: _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, 5.8)),

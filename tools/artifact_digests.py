@@ -1,4 +1,4 @@
-"""Write five small artifact trees and print the SHA-256 of every file.
+"""Write six small artifact trees and print the SHA-256 of every file.
 
     PYTHONPATH=src python3 tools/artifact_digests.py OUT_DIR
 
@@ -11,9 +11,12 @@ The trees are built on the test suite's tiny grid (12 s records at 25 kHz,
 - ``variance_sweep``: ``run_sweep_variance_vs_tone_ratio`` over ``[1.0, 0.0]``;
 - ``long_segments``: ``run_single`` with ``keep_raw`` and 6 s drive segments
   (150,000 samples), longer than the pipeline's processing block, so the
-  records are cut inside drive segments too.
+  records are cut inside drive segments too;
+- ``partial_period``: ``run_single`` with ``keep_raw`` on a 13 s record, so
+  the last 3 s drive segment runs on to the record's end and is 4 s long.
 
-Each tree is written with 1, 2 and 5 workers under ``OUT_DIR/workers_N``.
+Each tree is written with the config key ``workers`` at 1, 2 and 5, under
+``OUT_DIR/workers_N``.
 The script exits 1, naming the files, when the worker counts disagree;
 otherwise it prints one ``sha256  tree/relative/path`` line per file.  Run it
 on two commits and ``diff`` the listings: a differing line is an artifact
@@ -56,17 +59,15 @@ def tiny_config(**overrides: str) -> RunConfig:
 
 
 def write_trees(root: Path, workers: int) -> None:
-    pipeline.run_single(tiny_config(keep_raw="true"), root / "single", workers=workers)
-    pipeline.run_single(tiny_config(n_bar="0.3", s_target="0.7"), root / "analytic", workers=workers)
-    pipeline.run_sweep_ratio_vs_s(
-        tiny_config(n_bar="0.3"), [0.1, 0.7], root / "ratio_sweep", workers=workers
-    )
-    pipeline.run_sweep_variance_vs_tone_ratio(
-        tiny_config(), [1.0, 0.0], root / "variance_sweep", workers=workers
-    )
-    pipeline.run_single(
-        tiny_config(schedule_period="6s", keep_raw="true"), root / "long_segments", workers=workers
-    )
+    def config(**overrides: str) -> RunConfig:
+        return tiny_config(workers=str(workers), **overrides)
+
+    pipeline.run_single(config(keep_raw="true"), root / "single")
+    pipeline.run_single(config(n_bar="0.3", s_target="0.7"), root / "analytic")
+    pipeline.run_sweep_ratio_vs_s(config(n_bar="0.3"), [0.1, 0.7], root / "ratio_sweep")
+    pipeline.run_sweep_variance_vs_tone_ratio(config(), [1.0, 0.0], root / "variance_sweep")
+    pipeline.run_single(config(schedule_period="6s", keep_raw="true"), root / "long_segments")
+    pipeline.run_single(config(duration="13s", keep_raw="true"), root / "partial_period")
 
 
 def digests(root: Path) -> dict[str, str]:
