@@ -8,10 +8,10 @@ The stages hand on plain arrays, with the SimGrid of the record piece they
 cover: the compose functions turn the synthesized arrays into record
 samples, and demod_baseband feeds those into a Baseband, which only mixes,
 filters and decimates: it hands on the decimated baseband samples each
-piece completes and holds no more of them.  The caller sums the usable
-slices of those samples into a complex Welch estimate per drive class and,
-on resonant drive, into the phase sums (add_phase_sums).  Once the record
-is fed, optimize_demod_phase reads theta* from the phase sums and
+piece completes and holds no more of them.  The caller walks their usable
+slices once, in record order, summing each into the complex Welch estimate
+of its drive class and, on resonant drive, into the phase sums
+(add_phase_sums).  Once the record is fed, optimize_demod_phase reads theta* from the phase sums and
 lockin_demodulate the channel spectra at theta* from the Welch sums.
 """
 
@@ -368,13 +368,12 @@ class Baseband:
         self._fed = 0
         self._handed = 0  # decimated samples handed on so far
 
-    def usable_slices(self, tag: str):
-        """Iterator of the index ranges of z in the segments carrying
-        `tag`, trimmed by the settling guard at the head and by the filter
-        half support at the tail, so no statistic of them leaks across a
-        drive switch."""
+    def usable_slices(self):
+        """Iterator of (tag, index range of z) per drive segment in record
+        order, trimmed by the settling guard at the head and by the filter
+        half support at the tail, so no statistic leaks across a switch."""
         return self.schedule.usable_slices(
-            tag, self.sample_rate / self.decimate, self.n_decimated, tail_guard=self.edge_guard
+            self.sample_rate / self.decimate, self.n_decimated, tail_guard=self.edge_guard
         )
 
     def feed(self, samples: np.ndarray, start: int, workers: int) -> np.ndarray:

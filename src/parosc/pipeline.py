@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -104,6 +105,15 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(f"stage '{name}': {exc}") from exc
 
 
+def _warn(message: str) -> None:
+    """warnings.warn at the first frame outside this package: the line that
+    called run_single or a sweep, or a pool thread's own frame."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and Path(frame.f_code.co_filename).parent == Path(__file__).parent:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _make_out_dir(out_dir) -> Path:
     """Create the artifact directory; a path that cannot be one is a config error."""
     out = Path(out_dir)
@@ -171,8 +181,7 @@ def _run_repetition(
         # component backend: each usable slice of the record, assembled
         # from its blocks, goes to its drive class's Welch estimate
         welch = welch_per_class(grid.sample_rate)
-        slices = UsableSlices({tag: schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
-                               for tag in welch}, float)
+        slices = UsableSlices(schedule.usable_slices(grid.sample_rate, grid.n_samples), float)
         for _, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
                                  "record_component.bin"):
             for tag, piece in slices.feed(samples):
@@ -199,7 +208,7 @@ def _run_repetition(
                                           length=-(-grid.n_samples // decim))
             j0 += len(z)
             if slices is None:  # the slices' tail guard is the filter's half length
-                slices = UsableSlices({tag: baseband.usable_slices(tag) for tag in welch}, complex)
+                slices = UsableSlices(baseband.usable_slices(), complex)
             for tag, piece in slices.feed(z):
                 welch[tag].feed(piece, workers)
                 if tag == RESONANT:
@@ -210,12 +219,10 @@ def _run_repetition(
     welch_q, phase_sums = quadrature()
     theta, depth = _stage("demodulation phase", optimize_demod_phase, phase_sums)
     if depth < FLAT_PHASE_DEPTH:
-        # attributed to the caller of run_single
-        warnings.warn(
+        _warn(
             f"repetition seed {seed}: variance is flat in the demodulation phase "
             f"(depth {depth:.3g} < {FLAT_PHASE_DEPTH}, s ~ 0): phase undefined, "
-            "using the formal minimum",
-            stacklevel=3,
+            "using the formal minimum"
         )
     # x detuned, y detuned, x resonant, y resonant: welch_q's order
     psd_q = _stage("quadrature psd", lockin_demodulate, welch_q, theta)
@@ -281,10 +288,10 @@ def _run_repetition(
     # the order of the file names
     fits = dict(zip(FIT_FILES, (ref, dbl, *quad_fits.values())))
     for name, fit in fits.items():
-        if fit.degenerate_direction is not None:  # attributed like the flat-phase warning
-            warnings.warn(
+        if fit.degenerate_direction is not None:
+            _warn(
                 f"repetition seed {seed}: {name}: near-singular normal matrix at the "
-                f"optimum; direction: {fit.degenerate_direction}", stacklevel=3,
+                f"optimum; direction: {fit.degenerate_direction}"
             )
     psds = dict(zip(PSD_FILES, (psd_h[DETUNED], psd_h[RESONANT], *psd_q.values())))
     return {

@@ -9,9 +9,9 @@ disjoint chunks of a schedule alike: the mean of the power rows of every
 segment of every chunk, normalized once.  `Welch.feed` takes one chunk at
 a time, so a record streamed in pieces is never held whole;
 `welch_psd_chunks` feeds a list of chunks in order.  `UsableSlices`
-assembles the chunks of a streamed record, its usable slices per drive
-class, from the pieces in one buffer grown to the longest slice.  Each
-chunk's rows are computed `workers` at a time, one per thread, but summed in
+assembles a streamed record's usable slices, tagged by drive class in
+record order, from the pieces in one buffer grown to the longest slice.
+Each chunk's rows are computed `workers` at a time, one per thread, but summed in
 segment order, and that chunk sum is added to the running sum, so the
 estimate does not depend on the thread count.  The working set is one
 segment per thread, not the record: each row is detrended, windowed,
@@ -30,12 +30,9 @@ channels Re(e^{i theta} z) and Im(e^{i theta} z) at any theta,
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -264,20 +261,16 @@ class Welch:
 
 
 class UsableSlices:
-    """The usable slices of a record ({drive class: iterable of index
-    ranges in record order}, all disjoint), assembled from consecutive
-    pieces of the record in one buffer.  The classes' slices are merged in
-    record order as the pieces reach them, and the buffer is replaced by a
-    longer one when a slice needs it, so it is sized on first use and ends
-    at the longest slice.  feed(piece) yields (class, samples) for each
-    slice the piece completes, in record order: use the samples before the
-    generator resumes, and exhaust it before the next piece."""
+    """The usable slices of a record ((drive class, index range) in record
+    order, all disjoint), assembled from consecutive pieces of the record
+    in one buffer.  The buffer is replaced by a longer one when a slice
+    needs it, so it is sized on first use and ends at the longest slice.
+    feed(piece) yields (class, samples) for each slice the piece completes,
+    in record order: use the samples before the generator resumes, and
+    exhaust it before the next piece."""
 
-    def __init__(self, slices: dict[str, Iterable[slice]], dtype):
-        self._slices = heapq.merge(
-            *(zip(tag_slices, repeat(tag)) for tag, tag_slices in slices.items()),
-            key=lambda item: item[0].start,
-        )
+    def __init__(self, slices, dtype):
+        self._slices = iter(slices)
         self._next = next(self._slices, None)
         self._buf = np.empty(0, dtype)
         self._fed = 0
@@ -285,8 +278,8 @@ class UsableSlices:
     def feed(self, piece: np.ndarray):
         j0 = self._fed
         j1 = self._fed = j0 + len(piece)
-        while self._next is not None and self._next[0].start < j1:
-            s, tag = self._next
+        while self._next is not None and self._next[1].start < j1:
+            tag, s = self._next
             if len(self._buf) < s.stop - s.start:
                 self._buf = np.empty(s.stop - s.start, self._buf.dtype)
             lo, hi = max(s.start, j0), min(s.stop, j1)

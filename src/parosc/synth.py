@@ -138,9 +138,9 @@ class Schedule:
         """Iterator of the bounds of every segment, covering all n_samples."""
         return (self.bounds(k, sample_rate, n_samples) for k in range(self.n_segments))
 
-    def usable_slices(self, tag: str, sample_rate: float, n_samples: int, tail_guard: float = 0.0):
-        """Iterator of the guard-trimmed index ranges of the segments
-        carrying `tag`, in record order.
+    def usable_slices(self, sample_rate: float, n_samples: int, tail_guard: float = 0.0):
+        """Iterator of (tag, index range) of every segment's guard-trimmed
+        usable part, in record order.
 
         The settling guard trims each segment head; tail_guard (seconds)
         optionally trims the tail as well, e.g. by a filter's half support so
@@ -148,11 +148,11 @@ class Schedule:
         """
         guard_n = int(math.ceil(self.guard * sample_rate))
         tail_n = int(math.ceil(tail_guard * sample_rate))
-        for i0, i1, seg_tag in self.sample_bounds(sample_rate, n_samples):
+        for i0, i1, tag in self.sample_bounds(sample_rate, n_samples):
             lo = i0 + guard_n
             hi = i1 if i1 >= n_samples else i1 - tail_n
-            if seg_tag == tag and lo < hi:
-                yield slice(lo, hi)
+            if lo < hi:
+                yield tag, slice(lo, hi)
 
 
 def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:

@@ -75,7 +75,8 @@ def component_roundtrip(config: RunConfig, rep: int) -> dict:
         tag: welch_psd_chunks(
             [
                 samples[s]
-                for s in schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
+                for seg_tag, s in schedule.usable_slices(grid.sample_rate, grid.n_samples)
+                if seg_tag == tag
             ],
             grid.sample_rate, nperseg, v["welch_overlap"], v["window"],
         )

@@ -57,12 +57,17 @@ def constant_quadratures(grid, x_value, y_value):
     return np.full(n, x_value), np.full(n, y_value)
 
 
+def of_class(tag, slices):
+    """The index ranges of the (tag, range) walk that carry tag, in order."""
+    return [s for seg_tag, s in slices if seg_tag == tag]
+
+
 def sum_slices(bb, zs, spectra=(), workers=1):
     """Feed the decimated pieces zs of bb's record through its usable
     slices as the pipeline does: each complete slice to its class's Welch
     in spectra, if any, and each resonant one to the phase sums, which are
     returned."""
-    slices = UsableSlices({tag: bb.usable_slices(tag) for tag in (DETUNED, RESONANT)}, complex)
+    slices = UsableSlices(bb.usable_slices(), complex)
     sums = (0.0, 0.0, 0.0, 0)
     for z in zs:
         for tag, piece in slices.feed(z):
@@ -101,7 +106,7 @@ class TestScheduleDrive:
     def test_guard_trimming(self):
         grid = grid_for(20.0, 1)
         schedule = schedule_drive(grid, 5.0, TWO_PI * 10.0)
-        slices = list(schedule.usable_slices(RESONANT, grid.sample_rate, grid.n_samples))
+        slices = of_class(RESONANT, schedule.usable_slices(grid.sample_rate, grid.n_samples))
         assert len(slices) == 2
         guard_n = math.ceil(schedule.guard * grid.sample_rate)
         assert slices[0].start == int(5.0 * grid.sample_rate) + guard_n
@@ -128,9 +133,9 @@ class TestScheduleDrive:
 
     def test_max_segments_schedule_holds_nothing_per_segment(self):
         # on the defaults at the longest record MAX_SEGMENTS admits, the
-        # schedule, both classes' slice iterators and the slice assembler
-        # allocate under 1 MiB together (42.5 MiB when they were lists of
-        # segments and slices); their first and last slices are the listed
+        # schedule, its slice iterator and the slice assembler allocate
+        # under 1 MiB together (42.5 MiB when they were lists of segments
+        # and slices); each class's first and last slices are the listed
         # ones
         import tracemalloc
         from collections import deque
@@ -146,17 +151,17 @@ class TestScheduleDrive:
         tracemalloc.start()
         try:
             schedule = schedule_drive(grid, period, rates.gamma_minus)
-            slices = {tag: schedule.usable_slices(tag, grid.sample_rate, grid.n_samples)
-                      for tag in (DETUNED, RESONANT)}
-            UsableSlices(slices, float)
+            UsableSlices(schedule.usable_slices(grid.sample_rate, grid.n_samples), float)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
         for tag in (DETUNED, RESONANT):
             listed = self._listed_slices(grid, period, schedule.guard, tag)
-            first = list(islice(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples), 3))
-            last = deque(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples), maxlen=3)
+            walk = (s for seg_tag, s in schedule.usable_slices(grid.sample_rate, grid.n_samples)
+                    if seg_tag == tag)
+            first = list(islice(walk, 3))
+            last = deque(walk, maxlen=3)
             assert first == listed[:3], tag
             assert list(last) == listed[-3:], tag
 
@@ -493,7 +498,8 @@ class TestLockinDemodulate:
             rotated = z * np.exp(1j * theta)
             for name, channel in (("x", rotated.real), ("y", rotated.imag)):
                 direct = welch_psd_chunks(
-                    [channel[s] for s in bb.usable_slices(RESONANT)], grid.sample_rate, 5_000
+                    [channel[s] for s in of_class(RESONANT, bb.usable_slices())],
+                    grid.sample_rate, 5_000,
                 )
                 got = psds[(name, RESONANT)]
                 assert (got.n_averages, got.effective_averages) == (
@@ -582,7 +588,7 @@ class TestLockinDemodulate:
         bb, z = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
         _, z_swapped = demod_baseband(swapped, grid, det, EDGE, schedule=schedule)
         # the channel at theta = 0 is Re z
-        for sl in bb.usable_slices(RESONANT):
+        for sl in of_class(RESONANT, bb.usable_slices()):
             np.testing.assert_allclose(z_swapped.real[sl], z.real[sl], atol=1e-12)
 
 
@@ -621,7 +627,7 @@ class TestOptimizeDemodPhase:
         ratios = []
         for phase in (theta, theta + math.pi / 2):
             ch_x = (z * np.exp(1j * phase)).real
-            cuts = np.concatenate([ch_x[s] for s in bb.usable_slices(RESONANT)])
+            cuts = np.concatenate([ch_x[s] for s in of_class(RESONANT, bb.usable_slices())])
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
 
@@ -667,7 +673,7 @@ class TestOptimizeDemodPhase:
         # quadrature spectra read: the resonant usable slices of decimated z
         bb, z = self._baseband(0.6, seed=18, duration=30.0, shot=0.002, decimate=4)
         theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
-        z = np.concatenate([z[s] for s in bb.usable_slices(RESONANT)])
+        z = np.concatenate([z[s] for s in of_class(RESONANT, bb.usable_slices())])
         best = minimize_scalar(
             lambda th: np.var((np.exp(1j * th) * z).real),
             bounds=(theta - 0.5, theta + 0.5), method="bounded",

@@ -23,7 +23,7 @@ from parosc.fitting import (
     fit_single_pair,
     lorentzian,
 )
-from parosc.model import DerivedRates, OscillatorParams
+from parosc.model import DerivedRates, OscillatorParams, sideband_weights
 from parosc.spectral import Psd, welch_psd_chunks
 from parosc.synth import SimGrid, simulate_scheduled_envelopes, stream_rng
 
@@ -192,13 +192,22 @@ class TestInvariances:
         for name in fit.estimates:
             assert fit_shifted.estimates[name] == pytest.approx(fit.estimates[name], rel=1e-3), name
 
+    def test_double_fit_is_degenerate_at_zero_gain(self):
+        # at s = 0 the broad and narrow pairs coincide: on the noise-free
+        # spectrum of the s = 0 weights the widths are unresolved and the
+        # normal matrix is near-singular
+        w = sideband_weights(5.8, 0.0)
+        p_true = [0.004, 0.0, w.stokes_broad, w.stokes_narrow, w.antistokes_broad, w.antistokes_narrow]
+        psd = noiseless_psd(DoublePairModel(*CENTERS, 20.0), p_true)
+        double = fit_double_pair(psd, TWO_PI * 20.0, CENTERS, 300.0)
+        assert "widths_unresolved" in double.flags
+        assert "degenerate_covariance" in double.flags
+        assert double.degenerate_direction
+
     def test_single_and_double_fit_agree_at_zero_gain(self):
         psd, rates = make_component_psd(915, s=0.0, duration=80.0)
         single = fit_single_pair(psd, CENTERS, 300.0)
         double = fit_double_pair(psd, rates.gamma_eff, CENTERS, 300.0)
-        assert "widths_unresolved" in double.flags
-        assert "degenerate_covariance" in double.flags
-        assert double.degenerate_direction
         r_single, sig_single = single.derived["ratio"]
         r_double, sig_double = double.derived["ratio_total"]
         joint = math.hypot(sig_single, sig_double)

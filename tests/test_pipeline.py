@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from parosc import pipeline
 from parosc.cli import main
 from parosc.config import RunConfig, validate_config
 from parosc.errors import ConfigError, SpectralError
+from parosc.fitting import DoublePairModel
 from parosc.pipeline import (
     PSD_FILES,
     FIT_FILES,
@@ -24,6 +26,7 @@ from parosc.pipeline import (
     run_sweep_ratio_vs_s,
     run_sweep_variance_vs_tone_ratio,
 )
+from parosc.spectral import Psd
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,6 +38,29 @@ def tiny_config(**overrides):
     )
     merged.update(overrides)
     return fast_config(**merged)
+
+
+def fit_to_known_spectrum(monkeypatch, *areas, reps=(0, 1)):
+    """Have the pipeline's double fits of repetitions `reps` fit, instead
+    of the record, the noise-free double-pair spectrum at s = 0.5 with the
+    areas (broad Stokes, narrow Stokes, broad anti-Stokes, narrow
+    anti-Stokes) about the tiny grid's sideband centres, at its own
+    20 Hz reference width."""
+    centers = (6100.0, 3900.0)
+    freqs = np.linspace(3500.0, 6500.0, 3001)
+    density = DoublePairModel(*centers, 20.0).value(np.array([0.004, 0.5, *areas]), freqs)
+    known = Psd(freqs=freqs, density=density, rbw=1.0, n_averages=100, effective_averages=100.0,
+                window="hann", onesided=True)
+    fit_double = pipeline.fit_double_pair
+    calls = count()
+
+    def fit(psd, gamma_eff, centers_hz, margin):
+        if next(calls) in reps:
+            assert centers_hz == pytest.approx(centers)
+            return fit_double(known, TWO_PI * 20.0, centers_hz, margin)
+        return fit_double(psd, gamma_eff, centers_hz, margin)
+
+    monkeypatch.setattr(pipeline, "fit_double_pair", fit)
 
 
 def read_tree_bytes(root: Path) -> dict:
@@ -62,12 +88,14 @@ class TestRunSingle:
         for rel in report["artifacts"]:
             assert (out / rel).exists(), rel
 
-    def test_ratio_over_zero_consistent_area_not_estimated(self, run):
-        # both repetitions on this grid fit the broad anti-Stokes area within
-        # two sigma of zero, so R+ is not an estimate
-        out, report = run
+    def test_ratio_over_zero_consistent_area_not_estimated(self, tmp_path, monkeypatch):
+        # both repetitions fit a spectrum whose broad anti-Stokes area is
+        # negative (the weights at n_bar = 0.24 < s/2), within two sigma of
+        # zero for any sigma, so R+ is not an estimate
+        fit_to_known_spectrum(monkeypatch, 1.49, 0.99, -0.01, 0.49)
+        report = run_single(tiny_config(), tmp_path)
         for rep in range(2):
-            doc = json.loads((out / f"rep{rep:02d}" / "fit_heterodyne_double.json").read_text())
+            doc = json.loads((tmp_path / f"rep{rep:02d}" / "fit_heterodyne_double.json").read_text())
             assert "area_broad_antistokes_consistent_with_zero" in doc["flags"]
         check = next(c for c in report["checks"] if c["name"] == "r_plus_recovery")
         assert not check["passed"]
@@ -232,6 +260,27 @@ class TestSweepRatios:
         assert header[:5] == ["index", "s_set", "status", "s_hat", "s_hat_sigma"]
         assert "theory_r_plus" in header
 
+    @staticmethod
+    def _flat_phase_warnings(cfg, s_values, out):
+        with pytest.warns(UserWarning) as caught:
+            run_sweep_ratio_vs_s(cfg, s_values, out)
+        flat = [w for w in caught if "flat in the demodulation phase" in str(w.message)]
+        assert flat
+        return flat
+
+    def test_point_warning_names_the_sweep_caller(self, tmp_path):
+        # at s = 0 a point's phase is undefined; its warning points at the
+        # line that called the sweep, not at a line of the package
+        flat = self._flat_phase_warnings(tiny_config(repetitions="1", workers="1"), [0.0], tmp_path)
+        assert [w.filename for w in flat] == [__file__]
+
+    def test_pool_point_warning_is_not_the_packages(self, tmp_path):
+        # points on pool threads have no caller frame of their own: the
+        # warning names the thread's frame, outside the package
+        package = str(Path(pipeline.__file__).parent)
+        flat = self._flat_phase_warnings(tiny_config(repetitions="1", workers="2"), [0.0, 0.0], tmp_path)
+        assert all(not w.filename.startswith(package) for w in flat), [w.filename for w in flat]
+
 
 class TestNonFiniteRatios:
     def test_ratio_over_zero_is_infinite(self):
@@ -241,10 +290,11 @@ class TestNonFiniteRatios:
         assert val == 0.5
         assert sig == pytest.approx(0.5 * math.hypot(0.1, 0.1), rel=1e-15)
 
-    def test_zero_denominator_area_is_flagged(self, tmp_path):
-        # on this grid the second repetition at s = 0.1, n_bar = 0.3 fits the
-        # narrow anti-Stokes area at its bound 0, so r_minus is inf and its
-        # spread over the repetitions undefined
+    def test_zero_denominator_area_is_flagged(self, tmp_path, monkeypatch):
+        # the second repetition fits a spectrum with a narrow anti-Stokes
+        # dip, so its narrow anti-Stokes area sits on its bound 0, r_minus
+        # is inf and its spread over the repetitions undefined
+        fit_to_known_spectrum(monkeypatch, 1.2, 0.9, 0.5, -0.05, reps=(1,))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = run_single(tiny_config(n_bar="0.3", s_target="0.1", workers="1"), tmp_path)

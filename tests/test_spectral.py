@@ -365,7 +365,8 @@ class TestUsableSlices:
     slices, bit for bit and in record order, however the record is cut."""
 
     N = 50
-    SLICES = {"a": [slice(3, 10), slice(25, 40)], "b": [slice(12, 20), slice(41, 42), slice(45, 50)]}
+    SLICES = [("a", slice(3, 10)), ("b", slice(12, 20)), ("a", slice(25, 40)),
+              ("b", slice(41, 42)), ("b", slice(45, 50))]
 
     def _record(self, dtype):
         rng = np.random.default_rng(5)
@@ -392,11 +393,7 @@ class TestUsableSlices:
             for a, b in zip(cuts[:-1], cuts[1:])
             for tag, samples in slices.feed(record[a:b])
         ]
-        in_order = sorted(
-            ((s, tag) for tag, tag_slices in self.SLICES.items() for s in tag_slices),
-            key=lambda item: item[0].start,
-        )
-        assert got == [(tag, record[s].tobytes()) for s, tag in in_order]
+        assert got == [(tag, record[s].tobytes()) for tag, s in self.SLICES]
 
     def test_one_buffer_of_the_longest_slice(self):
         # the buffer is sized on first use and replaced only by a longer

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 from scipy.stats import ks_2samp
 
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from parosc.fitting import fit_quadrature
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
-from parosc.spectral import bin_step_for, welch_psd_chunks
+from parosc.spectral import UsableSlices, bin_step_for, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
@@ -23,6 +25,7 @@ from parosc.synth import (
     STREAM_WIGNER_Y,
     _DRAW_BLOCK,
     OUChain,
+    Schedule,
     SimGrid,
     Streams,
     ou_step,
@@ -277,7 +280,8 @@ class TestScheduledSynthesis:
             ("resonant", var_x, var_y),
             ("detuned", thermal, thermal),
         ):
-            slices = list(schedule.usable_slices(tag, grid.sample_rate, grid.n_samples))
+            slices = [s for seg_tag, s in schedule.usable_slices(grid.sample_rate, grid.n_samples)
+                      if seg_tag == tag]
             x = np.concatenate([traj_x[s] for s in slices])
             y = np.concatenate([traj_y[s] for s in slices])
             assert np.var(x) == pytest.approx(expected_x, rel=0.10), tag
@@ -502,6 +506,82 @@ class TestSegmentStreaming:
             a, b = component(narrow), component(broad)
             np.testing.assert_array_equal(env.real, a.real + b.real)
             np.testing.assert_array_equal(env.imag, a.imag + b.imag)
+
+
+def _listed_usable_slices(schedule, rate, n, tail_guard, tag):
+    """One class's usable slices as a walk per class once listed them:
+    every segment's bounds rounded from k*period (the last one running on
+    to sample n), its head trimmed by the guard and its tail, unless it
+    ends the record, by the tail guard, keeping the non-empty ranges of
+    segments carrying tag."""
+    period, tags = schedule.period, schedule.tags
+    n_seg = int(math.floor(schedule.duration / period + 1e-9))
+    guard_n, tail_n = int(math.ceil(schedule.guard * rate)), int(math.ceil(tail_guard * rate))
+    out = []
+    for k in range(n_seg):
+        i0 = int(round(k * period * rate))
+        i1 = n if k == n_seg - 1 else int(round((k + 1) * period * rate))
+        lo, hi = i0 + guard_n, i1 if i1 >= n else i1 - tail_n
+        if tags[k % len(tags)] == tag and lo < hi:
+            out.append(slice(lo, hi))
+    return out
+
+
+def _merged_usable_slices(schedule, rate, n, tail_guard):
+    """Every class's listed slices, merged by start into (tag, slice)."""
+    merged = sorted(
+        ((s, tag) for tag in set(schedule.tags)
+         for s in _listed_usable_slices(schedule, rate, n, tail_guard, tag)),
+        key=lambda item: item[0].start,
+    )
+    return [(tag, s) for s, tag in merged]
+
+
+@st.composite
+def walked_schedules(draw):
+    """A schedule with a trailing partial period, guards, and the rate and
+    length of a record it tiles, decimated as a lock-in baseband may be."""
+    period = draw(st.floats(min_value=0.05, max_value=3.0))
+    duration = period * (draw(st.integers(1, 12)) + draw(st.floats(min_value=0.0, max_value=0.95)))
+    guard = draw(st.floats(min_value=0.0, max_value=0.6)) * period
+    tail_guard = draw(st.floats(min_value=0.0, max_value=0.6)) * period
+    tags = tuple(draw(st.lists(st.sampled_from((DETUNED, RESONANT, "other")), min_size=1, max_size=3)))
+    sample_rate = draw(st.floats(min_value=1.0, max_value=400.0))
+    decimate = draw(st.integers(1, 4))
+    n = -(-int(round(duration * sample_rate)) // decimate)
+    return Schedule(period, duration, guard, tags), sample_rate / decimate, n, tail_guard
+
+
+class TestUsableSliceWalk:
+    """One walk of the schedule, in record order, gives each class the
+    slices a walk per class gave it; assembled from any cut of the record,
+    they are the record's own slices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=walked_schedules())
+    def test_walk_is_the_per_class_lists_merged_by_start(self, case):
+        schedule, rate, n, tail_guard = case
+        want = _merged_usable_slices(schedule, rate, n, tail_guard)
+        assert list(schedule.usable_slices(rate, n, tail_guard)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=walked_schedules(), cut_fractions=st.lists(st.floats(0.0, 1.0), max_size=12),
+           dtype=st.sampled_from((float, complex)))
+    def test_assembled_slices_of_any_cut_are_the_records(self, case, cut_fractions, dtype):
+        schedule, rate, n, tail_guard = case
+        rng = np.random.default_rng(9)
+        record = rng.standard_normal(n)
+        if dtype is complex:
+            record = record + 1j * rng.standard_normal(n)
+        cuts = [0, *sorted(int(f * n) for f in cut_fractions), n]
+        slices = UsableSlices(schedule.usable_slices(rate, n, tail_guard), dtype)
+        got = [
+            (tag, samples.tobytes())
+            for a, b in zip(cuts[:-1], cuts[1:])
+            for tag, samples in slices.feed(record[a:b])
+        ]
+        want = _merged_usable_slices(schedule, rate, n, tail_guard)
+        assert got == [(tag, record[s].tobytes()) for tag, s in want]
 
 
 class TestSpectralRoundTrip:
