@@ -52,9 +52,12 @@ def _load_config(args) -> RunConfig:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse the value list {text!r}") from None
+    if not values:
+        raise ConfigError(f"the value list {text!r} is empty")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

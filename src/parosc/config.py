@@ -13,11 +13,11 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, FilterDesignError
 from .spectral import BIN_STEP_BY_WINDOW, MAX_OVERLAP
 from .model import CavityPumpParams, DerivedRates, OscillatorParams
 from .synth import SimGrid
-from .detect import DetectionParams, schedule_drive
+from .detect import DetectionParams, design_lockin_fir, schedule_drive
 from .fitting import MIN_BAND_BINS, band_bins, quadrature_intervals, sideband_intervals
 
 TWO_PI = 2.0 * math.pi
@@ -306,16 +306,11 @@ def validate_config(config: RunConfig) -> list[str]:
                 f"sample_rate {v['sample_rate']:.6g} Hz below the Nyquist margin "
                 f"2*{f_upper:.6g} Hz"
             )
-        edge = config.passband_edge_hz(rates)
-        if not edge < v["lowpass_cutoff"]:
-            problems.append(
-                f"lowpass_cutoff {v['lowpass_cutoff']:.6g} Hz must exceed the "
-                f"passband edge {edge:.6g} Hz"
-            )
-        if not v["lowpass_cutoff"] < v["carrier"] / TWO_PI:
-            problems.append("lowpass_cutoff must stay below the carrier")
-        if v["decimate"] > 1 and v["lowpass_cutoff"] >= v["sample_rate"] / (2.0 * v["decimate"]):
-            problems.append("lowpass_cutoff must stay below the decimated Nyquist")
+        try:
+            taps = design_lockin_fir(v["sample_rate"], v["lowpass_cutoff"], v["carrier"],
+                                     config.passband_edge_hz(rates), v["decimate"])
+        except (FilterDesignError, ValueError, ArithmeticError) as exc:
+            problems.append(f"lowpass_cutoff {v['lowpass_cutoff']:.6g} Hz: {exc}")
         if not math.isfinite(v["duration"] * v["sample_rate"]):
             problems.append(
                 f"duration {v['duration']:.6g} s at sample_rate {v['sample_rate']:.6g} Hz "
@@ -325,13 +320,6 @@ def validate_config(config: RunConfig) -> list[str]:
             schedule = schedule_drive(config.grid(seed=0), v["schedule_period"], rates.gamma_minus)
         except Exception as exc:
             problems.append(f"schedule: {exc}")
-        else:
-            usable = v["schedule_period"] - schedule.guard
-            if v["welch_segment"] * 2 > usable:
-                problems.append(
-                    f"welch_segment {v['welch_segment']:.4g} s too long for the "
-                    f"{usable:.4g} s usable part of each drive segment"
-                )
         # a segment that is not positive is reported above
         rbw = 1.0 / v["welch_segment"] if v["welch_segment"] > 0 else 0.0
         gamma_minus_hz = rates.gamma_minus / TWO_PI
@@ -341,6 +329,8 @@ def validate_config(config: RunConfig) -> list[str]:
                 f"which cannot resolve gamma_minus/5 = {gamma_minus_hz / 5.0:.4g} Hz"
             )
     if not problems:
+        problems += _usable_part_problems(v, schedule, taps)
+    if not problems:
         problems += _fit_band_problems(v)
     return problems
 
@@ -349,6 +339,30 @@ def _workers_problems(v: dict) -> list[str]:
     if 1 <= v["workers"] <= MAX_WORKERS:
         return []
     return [f"workers must lie in [1, {MAX_WORKERS}], got {v['workers']}"]
+
+
+def _usable_part_problems(v: dict, schedule, taps) -> list[str]:
+    """Two Welch segments must fit in every usable slice of the schedule,
+    counted in samples as a run counts them on both Welch axes: the
+    heterodyne record at sample_rate, the lock-in baseband at
+    sample_rate/decimate, whose slices also lose the filter's half length
+    at their tail (detect.Baseband).  Judged only on an otherwise valid
+    config; the first axis that fails is the one reported."""
+    n_samples = schedule.n_samples(v["sample_rate"])
+    for fs, n, tail_guard, where in (
+        (v["sample_rate"], n_samples, 0.0, ""),
+        (v["sample_rate"] / v["decimate"], -(-n_samples // v["decimate"]),
+         (len(taps) // 2) / v["sample_rate"], " at the lock-in output"),
+    ):
+        shortest = min((s.stop - s.start for _, s in schedule.usable_slices(fs, n, tail_guard)),
+                       default=0)
+        segment_len = v["welch_segment"] * fs
+        if not (math.isfinite(segment_len) and 2 * int(round(segment_len)) <= shortest):
+            return [
+                f"welch_segment {v['welch_segment']:.6g} s too long for the "
+                f"{shortest / fs:.4g} s usable part of each drive segment{where}"
+            ]
+    return []
 
 
 def _fit_band_problems(v: dict) -> list[str]:

@@ -11,8 +11,14 @@ filters and decimates: it hands on the decimated baseband samples each
 piece completes and holds no more of them.  The caller walks their usable
 slices once, in record order, summing each into the complex Welch estimate
 of its drive class and, on resonant drive, into the phase sums
-(add_phase_sums).  Once the record is fed, optimize_demod_phase reads theta* from the phase sums and
-lockin_demodulate the channel spectra at theta* from the Welch sums.
+(add_phase_sums).  Once the record is fed, optimize_demod_phase reads
+theta* from the phase sums and lockin_demodulate the channel spectra at
+theta* from the Welch sums.
+
+With workers > 1, beside the synthesis streams (synth) and the Welch rows
+(spectral), a piece's shot-noise draw runs beside its carrier mixing and
+the lock-in filters its overlap-save blocks in batches side by side.  The
+mixing is one call over the piece, on the calling thread in Baseband.feed.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,9 +68,10 @@ MAX_SEGMENTS = 100_000
 FLAT_PHASE_DEPTH = 0.1
 
 # The lock-in filter's design limits: at most this passband ripple, at least
-# this stopband attenuation (dB).
+# this stopband attenuation (dB), at most this many taps (the defaults: 381).
 PASSBAND_RIPPLE_DB = 0.1
 STOPBAND_DB = 60.0
+MAX_TAPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,35 +167,22 @@ def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0, start: 
         i0 = i1
 
 
-def _in_parts(start: int, end: int, workers: int, fn) -> None:
-    """fn(i0, i1) over `workers` consecutive parts of [start, end), on up to
-    `workers` threads; for elementwise work the result is that of one call."""
-    cuts = [start + (end - start) * k // workers for k in range(workers + 1)]
-    thread_map(lambda k: fn(cuts[k], cuts[k + 1]), range(workers), workers)
-
-
-def _mix_into(
-    out: np.ndarray, start: int, mix, shot_psd: float, sample_rate: float,
-    rng: np.random.Generator, workers: int,
-) -> None:
-    """Fill out with the record samples [start, start + len(out)), where
-    mix(i0, i1) writes the samples [i0, i1) into their places in out; then
-    add white shot noise of one-sided density shot_psd drawn from rng.
-    Without noise the samples are mixed in `workers` parts side by side;
-    with noise, the call's noise is drawn into one buffer, on a second
-    thread when workers > 1, while the samples are mixed.  The sum is the
-    same either way."""
-    end = start + len(out)
+def _mix_into(out: np.ndarray, mix, shot_psd: float, sample_rate: float,
+              rng: np.random.Generator, workers: int) -> None:
+    """Fill out by calling mix() once, which writes the record samples of
+    its piece into out, and add white shot noise of one-sided density
+    shot_psd drawn from rng into one buffer.  Without noise mix() runs on
+    the calling thread; with it, mix() and the draw run side by side, on
+    two pool threads when workers > 1.  The sum is the same either way."""
     if not shot_psd > 0.0:
-        _in_parts(start, end, workers, mix)
-        return
+        return mix()
     sigma = math.sqrt(shot_psd * sample_rate / 2.0)
     noise = np.empty(len(out))
 
     def draw():
         np.multiply(rng.standard_normal(out=noise), sigma, out=noise)
 
-    thread_map(lambda job: job(), (partial(mix, start, end), draw), workers)
+    thread_map(lambda job: job(), (mix, draw), workers)
     out += noise
 
 
@@ -216,12 +210,12 @@ def compose_heterodyne_wigner(
     start = grid.start
     out = np.empty(grid.n_samples)
 
-    def mix(a, b):
+    def mix():
         # Each block is computed in its place in out and in its fresh
         # phasors.  The two phasor streams are stepped in turn, not zipped:
         # zip would hold the last pair while the next is made.
-        los = carrier_phasors(b - a, delta_lo, grid.dt, 0.0, a)
-        for i0, i1, car in carrier_phasors(b - a, grid.carrier, grid.dt, frame_phase, a):
+        los = carrier_phasors(len(out), delta_lo, grid.dt, 0.0, start)
+        for i0, i1, car in carrier_phasors(len(out), grid.carrier, grid.dt, frame_phase, start):
             lo = next(los)[2]
             j0, j1 = i0 - start, i1 - start
             beat = np.multiply(car.real, x[j0:j1], out=out[j0:j1])
@@ -231,7 +225,7 @@ def compose_heterodyne_wigner(
             del car, lo  # before the next block's phasors are made
 
     shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_WIGNER)
-    _mix_into(out, start, mix, det.shot_psd, grid.sample_rate, shot, workers)
+    _mix_into(out, mix, det.shot_psd, grid.sample_rate, shot, workers)
     return out
 
 
@@ -261,12 +255,12 @@ def compose_heterodyne_components(
     start = grid.start
     samples = np.empty(grid.n_samples)
 
-    def mix(a, b):
+    def mix():
         # Re{beta e^{i phi}} = Re(beta) cos(phi) - Im(beta) sin(phi); each
         # block is computed in its place in samples and in its fresh phasors,
         # the phasor streams stepped in turn as in compose_heterodyne_wigner
-        dns = carrier_phasors(b - a, grid.carrier - delta_lo, grid.dt, 0.0, a)
-        for i0, i1, up in carrier_phasors(b - a, grid.carrier + delta_lo, grid.dt, 0.0, a):
+        dns = carrier_phasors(len(samples), grid.carrier - delta_lo, grid.dt, 0.0, start)
+        for i0, i1, up in carrier_phasors(len(samples), grid.carrier + delta_lo, grid.dt, 0.0, start):
             dn = next(dns)[2]
             j0, j1 = i0 - start, i1 - start
             b_s, b_as = beta_stokes[j0:j1], beta_antistokes[j0:j1]
@@ -280,7 +274,7 @@ def compose_heterodyne_components(
             del up, dn, quad  # before the next block's phasors are made
 
     shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_COMPONENT)
-    _mix_into(samples, start, mix, det.shot_psd, grid.sample_rate, shot, workers)
+    _mix_into(samples, mix, det.shot_psd, grid.sample_rate, shot, workers)
     return samples
 
 
@@ -296,7 +290,7 @@ def design_lockin_fir(
     Flat (ripple < PASSBAND_RIPPLE_DB) up to passband_edge_hz, >= STOPBAND_DB
     attenuation from the stopband edge onwards.  The stopband edge is the
     tighter of the decimated Nyquist and the mixing-image band 2*fc - cutoff.
-    Raises FilterDesignError when the constraints cannot be met.
+    Raises FilterDesignError when the constraints or MAX_TAPS cannot be met.
     """
     f_carrier = carrier / (2.0 * math.pi)
     nyq = sample_rate / 2.0
@@ -313,6 +307,8 @@ def design_lockin_fir(
     width = f_stop - cutoff_hz
     numtaps, beta = signal.kaiserord(STOPBAND_DB + 5.0, width / nyq)
     numtaps |= 1
+    if numtaps > MAX_TAPS:
+        raise FilterDesignError(f"the filter needs {numtaps} taps, more than {MAX_TAPS}")
     taps = signal.firwin(numtaps, (cutoff_hz + f_stop) / 2.0, window=("kaiser", beta), fs=sample_rate)
     freqs, resp = signal.freqz(taps, worN=4096, fs=sample_rate)
     mag = np.abs(resp)
@@ -400,13 +396,9 @@ class Baseband:
         buf[:kept] = self._tail
         buf[kept + len(samples) :] = 0.0
         dt = 1.0 / self.sample_rate
-
-        def mix(a, b):
-            for i0, i1, ph in carrier_phasors(b - a, self.carrier, dt, 0.0, a):
-                ph *= samples[i0 - start : i1 - start]
-                np.multiply(ph, 2.0, out=buf[kept + i0 - start : kept + i1 - start])
-
-        _in_parts(start, start + len(samples), workers, mix)
+        for i0, i1, ph in carrier_phasors(len(samples), self.carrier, dt, 0.0, start):
+            ph *= samples[i0 - start : i1 - start]
+            np.multiply(ph, 2.0, out=buf[kept + i0 - start : kept + i1 - start])
         n_ready = max(0, (size - (m - 1)) // step)
         # the decimated samples of the full-rate outputs [j0*d, done)
         d, j0 = self.decimate, self._handed

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -105,13 +106,22 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(f"stage '{name}': {exc}") from exc
 
 
+def _caller() -> tuple:
+    """(filename, lineno, globals) of the first frame outside this package:
+    the line that called run_single or a sweep."""
+    frame = sys._getframe(1)
+    while frame.f_back is not None and Path(frame.f_code.co_filename).parent == Path(__file__).parent:
+        frame = frame.f_back
+    return frame.f_code.co_filename, frame.f_lineno, frame.f_globals
+
+
 def _warn(message: str) -> None:
-    """warnings.warn at the first frame outside this package: the line that
-    called run_single or a sweep, or a pool thread's own frame."""
-    frame, level = sys._getframe(), 1
-    while frame is not None and Path(frame.f_code.co_filename).parent == Path(__file__).parent:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
+    """Warn at the line that called run_single or a sweep.  A sweep point
+    may run on a pool thread, below which no such line lies: there the
+    sweep's caller, recorded by _run_sweep, is used."""
+    filename, lineno, module_globals = getattr(_point, "caller", None) or _caller()
+    warnings.warn_explicit(message, UserWarning, filename, lineno, module_globals.get("__name__"),
+                           module_globals.setdefault("__warningregistry__", {}))
 
 
 def _make_out_dir(out_dir) -> Path:
@@ -564,8 +574,13 @@ def render_report(report: dict) -> str:
 # --- sweeps ----------------------------------------------------------------
 
 
+# .caller: the caller of the sweep whose point runs on this thread, for _warn.
+_point = threading.local()
+
+
 def _run_point(args):
-    index, config, out_dir = args
+    index, config, out_dir, caller = args
+    _point.caller = caller
     try:
         # sweep rows need fitted quantities, so a point in the
         # quantum-squeezing regime is reported as failed with the synth
@@ -583,6 +598,8 @@ def _run_point(args):
         return index, report, None
     except Exception as exc:  # error isolation: a failing point must not kill siblings
         return index, None, f"{type(exc).__name__}: {exc}"
+    finally:
+        _point.caller = None
 
 
 def _csv_cell(x) -> str:
@@ -630,9 +647,12 @@ def _run_sweep(spec: _SweepSpec, config: RunConfig, values, out_dir) -> list[dic
     its row: empty result cells and the error in the last column.  The
     points run on the config's `workers` threads."""
     require_valid_workers(config)
+    if not len(values):
+        raise ConfigError(f"no {spec.axis} values to sweep")
     out = _make_out_dir(out_dir)
+    caller = _caller()
     points = [
-        (i, config.with_overrides(**spec.overrides(x)), out / f"point_{i:02d}")
+        (i, config.with_overrides(**spec.overrides(x)), out / f"point_{i:02d}", caller)
         for i, x in enumerate(values)
     ]
     results = thread_map(_run_point, points, config.values["workers"])  # in point order
@@ -761,9 +781,9 @@ def report_artifacts(artifacts_dir) -> tuple[str, bool]:
     """Render the human summary for a run or sweep directory and evaluate the
     pass/fail state; returns (text, ok).  A directory holding neither a
     report nor a sweep summary fails, and so does one whose report or
-    summary cannot be read, and a sweep when a point fails, including a
-    point refused before it wrote any artifact.  Raises ConfigError when
-    artifacts_dir is not a directory."""
+    summary cannot be read, a sweep summary without a point, and a sweep
+    when a point fails, including a point refused before it wrote any
+    artifact.  Raises ConfigError when artifacts_dir is not a directory."""
     root = Path(artifacts_dir)
     if not root.is_dir():
         raise ConfigError(f"{artifacts_dir} is not an artifact directory")
@@ -785,6 +805,8 @@ def report_artifacts(artifacts_dir) -> tuple[str, bool]:
     try:
         summary = path.read_text(encoding="utf-8")
         header, *rows = summary.splitlines()
+        if not rows:
+            return f"no points in {path}\n", False
         failed = []
         for row in rows:
             # the error is the last cell and the only one that may hold commas

@@ -159,6 +159,7 @@ def calibration_pulls():
 
 
 class TestCriterion3RoundTripSidebandRecovery:
+    @pytest.mark.realization
     def test_five_hundred_second_set(self, roundtrip_five_records):
         reps, rates, elapsed = roundtrip_five_records
         s_values = np.array([r["dbl"].derived["s"][0] for r in reps])
@@ -173,6 +174,7 @@ class TestCriterion3RoundTripSidebandRecovery:
         announce(3, f"5 x 100 s: mean s = {s_values.mean():.4f} (target 0.5 +- 0.05), "
                     f"R+ and R- within 1 combined sigma ({elapsed:.0f} s, target < 120 s)")
 
+    @pytest.mark.realization
     def test_pull_calibration(self, calibration_pulls):
         pulls, elapsed = calibration_pulls
         var = float(np.var(pulls, ddof=1))
@@ -201,6 +203,7 @@ def variance_sweep(tmp_path_factory):
 
 
 class TestCriterion4QuadraturePath:
+    @pytest.mark.realization
     def test_variances_and_width_consistency(self, variance_sweep):
         targets, summary, elapsed = variance_sweep
         squeezed_at_max = None
@@ -232,6 +235,7 @@ class TestCriterion4QuadraturePath:
 
 
 class TestCriterion5ReferenceSegmentSymmetry:
+    @pytest.mark.realization
     def test_detuned_spectra_and_widths(self, tmp_path):
         config = fast_config(duration="60s", repetitions="2", seed="20260823")
         report = run_single(config, tmp_path / "run")
@@ -273,6 +277,7 @@ class TestCriterion6ThresholdBehavior:
 
 
 class TestCriterion7EstimatorHygiene:
+    @pytest.mark.realization
     def test_parseval_on_every_record_class(self):
         from parosc.detect import compose_heterodyne_wigner, demod_baseband
         from parosc.model import OscillatorParams

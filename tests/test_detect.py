@@ -192,6 +192,7 @@ class TestCarrierPhasors:
 
 
 class TestComposeWigner:
+    @pytest.mark.realization
     def test_zero_gain_gives_pure_shot_floor(self):
         grid = grid_for(60.0, 2)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
@@ -224,6 +225,7 @@ class TestComposeWigner:
         with pytest.raises(AliasingError):
             compose_heterodyne_wigner(*quad, DET, grid, TWO_PI * 1.1e3)
 
+    @pytest.mark.realization
     def test_energy_bookkeeping(self):
         grid = grid_for(120.0, 5)
         x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
@@ -232,6 +234,7 @@ class TestComposeWigner:
         expected = det.gain**2 * (np.var(x) + np.var(y))
         assert np.var(samples) == pytest.approx(expected, rel=0.01)
 
+    @pytest.mark.realization
     def test_wigner_record_is_sideband_symmetric(self):
         # full synthesis, n_bar = 5.8, s = 0: both sideband areas equal within
         # the fit's statistical error; asymmetry needs the component backend
@@ -264,6 +267,7 @@ class TestComposeComponents:
         # occupied sideband 2*delta_lo away
         assert dn < 1e-3 * up
 
+    @pytest.mark.realization
     def test_record_variance_carries_half_envelope_power(self):
         grid = grid_for(120.0, 8)
         rates = rates_for(0.5)
@@ -311,6 +315,9 @@ class TestLockinFilter:
             design_lockin_fir(FS, 5.5e3, CARRIER, 5.4e3)  # cutoff above image edge
         with pytest.raises(FilterDesignError):
             design_lockin_fir(FS, 1.0e3, CARRIER, 1.5e3)  # edge above cutoff
+        with pytest.raises(FilterDesignError, match="taps, more than"):
+            # a 1 Hz transition band at 25 kHz needs about 99,000 taps
+            design_lockin_fir(FS, 3124.0, CARRIER, 1.2e3, decimate=4)
 
 
 class TestDemodBaseband:
@@ -620,6 +627,7 @@ class TestOptimizeDemodPhase:
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
 
+    @pytest.mark.realization
     def test_orthogonal_channel_variance_ratio(self):
         phi0 = 0.41
         bb, z = self._baseband(phi0, seed=15, duration=60.0)
@@ -631,6 +639,7 @@ class TestOptimizeDemodPhase:
             ratios.append(np.var(cuts))
         assert ratios[1] / ratios[0] == pytest.approx(3.0, rel=0.15)
 
+    @pytest.mark.realization
     def test_flat_variance_at_zero_gain(self):
         bb, z = self._baseband(0.3, seed=16, s=0.0, duration=60.0)
         _, depth = optimize_demod_phase(sum_slices(bb, [z]))
@@ -683,6 +692,7 @@ class TestOptimizeDemodPhase:
 
 
 class TestQuadratureSpectraAtOptimum:
+    @pytest.mark.realization
     def test_channel_widths_follow_gamma_plus_minus(self):
         # resonant drive, demodulated at the optimal phase: the squeezed
         # channel fits the two-peak model with the broad width, the

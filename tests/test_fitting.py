@@ -149,6 +149,7 @@ class TestBandBins:
 
 
 class TestFitSinglePair:
+    @pytest.mark.realization
     def test_noise_only_record_flagged(self):
         rng = stream_rng(404, 0)
         freqs = np.linspace(3500.0, 6500.0, 3001)
@@ -204,7 +205,12 @@ class TestInvariances:
         assert "degenerate_covariance" in double.flags
         assert double.degenerate_direction
 
+    @pytest.mark.realization
     def test_single_and_double_fit_agree_at_zero_gain(self):
+        """At s = 0 the single and double fits of one record agree on the
+        ratio and the double fit finds no gain.  Its agreement checks rest
+        on the draw of seed 915: they failed for 1 of 30 fresh seeds
+        (5000-5029)."""
         psd, rates = make_component_psd(915, s=0.0, duration=80.0)
         single = fit_single_pair(psd, CENTERS, 300.0)
         double = fit_double_pair(psd, rates.gamma_eff, CENTERS, 300.0)
@@ -217,6 +223,7 @@ class TestInvariances:
 
 
 class TestFitQuadrature:
+    @pytest.mark.realization
     def test_recovers_width_and_area(self):
         freqs = np.linspace(800.0, 1400.0, 1201)
         model = QuadratureModel(1100.0)

@@ -101,6 +101,7 @@ class TestRunSingle:
         assert not check["passed"]
         assert check["detail"] == "not estimated: area_broad_antistokes consistent with zero in rep 00"
 
+    @pytest.mark.realization
     def test_flat_phase_warning_names_the_seed(self, tmp_path):
         # at s = 0 the demodulation phase is undefined; the warning names the
         # repetition and points at the line that called run_single
@@ -162,6 +163,7 @@ class TestRunSingle:
         assert report["provenance"] == expected
         assert json.loads((out / "report.json").read_text())["provenance"] == expected
 
+    @pytest.mark.realization
     def test_phase_optimizer_recovers_frame(self, run):
         _, report = run
         agg = report["aggregate"]
@@ -223,12 +225,12 @@ class TestDeterminism:
 
 
 class TestSweepRatios:
-    def test_empty_sweep_succeeds(self, tmp_path):
-        summary = run_sweep_ratio_vs_s(tiny_config(), [], tmp_path)
-        assert summary == []
-        lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
-        assert len(lines) == 1  # header only
-        assert (tmp_path / "theory_overlay.csv").exists()
+    def test_empty_sweep_is_refused(self, tmp_path):
+        # a sweep of no points is a config error, refused before its
+        # directory is made
+        with pytest.raises(ConfigError, match="no s_set values to sweep"):
+            run_sweep_ratio_vs_s(tiny_config(), [], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_failed_point_is_isolated(self, tmp_path):
         cfg = tiny_config(n_bar="0.3")
@@ -245,7 +247,9 @@ class TestSweepRatios:
         from parosc.model import ratios
 
         cfg = tiny_config(n_bar="3.2")
-        run_sweep_ratio_vs_s(cfg, [], tmp_path)
+        # one point that fails at once (s >= 1 is unstable): the overlay
+        # does not depend on the points
+        run_sweep_ratio_vs_s(cfg, [1.5], tmp_path)
         lines = (tmp_path / "theory_overlay.csv").read_text().splitlines()
         assert lines[0] == "s,r_plain,r_plus,r_minus"
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
@@ -268,18 +272,20 @@ class TestSweepRatios:
         assert flat
         return flat
 
+    @pytest.mark.realization
     def test_point_warning_names_the_sweep_caller(self, tmp_path):
         # at s = 0 a point's phase is undefined; its warning points at the
         # line that called the sweep, not at a line of the package
         flat = self._flat_phase_warnings(tiny_config(repetitions="1", workers="1"), [0.0], tmp_path)
         assert [w.filename for w in flat] == [__file__]
 
+    @pytest.mark.realization
     def test_pool_point_warning_is_not_the_packages(self, tmp_path):
         # points on pool threads have no caller frame of their own: the
-        # warning names the thread's frame, outside the package
-        package = str(Path(pipeline.__file__).parent)
+        # warning names the line that called the sweep, which the sweep
+        # recorded on the calling thread
         flat = self._flat_phase_warnings(tiny_config(repetitions="1", workers="2"), [0.0, 0.0], tmp_path)
-        assert all(not w.filename.startswith(package) for w in flat), [w.filename for w in flat]
+        assert [w.filename for w in flat] == [__file__] * len(flat)
 
 
 class TestNonFiniteRatios:
@@ -306,6 +312,7 @@ class TestNonFiniteRatios:
 
 
 class TestSweepVariances:
+    @pytest.mark.realization
     def test_epsilon_one_gives_unity_ratios(self, tmp_path):
         cfg = tiny_config(
             repetitions="1",
@@ -432,6 +439,30 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb,option,values", [
+        ("sweep-ratios", "--s-values", ""),
+        ("sweep-variances", "--epsilon-values", ","),
+    ])
+    def test_empty_value_list_exit_2(self, tmp_path, capsys, verb, option, values):
+        out = tmp_path / "out"
+        assert main([verb, "--out", str(out), option, values]) == 2
+        assert f"config error: the value list {values!r} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("segment", ["2.4204s", "2.4204225s"])
+    def test_welch_segments_counted_in_samples_exit_2(self, tmp_path, capsys, segment):
+        # two segments fit the 4.841 s usable part in seconds, but not in
+        # samples: at 2.4204 s not the lock-in output's slice (2 x 75,638 >
+        # 151,252), at 2.4204225 s not the record's (2 x 605,106 > 1,210,211);
+        # once a run failed on it after synthesis, with exit 3
+        path = tmp_path / "run.cfg"
+        path.write_text(f"duration = 20s\nwelch_overlap = 0\nwelch_segment = {segment}\n")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("usable part of each drive segment" in line for line in err)
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_and_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(tiny_config(repetitions="1").snapshot())
@@ -475,6 +506,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith(f"unreadable {tmp_path / name}: ")
         assert captured.out.count("\n") == 1
+        assert captured.err == ""
+
+    def test_report_sweep_without_points_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "sweep_summary.csv"
+        path.write_text("index,s_set,status,error\n")
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == f"no points in {path}\n"
         assert captured.err == ""
 
     @pytest.mark.parametrize("workers", ["0", "65", "1000000"])
@@ -676,6 +715,7 @@ class TestKeepRaw:
 
 
 class TestWidthCrossCheck:
+    @pytest.mark.realization
     def test_heterodyne_widths_agree_with_quadrature_widths(self, tmp_path):
         # the double-fit widths gamma_eff(1 +- s) agree with the directly
         # fitted channel widths of the same run within joint uncertainty
@@ -735,6 +775,7 @@ class TestCliSweeps:
 
 
 class TestRatioSweepStraddlesTheory:
+    @pytest.mark.realization
     def test_six_point_sweep_pulls(self, tmp_path):
         # fitted ratios scatter around the theory curves with calibrated
         # pulls: none is a gross outlier and the signs are mixed

@@ -56,6 +56,7 @@ class TestWelchNormalization:
         power = np.sum(psd.density[sel]) * psd.rbw
         assert power == pytest.approx(0.5, rel=5e-3)
 
+    @pytest.mark.realization
     def test_white_noise_flat_density(self):
         fs = 5_000.0
         rng = stream_rng(123, 0)
@@ -67,6 +68,7 @@ class TestWelchNormalization:
         z = (np.mean(interior) - expected) / (sigma_bin / math.sqrt(len(interior) / bin_step_for("hann")))
         assert abs(z) < 3.0
 
+    @pytest.mark.realization
     def test_parseval_integral_matches_variance(self):
         fs = 5_000.0
         rng = stream_rng(7, 0)
@@ -75,6 +77,7 @@ class TestWelchNormalization:
         assert psd.n_averages >= 64
         assert psd.integral() == pytest.approx(np.var(x), rel=0.01)
 
+    @pytest.mark.realization
     def test_parseval_complex_two_sided(self):
         fs = 2_000.0
         rng = stream_rng(8, 0)
@@ -83,6 +86,7 @@ class TestWelchNormalization:
         assert not psd.onesided
         assert psd.integral() == pytest.approx(np.var(z), rel=0.01)
 
+    @pytest.mark.realization
     def test_ou_lorentzian_area_within_two_percent(self):
         fs = 4_000.0
         gamma = TWO_PI * 20.0
@@ -414,6 +418,7 @@ class TestUsableSlices:
 
 
 class TestWindowIndependence:
+    @pytest.mark.realization
     def test_fitted_area_agrees_between_windows(self):
         fs = 25_000.0
         gamma = TWO_PI * 20.0
@@ -492,6 +497,7 @@ class TestCsvRoundTrip:
 
 
 class TestChiSquareComparison:
+    @pytest.mark.realization
     def test_identical_spectra_not_rejected(self):
         fs = 2_000.0
         x = OUChain(stream_rng(31, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)
@@ -501,6 +507,7 @@ class TestChiSquareComparison:
         same, p = chi2_indistinguishable(a, b)
         assert same, f"false rejection, p = {p}"
 
+    @pytest.mark.realization
     def test_different_spectra_rejected(self):
         fs = 2_000.0
         x = OUChain(stream_rng(33, 0), 1.0 / fs).draw(400_000, TWO_PI * 10.0, 1.0)

@@ -101,6 +101,7 @@ class TestOuStep:
         OUChain(stream_rng(7, 0), dt).draw(n, decay, var, out=ones, add=True)
         assert np.array_equal(ones, 1.0 + expected)
 
+    @pytest.mark.realization
     def test_million_step_variance_within_three_sigma(self):
         decay = TWO_PI * 25.0  # gamma_plus / 2 with gamma_plus = 2pi*50
         dt = 4e-6
@@ -112,6 +113,7 @@ class TestOuStep:
 
 
 class TestOuExactness:
+    @pytest.mark.realization
     @pytest.mark.parametrize("dt", [2e-4, 2e-2])
     def test_lag_autocovariance_matches_closed_form(self, dt):
         decay, var = TWO_PI * 3.0, 1.0
@@ -133,6 +135,7 @@ class TestOuExactness:
             b = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(9, 1))
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.realization
     def test_piecewise_is_continuous_across_switches(self):
         dt = 1e-3
         rng = stream_rng(10, 2)
@@ -167,6 +170,7 @@ class TestSimulateQuadratures:
         with pytest.raises(ParametricInstabilityError):
             simulate_scheduled_quadratures(OSC, rates, grid)
 
+    @pytest.mark.realization
     def test_symmetric_at_zero_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=120.0, carrier=TWO_PI * 200.0, seed=3)
         x, y = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
@@ -175,6 +179,7 @@ class TestSimulateQuadratures:
         stat = ks_2samp(x[::step], y[::step])
         assert stat.pvalue > 0.01
 
+    @pytest.mark.realization
     def test_variance_ratio_at_half_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=4)
         x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
@@ -183,6 +188,7 @@ class TestSimulateQuadratures:
         sigma = 3.0 * math.sqrt(2.0 / (400.0 * TWO_PI * 10.0 / 2.0)) * 2.0
         assert abs(ratio - 3.0) < 4.0 * sigma
 
+    @pytest.mark.realization
     def test_cross_correlation_consistent_with_independence(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=5)
         x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
@@ -199,6 +205,7 @@ class TestSimulateQuadratures:
 
 
 class TestDetunedReference:
+    @pytest.mark.realization
     def test_variances_and_symmetry(self):
         # a detuned segment draws the reference chains: the s = 0 rates at an
         # unchanged gamma_eff, whatever the resonant gain
@@ -220,12 +227,14 @@ class TestDetunedReference:
 
 
 class TestSidebandEnvelopes:
+    @pytest.mark.realization
     def test_zero_gain_power_ratio(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=8)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.0), grid)
         ratio = np.mean(np.abs(beta_s) ** 2) / np.mean(np.abs(beta_as) ** 2)
         assert ratio == pytest.approx(6.8 / 5.8, rel=0.03)
 
+    @pytest.mark.realization
     def test_integrated_powers_at_half_gain(self):
         # closed-form totals: (2(n+1)-s^2)/(2(1-s^2)) and (2n+s^2)/(2(1-s^2))
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=9)
@@ -239,12 +248,14 @@ class TestSidebandEnvelopes:
         with pytest.raises(QuantumSqueezingRegimeError, match="s > 2\\*n_bar"):
             simulate_scheduled_envelopes(OSC, rates, grid)
 
+    @pytest.mark.realization
     def test_envelopes_mutually_independent(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=11)
         beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid)
         r = np.corrcoef(np.abs(beta_s) ** 2, np.abs(beta_as) ** 2)[0, 1]
         assert abs(r) < 0.02
 
+    @pytest.mark.realization
     def test_antistokes_psd_matches_closed_form(self):
         # binned Welch PSD of the anti-Stokes envelope versus the closed-form
         # spectrum: reduced chi-square within [0.7, 1.3] for a 100 s record.
@@ -267,6 +278,7 @@ class TestSidebandEnvelopes:
 
 
 class TestScheduledSynthesis:
+    @pytest.mark.realization
     def test_per_tag_statistics(self):
         from parosc.detect import schedule_drive
 
@@ -585,6 +597,7 @@ class TestUsableSliceWalk:
 
 
 class TestSpectralRoundTrip:
+    @pytest.mark.realization
     def test_fitted_width_of_x_matches_gamma_plus(self):
         # welch + Lorentzian fit of the squeezed quadrature recovers the broad
         # width within 5% on a 100 s record
