@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
-from scipy import signal
+from scipy import special
 
 from .errors import AliasingError, FilterDesignError, ScheduleError
 from .parallel import thread_map
@@ -278,6 +278,19 @@ def compose_heterodyne_components(
     return samples
 
 
+def _kaiser_lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
+    """scipy.signal.firwin(numtaps, cutoff, window=("kaiser", beta)) for a
+    cutoff given as a fraction of Nyquist, with its arithmetic: the ideal
+    low-pass impulse response times the symmetric Kaiser window, scaled to
+    unit gain at DC."""
+    half = 0.5 * (numtaps - 1)
+    m = np.arange(numtaps, dtype=float) - half
+    taps = cutoff * np.sinc(cutoff * m)
+    taps *= special.i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / special.i0(beta)
+    taps /= np.sum(taps)
+    return taps
+
+
 def design_lockin_fir(
     sample_rate: float,
     cutoff_hz: float,
@@ -303,14 +316,24 @@ def design_lockin_fir(
             f"< stopband edge {f_stop:.6g} Hz at sample rate {sample_rate:.6g} Hz"
         )
     # Kaiser sized for a bit more than the requested attenuation, transition
-    # from the cutoff to the stopband edge.
+    # from the cutoff to the stopband edge: scipy.signal.kaiserord's two
+    # formulas (beta as for more than 50 dB).
     width = f_stop - cutoff_hz
-    numtaps, beta = signal.kaiserord(STOPBAND_DB + 5.0, width / nyq)
+    atten_db = STOPBAND_DB + 5.0
+    beta = 0.1102 * (atten_db - 8.7)
+    numtaps = int(math.ceil((atten_db - 7.95) / 2.285 / (math.pi * (width / nyq)) + 1))
     numtaps |= 1
     if numtaps > MAX_TAPS:
         raise FilterDesignError(f"the filter needs {numtaps} taps, more than {MAX_TAPS}")
-    taps = signal.firwin(numtaps, (cutoff_hz + f_stop) / 2.0, window=("kaiser", beta), fs=sample_rate)
-    freqs, resp = signal.freqz(taps, worN=4096, fs=sample_rate)
+    taps = _kaiser_lowpass(numtaps, ((cutoff_hz + f_stop) / 2.0) / nyq, beta)
+    # the response on scipy.signal.freqz's grid of 4096 points below
+    # Nyquist, computed as freqz computes it
+    omega = np.linspace(0.0, math.pi, 4096, endpoint=False)
+    if numtaps <= 8192:
+        resp = sp_fft.rfft(taps, 8192)[:4096]
+    else:
+        resp = np.polynomial.polynomial.polyval(np.exp(-1j * omega), taps)
+    freqs = omega * (sample_rate / (2.0 * math.pi))
     mag = np.abs(resp)
     pass_sel = freqs <= passband_edge_hz
     ripple = np.max(np.abs(20.0 * np.log10(np.maximum(mag[pass_sel], 1e-12))))

@@ -1,8 +1,9 @@
 """Thread pool shared by the kernels of one repetition and by the sweeps.
 
-thread_map is its one primitive.  numpy's random fills, scipy's lfilter and
-FFTs and large elementwise ufuncs release the GIL, so independent streams
-and chunks overlap on threads.  Results come back in input order, so every
+thread_map is its one primitive.  numpy's random fills, the BLAS solve of
+the OU chains (called through ctypes), scipy's FFTs and large elementwise
+ufuncs release the GIL, so independent streams and chunks overlap on
+threads.  Results come back in input order, so every
 reduction over them is the same for any worker count.
 
 One pool per worker count is built on first use and reused by every later

@@ -12,6 +12,7 @@ in place, one block at a time (rotate_record_bin).
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -63,6 +64,25 @@ def write_record_bin(
                 fh.write(memoryview(np.ascontiguousarray(ch[i0 : i0 + _WRITE_BLOCK], dtype="<f8")))
 
 
+def _read_header(fh) -> tuple[float, int, int]:
+    """(sample rate, length, channel count) from the header of an open
+    record file, once the header is checked and the file is known to hold
+    every sample it announces."""
+    header = fh.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise ValueError("record file is truncated")
+    magic, version, rate, length, n_ch, kind = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise ValueError(f"unsupported version {version}")
+    if kind != KIND_REAL:
+        raise ValueError(f"unsupported record kind {kind}")
+    if os.fstat(fh.fileno()).st_size < _HEADER.size + 8 * n_ch * length:
+        raise ValueError("record file is truncated")
+    return rate, length, n_ch
+
+
 def rotate_record_bin(path, phase: float) -> None:
     """Multiply the complex record z = channel 0 + i*channel 1 of a
     two-channel file by exp(i*phase) in place, _WRITE_BLOCK samples at a
@@ -70,9 +90,9 @@ def rotate_record_bin(path, phase: float) -> None:
     the whole record."""
     factor = np.exp(1j * phase)
     with open(path, "r+b") as fh:
-        *_, length, n_ch, kind = _HEADER.unpack(fh.read(_HEADER.size))
-        if n_ch != 2 or kind != KIND_REAL:
-            raise ValueError(f"need a two-channel real record, got {n_ch} channels of kind {kind}")
+        _, length, n_ch = _read_header(fh)
+        if n_ch != 2:
+            raise ValueError(f"need a two-channel real record, got {n_ch} channels")
         z = np.empty(min(length, _WRITE_BLOCK), dtype=complex)
         for i0 in range(0, length, _WRITE_BLOCK):
             block = z[: min(_WRITE_BLOCK, length - i0)]
@@ -89,17 +109,7 @@ def read_record_bin(path) -> tuple[np.ndarray, float]:
     """The record and its sample rate: a 1-D array for one channel, else an
     array with one row per channel."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("record file is truncated")
-        magic, version, rate, length, n_ch, kind = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"unsupported version {version}")
-        if kind != KIND_REAL:
-            raise ValueError(f"unsupported record kind {kind}")
+        rate, length, n_ch = _read_header(fh)
         record = np.empty((n_ch, length), dtype="<f8")
-        if fh.readinto(memoryview(record)) != record.nbytes:
-            raise ValueError("record file is truncated")
+        fh.readinto(memoryview(record))
     return (record[0] if n_ch == 1 else record), rate

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
-from scipy import signal, special
+from scipy import special
 
 from .errors import SpectralError
 from .parallel import thread_map
@@ -52,6 +52,15 @@ MAX_OVERLAP = 0.9
 # spans ~ENBW bins); statistics that assume independent bins should use every
 # k-th bin instead.
 BIN_STEP_BY_WINDOW = {"boxcar": 1, "hann": 2, "hamming": 2, "blackman": 3}
+
+# Each window as a sum of cosines, a_k*cos(k*x) for x from -pi to pi: the
+# coefficients scipy.signal.get_window uses.
+_COSINE_TERMS = {
+    "boxcar": (1.0,),
+    "hann": (0.5, 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+}
 
 # PSD CSV rows formatted per write: formatting a whole heterodyne PSD
 # (125,001 rows on the defaults) at once holds about 14 MiB of Python
@@ -92,11 +101,27 @@ class Psd:
         return replace(self, freqs=self.freqs[sel], density=self.density[sel])
 
 
+def _periodic_window(window: str, length: int) -> np.ndarray:
+    """The DFT-even (periodic) window of the given length, summed as
+    scipy.signal.get_window(window, length) sums it, so with its bytes: the
+    cosine terms in order over length + 1 points from -pi to pi, the last
+    point dropped.  Lengths 0 and 1 give ones."""
+    if window not in _COSINE_TERMS:
+        raise SpectralError(f"window {window!r} is not one of {', '.join(_COSINE_TERMS)}")
+    if length <= 1:
+        return np.ones(length)
+    fac = np.linspace(-np.pi, np.pi, length + 1)
+    win = np.zeros(length + 1)
+    for k, a in enumerate(_COSINE_TERMS[window]):
+        win += a * np.cos(k * fac)
+    return win[:-1]
+
+
 @lru_cache(maxsize=8)
 def _window_terms(window: str, segment_len: int, hop: int) -> tuple[np.ndarray, float, tuple[float, ...]]:
     """The window values (read-only), their power sum and the normalized
     window correlation rho_m at each overlapping lag m*hop, m = 1, 2, ..."""
-    win_vals = signal.get_window(window, segment_len)
+    win_vals = _periodic_window(window, segment_len)
     win_vals.flags.writeable = False
     power_sum = float(np.sum(win_vals**2))
     rhos = tuple(

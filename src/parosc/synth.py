@@ -16,13 +16,16 @@ parametric rates, detuned segments the reference rates (s = 0, gamma_eff
 unchanged).  Each has one entry point, simulate_scheduled_quadratures and
 simulate_scheduled_envelopes, which synthesize any contiguous piece of a
 record and return its plain arrays: the quadratures (x, y) and the
-envelopes (beta_stokes, beta_antistokes).  Every real chain is an OUChain: the exact OU discretization
-(no step-size bias), started from a stationary draw and drawn in pieces that
-consume the same normals in the same order as one draw.  ou_step is the
-scalar form of that update.  Every stochastic stream is derived from the grid
-seed through named SeedSequence spawn keys, so trajectories are
-bit-reproducible and independent streams stay independent under any
-execution order.
+envelopes (beta_stokes, beta_antistokes).  Every real chain is an
+OUChain: the exact OU discretization (no step-size bias), started from a
+stationary draw and drawn in pieces that consume the same normals in the
+same order as one draw.  ou_step is the scalar form of that update.  The
+chain runs its recursion as BLAS's transposed unit bidiagonal solve
+(dtbsv), whose steps round as scipy.signal.lfilter's first-order filter
+does and which releases the GIL, so the streams overlap on threads.
+Every stochastic stream is derived from the grid seed through named
+SeedSequence spawn keys, so trajectories are bit-reproducible and
+independent streams stay independent under any execution order.
 
 A complex component stream draws its real part for the whole record, then
 its imaginary part.  Its imaginary chain has a generator of its own on the
@@ -33,11 +36,13 @@ together and still gets the normals of that order.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal
+from scipy.linalg import cython_blas
 
 from .errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from .model import DerivedRates, OscillatorParams
@@ -56,6 +61,9 @@ STREAM_FRAME_PHASE = 8
 
 # An IMAG chain's skip discards the REAL chain's normals this many at a time.
 _DRAW_BLOCK = 1 << 16
+# Samples per BLAS call of an OU chain's banded solve: each decay's band
+# holds 2*_SOLVE_BLOCK doubles (256 KiB).
+_SOLVE_BLOCK = 1 << 14
 
 RESONANT = "resonant"
 DETUNED = "detuned"
@@ -173,15 +181,69 @@ def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, no
     return alpha * prev + math.sqrt(stationary_var * (1.0 - alpha * alpha)) * noise_draw
 
 
+def _blas_dtbsv():
+    """BLAS dtbsv, the triangular banded solve, from the function pointer
+    that scipy.linalg.cython_blas exports.  It is called through ctypes,
+    which releases the GIL for the call, so chains overlap on threads."""
+    capsule = cython_blas.__pyx_capi__["dtbsv"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    int_p = ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, int_p, int_p,
+        ctypes.c_void_p, int_p, ctypes.c_void_p, int_p,
+    )
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+_dtbsv = _blas_dtbsv()
+_ONE = ctypes.c_int(1)
+_TWO = ctypes.c_int(2)
+
+
+@lru_cache(maxsize=8)
+def _ou_band(alpha: float) -> np.ndarray:
+    """The band of _SOLVE_BLOCK unit upper-bidiagonal columns whose
+    superdiagonal is -alpha, in BLAS band storage (two rows; the unit
+    diagonal row is not read).  Shared read-only between calls."""
+    band = np.full(2 * _SOLVE_BLOCK, -alpha)
+    band.flags.writeable = False
+    return band
+
+
+def _ou_solve(b: np.ndarray, alpha: float) -> None:
+    """b[j] += alpha*b[j-1] for j = 1, 2, ... in turn, in place in the
+    contiguous float64 array b: the first-order recursion of
+    scipy.signal.lfilter([1], [1, -alpha], b), with its bytes.
+
+    Each BLAS call solves A^T y = b for the unit upper-bidiagonal A with
+    superdiagonal -alpha, as y[j] = b[j] - (-alpha)*y[j-1]: a dot product
+    of length one, whose product is rounded before the subtraction, as in
+    lfilter.  (The lower, non-transposed solve fuses the two and rounds
+    differently.)  Consecutive calls share one sample, already solved, so
+    the recursion runs on across them."""
+    # hold the band: the cache may not (a thread that computed it beside
+    # another gets its own copy), and BLAS reads it through a raw address
+    band = _ou_band(alpha)
+    band_data, data = band.ctypes.data, b.ctypes.data
+    one, two = ctypes.byref(_ONE), ctypes.byref(_TWO)
+    for j0 in range(0, len(b) - 1, _SOLVE_BLOCK - 1):
+        n = ctypes.c_int(min(_SOLVE_BLOCK, len(b) - j0))
+        _dtbsv(b"U", b"T", b"U", ctypes.byref(n), one, band_data, two, data + 8 * j0, one)
+
+
 class OUChain:
     """Exact OU chain (the ou_step recursion, vectorized) drawn in
     consecutive pieces whose (decay, variance) may differ, the state carried
     continuously across pieces.  The first sample is a stationary draw of
     the first piece.  Drawing a chain in any split of its pieces consumes
     the same normals in the same order, so it gives the chain drawn whole.
-    Each call draws its normals at once and filters them in one pass.  The
-    first draw discards `skip` normals of the generator, _DRAW_BLOCK at a
-    time, before it takes any."""
+    Each call draws its normals at once, scales them, adds the carried
+    state to the first and runs the recursion over them in place
+    (_ou_solve).  The first draw discards `skip` normals of the generator,
+    _DRAW_BLOCK at a time, before it takes any."""
 
     def __init__(self, rng: np.random.Generator, dt: float):
         self.rng = rng
@@ -211,10 +273,10 @@ class OUChain:
             out[0] = out[0] + self.state if add else self.state
             i0 = 1
         if n > i0:
-            block, _ = signal.lfilter(
-                [sigma_w], [1.0, -alpha], self.rng.standard_normal(n - i0),
-                zi=np.array([alpha * self.state]),
-            )
+            block = self.rng.standard_normal(n - i0)
+            block *= sigma_w
+            block[0] += alpha * self.state
+            _ou_solve(block, alpha)
             self.state = block[-1]
             if add:
                 out[i0:n] += block

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from conftest import fast_config
+from parosc.config import RunConfig
 from parosc.detect import (
     _MIX_BLOCK,
     FLAT_PHASE_DEPTH,
+    STOPBAND_DB,
     DetectionParams,
     add_phase_sums,
     carrier_phasors,
@@ -309,6 +312,38 @@ class TestLockinFilter:
         stop = mag[freqs >= f_stop]
         assert np.max(20 * np.log10(np.maximum(stop, 1e-300))) < -60.0
         assert len(taps) % 2 == 1  # integer group delay
+
+    def test_design_equals_scipy_firwin(self):
+        # the taps of scipy's firwin at kaiserord's size, byte for byte: on
+        # the defaults, on the fast grid, undecimated on the fast grid, and
+        # past 8192 taps, where freqz sums the response as a polynomial
+        from scipy.signal import firwin, kaiserord
+
+        designs = []
+        for cfg in (RunConfig.defaults(), fast_config(), fast_config(decimate="1")):
+            v = cfg.values
+            edge = cfg.passband_edge_hz(cfg.derived_rates())
+            designs.append((v["sample_rate"], v["lowpass_cutoff"], v["carrier"], edge, v["decimate"]))
+        designs.append((FS, 3114.0, CARRIER, 1.2e3, 4))
+        for fs, cutoff, carrier, edge, decimate in designs:
+            f_stop = 2.0 * carrier / TWO_PI - cutoff
+            if decimate > 1:
+                f_stop = min(f_stop, fs / (2.0 * decimate))
+            numtaps, beta = kaiserord(STOPBAND_DB + 5.0, (f_stop - cutoff) / (fs / 2.0))
+            expected = firwin(numtaps | 1, (cutoff + f_stop) / 2.0, window=("kaiser", beta), fs=fs)
+            taps = design_lockin_fir(fs, cutoff, carrier, edge, decimate)
+            assert taps.tobytes() == expected.tobytes(), len(expected)
+        assert len(taps) > 8192
+
+    def test_refused_design_names_its_figures(self):
+        # a wide transition band: Kaiser's formula undersizes the filter,
+        # and the response on freqz's grid misses the stopband attenuation
+        with pytest.raises(FilterDesignError) as info:
+            design_lockin_fir(250e3, 20e3, TWO_PI * 70e3, 10e3)
+        assert str(info.value) == (
+            "designed filter misses spec: ripple 0.00973 dB (limit 0.1), "
+            "stopband 57.4 dB (limit 60.0)"
+        )
 
     def test_unsatisfiable_constraints_raise(self):
         with pytest.raises(FilterDesignError):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from itertools import count
@@ -69,6 +72,23 @@ def read_tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+class TestImports:
+    def test_package_imports_no_scipy_signal_or_stats(self):
+        # scipy.signal pulls in scipy.stats: together about half the set-up
+        # time of a verb and 20-30 MiB of its peak resident memory
+        code = (
+            "import sys\n"
+            "import parosc, parosc.pipeline, parosc.cli\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
 
 
 class TestRunSingle:
@@ -635,10 +655,11 @@ def _traced_peak(cfg, out) -> float:
     would otherwise be missing from the peak."""
     import tracemalloc
 
-    from parosc import detect, spectral
+    from parosc import detect, spectral, synth
 
     detect._block_phasor.cache_clear()
     spectral._window_terms.cache_clear()
+    synth._ou_band.cache_clear()
     tracemalloc.start()
     try:
         run_single(cfg, out)
@@ -652,7 +673,8 @@ class TestMemoryBound:
     def test_traced_peak_is_a_few_real_records(self, tmp_path):
         # Both records are streamed in blocks and no array spans the
         # record, so the traced peak stays below 1.6 records of 8 bytes per
-        # sample (1.03 here; 0.96 while the blocks were also cut at the
+        # sample (1.15 here, 0.08 of it the OU chains' solve bands, one
+        # per decay; 0.96 while the blocks were also cut at the
         # drive-segment bounds, which made most of them shorter on this
         # grid).
         # Holding the decimated complex baseband whole (half a record at
@@ -667,7 +689,7 @@ class TestMemoryBound:
         # With keep_raw each record piece is written from the array the run
         # already holds, and each piece of the demodulated channels as the
         # lock-in hands it on (rotated in the file at the end); the peak
-        # stays below 1.5 records (1.03 here).  With the component record
+        # stays below 1.5 records (1.15 here).  With the component record
         # held whole it peaked at 1.63 records on this grid, and copying
         # the records and channels for the dump at 3.0.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1", keep_raw="true")
@@ -678,7 +700,7 @@ class TestMemoryBound:
     def test_peak_with_segments_longer_than_a_block(self, tmp_path):
         # 15 s drive segments of 375 000 samples span several processing
         # blocks.  Only the slice assembler's one buffer, one pass at a
-        # time, is segment-sized, so the peak stays below 1.6 records (1.15
+        # time, is segment-sized, so the peak stays below 1.6 records (1.36
         # here); with every stage working on whole segments it read 2.09
         # records.
         cfg = tiny_config(duration="60s", schedule_period="15s", repetitions="1")

@@ -79,6 +79,19 @@ class TestBinaryRoundTrip:
             with pytest.raises(ValueError, match="truncated"):
                 read_record_bin(path)
 
+    def test_truncated_file_rejected_before_allocating(self, tmp_path, monkeypatch):
+        # a header announcing far more samples than the file holds is
+        # refused from the file size, before the record array is made
+        path = tmp_path / "rec.bin"
+        path.write_bytes(_HEADER.pack(MAGIC, VERSION, 1e3, 1 << 40, 2, 0) + bytes(80))
+
+        def no_empty(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "empty", no_empty)
+        with pytest.raises(ValueError, match="record file is truncated"):
+            read_record_bin(path)
+
     def test_piece_past_the_end_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="overruns"):
             write_record_bin(tmp_path / "rec.bin", np.zeros(10), 1e3, offset=995, length=1000)
@@ -113,6 +126,14 @@ class TestRotate:
         expected = tmp_path / "expected.bin"
         write_record_bin(expected, (z.real, z.imag), 1e3)
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        # a two-channel, 10-sample record cut to 15 samples
+        path = tmp_path / "channels.bin"
+        write_record_bin(path, (np.ones(10), np.zeros(10)), 1e3)
+        path.write_bytes(path.read_bytes()[: _HEADER.size + 8 * 15])
+        with pytest.raises(ValueError, match="record file is truncated"):
+            rotate_record_bin(path, 0.3)
 
     def test_one_channel_rejected(self, tmp_path):
         path = tmp_path / "rec.bin"

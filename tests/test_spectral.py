@@ -14,9 +14,11 @@ from scipy import signal
 from parosc.errors import SpectralError
 from parosc.fitting import fit_quadrature, fit_single_pair
 from parosc.spectral import (
+    BIN_STEP_BY_WINDOW,
     Psd,
     UsableSlices,
     Welch,
+    _periodic_window,
     _window_terms,
     bin_step_for,
     chi2_indistinguishable,
@@ -540,6 +542,19 @@ class TestChiSquareComparison:
             stat = float(np.sum((da - db) ** 2 / var))
             _, p = chi2_indistinguishable(a, b)
             assert p == float(chi2.sf(stat, len(da)))
+
+
+class TestWindows:
+    @pytest.mark.parametrize("window", sorted(BIN_STEP_BY_WINDOW))
+    def test_equal_scipy_get_window(self, window):
+        # every window has the bytes of scipy's periodic window
+        for length in (1, 2, 1001, 1000, 250_000):
+            expected = signal.get_window(window, length)
+            assert _periodic_window(window, length).tobytes() == expected.tobytes(), length
+
+    def test_unknown_window_raises(self):
+        with pytest.raises(SpectralError, match="'flattop' is not one of"):
+            _periodic_window("flattop", 16)
 
 
 class TestBinStep:

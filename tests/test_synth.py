@@ -1,6 +1,7 @@
 """Stochastic synthesis: exactness of the OU discretization, stationary
 statistics, stream independence and the component-backend spectral contract."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from parosc.synth import (
     STREAM_WIGNER_X,
     STREAM_WIGNER_Y,
     _DRAW_BLOCK,
+    _SOLVE_BLOCK,
     OUChain,
     Schedule,
     SimGrid,
@@ -79,27 +81,34 @@ class TestOuStep:
     def test_blocks_equal_one_filter_over_the_same_normals(self):
         # a chain drawn whole and in uneven pieces, some of them empty,
         # equals one lfilter call over the same normals, bit for bit; so
-        # does adding it into an array
-        decay, var, dt = TWO_PI * 8.0, 1.3, 1e-4
-        n = 3 * _DRAW_BLOCK + 17
-        alpha = math.exp(-decay * dt)
-        rng = stream_rng(7, 0)
-        first = math.sqrt(var) * rng.standard_normal()
-        w = rng.standard_normal(n - 1)
-        w *= math.sqrt(var * (1.0 - alpha * alpha))
-        rest, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * first]))
-        expected = np.concatenate(([first], rest))
-        splits = (
-            (n,),
-            (1, _DRAW_BLOCK - 1, 1, _DRAW_BLOCK + 5, 0, n - 2 * _DRAW_BLOCK - 6),
-            (_DRAW_BLOCK + 1, 2 * _DRAW_BLOCK - 1, 17),
-        )
-        for sizes in splits:
-            chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(7, 0))
-            assert np.array_equal(chain, expected), sizes
-        ones = np.ones(n)
-        OUChain(stream_rng(7, 0), dt).draw(n, decay, var, out=ones, add=True)
-        assert np.array_equal(ones, 1.0 + expected)
+        # does adding it into an array, and into the real part of a complex
+        # one.  Lengths around the solve block; alpha near 1 (the default
+        # gamma_minus/2 at 250 kHz), alpha = 0.5 and alpha underflowed to 0.
+        var = 1.3
+        decays = ((TWO_PI * 8.0, 1e-4), (TWO_PI * 5.0, 4e-6), (math.log(2.0), 1.0), (1e6, 1.0))
+        block = _SOLVE_BLOCK
+        lengths = (2, block - 1, block, block + 1, 2 * block - 1, 3 * block + 17)
+        for (decay, dt), n in itertools.product(decays, lengths):
+            alpha = math.exp(-decay * dt)
+            rng = stream_rng(7, 0)
+            first = math.sqrt(var) * rng.standard_normal()
+            w = rng.standard_normal(n - 1)
+            w *= math.sqrt(var * (1.0 - alpha * alpha))
+            rest, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * first]))
+            expected = np.concatenate(([first], rest))
+            splits = ((n,), (1, n // 2 - 1, 0, n - n // 2), (n - 1, 1))
+            for sizes in splits:
+                chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(7, 0))
+                assert np.array_equal(chain, expected), (decay, n, sizes)
+            ones = np.ones(n)
+            OUChain(stream_rng(7, 0), dt).draw(n, decay, var, out=ones, add=True)
+            assert np.array_equal(ones, 1.0 + expected), (decay, n)
+            z = np.full(n, 1.0 + 2.0j)
+            chain = OUChain(stream_rng(7, 0), dt)
+            chain.draw(1, decay, var, out=z.real[:1], add=True)
+            chain.draw(n - 1, decay, var, out=z.real[1:], add=True)
+            assert np.array_equal(z.real, 1.0 + expected), (decay, n)
+            assert np.array_equal(z.imag, np.full(n, 2.0))
 
     @pytest.mark.realization
     def test_million_step_variance_within_three_sigma(self):
@@ -312,6 +321,26 @@ class TestScheduledSynthesis:
         assert np.array_equal(env[0][1], env[1][1])
         assert np.array_equal(quad[0][0], quad[1][0])
         assert np.array_equal(quad[0][1], quad[1][1])
+
+    def test_threads_computing_one_band_together_read_it_intact(self, monkeypatch):
+        # both envelopes first solve at the narrow decay; when their threads
+        # compute its band at once, the cache keeps one copy and the other
+        # thread must still hold its own while BLAS reads it.  The slow
+        # band makes them meet every time.
+        import functools
+        import time
+
+        from parosc import synth
+
+        band_of = synth._ou_band.__wrapped__
+        rates = rates_for(0.5)
+        grid = SimGrid(sample_rate=250e3, duration=1.0, carrier=TWO_PI * 20e3, seed=17)
+        expected = simulate_scheduled_envelopes(OSC, rates, grid, workers=1)
+        for _ in range(3):
+            slow = functools.lru_cache(maxsize=8)(lambda alpha: time.sleep(0.05) or band_of(alpha))
+            monkeypatch.setattr(synth, "_ou_band", slow)
+            env = simulate_scheduled_envelopes(OSC, rates, grid, workers=2)
+            assert np.array_equal(env[0], expected[0]) and np.array_equal(env[1], expected[1])
 
     def test_envelope_is_sum_of_its_component_streams(self):
         # each envelope adds the broad component to the narrow one; each
