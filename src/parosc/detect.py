@@ -338,6 +338,11 @@ def design_lockin_fir(
     pass_sel = freqs <= passband_edge_hz
     ripple = np.max(np.abs(20.0 * np.log10(np.maximum(mag[pass_sel], 1e-12))))
     stop_sel = freqs >= f_stop
+    if not np.any(stop_sel):
+        raise FilterDesignError(
+            f"stopband edge {f_stop:.6g} Hz leaves no response point below "
+            f"the Nyquist frequency {nyq:.6g} Hz"
+        )
     atten = -np.max(20.0 * np.log10(np.maximum(mag[stop_sel], 1e-300)))
     if ripple > PASSBAND_RIPPLE_DB or atten < STOPBAND_DB:
         raise FilterDesignError(

@@ -9,19 +9,26 @@ gain s of the double fit).  `SinglePairModel`, `DoublePairModel` and
 with per-bin sigma = density / sqrt(effective averages), the chi-square
 statistics of averaged periodograms.  The floor and the areas enter linearly
 and are profiled out (variable projection; Golub & Pereyra, Inverse
-Problems 19, R1, 2003): every trial theta gets them from a bounded weighted
-linear solve on the model's `columns`, and theta is scanned on a fixed grid
-over its bounds and refined by bounded Brent.  The covariance comes from the
+Problems 19, R1, 2003): every trial theta gets them from a weighted linear
+solve on the model's `columns`, and theta is scanned on a fixed grid over
+its bounds and refined by bounded Brent.  The covariance comes from the
 analytic Jacobian at the optimum.
+
+Both solvers are numpy restatements of scipy.optimize's, with their bytes,
+so the package does not import scipy.optimize (and with it scipy.sparse and
+scipy.spatial): `_bounded_brent` is minimize_scalar(method="bounded"), and
+`_bounded_lstsq`, used when the unbounded solve breaks a lower bound,
+solves the free variables of every set held at the bound as
+lsq_linear(method="bvls") does and keeps the least-cost feasible one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize_scalar
 
 from .errors import SpectralError
 from .spectral import Psd, bin_step_for
@@ -30,6 +37,11 @@ from .spectral import Psd, bin_step_for
 MIN_BAND_BINS = 8
 # points of the nonlinear parameter's grid, endpoints (its bounds) included
 GRID_POINTS = 40
+# cost evaluations after which bounded Brent stops, unconverged
+MAX_BRENT_EVALUATIONS = 500
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def lorentzian(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
@@ -155,6 +167,28 @@ def _sigma_for(values: np.ndarray, psd: Psd) -> np.ndarray:
     return np.maximum(np.abs(values), floor) / math.sqrt(n_eff)
 
 
+def _bounded_lstsq(a, b, lower):
+    """The least-squares x >= lower, as the least-cost feasible candidate
+    over every set of variables held at `lower` (at most 2^5 = 32 for a
+    double fit).  The free variables are solved as
+    scipy.optimize.lsq_linear(method="bvls") solves them, so where BVLS
+    holds its bounded variables exactly at `lower` the two agree bit for
+    bit; unlike BVLS, the result never lies below `lower`."""
+    best, best_cost = lower, math.inf
+    for held in itertools.product((False, True), repeat=a.shape[1]):
+        held = np.array(held)
+        free = np.flatnonzero(~held)
+        x = lower * held
+        if free.size:
+            x[free] = np.linalg.lstsq(a[:, free], b - a.dot(x), rcond=None)[0]
+        if np.all(x >= lower):
+            r = b - a @ x
+            cost = r @ r
+            if cost < best_cost:
+                best, best_cost = x, cost
+    return best
+
+
 def _linear_solve(model, theta, lower, freqs, data, sigma):
     """Parameters of `model` with its nonlinear one at `theta` and the linear
     ones from a weighted least-squares solve on their columns, bounded below
@@ -163,15 +197,89 @@ def _linear_solve(model, theta, lower, freqs, data, sigma):
     b = data / sigma
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     if np.any(x < lower):
-        x = lsq_linear(a, b, bounds=(lower, np.inf), method="bvls").x
+        x = _bounded_lstsq(a, b, lower)
     r = b - a @ x
     return np.insert(x, model.k, theta), float(r @ r)
+
+
+def _bounded_brent(cost, a, b, xatol):
+    """Minimize cost(x) over [a, b] by Brent's golden-section and parabolic
+    steps: scipy.optimize.minimize_scalar(cost, bounds=(a, b),
+    method="bounded", options={"xatol": xatol}) with its arithmetic (scipy's
+    `_minimize_scalar_bounded`).  Returns (x, cost(x), evaluations,
+    converged); stopping at MAX_BRENT_EVALUATIONS or on a NaN is not
+    converging."""
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = cost(xf)
+    num = 1
+    fu = np.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:
+            # a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = cost(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= MAX_BRENT_EVALUATIONS:
+            converged = False
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        converged = False
+    return xf, fx, num, converged
 
 
 def _profile_pass(model, grid, lower, freqs, data, sigma):
     """Minimize the profiled cost over the nonlinear parameter: the best
     point of `grid`, refined by bounded Brent between its neighbours.
-    Returns (params, cost evaluations, Brent's exit status)."""
+    Returns (params, cost evaluations, Brent's convergence)."""
 
     def cost(theta):
         return _linear_solve(model, theta, lower, freqs, data, sigma)[1]
@@ -180,14 +288,12 @@ def _profile_pass(model, grid, lower, freqs, data, sigma):
     i = int(np.argmin(costs))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     # a tiny absolute tolerance leaves Brent's relative one, sqrt(eps)*|theta|
-    res = minimize_scalar(
-        cost, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10 * grid[-1]}
-    )
+    x, fx, evaluations, converged = _bounded_brent(cost, lo, hi, 1e-10 * grid[-1])
     # Brent never evaluates the bracket's ends: an optimum on a bound (s = 0)
     # is the grid point itself
-    theta = res.x if res.fun < costs[i] else grid[i]
+    theta = x if fx < costs[i] else grid[i]
     params = _linear_solve(model, theta, lower, freqs, data, sigma)[0]
-    return params, len(grid) + res.nfev, bool(res.success)
+    return params, len(grid) + evaluations, converged
 
 
 def _profile_fit(model, grid, lower, freqs, data, psd: Psd) -> _Optimum:
@@ -290,6 +396,10 @@ def _select_band(psd: Psd, intervals):
     sel = _in_intervals(freqs, intervals)
     if np.sum(sel) < MIN_BAND_BINS:
         raise SpectralError(f"fit band selects fewer than {MIN_BAND_BINS} bins")
+    if not np.all(np.isfinite(psd.density[sel])):
+        # an overflowed Welch power (a detector gain or shot noise far out of
+        # range) has no least-squares fit
+        raise SpectralError("fit band holds a non-finite density")
     step = bin_step_for(psd.window)
     idx = np.flatnonzero(sel)[::step]
     return freqs[idx], psd.density[idx]

@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
-from scipy.optimize import brentq
 
 from . import __version__, recordio
 from .config import TWO_PI, RunConfig, require_valid, require_valid_workers
@@ -40,7 +39,7 @@ from .detect import (
     optimize_demod_phase,
     schedule_drive,
 )
-from .errors import AntiDampedError, ConfigError, ParoscError, PipelineError, QuantumSqueezingRegimeError
+from .errors import ConfigError, ParoscError, PipelineError, QuantumSqueezingRegimeError
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
@@ -70,10 +69,6 @@ TOLERANCES = {
 # Record samples per processing block: a repetition synthesizes, composes
 # and lock-in filters its records one block at a time.
 _BLOCK = 1 << 17
-
-# epsilon_for_target_s walks the cooling-tone fraction down over this range.
-EPSILON_C_MIN = 0.5
-EPSILON_C_MAX = 1.0
 
 PSD_FILES = (
     "heterodyne_detuned.csv",
@@ -692,47 +687,6 @@ def run_sweep_ratio_vs_s(config: RunConfig, s_values, out_dir) -> list[dict]:
     at constant occupancy.  Per-point artifacts land in point_XX/; the summary
     table and a dense theory overlay are emitted as CSV."""
     return _run_sweep(_RATIO_SWEEP, config, s_values, out_dir)
-
-
-def epsilon_for_target_s(config: RunConfig, s_target: float) -> float:
-    """Cooling-tone fraction realizing a requested parametric gain at constant
-    total pump power.
-
-    Walks the monotone branch down from epsilon_c = 1 (where s = 0) and
-    brackets the target before root-finding; the walk stops where the model
-    leaves the damped stable region (anti-damping or s >= 1), which bounds
-    the usable epsilon_c range from below.
-    """
-    if s_target == 0.0:
-        return 1.0
-    osc = config.oscillator()
-
-    def s_of(eps):
-        try:
-            s = squeeze_param(config.pump(epsilon_c=eps), osc)
-        except (AntiDampedError, ValueError):
-            return None
-        return s
-
-    prev_eps = EPSILON_C_MAX - 1e-12
-    prev = s_of(prev_eps)
-    if prev is None:
-        raise PipelineError("model undefined at epsilon_c = 1")
-    for eps in np.linspace(prev_eps, EPSILON_C_MIN, 201)[1:]:
-        val = s_of(eps)
-        if val is None or val >= 1.0:
-            break
-        if (val - s_target) == 0.0:
-            return float(eps)
-        if (val > s_target) != (prev > s_target):
-            return float(
-                brentq(lambda e: s_of(e) - s_target, eps, prev_eps, xtol=1e-12)
-            )
-        prev_eps, prev = eps, val
-    raise PipelineError(
-        f"no epsilon_c in [{EPSILON_C_MIN:.3g}, {EPSILON_C_MAX:.3g}] realizes s = {s_target:.4g} "
-        "inside the stable damped region"
-    )
 
 
 def _variance_overlay(config: RunConfig) -> list[list]:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from conftest import fast_config
 from parosc.config import RunConfig
@@ -18,7 +19,7 @@ from parosc.detect import (
     compose_heterodyne_components,
     schedule_drive,
 )
-from parosc.errors import QuantumSqueezingRegimeError
+from parosc.errors import AntiDampedError, QuantumSqueezingRegimeError
 from parosc.fitting import (
     DoublePairModel,
     QuadratureModel,
@@ -31,10 +32,10 @@ from parosc.model import (
     analytic_sideband_psd,
     ratios,
     sideband_weights,
+    squeeze_param,
     thresholds,
 )
 from parosc.pipeline import (
-    epsilon_for_target_s,
     rep_seed,
     run_single,
     run_sweep_ratio_vs_s,
@@ -183,6 +184,35 @@ class TestCriterion3RoundTripSidebandRecovery:
         assert abs(mean) < 0.15, mean
         announce(3, f"pull calibration over 200 x 25 s: mean {mean:+.3f}, "
                     f"variance {var:.3f} in [0.7, 1.4] ({elapsed:.0f} s, target < 600 s)")
+
+
+def epsilon_for_target_s(config: RunConfig, s_target: float) -> float:
+    """Cooling-tone fraction realizing a requested parametric gain at
+    constant total pump power: walks the monotone branch down from
+    epsilon_c = 1 (where s = 0) until it brackets the target, then finds the
+    root.  The walk stops where the model leaves the damped stable region."""
+    if s_target == 0.0:
+        return 1.0
+    osc = config.oscillator()
+
+    def s_of(eps):
+        try:
+            return squeeze_param(config.pump(epsilon_c=eps), osc)
+        except (AntiDampedError, ValueError):
+            return None
+
+    prev_eps = 1.0 - 1e-12
+    prev = s_of(prev_eps)
+    for eps in np.linspace(prev_eps, 0.5, 201)[1:]:
+        val = s_of(eps)
+        if val is None or val >= 1.0:
+            break
+        if val == s_target:
+            return float(eps)
+        if (val > s_target) != (prev > s_target):
+            return float(brentq(lambda e: s_of(e) - s_target, eps, prev_eps, xtol=1e-12))
+        prev_eps, prev = eps, val
+    raise AssertionError(f"no epsilon_c in [0.5, 1] realizes s = {s_target}")
 
 
 @pytest.fixture(scope="module")

@@ -345,6 +345,15 @@ class TestLockinFilter:
             "stopband 57.4 dB (limit 60.0)"
         )
 
+    def test_stopband_above_nyquist_names_both(self):
+        # undecimated, the mixing image's edge 2*fc - cutoff can lie above
+        # Nyquist, where no response point tests the stopband
+        with pytest.raises(FilterDesignError) as info:
+            design_lockin_fir(250e3, 30e3, TWO_PI * 80e3, 10e3)
+        assert str(info.value) == (
+            "stopband edge 130000 Hz leaves no response point below the Nyquist frequency 125000 Hz"
+        )
+
     def test_unsatisfiable_constraints_raise(self):
         with pytest.raises(FilterDesignError):
             design_lockin_fir(FS, 5.5e3, CARRIER, 5.4e3)  # cutoff above image edge

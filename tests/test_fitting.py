@@ -7,13 +7,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear, minimize_scalar
 
+from parosc import fitting
 from parosc.detect import DetectionParams, compose_heterodyne_components
+from parosc.errors import SpectralError
 from parosc.fitting import (
     MIN_BAND_BINS,
     DoublePairModel,
     QuadratureModel,
     SinglePairModel,
+    _bounded_brent,
+    _bounded_lstsq,
     _in_intervals,
     band_bins,
     quadrature_intervals,
@@ -135,6 +140,121 @@ class TestProfileFit:
         p_true = [0.004, 4.2, 30.0]
         psd = noiseless_psd(QuadratureModel(1100.0), p_true)
         assert_recovered(fit_quadrature(psd, 1100.0, 300.0), p_true)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_brent_equals_scipy(cost, lo, hi, xatol):
+    """`_bounded_brent` against scipy's bounded minimize_scalar, bit for
+    bit in x, fun, nfev and success; returns its result."""
+    got = x, fx, evaluations, converged = _bounded_brent(cost, lo, hi, xatol)
+    ref = minimize_scalar(cost, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert (_bits(x), _bits(fx), evaluations, converged) == (
+        _bits(ref.x), _bits(ref.fun), ref.nfev, ref.success
+    )
+    return got
+
+
+class TestBoundedBrent:
+    @pytest.mark.parametrize(
+        "cost,lo,hi",
+        [
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0),  # a bowl
+            (lambda x: math.cos(x), 1.0, 5.0),  # a bowl found by parabolas
+            (lambda x: 1.0, 0.0, 1.0),  # flat
+            (lambda x: x, 0.2, 0.9),  # minimum at the lower end
+            (lambda x: -x, 0.2, 0.9),  # minimum at the upper end
+            (lambda x: math.nan, 0.0, 1.0),  # NaN: not converged
+        ],
+        ids=["bowl", "cosine", "flat", "lower_end", "upper_end", "nan"],
+    )
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-10, 1e-14])
+    def test_equals_scipy_bounded(self, cost, lo, hi, xatol):
+        assert_brent_equals_scipy(cost, lo, hi, xatol)
+
+    def test_stops_unconverged_at_the_evaluation_limit(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_BRENT_EVALUATIONS", 7)
+        x, fx, evaluations, converged = _bounded_brent(lambda x: x, 0.2, 0.9, 1e-10)
+        ref = minimize_scalar(lambda x: x, bounds=(0.2, 0.9), method="bounded",
+                              options={"xatol": 1e-10, "maxiter": 7})
+        assert (_bits(x), _bits(fx), evaluations, converged) == (
+            _bits(ref.x), _bits(ref.fun), 7, False
+        )
+
+    def test_every_fit_refines_as_scipy_does(self, monkeypatch):
+        # the profile costs of all three models on noise-free spectra, both
+        # passes of each fit
+        evaluations = []
+
+        def checked(cost, lo, hi, xatol):
+            got = assert_brent_equals_scipy(cost, lo, hi, xatol)
+            evaluations.append(got[2])
+            return got
+
+        monkeypatch.setattr(fitting, "_bounded_brent", checked)
+        psd = noiseless_psd(SinglePairModel(6100.0, 3900.0), [0.004, 20.0, 3.4, 2.9])
+        fit_single_pair(psd, (6100.0, 3900.0), 300.0)
+        psd = noiseless_psd(DoublePairModel(6100.0, 3900.0, 20.0), [0.004, 0.5, 1.175, 3.275, 0.925, 3.025])
+        fit_double_pair(psd, TWO_PI * 20.0, (6100.0, 3900.0), 300.0)
+        psd = noiseless_psd(QuadratureModel(1100.0), [0.004, 4.2, 30.0])
+        fit_quadrature(psd, 1100.0, 300.0)
+        assert len(evaluations) == 6 and min(evaluations) > 1
+
+
+class TestBoundedLstsq:
+    def test_equals_bvls(self):
+        # seeded problems whose unbounded solution breaks a bound.  Where
+        # BVLS holds each bounded variable exactly at its bound the answers
+        # agree bit for bit; BVLS can also leave one a rounding error off
+        # it, on either side, where the restated solve holds it exactly
+        rng = np.random.default_rng(31)
+        solved = equal = 0
+        while solved < 600:
+            n = int(rng.integers(2, 6))
+            a = rng.random((int(rng.integers(n + 1, 40)), n))
+            b = a @ rng.normal(size=n) + 0.5 * rng.normal(size=len(a))
+            lower = np.where(rng.random(n) < 0.5, 0.0, -0.1)
+            if not np.any(np.linalg.lstsq(a, b, rcond=None)[0] < lower):
+                continue
+            solved += 1
+            x = _bounded_lstsq(a, b, lower)
+            ref = lsq_linear(a, b, bounds=(lower, np.inf), method="bvls").x
+            assert np.all(x >= lower)
+            on_bound = (x == lower) | (ref == lower)
+            if np.all(ref[on_bound] == lower[on_bound]):
+                assert x.tobytes() == ref.tobytes()
+                equal += 1
+            else:
+                np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-15)
+        assert equal >= 595
+
+    def test_fits_on_a_noisy_record_bound_as_bvls_does(self, monkeypatch):
+        solves = []
+
+        def checked(a, b, lower):
+            x = _bounded_lstsq(a, b, lower)
+            ref = lsq_linear(a, b, bounds=(lower, np.inf), method="bvls").x
+            solves.append(x.tobytes() == ref.tobytes())
+            return x
+
+        monkeypatch.setattr(fitting, "_bounded_lstsq", checked)
+        psd, rates = make_component_psd(913, duration=30.0)
+        fit_single_pair(psd, CENTERS, 300.0)
+        fit_double_pair(psd, rates.gamma_eff, CENTERS, 300.0)
+        assert len(solves) > 5 and all(solves)
+
+
+class TestSelectBand:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_density_is_refused(self, bad):
+        # an overflowed Welch power once reached lstsq as
+        # "SVD did not converge in Linear Least Squares"
+        psd = noiseless_psd(QuadratureModel(1100.0), [0.004, 4.2, 30.0])
+        psd.density[(psd.freqs > 1200.0) & (psd.freqs < 1210.0)] = bad
+        with pytest.raises(SpectralError, match="non-finite density"):
+            fit_quadrature(psd, 1100.0, 300.0)
 
 
 class TestBandBins:

@@ -23,7 +23,6 @@ from parosc.pipeline import (
     PSD_FILES,
     FIT_FILES,
     _ratio,
-    epsilon_for_target_s,
     report_artifacts,
     run_single,
     run_sweep_ratio_vs_s,
@@ -77,11 +76,14 @@ def read_tree_bytes(root: Path) -> dict:
 class TestImports:
     def test_package_imports_no_scipy_signal_or_stats(self):
         # scipy.signal pulls in scipy.stats: together about half the set-up
-        # time of a verb and 20-30 MiB of its peak resident memory
+        # time of a verb and 20-30 MiB of its peak resident memory;
+        # scipy.optimize pulls in scipy.sparse and scipy.spatial, another
+        # 16 MiB
+        modules = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.spatial")
         code = (
             "import sys\n"
             "import parosc, parosc.pipeline, parosc.cli\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run(
@@ -345,15 +347,6 @@ class TestSweepVariances:
         assert report["aggregate"]["var_ratio_x"]["mean"] == pytest.approx(1.0, abs=0.15)
         assert report["aggregate"]["var_ratio_y"]["mean"] == pytest.approx(1.0, abs=0.15)
 
-    def test_epsilon_for_target_s_inverts_model(self):
-        cfg = fast_config(rate_source="params", g="5kHz", delta_pump="200kHz")
-        from parosc.model import squeeze_param
-
-        eps = epsilon_for_target_s(cfg, 0.3)
-        s = squeeze_param(cfg.pump(epsilon_c=eps), cfg.oscillator())
-        assert s == pytest.approx(0.3, abs=1e-9)
-        assert epsilon_for_target_s(cfg, 0.0) == 1.0
-
 
 class TestCli:
     def test_validate_config_ok(self, tmp_path, capsys):
@@ -411,6 +404,15 @@ class TestCli:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_stopband_above_nyquist_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("decimate = 1\ncarrier = 80kHz\nlowpass_cutoff = 30kHz\n")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: lowpass_cutoff 30000 Hz: stopband edge 130000 Hz leaves no "
+            "response point below the Nyquist frequency 125000 Hz\n"
+        )
 
     @pytest.mark.parametrize("line", ["gain = 0", "gain = -1"])
     def test_gain_not_positive_exit_2(self, tmp_path, capsys, line):
@@ -633,6 +635,19 @@ class TestCliNumericalFailure:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "stage 'quadrature fit'" in err
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning", "ignore:repetition seed:UserWarning"
+    )
+    @pytest.mark.parametrize("setting", [{"gain": "1e150"}, {"shot_psd": "1e300"}])
+    def test_overflowed_power_exit_3(self, tmp_path, capsys, setting):
+        # the Welch power overflows to inf; the fits refuse it instead of
+        # passing it to lstsq
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(tiny_config(repetitions="1", **setting).snapshot())
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stage '") and "fit': fit band holds a non-finite density" in err
 
 
 class TestWorkersArgument:
