@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, FilterDesignError
@@ -306,6 +307,7 @@ def validate_config(config: RunConfig) -> list[str]:
                 f"sample_rate {v['sample_rate']:.6g} Hz below the Nyquist margin "
                 f"2*{f_upper:.6g} Hz"
             )
+        problems += _overflow_problems(v, rates)
         try:
             taps = design_lockin_fir(v["sample_rate"], v["lowpass_cutoff"], v["carrier"],
                                      config.passband_edge_hz(rates), v["decimate"])
@@ -339,6 +341,31 @@ def _workers_problems(v: dict) -> list[str]:
     if 1 <= v["workers"] <= MAX_WORKERS:
         return []
     return [f"workers must lie in [1, {MAX_WORKERS}], got {v['workers']}"]
+
+
+def _overflow_problems(v: dict, rates: DerivedRates) -> list[str]:
+    """The record's Welch power sums must stay finite.  A row's bins reach
+    at most segment_len**2 times the variance of the narrow sidebands,
+    gain**2 * (var_x + var_y), plus segment_len times the shot noise's,
+    shot_psd * sample_rate / 2; the sums add at most every row of the
+    record.  The bound is taken in logarithms, so it is finite itself."""
+    segment_len = v["welch_segment"] * v["sample_rate"]
+    hop = segment_len * (1.0 - v["welch_overlap"])
+    if not (rates.s < 1.0 and hop > 0.0 and v["duration"] > 0 and v["gain"] > 0 and v["shot_psd"] >= 0):
+        return []  # reported elsewhere
+    log10 = math.log10
+    terms = [2 * log10(segment_len) + 2 * log10(v["gain"]) + log10(sum(rates.quadrature_variances()))]
+    if v["shot_psd"] > 0:
+        terms.append(log10(segment_len) + log10(v["shot_psd"]) + log10(v["sample_rate"] / 2.0))
+    top = max(terms)
+    bound = log10(v["duration"] * v["sample_rate"] / hop) + top + log10(sum(10.0 ** (t - top) for t in terms))
+    if bound < log10(sys.float_info.max):
+        return []
+    return [
+        f"gain {v['gain']:.6g} and shot_psd {v['shot_psd']:.6g} overflow: the Welch "
+        f"power sums of the record would reach up to 10**{bound:.1f}, past the "
+        f"largest double, 10**{log10(sys.float_info.max):.1f}"
+    ]
 
 
 def _usable_part_problems(v: dict, schedule, taps) -> list[str]:

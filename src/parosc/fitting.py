@@ -15,8 +15,7 @@ its bounds and refined by bounded Brent.  The covariance comes from the
 analytic Jacobian at the optimum.
 
 Both solvers are numpy restatements of scipy.optimize's, with their bytes,
-so the package does not import scipy.optimize (and with it scipy.sparse and
-scipy.spatial): `_bounded_brent` is minimize_scalar(method="bounded"), and
+so the package imports no scipy: `_bounded_brent` is minimize_scalar(method="bounded"), and
 `_bounded_lstsq`, used when the unbounded solve breaks a lower bound,
 solves the free variables of every set held at the bound as
 lsq_linear(method="bvls") does and keeps the least-cost feasible one.

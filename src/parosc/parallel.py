@@ -1,10 +1,10 @@
 """Thread pool shared by the kernels of one repetition and by the sweeps.
 
-thread_map is its one primitive.  numpy's random fills, the BLAS solve of
-the OU chains (called through ctypes), scipy's FFTs and large elementwise
-ufuncs release the GIL, so independent streams and chunks overlap on
-threads.  Results come back in input order, so every
-reduction over them is the same for any worker count.
+thread_map is its one primitive.  numpy's random fills, its FFTs and
+large elementwise ufuncs release the GIL (the OU chains' cumulative sums
+hold it), so independent streams and chunks overlap on threads.  Results
+come back in input order, so every reduction over them is the same for
+any worker count.
 
 One pool per worker count is built on first use and reused by every later
 call, so a kernel called once per record block pays no thread start-up.  A

@@ -10,8 +10,8 @@ instance.  A repetition streams its records in blocks through one block
 driver, the sideband record first, and assembles each drive segment's
 usable slice from the blocks for the Welch estimate of its class, so no
 array spans the record.  Artifacts are byte-reproducible for a fixed
-(config, seed) and environment (the numpy and scipy versions, which every
-report records), independent of the worker count.
+(config, seed) and environment (the numpy version, which every report
+records), independent of the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__, recordio
 from .config import TWO_PI, RunConfig, require_valid, require_valid_workers
@@ -414,10 +413,10 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _write_report(config: RunConfig, out: Path, report: dict, artifacts: list[str]) -> dict:
     """Write config.txt, report.json and report.txt, listing `artifacts` and
-    the package, numpy and scipy versions too: the FFTs' rounding, and so
-    the artifacts' last digits, depend on the libraries."""
+    the package and numpy versions too: the FFTs' rounding, and so the
+    artifacts' last digits, depend on numpy."""
     report["artifacts"] = sorted(["config.txt", "report.json", "report.txt", *artifacts])
-    report["provenance"] = {"parosc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    report["provenance"] = {"parosc": __version__, "numpy": np.__version__}
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash = {report['config_hash']}\n")
         fh.write(config.snapshot())

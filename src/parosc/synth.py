@@ -20,9 +20,10 @@ envelopes (beta_stokes, beta_antistokes).  Every real chain is an
 OUChain: the exact OU discretization (no step-size bias), started from a
 stationary draw and drawn in pieces that consume the same normals in the
 same order as one draw.  ou_step is the scalar form of that update.  The
-chain runs its recursion as BLAS's transposed unit bidiagonal solve
-(dtbsv), whose steps round as scipy.signal.lfilter's first-order filter
-does and which releases the GIL, so the streams overlap on threads.
+chain runs its recursion as a scaled cumulative sum in chunks that do not
+depend on how it is split (OUChain).  numpy's cumulative sum holds the
+GIL, but the normal draws, most of a chain's time, release it, so the
+streams overlap on threads.
 Every stochastic stream is derived from the grid seed through named
 SeedSequence spawn keys, so trajectories are bit-reproducible and
 independent streams stay independent under any execution order.
@@ -36,13 +37,12 @@ together and still gets the normals of that order.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cython_blas
+import numpy.random  # numpy would load it on first use, inside a run
 
 from .errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from .model import DerivedRates, OscillatorParams
@@ -61,9 +61,11 @@ STREAM_FRAME_PHASE = 8
 
 # An IMAG chain's skip discards the REAL chain's normals this many at a time.
 _DRAW_BLOCK = 1 << 16
-# Samples per BLAS call of an OU chain's banded solve: each decay's band
-# holds 2*_SOLVE_BLOCK doubles (256 KiB).
-_SOLVE_BLOCK = 1 << 14
+# Samples per chunk of an OU chain's scaled cumulative sum, at most: each
+# decay's powers hold 2*_CHUNK doubles (256 KiB).  Below _ALPHA_MIN a
+# chain keeps no memory (OUChain).
+_CHUNK = 1 << 14
+_ALPHA_MIN = math.exp(-600.0)
 
 RESONANT = "resonant"
 DETUNED = "detuned"
@@ -181,75 +183,44 @@ def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, no
     return alpha * prev + math.sqrt(stationary_var * (1.0 - alpha * alpha)) * noise_draw
 
 
-def _blas_dtbsv():
-    """BLAS dtbsv, the triangular banded solve, from the function pointer
-    that scipy.linalg.cython_blas exports.  It is called through ctypes,
-    which releases the GIL for the call, so chains overlap on threads."""
-    capsule = cython_blas.__pyx_capi__["dtbsv"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    int_p = ctypes.POINTER(ctypes.c_int)
-    prototype = ctypes.CFUNCTYPE(
-        None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, int_p, int_p,
-        ctypes.c_void_p, int_p, ctypes.c_void_p, int_p,
-    )
-    return prototype(get_pointer(capsule, get_name(capsule)))
-
-
-_dtbsv = _blas_dtbsv()
-_ONE = ctypes.c_int(1)
-_TWO = ctypes.c_int(2)
-
-
 @lru_cache(maxsize=8)
-def _ou_band(alpha: float) -> np.ndarray:
-    """The band of _SOLVE_BLOCK unit upper-bidiagonal columns whose
-    superdiagonal is -alpha, in BLAS band storage (two rows; the unit
-    diagonal row is not read).  Shared read-only between calls."""
-    band = np.full(2 * _SOLVE_BLOCK, -alpha)
-    band.flags.writeable = False
-    return band
-
-
-def _ou_solve(b: np.ndarray, alpha: float) -> None:
-    """b[j] += alpha*b[j-1] for j = 1, 2, ... in turn, in place in the
-    contiguous float64 array b: the first-order recursion of
-    scipy.signal.lfilter([1], [1, -alpha], b), with its bytes.
-
-    Each BLAS call solves A^T y = b for the unit upper-bidiagonal A with
-    superdiagonal -alpha, as y[j] = b[j] - (-alpha)*y[j-1]: a dot product
-    of length one, whose product is rounded before the subtraction, as in
-    lfilter.  (The lower, non-transposed solve fuses the two and rounds
-    differently.)  Consecutive calls share one sample, already solved, so
-    the recursion runs on across them."""
-    # hold the band: the cache may not (a thread that computed it beside
-    # another gets its own copy), and BLAS reads it through a raw address
-    band = _ou_band(alpha)
-    band_data, data = band.ctypes.data, b.ctypes.data
-    one, two = ctypes.byref(_ONE), ctypes.byref(_TWO)
-    for j0 in range(0, len(b) - 1, _SOLVE_BLOCK - 1):
-        n = ctypes.c_int(min(_SOLVE_BLOCK, len(b) - j0))
-        _dtbsv(b"U", b"T", b"U", ctypes.byref(n), one, band_data, two, data + 8 * j0, one)
+def _ou_powers(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha**-k, alpha**k) for k = 0 .. L, L the chunk length of an OU
+    chain at _ALPHA_MIN < alpha < 1: _CHUNK, cut so that alpha**-L stays
+    below 1/_ALPHA_MIN = e**600.  Shared read-only between calls."""
+    n = _CHUNK if alpha > _ALPHA_MIN ** (1.0 / _CHUNK) else int(600.0 / -math.log(alpha))
+    k = np.arange(n + 1, dtype=float)
+    rise, fall = np.power(alpha, -k), np.power(alpha, k)
+    rise.flags.writeable = fall.flags.writeable = False
+    return rise, fall
 
 
 class OUChain:
     """Exact OU chain (the ou_step recursion, vectorized) drawn in
     consecutive pieces whose (decay, variance) may differ, the state carried
     continuously across pieces.  The first sample is a stationary draw of
-    the first piece.  Drawing a chain in any split of its pieces consumes
-    the same normals in the same order, so it gives the chain drawn whole.
-    Each call draws its normals at once, scales them, adds the carried
-    state to the first and runs the recursion over them in place
-    (_ou_solve).  The first draw discards `skip` normals of the generator,
-    _DRAW_BLOCK at a time, before it takes any."""
+    the first piece.
+
+    The recursion y[n] = alpha*y[n-1] + w[n] runs in chunks: one starts
+    where (decay, variance) last changed and then every L samples
+    (_ou_powers).  Within the chunk anchored at sample c,
+    y[n] = alpha**(n-c) * (y[c] + sum over c < k <= n of alpha**(c-k)*w[k]),
+    a scaled cumulative sum.  The chain carries the running sum and the
+    offset in the chunk, so a call that starts mid-chunk continues the same
+    sequential sum: drawing a chain in any split of its pieces consumes the
+    same normals in the same order and gives the chain drawn whole, to the
+    bit.  At alpha below e**-600 the term alpha*y[n-1] is far below the
+    rounding of w[n] and y[n] = w[n].  The first draw discards `skip`
+    normals of the generator, _DRAW_BLOCK at a time, before it takes any."""
 
     def __init__(self, rng: np.random.Generator, dt: float):
         self.rng = rng
         self.dt = dt
-        self.state: float | None = None
+        self.state: float | None = None  # the last sample drawn
         self.skip = 0
+        self._params: tuple[float, float] | None = None  # (decay, var) of the chunk
+        self._sum = 0.0  # the chunk's running sum at its last sample drawn
+        self._offset = 0  # samples drawn since the chunk's anchor
 
     def draw(
         self, n: int, decay: float, var: float, out: np.ndarray | None = None, add: bool = False
@@ -272,16 +243,33 @@ class OUChain:
             self.state = math.sqrt(var) * self.rng.standard_normal()
             out[0] = out[0] + self.state if add else self.state
             i0 = 1
-        if n > i0:
-            block = self.rng.standard_normal(n - i0)
+        if (decay, var) != self._params:
+            self._params, self._offset = (decay, var), 0
+        rise, fall = _ou_powers(alpha) if alpha > _ALPHA_MIN else (None, None)
+        chunk = _CHUNK if rise is None else len(rise) - 1
+        buf = np.empty(min(n - i0, _CHUNK))
+        while i0 < n:
+            if self._offset == chunk:
+                self._offset = 0
+            if self._offset == 0:
+                self._sum = self.state
+            m = min(n - i0, chunk - self._offset)
+            block = self.rng.standard_normal(out=buf[:m])
             block *= sigma_w
-            block[0] += alpha * self.state
-            _ou_solve(block, alpha)
+            if rise is not None:
+                k = self._offset + 1
+                block *= rise[k : k + m]
+                block[0] += self._sum
+                np.cumsum(block, out=block)
+                self._sum = block[-1]
+                block *= fall[k : k + m]
+                self._offset += m
             self.state = block[-1]
             if add:
-                out[i0:n] += block
+                out[i0 : i0 + m] += block
             else:
-                out[i0:n] = block
+                out[i0 : i0 + m] = block
+            i0 += m
         return out
 
 

@@ -81,3 +81,9 @@ PAPER_EPSILON = 0.8
 PAPER_DELTA_EXAMPLE = float(TWO_PI * mp.mpf("530e3"))  # gamma_par example point
 PAPER_DELTA_CANON = float(TWO_PI * mp.mpf("200e3"))  # damping-regime working point
 PAPER_N_BAR = 5.8
+
+
+def chi2_tail(dof, stat):
+    """P(X > stat) for X chi-square of dof degrees of freedom: the
+    regularized upper incomplete gamma function Q(dof/2, stat/2)."""
+    return float(mp.gammainc(mp.mpf(dof) / 2, mp.mpf(stat) / 2, mp.inf, regularized=True))

@@ -95,3 +95,26 @@ def test_raw_records_compared_by_sample(tmp_path, capsys):
     assert 3e-12 < rel < 5e-12
     assert any(line.startswith("non-numeric difference") and line.endswith("raw/short.bin")
                for line in lines)
+
+
+def test_names_where_the_largest_difference_lies(tmp_path, capsys):
+    # a moved iteration count is told apart from a moved value: the JSON
+    # key path, the CSV column or else the line of each file's largest
+    # relative difference follows its status line
+    def fit(iterations, r_plus):
+        return json.dumps({"iterations": iterations, "values": {"r_plus": r_plus}, "note": "tol 1e-10"})
+
+    old = {"a/fit.json": fit(100, 0.5), "a/b.json": fit(100, 0.5),
+           "a/psd.csv": CSV.format(x="2.0"), "a/head.csv": CSV.format(x="2.0"), "a/report.txt": "x = 1\ny = 2\n"}
+    new = {"a/fit.json": fit(116, 0.5000002), "a/b.json": fit(100, 0.5000002),
+           "a/psd.csv": CSV.format(x="2.2"), "a/head.csv": CSV.format(x="2.0").replace("1.25", "1.5", 1),
+           "a/report.txt": "x = 1\ny = 3\n"}
+    code, status, lines = run(tmp_path, old, new, capsys)
+    assert code == 0
+    where = {lines[i].split()[-1]: lines[i + 1].strip() for i in range(len(lines) - 1)
+             if lines[i + 1].lstrip().startswith("at ")}
+    assert status["a/fit.json"] == "max rel 0.138" and where["a/fit.json"] == "at iterations"
+    assert status["a/b.json"] == "max rel 4e-07" and where["a/b.json"] == "at values.r_plus"
+    assert status["a/psd.csv"] == "max rel 0.0909" and where["a/psd.csv"] == "at column psd"
+    assert where["a/head.csv"] == "at line 2"
+    assert where["a/report.txt"] == "at line 2"

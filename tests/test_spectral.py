@@ -519,8 +519,11 @@ class TestChiSquareComparison:
         same, p = chi2_indistinguishable(a, b)
         assert not same
 
-    def test_p_value_is_the_scipy_chi2_tail_bitwise(self):
+    def test_p_value_is_the_chi2_tail(self):
+        # within 1e-11 relative of scipy's chi-square tail and of a 50-digit one
         from scipy.stats import chi2
+
+        from oracles import chi2_tail
 
         rng = stream_rng(35, 0)
         for _ in range(200):
@@ -541,7 +544,8 @@ class TestChiSquareComparison:
             var = (0.5 * (da + db)) ** 2 * (1.0 / k_a + 1.0 / k_b)
             stat = float(np.sum((da - db) ** 2 / var))
             _, p = chi2_indistinguishable(a, b)
-            assert p == float(chi2.sf(stat, len(da)))
+            assert p == pytest.approx(float(chi2.sf(stat, len(da))), rel=1e-11, abs=0.0)
+            assert p == pytest.approx(chi2_tail(len(da), stat), rel=1e-11, abs=0.0)
 
 
 class TestWindows:

@@ -1,7 +1,6 @@
 """Stochastic synthesis: exactness of the OU discretization, stationary
 statistics, stream independence and the component-backend spectral contract."""
 
-import itertools
 import math
 
 import numpy as np
@@ -24,8 +23,9 @@ from parosc.synth import (
     STREAM_ENV_STOKES_NARROW,
     STREAM_WIGNER_X,
     STREAM_WIGNER_Y,
+    _ALPHA_MIN,
+    _CHUNK,
     _DRAW_BLOCK,
-    _SOLVE_BLOCK,
     OUChain,
     Schedule,
     SimGrid,
@@ -36,6 +36,7 @@ from parosc.synth import (
     single_segment_schedule,
     stream_rng,
     _envelope_component_table,
+    _ou_powers,
 )
 
 from oracles import ar1_variance_estimator_sigma
@@ -47,6 +48,11 @@ OSC = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=5.8)
 
 def rates_for(s, n_bar=5.8, gamma_eff=TWO_PI * 20.0):
     return DerivedRates.from_target(gamma_eff, s, n_bar)
+
+
+def chunk_of(alpha):
+    """The chunk length of an OU chain at alpha."""
+    return len(_ou_powers(alpha)[0]) - 1 if alpha > _ALPHA_MIN else _CHUNK
 
 
 def chain_of(pieces, dt, rng):
@@ -79,36 +85,83 @@ class TestOuStep:
             np.testing.assert_allclose(chain, manual, rtol=1e-12)
 
     def test_blocks_equal_one_filter_over_the_same_normals(self):
-        # a chain drawn whole and in uneven pieces, some of them empty,
-        # equals one lfilter call over the same normals, bit for bit; so
-        # does adding it into an array, and into the real part of a complex
-        # one.  Lengths around the solve block; alpha near 1 (the default
-        # gamma_minus/2 at 250 kHz), alpha = 0.5 and alpha underflowed to 0.
+        # a chain drawn whole and in uneven pieces, some of them empty, has
+        # the same bytes; so does adding it into an array, and into the
+        # real part of a complex one.  It agrees with one lfilter call over
+        # the same normals to 1e-12 of its sigma.  Lengths around the chunk
+        # length; alpha near 1 (the default gamma_minus/2 at 250 kHz),
+        # alpha = 0.5 (a chunk cut short by the e**600 bound) and alpha
+        # underflowed to 0.
         var = 1.3
         decays = ((TWO_PI * 8.0, 1e-4), (TWO_PI * 5.0, 4e-6), (math.log(2.0), 1.0), (1e6, 1.0))
-        block = _SOLVE_BLOCK
-        lengths = (2, block - 1, block, block + 1, 2 * block - 1, 3 * block + 17)
-        for (decay, dt), n in itertools.product(decays, lengths):
+        for decay, dt in decays:
             alpha = math.exp(-decay * dt)
-            rng = stream_rng(7, 0)
-            first = math.sqrt(var) * rng.standard_normal()
-            w = rng.standard_normal(n - 1)
-            w *= math.sqrt(var * (1.0 - alpha * alpha))
-            rest, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * first]))
-            expected = np.concatenate(([first], rest))
-            splits = ((n,), (1, n // 2 - 1, 0, n - n // 2), (n - 1, 1))
-            for sizes in splits:
-                chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(7, 0))
-                assert np.array_equal(chain, expected), (decay, n, sizes)
-            ones = np.ones(n)
-            OUChain(stream_rng(7, 0), dt).draw(n, decay, var, out=ones, add=True)
-            assert np.array_equal(ones, 1.0 + expected), (decay, n)
-            z = np.full(n, 1.0 + 2.0j)
-            chain = OUChain(stream_rng(7, 0), dt)
-            chain.draw(1, decay, var, out=z.real[:1], add=True)
-            chain.draw(n - 1, decay, var, out=z.real[1:], add=True)
-            assert np.array_equal(z.real, 1.0 + expected), (decay, n)
-            assert np.array_equal(z.imag, np.full(n, 2.0))
+            chunk = chunk_of(alpha)
+            for n in (2, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 3 * chunk + 17):
+                rng = stream_rng(7, 0)
+                first = math.sqrt(var) * rng.standard_normal()
+                w = rng.standard_normal(n - 1)
+                w *= math.sqrt(var * (1.0 - alpha * alpha))
+                rest, _ = signal.lfilter([1.0], [1.0, -alpha], w, zi=np.array([alpha * first]))
+                filtered = np.concatenate(([first], rest))
+                expected = chain_of([(n, decay, var)], dt, stream_rng(7, 0))
+                assert np.max(np.abs(expected - filtered)) <= 1e-12 * math.sqrt(var), (decay, n)
+                splits = ((1, n // 2 - 1, 0, n - n // 2), (n - 1, 1), (1, chunk - 1, n - chunk))
+                for sizes in splits:
+                    if min(sizes) < 0:
+                        continue
+                    chain = chain_of([(k, decay, var) for k in sizes], dt, stream_rng(7, 0))
+                    assert np.array_equal(chain, expected), (decay, n, sizes)
+                ones = np.ones(n)
+                OUChain(stream_rng(7, 0), dt).draw(n, decay, var, out=ones, add=True)
+                assert np.array_equal(ones, 1.0 + expected), (decay, n)
+                z = np.full(n, 1.0 + 2.0j)
+                chain = OUChain(stream_rng(7, 0), dt)
+                chain.draw(1, decay, var, out=z.real[:1], add=True)
+                chain.draw(n - 1, decay, var, out=z.real[1:], add=True)
+                assert np.array_equal(z.real, 1.0 + expected), (decay, n)
+                assert np.array_equal(z.imag, np.full(n, 2.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        params=st.lists(
+            st.tuples(
+                st.sampled_from((1e-4, 5e-2, 0.7, 3.0, 650.0, 800.0)),  # decay * dt: alpha near 1 to 0
+                st.sampled_from((0.3, 1.3)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_any_split_gives_the_chain_drawn_whole(self, data, params):
+        # pieces at random (decay, var), repeats among them, each as long
+        # as up to three chunks; every piece then cut at random, at chunk
+        # bounds and inside chunks, so that a parameter also switches
+        # mid-chunk.  The cut chain has the bytes of the whole one, also
+        # added into an array and into the real part of a complex one.
+        dt = 1e-3
+        pieces = []
+        for decay_dt, var in params:
+            chunk = chunk_of(math.exp(-decay_dt))
+            n = data.draw(st.sampled_from((chunk, 2 * chunk, chunk + 1)) | st.integers(0, 3 * chunk))
+            pieces.append((n, decay_dt / dt, var, chunk))
+        expected = chain_of([(n, decay, var) for n, decay, var, _ in pieces], dt, stream_rng(11, 0))
+        cut = []
+        for n, decay, var, chunk in pieces:
+            bounds = data.draw(st.lists(st.integers(0, n) | st.sampled_from(range(0, n + 1, chunk)), max_size=4))
+            edges = [0, *sorted(bounds), n]
+            cut += [(b - a, decay, var) for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(chain_of(cut, dt, stream_rng(11, 0)), expected)
+        total = len(expected)
+        ones, z = np.ones(total), np.full(total, 1.0 + 2.0j)
+        for out in (ones, z.real):
+            chain, pos = OUChain(stream_rng(11, 0), dt), 0
+            for n, decay, var in cut:
+                chain.draw(n, decay, var, out=out[pos : pos + n], add=True)
+                pos += n
+        assert np.array_equal(ones, 1.0 + expected)
+        assert np.array_equal(z.real, 1.0 + expected) and np.array_equal(z.imag, np.full(total, 2.0))
 
     @pytest.mark.realization
     def test_million_step_variance_within_three_sigma(self):
@@ -323,22 +376,22 @@ class TestScheduledSynthesis:
         assert np.array_equal(quad[0][1], quad[1][1])
 
     def test_threads_computing_one_band_together_read_it_intact(self, monkeypatch):
-        # both envelopes first solve at the narrow decay; when their threads
-        # compute its band at once, the cache keeps one copy and the other
-        # thread must still hold its own while BLAS reads it.  The slow
-        # band makes them meet every time.
+        # both envelopes first draw at the narrow decay; when their threads
+        # compute its power tables at once, the cache keeps one copy and
+        # the other thread must still read its own.  The slow tables make
+        # them meet every time.
         import functools
         import time
 
         from parosc import synth
 
-        band_of = synth._ou_band.__wrapped__
+        powers_of = synth._ou_powers.__wrapped__
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=250e3, duration=1.0, carrier=TWO_PI * 20e3, seed=17)
         expected = simulate_scheduled_envelopes(OSC, rates, grid, workers=1)
         for _ in range(3):
-            slow = functools.lru_cache(maxsize=8)(lambda alpha: time.sleep(0.05) or band_of(alpha))
-            monkeypatch.setattr(synth, "_ou_band", slow)
+            slow = functools.lru_cache(maxsize=8)(lambda alpha: time.sleep(0.05) or powers_of(alpha))
+            monkeypatch.setattr(synth, "_ou_powers", slow)
             env = simulate_scheduled_envelopes(OSC, rates, grid, workers=2)
             assert np.array_equal(env[0], expected[0]) and np.array_equal(env[1], expected[1])
 

@@ -11,7 +11,10 @@ under either tree the script prints one line:
   agree in everything but their numbers, and <x> is the largest relative
   difference |a - b| / max(|a|, |b|) over their numeric cells; raw record
   files (``.bin``) are compared the same way over their samples when their
-  headers agree;
+  headers agree.  For a text file an indented line ``at <where>`` follows,
+  naming the first cell with that difference: its key path in a JSON file
+  (``fits[0].iterations``), its column in a CSV file's rows
+  (``column psd``), else its line (``line 3``);
 - ``non-numeric difference``: anything else differs;
 - ``missing in NEW`` / ``extra in NEW``: the file is in one tree only.
 
@@ -48,17 +51,60 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _text_diff(old: bytes, new: bytes) -> float | None:
-    """Largest relative difference over the numbers of two texts that agree
-    elsewhere; None when they differ in anything but their numbers."""
+def _json_diffs(old, new, path: str = ""):
+    """(relative difference, key path) of every pair of numbers at the same
+    place of two parsed JSON documents of the same shape, in file order;
+    numbers inside strings count under the string's path."""
+    if isinstance(old, dict):
+        for key in old:
+            yield from _json_diffs(old[key], new[key], f"{path}.{key}" if path else key)
+    elif isinstance(old, list):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _json_diffs(a, b, f"{path}[{i}]")
+    elif isinstance(old, str):
+        for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
+            yield rel_diff(float(a), float(b)), path
+    elif isinstance(old, (int, float)) and not isinstance(old, bool):
+        yield rel_diff(float(old), float(new)), path
+
+
+def _line_place(text: str, pos: int, csv: bool) -> str:
+    """Where the character at pos lies: the column of a CSV data row, named
+    by the header (the first line not starting with '#'), else the line."""
+    before = text[:pos].split("\n")
+    if csv:
+        lines = text.split("\n")
+        header = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+        names = lines[header].split(",") if header < len(lines) else []
+        column = before[-1].count(",")
+        if len(before) - 1 > header and column < len(names):
+            return f"column {names[column]}"
+    return f"line {len(before)}"
+
+
+def _text_diff(old: bytes, new: bytes, name: str) -> tuple[float, str] | None:
+    """(largest relative difference, where) over the numbers of two texts
+    that agree elsewhere; None when they differ in anything but their
+    numbers.  Where is a JSON key path, a CSV column or a line."""
     try:
         old_text, new_text = old.decode("utf-8"), new.decode("utf-8")
     except UnicodeDecodeError:
         return None
     if NUMBER.split(old_text) != NUMBER.split(new_text):
         return None
-    pairs = zip(NUMBER.findall(old_text), NUMBER.findall(new_text))
-    return max((rel_diff(float(a), float(b)) for a, b in pairs), default=0.0)
+    if name.endswith(".json"):
+        try:
+            diffs = list(_json_diffs(json.loads(old_text), json.loads(new_text)))
+        except ValueError:
+            diffs = None
+        if diffs is not None:
+            return max(diffs, key=lambda d: d[0], default=(0.0, ""))
+    pairs = list(zip(NUMBER.finditer(old_text), NUMBER.finditer(new_text)))
+    diffs = [rel_diff(float(a.group()), float(b.group())) for a, b in pairs]
+    if not diffs:
+        return 0.0, ""
+    k = max(range(len(diffs)), key=diffs.__getitem__)
+    return diffs[k], _line_place(new_text, pairs[k][1].start(), name.endswith(".csv"))
 
 
 def _record_diff(old: bytes, new: bytes) -> float | None:
@@ -75,13 +121,15 @@ def _record_diff(old: bytes, new: bytes) -> float | None:
     return float(np.max(rel, initial=0.0)) if not np.isnan(rel).any() else math.inf
 
 
-def file_diff(old: bytes, new: bytes) -> float | None:
-    """0.0 for equal bytes, the largest relative difference of the numbers
-    when only numbers differ, else None."""
+def file_diff(old: bytes, new: bytes, name: str) -> tuple[float, str] | None:
+    """(0.0, "") for equal bytes; (the largest relative difference of the
+    numbers, where it lies) when only numbers differ, else None.  Where is
+    the key path in a JSON file, the column in a CSV file's rows, the line
+    of another text and empty for a raw record."""
     if old == new:
-        return 0.0
+        return 0.0, ""
     diff = _record_diff(old, new)
-    return diff if diff is not None else _text_diff(old, new)
+    return (diff, "") if diff is not None else _text_diff(old, new, name)
 
 
 def flipped_checks(old_report: Path, new_report: Path) -> list[str]:
@@ -110,21 +158,24 @@ def compare(old_root: Path, new_root: Path, out=sys.stdout) -> int:
     failed = False
     flips = []
     for name in sorted(old_files | new_files):
+        where = ""
         if name not in new_files:
             status, failed = "missing in NEW", True
         elif name not in old_files:
             status, failed = "extra in NEW", True
         else:
-            diff = file_diff((old_root / name).read_bytes(), (new_root / name).read_bytes())
+            diff = file_diff((old_root / name).read_bytes(), (new_root / name).read_bytes(), name)
             if diff is None:
                 status, failed = "non-numeric difference", True
-            elif diff == 0.0:
+            elif diff[0] == 0.0:
                 status = "identical"
             else:
-                status = f"max rel {diff:.3g}"
+                status, where = f"max rel {diff[0]:.3g}", diff[1]
             if Path(name).name == "report.json":
                 flips += [f"{name}: {f}" for f in flipped_checks(old_root / name, new_root / name)]
         print(f"{status:<24} {name}", file=out)
+        if where:
+            print(f"{'':<24} at {where}", file=out)
     print(f"checks flipped: {len(flips)}", file=out)
     for flip in flips:
         print(f"  {flip}", file=out)
