@@ -26,13 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AliasingError, FilterDesignError, ScheduleError
-from .parallel import thread_map
+from .parallel import shared, thread_map
 from .spectral import Psd, Welch
 from .synth import (
     DETUNED,
@@ -136,8 +135,9 @@ def _check_nyquist(grid: SimGrid, delta_lo: float) -> None:
         )
 
 
-@lru_cache(maxsize=8)
+@shared
 def _block_phasor(omega: float, dt: float, n: int) -> np.ndarray:
+    """The block phasor exp(i*omega*k*dt), k < n, read-only."""
     phasor = np.exp(1j * (omega * dt * np.arange(n)))
     phasor.flags.writeable = False
     return phasor
@@ -154,9 +154,24 @@ def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0, start: 
     record mixed one piece at a time gets the phasors of the whole record.
     The result agrees with the direct exp to the rounding already present in
     omega*t.  Each yielded array is fresh, so callers may scale it in place.
+    A caller mixing a record one piece at a time holds the block phasor for
+    the record instead (_record_phasors, Baseband).
     """
+    block = _block_phasor(omega, dt, min(start + n, _MIX_BLOCK))
+    return _rotated_blocks(block, n, omega, dt, phase, start)
+
+
+def _record_phasors(streams: Streams, n: int, omega: float, dt: float, phase: float, start: int):
+    """carrier_phasors of a piece of the record whose Streams hold its
+    block phasor: made for the record's first piece, gone with the
+    record."""
+    n_table = min(max(streams.n_samples, start + n), _MIX_BLOCK)
+    block = streams.table(_block_phasor, omega, dt, n_table)
+    return _rotated_blocks(block, n, omega, dt, phase, start)
+
+
+def _rotated_blocks(block: np.ndarray, n: int, omega: float, dt: float, phase: float, start: int):
     end = start + n
-    block = _block_phasor(omega, dt, min(end, _MIX_BLOCK))
     i0 = start
     while i0 < end:
         b = i0 - i0 % _MIX_BLOCK
@@ -207,13 +222,15 @@ def compose_heterodyne_wigner(
     _check_nyquist(grid, delta_lo)
     start = grid.start
     out = np.empty(grid.n_samples)
+    streams = Streams.for_grid(grid, streams)
 
     def mix():
         # Each block is computed in its place in out and in its fresh
         # phasors.  The two phasor streams are stepped in turn, not zipped:
         # zip would hold the last pair while the next is made.
-        los = carrier_phasors(len(out), delta_lo, grid.dt, 0.0, start)
-        for i0, i1, car in carrier_phasors(len(out), grid.carrier, grid.dt, frame_phase, start):
+        los = _record_phasors(streams, len(out), delta_lo, grid.dt, 0.0, start)
+        for i0, i1, car in _record_phasors(streams, len(out), grid.carrier, grid.dt, frame_phase,
+                                           start):
             lo = next(los)[2]
             j0, j1 = i0 - start, i1 - start
             beat = np.multiply(car.real, x[j0:j1], out=out[j0:j1])
@@ -222,8 +239,7 @@ def compose_heterodyne_wigner(
             beat *= 2.0 * det.gain
             del car, lo  # before the next block's phasors are made
 
-    shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_WIGNER)
-    _mix_into(out, mix, det.shot_psd, grid.sample_rate, shot, workers)
+    _mix_into(out, mix, det.shot_psd, grid.sample_rate, streams.rng(STREAM_SHOT_WIGNER), workers)
     return out
 
 
@@ -252,13 +268,15 @@ def compose_heterodyne_components(
     _check_nyquist(grid, delta_lo)
     start = grid.start
     samples = np.empty(grid.n_samples)
+    streams = Streams.for_grid(grid, streams)
 
     def mix():
         # Re{beta e^{i phi}} = Re(beta) cos(phi) - Im(beta) sin(phi); each
         # block is computed in its place in samples and in its fresh phasors,
         # the phasor streams stepped in turn as in compose_heterodyne_wigner
-        dns = carrier_phasors(len(samples), grid.carrier - delta_lo, grid.dt, 0.0, start)
-        for i0, i1, up in carrier_phasors(len(samples), grid.carrier + delta_lo, grid.dt, 0.0, start):
+        dns = _record_phasors(streams, len(samples), grid.carrier - delta_lo, grid.dt, 0.0, start)
+        for i0, i1, up in _record_phasors(streams, len(samples), grid.carrier + delta_lo, grid.dt,
+                                          0.0, start):
             dn = next(dns)[2]
             j0, j1 = i0 - start, i1 - start
             b_s, b_as = beta_stokes[j0:j1], beta_antistokes[j0:j1]
@@ -271,8 +289,8 @@ def compose_heterodyne_components(
             mixed += quad
             del up, dn, quad  # before the next block's phasors are made
 
-    shot = Streams.for_grid(grid, streams).rng(STREAM_SHOT_COMPONENT)
-    _mix_into(samples, mix, det.shot_psd, grid.sample_rate, shot, workers)
+    _mix_into(samples, mix, det.shot_psd, grid.sample_rate, streams.rng(STREAM_SHOT_COMPONENT),
+              workers)
     return samples
 
 
@@ -457,6 +475,7 @@ class Baseband:
         self._step = self._nfft - (m - 1)
         self._n_blocks = -(-n_samples // self._step)
         self._response = _real_fft(taps, self._nfft)
+        self._phasor = _block_phasor(carrier, 1.0 / sample_rate, min(n_samples, _MIX_BLOCK))
         # padded[h + k] holds the mixed sample k (h = m//2 leading zeros);
         # block b reads padded[b*step : b*step + nfft] and keeps its last
         # `step` outputs; _tail is padded[_block*step : h + _fed]
@@ -497,7 +516,7 @@ class Baseband:
         buf[:kept] = self._tail
         buf[kept + len(samples) :] = 0.0
         dt = 1.0 / self.sample_rate
-        for i0, i1, ph in carrier_phasors(len(samples), self.carrier, dt, 0.0, start):
+        for i0, i1, ph in _rotated_blocks(self._phasor, len(samples), self.carrier, dt, 0.0, start):
             ph *= samples[i0 - start : i1 - start]
             np.multiply(ph, 2.0, out=buf[kept + i0 - start : kept + i1 - start])
         n_ready = max(0, (size - (m - 1)) // step)

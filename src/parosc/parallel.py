@@ -11,11 +11,18 @@ call, so a kernel called once per record block pays no thread start-up.  A
 call made on one of the pools' own threads (a sweep point's kernels, say)
 runs serially there: a task never waits on tasks queued behind it, so
 nested calls cannot deadlock.
+
+Read-only tables (a mixing phasor, a Welch window) are made through
+`shared`, which hands every holder of a table the same array and keeps
+none that nobody holds: the runs that use a table at the same time, on
+any thread, share it, and a finished run's tables do not stay resident.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -49,3 +56,22 @@ def thread_map(fn, items, workers: int = 1) -> list:
     wait(futures)
     return [future.result() for future in futures]
 
+
+def shared(make):
+    """make, remembered for its arguments only while a caller holds its
+    result: a call made then, on any thread, returns that same array, and
+    once the last holder drops it the next call makes it anew.  A caller
+    that needs a table for every piece of a record keeps it for the record
+    (Streams.table, a Welch estimate's window)."""
+    tables = weakref.WeakValueDictionary()
+    lock = threading.Lock()
+
+    @functools.wraps(make)
+    def table(*args):
+        with lock:  # one make per table, however many threads ask at once
+            value = tables.get(args)
+            if value is None:
+                value = tables[args] = make(*args)
+            return value
+
+    return table

@@ -7,11 +7,15 @@ per-drive-class PSDs, performs the reference fit that pins the effective
 width, then the constrained double fit and the quadrature fits.  Fitted
 values and theory overlays always come from one shared DerivedRates
 instance.  A repetition streams its records in blocks through one block
-driver, the sideband record first, and assembles each drive segment's
-usable slice from the blocks for the Welch estimate of its class, so no
-array spans the record.  Artifacts are byte-reproducible for a fixed
-(config, seed) and environment (the numpy version, which every report
-records), independent of the worker count.
+driver, the sideband record first.  The sideband pass cuts each block at
+the usable slices' bounds and feeds the parts straight to the Welch
+estimate of their drive class; the quadrature pass assembles each usable
+slice of the decimated baseband for its class's estimate and the phase
+sums.  So no array spans the record, and what the sideband pass holds is
+bounded by a block and the Welch segments, whatever the drive period.
+Each pass's tables go with it.  Artifacts are
+byte-reproducible for a fixed (config, seed) and environment (the numpy
+version, which every report records), independent of the worker count.
 """
 
 from __future__ import annotations
@@ -157,10 +161,11 @@ def _run_repetition(
     # Both backends stream their records in blocks of _BLOCK samples, the
     # random streams continuing from block to block.  A pass asks for its
     # record's blocks one at a time: each is synthesized, composed, written
-    # raw at its offset with keep_raw and handed on as (grid, samples).
-    streams = Streams(seed, grid.dt, grid.n_samples)
-
+    # raw at its offset with keep_raw and handed on as (grid, samples).  The
+    # two records draw from disjoint streams, so each pass has Streams of
+    # its own, and their tables go with the pass.
     def record(synthesize, compose, raw_name, **compose_kw):
+        streams = Streams(seed, grid.dt, grid.n_samples)
         for b0 in range(0, grid.n_samples, _BLOCK):
             blk = grid.segment(b0, min(b0 + _BLOCK, grid.n_samples))
             arrays = _stage("synthesis", synthesize, osc, rates, blk, schedule,
@@ -179,17 +184,24 @@ def _run_repetition(
         return {tag: Welch(fs, nperseg, v["welch_overlap"], v["window"], "constant")
                 for tag in (DETUNED, RESONANT)}
 
-    # Each pass is a function, so its slice buffer (and the last slice a
-    # loop variable holds) is gone before the next pass starts.
+    # Each pass is a function, so its tables, Welch tails and slice buffer
+    # (and the last slice a loop variable holds) are gone before the next
+    # pass starts.
     def sideband():
-        # component backend: each usable slice of the record, assembled
-        # from its blocks, goes to its drive class's Welch estimate
+        # component backend: each block is cut at the usable slices' bounds
+        # and each part goes straight to its drive class's Welch estimate,
+        # the part that ends a slice ending that estimate's chunk
         welch = welch_per_class(grid.sample_rate)
-        slices = UsableSlices(schedule.usable_slices(grid.sample_rate, grid.n_samples), float)
-        for _, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
-                                 "record_component.bin"):
-            for tag, piece in slices.feed(samples):
-                welch[tag].feed(piece, workers)
+        slices = schedule.usable_slices(grid.sample_rate, grid.n_samples)
+        tag, s = next(slices, (None, None))
+        for blk, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
+                                   "record_component.bin"):
+            b0, b1 = blk.start, blk.start + len(samples)
+            while s is not None and s.start < b1:
+                welch[tag].feed(samples[max(s.start, b0) - b0 : s.stop - b0], workers, s.stop <= b1)
+                if s.stop > b1:
+                    break
+                tag, s = next(slices, (None, None))
             del samples
         return {tag: _stage("heterodyne psd", w.psd) for tag, w in welch.items()}
 
@@ -217,6 +229,9 @@ def _run_repetition(
                 welch[tag].feed(piece, workers)
                 if tag == RESONANT:
                     sums = add_phase_sums(sums, piece)
+            # the last slice goes before the next block, so the buffer it
+            # views is not held beside a longer slice's
+            piece = None
         return welch, sums
 
     psd_h = sideband()

@@ -6,18 +6,24 @@ Lorentzian areas carry physical meaning in quanta.
 
 One estimator, the `Welch` accumulator, serves a single record and the
 disjoint chunks of a schedule alike: the mean of the power rows of every
-segment of every chunk, normalized once.  `Welch.feed` takes one chunk at
-a time, so a record streamed in pieces is never held whole;
-`welch_psd_chunks` feeds a list of chunks in order.  `UsableSlices`
-assembles a streamed record's usable slices, tagged by drive class in
-record order, from the pieces in one buffer grown to the longest slice.
-Each chunk's rows are computed `workers` at a time, one per thread, but summed in
-segment order, and that chunk sum is added to the running sum, so the
-estimate does not depend on the thread count.  The working set is one
-segment per thread, not the record: each row is detrended, windowed,
-transformed and squared in buffers allocated once per chunk.  The window
-and its lag correlations are computed once per (window, segment length,
-hop) and shared read-only between calls.
+segment of every chunk, normalized once.  `Welch.feed` takes a chunk
+whole or in consecutive pieces, the last of which ends it, so neither a
+record nor a chunk streamed in pieces is ever held whole: the estimate
+carries only the chunk's unconsumed tail, from its next segment's start
+(at most segment + (workers - 1) * hop + piece samples), its row slots and
+its row sum, all dropped when the chunk ends.  `welch_psd_chunks` feeds a
+list of whole chunks in order.
+`UsableSlices` assembles a streamed record's usable slices, tagged by
+drive class in record order, from the pieces in one buffer grown to the
+longest slice.  A chunk's rows are computed `workers` at a time, one per
+thread, as their segments complete, but summed in segment order into the
+chunk sum, and that chunk sum is added to the running sum when the chunk
+ends, so the estimate depends neither on the thread count nor on how the
+chunks are cut.  The working set is one segment per thread, not the
+record: each row is detrended, windowed, transformed and squared in one
+of the chunk's `workers` slots.  The window is shared
+read-only by the estimates that hold it (parallel.shared), so it is made
+once for all of them and goes with the last.
 
 For complex input z the accumulator also sums the pseudo-spectrum
 B_k = sum Z_k Z_{-k} beside the power A_k = sum |Z_k|^2, the two
@@ -32,14 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 import numpy.fft  # numpy would load it on first use, inside a run
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SpectralError
-from .parallel import thread_map
+from .parallel import shared, thread_map
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
@@ -116,12 +121,18 @@ def _periodic_window(window: str, length: int) -> np.ndarray:
     return win[:-1]
 
 
-@lru_cache(maxsize=8)
-def _window_terms(window: str, segment_len: int, hop: int) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """The window values (read-only), their power sum and the normalized
-    window correlation rho_m at each overlapping lag m*hop, m = 1, 2, ..."""
+@shared
+def _window_values(window: str, segment_len: int) -> np.ndarray:
     win_vals = _periodic_window(window, segment_len)
     win_vals.flags.writeable = False
+    return win_vals
+
+
+def _window_terms(window: str, segment_len: int, hop: int) -> tuple[np.ndarray, float, tuple[float, ...]]:
+    """The window values (read-only, shared by the estimates that hold
+    them), their power sum and the normalized window correlation rho_m at
+    each overlapping lag m*hop, m = 1, 2, ..."""
+    win_vals = _window_values(window, segment_len)
     power_sum = float(np.sum(win_vals**2))
     rhos = tuple(
         float(np.sum(win_vals[: segment_len - lag] * win_vals[lag:])) / power_sum
@@ -142,10 +153,25 @@ def _overlap_variance_factor(rhos: tuple[float, ...], n_segments: int) -> float:
     return factor
 
 
+class _Chunk:
+    """The chunk a Welch estimate is being fed, held from its first piece to
+    its last: a buffer whose first `held` samples are its unconsumed tail,
+    from its next segment's start; the `workers` slots its rows are computed
+    in; and its row sums and segment count so far."""
+
+    def __init__(self):
+        self.buf: np.ndarray | None = None
+        self.held = 0
+        self.slots: tuple | None = None
+        self.total: np.ndarray | None = None
+        self.pseudo: np.ndarray | None = None
+        self.segments = 0
+
+
 class Welch:
     """Welch's averaged modified periodogram with window power normalization,
-    pooled over disjoint record chunks fed one at a time: the mean of every
-    segment's power row.
+    pooled over disjoint record chunks fed one at a time, each whole or in
+    consecutive pieces: the mean of every segment's power row.
 
     Real inputs produce a one-sided density (doubled except at DC/Nyquist);
     complex inputs produce a two-sided density on an fftshifted axis, and
@@ -175,16 +201,24 @@ class Welch:
         self._pseudo: np.ndarray | None = None
         self._n_segments = 0
         self._effective = 0.0
+        self._chunk = _Chunk()
 
-    def feed(self, chunk: np.ndarray, workers: int) -> None:
-        """Add the power rows of the chunk's segments to the running sum,
-        and for complex input their pseudo-spectrum rows to theirs: the
-        rows are computed `workers` at a time, one per thread, summed in
-        segment order, and that chunk sum is added.  The first chunk fixes
-        real or complex input and later ones must match; a chunk shorter
-        than two segments is skipped."""
-        complex_input = np.iscomplexobj(chunk)
-        seg_len = self.segment_len
+    def feed(self, piece: np.ndarray, workers: int, last: bool = True) -> None:
+        """Feed the next piece of the current chunk; `last` ends the chunk,
+        so a whole chunk is one piece fed with the default.  The power rows
+        of the chunk's segments (and for complex input their
+        pseudo-spectrum rows) are computed `workers` at a time, one per
+        thread, as their segments complete, and the rest when the chunk
+        ends; they are summed in segment order into the chunk's sums.  The
+        unconsumed tail, at most segment + (workers - 1) * hop + piece
+        samples, is carried to the next piece.  When the chunk ends its
+        sums, segment count and effective averages are added to the
+        estimate's, unless it held fewer than two segments: such a chunk is
+        skipped.  So each row comes from the same samples and is summed in
+        the same order however the chunk is cut.  The first piece fixes
+        real or complex input and later ones must match."""
+        complex_input = np.iscomplexobj(piece)
+        seg_len, hop = self.segment_len, self.hop
         half = seg_len // 2 + 1
         if self._total is None:
             self._complex = complex_input
@@ -193,16 +227,56 @@ class Welch:
                 self._pseudo = np.zeros(half, complex)
         elif complex_input != self._complex:
             raise SpectralError("chunks of one estimate must be all real or all complex")
-        if len(chunk) < seg_len + self.hop:
+        chunk = self._chunk
+        if last and not chunk.held:
+            buf = piece
+        else:
+            # the tail and the piece, in the chunk's buffer
+            need = chunk.held + len(piece)
+            if chunk.buf is None or len(chunk.buf) < need:
+                grown = np.empty(max(need, seg_len + (workers - 1) * hop + len(piece)), piece.dtype)
+                if chunk.held:
+                    grown[: chunk.held] = chunk.buf[: chunk.held]
+                chunk.buf = grown
+            chunk.buf[chunk.held : need] = piece
+            buf = chunk.buf[:need]
+        n_ready = (len(buf) - seg_len) // hop + 1 if len(buf) >= seg_len else 0
+        if not last:
+            n_ready -= n_ready % workers
+        if n_ready:
+            segments = sliding_window_view(buf, seg_len)[: (n_ready - 1) * hop + 1 : hop]
+            self._add_rows(chunk, segments, workers)
+        if not last:
+            chunk.held = len(buf) - n_ready * hop
+            chunk.buf[: chunk.held] = buf[n_ready * hop :]  # moved left in place
             return
+        self._chunk = _Chunk()
+        n = chunk.segments
+        if n >= 2:
+            self._total += chunk.total
+            if self._complex:
+                self._pseudo += chunk.pseudo
+            self._n_segments += n
+            self._effective += n / _overlap_variance_factor(self._rhos, n)
+
+    def _add_rows(self, chunk: _Chunk, segments: np.ndarray, workers: int) -> None:
+        """Add the rows of the segments to the chunk's sums, in segment
+        order.  The rows are computed `workers` at a time, each in one of
+        the chunk's `workers` slots, and each group is summed before the
+        next reuses the slots."""
+        complex_input = self._complex
+        seg_len = self.segment_len
+        half = seg_len // 2 + 1
+        if chunk.slots is None:
+            chunk.total = np.zeros(len(self._total))
+            chunk.pseudo = np.zeros(half, complex) if complex_input else None
+            chunk.slots = (
+                np.empty((workers, seg_len), complex if complex_input else float),
+                np.empty((workers, len(self._total)), complex),
+                np.empty((workers, half), complex) if complex_input else None,
+            )
+        windowed, spectra, pseudo_rows = chunk.slots
         transform = np.fft.fft if complex_input else np.fft.rfft
-        segments = sliding_window_view(chunk, seg_len)[:: self.hop]
-        # Records are long and segments too: the rows are computed `workers`
-        # at a time, each in one of `workers` slots, and each group is summed
-        # in segment order before the next group reuses the slots.
-        windowed = np.empty((workers, seg_len), complex if complex_input else float)
-        rows = np.empty((workers, len(self._total)))
-        pseudo_rows = np.empty((workers, half), complex) if complex_input else None
 
         def power_row(k):
             j = k % workers
@@ -211,27 +285,22 @@ class Welch:
                 windowed[j] *= self._win_vals
             else:
                 np.multiply(segments[k], self._win_vals, out=windowed[j])
-            spec = transform(windowed[j])
+            spec = transform(windowed[j], out=spectra[j])
             if complex_input:
                 # Z_k Z_{-k}: Z_{-k} is spec[seg_len - k] for k > 0
                 np.multiply(spec[0], spec[0], out=pseudo_rows[j, :1])
                 np.multiply(spec[1:half], spec[:0:-1][: half - 1], out=pseudo_rows[j, 1:])
-            np.square(spec.real, out=rows[j])
-            rows[j] += np.square(spec.imag, out=spec.imag)
+            # the power row |Z_k|^2 in the real part of the spectrum
+            power = np.square(spec.real, out=spec.real)
+            power += np.square(spec.imag, out=spec.imag)
             return j
 
-        total = np.zeros(len(self._total))
-        pseudo = np.zeros(half, complex) if complex_input else None
         for k0 in range(0, len(segments), workers):
             for j in thread_map(power_row, range(k0, min(k0 + workers, len(segments))), workers):
-                total += rows[j]
+                chunk.total += spectra[j].real
                 if complex_input:
-                    pseudo += pseudo_rows[j]
-        self._total += total
-        if complex_input:
-            self._pseudo += pseudo
-        self._n_segments += len(segments)
-        self._effective += len(segments) / _overlap_variance_factor(self._rhos, len(segments))
+                    chunk.pseudo += pseudo_rows[j]
+        chunk.segments += len(segments)
 
     def psd(self) -> Psd:
         """The normalized mean of every row fed; raises SpectralError when
@@ -291,7 +360,13 @@ class UsableSlices:
     needs it, so it is sized on first use and ends at the longest slice.
     feed(piece) yields (class, samples) for each slice the piece completes,
     in record order: use the samples before the generator resumes, and
-    exhaust it before the next piece."""
+    exhaust it before the next piece.
+
+    A Welch estimate takes a slice in pieces, so the sideband pass feeds
+    its slices' parts straight to Welch and only the quadrature pass
+    assembles: its phase sums (detect.add_phase_sums) are taken over whole
+    resonant slices, and summing them piece by piece would move theta* by
+    rounding."""
 
     def __init__(self, slices, dtype):
         self._slices = iter(slices)

@@ -275,9 +275,10 @@ class OUChain:
 
 class Streams:
     """The random streams of one record of n_samples samples: one generator
-    per stream id and the OU chains drawn from them.  A record synthesized
-    one piece at a time passes the same Streams to every piece's call, so
-    each stream continues where the previous piece left it."""
+    per stream id and the OU chains drawn from them, and the tables the
+    record's stages use on every piece.  A record synthesized one piece at
+    a time passes the same Streams to every piece's call, so each stream
+    continues where the previous piece left it."""
 
     def __init__(self, seed: int, dt: float, n_samples: int):
         self.seed = seed
@@ -285,6 +286,16 @@ class Streams:
         self.n_samples = n_samples
         self._rngs: dict[int, np.random.Generator] = {}
         self._chains: dict[tuple[int, str], OUChain] = {}
+        self._tables: dict[tuple, np.ndarray] = {}
+
+    def table(self, make, *args) -> np.ndarray:
+        """make(*args), made on the first call for these arguments and held
+        as long as the Streams: a table that every piece of the record uses
+        (a mixing phasor) is made once per record and goes with it."""
+        key = (make, *args)
+        if key not in self._tables:
+            self._tables[key] = make(*args)
+        return self._tables[key]
 
     @classmethod
     def for_grid(cls, grid: "SimGrid", streams: "Streams | None" = None) -> "Streams":

@@ -61,15 +61,16 @@ def announce(number, message):
 def component_roundtrip(config: RunConfig, rep: int) -> dict:
     """The sideband-path protocol of one repetition: scheduled component
     synthesis, heterodyne composition, per-class Welch, reference fit, then
-    the constrained double fit."""
+    the constrained double fit.  The kernels run on two workers, which
+    gives the bytes one worker gives."""
     v = config.values
     rates = config.derived_rates()
     osc = config.oscillator()
     det = config.detection()
     grid = config.grid(rep_seed(v["seed"], (0,), rep))
     schedule = schedule_drive(grid, v["schedule_period"], rates.gamma_minus)
-    beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid, schedule)
-    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, v["delta_lo"])
+    beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid, schedule, workers=2)
+    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, v["delta_lo"], workers=2)
     del beta_s, beta_as
     nperseg = int(round(v["welch_segment"] * grid.sample_rate))
     psds = {
@@ -79,7 +80,7 @@ def component_roundtrip(config: RunConfig, rep: int) -> dict:
                 for seg_tag, s in schedule.usable_slices(grid.sample_rate, grid.n_samples)
                 if seg_tag == tag
             ],
-            grid.sample_rate, nperseg, v["welch_overlap"], v["window"],
+            grid.sample_rate, nperseg, v["welch_overlap"], v["window"], workers=2,
         )
         for tag in (DETUNED, RESONANT)
     }

@@ -678,14 +678,12 @@ class TestWorkersArgument:
 
 def _traced_peak(cfg, out) -> float:
     """The tracemalloc peak of run_single, in records of 8 bytes a sample.
-    The module caches are cleared first: what earlier tests left in them
-    would otherwise be missing from the peak."""
+    The OU powers' module cache is cleared first: what earlier tests left
+    in it would otherwise be missing from the peak."""
     import tracemalloc
 
-    from parosc import detect, spectral, synth
+    from parosc import synth
 
-    detect._block_phasor.cache_clear()
-    spectral._window_terms.cache_clear()
     synth._ou_powers.cache_clear()
     tracemalloc.start()
     try:
@@ -700,10 +698,12 @@ class TestMemoryBound:
     def test_traced_peak_is_a_few_real_records(self, tmp_path):
         # Both records are streamed in blocks and no array spans the
         # record, so the traced peak stays below 1.6 records of 8 bytes per
-        # sample (1.15 here, 0.07 of it the OU chains' power tables, one
-        # per decay, as large as the BLAS bands they replaced; 0.96 while
-        # the blocks were also cut at the drive-segment bounds, which made
-        # most of them shorter on this grid).
+        # sample (1.05 here, 0.07 of it the OU chains' power tables, one
+        # per decay, as large as the BLAS bands they replaced; 1.15 while
+        # the sideband pass assembled each usable slice for its Welch
+        # estimate, and 0.96 while the blocks were also cut at the
+        # drive-segment bounds, which made most of them shorter on this
+        # grid).
         # Holding the decimated complex baseband whole (half a record at
         # decimate 4) peaked at 1.41 records on this grid, the component
         # record whole at 1.80, whole-record synthesis (two complex
@@ -716,7 +716,8 @@ class TestMemoryBound:
         # With keep_raw each record piece is written from the array the run
         # already holds, and each piece of the demodulated channels as the
         # lock-in hands it on (rotated in the file at the end); the peak
-        # stays below 1.5 records (1.15 here).  With the component record
+        # stays below 1.5 records (1.04 here, 1.15 while the sideband pass
+        # assembled its slices).  With the component record
         # held whole it peaked at 1.63 records on this grid, and copying
         # the records and channels for the dump at 3.0.
         cfg = tiny_config(duration="60s", schedule_period="5s", repetitions="1", keep_raw="true")
@@ -726,10 +727,11 @@ class TestMemoryBound:
 
     def test_peak_with_segments_longer_than_a_block(self, tmp_path):
         # 15 s drive segments of 375 000 samples span several processing
-        # blocks.  Only the slice assembler's one buffer, one pass at a
-        # time, is segment-sized, so the peak stays below 1.6 records (1.36
-        # here); with every stage working on whole segments it read 2.09
-        # records.
+        # blocks.  Only the quadrature pass's slice buffer is segment-sized
+        # (the sideband pass streams its slices), so the peak stays below
+        # 1.6 records (1.09 here; 1.36 while the sideband pass assembled its
+        # slices too); with every stage working on whole segments it read
+        # 2.09 records.
         cfg = tiny_config(duration="60s", schedule_period="15s", repetitions="1")
         peak = _traced_peak(cfg, tmp_path)
         assert peak < 1.6, peak
@@ -737,7 +739,7 @@ class TestMemoryBound:
     def test_peak_does_not_grow_with_the_record(self, tmp_path):
         # No array of a repetition spans the record: the traced peaks at 60 s
         # and 120 s differ by less than one 3 s drive segment of decimated
-        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 6 KB
+        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 1 KB
         # here; with the baseband held whole, by its 60 s, 6 MB.
         peaks = []
         for duration in (60, 120):
@@ -746,6 +748,26 @@ class TestMemoryBound:
             peaks.append(records * 8 * cfg.grid(0).n_samples)
         segment_bytes = 16 * 3.0 * 25e3 / 4
         assert abs(peaks[1] - peaks[0]) < segment_bytes, peaks
+
+    def test_peak_does_not_grow_with_the_drive_period(self, tmp_path):
+        # The sideband pass feeds each block's parts of the usable slices
+        # straight into their Welch estimates, so none of its arrays grows
+        # with the drive period past a block; the quadrature pass's
+        # decimated complex slices (16 bytes a sample at 6.25 kHz) grow by
+        # 1.0 MB from 5 s to 15 s.  The traced peaks differ by less
+        # than three quarters of what one full-rate real slice (8 bytes a
+        # sample at 25 kHz) grows by over the 10 s.  They differed by
+        # 0.57 MB here; with each slice assembled whole for the sideband
+        # Welch, by 2.46 MB (1.54 MB when that code's phasor and window
+        # caches, filled by the first run, were missing from the second
+        # peak).
+        peaks = []
+        for period in (5, 15):
+            cfg = tiny_config(duration="60s", schedule_period=f"{period}s", repetitions="1")
+            records = _traced_peak(cfg, tmp_path / f"{period}s")
+            peaks.append(records * 8 * cfg.grid(0).n_samples)
+        slice_growth = 8 * 10.0 * 25e3
+        assert abs(peaks[1] - peaks[0]) < 0.75 * slice_growth, peaks
 
 
 class TestKeepRaw:

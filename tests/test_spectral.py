@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy import signal
@@ -305,6 +307,55 @@ class TestChunkPooling:
         for workers in (1, 2):
             assert_same_psd(fed(chunks, fs, 2000, workers=workers), one)
         assert (one.n_averages, one.effective_averages) == (two.n_averages, two.effective_averages)
+
+
+class TestStreamedChunks:
+    """A chunk fed in consecutive pieces, the last one ending it, gives the
+    estimate of the chunk fed whole, bit for bit, however it is cut."""
+
+    SEG = 16
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        complex_input=st.booleans(),
+        workers=st.sampled_from((1, 2)),
+        overlap=st.sampled_from((0.0, 0.5, 0.75)),
+        detrend=st.sampled_from(("constant", False)),
+    )
+    def test_any_cut_gives_the_whole_chunks(self, data, complex_input, workers, overlap, detrend):
+        # 1-4 chunks, some shorter than two segments; each cut into 1-6
+        # pieces at random and near segment starts (so inside the carried
+        # tail), with empty pieces and pieces shorter than one hop
+        seg = self.SEG
+        hop = seg - int(seg * overlap)
+        short = seg + hop - 1
+        lengths = data.draw(st.lists(st.integers(0, 8 * seg) | st.sampled_from((0, seg, short)),
+                                     min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        chunks = [rng.standard_normal(n) + 0.3 for n in lengths]
+        if complex_input:
+            chunks = [c + 1j * rng.standard_normal(len(c)) for c in chunks]
+        whole = Welch(1234.0, seg, overlap, "hann", detrend)
+        streamed = Welch(1234.0, seg, overlap, "hann", detrend)
+        for chunk in chunks:
+            n = len(chunk)
+            near_starts = st.sampled_from([k * hop + d for k in range(n // hop + 1) for d in (-1, 0, 1)
+                                           if 0 <= k * hop + d <= n])
+            cuts = data.draw(st.lists(st.integers(0, n) | near_starts, max_size=5))
+            edges = [0, *sorted(cuts), n]
+            for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]), start=2):
+                streamed.feed(chunk[a:b], workers, i == len(edges))
+            whole.feed(chunk, workers)
+        if not any(n >= short + 1 for n in lengths):
+            for welch in (whole, streamed):
+                with pytest.raises(SpectralError, match="no chunk holds two"):
+                    welch.psd()
+            return
+        assert_same_psd(streamed.psd(), whole.psd())
+        if complex_input:
+            for a, b in zip(streamed.channel_psds(0.4), whole.channel_psds(0.4)):
+                assert_same_psd(a, b)
 
 
 class TestChannelSpectra:
