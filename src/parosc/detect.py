@@ -44,8 +44,9 @@ from .synth import (
     single_segment_schedule,
 )
 
-# Samples per carrier-mixing block (cache-sized), and the FFT length and
-# blocks per call of the lock-in filter's overlap-save.
+# Samples per carrier-mixing block (cache-sized), and the shortest FFT
+# length and the blocks per call of the lock-in filter's overlap-save (its
+# FFT length is the power of two at least this and four filter lengths).
 _MIX_BLOCK = 1 << 16
 _FIR_FFT = 1 << 13
 _FIR_BATCH = 16
@@ -294,67 +295,11 @@ def compose_heterodyne_components(
     return samples
 
 
-# cephes' Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2 for x <= 8, and
-# of exp(-x) sqrt(x) I0(x) in 32/x - 2 for x > 8.
-_I0_A = (
-    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
-    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
-    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
-    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
-    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
-    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
-    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
-    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
-    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
-    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
-)
-_I0_B = (
-    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
-    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
-    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
-    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
-    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
-    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
-    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
-    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
-    0.8044904110141088,
-)
-
-
-def _chbevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
-    """The Chebyshev series of coefs at x, by cephes' recurrence."""
-    b0, b1 = coefs[0], 0.0
-    for c in coefs[1:]:
-        b2, b1 = b1, b0
-        b0 = x * b1 - b2 + c
-    return 0.5 * (b0 - b2)
-
-
-def _i0(x: np.ndarray) -> np.ndarray:
-    """The modified Bessel function I0 of 0 <= x < 709: cephes' i0, which
-    scipy.special.i0 computes, with its bytes.  The exponential is libm's,
-    taken per element (math.exp), because np.exp rounds differently."""
-    small = x <= 8.0
-    large = ~small
-    out = np.empty(len(x))
-    out[small] = _chbevl(x[small] / 2.0 - 2.0, _I0_A)
-    out[large] = _chbevl(32.0 / x[large] - 2.0, _I0_B)
-    out *= np.fromiter(map(math.exp, x), float, len(x))
-    out[large] /= np.sqrt(x[large])
-    return out
-
-
-def _kaiser_lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
-    """scipy.signal.firwin(numtaps, cutoff, window=("kaiser", beta)) for a
-    cutoff given as a fraction of Nyquist, with its arithmetic: the ideal
-    low-pass impulse response times the symmetric Kaiser window, scaled to
-    unit gain at DC."""
-    half = 0.5 * (numtaps - 1)
-    m = np.arange(numtaps, dtype=float) - half
-    taps = cutoff * np.sinc(cutoff * m)
-    taps *= _i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / _i0(np.array([beta]))[0]
-    taps /= np.sum(taps)
-    return taps
+def _freqz_response(taps: np.ndarray) -> np.ndarray:
+    """The response on scipy.signal.freqz's grid of 4096 points below
+    Nyquist: every r-th bin of an FFT at least as long as the filter."""
+    r = -(-len(taps) // 8192)
+    return np.fft.rfft(taps, 8192 * r)[: 4096 * r : r]
 
 
 def design_lockin_fir(
@@ -391,16 +336,14 @@ def design_lockin_fir(
     numtaps |= 1
     if numtaps > MAX_TAPS:
         raise FilterDesignError(f"the filter needs {numtaps} taps, more than {MAX_TAPS}")
-    taps = _kaiser_lowpass(numtaps, ((cutoff_hz + f_stop) / 2.0) / nyq, beta)
-    # the response on scipy.signal.freqz's grid of 4096 points below
-    # Nyquist, computed as freqz computes it
-    omega = np.linspace(0.0, math.pi, 4096, endpoint=False)
-    if numtaps <= 8192:
-        resp = np.fft.rfft(taps, 8192)[:4096]
-    else:
-        resp = np.polynomial.polynomial.polyval(np.exp(-1j * omega), taps)
-    freqs = omega * (sample_rate / (2.0 * math.pi))
-    mag = np.abs(resp)
+    # scipy.signal.firwin's Kaiser-windowed sinc at the mid-transition
+    # cutoff (a fraction of Nyquist), scaled to unit gain at DC
+    cutoff = ((cutoff_hz + f_stop) / 2.0) / nyq
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
+    taps /= np.sum(taps)
+    freqs = np.linspace(0.0, math.pi, 4096, endpoint=False) * (sample_rate / (2.0 * math.pi))
+    mag = np.abs(_freqz_response(taps))
     pass_sel = freqs <= passband_edge_hz
     ripple = np.max(np.abs(20.0 * np.log10(np.maximum(mag[pass_sel], 1e-12))))
     stop_sel = freqs >= f_stop
@@ -417,31 +360,6 @@ def design_lockin_fir(
             f"(limit {STOPBAND_DB})"
         )
     return taps
-
-
-def _next_fast_len(target: int) -> int:
-    """The smallest length >= target with no prime factor above 11:
-    scipy.fft.next_fast_len's choice for complex transforms."""
-    n = target
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
-
-
-def _real_fft(x: np.ndarray, n: int) -> np.ndarray:
-    """The full n-point FFT of the real x, zero-padded: its half spectrum
-    and that half's conjugate mirror, as scipy.fft.fft computes a real
-    input, with its bytes (np.fft.fft rounds a real input differently)."""
-    half = np.fft.rfft(x, n)
-    full = np.empty(n, complex)
-    full[: len(half)] = half
-    full[len(half) :] = half[1 : n - len(half) + 1][::-1].conj()
-    return full
 
 
 class Baseband:
@@ -471,10 +389,10 @@ class Baseband:
         self.decimate = decimate
         self.edge_guard = (m // 2) / sample_rate
         self.n_decimated = -(-n_samples // decimate)
-        self._nfft = _next_fast_len(max(_FIR_FFT, 4 * m))
+        self._nfft = 1 << (max(_FIR_FFT, 4 * m) - 1).bit_length()
         self._step = self._nfft - (m - 1)
         self._n_blocks = -(-n_samples // self._step)
-        self._response = _real_fft(taps, self._nfft)
+        self._response = np.fft.fft(taps, self._nfft)
         self._phasor = _block_phasor(carrier, 1.0 / sample_rate, min(n_samples, _MIX_BLOCK))
         # padded[h + k] holds the mixed sample k (h = m//2 leading zeros);
         # block b reads padded[b*step : b*step + nfft] and keeps its last
@@ -608,8 +526,9 @@ def add_phase_sums(sums: tuple, z: np.ndarray) -> tuple:
     s1, s2, s_abs, n = sums
     return (
         s1 + np.sum(z),
-        s2 + np.sum(z * z),
-        # |z|^2 over the float pairs: no square root, no threaded BLAS call
+        # neither sum forms a product array; |z|^2 over the float pairs: no
+        # square root, no threaded BLAS call
+        s2 + np.einsum("i,i->", z, z),
         s_abs + np.einsum("i,i->", z.view(float), z.view(float)),
         n + len(z),
     )

@@ -11,14 +11,16 @@ statistics of averaged periodograms.  The floor and the areas enter linearly
 and are profiled out (variable projection; Golub & Pereyra, Inverse
 Problems 19, R1, 2003): every trial theta gets them from a weighted linear
 solve on the model's `columns`, and theta is scanned on a fixed grid over
-its bounds and refined by bounded Brent.  The covariance comes from the
-analytic Jacobian at the optimum.
+its bounds and refined by a golden-section search of the grid bracket
+around its best point.  The covariance comes from the analytic Jacobian at
+the optimum.
 
-Both solvers are numpy restatements of scipy.optimize's, with their bytes,
-so the package imports no scipy: `_bounded_brent` is minimize_scalar(method="bounded"), and
-`_bounded_lstsq`, used when the unbounded solve breaks a lower bound,
-solves the free variables of every set held at the bound as
-lsq_linear(method="bvls") does and keeps the least-cost feasible one.
+Both solvers are plain numpy, so the package imports no scipy:
+`_golden_section` stops at the width at which scipy.optimize's bounded
+Brent (minimize_scalar(method="bounded")) stops, and `_bounded_lstsq`,
+used when the unbounded solve breaks a lower bound, solves the free
+variables of every set held at the bound as lsq_linear(method="bvls")
+does and keeps the least-cost feasible one.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from .spectral import Psd, bin_step_for
 MIN_BAND_BINS = 8
 # points of the nonlinear parameter's grid, endpoints (its bounds) included
 GRID_POINTS = 40
-# cost evaluations after which bounded Brent stops, unconverged
-MAX_BRENT_EVALUATIONS = 500
 
 _SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# the golden section's inner point, as a fraction of its bracket
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def lorentzian(f: np.ndarray, center: float, width_hz: float) -> np.ndarray:
@@ -97,12 +98,7 @@ class LorentzianPairModel:
         return cols
 
     def value(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-        # term by term in pair order, not as one matrix product: the fitted
-        # numbers depend on the summation order
-        v, *areas = np.delete(p, self.k)
-        for area, col in zip(areas, self.columns(p[self.k], f).T[1:]):
-            v = v + area * col
-        return v
+        return self.columns(p[self.k], f) @ np.delete(p, self.k)
 
     def jacobian(self, p: np.ndarray, f: np.ndarray) -> np.ndarray:
         theta = p[self.k]
@@ -201,84 +197,35 @@ def _linear_solve(model, theta, lower, freqs, data, sigma):
     return np.insert(x, model.k, theta), float(r @ r)
 
 
-def _bounded_brent(cost, a, b, xatol):
-    """Minimize cost(x) over [a, b] by Brent's golden-section and parabolic
-    steps: scipy.optimize.minimize_scalar(cost, bounds=(a, b),
-    method="bounded", options={"xatol": xatol}) with its arithmetic (scipy's
-    `_minimize_scalar_bounded`).  Returns (x, cost(x), evaluations,
-    converged); stopping at MAX_BRENT_EVALUATIONS or on a NaN is not
-    converging."""
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    rat = e = 0.0
-    fx = cost(xf)
-    num = 1
-    fu = np.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    converged = True
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if np.abs(e) > tol1:
-            # a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = cost(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= MAX_BRENT_EVALUATIONS:
-            converged = False
-            break
-
-    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
-        converged = False
-    return xf, fx, num, converged
+def _golden_section(cost, a, b, xatol):
+    """Minimize cost(x) over [a, b] by golden-section search, down to
+    bounded Brent's stopping width: the bracket ends once it is narrower
+    than 4*sqrt(eps)*|x| + xatol about its best point x.  Each evaluation
+    past the first two narrows it by the golden ratio phi, so with xatol > 0
+    there are at most 2 + ceil(log((b - a)/xatol)/log(phi)).  The ends a and
+    b are never evaluated.  Returns (x, cost(x), evaluations, converged);
+    converged means a finite cost(x)."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = cost(c), cost(d)
+    evaluations = 2
+    while b - a > 4.0 * _SQRT_EPS * abs(c if fc <= fd else d) + xatol:
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = cost(c)
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = cost(d)
+        evaluations += 1
+    x, fx = (c, fc) if fc <= fd else (d, fd)
+    return x, fx, evaluations, bool(np.isfinite(fx))
 
 
 def _profile_pass(model, grid, lower, freqs, data, sigma):
     """Minimize the profiled cost over the nonlinear parameter: the best
-    point of `grid`, refined by bounded Brent between its neighbours.
-    Returns (params, cost evaluations, Brent's convergence)."""
+    point of `grid`, refined by golden section between its neighbours.
+    Returns (params, cost evaluations, the refinement's convergence)."""
 
     def cost(theta):
         return _linear_solve(model, theta, lower, freqs, data, sigma)[1]
@@ -286,10 +233,10 @@ def _profile_pass(model, grid, lower, freqs, data, sigma):
     costs = [cost(t) for t in grid]
     i = int(np.argmin(costs))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    # a tiny absolute tolerance leaves Brent's relative one, sqrt(eps)*|theta|
-    x, fx, evaluations, converged = _bounded_brent(cost, lo, hi, 1e-10 * grid[-1])
-    # Brent never evaluates the bracket's ends: an optimum on a bound (s = 0)
-    # is the grid point itself
+    # a tiny absolute tolerance leaves the relative one, sqrt(eps)*|theta|
+    x, fx, evaluations, converged = _golden_section(cost, lo, hi, 1e-10 * grid[-1])
+    # the search never evaluates the bracket's ends: an optimum on a bound
+    # (s = 0) is the grid point itself
     theta = x if fx < costs[i] else grid[i]
     params = _linear_solve(model, theta, lower, freqs, data, sigma)[0]
     return params, len(grid) + evaluations, converged

@@ -109,15 +109,20 @@ def _periodic_window(window: str, length: int) -> np.ndarray:
     """The DFT-even (periodic) window of the given length, summed as
     scipy.signal.get_window(window, length) sums it, so with its bytes: the
     cosine terms in order over length + 1 points from -pi to pi, the last
-    point dropped.  Lengths 0 and 1 give ones."""
+    point dropped, each term formed in one scratch array.  Lengths 0 and 1
+    give ones."""
     if window not in _COSINE_TERMS:
         raise SpectralError(f"window {window!r} is not one of {', '.join(_COSINE_TERMS)}")
     if length <= 1:
         return np.ones(length)
     fac = np.linspace(-np.pi, np.pi, length + 1)
     win = np.zeros(length + 1)
+    t = np.empty(length + 1)
     for k, a in enumerate(_COSINE_TERMS[window]):
-        win += a * np.cos(k * fac)
+        np.multiply(k, fac, out=t)
+        np.cos(t, out=t)
+        t *= a
+        win += t
     return win[:-1]
 
 

@@ -118,3 +118,30 @@ def test_names_where_the_largest_difference_lies(tmp_path, capsys):
     assert status["a/psd.csv"] == "max rel 0.0909" and where["a/psd.csv"] == "at column psd"
     assert where["a/head.csv"] == "at line 2"
     assert where["a/report.txt"] == "at line 2"
+
+
+def test_non_integer_cells_beside_a_moved_count(tmp_path, capsys):
+    # a JSON or CSV file's largest move over the cells that are not
+    # integers in both trees follows, so a fit's moved iteration count does
+    # not hide how far its values moved; other texts have no such line
+    def fit(iterations, r_plus):
+        return json.dumps({"iterations": iterations, "values": {"r_plus": r_plus, "n": 3},
+                           "note": f"after {iterations} steps"})
+
+    table = "# n=1\nn,psd\n{n},{x}\n7,2.5\n"
+    old = {"a/fit.json": fit(100, 0.5), "a/count.json": fit(100, 0.5),
+           "a/t.csv": table.format(n=10, x="1.0"), "a/report.txt": "n = 100\nx = 0.5\n"}
+    new = {"a/fit.json": fit(133, 0.5000003), "a/count.json": fit(90, 0.5),
+           "a/t.csv": table.format(n=12, x="1.001"), "a/report.txt": "n = 133\nx = 0.5000003\n"}
+    code, status, lines = run(tmp_path, old, new, capsys)
+    assert code == 0
+    follow = {}
+    for i, line in enumerate(lines):
+        if "/" in line and not line.startswith(" "):
+            follow[line.split()[-1]] = [x.strip() for x in lines[i + 1 : i + 3] if x.startswith(" ")]
+    assert status["a/fit.json"] == "max rel 0.248"
+    assert follow["a/fit.json"] == ["at iterations", "non-integer max rel 6e-07 at values.r_plus"]
+    assert follow["a/count.json"] == ["at iterations", "non-integer max rel 0"]
+    assert status["a/t.csv"] == "max rel 0.167"
+    assert follow["a/t.csv"] == ["at column n", "non-integer max rel 0.000999 at column psd"]
+    assert follow["a/report.txt"] == ["at line 1"]

@@ -13,6 +13,7 @@ from parosc.detect import (
     FLAT_PHASE_DEPTH,
     STOPBAND_DB,
     DetectionParams,
+    _freqz_response,
     add_phase_sums,
     carrier_phasors,
     compose_heterodyne_components,
@@ -314,10 +315,12 @@ class TestLockinFilter:
         assert len(taps) % 2 == 1  # integer group delay
 
     def test_design_equals_scipy_firwin(self):
-        # the taps of scipy's firwin at kaiserord's size, byte for byte: on
-        # the defaults, on the fast grid, undecimated on the fast grid, and
-        # past 8192 taps, where freqz sums the response as a polynomial
-        from scipy.signal import firwin, kaiserord
+        # the taps of scipy's firwin at kaiserord's size, to 4 ulp of the
+        # largest tap (numpy's Kaiser window rounds its exponential apart
+        # from scipy's): on the defaults, on the fast grid, undecimated on
+        # the fast grid, and past 8192 taps, where the response is read
+        # from a longer FFT than freqz's grid
+        from scipy.signal import firwin, freqz, kaiserord
 
         designs = []
         for cfg in (RunConfig.defaults(), fast_config(), fast_config(decimate="1")):
@@ -332,8 +335,12 @@ class TestLockinFilter:
             numtaps, beta = kaiserord(STOPBAND_DB + 5.0, (f_stop - cutoff) / (fs / 2.0))
             expected = firwin(numtaps | 1, (cutoff + f_stop) / 2.0, window=("kaiser", beta), fs=fs)
             taps = design_lockin_fir(fs, cutoff, carrier, edge, decimate)
-            assert taps.tobytes() == expected.tobytes(), len(expected)
-        assert len(taps) > 8192
+            assert len(taps) == len(expected)
+            np.testing.assert_allclose(taps, expected, rtol=0, atol=4 * np.spacing(np.max(expected)))
+        assert len(taps) == 9033
+        # the strided FFT bins the design is checked on are freqz's grid
+        _, resp = freqz(taps, worN=4096)
+        np.testing.assert_allclose(_freqz_response(taps), resp, rtol=0, atol=1e-12 * np.max(np.abs(resp)))
 
     def test_refused_design_names_its_figures(self):
         # a wide transition band: Kaiser's formula undersizes the filter,
@@ -733,6 +740,24 @@ class TestOptimizeDemodPhase:
             options={"xatol": 1e-10},
         )
         assert abs(best.x - theta) < 1e-6
+
+    def test_phase_sums_form_no_product_array(self):
+        # sum z^2 of a 16 MiB slice without a slice-sized z * z beside it
+        import tracemalloc
+
+        rng = np.random.default_rng(19)
+        z = rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20) + 0.3
+        tracemalloc.start()
+        try:
+            s1, s2, s_abs, n = add_phase_sums((0.0, 0.0, 0.0, 0), z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert n == len(z)
+        assert abs(s2 - np.sum(z * z)) <= 1e-12 * abs(np.sum(z * z))
+        assert s1 == pytest.approx(np.sum(z), rel=1e-12)
+        assert s_abs == pytest.approx(np.sum(np.abs(z) ** 2), rel=1e-12)
 
 
 class TestQuadratureSpectraAtOptimum:

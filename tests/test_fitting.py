@@ -1,6 +1,7 @@
 """Profile fits and spectral models: Jacobians, noiseless recovery,
 invariances and the fit-level contracts."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,8 +18,8 @@ from parosc.fitting import (
     DoublePairModel,
     QuadratureModel,
     SinglePairModel,
-    _bounded_brent,
     _bounded_lstsq,
+    _golden_section,
     _in_intervals,
     band_bins,
     quadrature_intervals,
@@ -142,46 +143,68 @@ class TestProfileFit:
         assert_recovered(fit_quadrature(psd, 1100.0, 300.0), p_true)
 
 
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
+def stop_width(x, xatol):
+    """The bracket width at which `_golden_section` stops about x."""
+    return 4.0 * fitting._SQRT_EPS * abs(x) + xatol
 
 
-def assert_brent_equals_scipy(cost, lo, hi, xatol):
-    """`_bounded_brent` against scipy's bounded minimize_scalar, bit for
-    bit in x, fun, nfev and success; returns its result."""
-    got = x, fx, evaluations, converged = _bounded_brent(cost, lo, hi, xatol)
+def assert_agrees_with_scipy(cost, lo, hi, xatol):
+    """`_golden_section` against scipy's bounded minimize_scalar: the same
+    convergence, and on a finite cost a minimizer within two stop widths of
+    scipy's (scipy's own stops at sqrt(eps)*|x| + xatol/3 either side) or
+    one no worse than scipy's, where the minimum is not unique; returns its
+    result."""
+    got = x, fx, evaluations, converged = _golden_section(cost, lo, hi, xatol)
     ref = minimize_scalar(cost, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    assert (_bits(x), _bits(fx), evaluations, converged) == (
-        _bits(ref.x), _bits(ref.fun), ref.nfev, ref.success
-    )
+    assert converged == ref.success
+    if converged:
+        assert abs(x - ref.x) <= 2.0 * stop_width(ref.x, xatol) or fx <= ref.fun
     return got
 
 
 class TestBoundedBrent:
+    """The bounded minimizer of the profile fits: a golden-section search
+    stopping where scipy's bounded Brent stops, checked on known minima and
+    against scipy."""
+
     @pytest.mark.parametrize(
-        "cost,lo,hi",
+        "cost,lo,hi,minimum",
         [
-            (lambda x: (x - 0.3) ** 2, 0.0, 1.0),  # a bowl
-            (lambda x: math.cos(x), 1.0, 5.0),  # a bowl found by parabolas
-            (lambda x: 1.0, 0.0, 1.0),  # flat
-            (lambda x: x, 0.2, 0.9),  # minimum at the lower end
-            (lambda x: -x, 0.2, 0.9),  # minimum at the upper end
-            (lambda x: math.nan, 0.0, 1.0),  # NaN: not converged
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.3),  # a bowl
+            (lambda x: math.cos(x), 1.0, 5.0, math.pi),  # a bowl of another shape
+            (lambda x: 1.0, 0.0, 1.0, None),  # flat: every point is a minimum
+            (lambda x: x, 0.2, 0.9, 0.2),  # minimum at the lower end
+            (lambda x: -x, 0.2, 0.9, 0.9),  # minimum at the upper end
+            (lambda x: math.nan, 0.0, 1.0, None),  # NaN: not converged
         ],
         ids=["bowl", "cosine", "flat", "lower_end", "upper_end", "nan"],
     )
     @pytest.mark.parametrize("xatol", [1e-5, 1e-10, 1e-14])
-    def test_equals_scipy_bounded(self, cost, lo, hi, xatol):
-        assert_brent_equals_scipy(cost, lo, hi, xatol)
+    def test_equals_scipy_bounded(self, cost, lo, hi, minimum, xatol):
+        x, fx, _, converged = assert_agrees_with_scipy(cost, lo, hi, xatol)
+        assert lo < x < hi  # the ends are never evaluated
+        assert converged == (not math.isnan(fx))
+        if minimum is not None:
+            assert abs(x - minimum) <= stop_width(x, xatol)
 
-    def test_stops_unconverged_at_the_evaluation_limit(self, monkeypatch):
-        monkeypatch.setattr(fitting, "MAX_BRENT_EVALUATIONS", 7)
-        x, fx, evaluations, converged = _bounded_brent(lambda x: x, 0.2, 0.9, 1e-10)
-        ref = minimize_scalar(lambda x: x, bounds=(0.2, 0.9), method="bounded",
-                              options={"xatol": 1e-10, "maxiter": 7})
-        assert (_bits(x), _bits(fx), evaluations, converged) == (
-            _bits(ref.x), _bits(ref.fun), 7, False
-        )
+    def test_evaluations_within_the_stated_bound(self):
+        # 2 + ceil(log((b - a)/xatol)/log(phi)), phi the golden ratio; the
+        # relative width 4*sqrt(eps)*|x| ends the search sooner where it
+        # exceeds xatol
+        phi = 0.5 * (1.0 + math.sqrt(5.0))
+        brackets = ((0.0, 1.0), (1.0, 5.0), (-3e-9, 7e-9), (2.0, 2.0 + 1e-4))
+        for xatol, (lo, hi) in itertools.product((1e-5, 1e-10, 1e-14), brackets):
+            bound = 2 + math.ceil(math.log((hi - lo) / xatol) / math.log(phi))
+            for cost in (lambda x: x, lambda x: -x, lambda x: (x - 0.5 * (lo + hi)) ** 2):
+                calls = []
+
+                def counted(x):
+                    calls.append(x)
+                    return cost(x)
+
+                *_, evaluations, converged = _golden_section(counted, lo, hi, xatol)
+                assert converged and evaluations == len(calls)
+                assert evaluations <= max(bound, 2)
 
     def test_every_fit_refines_as_scipy_does(self, monkeypatch):
         # the profile costs of all three models on noise-free spectra, both
@@ -189,18 +212,18 @@ class TestBoundedBrent:
         evaluations = []
 
         def checked(cost, lo, hi, xatol):
-            got = assert_brent_equals_scipy(cost, lo, hi, xatol)
+            got = assert_agrees_with_scipy(cost, lo, hi, xatol)
             evaluations.append(got[2])
             return got
 
-        monkeypatch.setattr(fitting, "_bounded_brent", checked)
+        monkeypatch.setattr(fitting, "_golden_section", checked)
         psd = noiseless_psd(SinglePairModel(6100.0, 3900.0), [0.004, 20.0, 3.4, 2.9])
         fit_single_pair(psd, (6100.0, 3900.0), 300.0)
         psd = noiseless_psd(DoublePairModel(6100.0, 3900.0, 20.0), [0.004, 0.5, 1.175, 3.275, 0.925, 3.025])
         fit_double_pair(psd, TWO_PI * 20.0, (6100.0, 3900.0), 300.0)
         psd = noiseless_psd(QuadratureModel(1100.0), [0.004, 4.2, 30.0])
         fit_quadrature(psd, 1100.0, 300.0)
-        assert len(evaluations) == 6 and min(evaluations) > 1
+        assert len(evaluations) == 6 and min(evaluations) > 2
 
 
 class TestBoundedLstsq:

@@ -607,6 +607,21 @@ class TestWindows:
             expected = signal.get_window(window, length)
             assert _periodic_window(window, length).tobytes() == expected.tobytes(), length
 
+    @pytest.mark.parametrize("window", sorted(BIN_STEP_BY_WINDOW))
+    def test_window_sums_its_terms_in_place(self, window):
+        # the cosine terms go through one scratch array: the linspace, the
+        # sum and the scratch, not a fresh array per operation
+        import tracemalloc
+
+        length = 250_000
+        tracemalloc.start()
+        try:
+            _periodic_window(window, length)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * length, peak / (8 * length)
+
     def test_unknown_window_raises(self):
         with pytest.raises(SpectralError, match="'flattop' is not one of"):
             _periodic_window("flattop", 16)

@@ -14,7 +14,11 @@ under either tree the script prints one line:
   headers agree.  For a text file an indented line ``at <where>`` follows,
   naming the first cell with that difference: its key path in a JSON file
   (``fits[0].iterations``), its column in a CSV file's rows
-  (``column psd``), else its line (``line 3``);
+  (``column psd``), else its line (``line 3``).  For a JSON or CSV file a
+  second indented line, ``non-integer max rel <y> at <where>``, gives the
+  largest difference over the cells that are not integers in both trees,
+  so a moved count such as a fit's ``iterations`` does not hide how far
+  the values moved;
 - ``non-numeric difference``: anything else differs;
 - ``missing in NEW`` / ``extra in NEW``: the file is in one tree only.
 
@@ -39,6 +43,7 @@ import numpy as np
 NUMBER = re.compile(
     r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)(?![\w.])"
 )
+INTEGER = re.compile(r"[-+]?\d+")
 RECORD_MAGIC = b"PORC"
 RECORD_HEADER = struct.Struct("<4sIdQII")
 
@@ -51,10 +56,18 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _token_diff(a: str, b: str, where: str) -> tuple[float, str, bool]:
+    """(relative difference, where, whether both are integers) of two
+    numbers as written."""
+    integer = INTEGER.fullmatch(a) is not None and INTEGER.fullmatch(b) is not None
+    return rel_diff(float(a), float(b)), where, integer
+
+
 def _json_diffs(old, new, path: str = ""):
-    """(relative difference, key path) of every pair of numbers at the same
-    place of two parsed JSON documents of the same shape, in file order;
-    numbers inside strings count under the string's path."""
+    """(relative difference, key path, whether both are integers) of every
+    pair of numbers at the same place of two parsed JSON documents of the
+    same shape, in file order; numbers inside strings count under the
+    string's path."""
     if isinstance(old, dict):
         for key in old:
             yield from _json_diffs(old[key], new[key], f"{path}.{key}" if path else key)
@@ -63,9 +76,9 @@ def _json_diffs(old, new, path: str = ""):
             yield from _json_diffs(a, b, f"{path}[{i}]")
     elif isinstance(old, str):
         for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
-            yield rel_diff(float(a), float(b)), path
+            yield _token_diff(a, b, path)
     elif isinstance(old, (int, float)) and not isinstance(old, bool):
-        yield rel_diff(float(old), float(new)), path
+        yield rel_diff(float(old), float(new)), path, isinstance(old, int) and isinstance(new, int)
 
 
 def _line_place(text: str, pos: int, csv: bool) -> str:
@@ -82,29 +95,39 @@ def _line_place(text: str, pos: int, csv: bool) -> str:
     return f"line {len(before)}"
 
 
-def _text_diff(old: bytes, new: bytes, name: str) -> tuple[float, str] | None:
-    """(largest relative difference, where) over the numbers of two texts
-    that agree elsewhere; None when they differ in anything but their
-    numbers.  Where is a JSON key path, a CSV column or a line."""
+def _text_diff(old: bytes, new: bytes, name: str):
+    """((largest relative difference, where), the same over the numbers
+    that are not integers in both texts, or None but for a JSON or CSV
+    file) over the numbers of two texts that agree elsewhere; None when
+    they differ in anything but their numbers.  Where is a JSON key path, a
+    CSV column or a line."""
     try:
         old_text, new_text = old.decode("utf-8"), new.decode("utf-8")
     except UnicodeDecodeError:
         return None
     if NUMBER.split(old_text) != NUMBER.split(new_text):
         return None
+    diffs = None
     if name.endswith(".json"):
         try:
             diffs = list(_json_diffs(json.loads(old_text), json.loads(new_text)))
         except ValueError:
-            diffs = None
-        if diffs is not None:
-            return max(diffs, key=lambda d: d[0], default=(0.0, ""))
-    pairs = list(zip(NUMBER.finditer(old_text), NUMBER.finditer(new_text)))
-    diffs = [rel_diff(float(a.group()), float(b.group())) for a, b in pairs]
-    if not diffs:
-        return 0.0, ""
-    k = max(range(len(diffs)), key=diffs.__getitem__)
-    return diffs[k], _line_place(new_text, pairs[k][1].start(), name.endswith(".csv"))
+            pass
+    if diffs is None:
+        # placed by the number's offset, named only for the largest
+        diffs = [_token_diff(a.group(), b.group(), b.start())
+                 for a, b in zip(NUMBER.finditer(old_text), NUMBER.finditer(new_text))]
+
+    def largest(ds):
+        diff, where, _ = max(ds, key=lambda d: d[0], default=(0.0, "", False))
+        if not diff:
+            return 0.0, ""
+        if isinstance(where, int):
+            where = _line_place(new_text, where, name.endswith(".csv"))
+        return diff, where
+
+    fractional = largest(d for d in diffs if not d[2]) if name.endswith((".json", ".csv")) else None
+    return largest(diffs), fractional
 
 
 def _record_diff(old: bytes, new: bytes) -> float | None:
@@ -121,15 +144,16 @@ def _record_diff(old: bytes, new: bytes) -> float | None:
     return float(np.max(rel, initial=0.0)) if not np.isnan(rel).any() else math.inf
 
 
-def file_diff(old: bytes, new: bytes, name: str) -> tuple[float, str] | None:
-    """(0.0, "") for equal bytes; (the largest relative difference of the
-    numbers, where it lies) when only numbers differ, else None.  Where is
-    the key path in a JSON file, the column in a CSV file's rows, the line
-    of another text and empty for a raw record."""
+def file_diff(old: bytes, new: bytes, name: str):
+    """((0.0, ""), None) for equal bytes; ((the largest relative difference
+    of the numbers, where it lies), the same over the non-integer numbers
+    of a JSON or CSV file, else None) when only numbers differ; else None.
+    Where is the key path in a JSON file, the column in a CSV file's rows,
+    the line of another text and empty for a raw record."""
     if old == new:
-        return 0.0, ""
+        return (0.0, ""), None
     diff = _record_diff(old, new)
-    return (diff, "") if diff is not None else _text_diff(old, new, name)
+    return ((diff, ""), None) if diff is not None else _text_diff(old, new, name)
 
 
 def flipped_checks(old_report: Path, new_report: Path) -> list[str]:
@@ -158,7 +182,7 @@ def compare(old_root: Path, new_root: Path, out=sys.stdout) -> int:
     failed = False
     flips = []
     for name in sorted(old_files | new_files):
-        where = ""
+        where, fractional = "", None
         if name not in new_files:
             status, failed = "missing in NEW", True
         elif name not in old_files:
@@ -167,15 +191,19 @@ def compare(old_root: Path, new_root: Path, out=sys.stdout) -> int:
             diff = file_diff((old_root / name).read_bytes(), (new_root / name).read_bytes(), name)
             if diff is None:
                 status, failed = "non-numeric difference", True
-            elif diff[0] == 0.0:
+            elif diff[0][0] == 0.0:
                 status = "identical"
             else:
-                status, where = f"max rel {diff[0]:.3g}", diff[1]
+                (largest, where), fractional = diff
+                status = f"max rel {largest:.3g}"
             if Path(name).name == "report.json":
                 flips += [f"{name}: {f}" for f in flipped_checks(old_root / name, new_root / name)]
         print(f"{status:<24} {name}", file=out)
         if where:
             print(f"{'':<24} at {where}", file=out)
+        if fractional is not None:
+            at = f" at {fractional[1]}" if fractional[1] else ""
+            print(f"{'':<24} non-integer max rel {fractional[0]:.3g}{at}", file=out)
     print(f"checks flipped: {len(flips)}", file=out)
     for flip in flips:
         print(f"  {flip}", file=out)
