@@ -6,14 +6,15 @@ Gaussian (flat one-sided PSD).
 
 The stages hand on plain arrays, with the SimGrid of the record piece they
 cover: the compose functions turn the synthesized arrays into record
-samples, and demod_baseband feeds those into a Baseband, which only mixes,
-filters and decimates: it hands on the decimated baseband samples each
-piece completes and holds no more of them.  The caller walks their usable
-slices once, in record order, summing each into the complex Welch estimate
-of its drive class and, on resonant drive, into the phase sums
-(add_phase_sums).  Once the record is fed, optimize_demod_phase reads
-theta* from the phase sums and lockin_demodulate the channel spectra at
-theta* from the Welch sums.
+samples, and demod_baseband feeds those into a Baseband (lockin_baseband,
+made before the record's first piece), which only mixes, filters and
+decimates: it hands on the decimated baseband samples each piece completes
+and holds no more of them.  The caller cuts those pieces at their usable
+slices (spectral.slice_parts), in record order, feeding each part to the
+complex Welch estimate of its drive class and, on resonant drive, adding it
+to the phase sums (add_phase_sums), as it comes.  Once the record is fed,
+optimize_demod_phase reads theta* from the phase sums and
+lockin_demodulate the channel spectra at theta* from the Welch sums.
 
 With workers > 1, beside the synthesis streams (synth) and the Welch rows
 (spectral), a piece's shot-noise draw runs beside its carrier mixing and
@@ -144,28 +145,19 @@ def _block_phasor(omega: float, dt: float, n: int) -> np.ndarray:
     return phasor
 
 
-def carrier_phasors(n: int, omega: float, dt: float, phase: float = 0.0, start: int = 0):
+def _record_phasors(streams: Streams, n: int, omega: float, dt: float, phase: float, start: int):
     """Yield (i0, i1, exp(i(omega*t + phase))) with t = arange(i0, i1)*dt for
     the samples [start, start + n) of a record, cut at the record's
     _MIX_BLOCK boundaries.
 
-    The block phasor exp(i*omega*k*dt) is evaluated once and each piece
-    rotates its part of it by the scalar exp(i(omega*b*dt + phase)) of its
-    block start b, so mixing costs one complex multiply per sample and a
-    record mixed one piece at a time gets the phasors of the whole record.
-    The result agrees with the direct exp to the rounding already present in
-    omega*t.  Each yielded array is fresh, so callers may scale it in place.
-    A caller mixing a record one piece at a time holds the block phasor for
-    the record instead (_record_phasors, Baseband).
-    """
-    block = _block_phasor(omega, dt, min(start + n, _MIX_BLOCK))
-    return _rotated_blocks(block, n, omega, dt, phase, start)
-
-
-def _record_phasors(streams: Streams, n: int, omega: float, dt: float, phase: float, start: int):
-    """carrier_phasors of a piece of the record whose Streams hold its
-    block phasor: made for the record's first piece, gone with the
-    record."""
+    The block phasor exp(i*omega*k*dt) is evaluated once, held by the
+    record's Streams (made for its first piece, gone with the record), and
+    each piece rotates its part of it by the scalar
+    exp(i(omega*b*dt + phase)) of its block start b, so mixing costs one
+    complex multiply per sample and a record mixed one piece at a time gets
+    the phasors of the whole record.  The result agrees with the direct exp
+    to the rounding already present in omega*t.  Each yielded array is
+    fresh, so callers may scale it in place."""
     n_table = min(max(streams.n_samples, start + n), _MIX_BLOCK)
     block = streams.table(_block_phasor, omega, dt, n_table)
     return _rotated_blocks(block, n, omega, dt, phase, start)
@@ -466,6 +458,19 @@ class Baseband:
         return z
 
 
+def lockin_baseband(grid: SimGrid, det: DetectionParams, passband_edge_hz: float, decimate: int,
+                    schedule: Schedule) -> Baseband:
+    """A Baseband for the record the schedule tiles at the grid's sample
+    rate and carrier, with the lock-in FIR designed for det's cutoff and
+    the passband edge: made before the record's first piece, so its usable
+    slices are known before any baseband sample is."""
+    taps = design_lockin_fir(
+        grid.sample_rate, det.lowpass_cutoff, grid.carrier, passband_edge_hz, decimate
+    )
+    return Baseband(taps, schedule.n_samples(grid.sample_rate), grid.sample_rate, grid.carrier,
+                    schedule, decimate)
+
+
 def demod_baseband(
     samples: np.ndarray,
     grid: SimGrid,
@@ -480,23 +485,15 @@ def demod_baseband(
     it at grid.start, into the lock-in baseband `into`; return it with the
     decimated baseband samples the piece completed (Baseband.feed).  The
     grid gives the sample rate and the carrier.  Without `into` a new
-    Baseband is made for the record the schedule tiles (default: the grid
-    as one resonant segment), with the lock-in FIR designed for det's
-    cutoff and the passband edge.  The two lock-in channels at any
+    lockin_baseband is made for the record the schedule tiles (default: the
+    grid as one resonant segment).  The two lock-in channels at any
     demodulation phase theta are Re(e^{i theta} z) and Im(e^{i theta} z),
     so sums over the baseband's usable slices serve both the phase choice
     and the channel spectra.
     """
     if into is None:
-        if schedule is None:
-            schedule = single_segment_schedule(grid.duration)
-        taps = design_lockin_fir(
-            grid.sample_rate, det.lowpass_cutoff, grid.carrier, passband_edge_hz, decimate
-        )
-        into = Baseband(
-            taps, schedule.n_samples(grid.sample_rate), grid.sample_rate, grid.carrier,
-            schedule, decimate,
-        )
+        into = lockin_baseband(grid, det, passband_edge_hz, decimate,
+                               schedule or single_segment_schedule(grid.duration))
     return into, into.feed(samples, grid.start, workers)
 
 
@@ -546,9 +543,10 @@ def optimize_demod_phase(sums: tuple) -> tuple[float, float]:
     squeezed quadrature, the orthogonal channel the anti-squeezed one.
     The depth is (max - min)/mean of var(theta); below FLAT_PHASE_DEPTH the
     variance is flat in phase, i.e. s ~ 0 and theta* is only the formal
-    minimum.  The sums are those of add_phase_sums over the resonant usable
-    slices, added slice by slice as the record is fed; call it once the
-    record is fed whole.
+    minimum.  The sums are those of add_phase_sums over the parts of the
+    resonant usable slices, added part by part as the record is fed, so
+    theta* depends on where the pieces are cut at the rounding level only;
+    call it once the record is fed whole.
     """
     s1, s2, s_abs, n_tot = sums
     if not n_tot:

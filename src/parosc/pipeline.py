@@ -7,13 +7,14 @@ per-drive-class PSDs, performs the reference fit that pins the effective
 width, then the constrained double fit and the quadrature fits.  Fitted
 values and theory overlays always come from one shared DerivedRates
 instance.  A repetition streams its records in blocks through one block
-driver, the sideband record first.  The sideband pass cuts each block at
-the usable slices' bounds and feeds the parts straight to the Welch
-estimate of their drive class; the quadrature pass assembles each usable
-slice of the decimated baseband for its class's estimate and the phase
-sums.  So no array spans the record, and what the sideband pass holds is
-bounded by a block and the Welch segments, whatever the drive period.
-Each pass's tables go with it.  Artifacts are
+driver, the sideband record first.  Both passes cut their pieces at the
+usable slices' bounds (spectral.slice_parts) and feed the parts straight
+to the Welch estimate of their drive class: the sideband pass the record's
+blocks, the quadrature pass the decimated baseband the lock-in hands on
+for each block, whose resonant parts also go to the phase sums.  So no
+array spans the record or a slice, and what a pass holds is bounded by a
+block and the Welch segments, whatever the drive period.  Each pass's
+tables go with it.  Artifacts are
 byte-reproducible for a fixed (config, seed) and environment (the numpy
 version, which every report records), independent of the worker count.
 """
@@ -38,6 +39,7 @@ from .detect import (
     demod_baseband,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
+    lockin_baseband,
     lockin_demodulate,
     optimize_demod_phase,
     schedule_drive,
@@ -46,7 +48,7 @@ from .errors import ConfigError, ParoscError, PipelineError, QuantumSqueezingReg
 from .fitting import fit_double_pair, fit_quadrature, fit_single_pair
 from .model import DerivedRates, analytic_sideband_psd, quadrature_variances, ratios, squeeze_param
 from .parallel import thread_map
-from .spectral import UsableSlices, Welch, chi2_indistinguishable, write_psd_csv
+from .spectral import Welch, chi2_indistinguishable, slice_parts, write_psd_csv
 from .spectral import welch_psd_chunks  # noqa: F401  (perfbench/spans.py wraps it by name)
 from .synth import (
     DETUNED,
@@ -184,54 +186,57 @@ def _run_repetition(
         return {tag: Welch(fs, nperseg, v["welch_overlap"], v["window"], "constant")
                 for tag in (DETUNED, RESONANT)}
 
-    # Each pass is a function, so its tables, Welch tails and slice buffer
-    # (and the last slice a loop variable holds) are gone before the next
-    # pass starts.
+    # Each pass is a function, so its tables and Welch tails are gone
+    # before the next pass starts.  Both cut their record's pieces at the
+    # usable slices (slice_parts) and feed each part straight to its drive
+    # class's Welch estimate, the part that ends a slice ending that
+    # estimate's chunk.  Each step lets go of a piece (the dels) before the
+    # next is asked for, so no block is held while the next one is made.
     def sideband():
-        # component backend: each block is cut at the usable slices' bounds
-        # and each part goes straight to its drive class's Welch estimate,
-        # the part that ends a slice ending that estimate's chunk
+        # component backend: the pieces are the record's blocks
         welch = welch_per_class(grid.sample_rate)
-        slices = schedule.usable_slices(grid.sample_rate, grid.n_samples)
-        tag, s = next(slices, (None, None))
-        for blk, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
-                                   "record_component.bin"):
-            b0, b1 = blk.start, blk.start + len(samples)
-            while s is not None and s.start < b1:
-                welch[tag].feed(samples[max(s.start, b0) - b0 : s.stop - b0], workers, s.stop <= b1)
-                if s.stop > b1:
-                    break
-                tag, s = next(slices, (None, None))
-            del samples
+
+        def pieces():
+            for _, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
+                                     "record_component.bin"):
+                yield samples
+                del samples
+
+        for tag, part, last in slice_parts(schedule.usable_slices(grid.sample_rate, grid.n_samples),
+                                           pieces()):
+            welch[tag].feed(part, workers, last)
+            del part
         return {tag: _stage("heterodyne psd", w.psd) for tag, w in welch.items()}
 
     def quadrature():
-        # Wigner backend: the lock-in filters each block; each usable slice
-        # of the decimated baseband goes to its class's complex Welch
-        # estimate and, when resonant, to the phase sums.  The raw channels
-        # are written unrotated and rotated by theta* at the end.
+        # Wigner backend: the pieces are the decimated baseband the lock-in
+        # hands on for each block; the resonant parts also go to the phase
+        # sums.  The raw channels are written unrotated and rotated by
+        # theta* at the end.
         welch = welch_per_class(fs_q)
-        baseband = slices = None
+        baseband = _stage("demodulation", lockin_baseband, grid, det, passband_edge, decim, schedule)
         sums = (0.0, 0.0, 0.0, 0)
-        j0 = 0
-        for blk, samples in record(simulate_scheduled_quadratures, compose_heterodyne_wigner,
-                                   "record_wigner.bin", frame_phase=frame_phase):
-            baseband, z = _stage("demodulation", demod_baseband, samples, blk, det, passband_edge,
-                                 decim, workers=workers, into=baseband, schedule=schedule)
-            del samples
-            if demod_path is not None:
-                recordio.write_record_bin(demod_path, (z.real, z.imag), fs_q, offset=j0,
-                                          length=-(-grid.n_samples // decim))
-            j0 += len(z)
-            if slices is None:  # the slices' tail guard is the filter's half length
-                slices = UsableSlices(baseband.usable_slices(), complex)
-            for tag, piece in slices.feed(z):
-                welch[tag].feed(piece, workers)
-                if tag == RESONANT:
-                    sums = add_phase_sums(sums, piece)
-            # the last slice goes before the next block, so the buffer it
-            # views is not held beside a longer slice's
-            piece = None
+
+        def pieces():
+            j0 = 0
+            for blk, samples in record(simulate_scheduled_quadratures, compose_heterodyne_wigner,
+                                       "record_wigner.bin", frame_phase=frame_phase):
+                _, z = _stage("demodulation", demod_baseband, samples, blk, det, passband_edge,
+                              decim, workers=workers, into=baseband)
+                del samples
+                if demod_path is not None:
+                    recordio.write_record_bin(demod_path, (z.real, z.imag), fs_q, offset=j0,
+                                              length=baseband.n_decimated)
+                j0 += len(z)
+                yield z
+                del z
+
+        # the slices' tail guard is the filter's half length
+        for tag, part, last in slice_parts(baseband.usable_slices(), pieces()):
+            welch[tag].feed(part, workers, last)
+            if tag == RESONANT:
+                sums = add_phase_sums(sums, part)
+            del part
         return welch, sums
 
     psd_h = sideband()
@@ -489,12 +494,8 @@ def run_single(
     artifacts = []
     for rep in range(v["repetitions"]):
         seed = rep_seed(v["seed"], point_key, rep)
-        rep_dir = out / f"rep{rep:02d}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        raw_dir = None
-        if v["keep_raw"]:
-            raw_dir = rep_dir / "raw"
-            raw_dir.mkdir(exist_ok=True)
+        rep_dir = _make_out_dir(out / f"rep{rep:02d}")
+        raw_dir = _make_out_dir(rep_dir / "raw") if v["keep_raw"] else None
         result = _run_repetition(config, rates, seed, raw_dir, v["workers"])
         for name, psd in result["psds"].items():
             write_psd_csv_with_hash(psd, rep_dir / name, cfg_hash)

@@ -12,18 +12,21 @@ record nor a chunk streamed in pieces is ever held whole: the estimate
 carries only the chunk's unconsumed tail, from its next segment's start
 (at most segment + (workers - 1) * hop + piece samples), its row slots and
 its row sum, all dropped when the chunk ends.  `welch_psd_chunks` feeds a
-list of whole chunks in order.
-`UsableSlices` assembles a streamed record's usable slices, tagged by
-drive class in record order, from the pieces in one buffer grown to the
-longest slice.  A chunk's rows are computed `workers` at a time, one per
-thread, as their segments complete, but summed in segment order into the
-chunk sum, and that chunk sum is added to the running sum when the chunk
-ends, so the estimate depends neither on the thread count nor on how the
-chunks are cut.  The working set is one segment per thread, not the
-record: each row is detrended, windowed, transformed and squared in one
-of the chunk's `workers` slots.  The window is shared
-read-only by the estimates that hold it (parallel.shared), so it is made
-once for all of them and goes with the last.
+list of whole chunks in order.  `slice_parts` cuts a streamed record's
+pieces at its usable slices, tagged by drive class in record order, so
+each part goes straight to its class's estimate, the part that ends a
+slice ending that chunk: both records reach their estimates that way, and
+no slice is ever assembled.
+
+A chunk's rows are computed `workers` at a time, one per thread, as their
+segments complete, but summed in segment order into the chunk sum, and
+that chunk sum is added to the running sum when the chunk ends, so the
+estimate depends neither on the thread count nor on how the chunks are
+cut.  The working set is one segment per thread, not the record: each row
+is detrended, windowed, transformed and squared in one of the chunk's
+`workers` slots.  The window is shared read-only by the estimates that
+hold it (parallel.shared), so it is made once for all of them and goes
+with the last.
 
 For complex input z the accumulator also sums the pseudo-spectrum
 B_k = sum Z_k Z_{-k} beside the power A_k = sum |Z_k|^2, the two
@@ -358,40 +361,28 @@ class Welch:
         )
 
 
-class UsableSlices:
-    """The usable slices of a record ((drive class, index range) in record
-    order, all disjoint), assembled from consecutive pieces of the record
-    in one buffer.  The buffer is replaced by a longer one when a slice
-    needs it, so it is sized on first use and ends at the longest slice.
-    feed(piece) yields (class, samples) for each slice the piece completes,
-    in record order: use the samples before the generator resumes, and
-    exhaust it before the next piece.
-
-    A Welch estimate takes a slice in pieces, so the sideband pass feeds
-    its slices' parts straight to Welch and only the quadrature pass
-    assembles: its phase sums (detect.add_phase_sums) are taken over whole
-    resonant slices, and summing them piece by piece would move theta* by
-    rounding."""
-
-    def __init__(self, slices, dtype):
-        self._slices = iter(slices)
-        self._next = next(self._slices, None)
-        self._buf = np.empty(0, dtype)
-        self._fed = 0
-
-    def feed(self, piece: np.ndarray):
-        j0 = self._fed
-        j1 = self._fed = j0 + len(piece)
-        while self._next is not None and self._next[1].start < j1:
-            tag, s = self._next
-            if len(self._buf) < s.stop - s.start:
-                self._buf = np.empty(s.stop - s.start, self._buf.dtype)
-            lo, hi = max(s.start, j0), min(s.stop, j1)
-            self._buf[lo - s.start : hi - s.start] = piece[lo - j0 : hi - j0]
-            if s.stop > j1:
-                return
-            self._next = next(self._slices, None)
-            yield tag, self._buf[: s.stop - s.start]
+def slice_parts(slices, pieces):
+    """Cut a record's consecutive pieces at its usable slices: yield
+    (tag, part, last) for every non-empty part of a slice of the
+    (tag, index range) walk `slices` (in record order, disjoint), in
+    record order, `last` on the part that ends its slice.  Each part is a
+    view of its piece, which is let go before the next piece is asked for,
+    so a caller that lets go of each part holds no piece while the next is
+    made.  A Welch estimate takes the parts as they come
+    (Welch.feed(part, workers, last)).  A slice the pieces do not reach the
+    end of yields no last part."""
+    tag, s = next(slices, (None, None))
+    j0 = 0
+    for piece in pieces:
+        j1 = j0 + len(piece)
+        while s is not None and max(s.start, j0) < j1:
+            last = s.stop <= j1
+            yield tag, piece[max(s.start, j0) - j0 : s.stop - j0], last
+            if not last:
+                break
+            tag, s = next(slices, (None, None))
+        j0 = j1
+        del piece
 
 
 def welch_psd_chunks(

@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from parosc.config import RunConfig
@@ -29,3 +31,20 @@ def fast_config(**overrides) -> RunConfig:
     merged = dict(FAST_OVERRIDES)
     merged.update(overrides)
     return RunConfig.defaults().with_overrides(**merged)
+
+
+def joined_slices(parts) -> list:
+    """(tag, bytes) of every slice the (tag, part, last) stream of
+    spectral.slice_parts ends, in order, its parts joined; asserts that no
+    part is empty, that a slice's parts share its tag and that the last
+    slice ends."""
+    got, joined = [], []
+    for tag, part, last in parts:
+        assert len(part)
+        joined.append((tag, part))
+        if last:
+            assert {t for t, _ in joined} == {tag}
+            got.append((tag, np.concatenate([p for _, p in joined]).tobytes()))
+            joined = []
+    assert not joined
+    return got

@@ -14,8 +14,8 @@ from parosc.detect import (
     STOPBAND_DB,
     DetectionParams,
     _freqz_response,
+    _record_phasors,
     add_phase_sums,
-    carrier_phasors,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
     demod_baseband,
@@ -27,7 +27,7 @@ from parosc.detect import (
 from parosc.errors import AliasingError, FilterDesignError, ScheduleError
 from parosc.fitting import fit_single_pair
 from parosc.model import DerivedRates, OscillatorParams
-from parosc.spectral import UsableSlices, Welch, welch_psd_chunks
+from parosc.spectral import Welch, slice_parts, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
@@ -67,18 +67,15 @@ def of_class(tag, slices):
 
 
 def sum_slices(bb, zs, spectra=(), workers=1):
-    """Feed the decimated pieces zs of bb's record through its usable
-    slices as the pipeline does: each complete slice to its class's Welch
-    in spectra, if any, and each resonant one to the phase sums, which are
-    returned."""
-    slices = UsableSlices(bb.usable_slices(), complex)
+    """Cut the decimated pieces zs of bb's record at its usable slices as
+    the pipeline does: each part to its class's Welch in spectra, if any,
+    and each resonant one to the phase sums, which are returned."""
     sums = (0.0, 0.0, 0.0, 0)
-    for z in zs:
-        for tag, piece in slices.feed(z):
-            if tag in spectra:
-                spectra[tag].feed(piece, workers)
-            if tag == RESONANT:
-                sums = add_phase_sums(sums, piece)
+    for tag, part, last in slice_parts(bb.usable_slices(), zs):
+        if tag in spectra:
+            spectra[tag].feed(part, workers, last)
+        if tag == RESONANT:
+            sums = add_phase_sums(sums, part)
     return sums
 
 
@@ -137,10 +134,10 @@ class TestScheduleDrive:
 
     def test_max_segments_schedule_holds_nothing_per_segment(self):
         # on the defaults at the longest record MAX_SEGMENTS admits, the
-        # schedule, its slice iterator and the slice assembler allocate
-        # under 1 MiB together (42.5 MiB when they were lists of segments
-        # and slices); each class's first and last slices are the listed
-        # ones
+        # schedule and its slice walk, cut into parts over the whole
+        # record, allocate under 1 MiB together (42.5 MiB when they were
+        # lists of segments and slices); each class's first and last
+        # slices are the listed ones
         import tracemalloc
         from collections import deque
         from itertools import islice
@@ -152,14 +149,19 @@ class TestScheduleDrive:
         grid, rates = config.grid(seed=0), config.derived_rates()
         period = config.values["schedule_period"]
         assert MAX_SEGMENTS - 500 < grid.duration / period <= MAX_SEGMENTS
+        # the record as three pieces that hold no samples
+        n = grid.n_samples
+        pieces = [np.broadcast_to(0.0, (k,)) for k in (n // 3, n // 3, n - 2 * (n // 3))]
         tracemalloc.start()
         try:
             schedule = schedule_drive(grid, period, rates.gamma_minus)
-            UsableSlices(schedule.usable_slices(grid.sample_rate, grid.n_samples), float)
+            walk = schedule.usable_slices(grid.sample_rate, n)
+            n_last = sum(last for _, _, last in slice_parts(walk, pieces))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+        assert n_last == schedule.n_segments
         for tag in (DETUNED, RESONANT):
             listed = self._listed_slices(grid, period, schedule.guard, tag)
             walk = (s for seg_tag, s in schedule.usable_slices(grid.sample_rate, grid.n_samples)
@@ -171,6 +173,10 @@ class TestScheduleDrive:
 
 
 class TestCarrierPhasors:
+    @staticmethod
+    def _phasors(n, omega, dt, phase):
+        return _record_phasors(Streams(0, dt, n), n, omega, dt, phase, 0)
+
     def test_matches_direct_exp_over_full_default_record(self):
         # 100 s at 250 kHz: 25 M samples, the last block only partly filled
         fs, omega, phase = 250e3, TWO_PI * 50e3 + DELTA_LO, 0.7
@@ -179,7 +185,7 @@ class TestCarrierPhasors:
         dt = 1.0 / fs
         worst = 0.0
         covered = 0
-        for i0, i1, ph in carrier_phasors(n, omega, dt, phase):
+        for i0, i1, ph in self._phasors(n, omega, dt, phase):
             assert i0 == covered
             covered = i1
             direct = np.exp(1j * (omega * (np.arange(i0, i1) * dt) + phase))
@@ -188,7 +194,7 @@ class TestCarrierPhasors:
         assert worst < 1e-8
 
     def test_short_record_single_partial_block(self):
-        blocks = list(carrier_phasors(10, 3.0, 0.1, -0.2))
+        blocks = list(self._phasors(10, 3.0, 0.1, -0.2))
         assert len(blocks) == 1
         i0, i1, ph = blocks[0]
         assert (i0, i1) == (0, 10)
@@ -427,8 +433,10 @@ class TestSegmentStreaming:
         return {tag: Welch(FS / 4, 1750, 0.5, "hann", "constant") for tag in (DETUNED, RESONANT)}
 
     def test_wigner_record_and_baseband(self):
-        # the handed-on pieces of the baseband, theta* and the channel
-        # spectra are the whole record's, bit for bit
+        # the handed-on pieces of the baseband and the channel spectra at a
+        # given theta are the whole record's, bit for bit; the phase sums
+        # are added part by part, so theta* and the depth agree to their
+        # rounding
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         whole_quad = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
@@ -462,7 +470,8 @@ class TestSegmentStreaming:
             np.testing.assert_array_equal(np.concatenate(samples), whole_samples, str(cut))
             np.testing.assert_array_equal(np.concatenate(zs), whole_z, str(cut))
             spectra = self._spectra()
-            assert optimize_demod_phase(sum_slices(streamed, zs, spectra, workers=2)) == theta, cut
+            got = optimize_demod_phase(sum_slices(streamed, zs, spectra, workers=2))
+            np.testing.assert_allclose(got, theta, rtol=1e-12, atol=0, err_msg=str(cut))
             for key, psd in lockin_demodulate(spectra, theta[0]).items():
                 np.testing.assert_array_equal(psd.density, whole_psds[key].density, str(key))
 

@@ -448,6 +448,20 @@ class TestCli:
         assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("taken,keep_raw", [("rep00", "false"), ("rep00/raw", "true")])
+    def test_repetition_directory_is_a_file_exit_2(self, tmp_path, capsys, taken, keep_raw):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(tiny_config(repetitions="1", keep_raw=keep_raw).snapshot())
+        out = tmp_path / "out"
+        blocker = out / taken
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("not a directory\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+        assert str(blocker) in err
+        assert blocker.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize(
         "verb,option,values",
         [
@@ -727,11 +741,11 @@ class TestMemoryBound:
 
     def test_peak_with_segments_longer_than_a_block(self, tmp_path):
         # 15 s drive segments of 375 000 samples span several processing
-        # blocks.  Only the quadrature pass's slice buffer is segment-sized
-        # (the sideband pass streams its slices), so the peak stays below
-        # 1.6 records (1.09 here; 1.36 while the sideband pass assembled its
-        # slices too); with every stage working on whole segments it read
-        # 2.09 records.
+        # blocks.  Neither pass assembles a slice (each streams its slices'
+        # parts), so the peak stays below 1.6 records (1.09 here, as while
+        # the quadrature pass assembled its decimated slices; 1.36 while the
+        # sideband pass assembled its slices too); with every stage working
+        # on whole segments it read 2.09 records.
         cfg = tiny_config(duration="60s", schedule_period="15s", repetitions="1")
         peak = _traced_peak(cfg, tmp_path)
         assert peak < 1.6, peak
@@ -739,7 +753,7 @@ class TestMemoryBound:
     def test_peak_does_not_grow_with_the_record(self, tmp_path):
         # No array of a repetition spans the record: the traced peaks at 60 s
         # and 120 s differ by less than one 3 s drive segment of decimated
-        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 1 KB
+        # baseband (16 bytes a sample at 6.25 kHz).  They differed by 15 KB
         # here; with the baseband held whole, by its 60 s, 6 MB.
         peaks = []
         for duration in (60, 120):
@@ -750,24 +764,27 @@ class TestMemoryBound:
         assert abs(peaks[1] - peaks[0]) < segment_bytes, peaks
 
     def test_peak_does_not_grow_with_the_drive_period(self, tmp_path):
-        # The sideband pass feeds each block's parts of the usable slices
-        # straight into their Welch estimates, so none of its arrays grows
-        # with the drive period past a block; the quadrature pass's
-        # decimated complex slices (16 bytes a sample at 6.25 kHz) grow by
-        # 1.0 MB from 5 s to 15 s.  The traced peaks differ by less
-        # than three quarters of what one full-rate real slice (8 bytes a
-        # sample at 25 kHz) grows by over the 10 s.  They differed by
-        # 0.57 MB here; with each slice assembled whole for the sideband
-        # Welch, by 2.46 MB (1.54 MB when that code's phasor and window
+        # Both passes feed each block's parts of the usable slices straight
+        # into their Welch estimates, so none of their arrays grows with
+        # the drive period past a block.  From 5 s to 15 s the traced peaks
+        # differ by less than three quarters of what one full-rate real
+        # slice (8 bytes a sample at 25 kHz) grows by over the 10 s: by
+        # 0.59 MB here, as while the quadrature pass assembled its decimated
+        # slices; with each slice assembled whole for the sideband Welch
+        # too, by 2.46 MB (1.54 MB when that code's phasor and window
         # caches, filled by the first run, were missing from the second
-        # peak).
+        # peak).  From 15 s to 30 s (a 60 s record of two segments) they
+        # differ by less than 0.3 MB: by 0.001 MB here, and by 0.88 MB while
+        # the quadrature pass assembled its slices (16 bytes a sample at
+        # 6.25 kHz).
         peaks = []
-        for period in (5, 15):
+        for period in (5, 15, 30):
             cfg = tiny_config(duration="60s", schedule_period=f"{period}s", repetitions="1")
             records = _traced_peak(cfg, tmp_path / f"{period}s")
             peaks.append(records * 8 * cfg.grid(0).n_samples)
         slice_growth = 8 * 10.0 * 25e3
         assert abs(peaks[1] - peaks[0]) < 0.75 * slice_growth, peaks
+        assert abs(peaks[2] - peaks[1]) < 0.3e6, peaks
 
 
 class TestKeepRaw:

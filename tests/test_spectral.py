@@ -1,9 +1,7 @@
 """PSD estimation: normalization contract, resolution policy, persistence."""
 
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -13,18 +11,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy import signal
 
+from conftest import joined_slices
 from parosc.errors import SpectralError
 from parosc.fitting import fit_quadrature, fit_single_pair
 from parosc.spectral import (
     BIN_STEP_BY_WINDOW,
     Psd,
-    UsableSlices,
     Welch,
     _periodic_window,
     _window_terms,
     bin_step_for,
     chi2_indistinguishable,
     read_psd_csv,
+    slice_parts,
     welch_psd_chunks,
     write_psd_csv,
 )
@@ -418,8 +417,9 @@ class TestChannelSpectra:
 
 
 class TestUsableSlices:
-    """The slices assembled from a record's pieces are the whole record's
-    slices, bit for bit and in record order, however the record is cut."""
+    """The parts slice_parts cuts a record's pieces into join, per slice,
+    to the whole record's slices, bit for bit and in record order, however
+    the record is cut; `last` marks each slice's final part only."""
 
     N = 50
     SLICES = [("a", slice(3, 10)), ("b", slice(12, 20)), ("a", slice(25, 40)),
@@ -437,37 +437,16 @@ class TestUsableSlices:
             [0, 50],  # one piece spanning every slice
             list(range(51)),  # one-sample pieces
             [0, 3, 10, 12, 20, 25, 40, 41, 42, 45, 50],  # at every slice start and stop
-            [0, 0, 11, 11, 33, 50, 50],  # empty pieces, at the start, inside and at the end
+            [0, 0, 11, 11, 33, 33, 50, 50],  # empty pieces: first, between slices, inside one, last
             [0, 26, *range(27, 40, 2), 50],  # one slice across many pieces
             [0, 11, 43, 50],  # pieces completing several slices each
         ],
     )
     def test_slices_of_any_cut_are_the_whole_records(self, dtype, cuts):
         record = self._record(dtype)
-        slices = UsableSlices(self.SLICES, dtype)
-        got = [
-            (tag, samples.tobytes())
-            for a, b in zip(cuts[:-1], cuts[1:])
-            for tag, samples in slices.feed(record[a:b])
-        ]
+        pieces = (record[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+        got = joined_slices(slice_parts(iter(self.SLICES), pieces))
         assert got == [(tag, record[s].tobytes()) for tag, s in self.SLICES]
-
-    def test_one_buffer_of_the_longest_slice(self):
-        # the buffer is sized on first use and replaced only by a longer
-        # one, ending at the longest slice; a replaced buffer is released,
-        # so one is held at a time
-        slices = UsableSlices(self.SLICES, complex)
-        refs, sizes = [], []
-        for _, samples in slices.feed(self._record(complex)):
-            if not refs or refs[-1]() is not samples.base:
-                refs.append(weakref.ref(samples.base))
-                sizes.append(len(samples.base))
-            assert samples.base.dtype == complex
-        del samples
-        gc.collect()
-        # slices of 7, 8, 15, 1 and 5 samples in record order
-        assert sizes == [7, 8, 15]
-        assert [ref() is None for ref in refs] == [True, True, False]
 
 
 class TestWindowIndependence:

@@ -13,7 +13,7 @@ from scipy.stats import ks_2samp
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from parosc.fitting import fit_quadrature
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
-from parosc.spectral import UsableSlices, bin_step_for, welch_psd_chunks
+from parosc.spectral import bin_step_for, slice_parts, welch_psd_chunks
 from parosc.synth import (
     DETUNED,
     RESONANT,
@@ -39,6 +39,7 @@ from parosc.synth import (
     _ou_powers,
 )
 
+from conftest import joined_slices
 from oracles import ar1_variance_estimator_sigma
 
 TWO_PI = 2.0 * math.pi
@@ -648,8 +649,8 @@ def walked_schedules(draw):
 
 class TestUsableSliceWalk:
     """One walk of the schedule, in record order, gives each class the
-    slices a walk per class gave it; assembled from any cut of the record,
-    they are the record's own slices."""
+    slices a walk per class gave it; the parts slice_parts cuts any cut of
+    the record into join to the record's own slices."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=walked_schedules())
@@ -658,22 +659,25 @@ class TestUsableSliceWalk:
         want = _merged_usable_slices(schedule, rate, n, tail_guard)
         assert list(schedule.usable_slices(rate, n, tail_guard)) == want
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(case=walked_schedules(), cut_fractions=st.lists(st.floats(0.0, 1.0), max_size=12),
+           unit_cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
            dtype=st.sampled_from((float, complex)))
-    def test_assembled_slices_of_any_cut_are_the_records(self, case, cut_fractions, dtype):
+    def test_parts_of_any_cut_join_to_the_records(self, case, cut_fractions, unit_cuts, dtype):
+        # random cuts, repeated ones giving empty pieces and a cut beside
+        # each of unit_cuts a one-sample piece: per slice, the parts are
+        # non-empty, come in record order, join to the record's own slice
+        # and the last of them alone is marked last
         schedule, rate, n, tail_guard = case
         rng = np.random.default_rng(9)
         record = rng.standard_normal(n)
         if dtype is complex:
             record = record + 1j * rng.standard_normal(n)
-        cuts = [0, *sorted(int(f * n) for f in cut_fractions), n]
-        slices = UsableSlices(schedule.usable_slices(rate, n, tail_guard), dtype)
-        got = [
-            (tag, samples.tobytes())
-            for a, b in zip(cuts[:-1], cuts[1:])
-            for tag, samples in slices.feed(record[a:b])
-        ]
+        cuts = [int(f * n) for f in cut_fractions]
+        cuts += [min(c + d, n) for c in (int(f * n) for f in unit_cuts) for d in (0, 1)]
+        cuts = [0, *sorted(cuts), n]
+        pieces = (record[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+        got = joined_slices(slice_parts(schedule.usable_slices(rate, n, tail_guard), pieces))
         want = _merged_usable_slices(schedule, rate, n, tail_guard)
         assert got == [(tag, record[s].tobytes()) for tag, s in want]
 
