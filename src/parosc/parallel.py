@@ -12,10 +12,10 @@ call made on one of the pools' own threads (a sweep point's kernels, say)
 runs serially there: a task never waits on tasks queued behind it, so
 nested calls cannot deadlock.
 
-Read-only tables (a mixing phasor, a Welch window) are made through
-`shared`, which hands every holder of a table the same array and keeps
-none that nobody holds: the runs that use a table at the same time, on
-any thread, share it, and a finished run's tables do not stay resident.
+Read-only tables (a mixing phasor) are made through `shared`, which
+hands every holder of a table the same array and keeps none that nobody
+holds: the runs that use a table at the same time, on any thread, share
+it, and a finished run's tables do not stay resident.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def shared(make):
     result: a call made then, on any thread, returns that same array, and
     once the last holder drops it the next call makes it anew.  A caller
     that needs a table for every piece of a record keeps it for the record
-    (Streams.table, a Welch estimate's window)."""
+    (Streams.table)."""
     tables = weakref.WeakValueDictionary()
     lock = threading.Lock()
 

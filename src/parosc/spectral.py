@@ -22,11 +22,15 @@ A chunk's rows are computed `workers` at a time, one per thread, as their
 segments complete, but summed in segment order into the chunk sum, and
 that chunk sum is added to the running sum when the chunk ends, so the
 estimate depends neither on the thread count nor on how the chunks are
-cut.  The working set is one segment per thread, not the record: each row
-is detrended, windowed, transformed and squared in one of the chunk's
-`workers` slots.  The window is shared read-only by the estimates that
-hold it (parallel.shared), so it is made once for all of them and goes
-with the last.
+cut.  The working set is one spectrum row per thread, not the record:
+each segment is transformed straight from its view of the chunk into one
+of the chunk's `workers` row slots, and detrended and windowed there, in
+the frequency domain.  Every window here is a sum of at most three
+cosines, so multiplying a segment by it is a 1-, 3- or 5-tap convolution
+of the segment's DFT (Harris, Proc. IEEE 66, 51, 1978), done in place in
+runs of `_WINDOW_RUN` bins; a segment's mean lives only in bin 0 of its
+unwindowed DFT, which the constant detrend zeroes.  So no estimate holds
+a window or a windowed copy of a segment, only the window's taps.
 
 For complex input z the accumulator also sums the pseudo-spectrum
 B_k = sum Z_k Z_{-k} beside the power A_k = sum |Z_k|^2, the two
@@ -47,7 +51,7 @@ import numpy.fft  # numpy would load it on first use, inside a run
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SpectralError
-from .parallel import shared, thread_map
+from .parallel import thread_map
 
 DEFAULT_WINDOW = "hann"
 DEFAULT_OVERLAP = 0.5
@@ -73,6 +77,11 @@ _COSINE_TERMS = {
 # (125,001 rows on the defaults) at once holds about 14 MiB of Python
 # floats and text.
 _CSV_ROWS = 4096
+
+
+# Bins a row is windowed in at a time: the run and its 2 * (taps - 1)
+# neighbours are the only scratch windowing makes.
+_WINDOW_RUN = 4096
 
 
 def bin_step_for(window: str) -> int:
@@ -129,24 +138,66 @@ def _periodic_window(window: str, length: int) -> np.ndarray:
     return win[:-1]
 
 
-@shared
-def _window_values(window: str, segment_len: int) -> np.ndarray:
+def _window_terms(window: str, segment_len: int, hop: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    """The window's taps, its power sum and the normalized window
+    correlation rho_m at each overlapping lag m*hop, m = 1, 2, ...  The
+    taps (c_0, c_1, ...) window a segment's DFT as
+    Y[k] = c_0 X[k] + sum_j c_j (X[k - j] + X[k + j]): at the periodic
+    window's x_n = -pi + 2 pi n / N, a_j cos(j x_n) is
+    (-1)^j a_j / 2 (e^{2 pi i j n / N} + e^{-2 pi i j n / N}).  The sums
+    are taken over the window's values, which are not kept."""
     win_vals = _periodic_window(window, segment_len)
-    win_vals.flags.writeable = False
-    return win_vals
-
-
-def _window_terms(window: str, segment_len: int, hop: int) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """The window values (read-only, shared by the estimates that hold
-    them), their power sum and the normalized window correlation rho_m at
-    each overlapping lag m*hop, m = 1, 2, ..."""
-    win_vals = _window_values(window, segment_len)
     power_sum = float(np.sum(win_vals**2))
     rhos = tuple(
         float(np.sum(win_vals[: segment_len - lag] * win_vals[lag:])) / power_sum
         for lag in range(hop, segment_len, hop)
     )
-    return win_vals, power_sum, rhos
+    a = _COSINE_TERMS[window]
+    taps = (a[0], *((-1) ** j * a[j] / 2.0 for j in range(1, len(a))))
+    # a window of one sample is a one (_periodic_window), not its cosine sum
+    return taps if segment_len > 1 else (1.0,), power_sum, rhos
+
+
+def _window_row(row: np.ndarray, taps: tuple[float, ...], segment_len: int) -> None:
+    """Window a segment's DFT row in place: Y[k] = c_0 X[k] +
+    sum_j c_j (X[k - j] + X[k + j]), the DFT of the windowed segment.  A
+    real segment's row holds bins 0 .. segment_len // 2 and the bins beyond
+    them are its conjugates (X[-k] = X[N - k]^*); a complex segment's row
+    holds every bin and wraps around.  The row is rewritten in runs of
+    _WINDOW_RUN bins, each run's originals and its neighbours copied into
+    one small scratch array first, so no row-length temporary is made."""
+    if taps == (1.0,):
+        return
+    span = len(taps) - 1
+    n_bins = len(row)
+
+    def original(k):
+        k %= segment_len
+        return row[k] if k < n_bins else row[segment_len - k].conjugate()
+
+    ext = np.empty(_WINDOW_RUN + 2 * span, complex)
+    ext[:span] = [original(k) for k in range(-span, 0)]
+    beyond = [original(k) for k in range(n_bins, n_bins + span)]
+    acc = np.empty(2 * _WINDOW_RUN)
+    # the taps are real, so they act on the real and imaginary parts alike:
+    # a shift of j bins is 2 j floats of the float view
+    flat = ext.view(float)
+    for b0 in range(0, n_bins, _WINDOW_RUN):
+        run = min(_WINDOW_RUN, n_bins - b0)
+        # ext[:span] holds the originals of bins b0 - span .. b0 - 1; add
+        # those of bins b0 .. b0 + run + span - 1, past the row from beyond
+        inside = min(run + span, n_bins - b0)
+        ext[span : span + inside] = row[b0 : b0 + inside]
+        ext[span + inside : 2 * span + run] = beyond[: run + span - inside]
+        out = row[b0 : b0 + run].view(float)
+        np.multiply(flat[2 * span : 2 * (span + run)], taps[0], out=out)
+        for j, c in enumerate(taps[1:], start=1):
+            a = acc[: 2 * run]
+            np.add(flat[2 * (span - j) : 2 * (span - j + run)],
+                   flat[2 * (span + j) : 2 * (span + j + run)], out=a)
+            a *= c
+            out += a
+        ext[:span] = ext[run : run + span]
 
 
 def _overlap_variance_factor(rhos: tuple[float, ...], n_segments: int) -> float:
@@ -186,7 +237,10 @@ class Welch:
     the one-sided densities of their real channels at any rotation
     (channel_psds).  Per-segment mean removal (detrend="constant")
     suppresses the DC bin; detrend=False keeps the spectrum right at zero
-    frequency.
+    frequency.  The mean removal and the window act on each segment's
+    DFT, not on the segment: the mean is bin 0 and the window a
+    convolution of the bins (_window_row), so the estimate keeps only the
+    window's taps, its power sum and its overlap correlations.
     """
 
     def __init__(
@@ -202,7 +256,7 @@ class Welch:
         self.window = window
         self.detrend = detrend
         self.hop = segment_len - int(segment_len * overlap_frac)
-        self._win_vals, self._win_power, self._rhos = _window_terms(window, segment_len, self.hop)
+        self._taps, self._win_power, self._rhos = _window_terms(window, segment_len, self.hop)
         self._complex: bool | None = None
         self._total: np.ndarray | None = None
         # B_k for k = 0 .. segment_len // 2 (B_{-k} = B_k), complex input only
@@ -270,8 +324,10 @@ class Welch:
     def _add_rows(self, chunk: _Chunk, segments: np.ndarray, workers: int) -> None:
         """Add the rows of the segments to the chunk's sums, in segment
         order.  The rows are computed `workers` at a time, each in one of
-        the chunk's `workers` slots, and each group is summed before the
-        next reuses the slots."""
+        the chunk's `workers` slots: the segment is transformed from its
+        view of the chunk into the slot, then detrended and windowed there
+        (_window_row), and each group is summed before the next reuses the
+        slots."""
         complex_input = self._complex
         seg_len = self.segment_len
         half = seg_len // 2 + 1
@@ -279,21 +335,18 @@ class Welch:
             chunk.total = np.zeros(len(self._total))
             chunk.pseudo = np.zeros(half, complex) if complex_input else None
             chunk.slots = (
-                np.empty((workers, seg_len), complex if complex_input else float),
                 np.empty((workers, len(self._total)), complex),
                 np.empty((workers, half), complex) if complex_input else None,
             )
-        windowed, spectra, pseudo_rows = chunk.slots
+        spectra, pseudo_rows = chunk.slots
         transform = np.fft.fft if complex_input else np.fft.rfft
 
         def power_row(k):
             j = k % workers
+            spec = transform(segments[k], out=spectra[j])
             if self.detrend == "constant":
-                np.subtract(segments[k], segments[k].mean(), out=windowed[j])
-                windowed[j] *= self._win_vals
-            else:
-                np.multiply(segments[k], self._win_vals, out=windowed[j])
-            spec = transform(windowed[j], out=spectra[j])
+                spec[0] = 0.0  # the segment's mean, which no other bin holds
+            _window_row(spec, self._taps, seg_len)
             if complex_input:
                 # Z_k Z_{-k}: Z_{-k} is spec[seg_len - k] for k > 0
                 np.multiply(spec[0], spec[0], out=pseudo_rows[j, :1])

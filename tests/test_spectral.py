@@ -19,7 +19,6 @@ from parosc.spectral import (
     Psd,
     Welch,
     _periodic_window,
-    _window_terms,
     bin_step_for,
     chi2_indistinguishable,
     read_psd_csv,
@@ -132,6 +131,9 @@ class TestWelchMatchesScipy:
             (100_000, 2001, 0.5, "hann", False, False),
             (50_000, 999, 0.3, "blackman", True, "constant"),
             (60_000, 1000, 0.0, "boxcar", True, False),
+            (80_000, 1500, 0.5, "hamming", False, "constant"),
+            (50_000, 1024, 0.5, "hann", True, "constant"),
+            (70_000, 1001, 0.5, "blackman", False, False),
         ],
     )
     def test_density_matches_signal_welch(self, n, seg, overlap, window, complex_input, detrend):
@@ -151,20 +153,40 @@ class TestWelchMatchesScipy:
         np.testing.assert_allclose(psd.density, density, rtol=0.0, atol=1e-12 * density.max())
 
 
+def hann_power_rows(segments, detrend):
+    """The power rows of a stack of segments (last axis) in the estimator's
+    arithmetic, all at once: each segment's DFT, bin 0 zeroed by the
+    constant detrend, windowed by the Hann taps (0.5, -0.25) as
+    Y[k] = 0.5 X[k] - 0.25 (X[k - 1] + X[k + 1]) on the real and imaginary
+    parts, taking X[-k] = X[N - k]^* past a real row's stored bins and
+    wrapping around a complex row, then squared."""
+    seg = segments.shape[-1]
+    spec = (sp_fft.fft if np.iscomplexobj(segments) else sp_fft.rfft)(segments, axis=-1)
+    if detrend == "constant":
+        spec[..., 0] = 0.0
+    k = np.arange(-1, spec.shape[-1] + 1) % seg
+    stored = k < spec.shape[-1]
+    # C order, so that np.mean over the rows sums them in segment order
+    ext = np.ascontiguousarray(np.where(stored, spec[..., np.where(stored, k, 0)],
+                                        np.conj(spec[..., np.where(stored, 0, seg - k)])))
+
+    def windowed(part):
+        y = part[..., 1:-1] * 0.5
+        y += (part[..., :-2] + part[..., 2:]) * -0.25
+        return y
+
+    return np.square(windowed(ext.real)) + np.square(windowed(ext.imag))
+
+
 class TestWelchBatches:
     @staticmethod
     def whole_stack_density(x, seg, overlap, detrend):
-        """The unbatched arithmetic: every segment detrended, windowed,
-        transformed and squared at once, then averaged with np.mean."""
+        """The unbatched arithmetic: every segment's row at once
+        (hann_power_rows), then averaged with np.mean."""
         hop = seg - int(seg * overlap)
         win = signal.get_window("hann", seg)
         segments = sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
-        if detrend == "constant":
-            segments = segments - segments.mean(axis=-1, keepdims=True)
-        segments = segments * win
-        transform = sp_fft.fft if np.iscomplexobj(x) else sp_fft.rfft
-        spec = transform(segments, axis=-1)
-        density = np.mean(np.square(spec.real) + np.square(spec.imag), axis=-2)
+        density = np.mean(hann_power_rows(segments, detrend), axis=-2)
         density /= 1234.0 * float(np.sum(win**2))
         if np.iscomplexobj(x):
             return sp_fft.fftshift(density, axes=-1)
@@ -190,11 +212,11 @@ class TestWelchBatches:
 
     def test_working_set_is_a_few_segments(self):
         # a 40-segment record: the whole stack would hold about 40 segment
-        # lengths at once, segment at a time holds about 3 (the windowed
-        # segment, its transform and the power and density rows)
+        # lengths at once, segment at a time holds about 2.5 (the transform
+        # of one segment, windowed in place, and the power and density rows)
         seg = 20_000
         x = stream_rng(24, 0).standard_normal(40 * seg)
-        welch_psd_chunks([x], 1234.0, seg, 0.0, "hann")  # fill the window cache
+        welch_psd_chunks([x], 1234.0, seg, 0.0, "hann")  # numpy's FFT plan
         tracemalloc.start()
         try:
             welch_psd_chunks([x], 1234.0, seg, 0.0, "hann")
@@ -203,17 +225,31 @@ class TestWelchBatches:
             tracemalloc.stop()
         assert peak < 5 * seg * x.itemsize
 
-    def test_window_is_shared_and_read_only(self):
-        x = stream_rng(25, 0).standard_normal(6_000)
-        a = welch_psd_chunks([x], 1234.0, 1_000, 0.5, "blackman")
-        b = welch_psd_chunks([x], 1234.0, 1_000, 0.5, "blackman")
-        win_a, win_b = (_window_terms("blackman", 1_000, 500)[0] for _ in range(2))
-        assert win_a is win_b
-        assert not win_a.flags.writeable
-        with pytest.raises(ValueError):
-            win_a[0] = 1.0
-        assert np.array_equal(a.density, b.density)
-        assert a.effective_averages == b.effective_averages
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("window", ["boxcar", "hann", "blackman"])
+    def test_no_estimate_holds_a_window(self, window, complex_input):
+        # a chunk in progress holds its tail, its row slots and the row
+        # sums; neither the estimate nor a module table holds a window or
+        # a windowed copy of a segment (8 * seg bytes each)
+        seg, workers = 65_536, 2
+        x = stream_rng(26, 0).standard_normal(3 * seg)
+        if complex_input:
+            x = x + 1j * stream_rng(26, 1).standard_normal(3 * seg)
+        tracemalloc.start()
+        try:
+            welch = Welch(1234.0, seg, 0.5, window, "constant")
+            built, _ = tracemalloc.get_traced_memory()
+            welch.feed(x, workers, last=False)
+            fed, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bins = seg if complex_input else seg // 2 + 1
+        half = seg // 2 + 1
+        sums = 2 * bins * 8 + (2 * half * 16 if complex_input else 0)
+        slots = workers * bins * 16 + (workers * half * 16 if complex_input else 0)
+        held = fed - welch._chunk.buf.nbytes - sums - slots
+        assert built < seg, built
+        assert held < 2 * seg, held
 
 
 class TestChunkPooling:
@@ -264,15 +300,13 @@ class TestChunkPooling:
         chunks = [rng.standard_normal(n) + 0.3 for n in (1_750, 3_333, 2_600)]
         if complex_input:
             chunks = [c + 1j * rng.standard_normal(len(c)) for c in chunks]
-        transform = sp_fft.fft if complex_input else sp_fft.rfft
         win = signal.get_window("hann", seg)
         pooled = np.zeros(seg if complex_input else seg // 2 + 1)
         n_segments = 0
         for chunk in chunks:
             total = np.zeros_like(pooled)
-            for segment in sliding_window_view(chunk, seg)[::hop]:
-                spec = transform((segment - segment.mean()) * win)
-                total += np.square(spec.real) + np.square(spec.imag)
+            for row in hann_power_rows(sliding_window_view(chunk, seg)[::hop], "constant"):
+                total += row
                 n_segments += 1
             pooled += total
         pooled /= n_segments
@@ -310,9 +344,8 @@ class TestChunkPooling:
 
 class TestStreamedChunks:
     """A chunk fed in consecutive pieces, the last one ending it, gives the
-    estimate of the chunk fed whole, bit for bit, however it is cut."""
-
-    SEG = 16
+    estimate of the chunk fed whole, bit for bit, however it is cut, for
+    every window (1, 3 and 5 taps) and even and odd segments."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -321,12 +354,14 @@ class TestStreamedChunks:
         workers=st.sampled_from((1, 2)),
         overlap=st.sampled_from((0.0, 0.5, 0.75)),
         detrend=st.sampled_from(("constant", False)),
+        window=st.sampled_from(sorted(BIN_STEP_BY_WINDOW)),
+        seg=st.sampled_from((16, 17)),
     )
-    def test_any_cut_gives_the_whole_chunks(self, data, complex_input, workers, overlap, detrend):
+    def test_any_cut_gives_the_whole_chunks(self, data, complex_input, workers, overlap, detrend,
+                                            window, seg):
         # 1-4 chunks, some shorter than two segments; each cut into 1-6
         # pieces at random and near segment starts (so inside the carried
         # tail), with empty pieces and pieces shorter than one hop
-        seg = self.SEG
         hop = seg - int(seg * overlap)
         short = seg + hop - 1
         lengths = data.draw(st.lists(st.integers(0, 8 * seg) | st.sampled_from((0, seg, short)),
@@ -335,8 +370,8 @@ class TestStreamedChunks:
         chunks = [rng.standard_normal(n) + 0.3 for n in lengths]
         if complex_input:
             chunks = [c + 1j * rng.standard_normal(len(c)) for c in chunks]
-        whole = Welch(1234.0, seg, overlap, "hann", detrend)
-        streamed = Welch(1234.0, seg, overlap, "hann", detrend)
+        whole = Welch(1234.0, seg, overlap, window, detrend)
+        streamed = Welch(1234.0, seg, overlap, window, detrend)
         for chunk in chunks:
             n = len(chunk)
             near_starts = st.sampled_from([k * hop + d for k in range(n // hop + 1) for d in (-1, 0, 1)

@@ -1,4 +1,4 @@
-"""Write six small artifact trees and print the SHA-256 of every file.
+"""Write seven small artifact trees and print the SHA-256 of every file.
 
     PYTHONPATH=src python3 tools/artifact_digests.py OUT_DIR
 
@@ -13,7 +13,10 @@ The trees are built on the test suite's tiny grid (12 s records at 25 kHz,
   (150,000 samples), longer than the pipeline's processing block, so the
   records are cut inside drive segments too;
 - ``partial_period``: ``run_single`` with ``keep_raw`` on a 13 s record, so
-  the last 3 s drive segment runs on to the record's end and is 4 s long.
+  the last 3 s drive segment runs on to the record's end and is 4 s long;
+- ``blackman_odd``: ``run_single`` with the Blackman window (5 taps) and
+  0.70004 s Welch segments, odd on both axes: 17,501 samples at the full
+  rate and 4,375 after decimation.
 
 Each tree is written with the config key ``workers`` at 1, 2 and 5, under
 ``OUT_DIR/workers_N``.
@@ -68,6 +71,7 @@ def write_trees(root: Path, workers: int) -> None:
     pipeline.run_sweep_variance_vs_tone_ratio(config(), [1.0, 0.0], root / "variance_sweep")
     pipeline.run_single(config(schedule_period="6s", keep_raw="true"), root / "long_segments")
     pipeline.run_single(config(duration="13s", keep_raw="true"), root / "partial_period")
+    pipeline.run_single(config(window="blackman", welch_segment="0.70004s"), root / "blackman_odd")
 
 
 def digests(root: Path) -> dict[str, str]:
