@@ -18,7 +18,7 @@ from .errors import ConfigError, FilterDesignError
 from .spectral import BIN_STEP_BY_WINDOW, MAX_OVERLAP
 from .model import CavityPumpParams, DerivedRates, OscillatorParams
 from .synth import SimGrid
-from .detect import DetectionParams, design_lockin_fir, schedule_drive
+from .detect import DetectionParams, design_lockin_fir, lockin_axis, schedule_drive
 from .fitting import MIN_BAND_BINS, band_bins, quadrature_intervals, sideband_intervals
 
 TWO_PI = 2.0 * math.pi
@@ -371,15 +371,14 @@ def _overflow_problems(v: dict, rates: DerivedRates) -> list[str]:
 def _usable_part_problems(v: dict, schedule, taps) -> list[str]:
     """Two Welch segments must fit in every usable slice of the schedule,
     counted in samples as a run counts them on both Welch axes: the
-    heterodyne record at sample_rate, the lock-in baseband at
-    sample_rate/decimate, whose slices also lose the filter's half length
-    at their tail (detect.Baseband).  Judged only on an otherwise valid
-    config; the first axis that fails is the one reported."""
-    n_samples = schedule.n_samples(v["sample_rate"])
-    for fs, n, tail_guard, where in (
-        (v["sample_rate"], n_samples, 0.0, ""),
-        (v["sample_rate"] / v["decimate"], -(-n_samples // v["decimate"]),
-         (len(taps) // 2) / v["sample_rate"], " at the lock-in output"),
+    heterodyne record at sample_rate, the lock-in output on its own axis
+    (detect.lockin_axis), whose slices also lose the filter's half length
+    at their tail.  Judged only on an otherwise valid config; the first
+    axis that fails is the one reported."""
+    for (fs, n, tail_guard), where in (
+        ((v["sample_rate"], schedule.n_samples(v["sample_rate"]), 0.0), ""),
+        (lockin_axis(schedule, v["sample_rate"], len(taps), v["decimate"]),
+         " at the lock-in output"),
     ):
         shortest = min((s.stop - s.start for _, s in schedule.usable_slices(fs, n, tail_guard)),
                        default=0)

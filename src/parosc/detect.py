@@ -20,6 +20,10 @@ With workers > 1, beside the synthesis streams (synth) and the Welch rows
 (spectral), a piece's shot-noise draw runs beside its carrier mixing and
 the lock-in filters its overlap-save blocks in batches side by side.  The
 mixing is one call over the piece, on the calling thread in Baseband.feed.
+
+Every mixing table belongs to its record's Streams (Streams.table): the
+Wigner composition and the lock-in of one record mix at the carrier from
+one array, made once for the record and gone with it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AliasingError, FilterDesignError, ScheduleError
-from .parallel import shared, thread_map
+from .parallel import thread_map
 from .spectral import Psd, Welch
 from .synth import (
     DETUNED,
@@ -42,7 +46,6 @@ from .synth import (
     Schedule,
     SimGrid,
     Streams,
-    single_segment_schedule,
 )
 
 # Samples per carrier-mixing block (cache-sized), and the shortest FFT
@@ -137,7 +140,6 @@ def _check_nyquist(grid: SimGrid, delta_lo: float) -> None:
         )
 
 
-@shared
 def _block_phasor(omega: float, dt: float, n: int) -> np.ndarray:
     """The block phasor exp(i*omega*k*dt), k < n, read-only."""
     phasor = np.exp(1j * (omega * dt * np.arange(n)))
@@ -150,17 +152,22 @@ def _record_phasors(streams: Streams, n: int, omega: float, dt: float, phase: fl
     the samples [start, start + n) of a record, cut at the record's
     _MIX_BLOCK boundaries.
 
-    The block phasor exp(i*omega*k*dt) is evaluated once, held by the
-    record's Streams (made for its first piece, gone with the record), and
+    The block phasor exp(i*omega*k*dt) is evaluated once per record, held
+    by the record's Streams (_phasor_table) and gone with it, and
     each piece rotates its part of it by the scalar
     exp(i(omega*b*dt + phase)) of its block start b, so mixing costs one
     complex multiply per sample and a record mixed one piece at a time gets
     the phasors of the whole record.  The result agrees with the direct exp
     to the rounding already present in omega*t.  Each yielded array is
     fresh, so callers may scale it in place."""
-    n_table = min(max(streams.n_samples, start + n), _MIX_BLOCK)
-    block = streams.table(_block_phasor, omega, dt, n_table)
+    block = _phasor_table(streams, omega, dt, start + n)
     return _rotated_blocks(block, n, omega, dt, phase, start)
+
+
+def _phasor_table(streams: Streams, omega: float, dt: float, end: int) -> np.ndarray:
+    """The record's block phasor at omega, long enough for its samples
+    [0, end) and at most _MIX_BLOCK: one array per record, whoever asks."""
+    return streams.table(_block_phasor, omega, dt, min(max(streams.n_samples, end), _MIX_BLOCK))
 
 
 def _rotated_blocks(block: np.ndarray, n: int, omega: float, dt: float, phase: float, start: int):
@@ -368,24 +375,26 @@ class Baseband:
 
     Of the full-rate baseband only the decimated samples are kept, and only
     until they are handed on: `feed` returns the ones its piece completed.
+    The carrier table is the record's (streams), taken when the Baseband is
+    made.
     """
 
-    def __init__(self, taps: np.ndarray, n_samples: int, sample_rate: float, carrier: float,
-                 schedule: Schedule, decimate: int):
+    def __init__(self, taps: np.ndarray, sample_rate: float, carrier: float, schedule: Schedule,
+                 decimate: int, streams: Streams):
         m = len(taps)
         self.taps = taps
-        self.n_samples = n_samples
+        self.n_samples = schedule.n_samples(sample_rate)
         self.sample_rate = sample_rate
         self.carrier = carrier
         self.schedule = schedule
         self.decimate = decimate
-        self.edge_guard = (m // 2) / sample_rate
-        self.n_decimated = -(-n_samples // decimate)
+        self._axis = lockin_axis(schedule, sample_rate, m, decimate)
+        self.n_decimated = self._axis[1]
         self._nfft = 1 << (max(_FIR_FFT, 4 * m) - 1).bit_length()
         self._step = self._nfft - (m - 1)
-        self._n_blocks = -(-n_samples // self._step)
+        self._n_blocks = -(-self.n_samples // self._step)
         self._response = np.fft.fft(taps, self._nfft)
-        self._phasor = _block_phasor(carrier, 1.0 / sample_rate, min(n_samples, _MIX_BLOCK))
+        self._phasor = _phasor_table(streams, carrier, 1.0 / sample_rate, self.n_samples)
         # padded[h + k] holds the mixed sample k (h = m//2 leading zeros);
         # block b reads padded[b*step : b*step + nfft] and keeps its last
         # `step` outputs; _tail is padded[_block*step : h + _fed]
@@ -398,9 +407,7 @@ class Baseband:
         """Iterator of (tag, index range of z) per drive segment in record
         order, trimmed by the settling guard at the head and by the filter
         half support at the tail, so no statistic leaks across a switch."""
-        return self.schedule.usable_slices(
-            self.sample_rate / self.decimate, self.n_decimated, tail_guard=self.edge_guard
-        )
+        return self.schedule.usable_slices(*self._axis)
 
     def feed(self, samples: np.ndarray, start: int, workers: int) -> np.ndarray:
         """Mix and filter the record samples [start, start + len(samples)),
@@ -458,43 +465,40 @@ class Baseband:
         return z
 
 
+def lockin_axis(schedule: Schedule, sample_rate: float, n_taps: int,
+                decimate: int) -> tuple[float, int, float]:
+    """(sample rate, length, tail guard in seconds) of the lock-in output of
+    the record the schedule tiles at sample_rate, filtered by n_taps taps
+    and decimated: ceil(n/decimate) samples, whose usable slices
+    (Schedule.usable_slices) also lose the filter's half length at their
+    tail."""
+    n_samples = schedule.n_samples(sample_rate)
+    return sample_rate / decimate, -(-n_samples // decimate), (n_taps // 2) / sample_rate
+
+
 def lockin_baseband(grid: SimGrid, det: DetectionParams, passband_edge_hz: float, decimate: int,
-                    schedule: Schedule) -> Baseband:
-    """A Baseband for the record the schedule tiles at the grid's sample
+                    schedule: Schedule, streams: Streams) -> Baseband:
+    """The Baseband of the record the schedule tiles at the grid's sample
     rate and carrier, with the lock-in FIR designed for det's cutoff and
-    the passband edge: made before the record's first piece, so its usable
-    slices are known before any baseband sample is."""
+    the passband edge and the carrier table of the record's streams: made
+    before the record's first piece, so its usable slices are known before
+    any baseband sample is."""
     taps = design_lockin_fir(
         grid.sample_rate, det.lowpass_cutoff, grid.carrier, passband_edge_hz, decimate
     )
-    return Baseband(taps, schedule.n_samples(grid.sample_rate), grid.sample_rate, grid.carrier,
-                    schedule, decimate)
+    return Baseband(taps, grid.sample_rate, grid.carrier, schedule, decimate, streams)
 
 
-def demod_baseband(
-    samples: np.ndarray,
-    grid: SimGrid,
-    det: DetectionParams,
-    passband_edge_hz: float,
-    decimate: int = 1,
-    workers: int = 1,
-    into: Baseband | None = None,
-    schedule: Schedule | None = None,
-) -> tuple[Baseband, np.ndarray]:
+def demod_baseband(baseband: Baseband, samples: np.ndarray, grid: SimGrid,
+                   workers: int) -> np.ndarray:
     """Feed the record samples on the grid, the whole record or the piece of
-    it at grid.start, into the lock-in baseband `into`; return it with the
-    decimated baseband samples the piece completed (Baseband.feed).  The
-    grid gives the sample rate and the carrier.  Without `into` a new
-    lockin_baseband is made for the record the schedule tiles (default: the
-    grid as one resonant segment).  The two lock-in channels at any
-    demodulation phase theta are Re(e^{i theta} z) and Im(e^{i theta} z),
-    so sums over the baseband's usable slices serve both the phase choice
-    and the channel spectra.
+    it at grid.start, into the lock-in baseband; return the decimated
+    baseband samples the piece completed (Baseband.feed).  The two lock-in
+    channels at any demodulation phase theta are Re(e^{i theta} z) and
+    Im(e^{i theta} z), so sums over the baseband's usable slices serve both
+    the phase choice and the channel spectra.
     """
-    if into is None:
-        into = lockin_baseband(grid, det, passband_edge_hz, decimate,
-                               schedule or single_segment_schedule(grid.duration))
-    return into, into.feed(samples, grid.start, workers)
+    return baseband.feed(samples, grid.start, workers)
 
 
 def lockin_demodulate(spectra: dict[str, Welch], demod_phase: float) -> dict[tuple[str, str], Psd]:

@@ -12,17 +12,13 @@ call made on one of the pools' own threads (a sweep point's kernels, say)
 runs serially there: a task never waits on tasks queued behind it, so
 nested calls cannot deadlock.
 
-Read-only tables (a mixing phasor) are made through `shared`, which
-hands every holder of a table the same array and keeps none that nobody
-holds: the runs that use a table at the same time, on any thread, share
-it, and a finished run's tables do not stay resident.
+The pool holds no arrays: a read-only table (a mixing phasor) belongs to
+the record that uses it (synth.Streams.table) and goes with it.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -55,23 +51,3 @@ def thread_map(fn, items, workers: int = 1) -> list:
     futures = [pool.submit(fn, x) for x in items]
     wait(futures)
     return [future.result() for future in futures]
-
-
-def shared(make):
-    """make, remembered for its arguments only while a caller holds its
-    result: a call made then, on any thread, returns that same array, and
-    once the last holder drops it the next call makes it anew.  A caller
-    that needs a table for every piece of a record keeps it for the record
-    (Streams.table)."""
-    tables = weakref.WeakValueDictionary()
-    lock = threading.Lock()
-
-    @functools.wraps(make)
-    def table(*args):
-        with lock:  # one make per table, however many threads ask at once
-            value = tables.get(args)
-            if value is None:
-                value = tables[args] = make(*args)
-            return value
-
-    return table

@@ -164,10 +164,9 @@ def _run_repetition(
     # random streams continuing from block to block.  A pass asks for its
     # record's blocks one at a time: each is synthesized, composed, written
     # raw at its offset with keep_raw and handed on as (grid, samples).  The
-    # two records draw from disjoint streams, so each pass has Streams of
-    # its own, and their tables go with the pass.
-    def record(synthesize, compose, raw_name, **compose_kw):
-        streams = Streams(seed, grid.dt, grid.n_samples)
+    # two records draw from disjoint streams, so each pass makes Streams of
+    # its own, which own its tables; they go with the pass.
+    def record(streams, synthesize, compose, raw_name, **compose_kw):
         for b0 in range(0, grid.n_samples, _BLOCK):
             blk = grid.segment(b0, min(b0 + _BLOCK, grid.n_samples))
             arrays = _stage("synthesis", synthesize, osc, rates, blk, schedule,
@@ -197,7 +196,8 @@ def _run_repetition(
         welch = welch_per_class(grid.sample_rate)
 
         def pieces():
-            for _, samples in record(simulate_scheduled_envelopes, compose_heterodyne_components,
+            for _, samples in record(Streams(seed, grid.dt, grid.n_samples),
+                                     simulate_scheduled_envelopes, compose_heterodyne_components,
                                      "record_component.bin"):
                 yield samples
                 del samples
@@ -212,17 +212,20 @@ def _run_repetition(
         # Wigner backend: the pieces are the decimated baseband the lock-in
         # hands on for each block; the resonant parts also go to the phase
         # sums.  The raw channels are written unrotated and rotated by
-        # theta* at the end.
+        # theta* at the end.  The lock-in mixes from the carrier table of
+        # the record's streams, the one the composition uses.
         welch = welch_per_class(fs_q)
-        baseband = _stage("demodulation", lockin_baseband, grid, det, passband_edge, decim, schedule)
+        streams = Streams(seed, grid.dt, grid.n_samples)
+        baseband = _stage("demodulation", lockin_baseband, grid, det, passband_edge, decim, schedule,
+                          streams)
         sums = (0.0, 0.0, 0.0, 0)
 
         def pieces():
             j0 = 0
-            for blk, samples in record(simulate_scheduled_quadratures, compose_heterodyne_wigner,
-                                       "record_wigner.bin", frame_phase=frame_phase):
-                _, z = _stage("demodulation", demod_baseband, samples, blk, det, passband_edge,
-                              decim, workers=workers, into=baseband)
+            for blk, samples in record(streams, simulate_scheduled_quadratures,
+                                       compose_heterodyne_wigner, "record_wigner.bin",
+                                       frame_phase=frame_phase):
+                z = _stage("demodulation", demod_baseband, baseband, samples, blk, workers)
                 del samples
                 if demod_path is not None:
                     recordio.write_record_bin(demod_path, (z.real, z.imag), fs_q, offset=j0,

@@ -165,10 +165,6 @@ class Schedule:
                 yield tag, slice(lo, hi)
 
 
-def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:
-    return Schedule(period=duration, duration=duration, guard=0.0, tags=(tag,))
-
-
 def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, noise_draw: float) -> float:
     """One exact Ornstein-Uhlenbeck update.
 

@@ -6,6 +6,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from parosc.config import RunConfig
+from parosc.synth import RESONANT, Schedule
 
 # Reduced desk grid for fast synthesis tests: all physics depends only on the
 # rates and the LO offset, so shrinking the carrier keeps statistics intact.
@@ -48,3 +49,9 @@ def joined_slices(parts) -> list:
             joined = []
     assert not joined
     return got
+
+
+def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:
+    """A record of `duration` seconds as one drive segment of class tag,
+    with no settling guard."""
+    return Schedule(period=duration, duration=duration, guard=0.0, tags=(tag,))

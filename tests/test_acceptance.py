@@ -315,9 +315,10 @@ class TestCriterion6ThresholdBehavior:
 class TestCriterion7EstimatorHygiene:
     @pytest.mark.realization
     def test_parseval_on_every_record_class(self):
-        from parosc.detect import compose_heterodyne_wigner, demod_baseband
+        from conftest import single_segment_schedule
+        from parosc.detect import compose_heterodyne_wigner, demod_baseband, lockin_baseband
         from parosc.model import OscillatorParams
-        from parosc.synth import SimGrid
+        from parosc.synth import SimGrid, Streams
 
         osc = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=5.8)
         rates = DerivedRates.from_target(TWO_PI * 20.0, 0.5, 5.8)
@@ -335,9 +336,9 @@ class TestCriterion7EstimatorHygiene:
         records["component_heterodyne"] = compose_heterodyne_components(
             beta_s, beta_as, det, grid, delta_lo
         )
-        _, z = demod_baseband(
-            records["wigner_heterodyne"], grid, det, delta_lo / TWO_PI * 1.05, decimate=4
-        )
+        baseband = lockin_baseband(grid, det, delta_lo / TWO_PI * 1.05, 4,
+                                   single_segment_schedule(grid.duration), Streams.for_grid(grid))
+        z = demod_baseband(baseband, records["wigner_heterodyne"], grid, 1)
         records["demod_channel"] = z.real  # the cosine channel at phase 0
         rates_used = {"demod_channel": grid.sample_rate / 4}
         for name, samples in records.items():

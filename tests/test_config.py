@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import fast_config
 from parosc.cli import main
 from parosc.config import (
     _HZ_SCALE,
@@ -18,7 +19,9 @@ from parosc.config import (
     _fit_band_problems,
     validate_config,
 )
+from parosc.detect import lockin_baseband, schedule_drive
 from parosc.errors import ConfigError
+from parosc.synth import Streams
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,6 +131,33 @@ class TestValidation:
         assert problems == [
             "welch_segment 2.45 s too long for the 4.841 s usable part of each drive segment"
         ]
+
+    @pytest.mark.parametrize("decimate, cutoff", [(1, "2.5kHz"), (4, "2.5kHz"), (8, "1.45kHz")])
+    def test_lockin_refusal_agrees_with_the_lockin_slices(self, decimate, cutoff):
+        # drive periods of a whole number of decimated samples whose
+        # shortest lock-in slice is two Welch segments less one sample,
+        # exactly two and two plus one: the config refuses exactly when a
+        # slice the lock-in walks is shorter than two segments
+        base = fast_config(decimate=str(decimate), lowpass_cutoff=cutoff, repetitions="1")
+        rates = base.derived_rates()
+        fs_q = base.values["sample_rate"] / decimate
+        segment = round(base.values["welch_segment"] * fs_q)
+
+        def shortest_slice(cfg):
+            grid = cfg.grid(0)
+            schedule = schedule_drive(grid, cfg.values["schedule_period"], rates.gamma_minus)
+            baseband = lockin_baseband(grid, cfg.detection(), cfg.passband_edge_hz(rates), decimate,
+                                       schedule, Streams.for_grid(grid))
+            return min(s.stop - s.start for _, s in baseband.usable_slices())
+
+        trimmed = round(base.values["schedule_period"] * fs_q) - shortest_slice(base)
+        for excess in (-1, 0, 1):
+            period = (2 * segment + excess + trimmed) / fs_q
+            cfg = base.with_overrides(schedule_period=f"{period!r}s")
+            assert shortest_slice(cfg) == 2 * segment + excess
+            problems = validate_config(cfg)
+            assert bool(problems) == (excess < 0), (excess, problems)
+            assert all("at the lock-in output" in p for p in problems)
 
     def test_overflowing_welch_segment_is_a_problem(self):
         v = dict(RunConfig.defaults().values, welch_segment=1e300, sample_rate=1e20)

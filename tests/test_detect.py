@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import fast_config
+from conftest import fast_config, single_segment_schedule
 from parosc.config import RunConfig
 from parosc.detect import (
     _MIX_BLOCK,
@@ -20,6 +20,7 @@ from parosc.detect import (
     compose_heterodyne_wigner,
     demod_baseband,
     design_lockin_fir,
+    lockin_baseband,
     lockin_demodulate,
     optimize_demod_phase,
     schedule_drive,
@@ -59,6 +60,14 @@ def grid_for(duration, seed, fs=FS):
 def constant_quadratures(grid, x_value, y_value):
     n = grid.n_samples
     return np.full(n, x_value), np.full(n, y_value)
+
+
+def demod(samples, grid, det, edge, decimate=1, workers=1, schedule=None):
+    """The lock-in baseband of the record on the grid (by default one
+    resonant segment), fed whole, and its decimated samples."""
+    bb = lockin_baseband(grid, det, edge, decimate, schedule or single_segment_schedule(grid.duration),
+                         Streams.for_grid(grid))
+    return bb, demod_baseband(bb, samples, grid, workers)
 
 
 def of_class(tag, slices):
@@ -387,7 +396,7 @@ class TestDemodBaseband:
         det = DetectionParams(lowpass_cutoff=2.5e3)
         mixed = 2.0 * samples * np.exp(1j * CARRIER * np.arange(n) / FS)
         for decimate in (1, 4):
-            bb, z = demod_baseband(samples, grid, det, 1.2e3, decimate=decimate)
+            bb, z = demod(samples, grid, det, 1.2e3, decimate=decimate)
             direct = np.convolve(mixed, bb.taps, mode="same")[::decimate]
             assert z.shape == direct.shape
             # the carrier phasors carry the rounding of omega*t (~1e-11 here)
@@ -399,8 +408,8 @@ class TestDemodBaseband:
         grid = grid_for(16.0, 0)
         det = DetectionParams(lowpass_cutoff=2.5e3)
         # more workers than cores: the batches write disjoint slices of one array
-        _, one = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=1)
-        _, many = demod_baseband(samples, grid, det, 1.2e3, decimate=4, workers=5)
+        _, one = demod(samples, grid, det, 1.2e3, decimate=4, workers=1)
+        _, many = demod(samples, grid, det, 1.2e3, decimate=4, workers=5)
         assert np.array_equal(one, many)
 
 
@@ -443,16 +452,15 @@ class TestSegmentStreaming:
         whole_samples = compose_heterodyne_wigner(
             *whole_quad, det, self.GRID, DELTA_LO, frame_phase=0.4
         )
-        whole, whole_z = demod_baseband(
-            whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule,
-        )
+        whole, whole_z = demod(whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule)
         whole_spectra = self._spectra()
         theta = optimize_demod_phase(sum_slices(whole, [whole_z], whole_spectra))
         whole_psds = lockin_demodulate(whole_spectra, theta[0])
         for cut in self.CUTS:
             pieces = self._pieces(schedule, cut)
             streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
-            samples, zs, streamed = [], [], None
+            streamed = lockin_baseband(self.GRID, det, 1.2e3, 4, schedule, streams)
+            samples, zs = [], []
             for piece in pieces:
                 quad = simulate_scheduled_quadratures(
                     OSC, rates, piece, schedule, streams=streams
@@ -460,11 +468,7 @@ class TestSegmentStreaming:
                 samples.append(compose_heterodyne_wigner(
                     *quad, det, piece, DELTA_LO, frame_phase=0.4, workers=2, streams=streams,
                 ))
-                streamed, z = demod_baseband(
-                    samples[-1], piece, det, 1.2e3, decimate=4, workers=2, into=streamed,
-                    schedule=schedule,
-                )
-                zs.append(z)
+                zs.append(demod_baseband(streamed, samples[-1], piece, 2))
             for piece in pieces[1:]:
                 assert piece.start % _MIX_BLOCK and piece.start % streamed._step, cut
             np.testing.assert_array_equal(np.concatenate(samples), whole_samples, str(cut))
@@ -520,7 +524,7 @@ class TestSegmentStreaming:
         quad = simulate_scheduled_quadratures(OSC, rates, piece, schedule)
         samples = compose_heterodyne_wigner(*quad, DET, piece, DELTA_LO)
         with pytest.raises(ValueError, match="does not continue"):
-            demod_baseband(samples, piece, DET, 1.2e3, schedule=schedule)
+            demod(samples, piece, DET, 1.2e3, schedule=schedule)
 
 
 class TestLockinDemodulate:
@@ -534,7 +538,7 @@ class TestLockinDemodulate:
         psi = 0.7
         samples = np.cos((CARRIER + DELTA_LO) * t + psi)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod_baseband(samples, grid, det, EDGE)
+        bb, z = demod(samples, grid, det, EDGE)
         spectra = self._spectra(grid.sample_rate, 10_000)
         sum_slices(bb, [z], spectra)
         inner = slice(2000, -2000)
@@ -556,7 +560,7 @@ class TestLockinDemodulate:
         grid = grid_for(4.0, 14)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
+        bb, z = demod(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
         spectra = self._spectra(grid.sample_rate, 5_000)
         sum_slices(bb, [z], spectra)
         assert len(z) > _MIX_BLOCK
@@ -585,7 +589,7 @@ class TestLockinDemodulate:
         grid = grid_for(4.0, 14)
         quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod_baseband(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
+        bb, z = demod(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
         spectra = self._spectra(grid.sample_rate, 5_000)
         sum_slices(bb, [z], spectra)
         channel_bytes = 8 * len(z)
@@ -605,7 +609,7 @@ class TestLockinDemodulate:
         rec_a = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
         rec_b = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=1.1)
         rot = np.exp(0.3j)
-        z_a, z_b, z_sum = (demod_baseband(rec, grid, det, EDGE)[1] * rot
+        z_a, z_b, z_sum = (demod(rec, grid, det, EDGE)[1] * rot
                            for rec in (rec_a, rec_b, rec_a + rec_b))
         np.testing.assert_allclose(z_sum.real, z_a.real + z_b.real, atol=1e-10)
         np.testing.assert_allclose(z_sum.imag, z_a.imag + z_b.imag, atol=1e-10)
@@ -619,8 +623,8 @@ class TestLockinDemodulate:
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         rec0 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
         rec1 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=delta)
-        bb0, z0 = demod_baseband(rec0, grid, det, EDGE)
-        bb1, z1 = demod_baseband(rec1, grid, det, EDGE)
+        bb0, z0 = demod(rec0, grid, det, EDGE)
+        bb1, z1 = demod(rec1, grid, det, EDGE)
         spectra0, spectra1 = (self._spectra(grid.sample_rate, 25_000) for _ in range(2))
         sum_slices(bb0, [z0], spectra0)
         sum_slices(bb1, [z1], spectra1)
@@ -652,8 +656,8 @@ class TestLockinDemodulate:
         for i0, i1, tag in schedule.sample_bounds(FS, grid.n_samples):
             if tag == DETUNED:
                 swapped[i0:i1] = rng.permutation(swapped[i0:i1])
-        bb, z = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
-        _, z_swapped = demod_baseband(swapped, grid, det, EDGE, schedule=schedule)
+        bb, z = demod(samples, grid, det, EDGE, schedule=schedule)
+        _, z_swapped = demod(swapped, grid, det, EDGE, schedule=schedule)
         # the channel at theta = 0 is Re z
         for sl in of_class(RESONANT, bb.usable_slices()):
             np.testing.assert_allclose(z_swapped.real[sl], z.real[sl], atol=1e-12)
@@ -668,7 +672,7 @@ class TestOptimizeDemodPhase:
         quad = simulate_scheduled_quadratures(OSC, rates, grid)
         det = DetectionParams(gain=1.0, shot_psd=shot, lowpass_cutoff=2.5e3)
         samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=frame_phase)
-        return demod_baseband(samples, grid, det, EDGE, decimate=decimate, schedule=schedule)
+        return demod(samples, grid, det, EDGE, decimate=decimate, schedule=schedule)
 
     def test_recovers_frame_phase(self):
         # deterministic fixed-frame record: X constant, Y = 0.  The only time
@@ -682,7 +686,7 @@ class TestOptimizeDemodPhase:
         quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
-        bb, z = demod_baseband(samples, grid, det, EDGE, schedule=schedule)
+        bb, z = demod(samples, grid, det, EDGE, schedule=schedule)
         theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
         target = (phi0 + math.pi / 2) % math.pi
         assert abs((theta - target + math.pi / 2) % math.pi - math.pi / 2) < 1e-5
@@ -787,7 +791,7 @@ class TestQuadratureSpectraAtOptimum:
         # one Welch over the resonant slices, as the pipeline pools them: no
         # segment straddles a drive switch
         spectra = {RESONANT: Welch(grid.sample_rate / 4, 6250, 0.5, "hann", "constant")}
-        bb, z = demod_baseband(samples, grid, det, EDGE, decimate=4, schedule=schedule)
+        bb, z = demod(samples, grid, det, EDGE, decimate=4, schedule=schedule)
         psds = lockin_demodulate(spectra, optimize_demod_phase(sum_slices(bb, [z], spectra))[0])
         f_lo = DELTA_LO / TWO_PI
         widths = {}

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import fast_config
-from parosc import pipeline
+from parosc import pipeline, synth
 from parosc.cli import main
 from parosc.config import RunConfig, validate_config
 from parosc.errors import ConfigError, SpectralError
@@ -822,6 +822,54 @@ class TestBlocksLetGo:
         blocks = -(-cfg.grid(0).n_samples // pipeline._BLOCK)
         assert len(held) == 2 * blocks  # both passes
         assert held == [[]] * len(held), held
+
+
+class TestTablesBelongToTheirRecord:
+    def test_one_carrier_table_per_record_and_none_outlives_it(self, tmp_path, monkeypatch):
+        # Every mixing table is its record's (Streams.table).  In the
+        # quadrature pass the lock-in, made before the first block, takes
+        # the carrier table the Wigner composition of every block then
+        # mixes from; once a repetition returns, no table of either pass is
+        # alive.
+        cfg = tiny_config(repetitions="1")
+        carrier = cfg.grid(0).carrier
+        stage, tables, shared_with_lockin, alive = [None], [], [], []
+        make_table = synth.Streams.table
+
+        def table(streams, make, *args):
+            value = make_table(streams, make, *args)
+            if stage[0] == "compose_heterodyne_wigner" and args[0] == carrier:
+                shared_with_lockin.append(
+                    any(value is ref() for name, _, ref in tables if name == "lockin_baseband"))
+            tables.append((stage[0], args[0], weakref.ref(value)))
+            return value
+
+        def staged(fn):
+            def call(*args, **kwargs):
+                stage[0] = fn.__name__
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage[0] = None
+            return call
+
+        def repetition(*args, **kwargs):
+            result = run_repetition(*args, **kwargs)
+            alive.append([(name, omega) for name, omega, ref in tables if ref() is not None])
+            return result
+
+        monkeypatch.setattr(synth.Streams, "table", table)
+        for name in ("lockin_baseband", "compose_heterodyne_wigner", "compose_heterodyne_components"):
+            monkeypatch.setattr(pipeline, name, staged(getattr(pipeline, name)))
+        run_repetition = pipeline._run_repetition
+        monkeypatch.setattr(pipeline, "_run_repetition", repetition)
+        run_single(cfg, tmp_path / "run")
+        assert [omega for name, omega, _ in tables if name == "lockin_baseband"] == [carrier]
+        blocks = -(-cfg.grid(0).n_samples // pipeline._BLOCK)
+        assert shared_with_lockin == [True] * blocks
+        assert {name for name, _, _ in tables} == {
+            "lockin_baseband", "compose_heterodyne_wigner", "compose_heterodyne_components"}
+        assert alive == [[]]
 
 
 class TestKeepRaw:

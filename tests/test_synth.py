@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.stats import ks_2samp
 
+from conftest import single_segment_schedule
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from parosc.fitting import fit_quadrature
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
@@ -33,7 +34,6 @@ from parosc.synth import (
     ou_step,
     simulate_scheduled_envelopes,
     simulate_scheduled_quadratures,
-    single_segment_schedule,
     stream_rng,
     _envelope_component_table,
     _ou_powers,
@@ -524,7 +524,7 @@ class TestSegmentStreaming:
         # grids at, inside and across the segment switches, on the trailing
         # partial period and on a one-segment schedule
         from parosc.detect import schedule_drive
-        from parosc.synth import Schedule, _schedule_pieces, single_segment_schedule
+        from parosc.synth import Schedule, _schedule_pieces
 
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=43)

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parosc import recordio, synth
+from conftest import fast_config
+from parosc import pipeline, recordio, synth
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -51,3 +52,16 @@ def test_record_samples_are_the_second_argument(spans):
     ch_x, ch_y = np.zeros(1000), np.ones(1000)
     stacked = record_bytes(("path", np.vstack([ch_x, ch_y]), 1e3), {}, None)
     assert record_bytes(("path", (ch_x, ch_y), 1e3), {}, None) == stacked
+
+
+def test_every_detect_span_is_recorded(spans, tmp_path):
+    # the per-layer timings read the spans of calls made through the
+    # bindings the tracer wraps; a stage that stops calling its binding
+    # would read 0 and fail no other check
+    tracer = spans.Tracer()
+    cfg = fast_config(duration="12s", schedule_period="3s", welch_segment="0.7s", repetitions="1")
+    with tracer.trace("simulate", "tiny"):
+        pipeline.run_single(cfg, tmp_path / "run")
+    recorded = {span.name for span in tracer.spans}
+    wanted = {name for _, _, name, _ in spans.WRAPPED if name.startswith("detect.")}
+    assert wanted and wanted <= recorded, wanted - recorded
