@@ -86,6 +86,9 @@ EXECUTION_KEYS = ("workers",)
 MAX_WORKERS = 64
 
 _VALUE_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([A-Za-z]*)\s*$")
+_INT_RE = re.compile(r"[-+]?[0-9]+")
+# Past this magnitude a float no longer holds every integer.
+_EXACT_FLOAT_INT = 2**53
 
 
 def _parse_value(name: str, kind: str, text: str):
@@ -108,7 +111,10 @@ def _parse_value(name: str, kind: str, text: str):
     if m is None:
         raise ConfigError(f"{name}: cannot parse value {text!r}")
     try:
-        number = float(m.group(1))
+        if kind == INT and _INT_RE.fullmatch(m.group(1)):
+            number = int(m.group(1))  # exact at any magnitude
+        else:
+            number = float(m.group(1))
     except ValueError:
         raise ConfigError(f"{name}: cannot parse number {m.group(1)!r} in {text!r}") from None
     if not math.isfinite(number):
@@ -132,8 +138,14 @@ def _parse_value(name: str, kind: str, text: str):
     if kind == INT:
         if suffix:
             raise ConfigError(f"{name}: integer value has suffix {suffix!r}")
-        if not number.is_integer():
-            raise ConfigError(f"{name}: expected an integer, got {text!r}")
+        if isinstance(number, float):
+            if not number.is_integer():
+                raise ConfigError(f"{name}: expected an integer, got {text!r}")
+            if abs(number) > _EXACT_FLOAT_INT:
+                raise ConfigError(
+                    f"{name}: {text!r} exceeds 2**53 and may not be the integer written; "
+                    "write it as digits"
+                )
         return int(number)
     raise ConfigError(f"{name}: unknown kind {kind}")
 

@@ -5,11 +5,12 @@ drive frequency, so demodulation mixes at Omega_c.  Shot noise is white and
 Gaussian (flat one-sided PSD).
 
 The stages hand on plain arrays, with the SimGrid of the record piece they
-cover: the compose functions turn the synthesized arrays into record
-samples, and demod_baseband feeds those into a Baseband (lockin_baseband,
-made before the record's first piece), which only mixes, filters and
-decimates: it hands on the decimated baseband samples each piece completes
-and holds no more of them.  The caller cuts those pieces at their usable
+cover: the compose functions turn a piece's synthesized arrays into its
+record samples, drawing the shot noise from the record's Streams that the
+caller passes, and demod_baseband feeds those into a Baseband
+(lockin_baseband, made before the record's first piece), which only mixes,
+filters and decimates: it hands on the decimated baseband samples each
+piece completes and holds no more of them.  The caller cuts those pieces at their usable
 slices (spectral.slice_parts), in record order, feeding each part to the
 complex Welch estimate of its drive class and, on resonant drive, adding it
 to the phase sums (add_phase_sums), as it comes.  Once the record is fed,
@@ -23,7 +24,8 @@ mixing is one call over the piece, on the calling thread in Baseband.feed.
 
 Every mixing table belongs to its record's Streams (Streams.table): the
 Wigner composition and the lock-in of one record mix at the carrier from
-one array, made once for the record and gone with it.
+one array, made once for the record and gone with it.  Each walks its
+piece's phasors block by block in one _record_phasors walk.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ class DetectionParams:
     mechanical band and stay below the carrier.
     """
 
-    gain: float = 1.0
-    shot_psd: float = 0.0
-    lowpass_cutoff: float = 0.0
+    gain: float
+    shot_psd: float
+    lowpass_cutoff: float
 
     def __post_init__(self):
         if self.shot_psd < 0:
@@ -147,36 +149,33 @@ def _block_phasor(omega: float, dt: float, n: int) -> np.ndarray:
     return phasor
 
 
-def _record_phasors(streams: Streams, n: int, omega: float, dt: float, phase: float, start: int):
-    """Yield (i0, i1, exp(i(omega*t + phase))) with t = arange(i0, i1)*dt for
-    the samples [start, start + n) of a record, cut at the record's
-    _MIX_BLOCK boundaries.
+def _phasor_table(streams: Streams, omega: float, dt: float) -> np.ndarray:
+    """The record's block phasor at omega, as long as the record and at
+    most _MIX_BLOCK: one array per record, whoever asks."""
+    return streams.table(_block_phasor, omega, dt, min(streams.n_samples, _MIX_BLOCK))
 
-    The block phasor exp(i*omega*k*dt) is evaluated once per record, held
-    by the record's Streams (_phasor_table) and gone with it, and
-    each piece rotates its part of it by the scalar
+
+def _record_phasors(start: int, n: int, dt: float, *waves):
+    """Yield (i0, i1, *phasors) for the samples [start, start + n) of a
+    record, cut at the record's _MIX_BLOCK boundaries: one phasor
+    exp(i(omega*t + phase)), t = arange(i0, i1)*dt, per wave
+    (table, omega, phase), table the record's block phasor at omega
+    (_phasor_table).
+
+    Each piece rotates its part of the table by the scalar
     exp(i(omega*b*dt + phase)) of its block start b, so mixing costs one
     complex multiply per sample and a record mixed one piece at a time gets
     the phasors of the whole record.  The result agrees with the direct exp
-    to the rounding already present in omega*t.  Each yielded array is
-    fresh, so callers may scale it in place."""
-    block = _phasor_table(streams, omega, dt, start + n)
-    return _rotated_blocks(block, n, omega, dt, phase, start)
-
-
-def _phasor_table(streams: Streams, omega: float, dt: float, end: int) -> np.ndarray:
-    """The record's block phasor at omega, long enough for its samples
-    [0, end) and at most _MIX_BLOCK: one array per record, whoever asks."""
-    return streams.table(_block_phasor, omega, dt, min(max(streams.n_samples, end), _MIX_BLOCK))
-
-
-def _rotated_blocks(block: np.ndarray, n: int, omega: float, dt: float, phase: float, start: int):
+    to the rounding already present in omega*t.  The phasors are fresh, so
+    callers may scale them in place, and are yielded as made: the walk
+    holds none of them while the next block's are made."""
     end = start + n
     i0 = start
     while i0 < end:
         b = i0 - i0 % _MIX_BLOCK
         i1 = min(b + _MIX_BLOCK, end)
-        yield i0, i1, block[i0 - b : i1 - b] * cmath.exp(1j * (omega * b * dt + phase))
+        yield (i0, i1, *[table[i0 - b : i1 - b] * cmath.exp(1j * (omega * b * dt + phase))
+                         for table, omega, phase in waves])
         i0 = i1
 
 
@@ -205,9 +204,9 @@ def compose_heterodyne_wigner(
     det: DetectionParams,
     grid: SimGrid,
     delta_lo: float,
-    frame_phase: float = 0.0,
-    workers: int = 1,
-    streams: Streams | None = None,
+    frame_phase: float,
+    workers: int,
+    streams: Streams,
 ) -> np.ndarray:
     """Samples of the real heterodyne record of the Wigner-backend
     quadratures x, y on the grid.
@@ -215,23 +214,19 @@ def compose_heterodyne_wigner(
     samples = 2*gain*[X cos(Wc t + phi) + Y sin(Wc t + phi)]*cos(dLO t)
     plus white shot noise; both motional sidebands appear at Wc +- dLO,
     phase coherent, and carry identical spectra (the symmetric record).
-    The grid may be any contiguous piece of the record (grid.start); the
-    result then holds that piece's samples, `streams` carrying the shot
-    noise from the previous one.
+    The grid is a piece of the record (grid.start) and `streams` the
+    record's: the result holds that piece's samples, the streams carrying
+    the shot noise from the previous piece.
     """
     _check_nyquist(grid, delta_lo)
-    start = grid.start
+    start, dt = grid.start, grid.dt
     out = np.empty(grid.n_samples)
-    streams = Streams.for_grid(grid, streams)
+    waves = [(_phasor_table(streams, omega, dt), omega, phase)
+             for omega, phase in ((grid.carrier, frame_phase), (delta_lo, 0.0))]
 
     def mix():
-        # Each block is computed in its place in out and in its fresh
-        # phasors.  The two phasor streams are stepped in turn, not zipped:
-        # zip would hold the last pair while the next is made.
-        los = _record_phasors(streams, len(out), delta_lo, grid.dt, 0.0, start)
-        for i0, i1, car in _record_phasors(streams, len(out), grid.carrier, grid.dt, frame_phase,
-                                           start):
-            lo = next(los)[2]
+        # each block is computed in its place in out and in its fresh phasors
+        for i0, i1, car, lo in _record_phasors(start, len(out), dt, *waves):
             j0, j1 = i0 - start, i1 - start
             beat = np.multiply(car.real, x[j0:j1], out=out[j0:j1])
             beat += np.multiply(car.imag, y[j0:j1], out=car.imag)
@@ -249,8 +244,8 @@ def compose_heterodyne_components(
     det: DetectionParams,
     grid: SimGrid,
     delta_lo: float,
-    workers: int = 1,
-    streams: Streams | None = None,
+    workers: int,
+    streams: Streams,
 ) -> np.ndarray:
     """Samples of the real heterodyne record of the component-backend
     envelopes on the grid.
@@ -260,24 +255,22 @@ def compose_heterodyne_components(
     closed-form sideband spectrum scaled by gain^2/2 (factor documented so
     fitted weight ratios stay gain-independent).
 
-    The grid may be any contiguous piece of the record (grid.start); the
-    result then holds that piece's samples, `streams` carrying the shot
-    noise from the previous one.  Each sample is the Re(beta) cos sweep,
-    plus the -Im(beta) sin sweep, plus the shot noise, added in that order.
+    The grid is a piece of the record (grid.start) and `streams` the
+    record's: the result holds that piece's samples, the streams carrying
+    the shot noise from the previous piece.  Each sample is the Re(beta)
+    cos sweep, plus the -Im(beta) sin sweep, plus the shot noise, added in
+    that order.
     """
     _check_nyquist(grid, delta_lo)
-    start = grid.start
+    start, dt = grid.start, grid.dt
     samples = np.empty(grid.n_samples)
-    streams = Streams.for_grid(grid, streams)
+    waves = [(_phasor_table(streams, omega, dt), omega, 0.0)
+             for omega in (grid.carrier + delta_lo, grid.carrier - delta_lo)]
 
     def mix():
         # Re{beta e^{i phi}} = Re(beta) cos(phi) - Im(beta) sin(phi); each
-        # block is computed in its place in samples and in its fresh phasors,
-        # the phasor streams stepped in turn as in compose_heterodyne_wigner
-        dns = _record_phasors(streams, len(samples), grid.carrier - delta_lo, grid.dt, 0.0, start)
-        for i0, i1, up in _record_phasors(streams, len(samples), grid.carrier + delta_lo, grid.dt,
-                                          0.0, start):
-            dn = next(dns)[2]
+        # block is computed in its place in samples and in its fresh phasors
+        for i0, i1, up, dn in _record_phasors(start, len(samples), dt, *waves):
             j0, j1 = i0 - start, i1 - start
             b_s, b_as = beta_stokes[j0:j1], beta_antistokes[j0:j1]
             mixed = np.multiply(up.real, b_s.real, out=samples[j0:j1])
@@ -306,7 +299,7 @@ def design_lockin_fir(
     cutoff_hz: float,
     carrier: float,
     passband_edge_hz: float,
-    decimate: int = 1,
+    decimate: int,
 ) -> np.ndarray:
     """Linear-phase FIR for the lock-in low-pass.
 
@@ -394,7 +387,7 @@ class Baseband:
         self._step = self._nfft - (m - 1)
         self._n_blocks = -(-self.n_samples // self._step)
         self._response = np.fft.fft(taps, self._nfft)
-        self._phasor = _phasor_table(streams, carrier, 1.0 / sample_rate, self.n_samples)
+        self._phasor = _phasor_table(streams, carrier, 1.0 / sample_rate)
         # padded[h + k] holds the mixed sample k (h = m//2 leading zeros);
         # block b reads padded[b*step : b*step + nfft] and keeps its last
         # `step` outputs; _tail is padded[_block*step : h + _fed]
@@ -432,10 +425,11 @@ class Baseband:
         buf = np.empty(size, dtype=complex)
         buf[:kept] = self._tail
         buf[kept + len(samples) :] = 0.0
-        dt = 1.0 / self.sample_rate
-        for i0, i1, ph in _rotated_blocks(self._phasor, len(samples), self.carrier, dt, 0.0, start):
+        for i0, i1, ph in _record_phasors(start, len(samples), 1.0 / self.sample_rate,
+                                          (self._phasor, self.carrier, 0.0)):
             ph *= samples[i0 - start : i1 - start]
             np.multiply(ph, 2.0, out=buf[kept + i0 - start : kept + i1 - start])
+            del ph  # before the next block's phasor is made
         n_ready = max(0, (size - (m - 1)) // step)
         # the decimated samples of the full-rate outputs [j0*d, done)
         d, j0 = self.decimate, self._handed

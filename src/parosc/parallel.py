@@ -41,7 +41,7 @@ def _pool(workers: int) -> ThreadPoolExecutor | None:
         return _pools[workers]
 
 
-def thread_map(fn, items, workers: int = 1) -> list:
+def thread_map(fn, items, workers: int) -> list:
     """[fn(x) for x in items], on up to `workers` threads.  Every item has
     finished when the call returns or raises the first item's error."""
     items = list(items)

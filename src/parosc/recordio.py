@@ -38,20 +38,17 @@ def _as_channels(samples) -> list[np.ndarray]:
     return channels
 
 
-def write_record_bin(
-    path, samples, sample_rate: float, offset: int = 0, length: int | None = None
-) -> None:
+def write_record_bin(path, samples, sample_rate: float, offset: int, length: int) -> None:
     """Self-describing binary dump: magic, version, sample rate, length,
     channel count, kind flag (always KIND_REAL), then the channels as
     little-endian float64.
 
-    `samples` is a real 1-D array or a sequence of equal-length ones.  A
-    record too long to hold at once is written in consecutive pieces of
-    `length` samples in all: the piece at offset 0 creates the file and its
-    header, each later piece (same channel count) fills its place in every
-    channel."""
+    `samples` is a real 1-D array or a sequence of equal-length ones, the
+    piece at `offset` of a record of `length` samples: the piece at offset
+    0 creates the file and its header, each later piece (same channel
+    count) fills its place in every channel.  A record held whole is the
+    one piece at offset 0 of its own length."""
     channels = _as_channels(samples)
-    length = len(channels[0]) if length is None else length
     if offset + len(channels[0]) > length:
         raise ValueError(f"piece at {offset} overruns the {length}-sample record")
     with open(path, "wb" if offset == 0 else "r+b") as fh:

@@ -14,8 +14,9 @@ Two backends realize the model:
 Both backends follow the drive schedule: resonant segments carry the
 parametric rates, detuned segments the reference rates (s = 0, gamma_eff
 unchanged).  Each has one entry point, simulate_scheduled_quadratures and
-simulate_scheduled_envelopes, which synthesize any contiguous piece of a
-record and return its plain arrays: the quadratures (x, y) and the
+simulate_scheduled_envelopes, which synthesize one piece of a record, on
+the record's schedule and from the record's Streams that the caller
+passes, and return its plain arrays: the quadratures (x, y) and the
 envelopes (beta_stokes, beta_antistokes).  Every real chain is an
 OUChain: the exact OU discretization (no step-size bias), started from a
 stationary draw and drawn in pieces that consume the same normals in the
@@ -272,9 +273,9 @@ class OUChain:
 class Streams:
     """The random streams of one record of n_samples samples: one generator
     per stream id and the OU chains drawn from them, and the tables the
-    record's stages use on every piece.  A record synthesized one piece at
-    a time passes the same Streams to every piece's call, so each stream
-    continues where the previous piece left it."""
+    record's stages use on every piece.  A record is made one piece at a
+    time, every piece's synthesis and composition call taking the same
+    Streams, so each stream continues where the previous piece left it."""
 
     def __init__(self, seed: int, dt: float, n_samples: int):
         self.seed = seed
@@ -292,11 +293,6 @@ class Streams:
         if key not in self._tables:
             self._tables[key] = make(*args)
         return self._tables[key]
-
-    @classmethod
-    def for_grid(cls, grid: "SimGrid", streams: "Streams | None" = None) -> "Streams":
-        """`streams` when given, else fresh streams of the grid as a record."""
-        return cls(grid.seed, grid.dt, grid.n_samples) if streams is None else streams
 
     def rng(self, sid: int) -> np.random.Generator:
         if sid not in self._rngs:
@@ -354,15 +350,13 @@ def _check_weights(rates: DerivedRates) -> None:
         )
 
 
-def _schedule_pieces(schedule: Schedule | None, grid: SimGrid) -> list[tuple[int, str]]:
+def _schedule_pieces(schedule: Schedule, grid: SimGrid) -> list[tuple[int, str]]:
     """(n_samples, tag) of the drive segments' parts on the grid, which
-    every chain of a synthesis call shares; without a schedule the grid is
-    one resonant segment.  Rounded starts put the grid's first sample in
-    segment start // (period*fs) or the next, so the search starts one
-    segment before, in case the division rounds up: a call computes the
-    bounds of the segments it overlaps and of at most two more."""
-    if schedule is None:
-        return [(grid.n_samples, RESONANT)]
+    every chain of a synthesis call shares.  Rounded starts put the grid's
+    first sample in segment start // (period*fs) or the next, so the search
+    starts one segment before, in case the division rounds up: a call
+    computes the bounds of the segments it overlaps and of at most two
+    more."""
     fs, lo, hi = grid.sample_rate, grid.start, grid.start + grid.n_samples
     pieces = []
     for k in range(max(int(lo // (schedule.period * fs)) - 1, 0), schedule.n_segments):
@@ -387,9 +381,9 @@ def simulate_scheduled_quadratures(
     osc: OscillatorParams,
     rates: DerivedRates,
     grid: SimGrid,
-    schedule: Schedule | None = None,
-    workers: int = 1,
-    streams: Streams | None = None,
+    schedule: Schedule,
+    workers: int,
+    streams: Streams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Wigner quadratures (x, y), in quanta units, whose rates switch with
     the drive schedule: resonant segments use (gamma_plus, gamma_minus),
@@ -398,11 +392,9 @@ def simulate_scheduled_quadratures(
     guard covers settling).  The two independent chains run on up to
     `workers` threads.
 
-    Without a schedule the whole grid is resonant.  The grid may be any
-    contiguous piece of the record; `streams` then carries both chains from
-    the previous piece."""
+    The grid is a piece of the record the schedule tiles, and `streams` the
+    record's, which carry both chains from the previous piece."""
     _check_synthesizable(rates)
-    streams = Streams.for_grid(grid, streams)
     var_x, var_y = rates.quadrature_variances()
     detuned = (0.5 * rates.gamma_eff, (2.0 * rates.n_bar + 1.0) / 4.0)
     pieces = _schedule_pieces(schedule, grid)
@@ -425,13 +417,13 @@ def simulate_scheduled_envelopes(
     osc: OscillatorParams,
     rates: DerivedRates,
     grid: SimGrid,
-    schedule: Schedule | None = None,
-    workers: int = 1,
-    streams: Streams | None = None,
+    schedule: Schedule,
+    workers: int,
+    streams: Streams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component-backend envelopes (beta_stokes, beta_antistokes) with
     per-segment drive switching (s -> 0 in detuned segments, gamma_eff
-    unchanged); without a schedule the whole grid is resonant.
+    unchanged).
 
     Each envelope is the sum of two independent complex OU components whose
     PSDs add up to the closed-form sideband spectrum exactly; the four
@@ -443,11 +435,10 @@ def simulate_scheduled_envelopes(
     real part over the whole record before the imaginary part; each
     envelope part is filled with its narrow component, then its broad
     component is added.  The two envelopes run on up to `workers` threads.
-    The grid may be any contiguous piece of the record; `streams` then
-    carries the chains from the previous piece."""
+    The grid is a piece of the record the schedule tiles, and `streams` the
+    record's, which carry the chains from the previous piece."""
     _check_synthesizable(rates)
     _check_weights(rates)
-    streams = Streams.for_grid(grid, streams)
     resonant = _envelope_component_table(rates)
     detuned = _envelope_component_table(DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar))
     pieces = _schedule_pieces(schedule, grid)

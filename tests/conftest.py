@@ -6,7 +6,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from parosc.config import RunConfig
-from parosc.synth import RESONANT, Schedule
+from parosc.synth import RESONANT, Schedule, SimGrid, Streams
 
 # Reduced desk grid for fast synthesis tests: all physics depends only on the
 # rates and the LO offset, so shrinking the carrier keeps statistics intact.
@@ -55,3 +55,14 @@ def single_segment_schedule(duration: float, tag: str = RESONANT) -> Schedule:
     """A record of `duration` seconds as one drive segment of class tag,
     with no settling guard."""
     return Schedule(period=duration, duration=duration, guard=0.0, tags=(tag,))
+
+
+def record_streams(grid: SimGrid) -> Streams:
+    """Fresh Streams of the record the grid covers whole."""
+    return Streams(grid.seed, grid.dt, grid.n_samples)
+
+
+def as_record(grid: SimGrid, tag: str = RESONANT) -> tuple[Schedule, int, Streams]:
+    """(schedule, workers, streams) of a synthesis call on the grid as a
+    whole record of one drive segment of class tag, on one worker."""
+    return single_segment_schedule(grid.duration, tag), 1, record_streams(grid)

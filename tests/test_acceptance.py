@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import fast_config
+from conftest import as_record, fast_config, record_streams, single_segment_schedule
 from parosc.config import RunConfig
 from parosc.detect import (
     DetectionParams,
@@ -69,8 +69,9 @@ def component_roundtrip(config: RunConfig, rep: int) -> dict:
     det = config.detection()
     grid = config.grid(rep_seed(v["seed"], (0,), rep))
     schedule = schedule_drive(grid, v["schedule_period"], rates.gamma_minus)
-    beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid, schedule, workers=2)
-    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, v["delta_lo"], workers=2)
+    streams = record_streams(grid)
+    beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid, schedule, 2, streams)
+    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, v["delta_lo"], 2, streams)
     del beta_s, beta_as
     nperseg = int(round(v["welch_segment"] * grid.sample_rate))
     psds = {
@@ -296,7 +297,7 @@ class TestCriterion6ThresholdBehavior:
         osc = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=0.3)
         grid = SimGrid(sample_rate=25e3, duration=1.0, carrier=TWO_PI * 5e3, seed=0)
         with pytest.raises(QuantumSqueezingRegimeError, match="s > 2\\*n_bar"):
-            simulate_scheduled_envelopes(osc, rates, grid)
+            simulate_scheduled_envelopes(osc, rates, grid, *as_record(grid))
 
         weights = sideband_weights(0.3, 0.7)
         assert weights.antistokes_broad == pytest.approx(-0.05, abs=1e-12)
@@ -315,10 +316,9 @@ class TestCriterion6ThresholdBehavior:
 class TestCriterion7EstimatorHygiene:
     @pytest.mark.realization
     def test_parseval_on_every_record_class(self):
-        from conftest import single_segment_schedule
         from parosc.detect import compose_heterodyne_wigner, demod_baseband, lockin_baseband
         from parosc.model import OscillatorParams
-        from parosc.synth import SimGrid, Streams
+        from parosc.synth import SimGrid
 
         osc = OscillatorParams(omega_m=TWO_PI * 530e3, gamma_m=1e-3, n_bar=5.8)
         rates = DerivedRates.from_target(TWO_PI * 20.0, 0.5, 5.8)
@@ -330,14 +330,15 @@ class TestCriterion7EstimatorHygiene:
         records["ou_chain"] = OUChain(stream_rng(70, 1), grid.dt).draw(
             grid.n_samples, TWO_PI * 10.0, 1.0
         )
-        x, y = simulate_scheduled_quadratures(osc, rates, grid)
-        records["wigner_heterodyne"] = compose_heterodyne_wigner(x, y, det, grid, delta_lo)
-        beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid)
+        x, y = simulate_scheduled_quadratures(osc, rates, grid, *as_record(grid))
+        records["wigner_heterodyne"] = compose_heterodyne_wigner(x, y, det, grid, delta_lo, 0.0, 1,
+                                                                 record_streams(grid))
+        beta_s, beta_as = simulate_scheduled_envelopes(osc, rates, grid, *as_record(grid))
         records["component_heterodyne"] = compose_heterodyne_components(
-            beta_s, beta_as, det, grid, delta_lo
+            beta_s, beta_as, det, grid, delta_lo, 1, record_streams(grid)
         )
         baseband = lockin_baseband(grid, det, delta_lo / TWO_PI * 1.05, 4,
-                                   single_segment_schedule(grid.duration), Streams.for_grid(grid))
+                                   single_segment_schedule(grid.duration), record_streams(grid))
         z = demod_baseband(baseband, records["wigner_heterodyne"], grid, 1)
         records["demod_channel"] = z.real  # the cosine channel at phase 0
         rates_used = {"demod_channel": grid.sample_rate / 4}

@@ -83,12 +83,12 @@ def test_raw_records_compared_by_sample(tmp_path, capsys):
     for root in (old, new):
         root.mkdir(parents=True)
     x = np.linspace(1.0, 2.0, 100)
-    write_record_bin(old / "rec.bin", (x, -x), 1e3)
+    write_record_bin(old / "rec.bin", (x, -x), 1e3, 0, 100)
     moved = x.copy()
     moved[7] *= 1.0 + 4e-12
-    write_record_bin(new / "rec.bin", (moved, -x), 1e3)
-    write_record_bin(old / "short.bin", x, 1e3)
-    write_record_bin(new / "short.bin", x[:50], 1e3)
+    write_record_bin(new / "rec.bin", (moved, -x), 1e3, 0, 100)
+    write_record_bin(old / "short.bin", x, 1e3, 0, 100)
+    write_record_bin(new / "short.bin", x[:50], 1e3, 0, 50)
     assert artifact_diff().main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     lines = capsys.readouterr().out.splitlines()
     rel = float(next(line for line in lines if line.endswith("raw/rec.bin")).split()[2])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import fast_config
+from conftest import fast_config, record_streams
 from parosc.cli import main
 from parosc.config import (
     _HZ_SCALE,
@@ -21,7 +21,7 @@ from parosc.config import (
 )
 from parosc.detect import lockin_baseband, schedule_drive
 from parosc.errors import ConfigError
-from parosc.synth import Streams
+from parosc.pipeline import rep_seed
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,7 +147,7 @@ class TestValidation:
             grid = cfg.grid(0)
             schedule = schedule_drive(grid, cfg.values["schedule_period"], rates.gamma_minus)
             baseband = lockin_baseband(grid, cfg.detection(), cfg.passband_edge_hz(rates), decimate,
-                                       schedule, Streams.for_grid(grid))
+                                       schedule, record_streams(grid))
             return min(s.stop - s.start for _, s in baseband.usable_slices())
 
         trimmed = round(base.values["schedule_period"] * fs_q) - shortest_slice(base)
@@ -239,6 +239,30 @@ class TestMalformedValues:
         # a valid scipy window whose periodogram bins stay correlated at lag 2
         problems = validate_config(RunConfig.defaults().with_overrides(window="flattop"))
         assert any("window must be one of boxcar, hann, hamming, blackman" in p for p in problems)
+
+
+class TestIntegerValues:
+    """An integer value is the integer written: digits read exactly at any
+    size, and another form, read through a float, must stay within 2**53,
+    up to which a float holds every integer."""
+
+    def test_seed_past_2_53_reads_exactly(self):
+        above, at = (RunConfig.from_text(f"seed = {n}") for n in (2**53 + 1, 2**53))
+        assert above.values["seed"] == 2**53 + 1
+        assert at.values["seed"] == 2**53
+        assert all(
+            rep_seed(above.values["seed"], (0,), rep) != rep_seed(at.values["seed"], (0,), rep)
+            for rep in range(3)
+        )
+
+    def test_exponent_form_reads_as_an_integer(self):
+        assert RunConfig.from_text("seed = 1e3").values["seed"] == 1000
+
+    def test_exponent_form_past_2_53_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seed.cfg"
+        path.write_text("seed = 1e300\n", encoding="utf-8")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert "seed: '1e300' exceeds 2**53" in capsys.readouterr().err
 
 
 # valid suffixes per value kind; any other kind takes none

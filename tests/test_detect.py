@@ -1,12 +1,13 @@
 """Record composition, lock-in demodulation, demodulation phase and scheduling."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import fast_config, single_segment_schedule
+from conftest import as_record, fast_config, record_streams, single_segment_schedule
 from parosc.config import RunConfig
 from parosc.detect import (
     _MIX_BLOCK,
@@ -14,6 +15,7 @@ from parosc.detect import (
     STOPBAND_DB,
     DetectionParams,
     _freqz_response,
+    _phasor_table,
     _record_phasors,
     add_phase_sums,
     compose_heterodyne_components,
@@ -65,8 +67,9 @@ def constant_quadratures(grid, x_value, y_value):
 def demod(samples, grid, det, edge, decimate=1, workers=1, schedule=None):
     """The lock-in baseband of the record on the grid (by default one
     resonant segment), fed whole, and its decimated samples."""
-    bb = lockin_baseband(grid, det, edge, decimate, schedule or single_segment_schedule(grid.duration),
-                         Streams.for_grid(grid))
+    schedule = schedule or single_segment_schedule(grid.duration)
+    streams = Streams(grid.seed, grid.dt, schedule.n_samples(grid.sample_rate))
+    bb = lockin_baseband(grid, det, edge, decimate, schedule, streams)
     return bb, demod_baseband(bb, samples, grid, workers)
 
 
@@ -183,8 +186,12 @@ class TestScheduleDrive:
 
 class TestCarrierPhasors:
     @staticmethod
-    def _phasors(n, omega, dt, phase):
-        return _record_phasors(Streams(0, dt, n), n, omega, dt, phase, 0)
+    def _walk(n, dt, *waves, start=0):
+        """The phasor walk of the samples [start, n) of an n-sample record,
+        one wave per (omega, phase), from the record's tables."""
+        streams = Streams(0, dt, n)
+        tables = [(_phasor_table(streams, omega, dt), omega, phase) for omega, phase in waves]
+        return _record_phasors(start, n - start, dt, *tables)
 
     def test_matches_direct_exp_over_full_default_record(self):
         # 100 s at 250 kHz: 25 M samples, the last block only partly filled
@@ -194,7 +201,7 @@ class TestCarrierPhasors:
         dt = 1.0 / fs
         worst = 0.0
         covered = 0
-        for i0, i1, ph in self._phasors(n, omega, dt, phase):
+        for i0, i1, ph in self._walk(n, dt, (omega, phase)):
             assert i0 == covered
             covered = i1
             direct = np.exp(1j * (omega * (np.arange(i0, i1) * dt) + phase))
@@ -202,21 +209,82 @@ class TestCarrierPhasors:
         assert covered == n
         assert worst < 1e-8
 
+    def test_two_waves_in_one_walk_match_direct_exp(self):
+        # the Wigner composition's carrier (at a frame phase) and LO waves,
+        # walked together over the default record from a piece start inside
+        # a block to the record's end
+        fs = 250e3
+        waves = ((TWO_PI * 50e3, 1.3), (DELTA_LO, 0.0))
+        n, start = int(100.0 * fs), 15 * _MIX_BLOCK + 12_345
+        dt = 1.0 / fs
+        worst = [0.0, 0.0]
+        covered = start
+        for i0, i1, *phasors in self._walk(n, dt, *waves, start=start):
+            assert i0 == covered and (i1 % _MIX_BLOCK == 0 or i1 == n)
+            covered = i1
+            t = np.arange(i0, i1) * dt
+            for k, ((omega, phase), ph) in enumerate(zip(waves, phasors)):
+                worst[k] = max(worst[k], float(np.max(np.abs(ph - np.exp(1j * (omega * t + phase))))))
+        assert covered == n
+        assert max(worst) < 1e-8, worst
+
     def test_short_record_single_partial_block(self):
-        blocks = list(self._phasors(10, 3.0, 0.1, -0.2))
+        blocks = list(self._walk(10, 0.1, (3.0, -0.2)))
         assert len(blocks) == 1
         i0, i1, ph = blocks[0]
         assert (i0, i1) == (0, 10)
         np.testing.assert_allclose(ph, np.exp(1j * (3.0 * 0.1 * np.arange(10) - 0.2)), atol=1e-15)
 
 
+class TestPhasorWalkLetsGo:
+    """A block's phasors are dead once their consumer drops them, before
+    the next block's are made: neither the walk nor a stage that mixes
+    with it holds them (1 MiB a wave on the default blocks)."""
+
+    def test_walk_holds_no_dropped_block(self):
+        dt = 1e-3
+        n = 3 * _MIX_BLOCK + 5
+        walk = TestCarrierPhasors._walk(n, dt, (2.0, 0.3), (5.0, 0.0))
+        blocks = 0
+        for block in walk:
+            refs = [weakref.ref(ph) for ph in block[2:]]
+            del block
+            assert [ref() for ref in refs] == [None, None], blocks
+            blocks += 1
+        assert blocks == 4
+
+    def test_stages_drop_each_block_before_the_next(self, monkeypatch):
+        from parosc import detect
+
+        walk = detect._record_phasors
+        alive = []
+
+        def watched(*args):
+            for block in walk(*args):
+                refs = [weakref.ref(ph) for ph in block[2:]]
+                yield block
+                del block
+                alive.append(sum(ref() is not None for ref in refs))
+
+        monkeypatch.setattr(detect, "_record_phasors", watched)
+        grid = grid_for(12.0, 5)
+        blocks = -(-grid.n_samples // _MIX_BLOCK)
+        assert blocks > 2
+        quad = constant_quadratures(grid, 1.0, 0.5)
+        samples = compose_heterodyne_wigner(*quad, DET, grid, DELTA_LO, 0.4, 2, record_streams(grid))
+        compose_heterodyne_components(*(q + 0j for q in quad), DET, grid, DELTA_LO, 2,
+                                      record_streams(grid))
+        demod(samples, grid, DET, EDGE, workers=2)
+        assert alive == [0] * 3 * blocks, alive
+
+
 class TestComposeWigner:
     @pytest.mark.realization
     def test_zero_gain_gives_pure_shot_floor(self):
         grid = grid_for(60.0, 2)
-        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         det = DetectionParams(gain=0.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
         psd = welch_psd_chunks([samples], grid.sample_rate, 12_500)
         interior = psd.density[10:-10]
         assert np.mean(interior) == pytest.approx(0.002, rel=0.02)
@@ -225,7 +293,7 @@ class TestComposeWigner:
         grid = grid_for(20.0, 3)
         quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
         psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
         f_up = (CARRIER + DELTA_LO) / TWO_PI
         f_dn = (CARRIER - DELTA_LO) / TWO_PI
@@ -242,14 +310,14 @@ class TestComposeWigner:
         grid = SimGrid(sample_rate=11e3, duration=1.0, carrier=TWO_PI * 5e3, seed=4)
         quad = constant_quadratures(grid, 1.0, 0.0)
         with pytest.raises(AliasingError):
-            compose_heterodyne_wigner(*quad, DET, grid, TWO_PI * 1.1e3)
+            compose_heterodyne_wigner(*quad, DET, grid, TWO_PI * 1.1e3, 0.0, 1, record_streams(grid))
 
     @pytest.mark.realization
     def test_energy_bookkeeping(self):
         grid = grid_for(120.0, 5)
-        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         det = DetectionParams(gain=1.3, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(x, y, det, grid, DELTA_LO)
+        samples = compose_heterodyne_wigner(x, y, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
         expected = det.gain**2 * (np.var(x) + np.var(y))
         assert np.var(samples) == pytest.approx(expected, rel=0.01)
 
@@ -258,8 +326,8 @@ class TestComposeWigner:
         # full synthesis, n_bar = 5.8, s = 0: both sideband areas equal within
         # the fit's statistical error; asymmetry needs the component backend
         grid = grid_for(120.0, 6)
-        quad = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
-        samples = compose_heterodyne_wigner(*quad, DET, grid, DELTA_LO)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid, *as_record(grid))
+        samples = compose_heterodyne_wigner(*quad, DET, grid, DELTA_LO, 0.0, 1, record_streams(grid))
         psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
@@ -272,10 +340,10 @@ class TestComposeComponents:
     def test_single_sideband_when_antistokes_absent(self):
         grid = grid_for(30.0, 7)
         rates = rates_for(0.5)
-        beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid)
+        beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         samples = compose_heterodyne_components(
-            beta_s, np.zeros_like(beta_s), det, grid, DELTA_LO
+            beta_s, np.zeros_like(beta_s), det, grid, DELTA_LO, 1, record_streams(grid)
         )
         psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
         f_c = CARRIER / TWO_PI
@@ -290,16 +358,17 @@ class TestComposeComponents:
     def test_record_variance_carries_half_envelope_power(self):
         grid = grid_for(120.0, 8)
         rates = rates_for(0.5)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
+        samples = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO, 1,
+                                                record_streams(grid))
         expected = 0.5 * (np.mean(np.abs(beta_s) ** 2) + np.mean(np.abs(beta_as) ** 2))
         assert np.var(samples) == pytest.approx(expected, rel=0.01)
 
     def test_gain_invariance_of_fitted_ratios(self):
         grid = grid_for(60.0, 9)
         rates = rates_for(0.5)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, *as_record(grid))
         f_c = CARRIER / TWO_PI
         f_lo = DELTA_LO / TWO_PI
         results = []
@@ -307,7 +376,8 @@ class TestComposeComponents:
             # shot amplitude scales with gain so the records are exact
             # multiples of each other
             det = DetectionParams(gain=gain, shot_psd=0.002 * gain**2, lowpass_cutoff=2.5e3)
-            samples = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO)
+            samples = compose_heterodyne_components(beta_s, beta_as, det, grid, DELTA_LO, 1,
+                                                    record_streams(grid))
             psd = welch_psd_chunks([samples], grid.sample_rate, 25_000)
             fit = fit_single_pair(psd, (f_c + f_lo, f_c - f_lo), 300.0)
             results.append(fit.derived["ratio"][0])
@@ -316,7 +386,7 @@ class TestComposeComponents:
 
 class TestLockinFilter:
     def test_design_meets_spec(self):
-        taps = design_lockin_fir(FS, 2.5e3, CARRIER, 1.2e3, decimate=4)
+        taps = design_lockin_fir(FS, 2.5e3, CARRIER, 1.2e3, 4)
         from scipy.signal import freqz
 
         freqs, resp = freqz(taps, worN=8192, fs=FS)
@@ -361,7 +431,7 @@ class TestLockinFilter:
         # a wide transition band: Kaiser's formula undersizes the filter,
         # and the response on freqz's grid misses the stopband attenuation
         with pytest.raises(FilterDesignError) as info:
-            design_lockin_fir(250e3, 20e3, TWO_PI * 70e3, 10e3)
+            design_lockin_fir(250e3, 20e3, TWO_PI * 70e3, 10e3, 1)
         assert str(info.value) == (
             "designed filter misses spec: ripple 0.00973 dB (limit 0.1), "
             "stopband 57.4 dB (limit 60.0)"
@@ -371,19 +441,19 @@ class TestLockinFilter:
         # undecimated, the mixing image's edge 2*fc - cutoff can lie above
         # Nyquist, where no response point tests the stopband
         with pytest.raises(FilterDesignError) as info:
-            design_lockin_fir(250e3, 30e3, TWO_PI * 80e3, 10e3)
+            design_lockin_fir(250e3, 30e3, TWO_PI * 80e3, 10e3, 1)
         assert str(info.value) == (
             "stopband edge 130000 Hz leaves no response point below the Nyquist frequency 125000 Hz"
         )
 
     def test_unsatisfiable_constraints_raise(self):
         with pytest.raises(FilterDesignError):
-            design_lockin_fir(FS, 5.5e3, CARRIER, 5.4e3)  # cutoff above image edge
+            design_lockin_fir(FS, 5.5e3, CARRIER, 5.4e3, 1)  # cutoff above image edge
         with pytest.raises(FilterDesignError):
-            design_lockin_fir(FS, 1.0e3, CARRIER, 1.5e3)  # edge above cutoff
+            design_lockin_fir(FS, 1.0e3, CARRIER, 1.5e3, 1)  # edge above cutoff
         with pytest.raises(FilterDesignError, match="taps, more than"):
             # a 1 Hz transition band at 25 kHz needs about 99,000 taps
-            design_lockin_fir(FS, 3124.0, CARRIER, 1.2e3, decimate=4)
+            design_lockin_fir(FS, 3124.0, CARRIER, 1.2e3, 4)
 
 
 class TestDemodBaseband:
@@ -393,7 +463,7 @@ class TestDemodBaseband:
         rng = np.random.default_rng(3)
         samples = rng.standard_normal(n)
         grid = grid_for(n / FS, 0)
-        det = DetectionParams(lowpass_cutoff=2.5e3)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         mixed = 2.0 * samples * np.exp(1j * CARRIER * np.arange(n) / FS)
         for decimate in (1, 4):
             bb, z = demod(samples, grid, det, 1.2e3, decimate=decimate)
@@ -406,7 +476,7 @@ class TestDemodBaseband:
         rng = np.random.default_rng(4)
         samples = rng.standard_normal(400_000)
         grid = grid_for(16.0, 0)
-        det = DetectionParams(lowpass_cutoff=2.5e3)
+        det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
         # more workers than cores: the batches write disjoint slices of one array
         _, one = demod(samples, grid, det, 1.2e3, decimate=4, workers=1)
         _, many = demod(samples, grid, det, 1.2e3, decimate=4, workers=5)
@@ -448,9 +518,10 @@ class TestSegmentStreaming:
         # rounding
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        whole_quad = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule)
+        whole_quad = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule, 1,
+                                                    record_streams(self.GRID))
         whole_samples = compose_heterodyne_wigner(
-            *whole_quad, det, self.GRID, DELTA_LO, frame_phase=0.4
+            *whole_quad, det, self.GRID, DELTA_LO, 0.4, 1, record_streams(self.GRID)
         )
         whole, whole_z = demod(whole_samples, self.GRID, det, 1.2e3, decimate=4, schedule=schedule)
         whole_spectra = self._spectra()
@@ -462,12 +533,8 @@ class TestSegmentStreaming:
             streamed = lockin_baseband(self.GRID, det, 1.2e3, 4, schedule, streams)
             samples, zs = [], []
             for piece in pieces:
-                quad = simulate_scheduled_quadratures(
-                    OSC, rates, piece, schedule, streams=streams
-                )
-                samples.append(compose_heterodyne_wigner(
-                    *quad, det, piece, DELTA_LO, frame_phase=0.4, workers=2, streams=streams,
-                ))
+                quad = simulate_scheduled_quadratures(OSC, rates, piece, schedule, 1, streams)
+                samples.append(compose_heterodyne_wigner(*quad, det, piece, DELTA_LO, 0.4, 2, streams))
                 zs.append(demod_baseband(streamed, samples[-1], piece, 2))
             for piece in pieces[1:]:
                 assert piece.start % _MIX_BLOCK and piece.start % streamed._step, cut
@@ -484,17 +551,17 @@ class TestSegmentStreaming:
         # are the whole-record composition, bit for bit
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.3, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule)
-        whole = compose_heterodyne_components(beta_s, beta_as, det, self.GRID, DELTA_LO)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, self.GRID, schedule, 1,
+                                                       record_streams(self.GRID))
+        whole = compose_heterodyne_components(beta_s, beta_as, det, self.GRID, DELTA_LO, 1,
+                                              record_streams(self.GRID))
         for cut in self.CUTS:
             pieces = self._pieces(schedule, cut)
             streams = Streams(self.GRID.seed, self.GRID.dt, self.GRID.n_samples)
             samples = []
             for piece in pieces:
-                env = simulate_scheduled_envelopes(OSC, rates, piece, schedule, streams=streams)
-                samples.append(compose_heterodyne_components(
-                    *env, det, piece, DELTA_LO, workers=2, streams=streams,
-                ))
+                env = simulate_scheduled_envelopes(OSC, rates, piece, schedule, 1, streams)
+                samples.append(compose_heterodyne_components(*env, det, piece, DELTA_LO, 2, streams))
                 assert len(samples[-1]) == piece.n_samples
             np.testing.assert_array_equal(np.concatenate(samples), whole, str(cut))
 
@@ -506,14 +573,14 @@ class TestSegmentStreaming:
 
         grid = grid_for(44.0, 47)
         assert grid.n_samples > 1 << 20
-        whole = compose_heterodyne_wigner(*constant_quadratures(grid, 0.0, 0.0), DET, grid, DELTA_LO)
+        whole = compose_heterodyne_wigner(*constant_quadratures(grid, 0.0, 0.0), DET, grid, DELTA_LO,
+                                          0.0, 1, record_streams(grid))
         streams = Streams(grid.seed, grid.dt, grid.n_samples)
         blocks = [grid.segment(b0, min(b0 + _BLOCK, grid.n_samples))
                   for b0 in range(0, grid.n_samples, _BLOCK)]
         pieces = [
-            compose_heterodyne_wigner(
-                *constant_quadratures(blk, 0.0, 0.0), DET, blk, DELTA_LO, workers=2, streams=streams,
-            )
+            compose_heterodyne_wigner(*constant_quadratures(blk, 0.0, 0.0), DET, blk, DELTA_LO, 0.0, 2,
+                                      streams)
             for blk in blocks
         ]
         np.testing.assert_array_equal(np.concatenate(pieces), whole)
@@ -521,8 +588,9 @@ class TestSegmentStreaming:
     def test_pieces_must_follow_in_order(self):
         rates, schedule = self._setup()
         piece = self._pieces(schedule)[1]
-        quad = simulate_scheduled_quadratures(OSC, rates, piece, schedule)
-        samples = compose_heterodyne_wigner(*quad, DET, piece, DELTA_LO)
+        streams = record_streams(self.GRID)
+        quad = simulate_scheduled_quadratures(OSC, rates, piece, schedule, 1, streams)
+        samples = compose_heterodyne_wigner(*quad, DET, piece, DELTA_LO, 0.0, 1, streams)
         with pytest.raises(ValueError, match="does not continue"):
             demod(samples, piece, DET, 1.2e3, schedule=schedule)
 
@@ -558,9 +626,10 @@ class TestLockinDemodulate:
         # the rounding of the transforms (relative to the spectrum's peak:
         # the stopband bins lie 1e-8 below it)
         grid = grid_for(4.0, 14)
-        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
+        bb, z = demod(samples, grid, det, EDGE)
         spectra = self._spectra(grid.sample_rate, 5_000)
         sum_slices(bb, [z], spectra)
         assert len(z) > _MIX_BLOCK
@@ -587,9 +656,10 @@ class TestLockinDemodulate:
         import tracemalloc
 
         grid = grid_for(4.0, 14)
-        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        bb, z = demod(compose_heterodyne_wigner(*quad, det, grid, DELTA_LO), grid, det, EDGE)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
+        bb, z = demod(samples, grid, det, EDGE)
         spectra = self._spectra(grid.sample_rate, 5_000)
         sum_slices(bb, [z], spectra)
         channel_bytes = 8 * len(z)
@@ -604,10 +674,10 @@ class TestLockinDemodulate:
     def test_linearity(self):
         grid = grid_for(10.0, 11)
         rates = rates_for(0.5)
-        quad = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec_a = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
-        rec_b = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=1.1)
+        rec_a = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
+        rec_b = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 1.1, 1, record_streams(grid))
         rot = np.exp(0.3j)
         z_a, z_b, z_sum = (demod(rec, grid, det, EDGE)[1] * rot
                            for rec in (rec_a, rec_b, rec_a + rec_b))
@@ -618,11 +688,11 @@ class TestLockinDemodulate:
         # rotating the record frame and the demod phase together leaves the
         # channels unchanged
         grid = grid_for(10.0, 12)
-        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        quad = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         delta = 0.83
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        rec0 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=0.0)
-        rec1 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=delta)
+        rec0 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
+        rec1 = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, delta, 1, record_streams(grid))
         bb0, z0 = demod(rec0, grid, det, EDGE)
         bb1, z1 = demod(rec1, grid, det, EDGE)
         spectra0, spectra1 = (self._spectra(grid.sample_rate, 25_000) for _ in range(2))
@@ -648,9 +718,9 @@ class TestLockinDemodulate:
         grid = grid_for(20.0, 13)
         rates = rates_for(0.5)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        quad = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, 0.0, 1, record_streams(grid))
         swapped = samples.copy()
         rng = np.random.default_rng(0)
         for i0, i1, tag in schedule.sample_bounds(FS, grid.n_samples):
@@ -669,9 +739,10 @@ class TestOptimizeDemodPhase:
         grid = grid_for(duration, seed)
         rates = rates_for(s)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        quad = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid))
         det = DetectionParams(gain=1.0, shot_psd=shot, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=frame_phase)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase, 1,
+                                            record_streams(grid))
         return demod(samples, grid, det, EDGE, decimate=decimate, schedule=schedule)
 
     def test_recovers_frame_phase(self):
@@ -685,7 +756,7 @@ class TestOptimizeDemodPhase:
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
         quad = constant_quadratures(grid, 1.0, 0.0)
         det = DetectionParams(gain=1.0, shot_psd=0.0, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, phi0, 1, record_streams(grid))
         bb, z = demod(samples, grid, det, EDGE, schedule=schedule)
         theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
         target = (phi0 + math.pi / 2) % math.pi
@@ -784,10 +855,10 @@ class TestQuadratureSpectraAtOptimum:
         rates = rates_for(0.5)
         grid = grid_for(120.0, 42)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        quad = simulate_scheduled_quadratures(OSC, rates, grid)
+        quad = simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid))
         phi0 = 0.77
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
-        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, frame_phase=phi0)
+        samples = compose_heterodyne_wigner(*quad, det, grid, DELTA_LO, phi0, 1, record_streams(grid))
         # one Welch over the resonant slices, as the pipeline pools them: no
         # segment straddles a drive switch
         spectra = {RESONANT: Welch(grid.sample_rate / 4, 6250, 0.5, "hann", "constant")}
@@ -807,4 +878,4 @@ class TestQuadratureSpectraAtOptimum:
 class TestDetectionParams:
     def test_negative_shot_rejected(self):
         with pytest.raises(ValueError):
-            DetectionParams(shot_psd=-1e-3)
+            DetectionParams(gain=1.0, shot_psd=-1e-3, lowpass_cutoff=0.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear, minimize_scalar
 
+from conftest import as_record, record_streams
 from parosc import fitting
 from parosc.detect import DetectionParams, compose_heterodyne_components
 from parosc.errors import SpectralError
@@ -48,9 +49,10 @@ def synthetic_psd(freqs, density, n_eff=100.0, window="hann"):
 def make_component_psd(seed, duration=60.0, s=0.5, n_bar=5.8, shot=0.002, gain=1.0):
     rates = DerivedRates.from_target(TWO_PI * 20.0, s, n_bar)
     grid = SimGrid(sample_rate=25e3, duration=duration, carrier=TWO_PI * 5e3, seed=seed)
-    beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
+    beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, *as_record(grid))
     det = DetectionParams(gain=gain, shot_psd=shot, lowpass_cutoff=2.5e3)
-    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3)
+    samples = compose_heterodyne_components(beta_s, beta_as, det, grid, TWO_PI * 1.1e3, 1,
+                                            record_streams(grid))
     return welch_psd_chunks([samples], grid.sample_rate, 25_000), rates
 
 

@@ -18,7 +18,7 @@ class TestBinaryRoundTrip:
     def test_real_single_channel(self, tmp_path):
         x = np.random.default_rng(1).standard_normal(1000)
         path = tmp_path / "rec.bin"
-        write_record_bin(path, x, 250e3)
+        write_record_bin(path, x, 250e3, 0, 1000)
         loaded, rate = read_record_bin(path)
         assert rate == 250e3
         np.testing.assert_array_equal(loaded, x)
@@ -27,7 +27,7 @@ class TestBinaryRoundTrip:
         rng = np.random.default_rng(3)
         chans = tuple(rng.standard_normal((3, 200)))
         path = tmp_path / "rec.bin"
-        write_record_bin(path, chans, 1e3)
+        write_record_bin(path, chans, 1e3, 0, 200)
         loaded, _ = read_record_bin(path)
         np.testing.assert_array_equal(loaded, np.vstack(chans))
 
@@ -36,7 +36,7 @@ class TestBinaryRoundTrip:
         # one complex array, written over more than one block
         z = np.random.default_rng(6).standard_normal(2 * (_WRITE_BLOCK + 123)).view(complex)
         path = tmp_path / "rec.bin"
-        write_record_bin(path, (z.real, z.imag), 1e3)
+        write_record_bin(path, (z.real, z.imag), 1e3, 0, len(z))
         loaded, _ = read_record_bin(path)
         assert loaded.tobytes() == np.vstack((z.real, z.imag)).astype("<f8").tobytes()
 
@@ -50,16 +50,16 @@ class TestBinaryRoundTrip:
 
         whole = tmp_path / "whole.bin"
         pieces = tmp_path / "pieces.bin"
-        write_record_bin(whole, piece(0, 1000), 25e3)
+        write_record_bin(whole, piece(0, 1000), 25e3, 0, 1000)
         for i0, i1 in ((0, 300), (300, 301), (301, 1000)):
-            write_record_bin(pieces, piece(i0, i1), 25e3, offset=i0, length=1000)
+            write_record_bin(pieces, piece(i0, i1), 25e3, i0, 1000)
         assert pieces.read_bytes() == whole.read_bytes()
 
     def test_unequal_channels_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         ch_x, ch_y = rng.standard_normal(700), rng.standard_normal(700)
         with pytest.raises(ValueError, match="equal lengths"):
-            write_record_bin(tmp_path / "rec.bin", (ch_x, ch_y[:-1]), 25e3)
+            write_record_bin(tmp_path / "rec.bin", (ch_x, ch_y[:-1]), 25e3, 0, 700)
 
     @pytest.mark.parametrize(
         "samples",
@@ -68,11 +68,11 @@ class TestBinaryRoundTrip:
     )
     def test_complex_or_2d_input_rejected(self, tmp_path, samples):
         with pytest.raises(ValueError, match="real 1-D"):
-            write_record_bin(tmp_path / "rec.bin", samples, 1e3)
+            write_record_bin(tmp_path / "rec.bin", samples, 1e3, 0, 10)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "rec.bin"
-        write_record_bin(path, np.ones(100), 1e3)
+        write_record_bin(path, np.ones(100), 1e3, 0, 100)
         # short of its last sample, and short of its header
         for data in (path.read_bytes()[:-8], b"PORC\x01"):
             path.write_bytes(data)
@@ -94,7 +94,7 @@ class TestBinaryRoundTrip:
 
     def test_piece_past_the_end_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="overruns"):
-            write_record_bin(tmp_path / "rec.bin", np.zeros(10), 1e3, offset=995, length=1000)
+            write_record_bin(tmp_path / "rec.bin", np.zeros(10), 1e3, 995, 1000)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -120,23 +120,23 @@ class TestRotate:
         path = tmp_path / "channels.bin"
         for i0 in range(0, n, 40_000):
             piece = z[i0 : i0 + 40_000]
-            write_record_bin(path, (piece.real, piece.imag), 1e3, offset=i0, length=n)
+            write_record_bin(path, (piece.real, piece.imag), 1e3, i0, n)
         rotate_record_bin(path, 0.9)
         z *= np.exp(1j * 0.9)
         expected = tmp_path / "expected.bin"
-        write_record_bin(expected, (z.real, z.imag), 1e3)
+        write_record_bin(expected, (z.real, z.imag), 1e3, 0, n)
         assert path.read_bytes() == expected.read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         # a two-channel, 10-sample record cut to 15 samples
         path = tmp_path / "channels.bin"
-        write_record_bin(path, (np.ones(10), np.zeros(10)), 1e3)
+        write_record_bin(path, (np.ones(10), np.zeros(10)), 1e3, 0, 10)
         path.write_bytes(path.read_bytes()[: _HEADER.size + 8 * 15])
         with pytest.raises(ValueError, match="record file is truncated"):
             rotate_record_bin(path, 0.3)
 
     def test_one_channel_rejected(self, tmp_path):
         path = tmp_path / "rec.bin"
-        write_record_bin(path, np.zeros(10), 1e3)
+        write_record_bin(path, np.zeros(10), 1e3, 0, 10)
         with pytest.raises(ValueError, match="two-channel"):
             rotate_record_bin(path, 0.3)

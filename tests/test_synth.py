@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.stats import ks_2samp
 
-from conftest import single_segment_schedule
+from conftest import as_record, record_streams, single_segment_schedule
 from parosc.errors import ParametricInstabilityError, QuantumSqueezingRegimeError
 from parosc.fitting import fit_quadrature
 from parosc.model import DerivedRates, OscillatorParams, analytic_sideband_psd
@@ -213,8 +213,8 @@ class TestOuExactness:
 class TestSeedDeterminism:
     def test_identical_seed_bit_identical(self):
         grid = SimGrid(sample_rate=2e3, duration=10.0, carrier=TWO_PI * 200.0, seed=77)
-        a = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid)
-        b = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid)
+        a = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid, *as_record(grid))
+        b = simulate_scheduled_quadratures(OSC, rates_for(0.4), grid, *as_record(grid))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -231,12 +231,12 @@ class TestSimulateQuadratures:
         object.__setattr__(rates, "s", 1.2)
         object.__setattr__(rates, "gamma_minus", -1.0)
         with pytest.raises(ParametricInstabilityError):
-            simulate_scheduled_quadratures(OSC, rates, grid)
+            simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid))
 
     @pytest.mark.realization
     def test_symmetric_at_zero_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=120.0, carrier=TWO_PI * 200.0, seed=3)
-        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.0), grid, *as_record(grid))
         # subsample to effectively independent draws, then two-sample KS at 1%
         step = 300
         stat = ks_2samp(x[::step], y[::step])
@@ -245,7 +245,7 @@ class TestSimulateQuadratures:
     @pytest.mark.realization
     def test_variance_ratio_at_half_gain(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=4)
-        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         ratio = np.var(y) / np.var(x)
         # (1+s)/(1-s) = 3; the narrow Y chain dominates the estimator spread
         sigma = 3.0 * math.sqrt(2.0 / (400.0 * TWO_PI * 10.0 / 2.0)) * 2.0
@@ -254,7 +254,7 @@ class TestSimulateQuadratures:
     @pytest.mark.realization
     def test_cross_correlation_consistent_with_independence(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=5)
-        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid)
+        x, y = simulate_scheduled_quadratures(OSC, rates_for(0.5), grid, *as_record(grid))
         x = (x - x.mean()) / x.std()
         y = (y - y.mean()) / y.std()
         n = len(x)
@@ -274,10 +274,9 @@ class TestDetunedReference:
         # unchanged gamma_eff, whatever the resonant gain
         grid = SimGrid(sample_rate=2e3, duration=300.0, carrier=TWO_PI * 200.0, seed=6)
         rates = rates_for(0.5)
-        detuned = single_segment_schedule(grid.duration, DETUNED)
-        x, y = simulate_scheduled_quadratures(OSC, rates, grid, detuned)
+        x, y = simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid, DETUNED))
         reference = DerivedRates.from_target(rates.gamma_eff, 0.0, rates.n_bar)
-        ref_x, ref_y = simulate_scheduled_quadratures(OSC, reference, grid)
+        ref_x, ref_y = simulate_scheduled_quadratures(OSC, reference, grid, *as_record(grid))
         np.testing.assert_array_equal(x, ref_x)
         np.testing.assert_array_equal(y, ref_y)
         thermal = (2 * 5.8 + 1) / 4.0
@@ -293,7 +292,7 @@ class TestSidebandEnvelopes:
     @pytest.mark.realization
     def test_zero_gain_power_ratio(self):
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=8)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.0), grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.0), grid, *as_record(grid))
         ratio = np.mean(np.abs(beta_s) ** 2) / np.mean(np.abs(beta_as) ** 2)
         assert ratio == pytest.approx(6.8 / 5.8, rel=0.03)
 
@@ -301,7 +300,7 @@ class TestSidebandEnvelopes:
     def test_integrated_powers_at_half_gain(self):
         # closed-form totals: (2(n+1)-s^2)/(2(1-s^2)) and (2n+s^2)/(2(1-s^2))
         grid = SimGrid(sample_rate=2e3, duration=400.0, carrier=TWO_PI * 200.0, seed=9)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid, *as_record(grid))
         assert np.mean(np.abs(beta_s) ** 2) == pytest.approx(8.9, rel=0.03)
         assert np.mean(np.abs(beta_as) ** 2) == pytest.approx(7.9, rel=0.03)
 
@@ -309,12 +308,12 @@ class TestSidebandEnvelopes:
         grid = SimGrid(sample_rate=2e3, duration=1.0, carrier=TWO_PI * 200.0, seed=10)
         rates = DerivedRates.from_target(TWO_PI * 20.0, 0.7, 0.3)
         with pytest.raises(QuantumSqueezingRegimeError, match="s > 2\\*n_bar"):
-            simulate_scheduled_envelopes(OSC, rates, grid)
+            simulate_scheduled_envelopes(OSC, rates, grid, *as_record(grid))
 
     @pytest.mark.realization
     def test_envelopes_mutually_independent(self):
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=11)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates_for(0.5), grid, *as_record(grid))
         r = np.corrcoef(np.abs(beta_s) ** 2, np.abs(beta_as) ** 2)[0, 1]
         assert abs(r) < 0.02
 
@@ -326,7 +325,7 @@ class TestSidebandEnvelopes:
         # detrending off because the line sits right at zero frequency.
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=25e3, duration=100.0, carrier=TWO_PI * 5e3, seed=12)
-        _, beta_as = simulate_scheduled_envelopes(OSC, rates, grid)
+        _, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, *as_record(grid))
         psd = welch_psd_chunks([beta_as], grid.sample_rate, 25_000, detrend=False)
         step = bin_step_for(psd.window)
         sel = np.abs(psd.freqs) <= 300.0
@@ -348,7 +347,8 @@ class TestScheduledSynthesis:
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=200.0, carrier=TWO_PI * 200.0, seed=13)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        traj_x, traj_y = simulate_scheduled_quadratures(OSC, rates, grid, schedule)
+        traj_x, traj_y = simulate_scheduled_quadratures(OSC, rates, grid, schedule, 1,
+                                                        record_streams(grid))
         var_x, var_y = rates.quadrature_variances()
         thermal = (2 * 5.8 + 1) / 4.0
         for tag, expected_x, expected_y in (
@@ -369,8 +369,10 @@ class TestScheduledSynthesis:
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=20.0, carrier=TWO_PI * 200.0, seed=17)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        env = [simulate_scheduled_envelopes(OSC, rates, grid, schedule, workers=w) for w in (1, 2)]
-        quad = [simulate_scheduled_quadratures(OSC, rates, grid, schedule, workers=w) for w in (1, 2)]
+        env = [simulate_scheduled_envelopes(OSC, rates, grid, schedule, w, record_streams(grid))
+               for w in (1, 2)]
+        quad = [simulate_scheduled_quadratures(OSC, rates, grid, schedule, w, record_streams(grid))
+                for w in (1, 2)]
         assert np.array_equal(env[0][0], env[1][0])
         assert np.array_equal(env[0][1], env[1][1])
         assert np.array_equal(quad[0][0], quad[1][0])
@@ -389,11 +391,12 @@ class TestScheduledSynthesis:
         powers_of = synth._ou_powers.__wrapped__
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=250e3, duration=1.0, carrier=TWO_PI * 20e3, seed=17)
-        expected = simulate_scheduled_envelopes(OSC, rates, grid, workers=1)
+        schedule = single_segment_schedule(grid.duration)
+        expected = simulate_scheduled_envelopes(OSC, rates, grid, schedule, 1, record_streams(grid))
         for _ in range(3):
             slow = functools.lru_cache(maxsize=8)(lambda alpha: time.sleep(0.05) or powers_of(alpha))
             monkeypatch.setattr(synth, "_ou_powers", slow)
-            env = simulate_scheduled_envelopes(OSC, rates, grid, workers=2)
+            env = simulate_scheduled_envelopes(OSC, rates, grid, schedule, 2, record_streams(grid))
             assert np.array_equal(env[0], expected[0]) and np.array_equal(env[1], expected[1])
 
     def test_envelope_is_sum_of_its_component_streams(self):
@@ -422,7 +425,7 @@ class TestScheduledSynthesis:
             re = chain_of(halves, grid.dt, rng)
             im = chain_of(halves, grid.dt, rng)
             parts.append(re + 1j * im)
-        beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
+        beta_s, _ = simulate_scheduled_envelopes(OSC, rates, grid, schedule, 1, record_streams(grid))
         assert np.array_equal(beta_s, parts[0] + parts[1])
 
 
@@ -451,7 +454,7 @@ class TestSegmentStreaming:
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
         streams = Streams(grid.seed, grid.dt, grid.n_samples)
         parts = [
-            simulate_scheduled_quadratures(OSC, rates, seg, schedule, workers=2, streams=streams)
+            simulate_scheduled_quadratures(OSC, rates, seg, schedule, 2, streams)
             for seg in self._segments(grid, schedule)
         ]
         var_x, var_y = rates.quadrature_variances()
@@ -473,10 +476,11 @@ class TestSegmentStreaming:
         rates = rates_for(0.4)
         grid = SimGrid(sample_rate=2e3, duration=23.0, carrier=TWO_PI * 200.0, seed=37)
         schedule = schedule_drive(grid, 5.0, rates.gamma_minus)
-        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
+        beta_s, beta_as = simulate_scheduled_envelopes(OSC, rates, grid, schedule, 1,
+                                                       record_streams(grid))
         streams = Streams(grid.seed, grid.dt, grid.n_samples)
         got = [
-            simulate_scheduled_envelopes(OSC, rates, seg, schedule, workers=2, streams=streams)
+            simulate_scheduled_envelopes(OSC, rates, seg, schedule, 2, streams)
             for seg in self._segments(grid, schedule)
         ]
         np.testing.assert_array_equal(np.concatenate([g[0] for g in got]), beta_s)
@@ -501,8 +505,8 @@ class TestSegmentStreaming:
             return scan(self, *args)
 
         monkeypatch.setattr(Schedule, "sample_bounds", counted)
-        simulate_scheduled_envelopes(OSC, rates, piece, schedule)
-        simulate_scheduled_quadratures(OSC, rates, piece, schedule)
+        simulate_scheduled_envelopes(OSC, rates, piece, schedule, 1, record_streams(grid))
+        simulate_scheduled_quadratures(OSC, rates, piece, schedule, 1, record_streams(grid))
         assert calls == []
 
     @staticmethod
@@ -567,7 +571,7 @@ class TestSegmentStreaming:
         monkeypatch.setattr(Schedule, "bounds", counted)
         monkeypatch.setattr(Schedule, "sample_bounds", full_scan)
         last = grid.segment(grid.n_samples - _BLOCK, grid.n_samples)
-        x, y = simulate_scheduled_quadratures(OSC, rates, last, schedule)
+        x, y = simulate_scheduled_quadratures(OSC, rates, last, schedule, 1, record_streams(grid))
         assert len(x) == len(y) == _BLOCK
         assert 0 < len(calls) < 100, len(calls)
         assert min(calls) > 20_000 - 100 and max(calls) == 20_000 - 1
@@ -593,7 +597,7 @@ class TestSegmentStreaming:
             real = chain_of(pieces, grid.dt, rng)
             return real + 1j * chain_of(pieces, grid.dt, rng)
 
-        got = simulate_scheduled_envelopes(OSC, rates, grid, schedule)
+        got = simulate_scheduled_envelopes(OSC, rates, grid, schedule, 1, record_streams(grid))
         for env, (narrow, broad) in zip(got, (
             (STREAM_ENV_STOKES_NARROW, STREAM_ENV_STOKES_BROAD),
             (STREAM_ENV_ANTISTOKES_NARROW, STREAM_ENV_ANTISTOKES_BROAD),
@@ -689,7 +693,7 @@ class TestSpectralRoundTrip:
         # width within 5% on a 100 s record
         rates = rates_for(0.5)
         grid = SimGrid(sample_rate=2e3, duration=100.0, carrier=TWO_PI * 200.0, seed=41)
-        x, _ = simulate_scheduled_quadratures(OSC, rates, grid)
+        x, _ = simulate_scheduled_quadratures(OSC, rates, grid, *as_record(grid))
         psd = welch_psd_chunks([x], grid.sample_rate, 2000, detrend=False)
         # the lowest bins stay out of the fit, as in the Welch area test
         fit = fit_quadrature(psd.band(3.5 * psd.rbw, np.inf), 0.0, 300.0)

@@ -31,17 +31,40 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def defaulted_options(tree: ast.AST) -> int:
-    count = 0
-    for node in ast.walk(tree):
+def defaulted_option_names(tree: ast.AST, prefix: str = ""):
+    """Yield (name, option) for every defaulted option in tree, in source
+    order: name is the qualified name of its function, lambda
+    (``<lambda>``) or dataclass, e.g. ``OUChain.draw``."""
+    for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            count += len(node.args.defaults)
-            count += sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(
-                isinstance(stmt, ast.AnnAssign) and stmt.value is not None for stmt in node.body
-            )
-    return count
+            name = prefix + getattr(node, "name", "<lambda>")
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for arg in positional[len(positional) - len(args.defaults) :]:
+                yield name, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg
+            yield from defaulted_option_names(node, name + ".")
+        elif isinstance(node, ast.ClassDef):
+            name = prefix + node.name
+            if _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        yield name, stmt.target.id
+            yield from defaulted_option_names(node, name + ".")
+        else:
+            yield from defaulted_option_names(node, prefix)
+
+
+def package_defaulted_options(package: Path) -> list[tuple[str, str, str]]:
+    """(module, function or dataclass, option) of every defaulted option of
+    the package's modules."""
+    return [
+        (path.stem, name, option)
+        for path in sorted(package.glob("*.py"))
+        for name, option in defaulted_option_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
 
 
 def config_keys(tree: ast.AST) -> int:
@@ -58,7 +81,7 @@ def main(argv: list[str]) -> int:
     package = root / "src" / "parosc"
     files = sorted(package.glob("*.py"))
     lines = sum(path.read_bytes().count(b"\n") for path in files)
-    options = sum(defaulted_options(ast.parse(path.read_text(encoding="utf-8"))) for path in files)
+    options = len(package_defaulted_options(package))
     keys = config_keys(ast.parse((package / "config.py").read_text(encoding="utf-8")))
     print(f"src/parosc lines: {lines}")
     print(f"config keys: {keys}")
