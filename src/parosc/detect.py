@@ -12,10 +12,9 @@ caller passes, and demod_baseband feeds those into a Baseband
 filters and decimates: it hands on the decimated baseband samples each
 piece completes and holds no more of them.  The caller cuts those pieces at their usable
 slices (spectral.slice_parts), in record order, feeding each part to the
-complex Welch estimate of its drive class and, on resonant drive, adding it
-to the phase sums (add_phase_sums), as it comes.  Once the record is fed,
-optimize_demod_phase reads theta* from the phase sums and
-lockin_demodulate the channel spectra at theta* from the Welch sums.
+complex Welch estimate of its drive class as it comes.  Once the record is
+fed, optimize_demod_phase reads theta* from the resonant estimate's sums
+and lockin_demodulate the channel spectra at theta* from every class's.
 
 With workers > 1, beside the synthesis streams (synth) and the Welch rows
 (spectral), a piece's shot-noise draw runs beside its carrier mixing and
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AliasingError, FilterDesignError, ScheduleError
+from .errors import AliasingError, FilterDesignError, ScheduleError, SpectralError
 from .parallel import thread_map
 from .spectral import Psd, Welch
 from .synth import (
@@ -65,7 +64,7 @@ MAX_GUARD_FRACTION = 0.25
 # this bounds the record, not a structure held in memory.
 MAX_SEGMENTS = 100_000
 
-# The sampling noise of the second moment gives the channel variance a
+# The sampling noise of the Welch sums gives the channel power a
 # modulation depth over phase of order 1/sqrt(N_eff) even at s = 0; only a
 # clearly larger depth (s of a few percent and up at typical record
 # lengths) defines a demodulation phase.
@@ -489,8 +488,8 @@ def demod_baseband(baseband: Baseband, samples: np.ndarray, grid: SimGrid,
     it at grid.start, into the lock-in baseband; return the decimated
     baseband samples the piece completed (Baseband.feed).  The two lock-in
     channels at any demodulation phase theta are Re(e^{i theta} z) and
-    Im(e^{i theta} z), so sums over the baseband's usable slices serve both
-    the phase choice and the channel spectra.
+    Im(e^{i theta} z), so the complex Welch sums over the baseband's usable
+    slices serve both the phase choice and the channel spectra.
     """
     return baseband.feed(samples, grid.start, workers)
 
@@ -515,42 +514,31 @@ def lockin_demodulate(spectra: dict[str, Welch], demod_phase: float) -> dict[tup
     return psds
 
 
-def add_phase_sums(sums: tuple, z: np.ndarray) -> tuple:
-    """The phase sums (sum z, sum z^2, sum |z|^2, count) with the samples z
-    added; a record's sums start at (0.0, 0.0, 0.0, 0)."""
-    s1, s2, s_abs, n = sums
-    return (
-        s1 + np.sum(z),
-        # neither sum forms a product array; |z|^2 over the float pairs: no
-        # square root, no threaded BLAS call
-        s2 + np.einsum("i,i->", z, z),
-        s_abs + np.einsum("i,i->", z.view(float), z.view(float)),
-        n + len(z),
-    )
+def optimize_demod_phase(welch: Welch) -> tuple[float, float]:
+    """Demodulation phase minimizing one channel's Welch power on resonant
+    data, and the depth of that power's modulation over phase.
 
-
-def optimize_demod_phase(sums: tuple) -> tuple[float, float]:
-    """Demodulation phase minimizing one channel's variance on resonant data,
-    and the depth of that variance's modulation over phase.
-
-    Over the resonant usable samples of the decimated baseband z, the ones
-    the quadrature spectra are estimated from, with m1 = <z>, m2 = <z^2>,
-    P = <|z|^2> and c = m2 - m1^2, the cosine channel's variance is
-    var(theta) = [(P - |m1|^2) + Re(e^{2i theta} c)] / 2, smallest at
-    theta* = (pi - arg c)/2 mod pi.  The cosine channel at theta* carries the
-    squeezed quadrature, the orthogonal channel the anti-squeezed one.
-    The depth is (max - min)/mean of var(theta); below FLAT_PHASE_DEPTH the
-    variance is flat in phase, i.e. s ~ 0 and theta* is only the formal
-    minimum.  The sums are those of add_phase_sums over the parts of the
-    resonant usable slices, added part by part as the record is fed, so
-    theta* depends on where the pieces are cut at the rounding level only;
-    call it once the record is fed whole.
+    welch is the resonant class's complex Welch estimate of the decimated
+    baseband z, the one the quadrature spectra come from.  Summed over its
+    bins, the cosine channel's density (Welch.channel_psds) is
+    P(theta) = [SA + Re(e^{2i theta} SB)] / 2 in the estimate's units, with
+    SA and SB the two-sided sums of A_k = sum |Z_k|^2 and
+    B_k = sum Z_k Z_{-k} over all bins, smallest at
+    theta* = (pi - arg SB)/2 mod pi.  The sums are read from the channel
+    powers x, y at theta = 0 and pi/4: SA = x + y at 0, SB = (x - y at 0)
+    - i (x - y at pi/4).  The cosine channel at theta* carries the squeezed
+    quadrature, the orthogonal channel the anti-squeezed one.  The depth is
+    (max - min)/mean of P(theta), 2|SB|/SA; below FLAT_PHASE_DEPTH the
+    power is flat in phase, i.e. s ~ 0 and theta* is only the formal
+    minimum.  The Welch sums do not depend on how the record was cut or
+    on the worker count, so neither does theta*; call it once the record
+    is fed whole.
     """
-    s1, s2, s_abs, n_tot = sums
-    if not n_tot:
-        raise ScheduleError("no resonant-drive segments to optimize the phase on")
-    m1 = s1 / n_tot
-    c = s2 / n_tot - m1 * m1
-    theta = (math.pi - cmath.phase(c)) / 2.0 % math.pi
-    depth = 2.0 * abs(c) / max(s_abs / n_tot - abs(m1) ** 2, 1e-300)
-    return theta, depth
+    try:
+        (x0, y0), (x1, y1) = ([np.sum(psd.density) for psd in welch.channel_psds(theta)]
+                              for theta in (0.0, math.pi / 4))
+    except SpectralError as exc:
+        raise ScheduleError(f"no demodulation phase on the resonant slices: {exc}") from None
+    pseudo = complex(x0 - y0, y1 - x1)
+    theta = (math.pi - cmath.phase(pseudo)) / 2.0 % math.pi
+    return theta, 2.0 * abs(pseudo) / max(x0 + y0, 1e-300)

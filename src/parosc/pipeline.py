@@ -9,14 +9,15 @@ values and theory overlays always come from one shared DerivedRates
 instance.  A repetition streams its records in blocks through one block
 driver, the sideband record first.  Both passes cut their pieces at the
 usable slices' bounds (spectral.slice_parts) and feed the parts straight
-to the Welch estimate of their drive class: the sideband pass the record's
-blocks, the quadrature pass the decimated baseband the lock-in hands on
-for each block, whose resonant parts also go to the phase sums.  So no
-array spans the record or a slice, and what a pass holds is bounded by a
-block and the Welch segments, whatever the drive period.  Each pass's
-tables go with it.  Artifacts are
-byte-reproducible for a fixed (config, seed) and environment (the numpy
-version, which every report records), independent of the worker count.
+to the Welch estimate of their drive class, in one loop: the sideband pass
+the record's blocks, the quadrature pass the decimated baseband the
+lock-in hands on for each block.  theta* and the channel spectra both
+come from the quadrature pass's Welch sums.  So no array spans the record
+or a slice, and what a pass holds is bounded by a block and the Welch
+segments, whatever the drive period.  Each pass's tables go with it.
+Artifacts are byte-reproducible for a fixed (config, seed) and environment
+(the numpy version, which every report records), independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from . import __version__, recordio
 from .config import TWO_PI, RunConfig, require_valid, require_valid_workers
 from .detect import (
     FLAT_PHASE_DEPTH,
-    add_phase_sums,
     demod_baseband,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
@@ -180,21 +180,24 @@ def _run_repetition(
             yield blk, samples
             del samples  # before the next block is synthesized
 
-    def welch_per_class(fs):
-        nperseg = int(round(v["welch_segment"] * fs))
-        return {tag: Welch(fs, nperseg, v["welch_overlap"], v["window"], "constant")
-                for tag in (DETUNED, RESONANT)}
-
     # Each pass is a function, so its tables and Welch tails are gone
     # before the next pass starts.  Both cut their record's pieces at the
     # usable slices (slice_parts) and feed each part straight to its drive
-    # class's Welch estimate, the part that ends a slice ending that
-    # estimate's chunk.  Each step lets go of a piece (the dels) before the
-    # next is asked for, so no block is held while the next one is made.
+    # class's Welch estimate at the rate fs, the part that ends a slice
+    # ending that estimate's chunk, and return the estimates.  Each step
+    # lets go of a piece (the dels) before the next is asked for, so no
+    # block is held while the next one is made.
+    def welch_per_class(fs, slices, pieces):
+        nperseg = int(round(v["welch_segment"] * fs))
+        welch = {tag: Welch(fs, nperseg, v["welch_overlap"], v["window"], "constant")
+                 for tag in (DETUNED, RESONANT)}
+        for tag, part, last in slice_parts(slices, pieces):
+            welch[tag].feed(part, workers, last)
+            del part
+        return welch
+
     def sideband():
         # component backend: the pieces are the record's blocks
-        welch = welch_per_class(grid.sample_rate)
-
         def pieces():
             for _, samples in record(Streams(seed, grid.dt, grid.n_samples),
                                      simulate_scheduled_envelopes, compose_heterodyne_components,
@@ -202,23 +205,18 @@ def _run_repetition(
                 yield samples
                 del samples
 
-        for tag, part, last in slice_parts(schedule.usable_slices(grid.sample_rate, grid.n_samples),
-                                           pieces()):
-            welch[tag].feed(part, workers, last)
-            del part
-        return {tag: _stage("heterodyne psd", w.psd) for tag, w in welch.items()}
+        return welch_per_class(grid.sample_rate,
+                               schedule.usable_slices(grid.sample_rate, grid.n_samples), pieces())
 
     def quadrature():
         # Wigner backend: the pieces are the decimated baseband the lock-in
-        # hands on for each block; the resonant parts also go to the phase
-        # sums.  The raw channels are written unrotated and rotated by
-        # theta* at the end.  The lock-in mixes from the carrier table of
-        # the record's streams, the one the composition uses.
-        welch = welch_per_class(fs_q)
+        # hands on for each block.  The raw channels are written unrotated
+        # and rotated by theta* at the end.  The lock-in mixes from the
+        # carrier table of the record's streams, the one the composition
+        # uses.
         streams = Streams(seed, grid.dt, grid.n_samples)
         baseband = _stage("demodulation", lockin_baseband, grid, det, passband_edge, decim, schedule,
                           streams)
-        sums = (0.0, 0.0, 0.0, 0)
 
         def pieces():
             j0 = 0
@@ -235,16 +233,11 @@ def _run_repetition(
                 del z
 
         # the slices' tail guard is the filter's half length
-        for tag, part, last in slice_parts(baseband.usable_slices(), pieces()):
-            welch[tag].feed(part, workers, last)
-            if tag == RESONANT:
-                sums = add_phase_sums(sums, part)
-            del part
-        return welch, sums
+        return welch_per_class(fs_q, baseband.usable_slices(), pieces())
 
-    psd_h = sideband()
-    welch_q, phase_sums = quadrature()
-    theta, depth = _stage("demodulation phase", optimize_demod_phase, phase_sums)
+    psd_h = {tag: _stage("heterodyne psd", w.psd) for tag, w in sideband().items()}
+    welch_q = quadrature()
+    theta, depth = _stage("demodulation phase", optimize_demod_phase, welch_q[RESONANT])
     if depth < FLAT_PHASE_DEPTH:
         _warn(
             f"repetition seed {seed}: variance is flat in the demodulation phase "

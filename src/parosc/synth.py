@@ -154,16 +154,15 @@ class Schedule:
         usable part, in record order.
 
         The settling guard trims each segment head; tail_guard (seconds)
-        optionally trims the tail as well, e.g. by a filter's half support so
-        demodulated statistics cannot leak across a drive switch.
+        optionally trims every segment's tail as well, the last one's too,
+        e.g. by a filter's half support so demodulated statistics neither
+        leak across a drive switch nor reach the padding past the record.
         """
         guard_n = int(math.ceil(self.guard * sample_rate))
         tail_n = int(math.ceil(tail_guard * sample_rate))
         for i0, i1, tag in self.sample_bounds(sample_rate, n_samples):
-            lo = i0 + guard_n
-            hi = i1 if i1 >= n_samples else i1 - tail_n
-            if lo < hi:
-                yield tag, slice(lo, hi)
+            if i0 + guard_n < i1 - tail_n:
+                yield tag, slice(i0 + guard_n, i1 - tail_n)
 
 
 def ou_step(prev: float, decay_rate: float, stationary_var: float, dt: float, noise_draw: float) -> float:

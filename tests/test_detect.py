@@ -17,7 +17,6 @@ from parosc.detect import (
     _freqz_response,
     _phasor_table,
     _record_phasors,
-    add_phase_sums,
     compose_heterodyne_components,
     compose_heterodyne_wigner,
     demod_baseband,
@@ -78,17 +77,36 @@ def of_class(tag, slices):
     return [s for seg_tag, s in slices if seg_tag == tag]
 
 
-def sum_slices(bb, zs, spectra=(), workers=1):
+def sum_slices(bb, zs, spectra=None, workers=1):
     """Cut the decimated pieces zs of bb's record at its usable slices as
-    the pipeline does: each part to its class's Welch in spectra, if any,
-    and each resonant one to the phase sums, which are returned."""
-    sums = (0.0, 0.0, 0.0, 0)
+    the pipeline does, each part to its class's Welch in spectra (by
+    default a resonant one of 0.2 s Hann segments), and return the
+    resonant Welch."""
+    if spectra is None:
+        fs = bb.sample_rate / bb.decimate
+        spectra = {RESONANT: Welch(fs, int(round(0.2 * fs)), 0.5, "hann", "constant")}
     for tag, part, last in slice_parts(bb.usable_slices(), zs):
         if tag in spectra:
             spectra[tag].feed(part, workers, last)
-        if tag == RESONANT:
-            sums = add_phase_sums(sums, part)
-    return sums
+    return spectra[RESONANT]
+
+
+def assert_x_power_extremes(welch, theta, depth):
+    """theta is the bounded minimum of the x channel's Welch power
+    P(th) = sum_k channel_psds(th)[0].density, to 1e-6, and depth is
+    (max - min)/mean of P over phase: the extremes found by bounded search,
+    the mean over eight phases spanning its period."""
+    def power(th):
+        return np.sum(welch.channel_psds(th)[0].density)
+
+    def extreme(sign, center):
+        return minimize_scalar(lambda th: sign * power(th), bounds=(center - 0.5, center + 0.5),
+                               method="bounded", options={"xatol": 1e-10})
+
+    low, high = extreme(1.0, theta), extreme(-1.0, theta + math.pi / 2)
+    assert abs(low.x - theta) < 1e-6
+    mean = np.mean([power(th) for th in np.arange(8) * math.pi / 8])
+    assert depth == pytest.approx((-high.fun - low.fun) / mean, rel=1e-9)
 
 
 class TestScheduleDrive:
@@ -123,6 +141,30 @@ class TestScheduleDrive:
         assert len(slices) == 2
         guard_n = math.ceil(schedule.guard * grid.sample_rate)
         assert slices[0].start == int(5.0 * grid.sample_rate) + guard_n
+
+    def test_default_walks_end_their_slices(self):
+        # on the defaults every lock-in slice, the record's last one too,
+        # stops 24 decimated samples (the 381 taps' half length, 190 of
+        # 250 kHz, at 31.25 kHz) before its segment ends, so none reads the
+        # filter's zero padding; the heterodyne slices run to their
+        # segments' ends
+        config = RunConfig.defaults()
+        grid, rates = config.grid(seed=0), config.derived_rates()
+        schedule = schedule_drive(grid, config.values["schedule_period"], rates.gamma_minus)
+        decimate = config.values["decimate"]
+        bb = lockin_baseband(grid, config.detection(), config.passband_edge_hz(rates), decimate,
+                             schedule, Streams(0, grid.dt, grid.n_samples))
+        assert len(bb.taps) == 381 and bb.n_decimated == 3_125_000
+        segment_ends = [i1 for _, i1, _ in schedule.sample_bounds(grid.sample_rate / decimate,
+                                                                  bb.n_decimated)]
+        lockin = list(bb.usable_slices())
+        assert [s.stop for _, s in lockin] == [i1 - 24 for i1 in segment_ends]
+        assert lockin[-1] == (RESONANT, slice(2_973_724, 3_124_976))
+        heterodyne = list(schedule.usable_slices(grid.sample_rate, grid.n_samples))
+        assert [s.stop for _, s in heterodyne] == [
+            i1 for _, i1, _ in schedule.sample_bounds(grid.sample_rate, grid.n_samples)
+        ]
+        assert heterodyne[-1][1].stop == grid.n_samples == 25_000_000
 
     @staticmethod
     def _listed_slices(grid, period, guard, tag):
@@ -512,10 +554,9 @@ class TestSegmentStreaming:
         return {tag: Welch(FS / 4, 1750, 0.5, "hann", "constant") for tag in (DETUNED, RESONANT)}
 
     def test_wigner_record_and_baseband(self):
-        # the handed-on pieces of the baseband and the channel spectra at a
-        # given theta are the whole record's, bit for bit; the phase sums
-        # are added part by part, so theta* and the depth agree to their
-        # rounding
+        # the handed-on pieces of the baseband, theta* with its depth and
+        # the channel spectra at a given theta are the whole record's, bit
+        # for bit
         rates, schedule = self._setup()
         det = DetectionParams(gain=1.0, shot_psd=0.002, lowpass_cutoff=2.5e3)
         whole_quad = simulate_scheduled_quadratures(OSC, rates, self.GRID, schedule, 1,
@@ -542,7 +583,7 @@ class TestSegmentStreaming:
             np.testing.assert_array_equal(np.concatenate(zs), whole_z, str(cut))
             spectra = self._spectra()
             got = optimize_demod_phase(sum_slices(streamed, zs, spectra, workers=2))
-            np.testing.assert_allclose(got, theta, rtol=1e-12, atol=0, err_msg=str(cut))
+            assert got == theta, cut
             for key, psd in lockin_demodulate(spectra, theta[0]).items():
                 np.testing.assert_array_equal(psd.density, whole_psds[key].density, str(key))
 
@@ -781,67 +822,41 @@ class TestOptimizeDemodPhase:
         assert depth < FLAT_PHASE_DEPTH
 
     def test_closed_form_is_the_variance_minimum(self):
-        # complex samples with a nonzero mean, so the m1^2 term of the closed
-        # form matters; the sums of one resonant slice over all of z stand
-        # in for a record's phase sums
+        # improper white complex samples with a nonzero mean, in a Welch
+        # with and without the constant detrend (without it the mean stays
+        # in bin 0): theta* minimizes the x channel's Welch power and the
+        # depth is that power's modulation
         rng = np.random.default_rng(17)
         flat_seen = sharp_seen = 0
-        for _ in range(200):
-            n = 2000
+        for k in range(200):
+            n = 4000
             squeeze = rng.uniform(0.0, 0.3)
             x = rng.normal(0.0, math.sqrt(1.0 - squeeze), n)
             y = rng.normal(0.0, math.sqrt(1.0 + squeeze), n)
             mean = complex(*rng.normal(0.0, 2.0, 2))
             z = (x + 1j * y) * np.exp(1j * rng.uniform(0.0, TWO_PI)) + mean
-            sums = (np.sum(z), np.sum(z * z), np.sum(np.abs(z) ** 2), n)
-            m1 = np.mean(z)
-            c = np.mean(z * z) - m1 * m1
-            depth = 2.0 * abs(c) / (np.mean(np.abs(z) ** 2) - abs(m1) ** 2)
-            theta, got_depth = optimize_demod_phase(sums)
-            assert got_depth == pytest.approx(depth, rel=1e-9)
+            welch = Welch(1.0, 256, 0.5, "hann", "constant" if k % 2 else False)
+            welch.feed(z, 1)
+            theta, depth = optimize_demod_phase(welch)
             assert 0.0 <= theta < math.pi
-            if depth < FLAT_PHASE_DEPTH:
-                flat_seen += 1
-                continue
-            sharp_seen += 1
-            best = minimize_scalar(
-                lambda th: np.var((np.exp(1j * th) * z).real),
-                bounds=(theta - 0.5, theta + 0.5), method="bounded",
-                options={"xatol": 1e-10},
-            )
-            assert abs(best.x - theta) < 1e-6
+            assert_x_power_extremes(welch, theta, depth)
+            flat_seen += depth < FLAT_PHASE_DEPTH
+            sharp_seen += depth >= FLAT_PHASE_DEPTH
         assert flat_seen > 10 and sharp_seen > 10
 
     def test_minimizes_the_decimated_resonant_channel_variance(self):
-        # theta* is the variance minimum of exactly the channel samples the
-        # quadrature spectra read: the resonant usable slices of decimated z
+        # theta* minimizes the x channel's Welch power over the resonant
+        # usable slices of decimated z, the spectrum the quadrature fits
+        # read, and the depth is that power's modulation over phase
         bb, z = self._baseband(0.6, seed=18, duration=30.0, shot=0.002, decimate=4)
-        theta, _ = optimize_demod_phase(sum_slices(bb, [z]))
-        z = np.concatenate([z[s] for s in of_class(RESONANT, bb.usable_slices())])
-        best = minimize_scalar(
-            lambda th: np.var((np.exp(1j * th) * z).real),
-            bounds=(theta - 0.5, theta + 0.5), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        assert abs(best.x - theta) < 1e-6
+        welch = sum_slices(bb, [z])
+        assert_x_power_extremes(welch, *optimize_demod_phase(welch))
 
-    def test_phase_sums_form_no_product_array(self):
-        # sum z^2 of a 16 MiB slice without a slice-sized z * z beside it
-        import tracemalloc
-
-        rng = np.random.default_rng(19)
-        z = rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20) + 0.3
-        tracemalloc.start()
-        try:
-            s1, s2, s_abs, n = add_phase_sums((0.0, 0.0, 0.0, 0), z)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak
-        assert n == len(z)
-        assert abs(s2 - np.sum(z * z)) <= 1e-12 * abs(np.sum(z * z))
-        assert s1 == pytest.approx(np.sum(z), rel=1e-12)
-        assert s_abs == pytest.approx(np.sum(np.abs(z) ** 2), rel=1e-12)
+    def test_needs_a_resonant_chunk_of_two_segments(self):
+        welch = Welch(1.0, 64, 0.5, "hann", "constant")
+        welch.feed(np.ones(90, complex), 1)  # one segment
+        with pytest.raises(ScheduleError, match="two Welch segments"):
+            optimize_demod_phase(welch)
 
 
 class TestQuadratureSpectraAtOptimum:

@@ -610,9 +610,9 @@ class TestSegmentStreaming:
 def _listed_usable_slices(schedule, rate, n, tail_guard, tag):
     """One class's usable slices as a walk per class once listed them:
     every segment's bounds rounded from k*period (the last one running on
-    to sample n), its head trimmed by the guard and its tail, unless it
-    ends the record, by the tail guard, keeping the non-empty ranges of
-    segments carrying tag."""
+    to sample n), its head trimmed by the guard and its tail, the last
+    one's too, by the tail guard, keeping the non-empty ranges of segments
+    carrying tag."""
     period, tags = schedule.period, schedule.tags
     n_seg = int(math.floor(schedule.duration / period + 1e-9))
     guard_n, tail_n = int(math.ceil(schedule.guard * rate)), int(math.ceil(tail_guard * rate))
@@ -620,7 +620,7 @@ def _listed_usable_slices(schedule, rate, n, tail_guard, tag):
     for k in range(n_seg):
         i0 = int(round(k * period * rate))
         i1 = n if k == n_seg - 1 else int(round((k + 1) * period * rate))
-        lo, hi = i0 + guard_n, i1 if i1 >= n else i1 - tail_n
+        lo, hi = i0 + guard_n, i1 - tail_n
         if tags[k % len(tags)] == tag and lo < hi:
             out.append(slice(lo, hi))
     return out
