@@ -49,10 +49,14 @@ from .synth import (
     Streams,
 )
 
-# Samples per carrier-mixing block (cache-sized), and the shortest FFT
-# length and the blocks per call of the lock-in filter's overlap-save (its
-# FFT length is the power of two at least this and four filter lengths).
-_MIX_BLOCK = 1 << 16
+# Samples per mixing block, sized to a core's 2 MiB L2: a component
+# composition's block reads two table slices and writes two phasor blocks
+# (256 KiB each) beside its envelope and output slices, 1.6 MiB in all;
+# 2^16 overflowed L2, and 2^13 or 2^12 peak no lower.  Then the shortest
+# FFT length and the blocks per call of the lock-in filter's overlap-save
+# (its FFT length is the power of two at least this and four filter
+# lengths).
+_MIX_BLOCK = 1 << 14
 _FIR_FFT = 1 << 13
 _FIR_BATCH = 16
 
@@ -150,7 +154,7 @@ def _block_phasor(omega: float, dt: float, n: int) -> np.ndarray:
 
 def _phasor_table(streams: Streams, omega: float, dt: float) -> np.ndarray:
     """The record's block phasor at omega, as long as the record and at
-    most _MIX_BLOCK: one array per record, whoever asks."""
+    most _MIX_BLOCK (256 KiB): one array per record, whoever asks."""
     return streams.table(_block_phasor, omega, dt, min(streams.n_samples, _MIX_BLOCK))
 
 
@@ -167,7 +171,8 @@ def _record_phasors(start: int, n: int, dt: float, *waves):
     the phasors of the whole record.  The result agrees with the direct exp
     to the rounding already present in omega*t.  The phasors are fresh, so
     callers may scale them in place, and are yielded as made: the walk
-    holds none of them while the next block's are made."""
+    holds none of them while the next block's are made, so a stage holds
+    one block of at most _MIX_BLOCK samples a wave."""
     end = start + n
     i0 = start
     while i0 < end:

@@ -117,45 +117,40 @@ class Psd:
         return replace(self, freqs=self.freqs[sel], density=self.density[sel])
 
 
-def _periodic_window(window: str, length: int) -> np.ndarray:
-    """The DFT-even (periodic) window of the given length, summed as
-    scipy.signal.get_window(window, length) sums it, so with its bytes: the
-    cosine terms in order over length + 1 points from -pi to pi, the last
-    point dropped, each term formed in one scratch array.  Lengths 0 and 1
-    give ones."""
-    if window not in _COSINE_TERMS:
-        raise SpectralError(f"window {window!r} is not one of {', '.join(_COSINE_TERMS)}")
-    if length <= 1:
-        return np.ones(length)
-    fac = np.linspace(-np.pi, np.pi, length + 1)
-    win = np.zeros(length + 1)
-    t = np.empty(length + 1)
-    for k, a in enumerate(_COSINE_TERMS[window]):
-        np.multiply(k, fac, out=t)
-        np.cos(t, out=t)
-        t *= a
-        win += t
-    return win[:-1]
-
-
 def _window_terms(window: str, segment_len: int, hop: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
     """The window's taps, its power sum and the normalized window
     correlation rho_m at each overlapping lag m*hop, m = 1, 2, ...  The
-    taps (c_0, c_1, ...) window a segment's DFT as
-    Y[k] = c_0 X[k] + sum_j c_j (X[k - j] + X[k + j]): at the periodic
-    window's x_n = -pi + 2 pi n / N, a_j cos(j x_n) is
-    (-1)^j a_j / 2 (e^{2 pi i j n / N} + e^{-2 pi i j n / N}).  The sums
-    are taken over the window's values, which are not kept."""
-    win_vals = _periodic_window(window, segment_len)
-    power_sum = float(np.sum(win_vals**2))
-    rhos = tuple(
-        float(np.sum(win_vals[: segment_len - lag] * win_vals[lag:])) / power_sum
-        for lag in range(hop, segment_len, hop)
-    )
-    a = _COSINE_TERMS[window]
-    taps = (a[0], *((-1) ** j * a[j] / 2.0 for j in range(1, len(a))))
-    # a window of one sample is a one (_periodic_window), not its cosine sum
-    return taps if segment_len > 1 else (1.0,), power_sum, rhos
+    periodic window of N samples (scipy.signal.get_window's) is
+    w_n = sum_j c_j cos(2 pi j n / N), c_j = (-1)^j a_j for its cosine
+    terms a_j, and its taps (c_0, c_1 / 2, ...) window a segment's DFT as
+    Y[k] = c_0 X[k] + sum_j c_j / 2 (X[k - j] + X[k + j]).  The sums
+    sum_{n < N - L} w_n w_{n + L} are taken term by term in closed form
+    (Dirichlet kernels), so no window is formed; a frequency that aliases
+    to zero keeps short windows exact, and past N = 2J for J terms the
+    power sum is N (a_0^2 + sum_{j >= 1} a_j^2 / 2).  A window of one
+    sample is a one, as get_window's is."""
+    if window not in _COSINE_TERMS:
+        raise SpectralError(f"window {window!r} is not one of {', '.join(_COSINE_TERMS)}")
+    if segment_len == 1:
+        return (1.0,), 1.0, ()
+    n = segment_len
+    c = [(-1) ** j * a for j, a in enumerate(_COSINE_TERMS[window])]
+
+    def cosines(f, p, count):
+        # sum_{m < count} cos(pi (2 f m + p) / n), each angle reduced exactly
+        angle = [math.pi * (k % (2 * n)) / n for k in (p, f * count, f, p + (count - 1) * f)]
+        if f % n == 0:
+            return count * math.cos(angle[0])
+        return math.sin(angle[1]) / math.sin(angle[2]) * math.cos(angle[3])
+
+    def lagged(lag):  # cos a cos b = (cos(a + b) + cos(a - b)) / 2
+        return sum(c[j] * c[k] / 2.0 * (cosines(j + k, 2 * k * lag, n - lag)
+                                        + cosines(j - k, -2 * k * lag, n - lag))
+                   for j in range(len(c)) for k in range(len(c)))
+
+    power_sum = lagged(0)
+    rhos = tuple(lagged(lag) / power_sum for lag in range(hop, n, hop))
+    return (c[0], *(cj / 2.0 for cj in c[1:])), power_sum, rhos
 
 
 def _window_row(row: np.ndarray, taps: tuple[float, ...], segment_len: int) -> None:

@@ -281,7 +281,7 @@ class TestCarrierPhasors:
 class TestPhasorWalkLetsGo:
     """A block's phasors are dead once their consumer drops them, before
     the next block's are made: neither the walk nor a stage that mixes
-    with it holds them (1 MiB a wave on the default blocks)."""
+    with it holds them (256 KiB a wave on the default blocks)."""
 
     def test_walk_holds_no_dropped_block(self):
         dt = 1e-3
@@ -318,6 +318,40 @@ class TestPhasorWalkLetsGo:
                                       record_streams(grid))
         demod(samples, grid, DET, EDGE, workers=2)
         assert alive == [0] * 3 * blocks, alive
+
+
+class TestCompositionPeak:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["wigner", "components"])
+    def test_default_block_peak(self, backend, workers):
+        # one 131,072-sample block of the default record, composed with
+        # shot noise and fresh record Streams: the output and the noise
+        # (1 MiB each), the record's two tables and one block's two phasors
+        # (256 KiB each) peak under 3.5 MiB (6 MiB with 2^16-sample mixing
+        # blocks)
+        import tracemalloc
+
+        config = RunConfig.defaults()
+        grid = config.grid(seed=0)
+        det, delta_lo = config.detection(), config.values["delta_lo"]
+        assert det.shot_psd > 0
+        n = 1 << 17
+        blk = grid.segment(3 * n, 4 * n)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        beta_s, beta_as = x + 1j * y, y + 1j * x
+        streams = Streams(0, grid.dt, grid.n_samples)
+        tracemalloc.start()
+        try:
+            if backend == "wigner":
+                compose_heterodyne_wigner(x, y, det, blk, delta_lo, 0.4, workers, streams)
+            else:
+                compose_heterodyne_components(beta_s, beta_as, det, blk, delta_lo, workers,
+                                              streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20, peak / 2**20
 
 
 class TestComposeWigner:

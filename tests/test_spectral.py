@@ -18,7 +18,7 @@ from parosc.spectral import (
     BIN_STEP_BY_WINDOW,
     Psd,
     Welch,
-    _periodic_window,
+    _window_terms,
     bin_step_for,
     chi2_indistinguishable,
     read_psd_csv,
@@ -616,29 +616,39 @@ class TestChiSquareComparison:
 class TestWindows:
     @pytest.mark.parametrize("window", sorted(BIN_STEP_BY_WINDOW))
     def test_equal_scipy_get_window(self, window):
-        # every window has the bytes of scipy's periodic window
-        for length in (1, 2, 1001, 1000, 250_000):
-            expected = signal.get_window(window, length)
-            assert _periodic_window(window, length).tobytes() == expected.tobytes(), length
+        # the closed-form power sum and overlap correlations equal the sums
+        # over scipy's periodic window, at short and long, odd and even
+        # lengths and every hop: the power sum to 1e-14 relative, each
+        # rho_m (a lagged sum over the power sum) to 1e-14 of the power sum
+        cases = [(n, hop) for n in range(1, 12) for hop in range(1, n + 1)]
+        cases += [(n, n - n // 2) for n in (39, 1000, 1001, 4375, 17_501, 31_250, 250_000)]
+        for length, hop in cases:
+            win = signal.get_window(window, length)
+            power = float(np.sum(win**2))
+            rhos = [float(np.sum(win[: length - lag] * win[lag:])) / power
+                    for lag in range(hop, length, hop)]
+            _, got_power, got_rhos = _window_terms(window, length, hop)
+            assert got_power == pytest.approx(power, rel=1e-14, abs=0.0), (length, hop)
+            assert len(got_rhos) == len(rhos), (length, hop)
+            np.testing.assert_allclose(got_rhos, rhos, rtol=0.0, atol=1e-14,
+                                       err_msg=f"{length}, {hop}")
 
     @pytest.mark.parametrize("window", sorted(BIN_STEP_BY_WINDOW))
     def test_window_sums_its_terms_in_place(self, window):
-        # the cosine terms go through one scratch array: the linspace, the
-        # sum and the scratch, not a fresh array per operation
-        import tracemalloc
-
+        # the sums are taken in closed form, term by term, so no window is
+        # formed: under a tenth of a window's bytes is allocated
         length = 250_000
         tracemalloc.start()
         try:
-            _periodic_window(window, length)
+            _window_terms(window, length, length // 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * length, peak / (8 * length)
+        assert peak < 0.1 * 8 * length, peak / (8 * length)
 
     def test_unknown_window_raises(self):
         with pytest.raises(SpectralError, match="'flattop' is not one of"):
-            _periodic_window("flattop", 16)
+            _window_terms("flattop", 16, 8)
 
 
 class TestBinStep:
